@@ -38,14 +38,14 @@ var descriptions = map[string]string{
 	"E13": "fault injection & recovery: link severs, frame loss, heartbeat sweep",
 	"E14": "engine-shard scaling at a hot sink + shm backend latency/rate",
 	"E15": "cluster observability: tracing overhead, merged cross-peer traces, collector scrape cost",
-	"E16": "scalable N-peer collectives: latency/goodput vs blocking seed engine",
+	"E16": "scalable N-peer collectives: latency vs ranks, goodput per algorithm",
 	"E17": "failure-aware collectives: kill->abort latency, shrink vs restart goodput",
 }
 
 func main() {
 	var (
-		expFlag   = flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
-		scaleFlag = flag.Float64("scale", 1.0, "iteration scale factor (0 < s <= 1; smaller = faster)")
+		expFlag     = flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
+		scaleFlag   = flag.Float64("scale", 1.0, "iteration scale factor (0 < s <= 1; smaller = faster)")
 		listFlag    = flag.Bool("list", false, "list experiments and exit")
 		metricsFlag = flag.Bool("metrics", false, "record op latencies across experiments and print a snapshot at the end")
 		debugAddr   = flag.String("debug", "", "serve live /metrics, /vars and /trace on this address while experiments run")

@@ -56,10 +56,9 @@ func main() {
 		goruntime.Version(), goruntime.GOOS, goruntime.GOARCH, goruntime.NumCPU())
 	fmt.Println("  backends:           vsim (simulated IB verbs), tcp (loopback sockets), shm (intra-host SPSC rings)")
 	fmt.Printf("  engine shards:      %d (peers partitioned rank %% shards)\n", eff.EngineShards)
-	fmt.Printf("  ledger slots:       %d (pwc/eager), %d (sys)\n", eff.LedgerSlots, eff.SysSlots)
-	fmt.Printf("  eager entry:        %d B (packed payload cap %d B)\n",
-		eff.EagerEntrySize, env.Phs[0].EagerThreshold())
-	fmt.Printf("  eager threshold:    %d B (larger sends rendezvous)\n", eff.EagerThreshold)
+	fmt.Printf("  ledger slots:       %d per ledger (pwc, eager, sys)\n", eff.LedgerSlots)
+	fmt.Printf("  eager entry:        %d B\n", eff.EagerEntrySize)
+	fmt.Printf("  eager threshold:    %d B (packed payload cap; larger sends rendezvous)\n", env.Phs[0].EagerThreshold())
 	fmt.Printf("  rendezvous slab:    %d B\n", eff.RdzvSlabSize)
 	fmt.Printf("  credit batch:       %d entries\n", eff.CreditBatch)
 	fmt.Println("  operations:         put/get with completion, packed send, rendezvous send,")

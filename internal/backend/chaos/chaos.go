@@ -70,13 +70,18 @@ type delayedOp struct {
 	hold     int
 }
 
-// Backend wraps an inner core.Backend with the plan's faults. It
-// deliberately does not forward the batch-post extension, so every
-// write funnels through PostWrite and sees the same injection point.
+// Backend wraps an inner core.Backend with the plan's faults and
+// forwards the rest of the contract, so an engine over it runs the
+// same wake, batch and sweep path as over the bare transport.
 type Backend struct {
 	inner core.Backend
 	plan  Plan
 	group *Group // shared whole-job fault state; nil for Wrap
+
+	// wake holds the engine's sink, kicked while delayed ops are held:
+	// their release is counted in Poll calls, so the engine must keep
+	// polling instead of parking until the next transport event.
+	wake *core.WakeChan
 
 	// Armed op-count triggers (see group.go). Atomics: engine shards
 	// post concurrently and the trigger must fire exactly once.
@@ -107,6 +112,7 @@ func Wrap(inner core.Backend, plan Plan) *Backend {
 	return &Backend{
 		inner:       inner,
 		plan:        plan,
+		wake:        core.NewWakeChan(),
 		rng:         rand.New(rand.NewSource(plan.Seed)),
 		partitioned: make(map[int]bool),
 		crashed:     make(map[int]bool),
@@ -147,10 +153,25 @@ func (b *Backend) Stats() Stats {
 	return b.stats
 }
 
-// Rank, Size, Register, Deregister, ApplyLocal, Exchange, Close:
-// transparent forwarding.
+// Rank, Size, Register, Deregister, WriteActivity, ApplyLocal,
+// ClockOffset, Exchange, Close: transparent forwarding.
 func (b *Backend) Rank() int { return b.inner.Rank() }
 func (b *Backend) Size() int { return b.inner.Size() }
+
+func (b *Backend) WriteActivity(rb mem.RemoteBuffer) (func() uint64, bool) {
+	return b.inner.WriteActivity(rb)
+}
+
+func (b *Backend) ClockOffset(rank int) (offsetNS, rttNS int64, ok bool) {
+	return b.inner.ClockOffset(rank)
+}
+
+// SetWakeSink installs fn on the inner transport and keeps it for the
+// delayed-op kicks Poll issues.
+func (b *Backend) SetWakeSink(fn func()) {
+	b.wake.SetSink(fn)
+	b.inner.SetWakeSink(fn)
+}
 
 func (b *Backend) Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error) {
 	return b.inner.Register(buf)
@@ -258,6 +279,18 @@ func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, t
 	return b.inner.PostWrite(rank, local, raddr, rkey, token, signaled)
 }
 
+// PostWriteBatch runs every request through PostWrite, so each write of
+// a doorbell batch meets the same triggers and injection point as a
+// lone one, in posting order.
+func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
+	for i, r := range reqs {
+		if err := b.PostWrite(rank, r.Local, r.RemoteAddr, r.RKey, r.Token, r.Signaled); err != nil {
+			return i, err
+		}
+	}
+	return len(reqs), nil
+}
+
 // PostRead forwards unless the rank is crashed, partitioned, or dead
 // in the group.
 func (b *Backend) PostRead(rank int, local []byte, raddr uint64, rkey uint32, token uint64) error {
@@ -298,7 +331,8 @@ func (b *Backend) PostCompSwap(rank int, result []byte, raddr uint64, rkey uint3
 // Poll advances delayed ops by one tick, forwards the ones that came
 // due, and reaps the inner backend. Progress drives Poll continually,
 // so DelayPolls measures delay in progress rounds — deterministic
-// under -race, unlike wall-clock holds.
+// under -race, unlike wall-clock holds. While anything is still held the
+// engine's sink is kicked, so a waiter about to park polls again.
 func (b *Backend) Poll(dst []core.BackendCompletion) int {
 	b.mu.Lock()
 	var due []delayedOp
@@ -315,15 +349,20 @@ func (b *Backend) Poll(dst []core.BackendCompletion) int {
 		}
 		b.delayed = keep
 	}
+	held := len(b.delayed) > 0
 	b.mu.Unlock()
 	for _, d := range due {
 		if err := b.inner.PostWrite(d.rank, d.local, d.raddr, d.rkey, d.token, d.signaled); err != nil {
 			// Transient refusal: try again next tick.
 			d.hold = 1
+			held = true
 			b.mu.Lock()
 			b.delayed = append(b.delayed, d)
 			b.mu.Unlock()
 		}
+	}
+	if held {
+		b.wake.Kick()
 	}
 	return b.inner.Poll(dst)
 }

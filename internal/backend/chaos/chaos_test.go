@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +22,23 @@ type fakeBackend struct {
 	mu     sync.Mutex
 	writes [][]byte
 	comps  []core.BackendCompletion
+
+	wake *core.WakeChan // sink fires for every forwarded write
+	act  atomic.Uint64  // forwarded writes, as the activity counter
+}
+
+func newFake() *fakeBackend { return &fakeBackend{wake: core.NewWakeChan()} }
+
+func (f *fakeBackend) SetWakeSink(fn func()) { f.wake.SetSink(fn) }
+func (f *fakeBackend) WriteActivity(mem.RemoteBuffer) (func() uint64, bool) {
+	return f.act.Load, true
+}
+func (f *fakeBackend) ClockOffset(int) (offsetNS, rttNS int64, ok bool) { return 0, 0, true }
+func (f *fakeBackend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
+	for _, r := range reqs {
+		_ = f.PostWrite(rank, r.Local, r.RemoteAddr, r.RKey, r.Token, r.Signaled)
+	}
+	return len(reqs), nil
 }
 
 func (f *fakeBackend) Rank() int { return 0 }
@@ -28,10 +46,10 @@ func (f *fakeBackend) Size() int { return 2 }
 func (f *fakeBackend) Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error) {
 	return mem.RemoteBuffer{}, nil, nil
 }
-func (f *fakeBackend) Deregister(mem.RemoteBuffer) error            { return nil }
-func (f *fakeBackend) ApplyLocal(uint64, uint32, []byte) error      { return nil }
-func (f *fakeBackend) Exchange(local []byte) ([][]byte, error)      { return [][]byte{local}, nil }
-func (f *fakeBackend) Close() error                                 { return nil }
+func (f *fakeBackend) Deregister(mem.RemoteBuffer) error                  { return nil }
+func (f *fakeBackend) ApplyLocal(uint64, uint32, []byte) error            { return nil }
+func (f *fakeBackend) Exchange(local []byte) ([][]byte, error)            { return [][]byte{local}, nil }
+func (f *fakeBackend) Close() error                                       { return nil }
 func (f *fakeBackend) PostRead(int, []byte, uint64, uint32, uint64) error { return nil }
 func (f *fakeBackend) PostFetchAdd(int, []byte, uint64, uint32, uint64, uint64) error {
 	return nil
@@ -44,6 +62,8 @@ func (f *fakeBackend) PostWrite(rank int, local []byte, raddr uint64, rkey uint3
 	f.mu.Lock()
 	f.writes = append(f.writes, append([]byte(nil), local...))
 	f.mu.Unlock()
+	f.act.Add(1)
+	f.wake.Kick()
 	return nil
 }
 
@@ -65,7 +85,7 @@ func (f *fakeBackend) writeCount() int {
 // faults — the property that makes a failing chaos run replayable.
 func TestChaosDeterministic(t *testing.T) {
 	run := func() (chaos.Stats, int) {
-		fake := &fakeBackend{}
+		fake := newFake()
 		b := chaos.Wrap(fake, chaos.Plan{Seed: 99, DropProb: 0.2, DelayProb: 0.2, DupProb: 0.2, DelayPolls: 2})
 		buf := []byte{0}
 		for i := 0; i < 500; i++ {
@@ -92,7 +112,7 @@ func TestChaosDeterministic(t *testing.T) {
 // A delayed write must carry a private copy of the payload: the
 // caller is free to recycle its buffer the moment PostWrite returns.
 func TestChaosDelaySnapshotsPayload(t *testing.T) {
-	fake := &fakeBackend{}
+	fake := newFake()
 	b := chaos.Wrap(fake, chaos.Plan{Seed: 1, DelayProb: 1.0, DelayPolls: 3})
 	buf := []byte{42}
 	if err := b.PostWrite(1, buf, 0, 0, 1, true); err != nil {
@@ -145,6 +165,77 @@ func chaosJob(t *testing.T, n int, cfg core.Config, plan chaos.Plan) ([]*chaos.B
 		}
 	}
 	return cbs, phs
+}
+
+// sharedTarget registers a buffer on rank 1 and returns its descriptor
+// as rank 0 addresses it.
+func sharedTarget(t *testing.T, phs []*core.Photon, size int) mem.RemoteBuffer {
+	t.Helper()
+	rb, _, err := phs[1].RegisterBuffer(make([]byte, size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	descs := make([][]mem.RemoteBuffer, len(phs))
+	var wg sync.WaitGroup
+	for r := range phs {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			contrib := mem.RemoteBuffer{}
+			if r == 1 {
+				contrib = rb
+			}
+			descs[r], _ = phs[r].ExchangeBuffers(contrib)
+		}(r)
+	}
+	wg.Wait()
+	if len(descs[0]) != len(phs) {
+		t.Fatal("buffer exchange failed")
+	}
+	return descs[0][1]
+}
+
+// An engine over the chaos wrapper must run the production path — the
+// doorbell batch for a direct put's data+notification pair, the wake
+// sink behind BackendNotify — not a fallback only fault tests reach.
+func TestChaosRunsProductionPath(t *testing.T) {
+	_, phs := chaosJob(t, 2, core.Config{}, chaos.Plan{Seed: 3})
+	dst := sharedTarget(t, phs, 4096)
+	if phs[0].BackendNotify() == nil {
+		t.Fatal("chaos-wrapped instance has no activity latch")
+	}
+	// 2 KiB is past the packed-put capacity: a data write plus a ledger
+	// entry, posted as one batch.
+	if err := phs[0].PutBlocking(1, make([]byte, 2048), dst, 0, 5, 6); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := phs[0].WaitLocal(5, 3*time.Second); err != nil || c.Err != nil {
+		t.Fatalf("put: %v / %v", err, c.Err)
+	}
+	if st := phs[0].Stats(); st.BatchPosts == 0 || st.BatchedOps < 2 {
+		t.Fatalf("direct put over chaos did not take the batch path: %+v", st)
+	}
+}
+
+// Held writes are released by Poll calls, so chaos must keep a parked
+// waiter polling: with every write held for 1000 polls, a blocking wait
+// that re-polled only on its 1 ms grace timer would take over a second.
+func TestChaosDelayKeepsWaiterPolling(t *testing.T) {
+	cbs, phs := chaosJob(t, 2, core.Config{}, chaos.Plan{Seed: 5, DelayProb: 1, DelayPolls: 1000})
+	dst := sharedTarget(t, phs, 4096)
+	start := time.Now()
+	if err := phs[0].PutBlocking(1, make([]byte, 2048), dst, 0, 5, 0); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := phs[0].WaitLocal(5, 10*time.Second); err != nil || c.Err != nil {
+		t.Fatalf("delayed put: %v / %v", err, c.Err)
+	}
+	if cbs[0].Stats().Delayed == 0 {
+		t.Fatal("plan delayed nothing; test proved nothing")
+	}
+	if el := time.Since(start); el > 500*time.Millisecond {
+		t.Fatalf("1000 held polls took %v: the waiter slept through them instead of polling", el)
+	}
 }
 
 // Under random frame loss every signaled send must still resolve —

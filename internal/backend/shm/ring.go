@@ -97,18 +97,17 @@ func (r *spscRing) readAt(pos uint64, dst []byte, n int) []byte {
 	return dst
 }
 
-// viewAt returns a zero-copy window over [pos, pos+n) when it is
-// contiguous in the buffer, and ok=false when the range wraps (the
-// caller falls back to readAt into scratch). The view is only valid
-// until advance passes pos.
+// span returns the n bytes at position pos in place, as the segment up
+// to the wrap point and the (possibly empty) segment after it. Consumer
+// side only; valid until advance passes pos.
 //
 //photon:hotpath
-func (r *spscRing) viewAt(pos uint64, n int) ([]byte, bool) {
+func (r *spscRing) span(pos uint64, n int) (head, tail []byte) {
 	i := pos & r.mask
-	if i+uint64(n) <= uint64(len(r.buf)) {
-		return r.buf[i : i+uint64(n)], true
+	if end := i + uint64(n); end > uint64(len(r.buf)) {
+		return r.buf[i:], r.buf[:end-uint64(len(r.buf))]
 	}
-	return nil, false
+	return r.buf[i : i+uint64(n)], nil
 }
 
 // advance releases n consumed bytes back to the producer. The atomic

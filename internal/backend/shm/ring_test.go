@@ -58,17 +58,21 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
-// TestRingViewAt checks the zero-copy window declines wrapped ranges.
+// TestRingViewAt checks the zero-copy window: one segment when the
+// range is contiguous, two across the wrap point, positions masked.
 func TestRingViewAt(t *testing.T) {
 	r := newRing(16)
-	if v, ok := r.viewAt(4, 8); !ok || len(v) != 8 {
-		t.Fatalf("contiguous view rejected: ok=%v len=%d", ok, len(v))
+	for i := range r.buf {
+		r.buf[i] = byte(i)
 	}
-	if _, ok := r.viewAt(12, 8); ok {
-		t.Fatal("wrapped view accepted")
+	if head, tail := r.span(4, 8); len(head) != 8 || tail != nil || head[0] != 4 {
+		t.Fatalf("contiguous span split: head=%v tail=%v", head, tail)
 	}
-	if v, ok := r.viewAt(16+4, 8); !ok || len(v) != 8 {
-		t.Fatal("masked position rejected")
+	if head, tail := r.span(12, 8); !bytes.Equal(head, []byte{12, 13, 14, 15}) || !bytes.Equal(tail, []byte{0, 1, 2, 3}) {
+		t.Fatalf("wrapped span wrong: head=%v tail=%v", head, tail)
+	}
+	if head, tail := r.span(16+4, 8); len(head) != 8 || tail != nil || head[0] != 4 {
+		t.Fatalf("masked position wrong: head=%v tail=%v", head, tail)
 	}
 }
 
@@ -85,13 +89,14 @@ func TestRingFullBackpressure(t *testing.T) {
 	defer cl.Close()
 	b0, b1 := cl.Backend(0), cl.Backend(1)
 	target := make([]byte, 64)
-	rb, _, err := b1.Register(target)
+	rb, dma, err := b1.Register(target)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Stall the consumer: its agent blocks applying the first write.
-	b1.memMu.Lock()
+	// Stall the consumer: its agent blocks applying the first write
+	// while a local reader holds the DMA lock.
+	dma.Lock()
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	accepted := 0
 	var blocked bool
@@ -115,7 +120,7 @@ func TestRingFullBackpressure(t *testing.T) {
 	if b1.inRings[0].fullSpins.Load() == 0 {
 		t.Fatal("fullSpins not counted")
 	}
-	b1.memMu.Unlock()
+	dma.Unlock()
 
 	// The rejected post retries once space opens.
 	deadline := 0

@@ -82,15 +82,6 @@ const (
 	atomicResultLen = 8
 )
 
-// registration is one pinned buffer in the fake address space (same
-// scheme as the TCP backend: page-aligned bases handed out linearly,
-// rkey-keyed).
-type registration struct {
-	buf  []byte
-	base uint64
-	rkey uint32
-}
-
 // Cluster owns one shm backend per rank plus the bootstrap exchange
 // state. All ranks live in the calling process.
 type Cluster struct {
@@ -121,18 +112,16 @@ func NewCluster(n int, cfg Config) (*Cluster, error) {
 	c.cond = sync.NewCond(&c.mu)
 	for r := 0; r < n; r++ {
 		b := &Backend{
-			cluster:  c,
-			rank:     r,
-			size:     n,
-			inRings:  make([]*spscRing, n),
-			prodMu:   make([]sync.Mutex, n),
-			regs:     make(map[uint32]*registration),
-			nextRKey: 1,
-			nextBase: 0x1000,
-			pend:     make(map[uint64][]byte),
-			compq:    core.NewCompQueue(),
-			wake:     core.NewWakeChan(),
-			closed:   make(chan struct{}),
+			cluster: c,
+			rank:    r,
+			size:    n,
+			inRings: make([]*spscRing, n),
+			prodMu:  make([]sync.Mutex, n),
+			mem:     mem.NewRegTable("shm"),
+			pend:    make(map[uint64][]byte),
+			compq:   core.NewCompQueue(),
+			wake:    core.NewWakeChan(),
+			closed:  make(chan struct{}),
 		}
 		for s := 0; s < n; s++ {
 			if s != r {
@@ -210,12 +199,10 @@ type Backend struct {
 	//photon:lock shmprod 20
 	prodMu []sync.Mutex
 
-	//photon:lock shmmem 30
-	memMu    sync.RWMutex  // guards registered memory (the "DMA lock")
-	writeAct atomic.Uint64 // bumped after every applied remote write/atomic
-	regs     map[uint32]*registration
-	nextRKey uint32
-	nextBase uint64
+	// mem is the registration table every access is validated against
+	// (shared with the TCP backend); its lock is the "DMA lock"
+	// guarding registered memory.
+	mem *mem.RegTable
 
 	// pend parks read/atomic result destinations by token until the
 	// target's agent fills and completes them.
@@ -224,7 +211,7 @@ type Backend struct {
 	pend   map[uint64][]byte
 
 	// compq carries completions back to this rank's engine and doubles
-	// as its NotifyBackend/WakeSinkBackend event source.
+	// as its wake event source.
 	compq *core.CompQueue
 
 	// wake parks the agent between bursts (futex analogue: producers
@@ -243,12 +230,8 @@ type Backend struct {
 }
 
 var (
-	_ core.Backend         = (*Backend)(nil)
-	_ core.BatchBackend    = (*Backend)(nil)
-	_ core.NotifyBackend   = (*Backend)(nil)
-	_ core.WakeSinkBackend = (*Backend)(nil)
-	_ core.ActivityBackend = (*Backend)(nil)
-	_ core.StatsBackend    = (*Backend)(nil)
+	_ core.Backend      = (*Backend)(nil)
+	_ core.StatsBackend = (*Backend)(nil)
 )
 
 // Rank returns this endpoint's rank.
@@ -259,62 +242,22 @@ func (b *Backend) Size() int { return b.size }
 
 // Register pins buf into the local registration table.
 func (b *Backend) Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error) {
-	if len(buf) == 0 {
-		return mem.RemoteBuffer{}, nil, fmt.Errorf("shm: empty registration")
-	}
-	b.memMu.Lock()
-	defer b.memMu.Unlock()
-	rkey := b.nextRKey
-	b.nextRKey++
-	base := b.nextBase
-	sz := (uint64(len(buf)) + 0xFFF) &^ uint64(0xFFF)
-	b.nextBase += sz + 0x1000
-	b.regs[rkey] = &registration{buf: buf, base: base, rkey: rkey}
-	return mem.RemoteBuffer{Addr: base, RKey: rkey, Len: len(buf)}, b.memMu.RLocker(), nil
+	return b.mem.Register(buf)
 }
 
 // Deregister removes a registration.
-func (b *Backend) Deregister(rb mem.RemoteBuffer) error {
-	b.memMu.Lock()
-	defer b.memMu.Unlock()
-	if _, ok := b.regs[rb.RKey]; !ok {
-		return fmt.Errorf("shm: no registration with rkey %d", rb.RKey)
-	}
-	delete(b.regs, rb.RKey)
-	return nil
-}
-
-// lookup resolves (rkey, addr, n); caller must hold memMu.
-func (b *Backend) lookup(rkey uint32, addr uint64, n int) (*registration, error) {
-	r, ok := b.regs[rkey]
-	if !ok {
-		return nil, fmt.Errorf("shm: unknown rkey %d", rkey)
-	}
-	if addr < r.base || addr+uint64(n) > r.base+uint64(len(r.buf)) || addr+uint64(n) < addr {
-		return nil, fmt.Errorf("shm: address out of registration bounds")
-	}
-	return r, nil
-}
+func (b *Backend) Deregister(rb mem.RemoteBuffer) error { return b.mem.Deregister(rb) }
 
 // ApplyLocal performs a loopback DMA write into this rank's own
 // registered memory with full validation.
 func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
-	b.memMu.Lock()
-	reg, err := b.lookup(rkey, raddr, len(data))
-	if err == nil {
-		copy(reg.buf[raddr-reg.base:], data)
-	}
-	b.memMu.Unlock()
-	if err == nil {
-		b.writeAct.Add(1)
-	}
-	return err
+	return b.mem.Write(raddr, rkey, data, nil)
 }
 
-// WriteActivity implements core.ActivityBackend with one counter for
-// all registrations (the agent applies every remote write).
-func (b *Backend) WriteActivity(rb mem.RemoteBuffer) (func() uint64, bool) {
-	return b.writeAct.Load, true
+// WriteActivity counts applied writes with one counter for all
+// registrations (the agent applies every remote write).
+func (b *Backend) WriteActivity(mem.RemoteBuffer) (func() uint64, bool) {
+	return b.mem.Activity, true
 }
 
 // Poll reaps completions.
@@ -322,11 +265,13 @@ func (b *Backend) Poll(dst []core.BackendCompletion) int {
 	return b.compq.Drain(dst)
 }
 
-// Notify implements core.NotifyBackend: signaled when a completion is
-// queued or remote data lands in registered memory.
+// Notify returns the channel signaled when a completion is queued or
+// remote data lands in registered memory, for callers driving the bare
+// transport without an engine. It goes idle once a wake sink is
+// installed.
 func (b *Backend) Notify() <-chan struct{} { return b.compq.Wake().Chan() }
 
-// SetWakeSink implements core.WakeSinkBackend.
+// SetWakeSink redirects those events to fn.
 func (b *Backend) SetWakeSink(fn func()) { b.compq.Wake().SetSink(fn) }
 
 // TransportStats implements core.StatsBackend. shm_ring_full_spins
@@ -347,8 +292,8 @@ func (b *Backend) TransportStats(yield func(name string, v int64)) {
 	yield("shm_ring_full_spins", spins)
 }
 
-// ClockOffset implements core.ClockBackend: every rank lives in one
-// process, so all clocks are identical by construction.
+// ClockOffset is zero: every rank lives in one process, so all clocks
+// are identical by construction.
 func (b *Backend) ClockOffset(rank int) (offsetNS, rttNS int64, ok bool) {
 	return 0, 0, rank >= 0 && rank < b.size
 }
@@ -439,8 +384,8 @@ func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, t
 	return nil
 }
 
-// PostWriteBatch implements core.BatchBackend: one producer-lock
-// acquisition and one doorbell kick for the whole burst.
+// PostWriteBatch takes one producer-lock acquisition and one doorbell
+// kick for the whole burst.
 func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 	if err := b.checkRank(rank); err != nil {
 		return 0, err
@@ -540,12 +485,7 @@ func (b *Backend) PostRead(rank int, local []byte, raddr uint64, rkey uint32, to
 		return err
 	}
 	if rank == b.rank {
-		b.memMu.RLock()
-		reg, err := b.lookup(rkey, raddr, len(local))
-		if err == nil {
-			copy(local, reg.buf[raddr-reg.base:])
-		}
-		b.memMu.RUnlock()
+		err := b.mem.Read(local, raddr, rkey)
 		b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
 		return nil
 	}
@@ -567,8 +507,8 @@ func (b *Backend) PostFetchAdd(rank int, result []byte, raddr uint64, rkey uint3
 		return fmt.Errorf("shm: fetch-add result buffer too small")
 	}
 	if rank == b.rank {
-		err := b.atomicLocal(raddr, rkey, result, func(old uint64) uint64 { return old + add })
-		b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
+		old, err := b.mem.FetchAdd(raddr, rkey, add)
+		b.compq.Push(atomicComp(token, result, old, err))
 		return nil
 	}
 	var body [fAddBodyLen]byte
@@ -589,13 +529,8 @@ func (b *Backend) PostCompSwap(rank int, result []byte, raddr uint64, rkey uint3
 		return fmt.Errorf("shm: comp-swap result buffer too small")
 	}
 	if rank == b.rank {
-		err := b.atomicLocal(raddr, rkey, result, func(old uint64) uint64 {
-			if old == compare {
-				return swap
-			}
-			return old
-		})
-		b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
+		old, err := b.mem.CompSwap(raddr, rkey, compare, swap)
+		b.compq.Push(atomicComp(token, result, old, err))
 		return nil
 	}
 	var body [cSwapBodyLen]byte
@@ -608,22 +543,13 @@ func (b *Backend) PostCompSwap(rank int, result []byte, raddr uint64, rkey uint3
 	return b.postFixed(rank, result, body[:], token)
 }
 
-// atomicLocal applies fn to the 8-byte word under the DMA lock,
-// placing the prior value in result.
-func (b *Backend) atomicLocal(raddr uint64, rkey uint32, result []byte, fn func(uint64) uint64) error {
-	b.memMu.Lock()
-	reg, err := b.lookup(rkey, raddr, 8)
-	if err != nil {
-		b.memMu.Unlock()
-		return err
+// atomicComp builds an atomic's completion, placing the prior value in
+// the initiator's result buffer when the operation applied.
+func atomicComp(token uint64, result []byte, old uint64, err error) core.BackendCompletion {
+	if err == nil {
+		binary.LittleEndian.PutUint64(result, old)
 	}
-	w := reg.buf[raddr-reg.base:]
-	old := binary.LittleEndian.Uint64(w)
-	binary.LittleEndian.PutUint64(w, fn(old))
-	b.memMu.Unlock()
-	binary.LittleEndian.PutUint64(result, old)
-	b.writeAct.Add(1)
-	return nil
+	return core.BackendCompletion{Token: token, OK: err == nil, Err: err}
 }
 
 // takePend claims the parked destination for token.
@@ -710,16 +636,11 @@ func (b *Backend) applyFrame(src int, r *spscRing, pos uint64, bodyLen int, hdr 
 		raddr := binary.LittleEndian.Uint64(h[10:])
 		rkey := binary.LittleEndian.Uint32(h[18:])
 		n := bodyLen - (writeHdrLen - lenPrefix)
-		b.memMu.Lock()
-		reg, err := b.lookup(rkey, raddr, n)
+		// The payload goes straight from the ring into the target
+		// registration (two segments across the wrap point at most).
+		head, tail := r.span(pos+writeHdrLen-lenPrefix, n)
+		err := b.mem.Write(raddr, rkey, head, tail)
 		if err == nil {
-			// Copy the payload straight from the ring into the target
-			// registration (two segments across the wrap point at most).
-			r.readAt(pos+writeHdrLen-lenPrefix, reg.buf[raddr-reg.base:raddr-reg.base+uint64(n)], n)
-		}
-		b.memMu.Unlock()
-		if err == nil {
-			b.writeAct.Add(1)
 			// Data is visible: kick the target engine's sweep even when
 			// unsignaled (ledger writes are unsignaled by design).
 			b.compq.Kick()
@@ -739,45 +660,25 @@ func (b *Backend) applyFrame(src int, r *spscRing, pos uint64, bodyLen int, hdr 
 		if dst == nil || len(dst) < n {
 			err = fmt.Errorf("shm: read destination missing for token %d", token)
 		} else {
-			b.memMu.RLock()
-			var reg *registration
-			reg, err = b.lookup(rkey, raddr, n)
-			if err == nil {
-				copy(dst[:n], reg.buf[raddr-reg.base:])
-			}
-			b.memMu.RUnlock()
+			err = b.mem.Read(dst[:n], raddr, rkey)
 		}
 		peer.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
-	case opFAdd:
+	case opFAdd, opCSwap:
 		raddr := binary.LittleEndian.Uint64(h[9:])
 		rkey := binary.LittleEndian.Uint32(h[17:])
-		add := binary.LittleEndian.Uint64(h[21:])
+		operand := binary.LittleEndian.Uint64(h[21:]) // add, or compare
 		dst := peer.takePend(token)
+		var old uint64
 		var err error
-		if dst == nil {
+		switch {
+		case dst == nil:
 			err = fmt.Errorf("shm: atomic destination missing for token %d", token)
-		} else {
-			err = b.atomicLocal(raddr, rkey, dst, func(old uint64) uint64 { return old + add })
+		case op == opFAdd:
+			old, err = b.mem.FetchAdd(raddr, rkey, operand)
+		default:
+			old, err = b.mem.CompSwap(raddr, rkey, operand, binary.LittleEndian.Uint64(h[29:]))
 		}
-		peer.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
-	case opCSwap:
-		raddr := binary.LittleEndian.Uint64(h[9:])
-		rkey := binary.LittleEndian.Uint32(h[17:])
-		cmp := binary.LittleEndian.Uint64(h[21:])
-		swap := binary.LittleEndian.Uint64(h[29:])
-		dst := peer.takePend(token)
-		var err error
-		if dst == nil {
-			err = fmt.Errorf("shm: atomic destination missing for token %d", token)
-		} else {
-			err = b.atomicLocal(raddr, rkey, dst, func(old uint64) uint64 {
-				if old == cmp {
-					return swap
-				}
-				return old
-			})
-		}
-		peer.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
+		peer.compq.Push(atomicComp(token, dst, old, err))
 	default:
 		peer.compq.Push(core.BackendCompletion{Token: token, OK: false,
 			Err: fmt.Errorf("shm: unknown opcode %d", op)})

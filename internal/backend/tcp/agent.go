@@ -750,14 +750,8 @@ func (b *Backend) handleFrame(peer int, f []byte) bool {
 		if n > len(payload) {
 			n = len(payload)
 		}
-		b.memMu.Lock()
-		reg, err := b.lookup(rkey, raddr, n)
+		err := b.mem.Write(raddr, rkey, payload[:n], nil)
 		if err == nil {
-			copy(reg.buf[raddr-reg.base:], payload[:n])
-		}
-		b.memMu.Unlock()
-		if err == nil {
-			b.writeAct.Add(1)
 			b.kick()
 		}
 		if !signaled {
@@ -794,17 +788,21 @@ func (b *Backend) handleFrame(peer int, f []byte) bool {
 		raddr := binary.LittleEndian.Uint64(f[9:])
 		rkey := binary.LittleEndian.Uint32(f[17:])
 		n := int(binary.LittleEndian.Uint32(f[21:]))
-		resp := make([]byte, 1+8+1+n)
+		// n comes off the wire (up to 4 GiB): it sizes the response only
+		// once the registration has vouched for it.
+		size := readRespBodyMin
+		err := b.mem.Check(raddr, rkey, n)
+		if err == nil {
+			size += n
+		}
+		resp := make([]byte, size)
 		resp[0] = opReadResp
 		binary.LittleEndian.PutUint64(resp[1:], token)
-		b.memMu.RLock()
-		reg, err := b.lookup(rkey, raddr, n)
 		if err == nil {
-			copy(resp[10:], reg.buf[raddr-reg.base:raddr-reg.base+uint64(n)])
+			err = b.mem.Read(resp[readRespBodyMin:], raddr, rkey)
 		}
-		b.memMu.RUnlock()
 		if err != nil {
-			resp = resp[:10]
+			resp = resp[:readRespBodyMin]
 			resp[9] = 1 // status: failed
 		}
 		b.reply(peer, resp)
@@ -900,32 +898,20 @@ func (b *Backend) handleAtomic(peer int, f []byte) {
 		}
 		swap = binary.LittleEndian.Uint64(f[29:])
 	}
-	resp := make([]byte, 1+8+1+8)
+	resp := make([]byte, atomicRespBodyLen)
 	resp[0] = opAtomicResp
 	binary.LittleEndian.PutUint64(resp[1:], token)
-	b.memMu.Lock()
-	reg, err := b.lookup(rkey, raddr, 8)
-	if err == nil && raddr%8 != 0 {
-		err = fmt.Errorf("tcp: misaligned atomic")
+	var orig uint64
+	var err error
+	if f[0] == opFAdd {
+		orig, err = b.mem.FetchAdd(raddr, rkey, operand)
+	} else {
+		orig, err = b.mem.CompSwap(raddr, rkey, operand, swap)
 	}
-	if err == nil {
-		off := raddr - reg.base
-		orig := binary.LittleEndian.Uint64(reg.buf[off:])
-		switch f[0] {
-		case opFAdd:
-			binary.LittleEndian.PutUint64(reg.buf[off:], orig+operand)
-		case opCSwap:
-			if orig == operand {
-				binary.LittleEndian.PutUint64(reg.buf[off:], swap)
-			}
-		}
-		binary.LittleEndian.PutUint64(resp[10:], orig)
-	}
-	b.memMu.Unlock()
 	if err != nil {
 		resp[9] = 1
 	} else {
-		b.writeAct.Add(1)
+		binary.LittleEndian.PutUint64(resp[10:], orig)
 		b.kick()
 	}
 	b.reply(peer, resp)

@@ -2,7 +2,9 @@ package tcp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -267,14 +269,15 @@ func TestTCPPipelinedStress(t *testing.T) {
 func TestTCPSlowReaderBackpressure(t *testing.T) {
 	bes := newBackendPair(t, Config{SendDepth: 8})
 	sink := make([]byte, 1<<20)
-	rb, _, err := bes[1].Register(sink)
+	rb, dma, err := bes[1].Register(sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Stall rank 1's reader: its next opWrite apply blocks on memMu.
-	bes[1].memMu.Lock()
-	release := time.AfterFunc(100*time.Millisecond, bes[1].memMu.Unlock)
+	// Stall rank 1's reader: its next opWrite apply blocks while a
+	// local reader holds the DMA lock.
+	dma.Lock()
+	release := time.AfterFunc(100*time.Millisecond, dma.Unlock)
 	defer release.Stop()
 
 	const ops = 64
@@ -396,4 +399,44 @@ func TestTCPAckOrderingMixed(t *testing.T) {
 		t.Errorf("target nacks = %d, want 50", n)
 	}
 	_ = resBufs // result buffers stay owned by the backend until completion
+}
+
+// --- wire-supplied lengths ---
+
+// TestReadLengthValidatedBeforeAlloc feeds the agent a 25-byte read
+// request whose length field claims 4 GiB. The length must be checked
+// against the registration before it sizes anything: the request gets a
+// failed-status response and the agent allocates next to nothing.
+func TestReadLengthValidatedBeforeAlloc(t *testing.T) {
+	bes := newBackendPair(t, Config{})
+	be := bes[1]
+	rb, _, err := be.Register(make([]byte, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const token = 42
+	f := make([]byte, 25)
+	f[0] = opRead
+	binary.LittleEndian.PutUint64(f[1:], token)
+	binary.LittleEndian.PutUint64(f[9:], rb.Addr)
+	binary.LittleEndian.PutUint32(f[17:], rb.RKey)
+	binary.LittleEndian.PutUint32(f[21:], 0xFFFFFFFF)
+
+	// Loopback dispatch answers inline, so the response lands on this
+	// backend's own pending table and completion queue.
+	be.pendMu.Lock()
+	be.pendBuf[token] = pendDst{buf: make([]byte, 8), rank: be.rank}
+	be.pendMu.Unlock()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	be.handleFrame(be.rank, f)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a malformed read made the agent allocate %d bytes", grew)
+	}
+	comps := waitComps(t, be, 1)
+	if comps[0].Token != token || comps[0].OK {
+		t.Fatalf("oversized read completed as %+v, want a failed completion", comps[0])
+	}
 }

@@ -167,13 +167,6 @@ var tcpEpoch = time.Now()
 
 func nowNano() int64 { return int64(time.Since(tcpEpoch)) }
 
-// registration is one pinned buffer.
-type registration struct {
-	buf  []byte
-	base uint64
-	rkey uint32
-}
-
 // outFrame is one queued outbound request.
 type outFrame struct {
 	data []byte
@@ -218,16 +211,12 @@ type Backend struct {
 	lastNack []atomic.Uint64 // highest nack seq queued toward each peer
 	cstats   []connStats     // data-path counters per connection
 
-	//photon:lock tcpmem 40
-	memMu    sync.RWMutex  // guards all registered memory (the "DMA lock")
-	writeAct atomic.Uint64 // bumped after every applied remote write/atomic
-	regs     map[uint32]*registration
-	nextRKey uint32
-	nextBase uint64
+	// mem is the registration table every remote access is validated
+	// against; its lock is the "DMA lock" guarding registered memory.
+	mem *mem.RegTable
 
-	// compq carries agent→engine completions and doubles as the
-	// NotifyBackend/WakeSinkBackend event source (kicked on completions
-	// and applied remote data).
+	// compq carries agent→engine completions and doubles as the wake
+	// event source (kicked on completions and applied remote data).
 	compq *core.CompQueue
 
 	// pending read/atomic result buffers keyed by token; sentResp
@@ -258,12 +247,9 @@ type Backend struct {
 }
 
 var (
-	_ core.Backend         = (*Backend)(nil)
-	_ core.BatchBackend    = (*Backend)(nil)
-	_ core.StatsBackend    = (*Backend)(nil)
-	_ core.NotifyBackend   = (*Backend)(nil)
-	_ core.WakeSinkBackend = (*Backend)(nil)
-	_ core.HealthBackend   = (*Backend)(nil)
+	_ core.Backend       = (*Backend)(nil)
+	_ core.StatsBackend  = (*Backend)(nil)
+	_ core.HealthBackend = (*Backend)(nil)
 )
 
 // New builds the endpoint: it listens, forms the full mesh (lower rank
@@ -285,9 +271,7 @@ func New(cfg Config) (*Backend, error) {
 		recvSeqW:  make([]atomic.Uint64, n),
 		lastNack:  make([]atomic.Uint64, n),
 		cstats:    make([]connStats, n),
-		regs:      make(map[uint32]*registration),
-		nextRKey:  1,
-		nextBase:  0x1000,
+		mem:       mem.NewRegTable("tcp"),
 		pendBuf:   make(map[uint64]pendDst),
 		sentResp:  make([]map[uint64]struct{}, n),
 		exgGather: make(map[int][][]byte),
@@ -474,42 +458,11 @@ func (b *Backend) Addr() string { return b.ln.Addr().String() }
 
 // Register pins buf into the local registration table.
 func (b *Backend) Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error) {
-	if len(buf) == 0 {
-		return mem.RemoteBuffer{}, nil, fmt.Errorf("tcp: empty registration")
-	}
-	b.memMu.Lock()
-	defer b.memMu.Unlock()
-	rkey := b.nextRKey
-	b.nextRKey++
-	base := b.nextBase
-	sz := (uint64(len(buf)) + 0xFFF) &^ uint64(0xFFF)
-	b.nextBase += sz + 0x1000
-	b.regs[rkey] = &registration{buf: buf, base: base, rkey: rkey}
-	return mem.RemoteBuffer{Addr: base, RKey: rkey, Len: len(buf)}, b.memMu.RLocker(), nil
+	return b.mem.Register(buf)
 }
 
 // Deregister removes a registration.
-func (b *Backend) Deregister(rb mem.RemoteBuffer) error {
-	b.memMu.Lock()
-	defer b.memMu.Unlock()
-	if _, ok := b.regs[rb.RKey]; !ok {
-		return fmt.Errorf("tcp: no registration with rkey %d", rb.RKey)
-	}
-	delete(b.regs, rb.RKey)
-	return nil
-}
-
-// lookup resolves (rkey, addr, n); caller must hold memMu (read or write).
-func (b *Backend) lookup(rkey uint32, addr uint64, n int) (*registration, error) {
-	r, ok := b.regs[rkey]
-	if !ok {
-		return nil, fmt.Errorf("tcp: unknown rkey %d", rkey)
-	}
-	if addr < r.base || addr+uint64(n) > r.base+uint64(len(r.buf)) || addr+uint64(n) < addr {
-		return nil, fmt.Errorf("tcp: address out of registration bounds")
-	}
-	return r, nil
-}
+func (b *Backend) Deregister(rb mem.RemoteBuffer) error { return b.mem.Deregister(rb) }
 
 // enqueue places an item on a peer's writer queue, non-blocking. A
 // peer latched down fails fast with core.ErrPeerDown.
@@ -559,13 +512,13 @@ func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, t
 	return nil
 }
 
-// PostWriteBatch queues a burst of one-sided writes toward rank
-// (core.BatchBackend). The whole batch is one queue item, so a
-// doorbell batch maps to a single writer wakeup and (queue permitting)
-// a single flush syscall. Admission is all-or-nothing: on a full queue
-// it returns (0, ErrWouldBlock) and the caller retries the whole
-// batch, which the contract permits. Each frame copies its payload, so
-// the snapshot-at-post contract holds here too.
+// PostWriteBatch queues a burst of one-sided writes toward rank. The
+// whole batch is one queue item, so a doorbell batch maps to a single
+// writer wakeup and (queue permitting) a single flush syscall.
+// Admission is all-or-nothing: on a full queue it returns
+// (0, ErrWouldBlock) and the caller retries the whole batch, which the
+// contract permits. Each frame copies its payload, so the
+// snapshot-at-post contract holds here too.
 func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 	if len(reqs) == 0 {
 		return 0, nil
@@ -658,22 +611,13 @@ func (b *Backend) markSentResp(peer int, toks []uint64) {
 // ApplyLocal places data into this rank's own registered memory with
 // full validation (loopback DMA for packed-put payloads).
 func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
-	b.memMu.Lock()
-	reg, err := b.lookup(rkey, raddr, len(data))
-	if err == nil {
-		copy(reg.buf[raddr-reg.base:], data)
-	}
-	b.memMu.Unlock()
-	if err == nil {
-		b.writeAct.Add(1)
-	}
-	return err
+	return b.mem.Write(raddr, rkey, data, nil)
 }
 
-// WriteActivity implements core.ActivityBackend with one counter for
-// all registrations (the TCP agent applies every remote write).
-func (b *Backend) WriteActivity(rb mem.RemoteBuffer) (func() uint64, bool) {
-	return b.writeAct.Load, true
+// WriteActivity counts applied writes with one counter for all
+// registrations (the TCP agent applies every remote write).
+func (b *Backend) WriteActivity(mem.RemoteBuffer) (func() uint64, bool) {
+	return b.mem.Activity, true
 }
 
 // Poll reaps completions.
@@ -686,18 +630,14 @@ func (b *Backend) pushComp(c core.BackendCompletion) {
 	b.compq.Push(c)
 }
 
-// Notify implements core.NotifyBackend: the returned channel receives
-// a token whenever the agent queues a completion or applies remote
-// data, so blocking waiters can park on it instead of sleep-polling.
-// Parking matters doubly on few-core hosts: a sleeping waiter frees
-// the processor for the runtime's network poller (a spinning one
-// starves it), and the channel send wakes the waiter at goroutine
-// handoff latency instead of kernel timer granularity.
+// Notify returns the channel that receives a token whenever the agent
+// queues a completion or applies remote data, for callers driving the
+// bare transport without an engine. It goes idle once a wake sink is
+// installed.
 func (b *Backend) Notify() <-chan struct{} { return b.compq.Wake().Chan() }
 
-// SetWakeSink implements core.WakeSinkBackend: completion and
-// remote-data events call fn directly instead of latching the Notify
-// channel, sparing the engine a relay goroutine.
+// SetWakeSink makes completion and remote-data events call fn directly
+// instead of latching the Notify channel.
 func (b *Backend) SetWakeSink(fn func()) { b.compq.Wake().SetSink(fn) }
 
 // kick signals the wake latch without blocking; an event already

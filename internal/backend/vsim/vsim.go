@@ -179,27 +179,22 @@ type Backend struct {
 	pollMu      sync.Mutex
 	pollScratch []verbs.CQE // reused across Poll calls (no per-call alloc)
 
-	// wake latches backend activity for NotifyBackend/WakeSinkBackend:
-	// kicked by the simulated NIC after every completion push and every
-	// remote write applied to this rank's memory, so engine waiters
-	// park instead of yield-spinning.
+	// wake latches backend activity: kicked by the simulated NIC after
+	// every completion push and every remote write applied to this
+	// rank's memory, so engine waiters park instead of yield-spinning.
 	wake *core.WakeChan
 }
 
-var (
-	_ core.Backend         = (*Backend)(nil)
-	_ core.BatchBackend    = (*Backend)(nil)
-	_ core.NotifyBackend   = (*Backend)(nil)
-	_ core.WakeSinkBackend = (*Backend)(nil)
-)
+var _ core.Backend = (*Backend)(nil)
 
-// Notify implements core.NotifyBackend: the returned channel receives
-// a token whenever a completion is queued or remote data lands in
-// registered memory.
+// Notify returns the channel that receives a token whenever a
+// completion is queued or remote data lands in registered memory, for
+// callers driving the bare transport without an engine. It goes idle
+// once a wake sink is installed.
 func (b *Backend) Notify() <-chan struct{} { return b.wake.Chan() }
 
-// SetWakeSink implements core.WakeSinkBackend: redirect activity
-// events to fn instead of the Notify channel.
+// SetWakeSink redirects activity events to fn instead of the Notify
+// channel.
 func (b *Backend) SetWakeSink(fn func()) { b.wake.SetSink(fn) }
 
 // Rank returns this backend's rank.
@@ -267,11 +262,11 @@ func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, t
 	return err
 }
 
-// PostWriteBatch posts a burst of writes toward rank with one call
-// (core.BatchBackend). Requests go to the same QP in order; posting
-// stops at the first rejection and the accepted count is returned —
-// the QP's post path snapshots each payload, so this behaves exactly
-// like a doorbell covering the whole chain.
+// PostWriteBatch posts a burst of writes toward rank with one call.
+// Requests go to the same QP in order; posting stops at the first
+// rejection and the accepted count is returned — the QP's post path
+// snapshots each payload, so this behaves exactly like a doorbell
+// covering the whole chain.
 func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 	if rank < 0 || rank >= len(b.qps) {
 		return 0, core.ErrBadRank
@@ -328,8 +323,7 @@ func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
 	return b.dev.NIC().LocalWrite(raddr, rkey, data)
 }
 
-// WriteActivity exposes the registration's DMA write counter
-// (core.ActivityBackend).
+// WriteActivity exposes the registration's DMA write counter.
 func (b *Backend) WriteActivity(rb mem.RemoteBuffer) (func() uint64, bool) {
 	b.mrMu.Lock()
 	mr, ok := b.mrs[rb.Addr]
@@ -365,8 +359,8 @@ func (b *Backend) Poll(dst []core.BackendCompletion) int {
 	return n
 }
 
-// ClockOffset implements core.ClockBackend: every rank lives in one
-// process, so all clocks are identical by construction.
+// ClockOffset is zero: every rank lives in one process, so all clocks
+// are identical by construction.
 func (b *Backend) ClockOffset(rank int) (offsetNS, rttNS int64, ok bool) {
 	return 0, 0, rank >= 0 && rank < len(b.qps)
 }

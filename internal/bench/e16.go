@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -15,10 +13,7 @@ import (
 
 // runE16 — scalable N-peer collectives (no paper figure: the paper's
 // middleware stops at point-to-point PWC; this measures the collectives
-// engine built over it). The before/after axis compares the current
-// schedule-based nonblocking engine against a faithful reimplementation
-// of the repo's original blocking collectives (one send, one blocking
-// wait per round — see refComm below), which the engine replaced.
+// engine built over it).
 //
 // Legs:
 //
@@ -31,9 +26,9 @@ import (
 //
 // All vsim legs run under the 2us-latency delay model so schedule
 // structure (how many serialized network latencies per operation)
-// dominates, as on a real fabric. Absolute numbers on a single-vCPU CI
-// host are inflated by scheduling noise; the blocking-vs-nonblocking
-// ratio and the algorithm crossover are the stable signals.
+// dominates, as on a real fabric. Absolute numbers on a small CI host
+// are inflated by scheduling noise; the growth with job size and the
+// algorithm crossover are the stable signals.
 func runE16(scale float64) (*Report, error) {
 	warmProcess(scaled(100, scale))
 
@@ -49,40 +44,29 @@ func runE16(scale float64) (*Report, error) {
 	}
 	const warm = 3
 
-	// Latency legs run ref and engine interleaved, reps times each,
-	// and report medians: a single-vCPU host schedules 128 rank
-	// goroutines noisily, and interleaving keeps background drift from
-	// biasing one column.
+	// Every leg reports the median of reps runs: a small host schedules
+	// 128 rank goroutines noisily.
 	const reps = 3
-	barrier := stats.NewSeries("E16a: barrier latency (us) vs ranks, blocking seed vs nonblocking schedules (vsim, 2us links, median of 3)",
-		"ranks", "blocking-us", "nonblocking-us")
-	small := stats.NewSeries("E16b: 16-double allreduce latency (us) vs ranks, blocking seed vs nonblocking RD (vsim, 2us links, median of 3)",
-		"ranks", "blocking-us", "nonblocking-us")
+	lat := stats.NewSeries("E16ab: barrier and 16-double allreduce latency (us) vs ranks (vsim, 2us links, median of 3)",
+		"ranks", "barrier-us", "allreduce16-us")
 	for _, n := range sizes {
-		var refBars, refArs, newBars, newArs []time.Duration
+		var bars, ars []time.Duration
 		for rep := 0; rep < reps; rep++ {
-			refBar, refAr, err := refLatencies(n, lean, warm, iters)
+			bar, ar, err := engineLatencies(n, lean, collectives.Config{Timeout: benchWait}, warm, iters)
 			if err != nil {
-				return nil, fmt.Errorf("E16ab ref n=%d: %w", n, err)
+				return nil, fmt.Errorf("E16ab n=%d: %w", n, err)
 			}
-			newBar, newAr, err := engineLatencies(n, lean, collectives.Config{Timeout: benchWait}, warm, iters)
-			if err != nil {
-				return nil, fmt.Errorf("E16ab engine n=%d: %w", n, err)
-			}
-			refBars, refArs = append(refBars, refBar), append(refArs, refAr)
-			newBars, newArs = append(newBars, newBar), append(newArs, newAr)
+			bars, ars = append(bars, bar), append(ars, ar)
 		}
-		barrier.Row(float64(n), us(median(refBars)), us(median(newBars)))
-		small.Row(float64(n), us(median(refArs)), us(median(newArs)))
+		lat.Row(float64(n), us(median(bars)), us(median(ars)))
 	}
 
 	// Leg c: allreduce goodput per algorithm vs vector size at n=8.
 	// Each algorithm column forces its schedule (with an arena ceiling
-	// high enough that the force is honored); the ref column is the
-	// blocking reduce+broadcast. Goodput is vector bytes over op
-	// latency; recursive doubling is skipped at 1 MiB (its arena would
-	// dwarf the working set, exactly why selection hands large vectors
-	// to the ring).
+	// high enough that the force is honored). Goodput is vector bytes
+	// over op latency; recursive doubling is skipped at 1 MiB (its
+	// arena would dwarf the working set, exactly why selection hands
+	// large vectors to the ring).
 	const bwRanks = 8
 	bwLens := []int{256, 2048, 16384, 131072} // doubles: 2KB .. 1MB
 	bwIters := scaled(8, scale)
@@ -90,8 +74,8 @@ func runE16(scale float64) (*Report, error) {
 		bwIters = 3
 	}
 	bw := stats.NewSeries("E16c: allreduce goodput (MB/s) vs vector bytes at n=8, per algorithm (vsim, 2us links, median of 3)",
-		"bytes", "rd", "ring", "tree", "blocking-ref")
-	algos := []string{"rd", "ring", "tree", "ref"}
+		"bytes", "rd", "ring", "tree")
+	algos := []string{"rd", "ring", "tree"}
 	bwSamples := make(map[string][][]float64) // algo -> [len index][rep]
 	for _, algo := range algos {
 		bwSamples[algo] = make([][]float64, len(bwLens))
@@ -100,19 +84,13 @@ func runE16(scale float64) (*Report, error) {
 		for _, algo := range algos {
 			cfg := collectives.Config{Timeout: benchWait, ForceAllreduce: algo}
 			for li, L := range bwLens {
-				var d time.Duration
-				var err error
-				switch {
-				case algo == "ref":
-					d, err = refAllreduce(bwRanks, core.Config{}, L, warm, bwIters)
-				case algo == "rd" && L == 131072:
-					continue // arena would dwarf the working set
-				default:
-					if algo == "rd" {
-						cfg.SmallAllreduceMax = 8 * L
+				if algo == "rd" {
+					if L == 131072 {
+						continue // arena would dwarf the working set
 					}
-					d, err = engineAllreduce(bwRanks, core.Config{}, cfg, L, warm, bwIters)
+					cfg.SmallAllreduceMax = 8 * L
 				}
+				d, err := engineAllreduce(bwRanks, core.Config{}, cfg, L, warm, bwIters)
 				if err != nil {
 					return nil, fmt.Errorf("E16c %s L=%d: %w", algo, L, err)
 				}
@@ -127,33 +105,27 @@ func runE16(scale float64) (*Report, error) {
 			}
 			return medianF(bwSamples[algo][li])
 		}
-		bw.Row(float64(8*L), cell("rd"), cell("ring"), cell("tree"), cell("ref"))
+		bw.Row(float64(8*L), cell("rd"), cell("ring"), cell("tree"))
 	}
 
-	// Leg d: all-to-all aggregate message rate at n=16. The engine
-	// posts all n-1 sends before reaping; the reference interleaves one
-	// blocking send and one blocking receive per step.
+	// Leg d: all-to-all aggregate message rate at n=16 (all n-1 sends
+	// posted before reaping).
 	const a2aRanks = 16
 	a2aIters := scaled(30, scale)
 	if a2aIters < 5 {
 		a2aIters = 5
 	}
-	var refRates, newRates []float64
+	var rates []float64
 	for rep := 0; rep < reps; rep++ {
-		refRate, err := refAlltoallRate(a2aRanks, lean, warm, a2aIters)
+		rate, err := engineAlltoallRate(a2aRanks, lean, warm, a2aIters)
 		if err != nil {
-			return nil, fmt.Errorf("E16d ref: %w", err)
+			return nil, fmt.Errorf("E16d: %w", err)
 		}
-		newRate, err := engineAlltoallRate(a2aRanks, lean, warm, a2aIters)
-		if err != nil {
-			return nil, fmt.Errorf("E16d engine: %w", err)
-		}
-		refRates, newRates = append(refRates, refRate), append(newRates, newRate)
+		rates = append(rates, rate)
 	}
 	a2a := stats.NewTable("E16d: 32B all-to-all aggregate message rate at n=16 (vsim, 2us links, median of 3)",
 		"engine", "Kmsg/s")
-	a2a.Row("blocking seed", medianF(refRates)/1e3)
-	a2a.Row("nonblocking schedules", medianF(newRates)/1e3)
+	a2a.Row("nonblocking schedules", medianF(rates)/1e3)
 
 	// Leg e: shared-memory backend spot check. No simulated link
 	// delay here — this is the intra-host data path, where the
@@ -163,8 +135,8 @@ func runE16(scale float64) (*Report, error) {
 		return nil, fmt.Errorf("E16e: %w", err)
 	}
 
-	return &Report{ID: "E16", Title: "scalable N-peer collectives: schedules vs blocking seed",
-		Series: []*stats.Series{barrier, small, bw},
+	return &Report{ID: "E16", Title: "scalable N-peer collectives",
+		Series: []*stats.Series{lat, bw},
 		Tables: []*stats.Table{a2a, shmTbl}}, nil
 }
 
@@ -310,260 +282,17 @@ func engineAlltoallRate(n int, coreCfg core.Config, warm, iters int) (float64, e
 	return float64(n*(n-1)) / per.Seconds(), nil
 }
 
-// ---------------------------------------------------------------------
-// refComm: the repo's original blocking collectives, preserved here as
-// the before/after baseline. One blocking send and one blocking
-// receive per round — every round pays a full serialized network
-// latency, and every payload round-trips through fresh allocations.
-// ---------------------------------------------------------------------
-
-const refRIDBase = uint64(1) << 62 // distinct from the engine's 1<<63 space
-
-const (
-	refKindBarrier = iota + 1
-	refKindBcast
-	refKindReduce
-	refKindAlltoall
-)
-
-type refComm struct {
-	ph      *core.Photon
-	rank    int
-	size    int
-	gen     uint64
-	timeout time.Duration
-}
-
-func newRefComms(phs []*core.Photon) []*refComm {
-	comms := make([]*refComm, len(phs))
-	for r, ph := range phs {
-		comms[r] = &refComm{ph: ph, rank: ph.Rank(), size: ph.Size(), timeout: benchWait}
-	}
-	return comms
-}
-
-func refRID(gen uint64, kind, round, src int) uint64 {
-	return refRIDBase | gen<<20 | uint64(kind)<<16 | uint64(round)<<8 | uint64(src)
-}
-
-func (c *refComm) send(dst int, data []byte, r uint64) error {
-	return c.ph.SendBlocking(dst, data, 0, r)
-}
-
-func (c *refComm) recv(r uint64) ([]byte, error) {
-	comp, err := c.ph.WaitRemote(r, c.timeout)
-	if err != nil {
-		return nil, err
-	}
-	if comp.Err != nil {
-		return nil, comp.Err
-	}
-	return comp.Data, nil
-}
-
-// barrier is the seed's blocking dissemination barrier.
-func (c *refComm) barrier() error {
-	c.gen++
-	gen := c.gen
-	for round, dist := 0, 1; dist < c.size; round, dist = round+1, dist*2 {
-		to := (c.rank + dist) % c.size
-		from := (c.rank - dist + c.size) % c.size
-		if err := c.send(to, nil, refRID(gen, refKindBarrier, round, c.rank)); err != nil {
-			return err
-		}
-		if _, err := c.recv(refRID(gen, refKindBarrier, round, from)); err != nil {
-			return err
-		}
-	}
-	c.ph.Flush()
-	return nil
-}
-
-// allreduce is the seed's composition: blocking binomial reduce to
-// rank 0, then blocking binomial broadcast of the encoded result.
-func (c *refComm) allreduce(vec []float64) ([]float64, error) {
-	c.gen++
-	gen := c.gen
-	acc := append([]float64(nil), vec...)
-	for dist := 1; dist < c.size; dist *= 2 {
-		if c.rank%(dist*2) == 0 {
-			peer := c.rank + dist
-			if peer < c.size {
-				got, err := c.recv(refRID(gen, refKindReduce, 0, peer))
-				if err != nil {
-					return nil, err
-				}
-				other := refDecodeF64(got)
-				for i := range acc {
-					acc[i] += other[i]
-				}
-			}
-		} else if c.rank%(dist*2) == dist {
-			if err := c.send(c.rank-dist, refEncodeF64(acc), refRID(gen, refKindReduce, 0, c.rank)); err != nil {
-				return nil, err
-			}
-			break
-		}
-	}
-	var blob []byte
-	if c.rank == 0 {
-		blob = refEncodeF64(acc)
-	} else {
-		got, err := c.recv(refRID(gen, refKindBcast, 0, 0))
-		if err != nil {
-			return nil, err
-		}
-		blob = got
-	}
-	for dist := 1; dist < c.size; dist *= 2 {
-		if c.rank < dist {
-			child := c.rank + dist
-			if child < c.size {
-				if err := c.send(child, blob, refRID(gen, refKindBcast, 0, 0)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return refDecodeF64(blob), nil
-}
-
-// alltoall is the seed's pairwise exchange: one blocking send then one
-// blocking receive per step.
-func (c *refComm) alltoall(blobs [][]byte) ([][]byte, error) {
-	c.gen++
-	gen := c.gen
-	out := make([][]byte, c.size)
-	out[c.rank] = append([]byte(nil), blobs[c.rank]...)
-	for step := 1; step < c.size; step++ {
-		dst := (c.rank + step) % c.size
-		src := (c.rank - step + c.size) % c.size
-		if err := c.send(dst, blobs[dst], refRID(gen, refKindAlltoall, step, c.rank)); err != nil {
-			return nil, err
-		}
-		got, err := c.recv(refRID(gen, refKindAlltoall, step, src))
-		if err != nil {
-			return nil, err
-		}
-		out[src] = append([]byte(nil), got...)
-	}
-	return out, nil
-}
-
-func refEncodeF64(vec []float64) []byte {
-	b := make([]byte, 8*len(vec))
-	for i, v := range vec {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	return b
-}
-
-func refDecodeF64(b []byte) []float64 {
-	vec := make([]float64, len(b)/8)
-	for i := range vec {
-		vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return vec
-}
-
-func refLatencies(n int, coreCfg core.Config, warm, iters int) (bar, ar time.Duration, err error) {
-	e, err := NewPhotonOnly(n, latModel, coreCfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer e.Close()
-	comms := newRefComms(e.Phs)
-	bar, err = timedRounds(n, warm, iters, func(r int) error { return comms[r].barrier() })
-	if err != nil {
-		return 0, 0, err
-	}
-	vecs := make([][]float64, n)
-	for r := range vecs {
-		vecs[r] = make([]float64, 16)
-	}
-	ar, err = timedRounds(n, warm, iters, func(r int) error {
-		_, err := comms[r].allreduce(vecs[r])
-		return err
-	})
-	return bar, ar, err
-}
-
-func refAllreduce(n int, coreCfg core.Config, vecLen, warm, iters int) (time.Duration, error) {
-	e, err := NewPhotonOnly(n, latModel, coreCfg)
-	if err != nil {
-		return 0, err
-	}
-	defer e.Close()
-	comms := newRefComms(e.Phs)
-	vecs := make([][]float64, n)
-	for r := range vecs {
-		vecs[r] = make([]float64, vecLen)
-	}
-	return timedRounds(n, warm, iters, func(r int) error {
-		_, err := comms[r].allreduce(vecs[r])
-		return err
-	})
-}
-
-func refAlltoallRate(n int, coreCfg core.Config, warm, iters int) (float64, error) {
-	e, err := NewPhotonOnly(n, latModel, coreCfg)
-	if err != nil {
-		return 0, err
-	}
-	defer e.Close()
-	comms := newRefComms(e.Phs)
-	blobs := make([][][]byte, n)
-	for r := range blobs {
-		blobs[r] = make([][]byte, n)
-		for d := range blobs[r] {
-			blobs[r][d] = make([]byte, 32)
-		}
-	}
-	per, err := timedRounds(n, warm, iters, func(r int) error {
-		_, err := comms[r].alltoall(blobs[r])
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return float64(n*(n-1)) / per.Seconds(), nil
-}
-
 // e16Shm spot-checks the engine on the shared-memory backend at a
-// dozen ranks: barrier and small allreduce latency, blocking vs
-// nonblocking.
+// dozen ranks: barrier and small allreduce latency.
 func e16Shm(warm, iters int) (*stats.Table, error) {
 	const n = 12
-	refPhs, refCleanup, err := NewShmPhotons(n, core.Config{})
-	if err != nil {
-		return nil, err
-	}
-	refs := newRefComms(refPhs)
-	refBar, err := timedRounds(n, warm, iters, func(r int) error { return refs[r].barrier() })
-	if err != nil {
-		refCleanup()
-		return nil, err
-	}
-	refVecs := make([][]float64, n)
-	for r := range refVecs {
-		refVecs[r] = make([]float64, 16)
-	}
-	refAr, err := timedRounds(n, warm, iters, func(r int) error {
-		_, err := refs[r].allreduce(refVecs[r])
-		return err
-	})
-	refCleanup()
-	if err != nil {
-		return nil, err
-	}
-
 	phs, cleanup, err := NewShmPhotons(n, core.Config{})
 	if err != nil {
 		return nil, err
 	}
 	defer cleanup()
 	comms := engineComms(phs, collectives.Config{Timeout: benchWait})
-	newBar, err := timedRounds(n, warm, iters, func(r int) error { return comms[r].Barrier() })
+	bar, err := timedRounds(n, warm, iters, func(r int) error { return comms[r].Barrier() })
 	if err != nil {
 		return nil, err
 	}
@@ -571,7 +300,7 @@ func e16Shm(warm, iters int) (*stats.Table, error) {
 	for r := range vecs {
 		vecs[r] = make([]float64, 16)
 	}
-	newAr, err := timedRounds(n, warm, iters, func(r int) error {
+	ar, err := timedRounds(n, warm, iters, func(r int) error {
 		return comms[r].AllreduceInPlace(vecs[r], collectives.OpSum)
 	})
 	if err != nil {
@@ -579,8 +308,8 @@ func e16Shm(warm, iters int) (*stats.Table, error) {
 	}
 
 	t := stats.NewTable("E16e: shm backend, 12 ranks: collective latency (us)",
-		"operation", "blocking-us", "nonblocking-us")
-	t.Row("barrier", us(refBar), us(newBar))
-	t.Row("allreduce-16", us(refAr), us(newAr))
+		"operation", "latency-us")
+	t.Row("barrier", us(bar))
+	t.Row("allreduce-16", us(ar))
 	return t, nil
 }

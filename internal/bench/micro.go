@@ -36,19 +36,13 @@ func drainLocal(ph *core.Photon, inflight *int) error {
 	return nil
 }
 
-// idleYield parks a dry progress loop on the backend's activity
-// channel when the transport supports it (socket backends), falling
-// back to a scheduler yield (in-process fabrics). Spinning would
-// starve the runtime's network poller on few-core hosts.
+// idleYield parks a dry progress loop on the engine's activity latch.
+// Spinning would starve the runtime's network poller on few-core hosts.
 func idleYield(ph *core.Photon) {
-	if ch := ph.BackendNotify(); ch != nil {
-		select {
-		case <-ch:
-		case <-time.After(time.Millisecond):
-		}
-		return
+	select {
+	case <-ph.BackendNotify():
+	case <-time.After(time.Millisecond):
 	}
-	gort.Gosched()
 }
 
 // warmupIters picks a short untimed warmup for a latency measurement.

@@ -364,8 +364,6 @@ func (c *Comm) sendNB(dst int, data []byte, localRID, remoteRID uint64) error {
 		}
 		if c.ph.Progress() == 0 {
 			c.w.Idle()
-		} else {
-			c.w.Progressed()
 		}
 	}
 }
@@ -385,8 +383,6 @@ func (c *Comm) putNB(dst int, data []byte, rb mem.RemoteBuffer, off uint64, loca
 		}
 		if c.ph.Progress() == 0 {
 			c.w.Idle()
-		} else {
-			c.w.Progressed()
 		}
 	}
 }
@@ -429,10 +425,7 @@ func (c *Comm) waitAllRaw(rids []uint64, out []core.Completion, local bool) erro
 	c.spec.Deadline = c.deadline
 	c.spec.Watch = c.watch
 	c.spec.AbortRIDs = c.revokeRIDs
-	if local {
-		return c.ph.WaitLocalAllSpec(c.w, rids, out, &c.spec)
-	}
-	return c.ph.WaitRemoteAllSpec(c.w, rids, out, &c.spec)
+	return c.ph.WaitAll(c.w, rids, out, &c.spec, local)
 }
 
 // wait1 reaps a single completion through the shared waiter scratch.

@@ -129,8 +129,6 @@ func (c *Comm) sendNBRaw(dst int, data []byte, localRID, remoteRID uint64) error
 		}
 		if c.ph.Progress() == 0 {
 			c.w.Idle()
-		} else {
-			c.w.Progressed()
 		}
 	}
 }
@@ -227,8 +225,6 @@ func (c *Comm) sendRevokes() {
 			}
 			if c.ph.Progress() == 0 {
 				c.w.Idle()
-			} else {
-				c.w.Progressed()
 			}
 		}
 	}

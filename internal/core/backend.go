@@ -62,26 +62,17 @@ func (h PeerHealth) String() string {
 }
 
 // HealthBackend is an optional Backend extension implemented by
-// transports with a failure detector. ConfigureLiveness arms it:
-// the backend emits heartbeat traffic on links idle longer than the
-// heartbeat interval (piggyback-suppressed when data is flowing) and
-// reports a peer suspect once nothing has been received from it for
-// suspectAfter. PeerHealth must be cheap and callable concurrently:
-// the progress engine polls it to drive the core peer state machine.
-// Backends without liveness (in-process fabrics) simply omit this;
-// the engine then relies on OpTimeout alone.
+// transports with a failure detector (tcp, and chaos's simulated one;
+// vsim and shm have none and simply omit it — the engine then relies
+// on OpTimeout alone). ConfigureLiveness arms it: the backend emits
+// heartbeat traffic on links idle longer than the heartbeat interval
+// (piggyback-suppressed when data is flowing) and reports a peer
+// suspect once nothing has been received from it for suspectAfter.
+// PeerHealth must be cheap and callable concurrently: the progress
+// engine polls it to drive the core peer state machine.
 type HealthBackend interface {
 	ConfigureLiveness(heartbeat, suspectAfter time.Duration)
 	PeerHealth(rank int) PeerHealth
-}
-
-// ActivityBackend is an optional Backend extension: WriteActivity
-// returns a loader for a monotonic count of remote writes applied to a
-// registration. The progress engine uses it as a DMA event counter —
-// ledger rings are swept only when the count has moved, so an idle or
-// spinning poller never contends with the transport's memory lock.
-type ActivityBackend interface {
-	WriteActivity(rb mem.RemoteBuffer) (func() uint64, bool)
 }
 
 // BackendCompletion reports one finished backend operation to the
@@ -92,12 +83,22 @@ type BackendCompletion struct {
 	Err   error
 }
 
-// Backend is the transport Photon runs over: one-sided operations plus
-// registered memory and an out-of-band bootstrap exchange. Two
-// implementations exist: backend/vsim (simulated IB verbs over the
-// in-process fabric) and backend/tcp (real sockets, one-sided ops
-// emulated by a remote agent) — mirroring the original's verbs / uGNI /
-// libfabric / TCP backend set.
+// Backend is the transport Photon runs over: one-sided operations,
+// registered memory, an out-of-band bootstrap exchange, and the event
+// plumbing the engine's single progress/wait path is built on. Three
+// transports implement it — backend/vsim (simulated IB verbs over the
+// in-process fabric), backend/tcp (real sockets, one-sided ops applied
+// by a remote agent) and backend/shm (per-pair shared-memory rings) —
+// mirroring the original's verbs / uGNI / libfabric / TCP backend set;
+// backend/chaos wraps any of them with fault injection and forwards
+// the whole contract, so fault tests run the production path.
+//
+// The contract is one interface with no optional data-path parts: every
+// transport batches, pushes wake events, counts applied writes and
+// reports clock offsets, so the engine has exactly one way to post,
+// one way to sleep and one sweep policy. Only two things stay optional
+// (see HealthBackend and StatsBackend), because some transports
+// genuinely have nothing to offer there.
 //
 // Semantics the engine relies on:
 //
@@ -126,15 +127,32 @@ type Backend interface {
 	Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error)
 	// Deregister releases a registration by its descriptor.
 	Deregister(rb mem.RemoteBuffer) error
+	// WriteActivity returns a loader for a monotonic count of writes
+	// and atomics applied to the registration (remote ones and
+	// ApplyLocal); ok is false when rb is not registered here. The
+	// progress engine uses it as a DMA event counter — ledger rings are
+	// swept only when the count has moved, so an idle or spinning
+	// poller never contends with the transport's memory lock.
+	WriteActivity(rb mem.RemoteBuffer) (load func() uint64, ok bool)
 
 	// PostWrite starts a one-sided write of local into rank's memory
 	// at (raddr, rkey). If signaled, Poll later reports token.
 	PostWrite(rank int, local []byte, raddr uint64, rkey uint32, token uint64, signaled bool) error
+	// PostWriteBatch posts a burst of writes toward one rank with a
+	// single doorbell-style call, saving per-op dispatch overhead.
+	// Requests are posted in order; the call stops at the first
+	// request that cannot be posted and returns how many were accepted
+	// (the error, if any, describes the first failure). A short count
+	// with a nil or ErrWouldBlock error means the caller should retry
+	// the tail later, exactly like a per-op ErrWouldBlock. The
+	// snapshot-at-post buffer contract applies to every WriteReq.Local.
+	PostWriteBatch(rank int, reqs []WriteReq) (int, error)
 	// PostRead starts a one-sided read from rank's memory into local;
 	// always signaled.
 	PostRead(rank int, local []byte, raddr uint64, rkey uint32, token uint64) error
 	// PostFetchAdd atomically adds add to the 8-byte word at
-	// (raddr, rkey) on rank, placing the prior value in result.
+	// (raddr, rkey) on rank, placing the prior value in result. raddr
+	// must be 8-byte aligned; a misaligned atomic completes in error.
 	PostFetchAdd(rank int, result []byte, raddr uint64, rkey uint32, add uint64, token uint64) error
 	// PostCompSwap atomically compare-and-swaps the 8-byte word,
 	// placing the prior value in result.
@@ -149,6 +167,28 @@ type Backend interface {
 	// Poll reaps pending backend completions into dst, returning the
 	// count. It must not block.
 	Poll(dst []BackendCompletion) int
+	// SetWakeSink installs the function the backend calls whenever its
+	// activity may have made engine progress possible: a completion
+	// was queued for Poll, or remote data landed in registered memory
+	// (signaled or not — ledger writes are unsignaled by design). The
+	// call runs on the event-producing goroutine, so the sink must be
+	// treated exactly like a channel kick: non-blocking, callable from
+	// any goroutine, coalescing — one call may stand for many events.
+	// The engine installs its shard fan-out here, which wakes every
+	// shard runner and every parked waiter at goroutine-handoff
+	// latency; a timer sleep would round every blocking wait up to
+	// kernel scheduler-tick granularity. Backends built on WakeChan get
+	// this for free.
+	SetWakeSink(fn func())
+
+	// ClockOffset reports rank's wall clock minus the local one in
+	// nanoseconds, with the round-trip time of the minimum-RTT sample
+	// behind the estimate; ok is false until one is available (the TCP
+	// backend closes NTP-style exchanges over its heartbeat frames;
+	// in-process transports share one clock and report zero). The
+	// merged trace exporter uses it to place events from different
+	// processes on one timeline.
+	ClockOffset(rank int) (offsetNS, rttNS int64, ok bool)
 
 	// Exchange is the out-of-band bootstrap allgather: every rank
 	// contributes a blob and receives all blobs indexed by rank. It
@@ -159,9 +199,8 @@ type Backend interface {
 	Close() error
 }
 
-// WriteReq is one element of a batched write post (see BatchBackend).
-// Fields mirror PostWrite's parameters; the same snapshot-at-post
-// buffer contract applies to Local.
+// WriteReq is one element of a batched write post (see
+// Backend.PostWriteBatch). Fields mirror PostWrite's parameters.
 type WriteReq struct {
 	Local      []byte
 	RemoteAddr uint64
@@ -170,68 +209,13 @@ type WriteReq struct {
 	Signaled   bool
 }
 
-// BatchBackend is an optional Backend extension: PostWriteBatch posts
-// a burst of writes toward one rank with a single doorbell-style call,
-// saving per-op dispatch overhead. Requests are posted in order; the
-// call stops at the first request that cannot be posted and returns
-// how many were accepted (the error, if any, describes the first
-// failure). A short count with a nil or ErrWouldBlock error means the
-// caller should retry the tail later, exactly like a per-op
-// ErrWouldBlock. The engine falls back to per-op PostWrite when the
-// backend does not implement this interface.
-type BatchBackend interface {
-	PostWriteBatch(rank int, reqs []WriteReq) (int, error)
-}
-
-// NotifyBackend is an optional Backend extension: Notify returns a
-// channel (capacity 1, signaled with non-blocking sends) that receives
-// a token whenever backend activity may have made engine progress
-// possible — a completion was queued for Poll, or remote data landed
-// in registered memory. Blocking waiters park on this channel instead
-// of sleep-polling Progress: the agent goroutine that produced the
-// event wakes them at goroutine-handoff latency, where a timer sleep
-// would round the wait up to kernel scheduler-tick granularity (~1ms
-// on HZ=1000 hosts). A single token can coalesce many events; waiters
-// must re-poll after every wakeup and never rely on one token per
-// event. Backends without edge-triggered events (in-process fabrics
-// whose delivery is driven by runnable goroutines) simply omit this
-// and waiters fall back to yield-then-sleep polling.
-type NotifyBackend interface {
-	Notify() <-chan struct{}
-}
-
-// WakeSinkBackend is an optional refinement of NotifyBackend:
-// SetWakeSink redirects the backend's activity events from the Notify
-// channel to a direct function call on the event-producing goroutine.
-// The engine installs its shard fan-out here so one backend event wakes
-// every shard runner and every parked waiter without a relay goroutine
-// consuming the Notify channel (which would add a scheduler hop to
-// every wakeup). The sink must be treated exactly like a channel kick:
-// non-blocking, callable from any goroutine, coalescing. Backends built
-// on WakeChan get this for free.
-type WakeSinkBackend interface {
-	SetWakeSink(fn func())
-}
-
-// ClockBackend is an optional Backend extension implemented by
-// transports that estimate per-peer clock offsets (the TCP backend
-// closes NTP-style exchanges over its heartbeat frames). ClockOffset
-// reports the peer's wall clock minus the local one in nanoseconds,
-// with the round-trip time of the minimum-RTT sample that produced the
-// estimate; ok is false until at least one exchange has completed.
-// The merged trace exporter consumes these offsets to place events
-// from different processes on one timeline.
-type ClockBackend interface {
-	ClockOffset(rank int) (offsetNS, rttNS int64, ok bool)
-}
-
-// StatsBackend is an optional Backend extension: TransportStats yields
-// transport-level data-path counters as named int64 gauges (syscall
-// coalescing, ack piggybacking, queue behavior — whatever the
-// transport measures about itself). Photon.Metrics merges them into
-// its gauge snapshot so transport behavior is observable alongside
-// engine counters. Implementations must tolerate concurrent callers
-// and must not block.
+// StatsBackend is an optional Backend extension (vsim exports no
+// transport gauges of its own): TransportStats yields transport-level
+// data-path counters as named int64 gauges (syscall coalescing, ack
+// piggybacking, queue behavior — whatever the transport measures about
+// itself). Photon.Metrics merges them into its gauge snapshot so
+// transport behavior is observable alongside engine counters.
+// Implementations must tolerate concurrent callers and must not block.
 type StatsBackend interface {
 	TransportStats(yield func(name string, value int64))
 }

@@ -62,20 +62,15 @@ const (
 
 // Config tunes the Photon engine. The zero value selects defaults.
 type Config struct {
-	// LedgerSlots is the slot count of the PWC and eager ledgers per
-	// peer (default 64).
+	// LedgerSlots is the slot count of each per-peer ledger — PWC,
+	// eager and sys alike (default 64).
 	LedgerSlots int
-	// SysSlots is the slot count of the sys ledger per peer (default
-	// LedgerSlots).
-	SysSlots int
 	// EagerEntrySize is the full eager entry size in bytes, including
 	// the 8-byte ledger header and 9-byte packed header (default
-	// 1024). Packed payload capacity is EagerEntrySize-17.
+	// 1024). Packed payload capacity is EagerEntrySize-17, which is
+	// also the eager threshold: Send packs payloads up to it inline
+	// and larger ones use the rendezvous protocol.
 	EagerEntrySize int
-	// EagerThreshold caps the payload size Send packs inline; larger
-	// sends use the rendezvous protocol (default: the packed
-	// capacity). Lowering it below capacity is an ablation knob.
-	EagerThreshold int
 	// RdzvSlabSize is the registered staging arena for inbound
 	// rendezvous transfers (default 4 MiB).
 	RdzvSlabSize int
@@ -120,7 +115,7 @@ type Config struct {
 	// shards (rank % EngineShards), each with its own completion rings,
 	// sweep state, and notify latch, so progress scales with cores
 	// under heavy multi-peer traffic (default 1: the classic single
-	// engine). Drive shards together with Progress/ProgressAll, singly
+	// engine). Drive shards together with Progress, singly
 	// with ProgressShard, or pin one background goroutine per shard
 	// with StartProgress. Per-peer ordering is unaffected; completions
 	// for peers on different shards may interleave arbitrarily.
@@ -162,21 +157,14 @@ func (c *Config) setDefaults() error {
 	if c.LedgerSlots == 0 {
 		c.LedgerSlots = 64
 	}
-	if c.SysSlots == 0 {
-		c.SysSlots = c.LedgerSlots
-	}
 	if c.EagerEntrySize == 0 {
 		c.EagerEntrySize = 1024
 	}
-	if c.LedgerSlots < 1 || c.SysSlots < 1 {
+	if c.LedgerSlots < 1 {
 		return fmt.Errorf("photon: ledger slots must be positive")
 	}
 	if c.EagerEntrySize < ledger.HeaderSize+packedHdrSize+1 {
 		return fmt.Errorf("photon: eager entry size %d too small", c.EagerEntrySize)
-	}
-	maxData := c.EagerEntrySize - ledger.HeaderSize - packedHdrSize
-	if c.EagerThreshold == 0 || c.EagerThreshold > maxData {
-		c.EagerThreshold = maxData
 	}
 	if c.RdzvSlabSize == 0 {
 		c.RdzvSlabSize = 4 << 20
@@ -241,17 +229,15 @@ func (c *Config) entrySize(class int) int {
 	panic("photon: bad ledger class")
 }
 
-// slots returns the slot count for a ledger class.
-func (c *Config) slots(class int) int {
-	if class == classSys {
-		return c.SysSlots
-	}
-	return c.LedgerSlots
+// packedCap is the largest payload a packed eager entry carries: the
+// eager threshold.
+func (c *Config) packedCap() int {
+	return c.EagerEntrySize - ledger.HeaderSize - packedHdrSize
 }
 
 // classBytes returns the backing-store size of one ledger of the class.
 func (c *Config) classBytes(class int) int {
-	return c.entrySize(class) * c.slots(class)
+	return c.entrySize(class) * c.LedgerSlots
 }
 
 // perPeerBytes is the arena footprint of all receive ledgers for one

@@ -39,6 +39,31 @@ func TestEagerPutAllocGuard(t *testing.T) {
 	}
 }
 
+// TestWaitAllocGuard pins the blocking waits' own cost: WaitLocal and
+// WaitRemote run the shared wait loop on stack scratch, so waiting for
+// a put's two completions allocates nothing.
+func TestWaitAllocGuard(t *testing.T) {
+	p, dst := loopEnv(t, core.Config{})
+	payload := make([]byte, 8)
+	put := func() {
+		if err := p.PutBlocking(0, payload, dst, 0, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		if c, err := p.WaitLocal(1, waitT); err != nil || c.Err != nil {
+			t.Fatal(err, c.Err)
+		}
+		if c, err := p.WaitRemote(2, waitT); err != nil || c.Err != nil {
+			t.Fatal(err, c.Err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(200, put); allocs > 0 {
+		t.Fatalf("put + WaitLocal + WaitRemote allocates %.2f times per op, want 0", allocs)
+	}
+}
+
 // TestStaleTokenRejected scripts the backend completion stream to
 // deliver late, duplicate, and fabricated completions, and checks the
 // generation-tagged token table accepts each token exactly once.

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"photon/internal/core"
 	"photon/internal/mem"
@@ -28,6 +29,12 @@ type loopBackend struct {
 	// completing them (the test injects completions itself).
 	captureTokens bool
 	tokens        []uint64
+
+	// wake and act are the contract's event plumbing: the sink fires
+	// for every queued completion and every applied write, and act
+	// counts the applied writes.
+	wake *core.WakeChan
+	act  atomic.Uint64
 }
 
 type loopReg struct {
@@ -36,8 +43,14 @@ type loopReg struct {
 }
 
 func newLoopBackend() *loopBackend {
-	return &loopBackend{regs: make(map[uint32]*loopReg), nextRKey: 1, nextBase: 0x1000}
+	return &loopBackend{regs: make(map[uint32]*loopReg), nextRKey: 1, nextBase: 0x1000, wake: core.NewWakeChan()}
 }
+
+func (l *loopBackend) SetWakeSink(fn func()) { l.wake.SetSink(fn) }
+
+func (l *loopBackend) WriteActivity(mem.RemoteBuffer) (func() uint64, bool) { return l.act.Load, true }
+
+func (l *loopBackend) ClockOffset(int) (offsetNS, rttNS int64, ok bool) { return 0, 0, true }
 
 func (l *loopBackend) Rank() int { return 0 }
 func (l *loopBackend) Size() int { return 1 }
@@ -72,6 +85,8 @@ func (l *loopBackend) apply(raddr uint64, rkey uint32, data []byte) error {
 		return core.ErrTooLarge
 	}
 	copy(r.buf[raddr-r.base:], data)
+	l.act.Add(1)
+	l.wake.Kick()
 	return nil
 }
 
@@ -80,6 +95,7 @@ func (l *loopBackend) apply(raddr uint64, rkey uint32, data []byte) error {
 func (l *loopBackend) pushLocked(c core.BackendCompletion) {
 	l.comps[l.tail%len(l.comps)] = c
 	l.tail++
+	l.wake.Kick()
 }
 
 func (l *loopBackend) complete(token uint64, signaled bool, err error) {
@@ -108,8 +124,6 @@ func (l *loopBackend) PostWrite(rank int, local []byte, raddr uint64, rkey uint3
 	return nil
 }
 
-// PostWriteBatch implements core.BatchBackend so tests and benchmarks
-// drive the same doorbell path the real backends take.
 func (l *loopBackend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

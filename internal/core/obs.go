@@ -187,19 +187,16 @@ func (p *Photon) MetricsRegistry() *metrics.Registry { return p.obs.reg }
 
 // PeerClockOffset reports the transport's estimate of rank's wall
 // clock minus this process's, in nanoseconds, with the RTT of the
-// sample behind it (see ClockBackend). The self rank is trivially
-// synchronized; backends without clock estimation report ok=false and
-// callers should fall back to offset 0 (co-located processes) or an
-// external source. Feed the result into trace.PeerDump.OffsetNS when
+// sample behind it (see Backend.ClockOffset). The self rank is
+// trivially synchronized; until the transport has an estimate ok is
+// false and callers should fall back to offset 0 (co-located
+// processes) or an external source. Feed the result into trace.PeerDump.OffsetNS when
 // stitching per-rank rings into one merged timeline.
 func (p *Photon) PeerClockOffset(rank int) (offsetNS, rttNS int64, ok bool) {
 	if rank == p.rank {
 		return 0, 0, true
 	}
-	if cb, isCB := p.be.(ClockBackend); isCB {
-		return cb.ClockOffset(rank)
-	}
-	return 0, 0, false
+	return p.be.ClockOffset(rank)
 }
 
 // Metrics snapshots the latency registry and attaches engine gauges:

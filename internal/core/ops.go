@@ -191,7 +191,7 @@ func (p *Photon) GetWithCompletion(rank int, local []byte, src mem.RemoteBuffer,
 
 // Send delivers data to rank as a message: the target harvests a remote
 // completion carrying remoteRID and the payload. Payloads up to
-// EagerThreshold are packed into a single ledger write; larger ones use
+// EagerThreshold() are packed into a single ledger write; larger ones use
 // the rendezvous protocol (sender-side registration, target-side RDMA
 // read, FIN). localRID, when non-zero, is surfaced here once data is
 // safely out of the caller's buffer (packed: immediately on transport
@@ -210,7 +210,7 @@ func (p *Photon) Send(rank int, data []byte, localRID, remoteRID uint64) error {
 	}
 	ps := p.peers[rank]
 	ts := p.obsStamp()
-	if len(data) <= p.cfg.EagerThreshold && !p.cfg.ForceRendezvous {
+	if len(data) <= p.cfg.packedCap() && !p.cfg.ForceRendezvous {
 		return p.sendPacked(ps, rank, data, localRID, remoteRID, ts)
 	}
 	return p.sendRendezvous(ps, rank, data, localRID, remoteRID, ts)
@@ -498,10 +498,9 @@ func (p *Photon) parkWire(ps *peerState, w wireOp) {
 }
 
 // postPair posts two ordered writes toward one rank — the direct-put
-// data+notification pair — as a single doorbell batch when the backend
-// supports batching, falling back to sequential posts otherwise. FIFO
-// with already-parked work is preserved: if the peer has a deferred
-// backlog both writes join its tail.
+// data+notification pair — as a single doorbell batch. FIFO with
+// already-parked work is preserved: if the peer has a deferred backlog
+// both writes join its tail.
 //
 //photon:hotpath
 func (p *Photon) postPair(ps *peerState, rank int, a, b wireOp) {
@@ -513,16 +512,11 @@ func (p *Photon) postPair(ps *peerState, rank int, a, b wireOp) {
 		p.parkWire(ps, b)
 		return
 	}
-	if p.bbe == nil {
-		p.postOrPark(ps, rank, a.local, a.raddr, a.rkey, a.token, a.signaled, a.pooled)
-		p.postOrPark(ps, rank, b.local, b.raddr, b.rkey, b.token, b.signaled, b.pooled)
-		return
-	}
 	rp := p.reqPool.Get().(*[]WriteReq)
 	reqs := append((*rp)[:0],
 		WriteReq{Local: a.local, RemoteAddr: a.raddr, RKey: a.rkey, Token: a.token, Signaled: a.signaled},
 		WriteReq{Local: b.local, RemoteAddr: b.raddr, RKey: b.rkey, Token: b.token, Signaled: b.signaled})
-	n, err := p.bbe.PostWriteBatch(rank, reqs)
+	n, err := p.be.PostWriteBatch(rank, reqs)
 	reqs[0], reqs[1] = WriteReq{}, WriteReq{}
 	*rp = reqs[:0]
 	p.reqPool.Put(rp)
@@ -550,34 +544,30 @@ func (p *Photon) postPair(ps *peerState, rank int, a, b wireOp) {
 // PutBlocking wraps PutWithCompletion, driving Progress until the
 // operation can be posted.
 func (p *Photon) PutBlocking(rank int, local []byte, dst mem.RemoteBuffer, off uint64, localRID, remoteRID uint64) error {
-	w := idleWaiter{p: p}
-	defer w.stop()
+	w := Waiter{p: p}
+	defer w.Release()
 	for {
 		err := p.PutWithCompletion(rank, local, dst, off, localRID, remoteRID)
 		if err == nil || !errors.Is(err, ErrWouldBlock) {
 			return err
 		}
 		if p.Progress() == 0 {
-			w.wait()
-		} else {
-			w.progressed()
+			w.Idle()
 		}
 	}
 }
 
 // SendBlocking wraps Send, driving Progress until it can be posted.
 func (p *Photon) SendBlocking(rank int, data []byte, localRID, remoteRID uint64) error {
-	w := idleWaiter{p: p}
-	defer w.stop()
+	w := Waiter{p: p}
+	defer w.Release()
 	for {
 		err := p.Send(rank, data, localRID, remoteRID)
 		if err == nil || !errors.Is(err, ErrWouldBlock) {
 			return err
 		}
 		if p.Progress() == 0 {
-			w.wait()
-		} else {
-			w.progressed()
+			w.Idle()
 		}
 	}
 }

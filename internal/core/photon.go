@@ -239,7 +239,6 @@ type peerState struct {
 // Photon is one rank's middleware instance.
 type Photon struct {
 	be   Backend
-	bbe  BatchBackend // be's batch extension, nil when unsupported
 	cfg  Config
 	rank int
 	size int
@@ -248,9 +247,7 @@ type Photon struct {
 	arenaRB mem.RemoteBuffer
 	//photon:lock arena 30
 	arenaLk  sync.Locker
-	activity func() uint64   // arena DMA write counter (nil if unsupported)
-	beWake   <-chan struct{} // backend activity channel (nil if unsupported)
-	lastAct  uint64          // counter value at last ledger sweep (progMu)
+	activity func() uint64 // arena DMA write counter (Backend.WriteActivity)
 	mailOff  int
 	slabOff  int
 	slab     *mem.Slab
@@ -281,8 +278,8 @@ type Photon struct {
 	shards []*engineShard
 
 	// nfy fans backend activity events out to shard runners and parked
-	// waiters (nil when the backend has no NotifyBackend).
-	nfy *notifier
+	// waiters; it is the backend's wake sink.
+	nfy notifier
 
 	// Background progress mode (StartProgress): one runner per shard.
 	runnersOn atomic.Bool
@@ -349,7 +346,6 @@ func Init(be Backend, cfg Config) (*Photon, error) {
 		rdzvSends:  make(map[uint64]rdzvSend),
 		nextRdzvID: 1,
 	}
-	p.bbe, _ = be.(BatchBackend)
 	p.recvs.init()
 	p.initObs(&cfg)
 	p.reqPool.New = func() any {
@@ -376,14 +372,11 @@ func Init(be Backend, cfg Config) (*Photon, error) {
 	}
 	p.arenaRB = rb
 	p.arenaLk = lk
-	if ab, ok := be.(ActivityBackend); ok {
-		if fn, ok := ab.WriteActivity(rb); ok {
-			p.activity = fn
-		}
+	act, ok := be.WriteActivity(rb)
+	if !ok {
+		return nil, fmt.Errorf("photon: backend counts no write activity for the arena it just registered")
 	}
-	if nb, ok := be.(NotifyBackend); ok {
-		p.beWake = nb.Notify()
-	}
+	p.activity = act
 	if hb, ok := be.(HealthBackend); ok && cfg.HeartbeatInterval > 0 {
 		hb.ConfigureLiveness(cfg.HeartbeatInterval, cfg.SuspectAfter)
 		p.hbe = hb
@@ -453,7 +446,9 @@ func Init(be Backend, cfg Config) (*Photon, error) {
 		p.peers[peer] = ps
 	}
 	p.initShards()
-	p.initNotifier()
+	p.nfy.p = p
+	p.nfy.extern = make(chan struct{}, 1)
+	be.SetWakeSink(p.nfy.fanout)
 	return p, nil
 }
 
@@ -471,7 +466,7 @@ func (p *Photon) EagerThreshold() int {
 	if p.cfg.ForceRendezvous {
 		return 0
 	}
-	return p.cfg.EagerThreshold
+	return p.cfg.packedCap()
 }
 
 // Stats returns an activity snapshot.
@@ -558,13 +553,10 @@ func (p *Photon) Close() error {
 	if p.closed.Swap(true) {
 		return nil
 	}
-	// Stop the notifier relay (if any) and nudge every shard runner so
-	// background progress observes closed promptly, then wait the
-	// runners out — a runner inside progressShard holds its shard
-	// mutex, which the drain below must be able to take.
-	if p.nfy != nil {
-		close(p.nfy.stop)
-	}
+	// Nudge every shard runner so background progress observes closed
+	// promptly, then wait the runners out — a runner inside
+	// progressShard holds its shard mutex, which the drain below must
+	// be able to take.
 	for _, s := range p.shards {
 		s.kick()
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	gort "runtime"
 	"time"
 
 	"photon/internal/errs"
@@ -30,12 +29,11 @@ const maxInt = int(^uint(0) >> 1)
 // progress model. With EngineShards > 1, concurrent callers (or the
 // StartProgress runners) drive distinct shards genuinely in parallel.
 //
-// When the backend exposes a DMA write-activity counter, the ledger
-// sweep is skipped entirely while the counter is unchanged. A fully
-// idle round — no ledger activity, no parked work anywhere, no credits
-// owed — additionally skips the per-peer loop: a spinning prober then
-// costs two atomic loads per shard beyond the backend poll,
-// independent of job size.
+// The ledger sweep is skipped entirely while the backend's DMA
+// write-activity counter is unchanged. A fully idle round — no ledger
+// activity, no parked work anywhere, no credits owed — additionally
+// skips the per-peer loop: a spinning prober then costs two atomic
+// loads per shard beyond the backend poll, independent of job size.
 //
 //photon:hotpath
 func (p *Photon) Progress() int {
@@ -90,14 +88,9 @@ func (p *Photon) progressShard(s *engineShard) int {
 	if s.idx == 0 && p.faultPollNS != 0 {
 		n += p.pollFaults(s) //photon:allow lockorder -- fault sweep runs on shard 0 and takes the other shards' mutexes in ascending index order
 	}
-	sweep := true
-	if p.activity != nil {
-		if cur := p.activity(); cur != s.lastAct {
-			s.lastAct = cur
-		} else {
-			sweep = false
-		}
-	}
+	cur := p.activity()
+	sweep := cur != s.lastAct
+	s.lastAct = cur
 	if !sweep && s.parked.Load() == 0 && s.creditHintTotal.Load() == 0 {
 		if sample && n == 0 {
 			p.obs.reg.RecordPhase(metrics.PhaseIdle, nowNanos()-t0)
@@ -277,7 +270,7 @@ func (p *Photon) postEntryOrDefer(ps *peerState, class int, payload []byte) {
 // retryDeferred drains a peer's parked work in dependency-safe order:
 // first fully-specified wire writes (FIFO; slots already reserved),
 // then unreserved ledger entries, then queued inbound rendezvous.
-// Wire writes drain in doorbell batches when the backend supports it.
+// Wire writes drain in doorbell batches.
 func (p *Photon) retryDeferred(s *engineShard, ps *peerState) int {
 	if ps.deferred.Load() == 0 {
 		return 0
@@ -301,30 +294,17 @@ func (p *Photon) retryDeferred(s *engineShard, ps *peerState) int {
 		batch := append(s.wireScratch[:0], ps.pendingWire[:k]...)
 		ps.mu.Unlock()
 
-		posted := 0
-		var perr error
-		if p.bbe != nil && k > 1 {
-			reqs := s.reqScratch[:0]
-			for _, w := range batch {
-				reqs = append(reqs, WriteReq{Local: w.local, RemoteAddr: w.raddr, RKey: w.rkey, Token: w.token, Signaled: w.signaled})
-			}
-			posted, perr = p.bbe.PostWriteBatch(ps.rank, reqs)
-			for i := range reqs {
-				reqs[i] = WriteReq{}
-			}
-			if posted > 0 {
-				p.stats.batchPosts.Add(1)
-				p.stats.batchedOps.Add(int64(posted))
-			}
-		} else {
-			for _, w := range batch {
-				if perr = p.be.PostWrite(ps.rank, w.local, w.raddr, w.rkey, w.token, w.signaled); perr != nil {
-					break
-				}
-				posted++
-			}
+		reqs := s.reqScratch[:0]
+		for _, w := range batch {
+			reqs = append(reqs, WriteReq{Local: w.local, RemoteAddr: w.raddr, RKey: w.rkey, Token: w.token, Signaled: w.signaled})
+		}
+		posted, perr := p.be.PostWriteBatch(ps.rank, reqs)
+		for i := range reqs {
+			reqs[i] = WriteReq{}
 		}
 		if posted > 0 {
+			p.stats.batchPosts.Add(1)
+			p.stats.batchedOps.Add(int64(posted))
 			ps.mu.Lock()
 			ps.pendingWire = ps.pendingWire[posted:]
 			ps.mu.Unlock()
@@ -797,17 +777,37 @@ func (p *Photon) takeMatchAny(rid uint64, local bool) (Completion, bool) {
 	return Completion{}, false
 }
 
-// WaitLocal spins (driving progress) until the local completion with
-// the given RID arrives, removing it from the stream; other completions
-// are left queued. A non-positive timeout waits forever.
+// WaitLocal drives progress until the local completion with the given
+// RID arrives, removing it from the stream; other completions are left
+// queued. A completion that carries an error is still a completion: it
+// is returned with a nil error and its Err set. A non-positive timeout
+// waits forever (bounded by 2×OpTimeout when op deadlines are armed).
+// rid must be non-zero: zero names no completion, as in the post calls,
+// and the wait returns at once.
 func (p *Photon) WaitLocal(rid uint64, timeout time.Duration) (Completion, error) {
-	return p.waitMatch(rid, timeout, true)
+	return p.waitOne(rid, timeout, true)
 }
 
-// WaitRemote spins until the remote completion with the given RID
-// arrives.
+// WaitRemote is WaitLocal for the remote completion stream.
 func (p *Photon) WaitRemote(rid uint64, timeout time.Duration) (Completion, error) {
-	return p.waitMatch(rid, timeout, false)
+	return p.waitOne(rid, timeout, false)
+}
+
+// waitOne is a one-RID waitAll on stack scratch (no allocation).
+func (p *Photon) waitOne(rid uint64, timeout time.Duration, local bool) (Completion, error) {
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
+	var (
+		rids = [1]uint64{rid}
+		out  [1]Completion
+		pend [1]int
+	)
+	w := Waiter{p: p}
+	defer w.Release()
+	err := p.waitAll(&w, pend[:0], rids[:], out[:], deadline, nil, local)
+	return out[0], err
 }
 
 // parkGrace caps how long an idle waiter stays parked on its notify
@@ -817,130 +817,14 @@ func (p *Photon) WaitRemote(rid uint64, timeout time.Duration) (Completion, erro
 // at goroutine-handoff latency.
 const parkGrace = time.Millisecond
 
-// idleWaiter paces the dry rounds of a blocking wait loop. With a
-// NotifyBackend it subscribes a private capacity-1 channel to the
-// engine's notifier fan-out and parks on it: the agent that queues the
-// next completion (or applies the next remote write) wakes every
-// parked waiter directly, so the wait resolves at goroutine-handoff
-// latency and one waiter consuming a wake can never starve another
-// (each waiter holds its own latch — the fairness fix over a single
-// shared notify channel). This matters doubly on few-core hosts — a
-// parked waiter frees the processor for the runtime's network poller,
-// where a spinning one starves it, and a timer sleep would round every
-// blocking latency up to kernel scheduler-tick granularity (~1ms on
-// HZ=1000 hosts). Without a NotifyBackend it falls back to yield-then-
-// sleep polling, which suits in-process fabrics whose delivery runs on
-// goroutines a yield schedules.
-type idleWaiter struct {
-	p    *Photon
-	idle int           // consecutive dry rounds (fallback pacing)
-	park *time.Timer   // lazily created, reused across parks
-	ch   chan struct{} // private notifier subscription (recycled)
-}
-
-// wait blocks until backend activity suggests progress is possible (or
-// a grace period elapses). Callers must re-poll after every return:
-// one wake token can coalesce many events, and timer wakeups carry no
-// information at all.
-func (w *idleWaiter) wait() {
-	if w.ch == nil && w.p.nfy != nil {
-		// First dry round: subscribe, then re-poll immediately — an
-		// event delivered before the subscription existed was never
-		// routed to this channel, so parking now could stall a wait
-		// by a full parkGrace.
-		w.ch = w.p.nfy.subscribe()
-		return
-	}
-	if w.ch != nil {
-		if w.park == nil {
-			w.park = time.NewTimer(parkGrace)
-		} else {
-			w.park.Reset(parkGrace)
-		}
-		select {
-		case <-w.ch:
-			if !w.park.Stop() {
-				<-w.park.C
-			}
-		case <-w.park.C:
-		}
-		return
-	}
-	// Fallback: yield so transport goroutines can run; after a long
-	// dry stretch, sleep briefly so the processor can go idle and the
-	// runtime polls the network (a spinning waiter otherwise starves
-	// socket backends of netpoll service on single-core hosts).
-	w.idle++
-	if w.idle > 64 {
-		time.Sleep(5 * time.Microsecond)
-	} else {
-		gort.Gosched()
-	}
-}
-
-// progressed resets the dry-round pacing after a productive round.
-func (w *idleWaiter) progressed() { w.idle = 0 }
-
-// stop releases the park timer and retires the notifier subscription.
-func (w *idleWaiter) stop() {
-	if w.ch != nil {
-		w.p.nfy.unsubscribe(w.ch)
-		w.ch = nil
-	}
-	if w.park != nil {
-		w.park.Stop()
-	}
-}
-
-// BackendNotify exposes an engine-maintained activity latch when the
-// backend implements NotifyBackend (nil otherwise). External progress
-// loops — benchmark harnesses, application-level pollers — should park
-// on it between dry Progress rounds instead of yield-spinning; see
-// idleWaiter for why spinning is actively harmful on few-core hosts.
-// The latch is fanned out alongside (not instead of) the engine's own
-// shard and waiter wakeups, so parking on it cannot starve them.
-func (p *Photon) BackendNotify() <-chan struct{} {
-	if p.nfy != nil {
-		return p.nfy.extern
-	}
-	return nil
-}
-
-func (p *Photon) waitMatch(rid uint64, timeout time.Duration, local bool) (Completion, error) {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	} else if p.opTimeoutNS > 0 {
-		// With op deadlines armed, even "wait forever" calls are
-		// bounded: an in-flight op surfaces its error completion within
-		// ~OpTimeout plus one sweep period, so 2×OpTimeout covers every
-		// waiter — including ones waiting on a remote RID that no local
-		// op ever carried (e.g. the peer died before posting).
-		deadline = time.Now().Add(2 * time.Duration(p.opTimeoutNS))
-	}
-	w := idleWaiter{p: p}
-	defer w.stop()
-	for {
-		n := p.Progress()
-		if c, ok := p.takeMatchAny(rid, local); ok {
-			if c.traced {
-				p.traceEv(trace.KindReap, c.RID, "reap.wait")
-			}
-			return c, nil
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return Completion{}, ErrTimeout
-		}
-		if p.closed.Load() {
-			return Completion{}, ErrClosed
-		}
-		if n == 0 {
-			w.wait()
-		} else {
-			w.progressed()
-		}
-	}
-}
+// BackendNotify exposes an engine-maintained activity latch. External
+// progress loops — benchmark harnesses, application-level pollers —
+// should park on it between dry Progress rounds instead of
+// yield-spinning; see Waiter for why spinning is actively harmful on
+// few-core hosts. The latch is fanned out alongside (not instead of)
+// the engine's own shard and waiter wakeups, so parking on it cannot
+// starve them.
+func (p *Photon) BackendNotify() <-chan struct{} { return p.nfy.extern }
 
 // Flush forces pending credit returns out (used before quiescing, e.g.
 // by barriers, so peers are never left starved of credits). Shards

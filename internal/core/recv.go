@@ -124,67 +124,69 @@ func (p *Photon) CancelRecv(rid uint64) bool {
 	return p.recvs.cancel(rid)
 }
 
-// Waiter paces blocking wait loops across calls: it keeps the notifier
-// subscription and park timer of the engine's internal idle waiter
-// alive between waits, so schedule-driven callers (collectives) running
-// thousands of rounds do not re-subscribe per round. The zero value is
-// not usable; obtain one from NewWaiter and Release it when done.
+// Waiter paces the dry rounds of a blocking wait loop. It subscribes a
+// private capacity-1 channel to the engine's notifier fan-out and parks
+// on it: the agent that queues the next completion (or applies the next
+// remote write) wakes every parked waiter directly, so the wait
+// resolves at goroutine-handoff latency and one waiter consuming a wake
+// can never starve another (each holds its own latch). This matters
+// doubly on few-core hosts — a parked waiter frees the processor for
+// the runtime's network poller, where a spinning one starves it, and a
+// timer sleep would round every blocking latency up to kernel
+// scheduler-tick granularity (~1ms on HZ=1000 hosts).
 //
-// A Waiter is not safe for concurrent use.
+// A Waiter keeps its subscription and park timer alive between waits,
+// so schedule-driven callers (collectives) running thousands of rounds
+// do not re-subscribe per round. The zero value is not usable; obtain
+// one from NewWaiter and Release it when done. A Waiter is not safe for
+// concurrent use.
 type Waiter struct {
-	w    idleWaiter
-	pend []int // WaitAll index scratch, reused across calls
+	p    *Photon
+	park *time.Timer   // lazily created, reused across parks
+	ch   chan struct{} // private notifier subscription (recycled)
+	pend []int         // WaitAll index scratch, reused across calls
 }
 
 // NewWaiter creates a reusable wait pacer bound to this instance.
-func NewWaiter(p *Photon) *Waiter {
-	return &Waiter{w: idleWaiter{p: p}}
-}
+func NewWaiter(p *Photon) *Waiter { return &Waiter{p: p} }
 
 // Idle parks the caller until backend activity suggests progress is
-// possible (or a grace period passes). Call it after a Progress round
-// that handled nothing; re-poll after every return.
-func (w *Waiter) Idle() { w.w.wait() }
-
-// Progressed resets the idle pacing after a productive round.
-func (w *Waiter) Progressed() { w.w.progressed() }
+// possible (or parkGrace passes). Call it after a Progress round that
+// handled nothing, and re-poll after every return: one wake token can
+// coalesce many events, and timer wakeups carry no information at all.
+func (w *Waiter) Idle() {
+	if w.ch == nil {
+		// First dry round: subscribe, then re-poll immediately — an
+		// event delivered before the subscription existed was never
+		// routed to this channel, so parking now could stall a wait
+		// by a full parkGrace.
+		w.ch = w.p.nfy.subscribe()
+		return
+	}
+	if w.park == nil {
+		w.park = time.NewTimer(parkGrace)
+	} else {
+		w.park.Reset(parkGrace)
+	}
+	select {
+	case <-w.ch:
+		if !w.park.Stop() {
+			<-w.park.C
+		}
+	case <-w.park.C:
+	}
+}
 
 // Release retires the waiter's notifier subscription and timer. The
 // waiter may be reused afterwards (the next Idle resubscribes).
-func (w *Waiter) Release() { w.w.stop() }
-
-// WaitRemoteAll drives progress until every listed remote completion
-// has arrived, removing each from its stream; out[i] receives the
-// completion for rids[i]. A zero rid is skipped (its out slot is left
-// untouched) — schedules with no-op edges pass holes rather than
-// compacting. Unlike len(rids) separate WaitRemote calls, one call
-// reaps arrivals in whatever order the network delivers them, so a
-// round of r messages costs one network latency, not r.
-//
-// A non-positive timeout waits forever (bounded by 2×OpTimeout when op
-// deadlines are armed). On timeout the already-arrived completions are
-// in out and ErrTimeout is returned. When every completion arrived,
-// the first non-nil Completion.Err (in rids order) is returned, so
-// callers checking only the error still observe per-op failures.
-func (p *Photon) WaitRemoteAll(w *Waiter, rids []uint64, out []Completion, timeout time.Duration) error {
-	return p.waitAllMatched(w, rids, out, timeout, false)
-}
-
-// WaitLocalAll is WaitRemoteAll for local completions.
-func (p *Photon) WaitLocalAll(w *Waiter, rids []uint64, out []Completion, timeout time.Duration) error {
-	return p.waitAllMatched(w, rids, out, timeout, true)
-}
-
-func (p *Photon) waitAllMatched(w *Waiter, rids []uint64, out []Completion, timeout time.Duration, local bool) error {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	} else if p.opTimeoutNS > 0 {
-		// Same bound as waitMatch: with op deadlines armed, every
-		// in-flight op surfaces an error completion within ~2×OpTimeout.
-		deadline = time.Now().Add(2 * time.Duration(p.opTimeoutNS))
+func (w *Waiter) Release() {
+	if w.ch != nil {
+		w.p.nfy.unsubscribe(w.ch)
+		w.ch = nil
 	}
-	return p.waitAll(w, rids, out, deadline, nil, local)
+	if w.park != nil {
+		w.park.Stop()
+	}
 }
 
 // TakeRemote non-blockingly removes and returns the remote completion
@@ -202,14 +204,12 @@ func (p *Photon) TakeRemote(rid uint64) (Completion, bool) {
 // in WaitSpec.Aborted.
 var ErrWaitAborted = errors.New("photon: wait aborted")
 
-// WaitSpec parameterizes a failure-aware batched wait. Unlike the plain
-// WaitRemoteAll/WaitLocalAll — which only give up on a wall-clock bound
-// and surface per-op errors after every completion arrived — a wait
-// carrying a spec returns as soon as anything proves the batch cannot
-// or should not complete:
+// WaitSpec parameterizes WaitAll, the failure-aware batched wait. The
+// wait returns as soon as anything proves the batch cannot or should
+// not complete:
 //
-//   - a reaped completion carries a non-nil Err (returned immediately;
-//     remaining completions are abandoned);
+//   - a reaped completion carries a non-nil Err (returned immediately,
+//     DownRank set to its peer; remaining completions are abandoned);
 //   - a rank in Watch latches PeerDown (a wrapped ErrPeerDown naming
 //     the rank is returned, DownRank set);
 //   - a remote completion for one of AbortRIDs arrives (ErrWaitAborted
@@ -217,9 +217,10 @@ var ErrWaitAborted = errors.New("photon: wait aborted")
 //   - Deadline passes (ErrTimeout). A zero Deadline falls back to
 //     2×OpTimeout when op deadlines are armed, else waits forever.
 //
-// The spec is caller-owned and reusable; the output fields (DownRank,
-// AbortIdx, Aborted) are overwritten by each wait that returns an
-// abort-flavored error.
+// The zero spec is valid: wait for everything, fail on the first error
+// completion. The spec is caller-owned and reusable; the output fields
+// (DownRank, AbortIdx, Aborted) are overwritten by each wait that
+// returns an abort-flavored error.
 type WaitSpec struct {
 	Deadline  time.Time
 	Watch     []int    // peer ranks whose PeerDown latch aborts the wait
@@ -230,26 +231,22 @@ type WaitSpec struct {
 	Aborted  Completion // set on ErrWaitAborted: the consumed notice
 }
 
-// WaitRemoteAllSpec is WaitRemoteAll plus the spec's abort conditions.
-func (p *Photon) WaitRemoteAllSpec(w *Waiter, rids []uint64, out []Completion, spec *WaitSpec) error {
-	return p.waitAll(w, rids, out, specDeadline(p, spec), spec, false)
-}
-
-// WaitLocalAllSpec is WaitLocalAll plus the spec's abort conditions.
+// WaitAll drives progress until every listed completion — local ones
+// when local is set, remote ones otherwise — has arrived, removing each
+// from its stream; out[i] receives the completion for rids[i]. A zero
+// rid is skipped (its out slot is left untouched) — schedules with
+// no-op edges pass holes rather than compacting. Unlike len(rids)
+// separate WaitRemote calls, one call reaps arrivals in whatever order
+// the network delivers them, so a round of r messages costs one network
+// latency, not r. spec bounds and aborts the wait (see WaitSpec); its
 // AbortRIDs are always matched against the remote stream (abort notices
-// arrive from peers) even though the awaited completions are local.
-func (p *Photon) WaitLocalAllSpec(w *Waiter, rids []uint64, out []Completion, spec *WaitSpec) error {
-	return p.waitAll(w, rids, out, specDeadline(p, spec), spec, true)
-}
-
-func specDeadline(p *Photon, spec *WaitSpec) time.Time {
-	if spec != nil && !spec.Deadline.IsZero() {
-		return spec.Deadline
+// arrive from peers) even when the awaited completions are local. On
+// an early return the completions that did arrive are in out.
+func (p *Photon) WaitAll(w *Waiter, rids []uint64, out []Completion, spec *WaitSpec, local bool) error {
+	if cap(w.pend) < len(rids) {
+		w.pend = make([]int, 0, len(rids))
 	}
-	if p.opTimeoutNS > 0 {
-		return time.Now().Add(2 * time.Duration(p.opTimeoutNS))
-	}
-	return time.Time{}
+	return p.waitAll(w, w.pend[:0], rids, out, spec.Deadline, spec, local)
 }
 
 // checkSpec evaluates the spec's out-of-band abort conditions: an
@@ -275,11 +272,24 @@ func (p *Photon) checkSpec(spec *WaitSpec) error {
 	return nil
 }
 
-func (p *Photon) waitAll(w *Waiter, rids []uint64, out []Completion, deadline time.Time, spec *WaitSpec, local bool) error {
+// waitAll is the engine's one blocking loop; WaitLocal, WaitRemote and
+// WaitAll are all calls into it. A nil spec (the one-RID waits) selects
+// no abort conditions and leaves Completion.Err for the caller to read.
+// pend is index scratch with room for len(rids) entries; it is a
+// parameter, not a Waiter field read here, so that the one-RID waits
+// can pass stack memory.
+func (p *Photon) waitAll(w *Waiter, pend []int, rids []uint64, out []Completion, deadline time.Time, spec *WaitSpec, local bool) error {
 	if len(out) < len(rids) {
 		return fmt.Errorf("photon: wait-all out slice too short: %d for %d rids", len(out), len(rids))
 	}
-	pend := w.pend[:0]
+	if deadline.IsZero() && p.opTimeoutNS > 0 {
+		// With op deadlines armed, even "wait forever" calls are
+		// bounded: an in-flight op surfaces its error completion within
+		// ~OpTimeout plus one sweep period, so 2×OpTimeout covers every
+		// waiter — including ones waiting on a remote RID that no local
+		// op ever carried (e.g. the peer died before posting).
+		deadline = time.Now().Add(2 * time.Duration(p.opTimeoutNS))
+	}
 	for i, rid := range rids {
 		if rid != 0 {
 			pend = append(pend, i)
@@ -290,56 +300,42 @@ func (p *Photon) waitAll(w *Waiter, rids []uint64, out []Completion, deadline ti
 		took := false
 		for j := 0; j < len(pend); {
 			i := pend[j]
-			if c, ok := p.takeMatchAny(rids[i], local); ok {
-				if c.traced {
-					p.traceEv(trace.KindReap, c.RID, "reap.waitall")
-				}
-				out[i] = c
-				pend[j] = pend[len(pend)-1]
-				pend = pend[:len(pend)-1]
-				took = true
-				if spec != nil && c.Err != nil {
-					// Fail fast: one failed op condemns the batch; the
-					// abandoned completions belong to a collective that
-					// is about to be revoked anyway.
-					w.pend = pend[:0]
-					spec.DownRank = c.Rank
-					return c.Err
-				}
+			c, ok := p.takeMatchAny(rids[i], local)
+			if !ok {
+				j++
 				continue
 			}
-			j++
+			if c.traced {
+				p.traceEv(trace.KindReap, c.RID, "reap.wait")
+			}
+			out[i] = c
+			pend[j] = pend[len(pend)-1]
+			pend = pend[:len(pend)-1]
+			took = true
+			if spec != nil && c.Err != nil {
+				// Fail fast: one failed op condemns the batch; the
+				// abandoned completions belong to a collective that
+				// is about to be revoked anyway.
+				spec.DownRank = c.Rank
+				return c.Err
+			}
 		}
 		if len(pend) == 0 {
 			break
 		}
 		if spec != nil {
 			if err := p.checkSpec(spec); err != nil {
-				w.pend = pend[:0]
 				return err
 			}
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			w.pend = pend[:0]
 			return ErrTimeout
 		}
 		if p.closed.Load() {
-			w.pend = pend[:0]
 			return ErrClosed
 		}
 		if n == 0 && !took {
 			w.Idle()
-		} else {
-			w.Progressed()
-		}
-	}
-	w.pend = pend[:0]
-	for i, rid := range rids {
-		if rid != 0 && out[i].Err != nil {
-			if spec != nil {
-				spec.DownRank = out[i].Rank
-			}
-			return out[i].Err
 		}
 	}
 	return nil

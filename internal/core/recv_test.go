@@ -160,7 +160,7 @@ func TestWaitRemoteAll(t *testing.T) {
 	defer w.Release()
 	rids := []uint64{0, 1001, 1002, 1003, 1004}
 	out := make([]core.Completion, len(rids))
-	if err := phs[0].WaitRemoteAll(w, rids, out, waitT); err != nil {
+	if err := phs[0].WaitAll(w, rids, out, &core.WaitSpec{Deadline: time.Now().Add(waitT)}, false); err != nil {
 		t.Fatal(err)
 	}
 	for r := 1; r < n; r++ {
@@ -183,7 +183,7 @@ func TestWaitRemoteAllTimeout(t *testing.T) {
 	w := core.NewWaiter(phs[1])
 	defer w.Release()
 	out := make([]core.Completion, 2)
-	err := phs[1].WaitRemoteAll(w, []uint64{31, 32}, out, 250*time.Millisecond)
+	err := phs[1].WaitAll(w, []uint64{31, 32}, out, &core.WaitSpec{Deadline: time.Now().Add(250 * time.Millisecond)}, false)
 	if err != core.ErrTimeout {
 		t.Fatalf("err = %v", err)
 	}

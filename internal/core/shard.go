@@ -1,7 +1,6 @@
 package core
 
 import (
-	gort "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,12 +111,6 @@ func (p *Photon) ProgressShard(i int) int {
 	return p.progressShard(p.shards[i])
 }
 
-// ProgressAll drives every shard once from the calling goroutine; it
-// is Progress under a name that reads naturally next to ProgressShard.
-//
-//photon:hotpath
-func (p *Photon) ProgressAll() int { return p.Progress() }
-
 // StartProgress launches the background progress mode: one runner
 // goroutine per shard, each driving its shard and parking on the
 // shard's notify latch between dry rounds. Idempotent; the runners
@@ -133,10 +126,9 @@ func (p *Photon) StartProgress() {
 	}
 }
 
-// runShard is one shard's background runner loop. Pacing mirrors
-// idleWaiter: park on the shard latch when the backend pushes events
-// (goroutine-handoff wakeups, parkGrace-bounded), yield-then-sleep
-// otherwise.
+// runShard is one shard's background runner loop: between dry rounds
+// it parks on the shard latch, which the notifier kicks on every
+// backend event (goroutine-handoff wakeups, parkGrace-bounded).
 func (p *Photon) runShard(s *engineShard) {
 	defer p.runWG.Done()
 	var park *time.Timer
@@ -148,27 +140,19 @@ func (p *Photon) runShard(s *engineShard) {
 			continue
 		}
 		idle++
-		if p.nfy != nil {
-			if park == nil {
-				park = time.NewTimer(parkGrace)
-			} else {
-				park.Reset(parkGrace)
-			}
-			p.traceShard(s.idx, uint64(idle), false, "shard.park")
-			select {
-			case <-s.wake:
-				if !park.Stop() {
-					<-park.C
-				}
-				p.traceShard(s.idx, 0, false, "shard.wake")
-			case <-park.C:
-			}
-			continue
-		}
-		if idle > 64 {
-			time.Sleep(5 * time.Microsecond)
+		if park == nil {
+			park = time.NewTimer(parkGrace)
 		} else {
-			gort.Gosched()
+			park.Reset(parkGrace)
+		}
+		p.traceShard(s.idx, uint64(idle), false, "shard.park")
+		select {
+		case <-s.wake:
+			if !park.Stop() {
+				<-park.C
+			}
+			p.traceShard(s.idx, 0, false, "shard.wake")
+		case <-park.C:
 		}
 	}
 	if park != nil {
@@ -186,7 +170,6 @@ func (p *Photon) runShard(s *engineShard) {
 type notifier struct {
 	p      *Photon
 	extern chan struct{} // BackendNotify consumers (capacity 1)
-	stop   chan struct{} // closed by Close; stops the relay fallback
 
 	//photon:lock notifier 90
 	mu    sync.Mutex
@@ -195,9 +178,9 @@ type notifier struct {
 	nSubs atomic.Int32
 }
 
-// fanout delivers one activity event to every consumer. It runs on the
-// backend's event-producing goroutine (WakeSinkBackend) or the relay
-// goroutine, so it must stay non-blocking.
+// fanout delivers one activity event to every consumer. It is the sink
+// installed with Backend.SetWakeSink and runs on the backend's
+// event-producing goroutine, so it must stay non-blocking.
 //
 //photon:hotpath
 func (nf *notifier) fanout() {
@@ -258,37 +241,4 @@ func (nf *notifier) unsubscribe(ch chan struct{}) {
 	nf.free = append(nf.free, ch)
 	nf.mu.Unlock()
 	nf.nSubs.Add(-1)
-}
-
-// relay is the fallback for NotifyBackend transports that do not
-// implement WakeSinkBackend: it converts channel tokens into fanouts
-// at the cost of one extra scheduler hop per event.
-func (nf *notifier) relay(src <-chan struct{}) {
-	for {
-		select {
-		case <-nf.stop:
-			return
-		case <-src:
-			nf.fanout()
-		}
-	}
-}
-
-// initNotifier wires backend activity events to the shard fan-out.
-// Without a NotifyBackend the notifier stays nil and all waiters use
-// yield-then-sleep pacing, as before.
-func (p *Photon) initNotifier() {
-	if p.beWake == nil {
-		return
-	}
-	p.nfy = &notifier{
-		p:      p,
-		extern: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-	}
-	if ws, ok := p.be.(WakeSinkBackend); ok {
-		ws.SetWakeSink(p.nfy.fanout)
-		return
-	}
-	go p.nfy.relay(p.beWake)
 }

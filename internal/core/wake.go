@@ -10,9 +10,9 @@ import (
 // capacity-1 "kick" channel signaled with non-blocking sends — and the
 // engine's shard fan-out needs one more consumer of the same event.
 // WakeChan and CompQueue centralize it: backends push completions and
-// kick; the engine either parks on the channel (NotifyBackend) or
-// installs a sink that fans the event out to every shard
-// (WakeSinkBackend).
+// kick; the engine installs a sink (Backend.SetWakeSink) that fans the
+// event out to every shard, and a bare transport driven without an
+// engine parks on the channel instead.
 
 // WakeChan is an edge-triggered event latch: a capacity-1 channel
 // signaled with non-blocking sends, with an optionally installed sink
@@ -50,7 +50,7 @@ func (w *WakeChan) Chan() <-chan struct{} { return w.ch }
 // SetSink redirects subsequent kicks to fn (which must be non-blocking
 // and callable from any goroutine); nil restores channel delivery.
 // Installing a sink leaves the channel idle — the engine uses this to
-// fan one backend event out to every shard without a relay goroutine.
+// fan one backend event out to every shard on the producing goroutine.
 func (w *WakeChan) SetSink(fn func()) {
 	if fn == nil {
 		w.sink.Store(nil)
@@ -62,7 +62,7 @@ func (w *WakeChan) SetSink(fn func()) {
 // CompQueue is the shared backend completion queue: agents Push
 // finished operations, the engine Drains them from Poll. Push kicks the
 // embedded wake latch, so a single CompQueue gives a transport both its
-// Poll buffer and its NotifyBackend/WakeSinkBackend implementation.
+// Poll buffer and its SetWakeSink implementation.
 type CompQueue struct {
 	//photon:lock compq 80
 	mu    sync.Mutex
@@ -79,7 +79,7 @@ func NewCompQueue() *CompQueue {
 //
 //photon:hotpath
 func (q *CompQueue) Push(c BackendCompletion) {
-	q.mu.Lock() //photon:allow hotpathalloc -- queue mutex is the completion handoff point; held only for one append
+	q.mu.Lock()                  //photon:allow hotpathalloc -- queue mutex is the completion handoff point; held only for one append
 	q.comps = append(q.comps, c) //photon:allow hotpathalloc -- amortized queue growth; the slice is drained to length 0 and its capacity reused
 	q.mu.Unlock()
 	q.wake.Kick()

@@ -37,6 +37,17 @@ func (f *flakyBackend) PostWrite(rank int, local []byte, raddr uint64, rkey uint
 	return f.Backend.PostWrite(rank, local, raddr, rkey, token, signaled)
 }
 
+// PostWriteBatch routes every request through the flaky PostWrite, so
+// doorbell batches meet the armed fault too.
+func (f *flakyBackend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
+	for i, r := range reqs {
+		if err := f.PostWrite(rank, r.Local, r.RemoteAddr, r.RKey, r.Token, r.Signaled); err != nil {
+			return i, err
+		}
+	}
+	return len(reqs), nil
+}
+
 func TestWrappedWouldBlockRetries(t *testing.T) {
 	cl, err := vsim.NewCluster(2, fabric.Model{}, nicsim.Config{})
 	if err != nil {
