@@ -2,6 +2,8 @@ package apps_test
 
 import (
 	"math"
+	"math/rand"
+	gort "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -237,6 +239,105 @@ func TestGenGraphDeterministic(t *testing.T) {
 			if a[v][i] != b[v][i] {
 				t.Fatal("graph generation not deterministic")
 			}
+		}
+	}
+}
+
+// TestGenGraphMatchesPerVertexReference pins GenGraph's output to the
+// construction the benchmark's serial references were defined by: one
+// rng.Intn per edge, vertex-major, each list its own allocation. The
+// slab behind the lists must not show: a list is full at its degree, so
+// appending to it cannot reach the next vertex's entries.
+func TestGenGraphMatchesPerVertexReference(t *testing.T) {
+	const vertices, degree = 500, 8
+	for _, seed := range []int64{1, 42, -7} {
+		rng := rand.New(rand.NewSource(seed))
+		want := make([][]int32, vertices)
+		for v := range want {
+			for d := 0; d < degree; d++ {
+				want[v] = append(want[v], int32(rng.Intn(vertices)))
+			}
+		}
+		got := apps.GenGraph(vertices, degree, seed)
+		if len(got) != vertices {
+			t.Fatalf("seed %d: %d lists, want %d", seed, len(got), vertices)
+		}
+		for v := range want {
+			if len(got[v]) != degree || cap(got[v]) != degree {
+				t.Fatalf("seed %d: vertex %d has len %d cap %d, want %d/%d", seed, v, len(got[v]), cap(got[v]), degree, degree)
+			}
+			for i := range want[v] {
+				if got[v][i] != want[v][i] {
+					t.Fatalf("seed %d: adj[%d][%d] = %d, want %d", seed, v, i, got[v][i], want[v][i])
+				}
+			}
+		}
+		next := got[1][0]
+		_ = append(got[0], -1)
+		if got[1][0] != next {
+			t.Fatalf("seed %d: append to vertex 0's list overwrote vertex 1's", seed)
+		}
+	}
+}
+
+// liveHeap is the heap still reachable after a collection.
+func liveHeap() uint64 {
+	gort.GC()
+	var m gort.MemStats
+	gort.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestRunsReleaseTheirBuffers: a run deregisters what it registered, so
+// repeated runs on one job keep the live heap flat. Each stencil call
+// here registers about 1 MiB and each GUPS call 256 KiB; leaked, 50
+// calls would pin 50 MiB and 12 MiB.
+func TestRunsReleaseTheirBuffers(t *testing.T) {
+	phs := photonJob(t, 2)
+	runs := []struct {
+		name string
+		run  func() error
+	}{
+		{"stencil", func() error {
+			_, err := apps.RunStencilPhoton(phs, apps.StencilConfig{N: 256, Iterations: 2})
+			return err
+		}},
+		{"gups", func() error {
+			_, err := apps.RunGUPSPhoton(phs, apps.GUPSConfig{TableWordsPerRank: 16384, UpdatesPerRank: 50, Seed: 3})
+			return err
+		}},
+	}
+	for _, r := range runs {
+		name, run := r.name, r.run
+		for i := 0; i < 3; i++ { // pools and rings reach their steady size
+			if err := run(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		before := liveHeap()
+		for i := 0; i < 50; i++ {
+			if err := run(); err != nil {
+				t.Fatalf("%s call %d: %v", name, i, err)
+			}
+		}
+		if after := liveHeap(); after > before+1<<20 {
+			t.Fatalf("%s: live heap grew from %d to %d bytes over 50 calls", name, before, after)
+		}
+	}
+}
+
+// TestGUPSBaselineTwiceOnOneJob: the servers leave no receive posted,
+// so a second run on the same job sees all of its own updates.
+func TestGUPSBaselineTwiceOnOneJob(t *testing.T) {
+	j := msgJob(t, 3)
+	cfg := apps.GUPSConfig{TableWordsPerRank: 64, UpdatesPerRank: 200, Seed: 5}
+	for run := 0; run < 2; run++ {
+		res, err := apps.RunGUPSBaseline(j, cfg)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if res.Checksum != 600 {
+			t.Fatalf("run %d: checksum = %d, want 600", run, res.Checksum)
 		}
 	}
 }

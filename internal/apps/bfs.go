@@ -59,12 +59,15 @@ func (c *BFSConfig) setDefaults(ranks int) error {
 func GenGraph(vertices, degree int, seed int64) [][]int32 {
 	rng := rand.New(rand.NewSource(seed))
 	adj := make([][]int32, vertices)
+	// One slab holds every list; each vertex's slice is capped at its
+	// own degree entries, so an append to it copies out instead of
+	// running into its neighbor's.
+	slab := make([]int32, vertices*degree)
+	for i := range slab {
+		slab[i] = int32(rng.Intn(vertices))
+	}
 	for v := range adj {
-		adj[v] = make([]int32, 0, degree)
-		for d := 0; d < degree; d++ {
-			w := int32(rng.Intn(vertices))
-			adj[v] = append(adj[v], w)
-		}
+		adj[v] = slab[v*degree : (v+1)*degree : (v+1)*degree]
 	}
 	return adj
 }
@@ -132,19 +135,18 @@ func RunBFSParcels(locs []*runtime.Locality, cfg BFSConfig) (BFSResult, []int32,
 	}
 
 	// The visit action: payload = [level4][count4][vertexIDs...].
-	const actVisit = "bfs_visit"
 	for r, l := range locs {
 		st := states[r]
 		if _, err := l.RegisterAction(actVisit, func(ctx *runtime.Context) ([]byte, error) {
 			p := ctx.Payload
-			if len(p) < 8 {
+			if len(p) < visitHdrLen {
 				return nil, fmt.Errorf("short visit parcel")
 			}
 			level := int32(binary.LittleEndian.Uint32(p[0:]))
 			count := int(binary.LittleEndian.Uint32(p[4:]))
 			st.mu.Lock()
 			for i := 0; i < count; i++ {
-				v := int32(binary.LittleEndian.Uint32(p[8+i*4:]))
+				v := int32(binary.LittleEndian.Uint32(p[visitHdrLen+i*4:]))
 				lv := int(v) - st.rank*st.perRank
 				if st.dist[lv] == -1 {
 					st.dist[lv] = level
@@ -167,7 +169,6 @@ func RunBFSParcels(locs []*runtime.Locality, cfg BFSConfig) (BFSResult, []int32,
 			defer wg.Done()
 			l := locs[r]
 			st := states[r]
-			visitID := runtime.ActionIDFor(actVisit)
 
 			// Seed the root.
 			var frontier []int32
@@ -176,31 +177,35 @@ func RunBFSParcels(locs []*runtime.Locality, cfg BFSConfig) (BFSResult, []int32,
 				frontier = []int32{int32(cfg.Root)}
 			}
 			level := int32(0)
+			// Scratch reused across batches and levels: Call copies the
+			// parcel body before it returns.
+			buckets := make([][]int32, n)
+			body := make([]byte, visitHdrLen+4*cfg.Batch)
+			var futs []*runtime.Future
+			flush := func(owner int) error {
+				b := buckets[owner]
+				if len(b) == 0 {
+					return nil
+				}
+				msg := body[:visitHdrLen+4*len(b)]
+				binary.LittleEndian.PutUint32(msg[0:], uint32(level+1))
+				binary.LittleEndian.PutUint32(msg[4:], uint32(len(b)))
+				for i, v := range b {
+					binary.LittleEndian.PutUint32(msg[visitHdrLen+i*4:], uint32(v))
+				}
+				f, err := l.Call(owner, visitID, msg)
+				if err != nil {
+					return err
+				}
+				futs = append(futs, f)
+				buckets[owner] = b[:0]
+				return nil
+			}
 			for {
 				// Expand: bucket neighbors by owner, flush batches
 				// with Call so we know they executed before the
 				// barrier.
-				buckets := make([][]int32, n)
-				var futs []*runtime.Future
-				flush := func(owner int) error {
-					b := buckets[owner]
-					if len(b) == 0 {
-						return nil
-					}
-					body := make([]byte, 8+4*len(b))
-					binary.LittleEndian.PutUint32(body[0:], uint32(level+1))
-					binary.LittleEndian.PutUint32(body[4:], uint32(len(b)))
-					for i, v := range b {
-						binary.LittleEndian.PutUint32(body[8+i*4:], uint32(v))
-					}
-					f, err := l.Call(owner, visitID, body)
-					if err != nil {
-						return err
-					}
-					futs = append(futs, f)
-					buckets[owner] = buckets[owner][:0]
-					return nil
-				}
+				futs = futs[:0]
 				for _, v := range frontier {
 					for _, w := range full[v] {
 						owner := int(w) / perRank
@@ -220,7 +225,7 @@ func RunBFSParcels(locs []*runtime.Locality, cfg BFSConfig) (BFSResult, []int32,
 					}
 				}
 				for _, f := range futs {
-					if _, err := f.Wait(30 * time.Second); err != nil {
+					if _, err := f.Wait(bfsWait); err != nil {
 						errs[r] = err
 						return
 					}
@@ -298,23 +303,41 @@ func RunBFSParcels(locs []*runtime.Locality, cfg BFSConfig) (BFSResult, []int32,
 // counts; rank 0 accumulates and broadcasts through the barrier-style
 // blocking handler registered lazily below).
 func allreduceCount(l *runtime.Locality, count int) (int, error) {
-	body := make([]byte, 8)
-	binary.LittleEndian.PutUint64(body, uint64(count))
-	f, err := l.Call(0, runtime.ActionIDFor(actSum), body)
+	var body [sumLen]byte
+	binary.LittleEndian.PutUint64(body[:], uint64(count))
+	f, err := l.Call(0, sumID, body[:])
 	if err != nil {
 		return 0, err
 	}
-	out, err := f.Wait(30 * time.Second)
+	out, err := f.Wait(bfsWait)
 	if err != nil {
 		return 0, err
 	}
-	if len(out) < 8 {
+	if len(out) < sumLen {
 		return 0, fmt.Errorf("apps: short sum reply")
 	}
 	return int(binary.LittleEndian.Uint64(out)), nil
 }
 
-const actSum = "bfs_sum"
+// bfsWait bounds each wait of a traversal.
+const bfsWait = 30 * time.Second
+
+// Parcel body lengths shared by the encoders and the short-body checks.
+const (
+	visitHdrLen = 4 + 4 // level4 | count4; count vertex IDs follow
+	sumLen      = 8     // count8, in the request and in the reply
+)
+
+// The BFS actions and their IDs, hashed once.
+const (
+	actVisit = "bfs_visit"
+	actSum   = "bfs_sum"
+)
+
+var (
+	visitID = runtime.ActionIDFor(actVisit)
+	sumID   = runtime.ActionIDFor(actSum)
+)
 
 // sumState implements a reusable blocking sum-reduction at rank 0.
 // Generations are implicit in arrival order: every rank calls exactly
@@ -338,6 +361,9 @@ func RegisterBFSActions(l *runtime.Locality) error {
 	st := &sumState{}
 	size := l.Size()
 	_, err := l.RegisterAction(actSum, func(ctx *runtime.Context) ([]byte, error) {
+		if len(ctx.Payload) < sumLen {
+			return nil, fmt.Errorf("apps: short sum parcel")
+		}
 		v := binary.LittleEndian.Uint64(ctx.Payload)
 		st.mu.Lock()
 		if st.cur == nil {
@@ -352,8 +378,17 @@ func RegisterBFSActions(l *runtime.Locality) error {
 			close(g.done)
 		}
 		st.mu.Unlock()
-		<-g.done
-		out := make([]byte, 8)
+		// Bounded like every other wait of the traversal: a rank that
+		// failed never arrives, and a handler that waits forever would
+		// hold up Locality.Shutdown.
+		t := time.NewTimer(bfsWait)
+		defer t.Stop()
+		select {
+		case <-g.done:
+		case <-t.C:
+			return nil, fmt.Errorf("apps: bfs sum: %w", runtime.ErrTimeout)
+		}
+		out := make([]byte, sumLen)
 		binary.LittleEndian.PutUint64(out, g.total)
 		return out, nil
 	})

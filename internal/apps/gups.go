@@ -68,6 +68,8 @@ func RunGUPSPhoton(phs []*core.Photon, cfg GUPSConfig) (GUPSResult, error) {
 	tables := make([][]byte, n)
 	descs := make([][]mem.RemoteBuffer, n)
 	lks := make([]sync.Locker, n)
+	regs := make([]mem.RemoteBuffer, n)
+	defer deregisterAll(phs, regs)
 
 	// Collective setup: register and exchange table descriptors.
 	var wg sync.WaitGroup
@@ -82,6 +84,7 @@ func RunGUPSPhoton(phs []*core.Photon, cfg GUPSConfig) (GUPSResult, error) {
 				errs[r] = err
 				return
 			}
+			regs[r] = rb
 			lks[r] = lk
 			descs[r], errs[r] = phs[r].ExchangeBuffers(rb)
 		}(r)
@@ -260,6 +263,27 @@ func RunGUPSBaseline(job *msg.Job, cfg GUPSConfig) (GUPSResult, error) {
 						errs[r] = fmt.Errorf("server %d: %w", r, msg.ErrTimeout)
 						return
 					}
+				}
+			}
+			// Every client has drained its acks, so no update is on its
+			// way, but this server's last update receive is still
+			// posted and would swallow the first update of a later run
+			// on the same job. Use it up with an update to self.
+			if _, err := ep.Send(r, gupsTagUpdate, nil); err != nil {
+				errs[r] = err
+				return
+			}
+			for {
+				ep.Progress()
+				select {
+				case <-updCh:
+					return
+				default:
+				}
+				gort.Gosched()
+				if time.Now().After(deadline) {
+					errs[r] = fmt.Errorf("server %d: %w", r, msg.ErrTimeout)
+					return
 				}
 			}
 		}(r)

@@ -117,6 +117,21 @@ func (b *stencilBand) checksum() float64 {
 	return s
 }
 
+// deregisterAll releases the buffers a run registered: regs holds the
+// same number of slots for every rank of phs, rank-major, and a slot
+// the run never filled (it failed first) is skipped. The Run functions
+// defer it, so it runs once every rank has finished — nothing is in
+// flight toward a buffer any more — and after Elapsed was taken.
+// Without it each call would leave its buffers pinned until the job
+// closes.
+func deregisterAll(phs []*core.Photon, regs []mem.RemoteBuffer) {
+	for i, rb := range regs {
+		if rb.Len != 0 {
+			_ = phs[i*len(phs)/len(regs)].DeregisterBuffer(rb)
+		}
+	}
+}
+
 // RunStencilPhoton runs the Jacobi stencil with Photon one-sided halo
 // exchange: each rank puts its boundary rows directly into its
 // neighbors' halo rows, with the remote completion itself serving as
@@ -133,6 +148,8 @@ func RunStencilPhoton(phs []*core.Photon, cfg StencilConfig) (StencilResult, err
 	descsNxt := make([][]mem.RemoteBuffer, n)
 	lksCur := make([]sync.Locker, n)
 	lksNxt := make([]sync.Locker, n)
+	regs := make([]mem.RemoteBuffer, 2*n)
+	defer deregisterAll(phs, regs)
 
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -148,12 +165,14 @@ func RunStencilPhoton(phs []*core.Photon, cfg StencilConfig) (StencilResult, err
 				errs[r] = err
 				return
 			}
+			regs[2*r] = rbC
 			lksCur[r] = lkC
 			rbN, lkN, err := phs[r].RegisterBuffer(nxt[r].buf)
 			if err != nil {
 				errs[r] = err
 				return
 			}
+			regs[2*r+1] = rbN
 			lksNxt[r] = lkN
 			if descsCur[r], err = phs[r].ExchangeBuffers(rbC); err != nil {
 				errs[r] = err

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"photon/internal/core"
 	"photon/internal/mem"
 )
 
@@ -79,17 +78,11 @@ func (g *GlobalArray) Put(index uint64, data []byte) (*Future, error) {
 		return nil, fmt.Errorf("%w: put of %d bytes crosses block boundary", ErrOutOfRange, len(data))
 	}
 	rid, f := g.l.registerFutureForRID(nil)
-	for {
-		err := g.l.ph.PutWithCompletion(rank, data, g.descs[rank], off, rid, 0)
-		if err == nil {
-			return f, nil
-		}
-		if !errors.Is(err, core.ErrWouldBlock) {
-			g.l.takeFuture(rid &^ bitFuture)
-			return nil, err
-		}
-		g.l.ph.Progress()
+	if err := g.l.ph.PutBlocking(rank, data, g.descs[rank], off, rid, 0); err != nil {
+		g.l.takeFuture(rid &^ bitFuture)
+		return nil, err
 	}
+	return f, nil
 }
 
 // Get reads n bytes at the global index into a fresh buffer, resolved

@@ -26,13 +26,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	gort "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"photon/internal/core"
+	"photon/internal/mem"
 )
 
 // RID tag bits claimed by the runtime.
@@ -54,7 +53,9 @@ var (
 // the action name).
 type ActionID uint32
 
-// Context is what a handler receives.
+// Context is what a handler receives. The Context itself belongs to the
+// executing worker and is reused for its next parcel: a handler must not
+// retain ctx past its return (Payload it may keep).
 type Context struct {
 	// Rt is the executing locality.
 	Rt *Locality
@@ -94,61 +95,109 @@ type Counters struct {
 	FuturesResolved int64
 }
 
+// waitTimers recycles the timers that bound blocking waits. A wait
+// takes one only once it actually has to block and stops it before
+// returning, so no wait leaves a timer behind in the runtime's timer
+// heap (an abandoned 30 s timer stays there until it fires, and every
+// timer operation pays for the heap's size).
+var waitTimers sync.Pool
+
+func armTimer(d time.Duration) *time.Timer {
+	if t, _ := waitTimers.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// disarmTimer stops t, clears a tick the caller did not consume, and
+// recycles it.
+func disarmTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	waitTimers.Put(t)
+}
+
 // Future is a single-assignment value produced by a remote action or a
 // one-sided operation.
 type Future struct {
-	ch     chan futResult
-	once   sync.Once
+	// resolved flips once, after data/value/err are written; a waiter
+	// that observes it set reads them without taking mu.
+	resolved atomic.Bool
+	//photon:lock future 25
+	mu     sync.Mutex
+	wake   chan struct{} // made by the first waiter that has to block; closed by set
+	data   []byte
+	value  uint64
+	err    error
 	preset []byte // resolution data when the completion carries none
 	// (one-sided gets deliver into the caller's buffer)
 }
 
-type futResult struct {
-	data  []byte
-	value uint64
-	err   error
-}
-
-func newFuture() *Future { return &Future{ch: make(chan futResult, 1)} }
-
 func (f *Future) set(data []byte, value uint64, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.resolved.Load() {
+		return
+	}
 	if data == nil && err == nil {
 		data = f.preset
 	}
-	f.once.Do(func() { f.ch <- futResult{data: data, value: value, err: err} })
+	f.data, f.value, f.err = data, value, err
+	f.resolved.Store(true)
+	if f.wake != nil {
+		close(f.wake)
+	}
+}
+
+// await blocks until the future resolves or the timeout passes.
+func (f *Future) await(timeout time.Duration) error {
+	if f.resolved.Load() {
+		return nil
+	}
+	f.mu.Lock()
+	if f.resolved.Load() {
+		f.mu.Unlock()
+		return nil
+	}
+	if f.wake == nil {
+		f.wake = make(chan struct{})
+	}
+	wake := f.wake
+	f.mu.Unlock()
+	if timeout <= 0 {
+		<-wake
+		return nil
+	}
+	t := armTimer(timeout)
+	defer disarmTimer(t)
+	select {
+	case <-wake:
+		return nil
+	case <-t.C:
+		return ErrTimeout
+	}
 }
 
 // Wait blocks until the future resolves; a non-positive timeout waits
-// forever.
+// forever. Repeat waits return the same result.
 func (f *Future) Wait(timeout time.Duration) ([]byte, error) {
-	if timeout <= 0 {
-		r := <-f.ch
-		f.ch <- r // leave resolved for repeat waits
-		return r.data, r.err
+	if err := f.await(timeout); err != nil {
+		return nil, err
 	}
-	select {
-	case r := <-f.ch:
-		f.ch <- r
-		return r.data, r.err
-	case <-time.After(timeout):
-		return nil, ErrTimeout
-	}
+	return f.data, f.err
 }
 
 // Value waits and returns the 64-bit payload of atomic-style futures.
 func (f *Future) Value(timeout time.Duration) (uint64, error) {
-	if timeout <= 0 {
-		r := <-f.ch
-		f.ch <- r
-		return r.value, r.err
+	if err := f.await(timeout); err != nil {
+		return 0, err
 	}
-	select {
-	case r := <-f.ch:
-		f.ch <- r
-		return r.value, r.err
-	case <-time.After(timeout):
-		return 0, ErrTimeout
-	}
+	return f.value, f.err
 }
 
 // Locality is one rank's runtime instance.
@@ -170,7 +219,18 @@ type Locality struct {
 
 	seq atomic.Uint64
 
-	workers chan struct{}
+	// enc recycles encode buffers for parcels of at most eager bytes,
+	// the largest Photon sends packed (and so snapshots at post).
+	enc   *mem.BufPool
+	eager int
+
+	// Handlers run on persistent workers. work is unbuffered, so a
+	// send completes only into a worker that is idle right now; the
+	// dispatcher alone starts workers and counts them in nWorkers.
+	work     chan work
+	nWorkers int
+	handlers sync.WaitGroup
+
 	stop    chan struct{}
 	stopped atomic.Bool
 	done    sync.WaitGroup
@@ -186,15 +246,29 @@ type Locality struct {
 	}
 }
 
+// work is one decoded parcel on its way to a worker.
+type work struct {
+	h       Handler
+	src     int
+	cont    uint64
+	payload []byte
+}
+
 type barState struct {
 	count   int
 	release chan struct{}
 }
 
-// Internal action names.
+// Internal actions. Replies are not in the handler table: the
+// dispatcher resolves them itself (see execParcel).
 const (
 	actReply   = "__runtime_reply"
 	actBarrier = "__runtime_barrier"
+)
+
+var (
+	replyID   = ActionIDFor(actReply)
+	barrierID = ActionIDFor(actBarrier)
 )
 
 // NewLocality wraps a Photon instance. The caller registers actions,
@@ -208,21 +282,18 @@ func NewLocality(ph *core.Photon, cfg Config) *Locality {
 		rank:    ph.Rank(),
 		size:    ph.Size(),
 		actions: make(map[ActionID]Handler),
-		names:   make(map[ActionID]string),
+		names:   map[ActionID]string{replyID: actReply},
 		futures: make(map[uint64]*Future),
 		nextFut: 1,
-		workers: make(chan struct{}, cfg.Workers),
+		eager:   ph.EagerThreshold(),
+		work:    make(chan work),
 		stop:    make(chan struct{}),
 		barGen:  make(map[uint64]*barState),
 	}
-	// Internal actions.
-	must := func(name string, h Handler) {
-		if _, err := l.RegisterAction(name, h); err != nil {
-			panic(err)
-		}
+	l.enc = mem.NewBufPool(l.eager, 0)
+	if _, err := l.RegisterAction(actBarrier, l.handleBarrier); err != nil {
+		panic(err)
 	}
-	must(actReply, l.handleReply)
-	must(actBarrier, l.handleBarrier)
 	return l
 }
 
@@ -244,11 +315,14 @@ func (l *Locality) Counters() Counters {
 	}
 }
 
-// ActionIDFor computes the stable ID for an action name.
+// ActionIDFor computes the stable ID for an action name (32-bit
+// FNV-1a, allocation-free).
 func ActionIDFor(name string) ActionID {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return ActionID(h.Sum32())
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return ActionID(h)
 }
 
 // RegisterAction installs a handler under the name's stable ID. Every
@@ -257,15 +331,11 @@ func (l *Locality) RegisterAction(name string, h Handler) (ActionID, error) {
 	id := ActionIDFor(name)
 	l.actMu.Lock()
 	defer l.actMu.Unlock()
-	if prev, ok := l.names[id]; ok {
-		if prev != name {
-			return 0, fmt.Errorf("%w: %q vs %q", ErrActionConflict, prev, name)
-		}
-		l.actions[id] = h // re-registration replaces
-		return id, nil
+	if prev, ok := l.names[id]; ok && prev != name {
+		return 0, fmt.Errorf("%w: %q vs %q", ErrActionConflict, prev, name)
 	}
 	l.names[id] = name
-	l.actions[id] = h
+	l.actions[id] = h // re-registration replaces
 	return id, nil
 }
 
@@ -275,8 +345,9 @@ func (l *Locality) Start() {
 	go l.dispatch()
 }
 
-// Shutdown stops the dispatcher and waits for it to exit. In-flight
-// handlers finish; unresolved futures resolve with ErrStopped.
+// Shutdown stops the dispatcher, resolves unresolved futures with
+// ErrStopped, and returns once every in-flight handler has finished
+// and every worker has exited.
 func (l *Locality) Shutdown() {
 	if l.stopped.Swap(true) {
 		return
@@ -289,11 +360,12 @@ func (l *Locality) Shutdown() {
 		f.set(nil, 0, ErrStopped)
 	}
 	l.futMu.Unlock()
+	l.handlers.Wait()
 }
 
 // newFutureID registers a fresh future.
 func (l *Locality) newFutureID() (uint64, *Future) {
-	f := newFuture()
+	f := &Future{}
 	l.futMu.Lock()
 	id := l.nextFut
 	l.nextFut++
@@ -322,7 +394,7 @@ func (l *Locality) registerFutureForRID(buf []byte) (uint64, *Future) {
 	return bitFuture | id, f
 }
 
-// Parcel wire fixed-part lengths shared by the encoders and the
+// Parcel wire fixed-part lengths shared by the encoder and the
 // decode-side short-frame checks.
 const (
 	parcelHdrLen   = 4 + 8 // action4 | cont8; payload follows
@@ -330,53 +402,76 @@ const (
 	barrierBodyLen = 8     // generation8
 )
 
-// parcel wire format: [action4][cont8][payload...]
-func encodeParcel(action ActionID, cont uint64, payload []byte) []byte {
-	b := make([]byte, parcelHdrLen+len(payload))
-	binary.LittleEndian.PutUint32(b[0:], uint32(action))
-	binary.LittleEndian.PutUint64(b[4:], cont)
-	copy(b[parcelHdrLen:], payload)
-	return b
-}
-
-// Apply sends a fire-and-forget parcel.
+// Apply sends a fire-and-forget parcel. payload is copied before Apply
+// returns.
 func (l *Locality) Apply(rank int, action ActionID, payload []byte) error {
-	return l.send(rank, action, 0, payload)
+	return l.send(rank, action, 0, nil, payload)
 }
 
 // Call sends a parcel whose handler's return value resolves the
-// returned future.
+// returned future. payload is copied before Call returns.
 func (l *Locality) Call(rank int, action ActionID, payload []byte) (*Future, error) {
 	id, f := l.newFutureID()
-	if err := l.send(rank, action, id, payload); err != nil {
+	if err := l.send(rank, action, id, nil, payload); err != nil {
 		l.takeFuture(id)
 		return nil, err
 	}
 	return f, nil
 }
 
-func (l *Locality) send(rank int, action ActionID, cont uint64, payload []byte) error {
+// send encodes [action4][cont8][head][payload] and posts it. A parcel
+// that fits a packed send is encoded into a pooled buffer, recycled as
+// soon as the post returns (packed sends snapshot their data at post);
+// a larger one rides a rendezvous that reads the buffer until the
+// receiver's FIN, so it gets a heap buffer nobody recycles.
+func (l *Locality) send(rank int, action ActionID, cont uint64, head, payload []byte) error {
 	if l.stopped.Load() {
 		return ErrStopped
 	}
+	n := parcelHdrLen + len(head) + len(payload)
+	pooled := n <= l.eager
+	var b []byte
+	if pooled {
+		b = l.enc.Get(n)
+	} else {
+		b = make([]byte, n)
+	}
+	binary.LittleEndian.PutUint32(b[0:], uint32(action))
+	binary.LittleEndian.PutUint64(b[4:], cont)
+	copy(b[parcelHdrLen:], head)
+	copy(b[parcelHdrLen+len(head):], payload)
 	rid := bitParcel | (l.seq.Add(1) & ((1 << 48) - 1))
-	if err := l.ph.SendBlocking(rank, encodeParcel(action, cont, payload), 0, rid); err != nil {
+	err := l.ph.SendBlocking(rank, b, 0, rid)
+	if pooled {
+		l.enc.Put(b)
+	}
+	if err != nil {
 		return err
 	}
 	l.counters.sent.Add(1)
 	return nil
 }
 
-// dispatch is the progress/dispatch loop.
+// reply resolves continuation cont at rank with a handler's result, or
+// fails it with the error's text.
+func (l *Locality) reply(rank int, cont uint64, out []byte, err error) {
+	var head [replyHdrLen]byte
+	binary.LittleEndian.PutUint64(head[0:], cont)
+	if err != nil {
+		head[8] = 1
+		out = []byte(err.Error())
+	}
+	_ = l.send(rank, replyID, 0, head[:], out)
+}
+
+// dispatch is the progress/dispatch loop. After a round that found
+// nothing it parks on the engine's wait pacer, which the backend wakes
+// when a write lands or a completion is queued (see core.Waiter).
 func (l *Locality) dispatch() {
 	defer l.done.Done()
-	idle := 0
-	for {
-		select {
-		case <-l.stop:
-			return
-		default:
-		}
+	w := core.NewWaiter(l.ph)
+	defer w.Release()
+	for !l.stopped.Load() {
 		n := l.ph.Progress()
 		for {
 			c, ok := l.ph.PopRemote()
@@ -404,18 +499,13 @@ func (l *Locality) dispatch() {
 			}
 		}
 		if n == 0 {
-			idle++
-			gort.Gosched()
-			if idle > 256 {
-				time.Sleep(5 * time.Microsecond)
-			}
-		} else {
-			idle = 0
+			w.Idle()
 		}
 	}
 }
 
-// execParcel decodes and schedules one parcel on the worker pool.
+// execParcel decodes one parcel and hands it to a worker. c.Data is the
+// dispatcher's to give away: the payload (and a reply body) alias it.
 func (l *Locality) execParcel(c core.Completion) {
 	if len(c.Data) < parcelHdrLen {
 		return
@@ -423,82 +513,90 @@ func (l *Locality) execParcel(c core.Completion) {
 	action := ActionID(binary.LittleEndian.Uint32(c.Data[0:]))
 	cont := binary.LittleEndian.Uint64(c.Data[4:])
 	payload := c.Data[parcelHdrLen:]
+	// Replies resolve inline on the dispatcher: they only complete
+	// futures and must never wait behind workers whose handlers are
+	// themselves blocked on those futures.
+	if action == replyID {
+		l.counters.executed.Add(1)
+		l.resolveReply(payload)
+		return
+	}
 	l.actMu.RLock()
 	h, ok := l.actions[action]
 	l.actMu.RUnlock()
 	if !ok {
 		if cont != 0 {
-			l.replyErr(c.Rank, cont, fmt.Sprintf("%v: id %d", ErrUnknownAction, action))
+			l.reply(c.Rank, cont, nil, fmt.Errorf("%w: id %d", ErrUnknownAction, action))
 		}
 		return
 	}
-	// Replies run inline on the dispatcher: they only resolve futures
-	// and must never be starved by a worker pool full of handlers that
-	// are themselves blocked waiting on those futures.
-	if action == ActionIDFor(actReply) {
-		l.counters.executed.Add(1)
-		_, _ = h(&Context{Rt: l, Src: c.Rank, Payload: payload})
-		return
-	}
+	w := work{h: h, src: c.Rank, cont: cont, payload: payload}
 	select {
-	case l.workers <- struct{}{}:
-	case <-l.stop:
+	case l.work <- w: // an idle worker took it
+		return
+	default:
+	}
+	if l.nWorkers < l.cfg.Workers {
+		l.nWorkers++
+		l.handlers.Add(1)
+		go l.worker(w)
 		return
 	}
-	go func() {
-		defer func() { <-l.workers }()
-		out, err := h(&Context{Rt: l, Src: c.Rank, Payload: payload})
+	// Every worker is busy: the dispatcher waits for one.
+	select {
+	case l.work <- w:
+	case <-l.stop:
+	}
+}
+
+// worker runs parcels until the locality stops, starting with first.
+// Staying alive between parcels keeps the goroutine's grown stack.
+func (l *Locality) worker(w work) {
+	defer l.handlers.Done()
+	ctx := &Context{Rt: l}
+	for {
+		ctx.Src, ctx.Payload = w.src, w.payload
+		out, err := w.h(ctx)
 		l.counters.executed.Add(1)
-		if cont == 0 {
+		if w.cont != 0 {
+			l.reply(w.src, w.cont, out, err)
+		}
+		select {
+		case w = <-l.work:
+		case <-l.stop:
 			return
 		}
-		if err != nil {
-			l.replyErr(c.Rank, cont, err.Error())
-			return
-		}
-		body := make([]byte, replyHdrLen+len(out))
-		binary.LittleEndian.PutUint64(body[0:], cont)
-		body[8] = 0
-		copy(body[replyHdrLen:], out)
-		_ = l.send(c.Rank, ActionIDFor(actReply), 0, body)
-	}()
+	}
 }
 
-func (l *Locality) replyErr(rank int, cont uint64, msg string) {
-	body := make([]byte, replyHdrLen+len(msg))
-	binary.LittleEndian.PutUint64(body[0:], cont)
-	body[8] = 1
-	copy(body[replyHdrLen:], msg)
-	_ = l.send(rank, ActionIDFor(actReply), 0, body)
-}
-
-// handleReply resolves a continuation future.
-func (l *Locality) handleReply(ctx *Context) ([]byte, error) {
-	if len(ctx.Payload) < replyHdrLen {
-		return nil, nil
+// resolveReply resolves the continuation future a reply parcel names.
+func (l *Locality) resolveReply(p []byte) {
+	if len(p) < replyHdrLen {
+		return
 	}
-	id := binary.LittleEndian.Uint64(ctx.Payload[0:])
-	failed := ctx.Payload[8] == 1
-	body := append([]byte(nil), ctx.Payload[replyHdrLen:]...)
-	if f, ok := l.takeFuture(id); ok {
-		if failed {
-			f.set(nil, 0, errors.New(string(body)))
-		} else {
-			f.set(body, 0, nil)
-		}
-		l.counters.resolved.Add(1)
+	f, ok := l.takeFuture(binary.LittleEndian.Uint64(p[0:]))
+	if !ok {
+		return
 	}
-	return nil, nil
+	body := p[replyHdrLen:]
+	switch {
+	case p[8] == 1:
+		f.set(nil, 0, errors.New(string(body)))
+	case len(body) == 0: // a handler that returned nothing resolves to nil
+		f.set(nil, 0, nil)
+	default:
+		f.set(body, 0, nil)
+	}
+	l.counters.resolved.Add(1)
 }
 
 // Barrier blocks until every rank has entered (implemented as parcels
 // to rank 0, whose handler holds each caller until the generation
 // completes).
 func (l *Locality) Barrier() error {
-	gen := l.barrierGen.Add(1)
-	body := make([]byte, barrierBodyLen)
-	binary.LittleEndian.PutUint64(body, gen)
-	f, err := l.Call(0, ActionIDFor(actBarrier), body)
+	var body [barrierBodyLen]byte
+	binary.LittleEndian.PutUint64(body[:], l.barrierGen.Add(1))
+	f, err := l.Call(0, barrierID, body[:])
 	if err != nil {
 		return err
 	}
@@ -527,8 +625,8 @@ func (l *Locality) handleBarrier(ctx *Context) ([]byte, error) {
 	l.barMu.Unlock()
 	var expire <-chan time.Time
 	if l.cfg.Timeout > 0 {
-		t := time.NewTimer(l.cfg.Timeout)
-		defer t.Stop()
+		t := armTimer(l.cfg.Timeout)
+		defer disarmTimer(t)
 		expire = t.C
 	}
 	select {

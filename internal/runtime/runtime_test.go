@@ -18,32 +18,22 @@ import (
 
 const waitT = 10 * time.Second
 
-// job boots n localities, registers actions via reg, and starts them.
-func job(t *testing.T, n int, reg func(l *runtime.Locality)) []*runtime.Locality {
+// photons boots an n-rank vsim job.
+func photons(t *testing.T, n int) []*core.Photon {
 	t.Helper()
 	cl, err := vsim.NewCluster(n, fabric.Model{}, nicsim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	locs := make([]*runtime.Locality, n)
+	phs := make([]*core.Photon, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ph, err := core.Init(cl.Backend(r), core.Config{})
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			l := runtime.NewLocality(ph, runtime.Config{Timeout: waitT})
-			if reg != nil {
-				reg(l)
-			}
-			l.Start()
-			locs[r] = l
+			phs[r], errs[r] = core.Init(cl.Backend(r), core.Config{})
 		}(r)
 	}
 	wg.Wait()
@@ -52,11 +42,31 @@ func job(t *testing.T, n int, reg func(l *runtime.Locality)) []*runtime.Locality
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
+	return phs
+}
+
+// job boots n localities, registers actions via reg, and starts them.
+func job(t *testing.T, n int, reg func(l *runtime.Locality)) []*runtime.Locality {
+	t.Helper()
+	return jobCfg(t, n, runtime.Config{Timeout: waitT}, reg)
+}
+
+func jobCfg(t *testing.T, n int, cfg runtime.Config, reg func(l *runtime.Locality)) []*runtime.Locality {
+	t.Helper()
+	locs := make([]*runtime.Locality, n)
+	for r, ph := range photons(t, n) {
+		l := runtime.NewLocality(ph, cfg)
+		if reg != nil {
+			reg(l)
+		}
+		locs[r] = l
+	}
+	for _, l := range locs {
+		l.Start()
+	}
 	t.Cleanup(func() {
 		for _, l := range locs {
-			if l != nil {
-				l.Shutdown()
-			}
+			l.Shutdown()
 		}
 	})
 	return locs
