@@ -99,10 +99,6 @@ func (g *callGraph) collectCalls(pass *Pass, root ast.Node) []callSite {
 	return out
 }
 
-// node returns the graph node for fn, or nil for functions not declared
-// in this package.
-func (g *callGraph) node(fn *types.Func) *funcNode { return g.nodes[fn] }
-
 // fixpoint propagates per-function summaries over the call graph until
 // nothing changes. merge folds a callee's summary into its caller's,
 // returning true when the caller's summary grew; it must be monotonic

@@ -41,27 +41,25 @@ type GUPSConfig struct {
 	TableWordsPerRank int
 	// UpdatesPerRank is the number of remote fetch-adds per rank.
 	UpdatesPerRank int
-	// Window bounds outstanding updates per rank (default 64).
-	Window int
 	// Seed makes target sequences reproducible.
 	Seed int64
 }
 
-func (c *GUPSConfig) setDefaults() error {
+func (c *GUPSConfig) validate() error {
 	if c.TableWordsPerRank <= 0 || c.UpdatesPerRank < 0 {
 		return fmt.Errorf("apps: bad GUPS geometry %+v", *c)
 	}
-	if c.Window <= 0 {
-		c.Window = 64
-	}
 	return nil
 }
+
+// gupsWindow bounds outstanding updates per rank.
+const gupsWindow = 64
 
 // RunGUPSPhoton runs GUPS using Photon remote atomics: every update is
 // one NIC-level fetch-add, no target-side software involvement — the
 // one-sided case the paper's design exists to enable.
 func RunGUPSPhoton(phs []*core.Photon, cfg GUPSConfig) (GUPSResult, error) {
-	if err := cfg.setDefaults(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return GUPSResult{}, err
 	}
 	n := len(phs)
@@ -144,8 +142,8 @@ func RunGUPSPhoton(phs []*core.Photon, cfg GUPSConfig) (GUPSResult, error) {
 				}
 				next++
 				inflight++
-				if inflight >= cfg.Window {
-					if err := drain(cfg.Window / 2); err != nil {
+				if inflight >= gupsWindow {
+					if err := drain(gupsWindow / 2); err != nil {
 						errs[r] = err
 						return
 					}
@@ -190,7 +188,7 @@ const (
 // every update is a request message the owner must receive, match,
 // apply, and acknowledge — the software path one-sided RMA removes.
 func RunGUPSBaseline(job *msg.Job, cfg GUPSConfig) (GUPSResult, error) {
-	if err := cfg.setDefaults(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return GUPSResult{}, err
 	}
 	eps := job.Endpoints()
@@ -316,8 +314,8 @@ func RunGUPSBaseline(job *msg.Job, cfg GUPSConfig) (GUPSResult, error) {
 					return
 				}
 				inflight++
-				if inflight >= cfg.Window {
-					if err := drain(cfg.Window / 2); err != nil {
+				if inflight >= gupsWindow {
+					if err := drain(gupsWindow / 2); err != nil {
 						errs[n+r] = err
 						return
 					}

@@ -83,11 +83,9 @@ type Backend struct {
 	// polling instead of parking until the next transport event.
 	wake *core.WakeChan
 
-	// Armed op-count triggers (see group.go). Atomics: engine shards
+	// Armed op-count trigger (see group.go). Atomic: engine shards
 	// post concurrently and the trigger must fire exactly once.
-	crashIn  atomic.Int64
-	partIn   atomic.Int64
-	partPeer atomic.Int64
+	crashIn atomic.Int64
 
 	//photon:lock chaos 10
 	mu          sync.Mutex

@@ -90,24 +90,12 @@ func (b *Backend) CrashAfterOps(n int) {
 	b.crashIn.Store(int64(n))
 }
 
-// PartitionAfterOps arms a one-way partition toward peer at the n-th
-// PostWrite from this rank (n >= 1) — the mid-round network-split
-// trigger. Unlike a crash it is local to this side and silent: posts
-// claim success and vanish.
-func (b *Backend) PartitionAfterOps(n int, peer int) {
-	b.partPeer.Store(int64(peer))
-	b.partIn.Store(int64(n))
-}
-
-// tick advances the armed op-count triggers by one posted write.
+// tick advances the armed op-count trigger by one posted write.
 func (b *Backend) tick() {
 	if b.crashIn.Load() > 0 && b.crashIn.Add(-1) == 0 {
 		if b.group != nil {
 			b.group.Kill(b.inner.Rank())
 		}
-	}
-	if b.partIn.Load() > 0 && b.partIn.Add(-1) == 0 {
-		b.Partition(int(b.partPeer.Load()), true)
 	}
 }
 

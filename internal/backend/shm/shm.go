@@ -35,7 +35,6 @@ import (
 
 	"photon/internal/core"
 	"photon/internal/mem"
-	"photon/internal/trace"
 )
 
 // Config tunes the cluster.
@@ -650,7 +649,6 @@ func (b *Backend) applyFrame(src int, r *spscRing, pos uint64, bodyLen int, hdr 
 		} else if signaled {
 			peer.compq.Push(core.BackendCompletion{Token: token, OK: false, Err: err})
 		}
-		trace.RecordLink(trace.KindWire, b.rank, src, token, 0, "shm.apply")
 	case opRead:
 		raddr := binary.LittleEndian.Uint64(h[9:])
 		rkey := binary.LittleEndian.Uint32(h[17:])

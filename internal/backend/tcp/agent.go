@@ -325,8 +325,7 @@ func (b *Backend) writer(peer int) {
 // install, so each is applied exactly once.
 func (b *Backend) retransmit(conn net.Conn, peer int, gen uint64, ents []winEntry) bool {
 	st := &b.cstats[peer]
-	flushCap := b.cfg.FlushBytes
-	flush := make([]byte, 0, flushCap+frameHdrLen)
+	flush := make([]byte, 0, flushBytes+frameHdrLen)
 	frames := 0
 	emit := func() bool {
 		if len(flush) == 0 {
@@ -352,7 +351,7 @@ func (b *Backend) retransmit(conn net.Conn, peer int, gen uint64, ents []winEntr
 		flush = append(flush, e.frame...)
 		frames++
 		st.retxFrames.Add(1)
-		if len(flush) >= flushCap {
+		if len(flush) >= flushBytes {
 			if !emit() {
 				return false
 			}
@@ -369,14 +368,13 @@ func (b *Backend) retransmit(conn net.Conn, peer int, gen uint64, ents []winEntr
 // gather buffer and flushes it with one Write: a burst of frames costs
 // one syscall instead of one each. It flushes immediately when the
 // queues run dry — latency never waits on a timer — and keeps filling
-// up to FlushBytes while more work is queued. It returns false when
+// up to flushBytes while more work is queued. It returns false when
 // the backend closed (the writer exits) and true when the connection
 // died or was replaced (the writer re-enters awaitConn).
 func (b *Backend) writeLoop(peer int, lk *link, conn net.Conn, gen uint64, rq *replyQueue, win *sendWindow, conveyed uint64, ws *writerState) bool {
 	var (
 		st       = &b.cstats[peer]
-		flushCap = b.cfg.FlushBytes
-		flush    = make([]byte, 0, flushCap+frameHdrLen)
+		flush    = make([]byte, 0, flushBytes+frameHdrLen)
 		maxStamp uint64
 		respToks []uint64
 		popped   []replyFrame // replies in the flush being built (requeued on loss)
@@ -415,7 +413,7 @@ func (b *Backend) writeLoop(peer int, lk *link, conn net.Conn, gen uint64, rq *r
 		popped = popped[:0]
 		// Replies first: they unblock the peer, and FIFO order keeps a
 		// nack ahead of any later response whose stamp covers it.
-		for len(flush) < flushCap {
+		for len(flush) < flushBytes {
 			rf, ok := rq.pop()
 			if !ok {
 				break
@@ -429,7 +427,7 @@ func (b *Backend) writeLoop(peer int, lk *link, conn net.Conn, gen uint64, rq *r
 		}
 		// One stamp covers every request frame in this flush.
 		stamp := b.safeStamp(peer, ws.drainedNack)
-		for len(flush) < flushCap {
+		for len(flush) < flushBytes {
 			var it outItem
 			if ws.hasPending {
 				it, ws.hasPending = ws.pending, false
@@ -515,8 +513,8 @@ func (b *Backend) writeLoop(peer int, lk *link, conn net.Conn, gen uint64, rq *r
 		flush = flush[:0]
 		// An oversized frame (rendezvous payload beyond the cap) may
 		// have grown the buffer; don't pin that memory forever.
-		if cap(flush) > 4*(flushCap+frameHdrLen) {
-			flush = make([]byte, 0, flushCap+frameHdrLen)
+		if cap(flush) > 4*(flushBytes+frameHdrLen) {
+			flush = make([]byte, 0, flushBytes+frameHdrLen)
 		}
 	}
 }
@@ -568,7 +566,7 @@ func (b *Backend) failItem(it outItem, err error) {
 				return // already failed via failPend
 			}
 		}
-		b.pushComp(core.BackendCompletion{Token: f.token, OK: false, Err: err})
+		b.compq.Push(core.BackendCompletion{Token: f.token, OK: false, Err: err})
 	}
 	if it.many != nil {
 		for _, f := range it.many {
@@ -645,7 +643,7 @@ func (b *Backend) reader(peer int, conn net.Conn, gen uint64, done chan struct{}
 func (b *Backend) readLoop(peer int, conn net.Conn) error {
 	st := &b.cstats[peer]
 	lk := b.links[peer]
-	br := bufio.NewReaderSize(&countingConn{Conn: conn, calls: &st.readCalls, bytes: &st.bytesIn}, b.cfg.FlushBytes)
+	br := bufio.NewReaderSize(&countingConn{Conn: conn, calls: &st.readCalls, bytes: &st.bytesIn}, flushBytes)
 	rq := b.replyQueueFor(peer)
 	var (
 		hdr     [frameHdrLen]byte
@@ -694,7 +692,7 @@ func (b *Backend) readLoop(peer int, conn net.Conn) error {
 func (b *Backend) applyCumAck(peer int, k uint64, scratch []uint64) []uint64 {
 	scratch = b.windows[peer].ackTo(k, scratch)
 	for _, tok := range scratch {
-		b.pushComp(core.BackendCompletion{Token: tok, OK: true})
+		b.compq.Push(core.BackendCompletion{Token: tok, OK: true})
 	}
 	if len(scratch) > 0 {
 		b.cstats[peer].signaledAcked.Add(int64(len(scratch)))
@@ -710,7 +708,7 @@ func (b *Backend) applyCumAck(peer int, k uint64, scratch []uint64) []uint64 {
 func (b *Backend) applyNack(peer int, seq uint64, scratch []uint64) []uint64 {
 	scratch = b.applyCumAck(peer, seq-1, scratch)
 	if tok, ok := b.windows[peer].takeNack(seq); ok {
-		b.pushComp(core.BackendCompletion{Token: tok, OK: false, Err: fmt.Errorf("tcp: remote write failed")})
+		b.compq.Push(core.BackendCompletion{Token: tok, OK: false, Err: fmt.Errorf("tcp: remote write failed")})
 	}
 	return scratch
 }
@@ -763,7 +761,7 @@ func (b *Backend) handleFrame(peer int, f []byte) bool {
 			if err != nil {
 				cerr = fmt.Errorf("tcp: remote write failed")
 			}
-			b.pushComp(core.BackendCompletion{Token: token, OK: err == nil, Err: cerr})
+			b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: cerr})
 			return false
 		}
 		// Advance the applied-signaled-write count. On failure the
@@ -830,7 +828,7 @@ func (b *Backend) handleFrame(peer int, f []byte) bool {
 		if failed {
 			err = fmt.Errorf("tcp: remote read failed")
 		}
-		b.pushComp(core.BackendCompletion{Token: token, OK: !failed, Err: err})
+		b.compq.Push(core.BackendCompletion{Token: token, OK: !failed, Err: err})
 	case opAtomicResp:
 		if len(f) < atomicRespBodyLen {
 			return false
@@ -848,16 +846,16 @@ func (b *Backend) handleFrame(peer int, f []byte) bool {
 		if failed {
 			err = fmt.Errorf("tcp: remote atomic failed")
 		}
-		b.pushComp(core.BackendCompletion{Token: token, OK: !failed, Err: err})
+		b.compq.Push(core.BackendCompletion{Token: token, OK: !failed, Err: err})
 	case opExg:
 		b.handleExg(peer, f[1:])
 	case opExgResp:
 		b.handleExgResp(f[1:])
 	case opHeartbeat:
 		// Liveness probe: the header read already refreshed lastRx, and
-		// its stamp (processed above) doubled as a cumulative ack. A v4
-		// body also carries clock-sync timestamps (legacy 1-byte bodies
-		// are bare probes).
+		// its stamp (processed above) doubled as a cumulative ack. The
+		// body carries clock-sync timestamps; a short one is malformed
+		// and must not reach the fixed-offset reads below.
 		if len(f) >= hbBodyLen && peer != b.rank {
 			b.handleHeartbeatSync(peer, f)
 		}

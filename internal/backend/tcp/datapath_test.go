@@ -243,8 +243,8 @@ func TestTCPPipelinedStress(t *testing.T) {
 
 	for r := 0; r < 2; r++ {
 		s := bes[r].Stats()
-		if s.FramesPerFlush() <= 1.0 {
-			t.Errorf("rank %d: frames/flush = %.2f, want > 1 (no coalescing happened): %+v", r, s.FramesPerFlush(), s)
+		if s.FramesOut <= s.Flushes {
+			t.Errorf("rank %d: %d frames in %d flushes, want frames/flush > 1 (no coalescing happened): %+v", r, s.FramesOut, s.Flushes, s)
 		}
 		if s.AckFramesSent >= s.SignaledAcked {
 			t.Errorf("rank %d: %d standalone ack frames for %d acked writes, want cumulative acks to cover several writes each",
@@ -438,5 +438,42 @@ func TestReadLengthValidatedBeforeAlloc(t *testing.T) {
 	comps := waitComps(t, be, 1)
 	if comps[0].Token != token || comps[0].OK {
 		t.Fatalf("oversized read completed as %+v, want a failed completion", comps[0])
+	}
+}
+
+// TestHeartbeatBodyLengthChecked feeds handleFrame heartbeat bodies of
+// every interesting length. The handshake admits only wireVersion
+// peers, so a body shorter than hbBodyLen is malformed: it must be
+// dropped before the fixed-offset timestamp reads, leaving the link's
+// clock-sync state untouched. A full body is recorded for the echo.
+func TestHeartbeatBodyLengthChecked(t *testing.T) {
+	be := newBackendPair(t, Config{})[1]
+	const peer = 0
+	lk := be.links[peer]
+	for _, c := range []struct {
+		name   string
+		n      int
+		synced bool
+	}{
+		{"bare opcode", 1, false},
+		{"one byte short", hbBodyLen - 1, false},
+		{"full body", hbBodyLen, true},
+	} {
+		lk.hbPeerTx.Store(0)
+		lk.hbPeerRx.Store(0)
+		f := make([]byte, c.n)
+		f[0] = opHeartbeat
+		if c.n >= 9 {
+			binary.LittleEndian.PutUint64(f[1:], 12345) // peer's tx stamp
+		}
+		if be.handleFrame(peer, f) {
+			t.Errorf("%s: a heartbeat counted as an applied signaled write", c.name)
+		}
+		if got := lk.hbPeerTx.Load() != 0 || lk.hbPeerRx.Load() != 0; got != c.synced {
+			t.Errorf("%s (%d bytes): clock-sync state touched = %v, want %v", c.name, c.n, got, c.synced)
+		}
+		if n := be.PeerStats(peer).ClockSamples; n != 0 {
+			t.Errorf("%s: %d clock samples from a heartbeat that echoes nothing", c.name, n)
+		}
 	}
 }

@@ -340,7 +340,7 @@ func (b *Backend) markDown(peer int, cause error) {
 	}
 	nudge(lk.reconn)
 	for _, tok := range b.windows[peer].drainAll(nil) {
-		b.pushComp(core.BackendCompletion{Token: tok, OK: false, Err: err})
+		b.compq.Push(core.BackendCompletion{Token: tok, OK: false, Err: err})
 	}
 	b.failPend(peer, err)
 	b.kick()
@@ -367,7 +367,7 @@ func (b *Backend) failSentResp(peer int) {
 	}
 	err := fmt.Errorf("tcp: rank %d link reset; op not replayable: %w", peer, core.ErrPeerDown)
 	for _, tok := range toks {
-		b.pushComp(core.BackendCompletion{Token: tok, OK: false, Err: err})
+		b.compq.Push(core.BackendCompletion{Token: tok, OK: false, Err: err})
 	}
 }
 
@@ -385,7 +385,7 @@ func (b *Backend) failPend(peer int, err error) {
 	}
 	b.pendMu.Unlock()
 	for _, tok := range toks {
-		b.pushComp(core.BackendCompletion{Token: tok, OK: false, Err: err})
+		b.compq.Push(core.BackendCompletion{Token: tok, OK: false, Err: err})
 	}
 }
 
@@ -405,18 +405,12 @@ func (b *Backend) Sever(peer int) {
 	}
 }
 
-// PeerDowned reports whether the transport has latched peer down
-// (test/diagnostic hook).
-func (b *Backend) PeerDowned(peer int) bool {
-	return peer >= 0 && peer < b.size && peer != b.rank && b.links[peer].down.Load()
-}
-
 // ---------------------------------------------------------------------
 // Liveness plane (core.HealthBackend).
 // ---------------------------------------------------------------------
 
 // ConfigureLiveness arms heartbeats: every interval, each live link
-// that has not sent traffic recently pushes a 1-byte heartbeat frame
+// that has not sent traffic recently pushes a heartbeat frame
 // (piggyback suppression — data already proves liveness), and a link
 // silent past twice the suspect window is severed so the reconnect
 // path can take over (a half-open TCP connection never errors on its
@@ -463,7 +457,7 @@ func (b *Backend) PeerHealth(rank int) core.PeerHealth {
 	return core.PeerHealthy
 }
 
-// handleHeartbeatSync processes the clock-sync fields of an inbound v4
+// handleHeartbeatSync processes the clock-sync fields of an inbound
 // heartbeat from peer. The frame's tx stamp and our receipt time are
 // remembered for the echo on our next heartbeat; when the frame echoes
 // one of our own earlier heartbeats, the four timestamps close an

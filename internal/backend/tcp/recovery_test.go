@@ -216,7 +216,7 @@ func TestTCPPeerKillSurfacesPeerDown(t *testing.T) {
 	// The transport latches the peer down once the reconnect window
 	// expires; posts then fail fast instead of queueing into the void.
 	deadline := time.Now().Add(5 * time.Second)
-	for !bes[0].PeerDowned(1) {
+	for bes[0].PeerHealth(1) != core.PeerDown {
 		if time.Now().After(deadline) {
 			t.Fatal("transport never declared the dead peer down")
 		}
@@ -426,12 +426,12 @@ func TestTCPCloseRaceReturnsErrClosed(t *testing.T) {
 	}
 }
 
-// Every failure-path counter the PR adds must surface as a gauge in
-// Photon.Metrics() (photon-info -metrics renders the same snapshot and
-// picks tcp_* up by prefix). The job is chaos-wrapped over real TCP so
-// one run exercises all of them: idle heartbeats, a severed link
-// forcing a reconnect (and usually retransmits), and a partition
-// forcing the OpTimeout sweep.
+// Every failure-path counter, and the data-path counters next to them,
+// must surface as a gauge in Photon.Metrics(); the per-peer view
+// (PeerStats) must attribute the reconnect to the severed link. The job
+// is chaos-wrapped over real TCP so one run exercises all of them: idle
+// heartbeats, a severed link forcing a reconnect (and usually
+// retransmits), and a partition forcing the OpTimeout sweep.
 func TestFailureMetricsExported(t *testing.T) {
 	lns := make([]net.Listener, 2)
 	addrs := make([]string, 2)
@@ -521,6 +521,7 @@ func TestFailureMetricsExported(t *testing.T) {
 	mustHave := []string{
 		"ops_timed_out", "peer_suspect_transitions", "peers_down",
 		"tcp_heartbeats", "tcp_reconnects", "tcp_retransmit_frames",
+		"tcp_flushes", "tcp_frames_out", "tcp_acks_piggybacked", "tcp_acks_standalone",
 		"chaos_dropped",
 	}
 	for _, name := range mustHave {
@@ -536,6 +537,9 @@ func TestFailureMetricsExported(t *testing.T) {
 		if v, _ := snap.Gauges.Get(name); v <= 0 {
 			t.Errorf("gauge %q = %d, want > 0 after the induced faults", name, v)
 		}
+	}
+	if ps := tb.PeerStats(1); ps.Reconnects < 1 || ps.Heartbeats < 1 {
+		t.Errorf("per-peer stats toward rank 1 = %+v, want the reconnect and heartbeats counted there", ps)
 	}
 }
 

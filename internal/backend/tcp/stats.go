@@ -29,11 +29,11 @@ type connStats struct {
 }
 
 // DataPathStats is a point-in-time snapshot of the TCP data path,
-// either per connection (PeerStats) or aggregated (Stats). The derived
-// ratios quantify the coalescing the writer achieved: FramesPerFlush
-// and the bytes-per-syscall pair show how many frames ride each Write
-// and Read, and PiggybackRatio shows what fraction of cumulative acks
-// traveled on frames that were going to the peer anyway.
+// either per connection (PeerStats) or aggregated (Stats). The raw
+// counters quantify the coalescing the writer achieved: frames and
+// bytes per Flushes/ReadCalls show how much rides each syscall, and
+// AcksPiggybacked against AcksStandalone what fraction of cumulative
+// acks traveled on frames that were going to the peer anyway.
 type DataPathStats struct {
 	Flushes   int64
 	FramesOut int64
@@ -70,34 +70,6 @@ func (s *DataPathStats) add(c *connStats) {
 	s.Reconnects += c.reconnects.Load()
 	s.RetransmitFrames += c.retxFrames.Load()
 	s.ClockSamples += c.clockSamples.Load()
-}
-
-// FramesPerFlush reports how many frames each Write syscall carried.
-func (s DataPathStats) FramesPerFlush() float64 { return ratio(s.FramesOut, s.Flushes) }
-
-// BytesPerWrite reports the mean payload of each Write syscall.
-func (s DataPathStats) BytesPerWrite() float64 { return ratio(s.BytesOut, s.Flushes) }
-
-// BytesPerRead reports the mean fill of each Read syscall.
-func (s DataPathStats) BytesPerRead() float64 { return ratio(s.BytesIn, s.ReadCalls) }
-
-// AcksCoalesced reports acks that did not cost a dedicated frame:
-// everything conveyed minus the standalone frames that carried the rest.
-func (s DataPathStats) AcksCoalesced() int64 {
-	return s.AcksPiggybacked + s.AcksStandalone - s.AckFramesSent
-}
-
-// PiggybackRatio reports the fraction of conveyed acks that rode on
-// data-bearing flushes.
-func (s DataPathStats) PiggybackRatio() float64 {
-	return ratio(s.AcksPiggybacked, s.AcksPiggybacked+s.AcksStandalone)
-}
-
-func ratio(num, den int64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
 }
 
 // Stats aggregates the data-path counters across every connection.

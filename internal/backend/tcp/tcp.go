@@ -12,7 +12,7 @@
 // pair: requests apply in posting order, and an ACK for operation k
 // implies operations 1..k-1 have been applied.
 //
-// Data path (wire format v3): every frame carries a 12-byte header,
+// Data path (wire format v4): every frame carries a 12-byte header,
 //
 //	u32 bodyLen | u64 cumAck | body
 //
@@ -23,14 +23,14 @@
 // drains its socket with acks still owed. The writer coalesces queued
 // frames into one gather buffer and flushes with a single Write —
 // immediately when the queue runs dry (latency never waits on a
-// timer), batching up to FlushBytes while more work is queued. Reads
+// timer), batching up to flushBytes while more work is queued. Reads
 // and atomics are not in the cumAck sequence space; they complete via
 // token-keyed response frames, which are themselves stamped with the
 // applied-write count at push time so cross-kind posting order is
 // preserved at the initiator. See DESIGN.md "TCP data path".
 //
 // Fault tolerance: a lost connection is redialed with bounded
-// exponential backoff inside Config.ReconnectWindow. The v3 handshake
+// exponential backoff inside Config.ReconnectWindow. The handshake
 // is symmetric — both sides report how many of the peer's signaled
 // writes they have applied — so after a reconnect each writer trims
 // its retransmit window to the peer's report and replays exactly the
@@ -61,7 +61,6 @@ import (
 
 	"photon/internal/core"
 	"photon/internal/mem"
-	"photon/internal/trace"
 )
 
 // Errors specific to the TCP backend.
@@ -81,11 +80,6 @@ type Config struct {
 	// SendDepth bounds queued outbound requests per peer (default 1024);
 	// a full queue surfaces as ErrWouldBlock, like a full send queue.
 	SendDepth int
-	// FlushBytes caps the writer's gather buffer per connection
-	// (default 256KiB): while more frames are queued the writer keeps
-	// filling up to this cap before issuing the Write syscall. The
-	// read side sizes its buffered reader to match.
-	FlushBytes int
 	// ReconnectWindow bounds how long a lost connection is redialed
 	// before the peer is declared down (default 5s). Negative disables
 	// recovery entirely: a lost connection immediately declares the
@@ -110,9 +104,6 @@ func (c *Config) setDefaults() error {
 	if c.SendDepth <= 0 {
 		c.SendDepth = 1024
 	}
-	if c.FlushBytes <= 0 {
-		c.FlushBytes = 256 << 10
-	}
 	if c.ReconnectWindow == 0 {
 		c.ReconnectWindow = 5 * time.Second
 	}
@@ -122,7 +113,13 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// Wire format v3 framing.
+// flushBytes caps the writer's gather buffer per connection: while more
+// frames are queued the writer keeps filling up to this cap before
+// issuing the Write syscall. The read side sizes its buffered reader to
+// match.
+const flushBytes = 256 << 10
+
+// Wire format v4 framing.
 const (
 	// frameHdrLen prefixes every frame: u32 body length | u64 cumAck.
 	frameHdrLen = 12
@@ -158,7 +155,8 @@ const (
 // except echoTxNS, which echoes the receiver's own earlier tx stamp.
 // The four timestamps of two opposing heartbeats form one NTP-style
 // exchange: offset = ((t1-t0)+(t2-t3))/2, rtt = (t3-t0)-(t2-t1).
-// A 1-byte legacy body is still accepted as a bare liveness probe.
+// The handshake admits only wireVersion peers, so every heartbeat has
+// this length; a shorter body is ignored as malformed.
 const hbBodyLen = 1 + 8 + 8 + 8
 
 // tcpEpoch anchors the backend's monotonic timestamps (liveness
@@ -453,9 +451,6 @@ func (b *Backend) Rank() int { return b.rank }
 // Size returns the job size.
 func (b *Backend) Size() int { return b.size }
 
-// Addr returns the actual listen address (useful with ":0" configs).
-func (b *Backend) Addr() string { return b.ln.Addr().String() }
-
 // Register pins buf into the local registration table.
 func (b *Backend) Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error) {
 	return b.mem.Register(buf)
@@ -505,11 +500,7 @@ func writeFrame(local []byte, raddr uint64, rkey uint32, token uint64, signaled 
 // PostWrite queues a one-sided write toward rank.
 func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, token uint64, signaled bool) error {
 	f := writeFrame(local, raddr, rkey, token, signaled)
-	if err := b.enqueue(rank, outItem{one: outFrame{data: f, token: token, signaled: signaled}}); err != nil {
-		return err
-	}
-	trace.Record(trace.KindPost, b.rank, token, "tcp.post")
-	return nil
+	return b.enqueue(rank, outItem{one: outFrame{data: f, token: token, signaled: signaled}})
 }
 
 // PostWriteBatch queues a burst of one-sided writes toward rank. The
@@ -533,9 +524,6 @@ func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 	}
 	if err := b.enqueue(rank, outItem{many: frames}); err != nil {
 		return 0, err
-	}
-	for _, f := range frames {
-		trace.Record(trace.KindPost, b.rank, f.token, "tcp.post")
 	}
 	return len(reqs), nil
 }
@@ -587,7 +575,6 @@ func (b *Backend) postResponseKeyed(rank int, result []byte, token uint64, f []b
 		b.pendMu.Unlock()
 		return err
 	}
-	trace.Record(trace.KindPost, b.rank, token, "tcp.post")
 	return nil
 }
 
@@ -623,11 +610,6 @@ func (b *Backend) WriteActivity(mem.RemoteBuffer) (func() uint64, bool) {
 // Poll reaps completions.
 func (b *Backend) Poll(dst []core.BackendCompletion) int {
 	return b.compq.Drain(dst)
-}
-
-func (b *Backend) pushComp(c core.BackendCompletion) {
-	trace.Record(trace.KindComplete, b.rank, c.Token, "tcp.comp")
-	b.compq.Push(c)
 }
 
 // Notify returns the channel that receives a token whenever the agent

@@ -19,7 +19,6 @@ import (
 	"photon/internal/fabric"
 	"photon/internal/mem"
 	"photon/internal/nicsim"
-	"photon/internal/trace"
 	"photon/internal/verbs"
 )
 
@@ -252,14 +251,10 @@ func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, t
 	if rank < 0 || rank >= len(b.qps) {
 		return core.ErrBadRank
 	}
-	err := translate(b.qps[rank].PostSend(verbs.SendWR{
+	return translate(b.qps[rank].PostSend(verbs.SendWR{
 		WRID: token, Op: verbs.OpRDMAWrite, Local: local,
 		RemoteAddr: raddr, RKey: rkey, Signaled: signaled,
 	}))
-	if err == nil {
-		trace.RecordLink(trace.KindWire, b.rank, rank, token, 0, "vsim.write")
-	}
-	return err
 }
 
 // PostWriteBatch posts a burst of writes toward rank with one call.
@@ -354,7 +349,6 @@ func (b *Backend) Poll(dst []core.BackendCompletion) int {
 		if tmp[i].Status != verbs.StatusOK {
 			dst[i].Err = fmt.Errorf("vsim: completion status %v", tmp[i].Status)
 		}
-		trace.Record(trace.KindWire, b.rank, tmp[i].WRID, "vsim.cqe")
 	}
 	return n
 }

@@ -338,10 +338,10 @@ func (c *Comm) reduceVec(gen uint64, kind, root int, acc []float64, op Op) error
 // ---------------------------------------------------------------------
 
 // segSize returns the effective pipeline segment size for an L-byte
-// payload, scaling up from the configured size if L would otherwise
+// payload, scaling up from segmentBytes if L would otherwise
 // exceed the RID layout's segment field.
 func (c *Comm) segSize(L int) int {
-	seg := c.cfg.SegmentBytes
+	seg := segmentBytes
 	for L > 0 && (L+seg-1)/seg > maxSegs-1 {
 		seg *= 2
 	}

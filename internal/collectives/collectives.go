@@ -11,7 +11,7 @@
 // size and job size:
 //
 //	barrier     radix-k dissemination, ceil(log_k N) rounds
-//	bcast       k-nomial tree, segmented and pipelined above SegmentBytes
+//	bcast       k-nomial tree, segmented and pipelined above segmentBytes
 //	reduce      k-nomial tree combine with pre-posted child receives
 //	allreduce   recursive doubling over a registered PWC arena (small),
 //	            ring reduce-scatter + allgather (large, bandwidth-
@@ -117,13 +117,6 @@ type Config struct {
 	// Default 4096.
 	SmallAllreduceMax int
 
-	// SegmentBytes is the bcast/ring pipeline segment size (default
-	// 32KiB). Payloads larger than one segment are split and streamed so
-	// transfer overlaps forwarding down the tree. Segments at or below
-	// the eager threshold ride the doorbell-batched eager path;
-	// larger segments go rendezvous.
-	SegmentBytes int
-
 	// ForceAllreduce pins the allreduce algorithm for benchmarking:
 	// "rd", "ring", "tree", or "" for size-based selection. Forced
 	// choices that the vector cannot satisfy (rd beyond the arena slot,
@@ -141,11 +134,14 @@ func (cfg Config) withDefaults() Config {
 	if cfg.SmallAllreduceMax <= 0 {
 		cfg.SmallAllreduceMax = 4096
 	}
-	if cfg.SegmentBytes <= 0 {
-		cfg.SegmentBytes = 32 << 10
-	}
 	return cfg
 }
+
+// segmentBytes is the bcast/ring pipeline segment size. Payloads larger
+// than one segment are split and streamed so transfer overlaps
+// forwarding down the tree. Segments at or below the eager threshold
+// ride the doorbell-batched eager path; larger segments go rendezvous.
+const segmentBytes = 32 << 10
 
 // numCollKinds sizes the per-kind counters (metrics.CollKind domain).
 const numCollKinds = int(metrics.CollAlltoall) + 1
@@ -256,9 +252,9 @@ func New(ph *core.Photon, timeout time.Duration) *Comm {
 
 // NewWithConfig creates a tuned communicator over the whole job. Ranks
 // must agree on the algorithm-affecting fields (Radix,
-// SmallAllreduceMax, SegmentBytes, ForceAllreduce) — schedules are
-// compiled locally and must match. Panics if the job exceeds MaxRanks
-// (the collective RID layout).
+// SmallAllreduceMax, ForceAllreduce) — schedules are compiled locally
+// and must match. Panics if the job exceeds MaxRanks (the collective
+// RID layout).
 func NewWithConfig(ph *core.Photon, cfg Config) *Comm {
 	if ph.Size() > MaxRanks {
 		panic(fmt.Sprintf("collectives: job size %d exceeds MaxRanks %d", ph.Size(), MaxRanks))
@@ -321,9 +317,6 @@ func (c *Comm) Size() int { return c.size }
 // Epoch returns the membership epoch (0 for a root Comm, bumped by
 // every Shrink).
 func (c *Comm) Epoch() uint64 { return c.epoch }
-
-// EngineRank translates a comm rank to the underlying engine rank.
-func (c *Comm) EngineRank(r int) int { return c.group[r] }
 
 // obsStart opens a latency observation when metrics are on.
 func (c *Comm) obsStart(k metrics.CollKind) time.Time {
@@ -720,26 +713,11 @@ func (c *Comm) Alltoall(blobs [][]byte) ([][]byte, error) {
 // Float encoding
 // ---------------------------------------------------------------------
 
-func encodeF64(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	encodeF64Into(b, v)
-	return b
-}
-
 // encodeF64Into writes v into b, which must hold 8*len(v) bytes.
 func encodeF64Into(b []byte, v []float64) {
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(x))
 	}
-}
-
-func decodeF64(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("collectives: float vector blob of %d bytes", len(b))
-	}
-	v := make([]float64, len(b)/8)
-	decodeF64Into(v, b)
-	return v, nil
 }
 
 // decodeF64Into overwrites v from b; len(b) must be 8*len(v).

@@ -345,7 +345,9 @@ func TestShrinkN32MidAllreduce(t *testing.T) {
 
 // TestAbortObservability checks the telemetry contract: a collective
 // abort bumps the coll_aborts gauge, records an abort-latency sample,
-// and arms the flight recorder with a reason-tagged capture.
+// and arms the flight recorder with a reason-tagged capture; the
+// survivors then shrink to a size-3, epoch-1 communicator that passes
+// the allreduce property check, and coll_shrinks counts it.
 func TestAbortObservability(t *testing.T) {
 	const n, victim = 4, 3
 	cfg := core.Config{Metrics: true, FlightRecords: 16}
@@ -367,6 +369,15 @@ func TestAbortObservability(t *testing.T) {
 		snap := w.phs[r].Metrics()
 		if v, ok := snap.Gauges.Get("coll_aborts"); !ok || v < 1 {
 			t.Errorf("rank %d: coll_aborts gauge = %d (ok=%v), want >= 1", r, v, ok)
+		}
+		var abortSamples int64
+		for _, h := range snap.Hists {
+			if h.Name == "coll/abort" {
+				abortSamples = h.Hist.N()
+			}
+		}
+		if abortSamples < 1 {
+			t.Errorf("rank %d: no coll/abort detection-to-abort latency sample", r)
 		}
 		fr := w.phs[r].FlightRecorder()
 		if fr == nil {
@@ -395,5 +406,15 @@ func TestAbortObservability(t *testing.T) {
 	}
 	if revokes < 1 {
 		t.Errorf("no revocation notices sent across survivors")
+	}
+
+	shrinkAndCheck(t, w, victim) // size n-1 = 3, epoch 0+1 = 1, allreduce matches the reference
+	for r := 0; r < n; r++ {
+		if r == victim {
+			continue
+		}
+		if v, ok := w.phs[r].Metrics().Gauges.Get("coll_shrinks"); !ok || v != 1 {
+			t.Errorf("rank %d: coll_shrinks gauge = %d (ok=%v), want 1", r, v, ok)
+		}
 	}
 }

@@ -34,8 +34,7 @@ const (
 	genShift   = bankShift + 1
 	genBits    = 63 - genShift
 
-	maxRounds = 1 << roundBits
-	maxSegs   = 1 << segBits
+	maxSegs = 1 << segBits
 )
 
 // The generation field is further split for epoch fencing: the high

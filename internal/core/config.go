@@ -121,10 +121,10 @@ type Config struct {
 	// for peers on different shards may interleave arbitrarily.
 	EngineShards int
 
-	// Trace, when non-nil, receives this instance's op-lifecycle events
-	// instead of the process-wide trace.Global ring. The ring must also
-	// be Enabled: a disabled ring keeps every record site at one atomic
-	// load and zero allocations.
+	// Trace, when non-nil, receives this instance's op-lifecycle events;
+	// without it nothing is recorded. The ring must also be Enabled: a
+	// disabled ring keeps every record site at one atomic load and zero
+	// allocations.
 	Trace *trace.Ring
 	// TraceSampleShift samples 1 in 2^shift posted ops into the trace
 	// ring and latency histograms (0 = every op). Sampling is decided

@@ -17,7 +17,7 @@ import (
 // independently optional; every hot-path probe below collapses to one
 // or two atomic loads when they are off.
 type obsState struct {
-	ring *trace.Ring       // never nil after Init (falls back to trace.Global)
+	ring *trace.Ring       // never nil after Init (a private, never-enabled ring without Config.Trace)
 	reg  *metrics.Registry // nil unless Config.Metrics/MetricsTo
 	mask uint64            // 2^TraceSampleShift - 1; 0 = sample every op
 	seq  atomic.Uint64     // post counter driving the sampling decision
@@ -53,7 +53,7 @@ func nowNanos() int64 { return int64(time.Since(obsEpoch)) }
 func (p *Photon) initObs(cfg *Config) {
 	p.obs.ring = cfg.Trace
 	if p.obs.ring == nil {
-		p.obs.ring = trace.Global
+		p.obs.ring = trace.NewRing(0) // never enabled: record sites stay one atomic load
 	}
 	switch {
 	case cfg.MetricsTo != nil:
@@ -176,10 +176,6 @@ func (p *Photon) opDone(op *pendingOp, msg string) {
 		}
 	}
 }
-
-// TraceRing returns the ring receiving this instance's events (the
-// configured ring or trace.Global). Enable it to start recording.
-func (p *Photon) TraceRing() *trace.Ring { return p.obs.ring }
 
 // MetricsRegistry returns the registry this instance records into, or
 // nil when metrics are disabled.

@@ -18,7 +18,7 @@ import (
 )
 
 // obsConfig wires a private enabled trace ring and metrics into a
-// config, so tests observe one instance without touching trace.Global.
+// config, so each test observes exactly one instance.
 func obsConfig() (core.Config, *trace.Ring) {
 	ring := trace.NewRing(8192)
 	ring.Enable(true)

@@ -53,37 +53,11 @@ func (p *Photon) PutWithCompletion(rank int, local []byte, dst mem.RemoteBuffer,
 		if err != nil {
 			return err
 		}
-		plen := 9
-		if ts != 0 {
-			plen += traceCtxSize
-		}
-		ent := p.pool.Get(ledger.HeaderSize + plen)
-		ent[ledger.HeaderSize] = tCompletion
-		binary.LittleEndian.PutUint64(ent[ledger.HeaderSize+1:], remoteRID)
-		if ts != 0 {
-			ent[ledger.HeaderSize] = tCompletionT
-			p.putTraceCtx(ent, ledger.HeaderSize+9, ts)
-		}
-		if err := ledger.EncodeHeader(ent, res.Seq, plen); err != nil {
-			p.pool.Put(ent)
+		ent, err := p.completionEntry(res, remoteRID, ts)
+		if err != nil {
 			return err
 		}
-		// A sampled op is posted signaled even when the caller suppressed
-		// the local completion: the backend completion closes the latency
-		// measurement and is dropped before delivery (rid 0). This is the
-		// plane's only observer effect; TraceSampleShift bounds it.
-		signaled := localRID != 0 || ts != 0
-		var tok uint64
-		if signaled {
-			tok = p.newToken(pendingOp{
-				kind: opPutLocal, rank: rank, rid: localRID,
-				postNS: ts, mkind: metrics.OpPut, remoteVis: true,
-			})
-		}
-		if ts != 0 {
-			p.tracePost(rank, remoteRID, localRID, "put.notify")
-		}
-		p.postOrPark(ps, rank, ent, res.RemoteAddr, res.RKey, tok, signaled, true)
+		p.postEntry(ps, rank, ent, res, localRID, remoteRID, ts, metrics.OpPut, "put.notify")
 		p.stats.putsDirect.Add(1)
 		return nil
 	}
@@ -118,19 +92,8 @@ func (p *Photon) PutWithCompletion(rank int, local []byte, dst mem.RemoteBuffer,
 	if err != nil {
 		return err
 	}
-	plen := 9
-	if ts != 0 {
-		plen += traceCtxSize
-	}
-	ent := p.pool.Get(ledger.HeaderSize + plen)
-	ent[ledger.HeaderSize] = tCompletion
-	binary.LittleEndian.PutUint64(ent[ledger.HeaderSize+1:], remoteRID)
-	if ts != 0 {
-		ent[ledger.HeaderSize] = tCompletionT
-		p.putTraceCtx(ent, ledger.HeaderSize+9, ts)
-	}
-	if err := ledger.EncodeHeader(ent, res.Seq, plen); err != nil {
-		p.pool.Put(ent)
+	ent, err := p.completionEntry(res, remoteRID, ts)
+	if err != nil {
 		return err
 	}
 	tok := p.newToken(pendingOp{
@@ -216,6 +179,66 @@ func (p *Photon) Send(rank int, data []byte, localRID, remoteRID uint64) error {
 	return p.sendRendezvous(ps, rank, data, localRID, remoteRID, ts)
 }
 
+// completionLen is the PWC completion payload without trace context:
+// [tCompletion][rid8].
+const completionLen = 1 + 8
+
+// encodeCompletion writes the PWC completion payload
+// [tCompletion|tCompletionT][rid8][ctx12?] at b; a sampled op (ts != 0)
+// carries the wire trace context, so b must hold traceCtxSize more.
+//
+//photon:hotpath
+func (p *Photon) encodeCompletion(b []byte, rid uint64, ts int64) {
+	b[0] = tCompletion
+	binary.LittleEndian.PutUint64(b[1:], rid)
+	if ts != 0 {
+		b[0] = tCompletionT
+		p.putTraceCtx(b, completionLen, ts)
+	}
+}
+
+// completionEntry builds the pooled, header-encoded PWC completion
+// entry for the slot res. The caller owns it until it posts it with
+// pooled set.
+//
+//photon:hotpath
+func (p *Photon) completionEntry(res ledger.Reservation, rid uint64, ts int64) ([]byte, error) {
+	plen := completionLen
+	if ts != 0 {
+		plen += traceCtxSize
+	}
+	ent := p.pool.Get(ledger.HeaderSize + plen)
+	p.encodeCompletion(ent[ledger.HeaderSize:], rid, ts)
+	if err := ledger.EncodeHeader(ent, res.Seq, plen); err != nil {
+		p.pool.Put(ent)
+		return nil, err
+	}
+	return ent, nil //photon:allow bufretain -- hand-off: the caller posts the entry pooled, and postOrPark/postPair recycle it once the backend has snapshotted it
+}
+
+// postEntry posts the pooled ledger entry that carries a whole put or
+// send (zero-byte put, packed put, eager send) into the slot res. A
+// sampled op is posted signaled even when the caller suppressed the
+// local completion: the backend completion closes the latency
+// measurement and is dropped before delivery (rid 0). This is the
+// plane's only observer effect; TraceSampleShift bounds it.
+//
+//photon:hotpath
+func (p *Photon) postEntry(ps *peerState, rank int, ent []byte, res ledger.Reservation, localRID, remoteRID uint64, ts int64, mkind metrics.OpKind, msg string) {
+	signaled := localRID != 0 || ts != 0
+	var tok uint64
+	if signaled {
+		tok = p.newToken(pendingOp{
+			kind: opPutLocal, rank: rank, rid: localRID,
+			postNS: ts, mkind: mkind, remoteVis: true,
+		})
+	}
+	if ts != 0 {
+		p.tracePost(rank, remoteRID, localRID, msg)
+	}
+	p.postOrPark(ps, rank, ent, res.RemoteAddr, res.RKey, tok, signaled, true)
+}
+
 // putPacked folds a small put into one eager-ledger write:
 // [tPackedPut][remoteRID][raddr][rkey][data]. The target validates and
 // places the payload before surfacing the remote completion, so the
@@ -249,20 +272,7 @@ func (p *Photon) putPacked(ps *peerState, rank int, local []byte, raddr uint64, 
 		p.pool.Put(ent)
 		return err
 	}
-	// Sampled ops post signaled even with localRID 0 (see the
-	// zero-length put path) so the latency measurement closes.
-	signaled := localRID != 0 || ts != 0
-	var tok uint64
-	if signaled {
-		tok = p.newToken(pendingOp{
-			kind: opPutLocal, rank: rank, rid: localRID,
-			postNS: ts, mkind: metrics.OpPut, remoteVis: true,
-		})
-	}
-	if ts != 0 {
-		p.tracePost(rank, remoteRID, localRID, "put.packed")
-	}
-	p.postOrPark(ps, rank, ent, res.RemoteAddr, res.RKey, tok, signaled, true)
+	p.postEntry(ps, rank, ent, res, localRID, remoteRID, ts, metrics.OpPut, "put.packed")
 	p.stats.putsPacked.Add(1)
 	return nil
 }
@@ -295,20 +305,7 @@ func (p *Photon) sendPacked(ps *peerState, rank int, data []byte, localRID, remo
 		p.pool.Put(ent)
 		return err
 	}
-	// Sampled ops post signaled even with localRID 0 (see the
-	// zero-length put path) so the latency measurement closes.
-	signaled := localRID != 0 || ts != 0
-	var tok uint64
-	if signaled {
-		tok = p.newToken(pendingOp{
-			kind: opPutLocal, rank: rank, rid: localRID,
-			postNS: ts, mkind: metrics.OpSend, remoteVis: true,
-		})
-	}
-	if ts != 0 {
-		p.tracePost(rank, remoteRID, localRID, "send.eager")
-	}
-	p.postOrPark(ps, rank, ent, res.RemoteAddr, res.RKey, tok, signaled, true)
+	p.postEntry(ps, rank, ent, res, localRID, remoteRID, ts, metrics.OpSend, "send.eager")
 	p.stats.putsPacked.Add(1)
 	return nil
 }

@@ -224,9 +224,8 @@ func (p *Photon) handleBackend(s *engineShard, bc BackendCompletion) {
 //
 //photon:hotpath
 func (p *Photon) notifyRemote(rank int, rid uint64) {
-	var payload [9]byte
-	payload[0] = tCompletion
-	binary.LittleEndian.PutUint64(payload[1:], rid)
+	var payload [completionLen]byte
+	p.encodeCompletion(payload[:], rid, 0)
 	p.postEntryOrDefer(p.peers[rank], classPWC, payload[:])
 }
 

@@ -111,10 +111,3 @@ func (q *CompQueue) Kick() { q.wake.Kick() }
 
 // Wake exposes the embedded latch for Notify/SetWakeSink plumbing.
 func (q *CompQueue) Wake() *WakeChan { return q.wake }
-
-// Len reports the queued completion count.
-func (q *CompQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.comps)
-}

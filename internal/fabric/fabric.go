@@ -140,9 +140,6 @@ func New(n int, m Model) *Fabric {
 // NumNodes returns the number of attached node slots.
 func (f *Fabric) NumNodes() int { return f.n }
 
-// Model returns the configured delay model.
-func (f *Fabric) Model() Model { return f.model }
-
 // Attach installs the frame handler for a node. It must be called once
 // per node before any frame addressed to it is delivered; frames
 // arriving at a node with no handler are dropped (counted in stats).

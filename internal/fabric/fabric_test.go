@@ -248,8 +248,8 @@ func TestConcurrentSenders(t *testing.T) {
 func TestQueueDepthDefault(t *testing.T) {
 	f := New(2, Model{})
 	defer f.Close()
-	if f.Model().QueueDepth != DefaultQueueDepth {
-		t.Fatalf("QueueDepth = %d", f.Model().QueueDepth)
+	if f.model.QueueDepth != DefaultQueueDepth {
+		t.Fatalf("QueueDepth = %d", f.model.QueueDepth)
 	}
 }
 

@@ -81,9 +81,6 @@ func NewRecorder(maxRecords, window int) *Recorder {
 	return &Recorder{max: maxRecords, window: window}
 }
 
-// Window returns the per-record trace-event retention bound.
-func (r *Recorder) Window() int { return r.window }
-
 // SetHook installs fn to run (on the recording goroutine) after every
 // Add — the chaos harness hangs its auto-dump here. Pass nil to clear.
 func (r *Recorder) SetHook(fn func(Record)) {
@@ -113,13 +110,6 @@ func (r *Recorder) Add(rec Record) {
 	if hook != nil {
 		hook(rec)
 	}
-}
-
-// Len reports the current record count.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.recs)
 }
 
 // Records returns a copy of the stored records, oldest first.

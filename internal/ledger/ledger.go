@@ -117,7 +117,6 @@ type Receiver struct {
 	head      int
 	wrap      uint32
 	consumed  int64 // credits not yet taken for return
-	total     int64 // lifetime entries consumed
 }
 
 // NewReceiver wraps buf (a subslice of registered memory) as a ledger
@@ -134,15 +133,6 @@ func NewReceiver(buf []byte, entrySize int, rlk sync.Locker) (*Receiver, error) 
 	}
 	return &Receiver{buf: buf, entrySize: entrySize, n: len(buf) / entrySize, rlk: rlk}, nil
 }
-
-// Slots returns the slot count.
-func (r *Receiver) Slots() int { return r.n }
-
-// EntrySize returns the entry size in bytes.
-func (r *Receiver) EntrySize() int { return r.entrySize }
-
-// Buf exposes the backing store (for registration/publication).
-func (r *Receiver) Buf() []byte { return r.buf }
 
 // Poll checks the head slot for a newly arrived entry. On success it
 // consumes the entry (advancing the head and accruing one returnable
@@ -207,7 +197,6 @@ func (r *Receiver) PollLocked() (Entry, bool) {
 		r.wrap++
 	}
 	r.consumed++
-	r.total++
 	return e, true
 }
 
@@ -219,20 +208,6 @@ func (r *Receiver) TakeCredits() int {
 	c := int(r.consumed)
 	r.consumed = 0
 	return c
-}
-
-// PendingCredits reports credits accrued but not yet taken.
-func (r *Receiver) PendingCredits() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return int(r.consumed)
-}
-
-// Total reports lifetime entries consumed.
-func (r *Receiver) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }
 
 // ---------------------------------------------------------------------
@@ -250,7 +225,6 @@ type Sender struct {
 	tail      int
 	wrap      uint32
 	credits   int
-	reserved  int64 // lifetime reservations
 }
 
 // NewSender builds the sending half for a remote ledger described by
@@ -261,29 +235,6 @@ func NewSender(rb mem.RemoteBuffer, entrySize int) (*Sender, error) {
 	}
 	n := rb.Len / entrySize
 	return &Sender{remote: rb, entrySize: entrySize, n: n, credits: n}, nil
-}
-
-// Slots returns the remote slot count.
-func (s *Sender) Slots() int { return s.n }
-
-// EntrySize returns the entry size in bytes.
-func (s *Sender) EntrySize() int { return s.entrySize }
-
-// MaxPayload returns the largest payload one entry can carry.
-func (s *Sender) MaxPayload() int { return s.entrySize - HeaderSize }
-
-// Credits returns the current credit balance.
-func (s *Sender) Credits() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.credits
-}
-
-// Reserved reports lifetime reservations.
-func (s *Sender) Reserved() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reserved
 }
 
 // Reserve claims the next remote slot, spending one credit. The caller
@@ -307,7 +258,6 @@ func (s *Sender) Reserve() (Reservation, error) {
 		s.tail = 0
 		s.wrap++
 	}
-	s.reserved++
 	return res, nil
 }
 

@@ -50,7 +50,7 @@ func (w *wirePair) push(t *testing.T, payload []byte) error {
 	if err := Encode(ent, res.Seq, payload); err != nil {
 		return err
 	}
-	copy(w.r.Buf()[off:], ent)
+	copy(w.r.buf[off:], ent)
 	return nil
 }
 
@@ -134,8 +134,8 @@ func TestFIFOOrder(t *testing.T) {
 
 func TestCreditExhaustionAndReturn(t *testing.T) {
 	w := newWirePair(t, 2)
-	if w.s.Credits() != 2 {
-		t.Fatalf("initial credits = %d", w.s.Credits())
+	if w.s.credits != 2 {
+		t.Fatalf("initial credits = %d", w.s.credits)
 	}
 	w.push(t, []byte{1})
 	w.push(t, []byte{2})
@@ -185,12 +185,6 @@ func TestWrapAroundSequences(t *testing.T) {
 		w.r.TakeCredits()
 		w.s.AddCredits(1)
 	}
-	if w.r.Total() != 6 {
-		t.Fatalf("total = %d", w.r.Total())
-	}
-	if w.s.Reserved() != 6 {
-		t.Fatalf("reserved = %d", w.s.Reserved())
-	}
 }
 
 func TestStaleEntryNotReRead(t *testing.T) {
@@ -212,7 +206,7 @@ func TestCorruptLengthClamped(t *testing.T) {
 	ent := make([]byte, entSize)
 	binary.LittleEndian.PutUint32(ent[0:], res.Seq)
 	binary.LittleEndian.PutUint32(ent[4:], 0xFFFFFF) // absurd length
-	copy(w.r.Buf()[res.Slot*entSize:], ent)
+	copy(w.r.buf[res.Slot*entSize:], ent)
 	e, ok := w.r.Poll()
 	if !ok {
 		t.Fatal("entry not visible")
@@ -224,10 +218,7 @@ func TestCorruptLengthClamped(t *testing.T) {
 
 func TestMaxPayload(t *testing.T) {
 	w := newWirePair(t, 2)
-	if w.s.MaxPayload() != entSize-HeaderSize {
-		t.Fatalf("MaxPayload = %d", w.s.MaxPayload())
-	}
-	big := make([]byte, w.s.MaxPayload())
+	big := make([]byte, entSize-HeaderSize)
 	for i := range big {
 		big[i] = byte(i)
 	}
@@ -242,16 +233,16 @@ func TestMaxPayload(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	w := newWirePair(t, 4)
-	if w.r.Slots() != 4 || w.s.Slots() != 4 {
-		t.Fatalf("slots = %d/%d", w.r.Slots(), w.s.Slots())
+	if w.r.n != 4 || w.s.n != 4 {
+		t.Fatalf("slots = %d/%d", w.r.n, w.s.n)
 	}
-	if w.r.EntrySize() != entSize || w.s.EntrySize() != entSize {
-		t.Fatal("entry size accessors wrong")
+	if w.r.entrySize != entSize || w.s.entrySize != entSize {
+		t.Fatal("entry size wrong")
 	}
 	w.push(t, []byte{1})
 	w.r.Poll()
-	if w.r.PendingCredits() != 1 {
-		t.Fatalf("pending = %d", w.r.PendingCredits())
+	if w.r.consumed != 1 {
+		t.Fatalf("pending = %d", w.r.consumed)
 	}
 }
 
@@ -294,8 +285,8 @@ func TestLedgerFIFOProperty(t *testing.T) {
 				}
 			}
 			// Conservation: credits + in-flight == slots.
-			inFlight := len(pushed) - len(polled) + r.PendingCredits()
-			if s.Credits()+inFlight != slots {
+			inFlight := len(pushed) - len(polled) + int(r.consumed)
+			if s.credits+inFlight != slots {
 				return false
 			}
 		}

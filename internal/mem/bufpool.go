@@ -7,9 +7,9 @@ import (
 
 // BufPool is a free list of fixed-size scratch buffers for hot-path
 // staging: ledger entries under construction, packed-message frames,
-// atomic result words. Unlike Pool it is plain heap memory (nothing is
-// registered) — it exists purely so the per-operation fast path stops
-// hitting the allocator and the GC.
+// atomic result words. It is plain heap memory (nothing is registered)
+// — it exists purely so the per-operation fast path stops hitting the
+// allocator and the GC.
 //
 // Get returns a buffer of exactly the requested length. Requests no
 // larger than the pool's buffer size are served from the free list;

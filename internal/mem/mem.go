@@ -1,18 +1,18 @@
-// Package mem manages registered memory for the Photon middleware.
+// Package mem holds the memory plumbing the engine and the socket-like
+// transports share. Registration itself belongs to the transport
+// (Backend.Register); this package provides what sits around it:
 //
-// RDMA transports require every buffer the NIC touches to be registered
-// (pinned) ahead of time, and registration is expensive — so middleware
-// like Photon registers a few large arenas once and sub-allocates from
-// them. This package provides the three pieces Photon needs:
-//
-//   - Pool: a fixed-slot pool carved from one registration, used for
-//     eager bounce buffers and ledger backing stores.
-//   - Slab: a first-fit variable-size allocator with coalescing over a
-//     registered arena, used for rendezvous staging when the caller's
-//     buffer is not registered.
-//   - Directory: the rkey directory mapping (rank, buffer id) to the
-//     remote base address and rkey, populated during the out-of-band
-//     exchange at Photon init time.
+//   - RemoteBuffer: the (address, rkey, length) descriptor of a remotely
+//     accessible region, what ranks exchange at init and what every
+//     one-sided operation targets.
+//   - Slab: a first-fit variable-size allocator with coalescing over an
+//     arena the transport registered, used for rendezvous staging when
+//     the caller's buffer is not registered.
+//   - BufPool: a bounded free list of heap scratch buffers for hot-path
+//     staging (bufpool.go).
+//   - RegTable: the registration table — rkey, bounds and alignment
+//     checks on every remote access — shared by the transports that
+//     apply remote operations in software (regtable.go).
 package mem
 
 import (
@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"photon/internal/verbs"
 )
 
 // Errors returned by allocators.
@@ -31,8 +29,8 @@ var (
 	ErrBadSize   = errors.New("mem: invalid size")
 )
 
-// RemoteBuffer names a remotely accessible region: what the rkey
-// directory stores and what Photon operations target.
+// RemoteBuffer names a remotely accessible region: what ranks exchange
+// at init and what Photon operations target.
 type RemoteBuffer struct {
 	Addr uint64 // remote virtual base address
 	RKey uint32
@@ -42,97 +40,6 @@ type RemoteBuffer struct {
 // Contains reports whether [off, off+n) lies within the buffer.
 func (rb RemoteBuffer) Contains(off uint64, n int) bool {
 	return off+uint64(n) <= uint64(rb.Len) && off+uint64(n) >= off
-}
-
-// ---------------------------------------------------------------------
-// Pool: fixed-size slots over one registration.
-// ---------------------------------------------------------------------
-
-// Slot is one fixed-size buffer handed out by a Pool.
-type Slot struct {
-	Index int
-	Buf   []byte
-	pool  *Pool
-}
-
-// RemoteAddr returns the NIC virtual address of the slot's first byte.
-func (s *Slot) RemoteAddr() uint64 {
-	return s.pool.mr.Base() + uint64(s.Index*s.pool.slotSize)
-}
-
-// Pool is a fixed-slot registered buffer pool.
-type Pool struct {
-	mr       *verbs.MR
-	arena    []byte
-	slotSize int
-	//photon:lock mempool 20
-	mu   sync.Mutex
-	free []int
-}
-
-// NewPool registers one arena of count*slotSize bytes on dev and carves
-// it into count slots.
-func NewPool(dev *verbs.Device, slotSize, count int, access verbs.Access) (*Pool, error) {
-	if slotSize <= 0 || count <= 0 {
-		return nil, fmt.Errorf("%w: slot=%d count=%d", ErrBadSize, slotSize, count)
-	}
-	arena := make([]byte, slotSize*count)
-	mr, err := dev.RegMR(arena, access)
-	if err != nil {
-		return nil, err
-	}
-	p := &Pool{mr: mr, arena: arena, slotSize: slotSize, free: make([]int, count)}
-	for i := range p.free {
-		p.free[i] = count - 1 - i // pop from the end -> ascending order out
-	}
-	return p, nil
-}
-
-// MR returns the pool's registration (for rkey publication).
-func (p *Pool) MR() *verbs.MR { return p.mr }
-
-// SlotSize returns the fixed slot size.
-func (p *Pool) SlotSize() int { return p.slotSize }
-
-// Cap returns the total slot count.
-func (p *Pool) Cap() int { return len(p.arena) / p.slotSize }
-
-// Available returns the number of free slots.
-func (p *Pool) Available() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}
-
-// Get pops a free slot, or returns ErrExhausted.
-func (p *Pool) Get() (*Slot, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.free) == 0 {
-		return nil, ErrExhausted
-	}
-	i := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	return &Slot{Index: i, Buf: p.arena[i*p.slotSize : (i+1)*p.slotSize], pool: p}, nil
-}
-
-// Put returns a slot to the pool. Returning a foreign slot is an error.
-func (p *Pool) Put(s *Slot) error {
-	if s == nil || s.pool != p {
-		return ErrNotOwned
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.free) >= p.Cap() {
-		return ErrNotOwned // double free
-	}
-	for _, f := range p.free {
-		if f == s.Index {
-			return ErrNotOwned // double free
-		}
-	}
-	p.free = append(p.free, s.Index)
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -159,7 +66,6 @@ type hole struct{ off, size int }
 // first-fit with free-list coalescing; allocations are rounded up to
 // the alignment granule (64 bytes, a cache line).
 type Slab struct {
-	mr    *verbs.MR // nil when constructed over an externally registered arena
 	base  uint64
 	arena []byte
 	//photon:lock slab 30
@@ -171,28 +77,9 @@ type Slab struct {
 // SlabAlign is the allocation granule.
 const SlabAlign = 64
 
-// NewSlab registers an arena of the given size on dev.
-func NewSlab(dev *verbs.Device, size int, access verbs.Access) (*Slab, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("%w: size=%d", ErrBadSize, size)
-	}
-	size = (size + SlabAlign - 1) &^ (SlabAlign - 1)
-	arena := make([]byte, size)
-	mr, err := dev.RegMR(arena, access)
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewSlabOver(arena, mr.Base())
-	if err != nil {
-		return nil, err
-	}
-	s.mr = mr
-	return s, nil
-}
-
-// NewSlabOver builds a slab over an arena that was registered
-// externally (for example by a Photon backend); base is the arena's
-// remote virtual base address. len(arena) must be a positive multiple
+// NewSlabOver builds a slab over an arena the caller registered (the
+// engine registers it through its backend); base is the arena's remote
+// virtual base address. len(arena) must be a positive multiple
 // of SlabAlign.
 func NewSlabOver(arena []byte, base uint64) (*Slab, error) {
 	if len(arena) == 0 || len(arena)%SlabAlign != 0 {
@@ -200,23 +87,6 @@ func NewSlabOver(arena []byte, base uint64) (*Slab, error) {
 	}
 	return &Slab{base: base, arena: arena, holes: []hole{{0, len(arena)}}}, nil
 }
-
-// MR returns the slab's registration, or nil for slabs built with
-// NewSlabOver.
-func (s *Slab) MR() *verbs.MR { return s.mr }
-
-// Base returns the arena's remote virtual base address.
-func (s *Slab) Base() uint64 { return s.base }
-
-// Used returns the number of bytes currently allocated.
-func (s *Slab) Used() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used
-}
-
-// Free bytes remaining (may be fragmented).
-func (s *Slab) Free() int { return len(s.arena) - s.Used() }
 
 // Alloc returns a block of at least n bytes, or ErrExhausted when no
 // hole fits.
@@ -275,69 +145,4 @@ func (s *Slab) Release(b *Block) error {
 	s.used -= b.size
 	b.slab = nil
 	return nil
-}
-
-// NumHoles reports free-list fragmentation (test/ablation aid).
-func (s *Slab) NumHoles() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.holes)
-}
-
-// ---------------------------------------------------------------------
-// Directory: the rkey directory.
-// ---------------------------------------------------------------------
-
-// BufferID names one published buffer class at a rank. Photon publishes
-// its ledgers and eager buffers under well-known IDs at init.
-type BufferID uint32
-
-// Directory maps (rank, id) to remote buffer descriptors. Reads
-// dominate after init, so it uses an RWMutex.
-type Directory struct {
-	//photon:lock dir 40
-	mu sync.RWMutex
-	m  map[dirKey]RemoteBuffer
-}
-
-type dirKey struct {
-	rank int
-	id   BufferID
-}
-
-// NewDirectory creates an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{m: make(map[dirKey]RemoteBuffer)}
-}
-
-// Publish records rank's buffer under id.
-func (d *Directory) Publish(rank int, id BufferID, rb RemoteBuffer) {
-	d.mu.Lock()
-	d.m[dirKey{rank, id}] = rb
-	d.mu.Unlock()
-}
-
-// Lookup resolves rank's buffer id.
-func (d *Directory) Lookup(rank int, id BufferID) (RemoteBuffer, bool) {
-	d.mu.RLock()
-	rb, ok := d.m[dirKey{rank, id}]
-	d.mu.RUnlock()
-	return rb, ok
-}
-
-// MustLookup is Lookup that panics on a missing entry; used after init
-// for buffers that are published unconditionally.
-func (d *Directory) MustLookup(rank int, id BufferID) RemoteBuffer {
-	rb, ok := d.Lookup(rank, id)
-	if !ok {
-		panic(fmt.Sprintf("mem: no directory entry for rank %d id %d", rank, id))
-	}
-	return rb
-}
-
-// Len returns the number of published entries.
-func (d *Directory) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.m)
 }

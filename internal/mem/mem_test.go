@@ -3,126 +3,22 @@ package mem
 import (
 	"testing"
 	"testing/quick"
-
-	"photon/internal/fabric"
-	"photon/internal/nicsim"
-	"photon/internal/verbs"
 )
 
-func newDev(t *testing.T) *verbs.Device {
+// slabBase is the remote base address the test slabs are built over.
+const slabBase = 0x10000
+
+func newSlab(t *testing.T, size int) *Slab {
 	t.Helper()
-	fab := fabric.New(1, fabric.Model{})
-	t.Cleanup(fab.Close)
-	d, err := verbs.Open(fab, 0, nicsim.Config{})
+	s, err := NewSlabOver(make([]byte, size), slabBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(d.Close)
-	return d
-}
-
-func TestPoolGetPut(t *testing.T) {
-	d := newDev(t)
-	p, err := NewPool(d, 128, 4, verbs.AccessAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Cap() != 4 || p.SlotSize() != 128 || p.Available() != 4 {
-		t.Fatalf("pool geometry wrong: cap=%d slot=%d avail=%d", p.Cap(), p.SlotSize(), p.Available())
-	}
-	s0, err := p.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s0.Index != 0 || len(s0.Buf) != 128 {
-		t.Fatalf("slot 0 = %+v", s0)
-	}
-	if s0.RemoteAddr() != p.MR().Base() {
-		t.Fatalf("slot 0 remote addr = %#x, want MR base %#x", s0.RemoteAddr(), p.MR().Base())
-	}
-	s1, _ := p.Get()
-	if s1.RemoteAddr() != p.MR().Base()+128 {
-		t.Fatalf("slot 1 remote addr = %#x", s1.RemoteAddr())
-	}
-	if p.Available() != 2 {
-		t.Fatalf("available = %d", p.Available())
-	}
-	if err := p.Put(s0); err != nil {
-		t.Fatal(err)
-	}
-	if p.Available() != 3 {
-		t.Fatalf("available after put = %d", p.Available())
-	}
-}
-
-func TestPoolExhaustion(t *testing.T) {
-	d := newDev(t)
-	p, _ := NewPool(d, 8, 2, verbs.AccessAll)
-	a, _ := p.Get()
-	b, _ := p.Get()
-	if _, err := p.Get(); err != ErrExhausted {
-		t.Fatalf("exhausted pool Get = %v", err)
-	}
-	p.Put(a)
-	p.Put(b)
-	if p.Available() != 2 {
-		t.Fatalf("available = %d", p.Available())
-	}
-}
-
-func TestPoolDoubleFreeAndForeign(t *testing.T) {
-	d := newDev(t)
-	p, _ := NewPool(d, 8, 2, verbs.AccessAll)
-	q, _ := NewPool(d, 8, 2, verbs.AccessAll)
-	s, _ := p.Get()
-	if err := p.Put(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Put(s); err != ErrNotOwned {
-		t.Fatalf("double free = %v", err)
-	}
-	qs, _ := q.Get()
-	if err := p.Put(qs); err != ErrNotOwned {
-		t.Fatalf("foreign slot = %v", err)
-	}
-	if err := p.Put(nil); err != ErrNotOwned {
-		t.Fatalf("nil slot = %v", err)
-	}
-}
-
-func TestPoolBadGeometry(t *testing.T) {
-	d := newDev(t)
-	if _, err := NewPool(d, 0, 4, verbs.AccessAll); err == nil {
-		t.Fatal("zero slot size accepted")
-	}
-	if _, err := NewPool(d, 8, 0, verbs.AccessAll); err == nil {
-		t.Fatal("zero count accepted")
-	}
-}
-
-func TestPoolSlotsDistinct(t *testing.T) {
-	d := newDev(t)
-	p, _ := NewPool(d, 16, 8, verbs.AccessAll)
-	seen := map[int]bool{}
-	for i := 0; i < 8; i++ {
-		s, err := p.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen[s.Index] {
-			t.Fatalf("slot %d handed out twice", s.Index)
-		}
-		seen[s.Index] = true
-		s.Buf[0] = byte(s.Index) // each slot has its own storage
-	}
+	return s
 }
 
 func TestSlabAllocRelease(t *testing.T) {
-	d := newDev(t)
-	s, err := NewSlab(d, 1024, verbs.AccessAll)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSlab(t, 1024)
 	b1, err := s.Alloc(100)
 	if err != nil {
 		t.Fatal(err)
@@ -133,32 +29,31 @@ func TestSlabAllocRelease(t *testing.T) {
 	if len(b1.Buf) != 128 {
 		t.Fatalf("buf len = %d", len(b1.Buf))
 	}
-	if b1.RemoteAddr() != s.MR().Base() {
+	if b1.RemoteAddr() != slabBase {
 		t.Fatalf("remote addr = %#x", b1.RemoteAddr())
 	}
-	if s.Used() != 128 {
-		t.Fatalf("used = %d", s.Used())
+	if s.used != 128 {
+		t.Fatalf("used = %d", s.used)
 	}
 	b2, _ := s.Alloc(64)
-	if b2.RemoteAddr() != s.MR().Base()+128 {
+	if b2.RemoteAddr() != slabBase+128 {
 		t.Fatalf("second block addr = %#x", b2.RemoteAddr())
 	}
 	if err := s.Release(b1); err != nil {
 		t.Fatal(err)
 	}
-	if s.Used() != 64 {
-		t.Fatalf("used after release = %d", s.Used())
+	if s.used != 64 {
+		t.Fatalf("used after release = %d", s.used)
 	}
 	// First-fit reuses the front hole.
 	b3, _ := s.Alloc(64)
-	if b3.RemoteAddr() != s.MR().Base() {
+	if b3.RemoteAddr() != slabBase {
 		t.Fatalf("first-fit violated: %#x", b3.RemoteAddr())
 	}
 }
 
 func TestSlabExhaustionAndCoalesce(t *testing.T) {
-	d := newDev(t)
-	s, _ := NewSlab(d, 256, verbs.AccessAll)
+	s := newSlab(t, 256)
 	a, _ := s.Alloc(64)
 	b, _ := s.Alloc(64)
 	c, _ := s.Alloc(64)
@@ -169,16 +64,16 @@ func TestSlabExhaustionAndCoalesce(t *testing.T) {
 	// Release in an order that requires both-side coalescing.
 	s.Release(b)
 	s.Release(dd)
-	if s.NumHoles() != 2 {
-		t.Fatalf("holes = %d, want 2", s.NumHoles())
+	if len(s.holes) != 2 {
+		t.Fatalf("holes = %d, want 2", len(s.holes))
 	}
 	s.Release(c) // bridges b..d into one hole
-	if s.NumHoles() != 1 {
-		t.Fatalf("holes after coalesce = %d, want 1", s.NumHoles())
+	if len(s.holes) != 1 {
+		t.Fatalf("holes after coalesce = %d, want 1", len(s.holes))
 	}
 	s.Release(a)
-	if s.NumHoles() != 1 || s.Used() != 0 {
-		t.Fatalf("full release: holes=%d used=%d", s.NumHoles(), s.Used())
+	if len(s.holes) != 1 || s.used != 0 {
+		t.Fatalf("full release: holes=%d used=%d", len(s.holes), s.used)
 	}
 	// Whole arena available again.
 	if _, err := s.Alloc(256); err != nil {
@@ -187,8 +82,7 @@ func TestSlabExhaustionAndCoalesce(t *testing.T) {
 }
 
 func TestSlabDoubleFree(t *testing.T) {
-	d := newDev(t)
-	s, _ := NewSlab(d, 256, verbs.AccessAll)
+	s := newSlab(t, 256)
 	b, _ := s.Alloc(64)
 	if err := s.Release(b); err != nil {
 		t.Fatal(err)
@@ -202,11 +96,13 @@ func TestSlabDoubleFree(t *testing.T) {
 }
 
 func TestSlabBadSize(t *testing.T) {
-	d := newDev(t)
-	if _, err := NewSlab(d, 0, verbs.AccessAll); err == nil {
-		t.Fatal("zero slab accepted")
+	if _, err := NewSlabOver(nil, slabBase); err == nil {
+		t.Fatal("empty arena accepted")
 	}
-	s, _ := NewSlab(d, 256, verbs.AccessAll)
+	if _, err := NewSlabOver(make([]byte, SlabAlign+1), slabBase); err == nil {
+		t.Fatal("arena that is not a multiple of SlabAlign accepted")
+	}
+	s := newSlab(t, 256)
 	if _, err := s.Alloc(0); err == nil {
 		t.Fatal("zero alloc accepted")
 	}
@@ -219,12 +115,8 @@ func TestSlabBadSize(t *testing.T) {
 // invariant used + sum(holes) == arena size, and releasing everything
 // restores a single hole.
 func TestSlabInvariantProperty(t *testing.T) {
-	d := newDev(t)
 	f := func(ops []uint8) bool {
-		s, err := NewSlab(d, 4096, verbs.AccessAll)
-		if err != nil {
-			return false
-		}
+		s := newSlab(t, 4096)
 		var live []*Block
 		for _, op := range ops {
 			if op%2 == 0 || len(live) == 0 {
@@ -244,7 +136,7 @@ func TestSlabInvariantProperty(t *testing.T) {
 			for _, b := range live {
 				sum += b.Size()
 			}
-			if s.Used() != sum {
+			if s.used != sum {
 				return false
 			}
 		}
@@ -253,42 +145,11 @@ func TestSlabInvariantProperty(t *testing.T) {
 				return false
 			}
 		}
-		return s.Used() == 0 && s.NumHoles() == 1
+		return s.used == 0 && len(s.holes) == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestDirectory(t *testing.T) {
-	dir := NewDirectory()
-	rb := RemoteBuffer{Addr: 0x2000, RKey: 7, Len: 4096}
-	dir.Publish(3, BufferID(1), rb)
-	got, ok := dir.Lookup(3, BufferID(1))
-	if !ok || got != rb {
-		t.Fatalf("lookup = %+v %v", got, ok)
-	}
-	if _, ok := dir.Lookup(3, BufferID(2)); ok {
-		t.Fatal("missing id found")
-	}
-	if _, ok := dir.Lookup(4, BufferID(1)); ok {
-		t.Fatal("missing rank found")
-	}
-	if dir.Len() != 1 {
-		t.Fatalf("len = %d", dir.Len())
-	}
-	if got := dir.MustLookup(3, BufferID(1)); got != rb {
-		t.Fatalf("MustLookup = %+v", got)
-	}
-}
-
-func TestDirectoryMustLookupPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDirectory().MustLookup(0, 0)
 }
 
 func TestRemoteBufferContains(t *testing.T) {

@@ -32,7 +32,6 @@ import (
 	"photon/internal/fabric"
 	"photon/internal/mem"
 	"photon/internal/nicsim"
-	"photon/internal/trace"
 	"photon/internal/verbs"
 )
 
@@ -253,9 +252,6 @@ func (j *Job) Endpoints() []*Endpoint { return j.eps }
 // Endpoint returns one rank's endpoint.
 func (j *Job) Endpoint(rank int) *Endpoint { return j.eps[rank] }
 
-// Fabric returns the underlying fabric.
-func (j *Job) Fabric() *fabric.Fabric { return j.fab }
-
 // Close shuts down all endpoints (and the fabric if the job owns it).
 func (j *Job) Close() {
 	for _, ep := range j.eps {
@@ -369,7 +365,6 @@ func (ep *Endpoint) Send(rank int, tag uint64, data []byte) (*SendHandle, error)
 			return nil, err
 		}
 		ep.framePool.Put(frame)
-		trace.Record(trace.KindPost, ep.rank, tag, "msg.eager.tx")
 		ep.mu.Lock()
 		ep.stats.eagerTx++
 		ep.mu.Unlock()
@@ -400,7 +395,6 @@ func (ep *Endpoint) Send(rank int, tag uint64, data []byte) (*SendHandle, error)
 		return nil, err
 	}
 	ep.framePool.Put(frame)
-	trace.Record(trace.KindProtocol, ep.rank, seq, "msg.rts.tx")
 	return &SendHandle{ep: ep, tok: tok, wait: wait}, nil
 }
 
@@ -689,7 +683,6 @@ func (ep *Endpoint) dispatchFrameLocked(src int, buf []byte) {
 	switch f.kind {
 	case kEager:
 		data := append([]byte(nil), f.payload...)
-		trace.Record(trace.KindLedger, ep.rank, f.tag, "msg.eager.rx")
 		ep.stats.eagerRx++
 		for i, r := range ep.posted {
 			ep.stats.matchScans++
@@ -710,7 +703,6 @@ func (ep *Endpoint) dispatchFrameLocked(src int, buf []byte) {
 			rkey: f.rkey,
 			seq:  f.seq,
 		}
-		trace.Record(trace.KindProtocol, ep.rank, u.seq, "msg.rts.rx")
 		ep.stats.rdzvRx++
 		for i, r := range ep.posted {
 			ep.stats.matchScans++
@@ -723,7 +715,6 @@ func (ep *Endpoint) dispatchFrameLocked(src int, buf []byte) {
 		ep.unexp = append(ep.unexp, u)
 	case kFIN:
 		seq := f.seq
-		trace.Record(trace.KindProtocol, ep.rank, seq, "msg.fin.rx")
 		if s, ok := ep.rdzvSrc[seq]; ok {
 			delete(ep.rdzvSrc, seq)
 			// Settle the send's flow-control credit and wait entry;

@@ -3,7 +3,6 @@ package nicsim
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Opcode identifies the kind of work a completion refers to.
@@ -74,7 +73,6 @@ type CQE struct {
 type CQ struct {
 	//photon:lock cq 30
 	mu       sync.Mutex
-	cond     *sync.Cond
 	ring     []CQE
 	head, sz int
 	overflow int64
@@ -92,13 +90,8 @@ func NewCQ(capacity int) *CQ {
 	if capacity < 1 {
 		capacity = 1
 	}
-	cq := &CQ{ring: make([]CQE, capacity)}
-	cq.cond = sync.NewCond(&cq.mu)
-	return cq
+	return &CQ{ring: make([]CQE, capacity)}
 }
-
-// Cap returns the queue capacity.
-func (c *CQ) Cap() int { return len(c.ring) }
 
 // Overflows reports how many completions were dropped due to overflow.
 func (c *CQ) Overflows() int64 {
@@ -117,7 +110,6 @@ func (c *CQ) push(e CQE) {
 	c.ring[(c.head+c.sz)%len(c.ring)] = e
 	c.sz++
 	c.fastLen.Store(int32(c.sz))
-	c.cond.Signal()
 	c.mu.Unlock()
 	if f := c.wakeHook.Load(); f != nil {
 		(*f)()
@@ -180,40 +172,6 @@ func (c *CQ) PollInto(dst []CQE) int {
 	c.fastLen.Store(int32(c.sz))
 	c.mu.Unlock()
 	return n
-}
-
-// WaitPoll blocks until at least one completion is available or the
-// timeout expires, then reaps up to max entries. A timeout <= 0 polls
-// once without blocking.
-func (c *CQ) WaitPoll(max int, timeout time.Duration) []CQE {
-	if got := c.Poll(max); len(got) > 0 || timeout <= 0 {
-		return got
-	}
-	deadline := time.Now().Add(timeout)
-	c.mu.Lock()
-	for c.sz == 0 {
-		// sync.Cond has no timed wait; use a waker goroutine per
-		// blocking call. WaitPoll is a convenience for tests and
-		// bootstrap paths, not the hot path (Photon polls).
-		done := make(chan struct{})
-		go func() {
-			select {
-			case <-time.After(time.Until(deadline)):
-				c.mu.Lock()
-				c.cond.Broadcast()
-				c.mu.Unlock()
-			case <-done:
-			}
-		}()
-		c.cond.Wait()
-		close(done)
-		if c.sz == 0 && !time.Now().Before(deadline) {
-			c.mu.Unlock()
-			return nil
-		}
-	}
-	c.mu.Unlock()
-	return c.Poll(max)
 }
 
 // FastLen reports the queue depth without locking: a cheap empty check

@@ -4,10 +4,10 @@
 // The model follows the InfiniBand verbs architecture:
 //
 //   - Memory regions (MR): user buffers registered with the NIC,
-//     addressable by a local key (lkey) and, for remote access, a remote
-//     key (rkey) plus a NIC-assigned virtual base address. Remote
-//     operations are bounds- and access-checked against the MR table,
-//     exactly the checks a hardware translation/protection table does.
+//     addressable for remote access by a remote key (rkey) plus a
+//     NIC-assigned virtual base address. Remote operations are bounds-
+//     and access-checked against the MR table, exactly the checks a
+//     hardware translation/protection table does.
 //   - Queue pairs (QP): reliable connected endpoints. Work requests are
 //     posted to a bounded send queue and executed in order by a per-QP
 //     engine goroutine; receives are posted to a receive queue consumed
@@ -75,7 +75,6 @@ type MR struct {
 	writes atomic.Uint64 // bumped after every remote write/atomic
 	buf    []byte
 	base   uint64
-	lkey   uint32
 	rkey   uint32
 	access Access
 }
@@ -96,17 +95,8 @@ func (m *MR) Base() uint64 { return m.base }
 // RKey returns the remote access key.
 func (m *MR) RKey() uint32 { return m.rkey }
 
-// LKey returns the local access key.
-func (m *MR) LKey() uint32 { return m.lkey }
-
 // Len returns the length of the registered buffer.
 func (m *MR) Len() int { return len(m.buf) }
-
-// Bytes returns the underlying registered buffer.
-func (m *MR) Bytes() []byte { return m.buf }
-
-// Access returns the permissions granted at registration.
-func (m *MR) Access() Access { return m.access }
 
 // Counters aggregates NIC activity, useful for ablation reporting.
 type Counters struct {
@@ -128,12 +118,6 @@ type Config struct {
 	SQDepth int
 	// RQDepth bounds posted receive buffers per QP (default 1024).
 	RQDepth int
-	// CQDepth bounds completion queue capacity (default 4096).
-	CQDepth int
-	// PendingRecvLimit bounds SENDs queued while no receive buffer is
-	// posted (infinite-RNR-retry emulation; default 1024, beyond which
-	// the QP moves to the error state).
-	PendingRecvLimit int
 	// StrictLocal, when true, requires every local buffer in a work
 	// request to lie within a registered MR, as real verbs do.
 	StrictLocal bool
@@ -146,12 +130,6 @@ func (c *Config) setDefaults() {
 	if c.RQDepth <= 0 {
 		c.RQDepth = 1024
 	}
-	if c.CQDepth <= 0 {
-		c.CQDepth = 4096
-	}
-	if c.PendingRecvLimit <= 0 {
-		c.PendingRecvLimit = 1024
-	}
 }
 
 // NIC is one simulated RDMA NIC attached to a fabric node.
@@ -163,7 +141,7 @@ type NIC struct {
 
 	//photon:lock nic 10
 	mu       sync.Mutex
-	mrsByKey map[uint32]*MR // rkey -> MR (rkey == lkey in this model)
+	mrsByKey map[uint32]*MR // rkey -> MR
 	nextKey  uint32
 	nextBase uint64
 	qps      map[uint32]*QP
@@ -207,9 +185,6 @@ func New(fab *fabric.Fabric, node int, cfg Config) (*NIC, error) {
 	return n, nil
 }
 
-// Node returns the fabric node index this NIC is attached to.
-func (n *NIC) Node() int { return n.node }
-
 // Counters returns a snapshot of activity counters.
 func (n *NIC) Counters() Counters {
 	return Counters{
@@ -245,7 +220,7 @@ func (n *NIC) RegisterMemory(buf []byte, access Access) (*MR, error) {
 	// guard gap so off-by-one remote addresses never alias regions.
 	sz := (uint64(len(buf)) + 0xFFF) &^ uint64(0xFFF)
 	n.nextBase += sz + 0x1000
-	mr := &MR{nic: n, buf: buf, base: base, lkey: key, rkey: key, access: access}
+	mr := &MR{nic: n, buf: buf, base: base, rkey: key, access: access}
 	n.mrsByKey[key] = mr
 	return mr, nil
 }

@@ -544,25 +544,6 @@ func TestCQPollInto(t *testing.T) {
 	}
 }
 
-func TestCQWaitPoll(t *testing.T) {
-	cq := NewCQ(4)
-	start := time.Now()
-	if got := cq.WaitPoll(1, 30*time.Millisecond); got != nil {
-		t.Fatalf("WaitPoll on empty = %v", got)
-	}
-	if time.Since(start) < 25*time.Millisecond {
-		t.Fatal("WaitPoll returned before timeout")
-	}
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cq.push(CQE{WRID: 5})
-	}()
-	got := cq.WaitPoll(1, time.Second)
-	if len(got) != 1 || got[0].WRID != 5 {
-		t.Fatalf("WaitPoll = %v", got)
-	}
-}
-
 func TestQPCloseStopsTraffic(t *testing.T) {
 	p := newPair(t, Config{})
 	p.qpA.Close()

@@ -40,6 +40,11 @@ type RecvWR struct {
 	Buf  []byte
 }
 
+// pendingRecvLimit bounds SENDs queued while no receive buffer is posted
+// (infinite-RNR-retry emulation); past it the responder NAKs with
+// StatusRNRExceeded.
+const pendingRecvLimit = 1024
+
 type qpState uint8
 
 const (
@@ -470,7 +475,7 @@ func (qp *QP) handleInbound(ib inbound) {
 		return
 	}
 	if len(qp.rq) == 0 {
-		if len(qp.pendingRecv) >= qp.nic.cfg.PendingRecvLimit {
+		if len(qp.pendingRecv) >= pendingRecvLimit {
 			qp.mu.Unlock()
 			// RNR retries exhausted: NAK the sender.
 			h := header{typ: fNak, srcQPN: qp.qpn, dstQPN: ib.h.srcQPN, psn: ib.h.psn}

@@ -49,9 +49,6 @@ func NewGlobalArray(l *Locality, blockBytes int) (*GlobalArray, error) {
 	return &GlobalArray{l: l, blockBytes: blockBytes, local: local, localLk: lk, descs: descs}, nil
 }
 
-// BlockBytes returns the per-rank block size.
-func (g *GlobalArray) BlockBytes() int { return g.blockBytes }
-
 // TotalBytes returns the global array length.
 func (g *GlobalArray) TotalBytes() int { return g.blockBytes * g.l.size }
 

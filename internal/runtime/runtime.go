@@ -303,9 +303,6 @@ func (l *Locality) Rank() int { return l.rank }
 // Size returns the job size.
 func (l *Locality) Size() int { return l.size }
 
-// Photon exposes the underlying middleware (for GAS setup).
-func (l *Locality) Photon() *core.Photon { return l.ph }
-
 // Counters returns an activity snapshot.
 func (l *Locality) Counters() Counters {
 	return Counters{

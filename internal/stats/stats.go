@@ -117,9 +117,6 @@ func (ss *SharedSample) Add(x float64) {
 	ss.mu.Unlock()
 }
 
-// AddDuration records a duration in nanoseconds.
-func (ss *SharedSample) AddDuration(d time.Duration) { ss.Add(float64(d.Nanoseconds())) }
-
 // Snapshot returns a copy of the current accumulator state.
 func (ss *SharedSample) Snapshot() Sample {
 	ss.mu.Lock()
@@ -191,11 +188,9 @@ func BucketBounds(b int) (lo, hi int64) {
 	return lo, lo + width
 }
 
-func bucketFor(ns int64) int { return Bucket(ns) }
-
 // Add records a nanosecond observation.
 func (h *Histogram) Add(ns int64) {
-	b := bucketFor(ns)
+	b := Bucket(ns)
 	h.buckets[b]++
 	h.sums[b] += float64(ns)
 	h.sample.Add(float64(ns))

@@ -31,15 +31,19 @@ const (
 	KindUser          // application-defined
 	KindReap          // completion handed to the application (Probe/Test/Wait)
 	KindLink          // span link: remote delivery carrying the initiator's context
-	KindWire          // transport frame event (apply/tx at the backend layer)
+	_                 // 9 is retired; KindShard keeps its value, which trace files carry as the TID
 	KindShard         // shard-engine event (enter/park/wake/steal)
 )
 
-var kindNames = [...]string{"none", "post", "complete", "ledger", "protocol", "progress", "user", "reap", "link", "wire", "shard"}
+var kindNames = [...]string{
+	KindNone: "none", KindPost: "post", KindComplete: "complete", KindLedger: "ledger",
+	KindProtocol: "protocol", KindProgress: "progress", KindUser: "user", KindReap: "reap",
+	KindLink: "link", KindShard: "shard",
+}
 
 // String returns the lowercase name of the kind.
 func (k Kind) String() string {
-	if int(k) < len(kindNames) {
+	if int(k) < len(kindNames) && kindNames[k] != "" {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
@@ -50,8 +54,8 @@ type Event struct {
 	Seq  uint64 // global sequence number, monotonically increasing
 	When time.Time
 	Kind Kind
-	Rank int    // locality the event refers to (-1 if n/a)
-	Peer int    // the other side of a cross-peer event: target rank on
+	Rank int // locality the event refers to (-1 if n/a)
+	Peer int // the other side of a cross-peer event: target rank on
 	//             a post, origin rank on a delivery (-1 if n/a)
 	Arg    uint64 // kind-specific argument (RID, slot index, ...)
 	Arg2   uint64 // secondary correlation id (local RID on a post; 0 if n/a)
@@ -92,9 +96,6 @@ func (r *Ring) Enable(on bool) { r.enabled.Store(on) }
 // Enabled reports whether the ring is recording.
 func (r *Ring) Enabled() bool { return r.enabled.Load() }
 
-// Cap returns the ring capacity in events.
-func (r *Ring) Cap() int { return len(r.slots) }
-
 // Record stores one event if the ring is enabled. Safe for concurrent
 // use.
 func (r *Ring) Record(kind Kind, rank int, arg uint64, msg string) {
@@ -118,7 +119,7 @@ func (r *Ring) RecordFull(kind Kind, rank, peer int, arg, arg2 uint64, peerNS in
 	s := &r.slots[seq&r.mask]
 	s.mu.Lock()
 	// Under wrap, a slow writer holding seq can lose the race to a fast
-	// writer holding seq+Cap that maps to the same slot. Keep the newest
+	// writer holding seq+capacity that maps to the same slot. Keep the newest
 	// event: overwriting it with the stale one would leave Snapshot with
 	// a hole at the head of the retained window.
 	if !s.ok || s.ev.Seq <= seq {
@@ -128,7 +129,8 @@ func (r *Ring) RecordFull(kind Kind, rank, peer int, arg, arg2 uint64, peerNS in
 	s.mu.Unlock()
 }
 
-// Len returns how many events are currently retained (<= Cap).
+// Len returns how many events are currently retained (at most the
+// ring's capacity).
 func (r *Ring) Len() int {
 	n := r.cursor.Load()
 	if n > uint64(len(r.slots)) {
@@ -152,17 +154,6 @@ func (r *Ring) Snapshot() []Event {
 	return out
 }
 
-// Reset clears all retained events and the sequence counter.
-func (r *Ring) Reset() {
-	for i := range r.slots {
-		s := &r.slots[i]
-		s.mu.Lock()
-		s.ok = false
-		s.mu.Unlock()
-	}
-	r.cursor.Store(0)
-}
-
 // Dump renders the snapshot as text, one event per line.
 func (r *Ring) Dump() string {
 	evs := r.Snapshot()
@@ -184,16 +175,4 @@ func (r *Ring) CountByKind() map[Kind]int {
 		m[e.Kind]++
 	}
 	return m
-}
-
-// Global is the process-wide ring used by the middleware when no
-// per-instance ring is configured. It starts disabled.
-var Global = NewRing(4096)
-
-// Record logs to the global ring.
-func Record(kind Kind, rank int, arg uint64, msg string) { Global.Record(kind, rank, arg, msg) }
-
-// RecordLink logs a span-link event to the global ring.
-func RecordLink(kind Kind, rank, peer int, arg uint64, peerNS int64, msg string) {
-	Global.RecordLink(kind, rank, peer, arg, peerNS, msg)
 }

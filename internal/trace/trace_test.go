@@ -55,28 +55,15 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 }
 
 func TestCapacityRounding(t *testing.T) {
-	if c := NewRing(1).Cap(); c != 16 {
-		t.Fatalf("min cap = %d, want 16", c)
-	}
-	if c := NewRing(17).Cap(); c != 32 {
-		t.Fatalf("cap = %d, want 32", c)
-	}
-	if c := NewRing(64).Cap(); c != 64 {
-		t.Fatalf("cap = %d, want 64", c)
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := NewRing(16)
-	r.Enable(true)
-	r.Record(KindUser, 2, 9, "a")
-	r.Reset()
-	if r.Len() != 0 || len(r.Snapshot()) != 0 {
-		t.Fatal("reset did not clear ring")
-	}
-	r.Record(KindUser, 2, 9, "b")
-	if evs := r.Snapshot(); len(evs) != 1 || evs[0].Seq != 0 {
-		t.Fatalf("post-reset sequence wrong: %+v", evs)
+	for _, c := range []struct{ ask, want int }{{1, 16}, {17, 32}, {64, 64}} {
+		r := NewRing(c.ask)
+		r.Enable(true)
+		for i := 0; i < 2*c.want; i++ {
+			r.Record(KindUser, 0, uint64(i), "")
+		}
+		if r.Len() != c.want {
+			t.Fatalf("NewRing(%d) retains %d events, want %d", c.ask, r.Len(), c.want)
+		}
 	}
 }
 
@@ -132,23 +119,14 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestGlobalRingDisabledByDefault(t *testing.T) {
-	if Global.Enabled() {
-		t.Fatal("global ring must start disabled")
-	}
-	Record(KindUser, 0, 0, "noop") // must not panic or record
-	if Global.Len() != 0 {
-		t.Fatal("global ring recorded while disabled")
-	}
-}
-
 // TestConcurrentWrapSnapshot races many wrapping writers against
 // repeated Snapshot calls. Invariants while racing: no duplicate
 // sequence numbers and snapshots sorted. At quiescence the ring must
-// hold exactly the newest Cap() events with no holes (a slow writer
+// hold exactly the newest 64 events (its capacity) with no holes (a slow writer
 // must never clobber a newer event that wrapped onto its slot).
 func TestConcurrentWrapSnapshot(t *testing.T) {
-	r := NewRing(64) // small: force many wraps
+	const capacity = 64 // small: force many wraps
+	r := NewRing(capacity)
 	r.Enable(true)
 	const writers = 8
 	const perWriter = 5000
@@ -195,15 +173,15 @@ func TestConcurrentWrapSnapshot(t *testing.T) {
 	if snapErr != nil {
 		t.Fatal(snapErr)
 	}
-	// Quiescent: the final snapshot must hold exactly the newest Cap()
-	// events, no holes.
+	// Quiescent: the final snapshot must hold exactly the newest
+	// capacity events, no holes.
 	evs := r.Snapshot()
-	if len(evs) != r.Cap() {
-		t.Fatalf("final snapshot has %d events, want %d", len(evs), r.Cap())
+	if len(evs) != capacity {
+		t.Fatalf("final snapshot has %d events, want %d", len(evs), capacity)
 	}
 	total := uint64(writers * perWriter)
 	for i, e := range evs {
-		if want := total - uint64(r.Cap()) + uint64(i); e.Seq != want {
+		if want := total - capacity + uint64(i); e.Seq != want {
 			t.Fatalf("hole in retained window: event %d has seq %d, want %d", i, e.Seq, want)
 		}
 	}

@@ -1,12 +1,12 @@
 // Package verbs is a thin convenience layer over the simulated NIC,
-// shaped like the subset of libibverbs that Photon's verbs backend
-// consumes: open a device, register memory, create completion queues
-// and queue pairs, post work, and poll completions.
+// shaped like the subset of libibverbs an RDMA middleware consumes:
+// open a device, register memory, create completion queues and queue
+// pairs, post work, and poll completions.
 //
-// The layer exists for the same reason Photon has a backend layer: the
-// middleware above it (package core) is written against this interface
-// and never touches nicsim types directly, which is what lets the TCP
-// backend substitute for the simulated-verbs backend.
+// Two packages sit on it: backend/vsim, which implements core.Backend
+// over one-sided verbs, and msg, the two-sided baseline. Both name
+// nicsim types only through the aliases below, so the verbs-shaped
+// surface they depend on is written down in one place.
 package verbs
 
 import (
@@ -40,19 +40,14 @@ type (
 const (
 	OpSend           = nicsim.OpSend
 	OpRDMAWrite      = nicsim.OpRDMAWrite
-	OpRDMAWriteImm   = nicsim.OpRDMAWriteImm
 	OpRDMARead       = nicsim.OpRDMARead
 	OpAtomicFetchAdd = nicsim.OpAtomicFetchAdd
 	OpAtomicCompSwap = nicsim.OpAtomicCompSwap
-	OpRecv           = nicsim.OpRecv
 
 	StatusOK = nicsim.StatusOK
 
-	AccessAll          = nicsim.AccessAll
-	AccessLocalWrite   = nicsim.AccessLocalWrite
-	AccessRemoteRead   = nicsim.AccessRemoteRead
-	AccessRemoteWrite  = nicsim.AccessRemoteWrite
-	AccessRemoteAtomic = nicsim.AccessRemoteAtomic
+	AccessAll        = nicsim.AccessAll
+	AccessRemoteRead = nicsim.AccessRemoteRead
 )
 
 // ErrTimeout is returned by PollN when completions do not arrive in
