@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"photon/internal/core"
 	"photon/internal/fabric"
@@ -137,4 +139,27 @@ func TestNotifyLatency(t *testing.T) {
 	if lat, err := NotifyLatencyPWC(e.Phs, descs, 30); err != nil || lat <= 0 {
 		t.Fatalf("notify: %v %v", lat, err)
 	}
+}
+
+// Moved from the deleted root bench_test.go: one packed send through a
+// NewEnv job, payload checked at the target.
+func TestBenchmarkHarnessSmoke(t *testing.T) {
+	var wg sync.WaitGroup
+	e, err := NewEnv(2, fabric.Model{}, core.Config{}, msg.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := e.Phs[0].SendBlocking(1, []byte("smoke"), 0, 1); err != nil {
+			t.Error(err)
+		}
+	}()
+	c, err := e.Phs[1].WaitRemote(1, 10*time.Second)
+	if err != nil || string(c.Data) != "smoke" {
+		t.Fatalf("smoke: %v %q", err, c.Data)
+	}
+	wg.Wait()
 }

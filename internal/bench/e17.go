@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -42,26 +43,32 @@ func runE17(scale float64) (*Report, error) {
 
 	lean := core.Config{LedgerSlots: 16, EagerEntrySize: 256, CompQueueDepth: 256, RdzvSlabSize: 64 << 10}
 
-	// Leg a: abort latency vs ranks, detector on/off.
+	// Leg a: abort latency vs ranks, detector on/off. The deadline-only
+	// column reads the configured deadline by construction, so a quick
+	// pass (scale < 0.5) takes it once per rank count instead of waiting
+	// the deadline out reps times.
 	const deadlineOnly = 500 * time.Millisecond
-	reps := scaled(5, scale)
-	if reps < 3 {
-		reps = 3
+	reps := max(3, int(5*scale))
+	offReps := reps
+	if scale < 0.5 {
+		offReps = 1
 	}
 	abort := stats.NewSeries("E17a: kill->abort latency (ms), worst survivor, allreduce vs ranks (vsim, 300us detect delay, median)",
 		"ranks", "deadline-only-ms", "detector-ms")
 	for _, n := range []int{4, 8, 16, 32} {
 		var off, on []float64
 		for rep := 0; rep < reps; rep++ {
-			// Detector disarmed: HeartbeatInterval 0 leaves the
-			// engine's peer-health plane dark, so the only way out of
-			// the collective is the whole-collective deadline.
-			ms, err := abortLatency(n, lean, 0, collectives.Config{Timeout: deadlineOnly})
-			if err != nil {
-				return nil, fmt.Errorf("E17a deadline n=%d: %w", n, err)
+			if rep < offReps {
+				// Detector disarmed: HeartbeatInterval 0 leaves the
+				// engine's peer-health plane dark, so the only way out
+				// of the collective is the whole-collective deadline.
+				ms, err := abortLatency(n, lean, 0, collectives.Config{Timeout: deadlineOnly})
+				if err != nil {
+					return nil, fmt.Errorf("E17a deadline n=%d: %w", n, err)
+				}
+				off = append(off, ms)
 			}
-			off = append(off, ms)
-			ms, err = abortLatency(n, lean, 200*time.Microsecond, collectives.Config{Timeout: benchWait})
+			ms, err := abortLatency(n, lean, 200*time.Microsecond, collectives.Config{Timeout: benchWait})
 			if err != nil {
 				return nil, fmt.Errorf("E17a detector n=%d: %w", n, err)
 			}
@@ -71,10 +78,7 @@ func runE17(scale float64) (*Report, error) {
 	}
 
 	// Leg b: shrink-then-continue vs restart goodput.
-	iters := scaled(400, scale)
-	if iters < 40 {
-		iters = 40
-	}
+	iters := max(40, scaled(400, scale))
 	const nB, vecLen = 16, 64
 	tbl := stats.NewTable(fmt.Sprintf("E17b: %d-rank job, %d x %d-double allreduces, one rank killed halfway (vsim, median-free single runs)", nB, iters, vecLen),
 		"strategy", "total-ms", "recovery-ms", "allreduces-done")
@@ -89,8 +93,13 @@ func runE17(scale float64) (*Report, error) {
 	}
 	tbl.Row("restart-from-scratch", ms(rsTotal), ms(rsRecover), iters+iters/2)
 
-	return &Report{ID: "E17", Title: "failure-aware collectives: abort latency and shrink goodput",
-		Series: []*stats.Series{abort}, Tables: []*stats.Table{tbl}}, nil
+	return &Report{Series: []*stats.Series{abort}, Tables: []*stats.Table{tbl}}, nil
+}
+
+func medianF(vs []float64) float64 {
+	s := append([]float64(nil), vs...)
+	sort.Float64s(s)
+	return s[len(s)/2]
 }
 
 // chaosEnv is a vsim cluster with every backend wrapped in one chaos
@@ -115,29 +124,19 @@ func newChaosEnv(n int, fm fabric.Model, coreCfg core.Config, ccfg collectives.C
 		phs:   make([]*core.Photon, n),
 		comms: make([]*collectives.Comm, n),
 	}
-	coreCfg = overlayObs(coreCfg)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
+	for r := range e.bes {
 		e.bes[r] = chaos.WrapGroup(cl.Backend(r), chaos.Plan{Seed: int64(r)}, e.group)
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			ph, err := core.Init(e.bes[r], coreCfg)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			e.phs[r] = ph
-			e.comms[r] = collectives.NewWithConfig(ph, ccfg)
-		}(r)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			cl.Close()
-			return nil, err
+	err = firstErr(eachRank(n, func(r int) (err error) {
+		if e.phs[r], err = core.Init(e.bes[r], coreCfg); err != nil {
+			return err
 		}
+		e.comms[r] = collectives.NewWithConfig(e.phs[r], ccfg)
+		return nil
+	}))
+	if err != nil {
+		e.Close()
+		return nil, err
 	}
 	return e, nil
 }
@@ -166,8 +165,8 @@ func abortLatency(n int, coreCfg core.Config, hb time.Duration, ccfg collectives
 	defer e.Close()
 
 	// One clean collective to settle arenas and schedules.
-	if errs := collectiveAll(e.comms, func(r int, c *collectives.Comm) error { return c.Barrier() }); firstErr(errs) != nil {
-		return 0, firstErr(errs)
+	if err := firstErr(eachRank(n, func(r int) error { return e.comms[r].Barrier() })); err != nil {
+		return 0, err
 	}
 	victim := n / 2
 	e.bes[victim].CrashAfterOps(2)
@@ -176,8 +175,8 @@ func abortLatency(n int, coreCfg core.Config, hb time.Duration, ccfg collectives
 	for r := range vecs {
 		vecs[r] = make([]float64, 16)
 	}
-	errs := collectiveAll(e.comms, func(r int, c *collectives.Comm) error {
-		err := c.AllreduceInPlace(vecs[r], collectives.OpSum)
+	errs := eachRank(n, func(r int) error {
+		err := e.comms[r].AllreduceInPlace(vecs[r], collectives.OpSum)
 		done[r] = time.Now()
 		return err
 	})
@@ -198,30 +197,6 @@ func abortLatency(n int, coreCfg core.Config, hb time.Duration, ccfg collectives
 		}
 	}
 	return worst, nil
-}
-
-// collectiveAll runs fn on every rank concurrently.
-func collectiveAll(comms []*collectives.Comm, fn func(r int, c *collectives.Comm) error) []error {
-	errs := make([]error, len(comms))
-	var wg sync.WaitGroup
-	for r, c := range comms {
-		wg.Add(1)
-		go func(r int, c *collectives.Comm) {
-			defer wg.Done()
-			errs[r] = fn(r, c)
-		}(r, c)
-	}
-	wg.Wait()
-	return errs
-}
-
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // detectorCfg arms the failure detector at benchmark cadence.
@@ -247,7 +222,8 @@ func shrinkContinue(n int, coreCfg core.Config, vecLen, iters int) (total, recov
 	start := time.Now()
 	var recStart, recEnd time.Time
 	var recMu sync.Mutex
-	errs := collectiveAll(e.comms, func(r int, c *collectives.Comm) error {
+	errs := eachRank(n, func(r int) error {
+		c := e.comms[r]
 		vec := make([]float64, vecLen)
 		for it := 0; it < iters; it++ {
 			if r == victim && it == half {
@@ -270,8 +246,15 @@ func shrinkContinue(n int, coreCfg core.Config, vecLen, iters int) (total, recov
 				recMu.Lock()
 				recEnd = time.Now()
 				recMu.Unlock()
-				c = nc
-				it-- // the aborted iteration is redone on the new comm
+				// Survivors can abort one iteration apart (a slow rank
+				// is still inside the allreduce the victim's last
+				// frames fed when the kill lands), so they agree on
+				// the earliest aborted iteration and all redo from it.
+				resume, rerr := nc.AllreduceScalar(float64(it), collectives.OpMin)
+				if rerr != nil {
+					return fmt.Errorf("resume point after shrink at iter %d: %w", it, rerr)
+				}
+				c, it = nc, int(resume)-1
 				continue
 			}
 		}
@@ -297,7 +280,8 @@ func restartFromScratch(n int, coreCfg core.Config, vecLen, iters int) (total, r
 		}
 		defer e.Close()
 		victim := nRanks / 2
-		errs := collectiveAll(e.comms, func(r int, c *collectives.Comm) error {
+		errs := eachRank(nRanks, func(r int) error {
+			c := e.comms[r]
 			vec := make([]float64, vecLen)
 			for it := 0; it < todo; it++ {
 				if kill && r == victim && it == half {

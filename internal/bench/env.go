@@ -1,13 +1,15 @@
-// Package bench contains the measurement routines behind every table
-// and figure of the reconstructed evaluation. cmd/photon-bench and the
-// top-level testing.B benchmarks both call into this package so the CLI
-// harness and `go test -bench` print the same quantities.
+// Package bench reconstructs the paper figures and fault timings that
+// the repository benchmark (benchmark/, the performance record) does
+// not report: size sweeps, rate against injector threads and window,
+// notification cost against posted-receive depth, the eager/rendezvous
+// crossover, ledger sizing, and recovery timings. cmd/photon-bench
+// prints them; the job-booting helpers here also serve the other
+// commands, the examples and core's external tests.
 //
 // Each routine isolates one comparison the paper's evaluation makes:
 // one-sided ledger completion versus two-sided matching at equal
 // transport cost (both run over the identical simulated NIC), eager
-// versus rendezvous, ledger sizing, injector scaling, backend
-// portability, and NIC atomics.
+// versus rendezvous, ledger sizing, injector scaling, and NIC atomics.
 package bench
 
 import (
@@ -15,7 +17,6 @@ import (
 	"net"
 	"sync"
 
-	"photon/internal/backend/shm"
 	"photon/internal/backend/tcp"
 	"photon/internal/backend/vsim"
 	"photon/internal/core"
@@ -24,43 +25,6 @@ import (
 	"photon/internal/msg"
 	"photon/internal/nicsim"
 )
-
-// Obs, when set, carries observability sinks into every Photon the
-// harness boots: experiments construct their own configs deep inside
-// Run, so the CLI debug flags publish a shared trace ring / metrics
-// registry here instead of threading parameters through every
-// experiment signature. Explicit sinks in an experiment's own config
-// win over the overlay.
-var Obs core.Config
-
-// ShardsOverride, when non-zero, forces EngineShards on every Photon
-// the harness boots whose config leaves it defaulted (the CLI -shards
-// flag). Experiments that sweep shard counts themselves (E14) instead
-// restrict their sweep to this value.
-var ShardsOverride int
-
-// BackendOverride, when non-empty, restricts backend-sweep experiments
-// to one transport: "vsim", "tcp", or "shm" (the CLI -backend flag).
-var BackendOverride string
-
-func overlayObs(cfg core.Config) core.Config {
-	if cfg.EngineShards == 0 && ShardsOverride != 0 {
-		cfg.EngineShards = ShardsOverride
-	}
-	if cfg.Trace == nil {
-		cfg.Trace = Obs.Trace
-	}
-	if cfg.MetricsTo == nil {
-		cfg.MetricsTo = Obs.MetricsTo
-	}
-	if Obs.Metrics {
-		cfg.Metrics = true
-	}
-	if cfg.TraceSampleShift == 0 {
-		cfg.TraceSampleShift = Obs.TraceSampleShift
-	}
-	return cfg
-}
 
 // Env bundles a Photon job and a two-sided baseline job built over
 // identical transports (separate fabrics with the same model so the
@@ -73,21 +37,16 @@ type Env struct {
 
 // NewEnv builds an n-rank environment. fm applies to both stacks.
 func NewEnv(n int, fm fabric.Model, coreCfg core.Config, msgCfg msg.Config) (*Env, error) {
-	cl, err := vsim.NewCluster(n, fm, nicsim.Config{})
+	e, err := NewPhotonOnly(n, fm, coreCfg)
 	if err != nil {
 		return nil, err
 	}
-	phs, err := initPhotons(cl, coreCfg)
+	e.MsgJob, err = msg.NewJob(n, fm, nicsim.Config{}, msgCfg)
 	if err != nil {
-		cl.Close()
+		e.Close()
 		return nil, err
 	}
-	job, err := msg.NewJob(n, fm, nicsim.Config{}, msgCfg)
-	if err != nil {
-		cl.Close()
-		return nil, err
-	}
-	return &Env{Cluster: cl, Phs: phs, MsgJob: job}, nil
+	return e, nil
 }
 
 // NewPhotonOnly builds just the Photon side (for experiments without a
@@ -97,7 +56,11 @@ func NewPhotonOnly(n int, fm fabric.Model, coreCfg core.Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	phs, err := initPhotons(cl, coreCfg)
+	phs := make([]*core.Photon, n)
+	err = firstErr(eachRank(n, func(r int) (err error) {
+		phs[r], err = core.Init(cl.Backend(r), coreCfg)
+		return err
+	}))
 	if err != nil {
 		cl.Close()
 		return nil, err
@@ -105,26 +68,30 @@ func NewPhotonOnly(n int, fm fabric.Model, coreCfg core.Config) (*Env, error) {
 	return &Env{Cluster: cl, Phs: phs}, nil
 }
 
-func initPhotons(cl *vsim.Cluster, cfg core.Config) ([]*core.Photon, error) {
-	cfg = overlayObs(cfg)
-	n := len(cl.Backends())
-	phs := make([]*core.Photon, n)
+// eachRank runs fn for every rank on its own goroutine — job boot,
+// buffer exchange and collectives all block on their peers — and
+// returns the per-rank errors.
+func eachRank(n int, fn func(r int) error) []error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			phs[r], errs[r] = core.Init(cl.Backend(r), cfg)
+			errs[r] = fn(r)
 		}(r)
 	}
 	wg.Wait()
+	return errs
+}
+
+func firstErr(errs []error) error {
 	for r, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("rank %d: %w", r, err)
+			return fmt.Errorf("rank %d: %w", r, err)
 		}
 	}
-	return phs, nil
+	return nil
 }
 
 // Close releases both stacks.
@@ -156,69 +123,24 @@ func ShareBuffers(phs []*core.Photon, size int) (bufs [][]byte, descs [][]mem.Re
 	bufs = make([][]byte, n)
 	descs = make([][]mem.RemoteBuffer, n)
 	lks = make([]sync.Locker, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			bufs[r] = make([]byte, size)
-			rb, lk, err := phs[r].RegisterBuffer(bufs[r])
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			lks[r] = lk
-			descs[r], errs[r] = phs[r].ExchangeBuffers(rb)
-		}(r)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, nil, nil, e
+	err = firstErr(eachRank(n, func(r int) error {
+		bufs[r] = make([]byte, size)
+		rb, lk, err := phs[r].RegisterBuffer(bufs[r])
+		if err != nil {
+			return err
 		}
+		lks[r] = lk
+		descs[r], err = phs[r].ExchangeBuffers(rb)
+		return err
+	}))
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	return bufs, descs, lks, nil
 }
 
-// NewShmPhotons boots an n-rank Photon job over the intra-host
-// shared-memory backend (same-process peers over SPSC rings).
-func NewShmPhotons(n int, cfg core.Config) ([]*core.Photon, func(), error) {
-	cfg = overlayObs(cfg)
-	cl, err := shm.NewCluster(n, shm.Config{})
-	if err != nil {
-		return nil, nil, err
-	}
-	phs := make([]*core.Photon, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			phs[r], errs[r] = core.Init(cl.Backend(r), cfg)
-		}(r)
-	}
-	wg.Wait()
-	cleanup := func() {
-		for _, p := range phs {
-			if p != nil {
-				p.Close()
-			}
-		}
-		cl.Close()
-	}
-	for r, err := range errs {
-		if err != nil {
-			cleanup()
-			return nil, nil, fmt.Errorf("shm rank %d: %w", r, err)
-		}
-	}
-	return phs, cleanup, nil
-}
-
 // NewTCPPhotons boots an n-rank Photon job over the loopback TCP
-// backend (for the backend-comparison experiment).
+// backend.
 func NewTCPPhotons(n int, cfg core.Config) ([]*core.Photon, func(), error) {
 	phs, _, cleanup, err := NewTCPPhotonsFT(n, cfg, nil)
 	return phs, cleanup, err
@@ -228,7 +150,6 @@ func NewTCPPhotons(n int, cfg core.Config) ([]*core.Photon, func(), error) {
 // exposed: tune edits each rank's tcp.Config before dialing, and the
 // returned backends let fault experiments sever live connections.
 func NewTCPPhotonsFT(n int, cfg core.Config, tune func(*tcp.Config)) ([]*core.Photon, []*tcp.Backend, func(), error) {
-	cfg = overlayObs(cfg)
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := range lns {
@@ -241,26 +162,17 @@ func NewTCPPhotonsFT(n int, cfg core.Config, tune func(*tcp.Config)) ([]*core.Ph
 	}
 	bes := make([]*tcp.Backend, n)
 	phs := make([]*core.Photon, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			tc := tcp.Config{Rank: r, Addrs: addrs, Listener: lns[r]}
-			if tune != nil {
-				tune(&tc)
-			}
-			be, err := tcp.New(tc)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			bes[r] = be
-			phs[r], errs[r] = core.Init(be, cfg)
-		}(r)
-	}
-	wg.Wait()
+	err := firstErr(eachRank(n, func(r int) (err error) {
+		tc := tcp.Config{Rank: r, Addrs: addrs, Listener: lns[r]}
+		if tune != nil {
+			tune(&tc)
+		}
+		if bes[r], err = tcp.New(tc); err != nil {
+			return err
+		}
+		phs[r], err = core.Init(bes[r], cfg)
+		return err
+	}))
 	cleanup := func() {
 		for _, p := range phs {
 			if p != nil {
@@ -268,11 +180,9 @@ func NewTCPPhotonsFT(n int, cfg core.Config, tune func(*tcp.Config)) ([]*core.Ph
 			}
 		}
 	}
-	for r, err := range errs {
-		if err != nil {
-			cleanup()
-			return nil, nil, nil, fmt.Errorf("tcp rank %d: %w", r, err)
-		}
+	if err != nil {
+		cleanup()
+		return nil, nil, nil, fmt.Errorf("tcp: %w", err)
 	}
 	return phs, bes, cleanup, nil
 }

@@ -2,14 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"photon/internal/apps"
 	"photon/internal/core"
 	"photon/internal/fabric"
 	"photon/internal/msg"
-	"photon/internal/runtime"
 	"photon/internal/stats"
 )
 
@@ -34,47 +31,56 @@ func (r *Report) Render() string {
 	return out
 }
 
-// Experiments lists the runnable experiment IDs in order.
+// experiment is one registry row: the ID the CLI selects by, the title
+// its report is printed under, and the routine that regenerates it.
+type experiment struct {
+	id, title string
+	run       func(scale float64) (*Report, error)
+}
+
+// registry is the one table of reconstructed experiments, in paper
+// order. An experiment is here only if no workload or per-layer metric
+// of the repository benchmark (BENCHMARK.json) reports its quantity.
+var registry = []experiment{
+	{"E1", "Fig 1: put latency vs message size (PWC / send / two-sided)", runE1},
+	{"E2", "Fig 2: get latency vs message size (GWC / two-sided pull)", runE2},
+	{"E3", "Fig 3: streaming bandwidth vs message size", runE3},
+	{"E4", "Fig 4: 8-byte message rate vs injector threads", runE4},
+	{"E5", "Fig 5: completion-notification overhead (ledger vs matching)", runE5},
+	{"E6", "Table 1: eager/rendezvous crossover sweep", runE6},
+	{"E7", "Table 2: ledger-size sensitivity + credit-policy ablation", runE7},
+	{"E12", "Fig 9: remote atomics latency and pipelined rate", runE12},
+	{"E13", "fault injection & recovery: link severs, frame loss, heartbeat sweep", runE13},
+	{"E17", "failure-aware collectives: kill->abort latency, shrink vs restart goodput", runE17},
+}
+
+// Experiments lists the runnable experiment IDs in registry order.
 func Experiments() []string {
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
-	sort.Strings(ids)
 	return ids
 }
 
 // Run executes one experiment. scale (0 < scale <= 1 typical) shrinks
 // iteration counts for quick runs; 1.0 is the full reconstruction.
 func Run(id string, scale float64) (*Report, error) {
-	fn, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, Experiments())
-	}
 	if scale <= 0 {
 		scale = 1
 	}
-	return fn(scale)
-}
-
-var registry = map[string]func(scale float64) (*Report, error){
-	"E1":  runE1,
-	"E2":  runE2,
-	"E3":  runE3,
-	"E4":  runE4,
-	"E5":  runE5,
-	"E6":  runE6,
-	"E7":  runE7,
-	"E8":  runE8,
-	"E9":  runE9,
-	"E10": runE10,
-	"E11": runE11,
-	"E12": runE12,
-	"E13": runE13,
-	"E14": runE14,
-	"E15": runE15,
-	"E16": runE16,
-	"E17": runE17,
+	for _, e := range registry {
+		if e.id != id {
+			continue
+		}
+		rep, err := e.run(scale)
+		if err != nil {
+			return nil, err
+		}
+		rep.ID, rep.Title = e.id, e.title
+		return rep, nil
+	}
+	return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, Experiments())
 }
 
 // warmProcess runs a short untimed traffic burst on scratch
@@ -133,7 +139,7 @@ func runE1(scale float64) (*Report, error) {
 		}
 		s.Row(float64(size), us(pwc), us(snd), us(base))
 	}
-	return &Report{ID: "E1", Title: "put latency vs message size", Series: []*stats.Series{s}}, nil
+	return &Report{Series: []*stats.Series{s}}, nil
 }
 
 // runE2 — Fig. 2: get latency vs. message size.
@@ -162,7 +168,7 @@ func runE2(scale float64) (*Report, error) {
 		}
 		s.Row(float64(size), us(g), us(b))
 	}
-	return &Report{ID: "E2", Title: "get latency vs message size", Series: []*stats.Series{s}}, nil
+	return &Report{Series: []*stats.Series{s}}, nil
 }
 
 // runE3 — Fig. 3: streaming bandwidth vs. message size.
@@ -191,7 +197,7 @@ func runE3(scale float64) (*Report, error) {
 		}
 		s.Row(float64(size), p/(1<<20), b/(1<<20))
 	}
-	return &Report{ID: "E3", Title: "streaming bandwidth vs message size", Series: []*stats.Series{s}}, nil
+	return &Report{Series: []*stats.Series{s}}, nil
 }
 
 // runE4 — Fig. 4: small-message rate vs. injector threads.
@@ -216,7 +222,7 @@ func runE4(scale float64) (*Report, error) {
 		}
 		s.Row(float64(threads), p/1e3, b/1e3)
 	}
-	return &Report{ID: "E4", Title: "message rate vs injector threads", Series: []*stats.Series{s}}, nil
+	return &Report{Series: []*stats.Series{s}}, nil
 }
 
 // runE5 — Fig. 5: completion-notification overhead: Photon's O(1)
@@ -250,7 +256,7 @@ func runE5(scale float64) (*Report, error) {
 		}
 		t.Row(clutter, us(p), us(b), float64(b)/float64(p))
 	}
-	return &Report{ID: "E5", Title: "completion notification overhead", Tables: []*stats.Table{t}}, nil
+	return &Report{Tables: []*stats.Table{t}}, nil
 }
 
 // runE6 — Table 1: eager/rendezvous crossover.
@@ -294,7 +300,7 @@ func runE6(scale float64) (*Report, error) {
 	if crossover > 0 {
 		t.Row("crossover", "-", "-", fmt.Sprintf("~%dB", crossover))
 	}
-	return &Report{ID: "E6", Title: "eager/rendezvous crossover", Tables: []*stats.Table{t}}, nil
+	return &Report{Tables: []*stats.Table{t}}, nil
 }
 
 // runE7 — Table 2: ledger-size sensitivity under saturation, with the
@@ -314,7 +320,7 @@ func runE7(scale float64) (*Report, error) {
 		}
 		s.Row(float64(slots), batched/1e3, perEntry/1e3)
 	}
-	return &Report{ID: "E7", Title: "ledger size sensitivity", Series: []*stats.Series{s}}, nil
+	return &Report{Series: []*stats.Series{s}}, nil
 }
 
 func throughputWithConfig(cfg core.Config, iters int) (float64, error) {
@@ -324,190 +330,6 @@ func throughputWithConfig(cfg core.Config, iters int) (float64, error) {
 	}
 	defer e.Close()
 	return SaturatedSendThroughput(e.Phs, 8, iters)
-}
-
-// runE8 — Fig. 6: GUPS scaling, photon atomics vs two-sided baseline.
-func runE8(scale float64) (*Report, error) {
-	updates := scaled(3000, scale)
-	s := stats.NewSeries("Fig 6 (reconstructed): GUPS (Kupdates/s) vs ranks",
-		"ranks", "photon-atomics", "baseline-reqack")
-	for _, n := range []int{2, 4, 8} {
-		cfg := apps.GUPSConfig{TableWordsPerRank: 1 << 12, UpdatesPerRank: updates, Seed: 42}
-		e, err := NewEnv(n, fabric.Model{}, core.Config{}, msg.Config{})
-		if err != nil {
-			return nil, err
-		}
-		pres, err := apps.RunGUPSPhoton(e.Phs, cfg)
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
-		bres, err := apps.RunGUPSBaseline(e.MsgJob, cfg)
-		e.Close()
-		if err != nil {
-			return nil, err
-		}
-		if pres.Checksum != bres.Checksum {
-			return nil, fmt.Errorf("E8: checksum mismatch %d vs %d", pres.Checksum, bres.Checksum)
-		}
-		s.Row(float64(n), pres.UpdatesPerSec/1e3, bres.UpdatesPerSec/1e3)
-	}
-	return &Report{ID: "E8", Title: "GUPS scaling", Series: []*stats.Series{s}}, nil
-}
-
-// runE9 — Fig. 7: stencil iteration time vs grid size, 4 ranks.
-func runE9(scale float64) (*Report, error) {
-	iters := scaled(30, scale)
-	s := stats.NewSeries("Fig 7 (reconstructed): stencil time per iteration (us) vs N (grid NxN, 4 ranks)",
-		"N", "photon-onesided", "baseline-sendrecv")
-	for _, n := range []int{64, 128, 256, 512} {
-		cfg := apps.StencilConfig{N: n, Iterations: iters}
-		// Both stacks get eager resources that fit one halo row.
-		e, err := NewEnv(4, fabric.Model{}, core.Config{EagerEntrySize: 16 * 1024}, msg.Config{EagerLimit: 16 * 1024})
-		if err != nil {
-			return nil, err
-		}
-		pres, err := apps.RunStencilPhoton(e.Phs, cfg)
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
-		bres, err := apps.RunStencilBaseline(e.MsgJob, cfg)
-		e.Close()
-		if err != nil {
-			return nil, err
-		}
-		if diff := pres.Checksum - bres.Checksum; diff > 1e-6 || diff < -1e-6 {
-			return nil, fmt.Errorf("E9: checksum mismatch %v vs %v", pres.Checksum, bres.Checksum)
-		}
-		s.Row(float64(n), us(pres.PerIter), us(bres.PerIter))
-	}
-	return &Report{ID: "E9", Title: "stencil halo exchange", Series: []*stats.Series{s}}, nil
-}
-
-// runE10 — Fig. 8: BFS TEPS vs ranks on the parcel runtime.
-func runE10(scale float64) (*Report, error) {
-	vertices := 1 << 12
-	if scale < 0.5 {
-		vertices = 1 << 10
-	}
-	s := stats.NewSeries("Fig 8 (reconstructed): BFS MTEPS vs ranks (parcels over PWC)",
-		"ranks", "photon-parcels")
-	for _, n := range []int{2, 4, 8} {
-		e, err := NewPhotonOnly(n, fabric.Model{}, core.Config{})
-		if err != nil {
-			return nil, err
-		}
-		locs := make([]*runtime.Locality, n)
-		for r, ph := range e.Phs {
-			l := runtime.NewLocality(ph, runtime.Config{Timeout: 60 * time.Second})
-			if err := apps.RegisterBFSActions(l); err != nil {
-				e.Close()
-				return nil, err
-			}
-			l.Start()
-			locs[r] = l
-		}
-		cfg := apps.BFSConfig{Vertices: vertices, Degree: 8, Seed: 13, Root: 0}
-		res, dist, err := apps.RunBFSParcels(locs, cfg)
-		for _, l := range locs {
-			l.Shutdown()
-		}
-		e.Close()
-		if err != nil {
-			return nil, err
-		}
-		// Validate against the serial reference every time.
-		ref := apps.BFSSerial(apps.GenGraph(cfg.Vertices, cfg.Degree, cfg.Seed), cfg.Root)
-		for v := range ref {
-			if dist[v] != ref[v] {
-				return nil, fmt.Errorf("E10: dist[%d]=%d want %d", v, dist[v], ref[v])
-			}
-		}
-		s.Row(float64(n), res.TEPS/1e6)
-	}
-	return &Report{ID: "E10", Title: "BFS over parcels", Series: []*stats.Series{s}}, nil
-}
-
-// runE11 — Table 3 plus the TCP data-path profile: backend latency
-// comparison, a put-latency sweep over the socket backend, and the
-// pipelined message rate / streaming bandwidth the coalescing writer
-// and cumulative acks were built for.
-func runE11(scale float64) (*Report, error) {
-	warmProcess(scaled(100, scale))
-	iters := scaled(200, scale)
-	t := stats.NewTable("Table 3 (reconstructed): one-way send latency (us) by backend",
-		"backend", "8B", "64KiB")
-	// Simulated verbs.
-	{
-		e, err := NewPhotonOnly(2, fabric.Model{}, core.Config{})
-		if err != nil {
-			return nil, err
-		}
-		small, err := PingPongSend(e.Phs, 8, iters)
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
-		big, err := PingPongSend(e.Phs, 64*1024, iters/4+1)
-		e.Close()
-		if err != nil {
-			return nil, err
-		}
-		t.Row("vsim-verbs", us(small), us(big))
-	}
-	// TCP loopback: the Table 3 row, then the data-path profile on the
-	// same job.
-	phs, cleanup, err := NewTCPPhotons(2, core.Config{})
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	small, err := PingPongSend(phs, 8, iters)
-	if err != nil {
-		return nil, err
-	}
-	big, err := PingPongSend(phs, 64*1024, iters/4+1)
-	if err != nil {
-		return nil, err
-	}
-	t.Row("tcp-sockets", us(small), us(big))
-
-	_, descs, _, err := ShareBuffers(phs, 1<<20)
-	if err != nil {
-		return nil, err
-	}
-	lat := stats.NewSeries("TCP one-way put latency (us) vs size (B)", "size", "put")
-	for size := 8; size <= 64<<10; size <<= 1 {
-		n := iters
-		if size >= 4<<10 {
-			n = iters/4 + 1
-		}
-		d, err := PingPongPWC(phs, descs, size, n)
-		if err != nil {
-			return nil, err
-		}
-		lat.Row(float64(size), us(d))
-	}
-	rate := stats.NewSeries("TCP pipelined 8B put rate (Kmsg/s) vs window", "window", "rate")
-	for _, w := range []int{1, 2, 4, 8, 16, 32} {
-		bw, err := StreamBandwidthPWC(phs, descs, 8, w, scaled(4000, scale))
-		if err != nil {
-			return nil, err
-		}
-		rate.Row(float64(w), bw/8/1e3)
-	}
-	bwT := stats.NewTable("TCP 64KiB streaming bandwidth (MiB/s) vs window",
-		"window", "MiB/s")
-	for _, w := range []int{1, 16} {
-		bw, err := StreamBandwidthPWC(phs, descs, 64<<10, w, scaled(400, scale))
-		if err != nil {
-			return nil, err
-		}
-		bwT.Row(w, bw/(1<<20))
-	}
-	return &Report{ID: "E11", Title: "backend comparison",
-		Tables: []*stats.Table{t, bwT}, Series: []*stats.Series{lat, rate}}, nil
 }
 
 // runE12 — Fig. 9: remote atomics vs two-sided emulation.
@@ -544,7 +366,7 @@ func runE12(scale float64) (*Report, error) {
 		}
 		s.Row(float64(w), r/1e3)
 	}
-	return &Report{ID: "E12", Title: "remote atomics", Series: []*stats.Series{s}, Tables: []*stats.Table{t}}, nil
+	return &Report{Series: []*stats.Series{s}, Tables: []*stats.Table{t}}, nil
 }
 
 // runE13 — fault injection & recovery (no paper figure: the paper
@@ -590,8 +412,7 @@ func runE13(scale float64) (*Report, error) {
 		}
 		loss.Row(fmt.Sprintf("%.0f%%", p*100), fmt.Sprintf("%d/%d", ok, sends), rate/1e3)
 	}
-	return &Report{ID: "E13", Title: "fault injection & recovery",
-		Tables: []*stats.Table{rec, good, loss}}, nil
+	return &Report{Tables: []*stats.Table{rec, good, loss}}, nil
 }
 
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	gort "runtime"
-	"sync"
 	"time"
 
 	"photon/internal/core"
@@ -14,35 +13,103 @@ import (
 
 const benchWait = 30 * time.Second
 
-// drainLocal runs one progress round and pops every available local
-// completion, decrementing *inflight; it idles if nothing moved.
-func drainLocal(ph *core.Photon, inflight *int) error {
-	ph.Progress()
-	popped := false
-	for {
-		c, ok := ph.PopLocal()
-		if !ok {
-			break
+// timeRanks runs every fn on its own goroutine and returns the wall
+// time until the last one finishes: the one clock, goroutine set and
+// error slots behind every measurement in this file.
+func timeRanks(fns ...func() error) (time.Duration, error) {
+	start := time.Now()
+	err := firstErr(eachRank(len(fns), func(r int) error { return fns[r]() }))
+	return time.Since(start), err
+}
+
+// loop adapts a per-iteration step (i = 1..iters) to a timeRanks body.
+func loop(iters int, step func(i int) error) func() error {
+	return func() error {
+		for i := 1; i <= iters; i++ {
+			if err := step(i); err != nil {
+				return fmt.Errorf("iteration %d: %w", i, err)
+			}
 		}
-		if c.Err != nil {
-			return c.Err
-		}
-		*inflight--
-		popped = true
+		return nil
 	}
-	if !popped {
-		idleYield(ph)
+}
+
+// perOp divides a timed run into its per-operation share.
+func perOp(elapsed time.Duration, ops int, err error) (time.Duration, error) {
+	if err != nil {
+		return 0, err
+	}
+	return elapsed / time.Duration(ops), nil
+}
+
+// perSecond converts a timed run of `units` (messages, bytes) to a rate.
+func perSecond(elapsed time.Duration, units float64, err error) (float64, error) {
+	if err != nil {
+		return 0, err
+	}
+	return units / elapsed.Seconds(), nil
+}
+
+// windowed posts iters operations (i = 1..iters, each surfacing one
+// local completion) with at most window in flight, reaping local
+// completions between posts and parking on a core.Waiter when a
+// progress round reaps nothing, then drains the tail.
+func windowed(ph *core.Photon, window, iters int, post func(i int) error) error {
+	w := core.NewWaiter(ph)
+	defer w.Release()
+	inflight := 0
+	for i := 1; i <= iters || inflight > 0; {
+		if i <= iters && inflight < window {
+			if err := post(i); err != nil {
+				return err
+			}
+			inflight++
+			i++
+			continue
+		}
+		ph.Progress()
+		popped := false
+		for {
+			c, ok := ph.PopLocal()
+			if !ok {
+				break
+			}
+			if c.Err != nil {
+				return c.Err
+			}
+			inflight--
+			popped = true
+		}
+		if !popped {
+			w.Idle()
+		}
 	}
 	return nil
 }
 
-// idleYield parks a dry progress loop on the engine's activity latch.
-// Spinning would starve the runtime's network poller on few-core hosts.
-func idleYield(ph *core.Photon) {
-	select {
-	case <-ph.BackendNotify():
-	case <-time.After(time.Millisecond):
+// drainRemote progresses ph until it has popped total remote
+// completions, calling idle after every dry round.
+func drainRemote(ph *core.Photon, total int, idle func()) error {
+	deadline := time.Now().Add(benchWait)
+	for got := 0; got < total; {
+		ph.Progress()
+		popped := false
+		for {
+			if _, ok := ph.PopRemote(); !ok {
+				break
+			}
+			got++
+			popped = true
+		}
+		if popped {
+			continue
+		}
+		idle()
+		if time.Now().After(deadline) {
+			return fmt.Errorf("remote drain stalled at %d/%d", got, total)
+		}
 	}
+	return nil
 }
 
 // warmupIters picks a short untimed warmup for a latency measurement.
@@ -72,48 +139,23 @@ func PingPongPWC(phs []*core.Photon, descs [][]mem.RemoteBuffer, size, iters int
 func pingPongPWCRun(phs []*core.Photon, descs [][]mem.RemoteBuffer, size, iters int, ridBase uint64) (time.Duration, error) {
 	payload0 := make([]byte, size)
 	payload1 := make([]byte, size)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	start := time.Now()
-	wg.Add(2)
-	go func() { // rank 0: initiator
-		defer wg.Done()
-		ph := phs[0]
-		for i := 1; i <= iters; i++ {
+	elapsed, err := timeRanks(
+		loop(iters, func(i int) error { // rank 0: initiator
 			rid := ridBase + uint64(i)
-			if err := ph.PutBlocking(1, payload0, descs[0][1], 0, 0, rid); err != nil {
-				errs[0] = err
-				return
+			if err := phs[0].PutBlocking(1, payload0, descs[0][1], 0, 0, rid); err != nil {
+				return err
 			}
-			if _, err := ph.WaitRemote(rid, benchWait); err != nil {
-				errs[0] = fmt.Errorf("pong %d: %w", i, err)
-				return
-			}
-		}
-	}()
-	go func() { // rank 1: responder
-		defer wg.Done()
-		ph := phs[1]
-		for i := 1; i <= iters; i++ {
+			_, err := phs[0].WaitRemote(rid, benchWait)
+			return err
+		}),
+		loop(iters, func(i int) error { // rank 1: responder
 			rid := ridBase + uint64(i)
-			if _, err := ph.WaitRemote(rid, benchWait); err != nil {
-				errs[1] = fmt.Errorf("ping %d: %w", i, err)
-				return
+			if _, err := phs[1].WaitRemote(rid, benchWait); err != nil {
+				return err
 			}
-			if err := ph.PutBlocking(0, payload1, descs[1][0], 0, 0, rid); err != nil {
-				errs[1] = err
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return elapsed / time.Duration(2*iters), nil
+			return phs[1].PutBlocking(0, payload1, descs[1][0], 0, 0, rid)
+		}))
+	return perOp(elapsed, 2*iters, err)
 }
 
 // PingPongSend measures the one-way latency of the message path
@@ -127,97 +169,61 @@ func PingPongSend(phs []*core.Photon, size, iters int) (time.Duration, error) {
 
 func pingPongSendRun(phs []*core.Photon, size, iters int, ridBase uint64) (time.Duration, error) {
 	payload := make([]byte, size)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	start := time.Now()
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		ph := phs[0]
-		for i := 1; i <= iters; i++ {
-			if err := ph.SendBlocking(1, payload, 0, ridBase+uint64(i)); err != nil {
-				errs[0] = err
-				return
+	elapsed, err := timeRanks(
+		loop(iters, func(i int) error {
+			rid := ridBase + uint64(i)
+			if err := phs[0].SendBlocking(1, payload, 0, rid); err != nil {
+				return err
 			}
-			if _, err := ph.WaitRemote(ridBase+uint64(i), benchWait); err != nil {
-				errs[0] = err
-				return
+			_, err := phs[0].WaitRemote(rid, benchWait)
+			return err
+		}),
+		loop(iters, func(i int) error {
+			rid := ridBase + uint64(i)
+			if _, err := phs[1].WaitRemote(rid, benchWait); err != nil {
+				return err
 			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		ph := phs[1]
-		for i := 1; i <= iters; i++ {
-			if _, err := ph.WaitRemote(ridBase+uint64(i), benchWait); err != nil {
-				errs[1] = err
-				return
-			}
-			if err := ph.SendBlocking(0, payload, 0, ridBase+uint64(i)); err != nil {
-				errs[1] = err
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return elapsed / time.Duration(2*iters), nil
+			return phs[1].SendBlocking(0, payload, 0, rid)
+		}))
+	return perOp(elapsed, 2*iters, err)
 }
+
+// requestReply times iters round trips of the two-sided pattern every
+// baseline here reduces to: rank 0 sends req under reqTag and blocks
+// for repTag, rank 1 blocks for reqTag and answers with rep.
+func requestReply(job *msg.Job, iters int, reqTag, repTag func(i int) uint64, req, rep []byte) (time.Duration, error) {
+	a, b := job.Endpoint(0), job.Endpoint(1)
+	return timeRanks(
+		loop(iters, func(i int) error {
+			if _, err := a.Send(1, reqTag(i), req); err != nil {
+				return err
+			}
+			_, err := a.RecvBlocking(1, repTag(i), nil, benchWait)
+			return err
+		}),
+		loop(iters, func(i int) error {
+			if _, err := b.RecvBlocking(0, reqTag(i), nil, benchWait); err != nil {
+				return err
+			}
+			_, err := b.Send(0, repTag(i), rep)
+			return err
+		}))
+}
+
+func fixedTag(tag uint64) func(int) uint64 { return func(int) uint64 { return tag } }
 
 // PingPongBaseline measures the two-sided baseline's one-way latency.
 func PingPongBaseline(job *msg.Job, size, iters int) (time.Duration, error) {
-	if _, err := pingPongBaselineRun(job, size, warmupIters(iters), 1<<42); err != nil {
+	payload := make([]byte, size)
+	run := func(iters int, tagBase uint64) (time.Duration, error) {
+		tag := func(i int) uint64 { return tagBase + uint64(i) }
+		elapsed, err := requestReply(job, iters, tag, tag, payload, payload)
+		return perOp(elapsed, 2*iters, err)
+	}
+	if _, err := run(warmupIters(iters), 1<<42); err != nil {
 		return 0, err
 	}
-	return pingPongBaselineRun(job, size, iters, 0)
-}
-
-func pingPongBaselineRun(job *msg.Job, size, iters int, tagBase uint64) (time.Duration, error) {
-	payload := make([]byte, size)
-	a, b := job.Endpoint(0), job.Endpoint(1)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	start := time.Now()
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			if _, err := a.Send(1, tagBase+uint64(i), payload); err != nil {
-				errs[0] = err
-				return
-			}
-			if _, err := a.RecvBlocking(1, tagBase+uint64(i), nil, benchWait); err != nil {
-				errs[0] = err
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			if _, err := b.RecvBlocking(0, tagBase+uint64(i), nil, benchWait); err != nil {
-				errs[1] = err
-				return
-			}
-			if _, err := b.Send(0, tagBase+uint64(i), payload); err != nil {
-				errs[1] = err
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return elapsed / time.Duration(2*iters), nil
+	return run(iters, 0)
 }
 
 // PingPongBaselineCluttered is PingPongBaseline with `clutter`
@@ -241,64 +247,23 @@ func PingPongBaselineCluttered(job *msg.Job, size, iters, clutter int) (time.Dur
 // `size` bytes (rank 0 reads rank 1's buffer; completion local).
 func GetLatencyGWC(phs []*core.Photon, descs [][]mem.RemoteBuffer, size, iters int) (time.Duration, error) {
 	dst := make([]byte, size)
-	ph := phs[0]
-	start := time.Now()
-	for i := 1; i <= iters; i++ {
-		if err := ph.GetWithCompletion(1, dst, descs[0][1], 0, uint64(i), 0); err != nil {
-			return 0, err
+	elapsed, err := timeRanks(loop(iters, func(i int) error {
+		if err := phs[0].GetWithCompletion(1, dst, descs[0][1], 0, uint64(i), 0); err != nil {
+			return err
 		}
-		if _, err := ph.WaitLocal(uint64(i), benchWait); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start) / time.Duration(iters), nil
+		_, err := phs[0].WaitLocal(uint64(i), benchWait)
+		return err
+	}))
+	return perOp(elapsed, iters, err)
 }
 
 // GetLatencyBaseline measures the two-sided pull: rank 0 sends a
 // request, rank 1 replies with the data — the software path a runtime
 // without RMA must use to read remote memory.
 func GetLatencyBaseline(job *msg.Job, size, iters int) (time.Duration, error) {
-	data := make([]byte, size)
-	a, b := job.Endpoint(0), job.Endpoint(1)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
 	const reqTag, repTag = 1 << 20, 1<<20 + 1
-	start := time.Now()
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			if _, err := a.Send(1, reqTag, nil); err != nil {
-				errs[0] = err
-				return
-			}
-			if _, err := a.RecvBlocking(1, repTag, nil, benchWait); err != nil {
-				errs[0] = err
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			if _, err := b.RecvBlocking(0, reqTag, nil, benchWait); err != nil {
-				errs[1] = err
-				return
-			}
-			if _, err := b.Send(0, repTag, data); err != nil {
-				errs[1] = err
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return elapsed / time.Duration(iters), nil
+	elapsed, err := requestReply(job, iters, fixedTag(reqTag), fixedTag(repTag), nil, make([]byte, size))
+	return perOp(elapsed, iters, err)
 }
 
 // StreamBandwidthPWC measures put bandwidth: rank 0 streams `iters`
@@ -306,220 +271,95 @@ func GetLatencyBaseline(job *msg.Job, size, iters int) (time.Duration, error) {
 // completions. Returns bytes per second.
 func StreamBandwidthPWC(phs []*core.Photon, descs [][]mem.RemoteBuffer, size, window, iters int) (float64, error) {
 	payload := make([]byte, size)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	start := time.Now()
-	wg.Add(2)
-	go func() { // initiator with window
-		defer wg.Done()
-		ph := phs[0]
-		inflight := 0
-		for i := 1; i <= iters; i++ {
-			if err := ph.PutBlocking(1, payload, descs[0][1], 0, uint64(i), uint64(i)); err != nil {
-				errs[0] = err
-				return
-			}
-			inflight++
-			for inflight >= window {
-				if err := drainLocal(ph, &inflight); err != nil {
-					errs[0] = err
-					return
-				}
-			}
-		}
-		for inflight > 0 {
-			if err := drainLocal(ph, &inflight); err != nil {
-				errs[0] = err
-				return
-			}
-		}
-	}()
-	go func() { // target drains remote completions
-		defer wg.Done()
-		ph := phs[1]
-		got := 0
-		deadline := time.Now().Add(benchWait)
-		for got < iters {
-			ph.Progress()
-			popped := false
-			for {
-				if _, ok := ph.PopRemote(); !ok {
-					break
-				}
-				got++
-				popped = true
-			}
-			if popped {
-				continue
-			}
-			idleYield(ph)
-			if time.Now().After(deadline) {
-				errs[1] = fmt.Errorf("bandwidth drain stalled at %d/%d", got, iters)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return float64(size) * float64(iters) / elapsed.Seconds(), nil
+	elapsed, err := timeRanks(
+		func() error { // initiator with window
+			return windowed(phs[0], window, iters, func(i int) error {
+				return phs[0].PutBlocking(1, payload, descs[0][1], 0, uint64(i), uint64(i))
+			})
+		},
+		func() error { // target drains remote completions
+			w := core.NewWaiter(phs[1])
+			defer w.Release()
+			return drainRemote(phs[1], iters, w.Idle)
+		})
+	return perSecond(elapsed, float64(size)*float64(iters), err)
 }
 
 // StreamBandwidthBaseline is the two-sided counterpart.
 func StreamBandwidthBaseline(job *msg.Job, size, window, iters int) (float64, error) {
 	payload := make([]byte, size)
 	a, b := job.Endpoint(0), job.Endpoint(1)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	start := time.Now()
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		var pending []*msg.SendHandle
-		for i := 0; i < iters; i++ {
-			h, err := a.Send(1, 1, payload)
-			if err != nil {
-				errs[0] = err
-				return
-			}
-			pending = append(pending, h)
-			if len(pending) >= window {
-				if err := pending[0].Wait(benchWait); err != nil {
-					errs[0] = err
-					return
+	elapsed, err := timeRanks(
+		func() error {
+			var pending []*msg.SendHandle
+			for i := 0; i < iters; i++ {
+				h, err := a.Send(1, 1, payload)
+				if err != nil {
+					return err
 				}
-				pending = pending[1:]
+				pending = append(pending, h)
+				if len(pending) >= window {
+					if err := pending[0].Wait(benchWait); err != nil {
+						return err
+					}
+					pending = pending[1:]
+				}
 			}
-		}
-		for _, h := range pending {
-			if err := h.Wait(benchWait); err != nil {
-				errs[0] = err
-				return
+			for _, h := range pending {
+				if err := h.Wait(benchWait); err != nil {
+					return err
+				}
 			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			if _, err := b.RecvBlocking(0, 1, nil, benchWait); err != nil {
-				errs[1] = err
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return float64(size) * float64(iters) / elapsed.Seconds(), nil
+			return nil
+		},
+		loop(iters, func(int) error {
+			_, err := b.RecvBlocking(0, 1, nil, benchWait)
+			return err
+		}))
+	return perSecond(elapsed, float64(size)*float64(iters), err)
 }
 
 // MessageRatePWC measures small-message injection rate: `threads`
 // goroutines on rank 0 issue 8-byte packed sends to rank 1, which
 // drains. Returns messages per second.
 func MessageRatePWC(phs []*core.Photon, threads, perThread int) (float64, error) {
-	var wg sync.WaitGroup
-	errs := make([]error, threads+1)
 	total := threads * perThread
-	start := time.Now()
+	fns := make([]func() error, 0, threads+1)
 	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			ph := phs[0]
-			payload := make([]byte, 8)
-			for i := 0; i < perThread; i++ {
-				if err := ph.SendBlocking(1, payload, 0, uint64(t*perThread+i+1)); err != nil {
-					errs[t] = err
-					return
-				}
-			}
-		}(t)
+		payload := make([]byte, 8)
+		base := uint64(t * perThread)
+		fns = append(fns, loop(perThread, func(i int) error {
+			return phs[0].SendBlocking(1, payload, 0, base+uint64(i))
+		}))
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ph := phs[1]
-		got := 0
-		deadline := time.Now().Add(benchWait)
-		for got < total {
-			ph.Progress()
-			popped := false
-			for {
-				if _, ok := ph.PopRemote(); !ok {
-					break
-				}
-				got++
-				popped = true
-			}
-			if popped {
-				continue
-			}
-			gort.Gosched()
-			if time.Now().After(deadline) {
-				errs[threads] = fmt.Errorf("rate drain stalled at %d/%d", got, total)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return float64(total) / elapsed.Seconds(), nil
+	fns = append(fns, func() error { return drainRemote(phs[1], total, gort.Gosched) })
+	elapsed, err := timeRanks(fns...)
+	return perSecond(elapsed, float64(total), err)
 }
 
 // MessageRateBaseline is the two-sided counterpart of MessageRatePWC.
 func MessageRateBaseline(job *msg.Job, threads, perThread int) (float64, error) {
 	a, b := job.Endpoint(0), job.Endpoint(1)
-	var wg sync.WaitGroup
-	errs := make([]error, threads+1)
 	total := threads * perThread
-	start := time.Now()
+	fns := make([]func() error, 0, threads+1)
 	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			payload := make([]byte, 8)
-			for i := 0; i < perThread; i++ {
-				if _, err := a.Send(1, 1, payload); err != nil {
-					errs[t] = err
-					return
-				}
-				if i%64 == 0 {
-					a.Progress()
-				}
+		payload := make([]byte, 8)
+		fns = append(fns, loop(perThread, func(i int) error {
+			if _, err := a.Send(1, 1, payload); err != nil {
+				return err
 			}
-		}(t)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < total; i++ {
-			if _, err := b.RecvBlocking(-1, 1, nil, benchWait); err != nil {
-				errs[threads] = err
-				return
+			if i%64 == 1 {
+				a.Progress()
 			}
-		}
-	}()
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
+			return nil
+		}))
 	}
-	return float64(total) / elapsed.Seconds(), nil
+	fns = append(fns, loop(total, func(int) error {
+		_, err := b.RecvBlocking(-1, 1, nil, benchWait)
+		return err
+	}))
+	elapsed, err := timeRanks(fns...)
+	return perSecond(elapsed, float64(total), err)
 }
 
 // NotifyLatencyPWC measures pure completion-notification latency: a
@@ -530,148 +370,49 @@ func NotifyLatencyPWC(phs []*core.Photon, descs [][]mem.RemoteBuffer, iters int)
 
 // AtomicLatency measures remote fetch-add round-trip latency.
 func AtomicLatency(phs []*core.Photon, descs [][]mem.RemoteBuffer, iters int) (time.Duration, error) {
-	ph := phs[0]
-	start := time.Now()
-	for i := 1; i <= iters; i++ {
-		if err := ph.FetchAdd(1, descs[0][1], 0, 1, uint64(i)); err != nil {
-			return 0, err
+	elapsed, err := timeRanks(loop(iters, func(i int) error {
+		if err := phs[0].FetchAdd(1, descs[0][1], 0, 1, uint64(i)); err != nil {
+			return err
 		}
-		if _, err := ph.WaitLocal(uint64(i), benchWait); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start) / time.Duration(iters), nil
+		_, err := phs[0].WaitLocal(uint64(i), benchWait)
+		return err
+	}))
+	return perOp(elapsed, iters, err)
 }
 
 // AtomicRate measures pipelined fetch-add throughput with a window.
 func AtomicRate(phs []*core.Photon, descs [][]mem.RemoteBuffer, window, iters int) (float64, error) {
 	ph := phs[0]
-	inflight := 0
-	start := time.Now()
-	for i := 1; i <= iters; i++ {
-		for {
-			err := ph.FetchAdd(1, descs[0][1], 0, 1, uint64(i))
-			if err == nil {
-				break
+	elapsed, err := timeRanks(func() error {
+		return windowed(ph, window, iters, func(i int) error {
+			for {
+				err := ph.FetchAdd(1, descs[0][1], 0, 1, uint64(i))
+				if !errors.Is(err, core.ErrWouldBlock) {
+					return err
+				}
+				ph.Progress()
 			}
-			if !errors.Is(err, core.ErrWouldBlock) {
-				return 0, err
-			}
-			ph.Progress()
-		}
-		inflight++
-		for inflight >= window {
-			if err := drainLocal(ph, &inflight); err != nil {
-				return 0, err
-			}
-		}
-	}
-	for inflight > 0 {
-		if err := drainLocal(ph, &inflight); err != nil {
-			return 0, err
-		}
-	}
-	return float64(iters) / time.Since(start).Seconds(), nil
+		})
+	})
+	return perSecond(elapsed, float64(iters), err)
 }
 
 // AtomicUpdateBaseline measures the two-sided emulation of a remote
 // fetch-add: request message, owner applies, ack with the old value
 // (the GUPS server loop distilled to a single pair).
 func AtomicUpdateBaseline(job *msg.Job, iters int) (time.Duration, error) {
-	a, b := job.Endpoint(0), job.Endpoint(1)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
 	const reqTag, ackTag = 1 << 21, 1<<21 + 1
-	start := time.Now()
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			if _, err := a.Send(1, reqTag, make([]byte, 8)); err != nil {
-				errs[0] = err
-				return
-			}
-			if _, err := a.RecvBlocking(1, ackTag, nil, benchWait); err != nil {
-				errs[0] = err
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		var counter uint64
-		for i := 0; i < iters; i++ {
-			if _, err := b.RecvBlocking(0, reqTag, nil, benchWait); err != nil {
-				errs[1] = err
-				return
-			}
-			counter++
-			if _, err := b.Send(0, ackTag, make([]byte, 8)); err != nil {
-				errs[1] = err
-				return
-			}
-		}
-		_ = counter
-	}()
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return elapsed / time.Duration(iters), nil
+	word := make([]byte, 8)
+	elapsed, err := requestReply(job, iters, fixedTag(reqTag), fixedTag(ackTag), word, word)
+	return perOp(elapsed, iters, err)
 }
 
 // SaturatedSendThroughput measures back-to-back packed send throughput
 // between ranks 0 and 1 (the quantity the ledger-size sweep plots).
 func SaturatedSendThroughput(phs []*core.Photon, size, iters int) (float64, error) {
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
 	payload := make([]byte, size)
-	start := time.Now()
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		ph := phs[0]
-		for i := 1; i <= iters; i++ {
-			if err := ph.SendBlocking(1, payload, 0, uint64(i)); err != nil {
-				errs[0] = err
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		ph := phs[1]
-		got := 0
-		deadline := time.Now().Add(benchWait)
-		for got < iters {
-			ph.Progress()
-			popped := false
-			for {
-				if _, ok := ph.PopRemote(); !ok {
-					break
-				}
-				got++
-				popped = true
-			}
-			if popped {
-				continue
-			}
-			gort.Gosched()
-			if time.Now().After(deadline) {
-				errs[1] = fmt.Errorf("throughput drain stalled at %d/%d", got, iters)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return float64(iters) / elapsed.Seconds(), nil
+	elapsed, err := timeRanks(
+		loop(iters, func(i int) error { return phs[0].SendBlocking(1, payload, 0, uint64(i)) }),
+		func() error { return drainRemote(phs[1], iters, gort.Gosched) })
+	return perSecond(elapsed, float64(iters), err)
 }
