@@ -62,7 +62,6 @@ func info(w io.Writer, cfg core.Config) error {
 	fmt.Fprintf(w, "  go:                 %s on %s/%s (%d CPUs)\n",
 		goruntime.Version(), goruntime.GOOS, goruntime.GOARCH, goruntime.NumCPU())
 	fmt.Fprintln(w, "  backends:           vsim (simulated IB verbs), tcp (loopback sockets), shm (intra-host SPSC rings)")
-	fmt.Fprintf(w, "  engine shards:      %d (peers partitioned rank %% shards)\n", eff.EngineShards)
 	fmt.Fprintf(w, "  ledger slots:       %d per ledger (pwc, eager, sys)\n", eff.LedgerSlots)
 	fmt.Fprintf(w, "  eager entry:        %d B\n", eff.EagerEntrySize)
 	fmt.Fprintf(w, "  eager threshold:    %d B (packed payload cap; larger sends rendezvous)\n", env.Phs[0].EagerThreshold())

@@ -37,24 +37,24 @@ func main() {
 		latency     = flag.Duration("latency", 0, "modeled one-way wire latency (vsim only)")
 		traceOut    = flag.String("trace", "", "write op-lifecycle events to this file as Chrome trace-event JSON")
 		sampleShift = flag.Int("trace-sample", 0, "observe 1 op in 2^shift (0 = every op)")
-		metricsFlag = flag.Bool("metrics", false, "print a latency/gauge snapshot after the run")
-		debugAddr   = flag.String("debug", "", "serve /metrics, /vars and /trace on this address during the run")
+		metricsFlag = flag.Bool("metrics", false, "print both ranks' merged latency/gauge snapshot after the run (histograms merged, gauges summed across ranks)")
+		debugAddr   = flag.String("debug", "", "serve /metrics, /vars and /trace on this address during the run (metrics merged as for -metrics)")
 	)
 	flag.Parse()
 
-	// Both ranks run in-process, so they can share one trace ring and
-	// one metrics registry; events and observations carry the rank.
-	cfg := core.Config{TraceSampleShift: *sampleShift}
+	// Both ranks run in-process, so they can share one trace ring
+	// (events carry the rank); each keeps its own metrics registry, and
+	// -metrics/-debug report the two merged: histograms bucket-exact,
+	// gauges summed, so a high-water gauge reads as the two ranks' sum.
+	cfg := core.Config{
+		TraceSampleShift: *sampleShift,
+		Metrics:          *metricsFlag || *debugAddr != "",
+	}
 	var ring *trace.Ring
 	if *traceOut != "" || *debugAddr != "" {
 		ring = trace.NewRing(1 << 16)
 		ring.Enable(true)
 		cfg.Trace = ring
-	}
-	var reg *metrics.Registry
-	if *metricsFlag || *debugAddr != "" {
-		reg = metrics.NewRegistry()
-		cfg.MetricsTo = reg
 	}
 
 	var phs []*core.Photon
@@ -77,9 +77,15 @@ func main() {
 		fatal(fmt.Errorf("unknown backend %q", *backend))
 	}
 
+	sources := make([]metrics.PeerSource, len(phs))
+	for r, ph := range phs {
+		sources[r] = metrics.PeerSource{Rank: r, Snap: ph.Metrics}
+	}
+	col := metrics.NewCollector(sources)
+	merged := func() *metrics.Snapshot { return col.Collect().Merged }
+
 	if *debugAddr != "" {
-		srv, err := metrics.Serve(*debugAddr,
-			func() *metrics.Snapshot { return phs[0].Metrics() },
+		srv, err := metrics.Serve(*debugAddr, merged,
 			map[string]*trace.Ring{"pingpong": ring})
 		if err != nil {
 			fatal(err)
@@ -117,7 +123,7 @@ func main() {
 
 	if *metricsFlag {
 		fmt.Println()
-		fmt.Print(phs[0].Metrics().Render())
+		fmt.Print(merged().Render())
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)

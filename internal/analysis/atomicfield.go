@@ -7,7 +7,7 @@ import (
 )
 
 // AtomicField is static race detection for mixed atomic/plain access to
-// struct fields — the shm ring head/tail cursors and the shard
+// struct fields — the shm ring head/tail cursors and the engine's
 // parked/credit mirrors are read by one goroutine while another
 // publishes, and a single plain load of such a field is a data race the
 // race detector only catches when the schedule cooperates.

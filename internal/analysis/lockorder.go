@@ -8,8 +8,8 @@ import (
 
 // LockOrder enforces the package's declared mutex acquisition order and
 // the no-blocking-under-lock rule, the invariants behind the engine's
-// shard0→owner fault-plane locking and every transport's agent/poster
-// split. Runtime detection of either bug is miserable: an inverted
+// ranked nesting (engine try-lock, arena, peer, rings) and every
+// transport's agent/poster split. Runtime detection of either bug is miserable: an inverted
 // acquisition deadlocks only under the exact interleaving that crosses
 // the two paths, and a blocking wait under a lock shows up as tail
 // latency, not a failure.

@@ -83,8 +83,8 @@ type Backend struct {
 	// polling instead of parking until the next transport event.
 	wake *core.WakeChan
 
-	// Armed op-count trigger (see group.go). Atomic: engine shards
-	// post concurrently and the trigger must fire exactly once.
+	// Armed op-count trigger (see group.go). Atomic: callers post
+	// concurrently and the trigger must fire exactly once.
 	crashIn atomic.Int64
 
 	//photon:lock chaos 10

@@ -80,7 +80,7 @@ func (g *Group) status(rank int) (dead, detected bool) {
 
 // Trigger state on Backend: deterministic crash/partition at the Nth
 // posted write from this rank. Counters are atomics so concurrent
-// shard posters race benignly — the trigger fires exactly once, on
+// posters race benignly — the trigger fires exactly once, on
 // whichever post crosses zero.
 
 // CrashAfterOps arms self-death at the n-th PostWrite from this rank

@@ -310,12 +310,12 @@ func shareTarget(t *testing.T, phs []*core.Photon, buf []byte) []mem.RemoteBuffe
 }
 
 // TestPhotonOverShm runs the full middleware stack — ledgers, credit
-// flow, token table, sharded engine — over the shm transport.
+// flow, token table, progress engine — over the shm transport.
 func TestPhotonOverShm(t *testing.T) {
-	phs := newShmJob(t, 2, core.Config{EngineShards: 2})
+	phs := newShmJob(t, 2, core.Config{})
 	buf := make([]byte, 4096)
 	d0 := shareTarget(t, phs, buf)
-	payload := []byte("sharded-shm-put")
+	payload := []byte("engine-shm-put")
 	if err := phs[0].PutBlocking(1, payload, d0[1], 0, 11, 22); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestPhotonOverShm(t *testing.T) {
 // steady state. Waits spin on Progress rather than parking (the
 // parked path's timer is not part of the data path).
 func TestShmPutAllocGuard(t *testing.T) {
-	phs := newShmJob(t, 2, core.Config{EngineShards: 2})
+	phs := newShmJob(t, 2, core.Config{})
 	buf := make([]byte, 4096)
 	d0 := shareTarget(t, phs, buf)
 	payload := make([]byte, 8)
@@ -431,7 +431,7 @@ func TestShmPutAllocGuard(t *testing.T) {
 func TestTracedShmPutAllocGuard(t *testing.T) {
 	ring := trace.NewRing(4096)
 	ring.Enable(true)
-	phs := newShmJob(t, 2, core.Config{EngineShards: 2, Trace: ring})
+	phs := newShmJob(t, 2, core.Config{Trace: ring})
 	buf := make([]byte, 4096)
 	d0 := shareTarget(t, phs, buf)
 	payload := make([]byte, 8)

@@ -258,7 +258,6 @@ func TestFlightRecorderCapturesPeerDown(t *testing.T) {
 		Trace:             ring,
 		Metrics:           true,
 		FlightRecords:     8,
-		FlightWindow:      64,
 	}, func(c *tcp.Config) {
 		c.ReconnectWindow = 150 * time.Millisecond
 		c.ReconnectBackoff = 10 * time.Millisecond

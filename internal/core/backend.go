@@ -174,8 +174,8 @@ type Backend interface {
 	// call runs on the event-producing goroutine, so the sink must be
 	// treated exactly like a channel kick: non-blocking, callable from
 	// any goroutine, coalescing — one call may stand for many events.
-	// The engine installs its shard fan-out here, which wakes every
-	// shard runner and every parked waiter at goroutine-handoff
+	// The engine installs its notifier fan-out here, which wakes every
+	// parked waiter and the BackendNotify latch at goroutine-handoff
 	// latency; a timer sleep would round every blocking wait up to
 	// kernel scheduler-tick granularity. Backends built on WakeChan get
 	// this for free.

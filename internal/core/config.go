@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"photon/internal/ledger"
-	"photon/internal/metrics"
 	"photon/internal/trace"
 )
 
@@ -82,11 +81,6 @@ type Config struct {
 	// ForceRendezvous disables the packed eager path in Send
 	// (ablation knob for the E6 crossover study).
 	ForceRendezvous bool
-	// DisablePackedPut forces PutWithCompletion to always issue the
-	// two-write direct protocol (data write + ledger entry) even for
-	// small payloads (ablation knob: the packed small-put fold is one
-	// of Photon's headline optimizations).
-	DisablePackedPut bool
 	// HeartbeatInterval arms the transport's failure detector (on
 	// backends implementing HealthBackend): links idle longer than the
 	// interval carry a heartbeat frame, suppressed while data flows.
@@ -111,15 +105,6 @@ type Config struct {
 	// — but spilling re-introduces allocation, so size this above the
 	// workload's harvest lag (Stats.RingOverflows counts spills).
 	CompQueueDepth int
-	// EngineShards partitions peers across independent progress-engine
-	// shards (rank % EngineShards), each with its own completion rings,
-	// sweep state, and notify latch, so progress scales with cores
-	// under heavy multi-peer traffic (default 1: the classic single
-	// engine). Drive shards together with Progress, singly
-	// with ProgressShard, or pin one background goroutine per shard
-	// with StartProgress. Per-peer ordering is unaffected; completions
-	// for peers on different shards may interleave arbitrarily.
-	EngineShards int
 
 	// Trace, when non-nil, receives this instance's op-lifecycle events;
 	// without it nothing is recorded. The ring must also be Enabled: a
@@ -136,21 +121,14 @@ type Config struct {
 	// by Photon.Metrics. Off by default: recording costs two atomic
 	// adds per op phase (still allocation-free).
 	Metrics bool
-	// MetricsTo, when non-nil, aggregates this instance's observations
-	// into a caller-owned shared registry (job-wide dashboards across
-	// in-process ranks); it implies Metrics.
-	MetricsTo *metrics.Registry
 	// FlightRecords arms the fault flight recorder: every
-	// healthy→suspect and →down peer transition snapshots the last
-	// FlightWindow trace events, the metrics registry, and the per-peer
-	// health counters into a bounded in-memory black box holding up to
+	// healthy→suspect and →down peer transition snapshots the last 256
+	// trace events, the metrics registry, and the per-peer health
+	// counters into a bounded in-memory black box holding up to
 	// FlightRecords records (Photon.FlightRecorder / FlightDump). Zero
 	// (the default) disables recording. Snapshots run on the fault
 	// plane, never on the op hot path.
 	FlightRecords int
-	// FlightWindow is how many of the most recent trace-ring events
-	// each flight record retains (default 256).
-	FlightWindow int
 }
 
 func (c *Config) setDefaults() error {
@@ -181,12 +159,6 @@ func (c *Config) setDefaults() error {
 	if c.CompQueueDepth < 1 {
 		return fmt.Errorf("photon: completion queue depth must be positive")
 	}
-	if c.EngineShards == 0 {
-		c.EngineShards = 1
-	}
-	if c.EngineShards < 1 || c.EngineShards > 256 {
-		return fmt.Errorf("photon: engine shard count %d out of range [1, 256]", c.EngineShards)
-	}
 	if c.TraceSampleShift < 0 || c.TraceSampleShift > 62 {
 		return fmt.Errorf("photon: trace sample shift %d out of range [0, 62]", c.TraceSampleShift)
 	}
@@ -199,11 +171,8 @@ func (c *Config) setDefaults() error {
 	if c.HeartbeatInterval > 0 && c.SuspectAfter < c.HeartbeatInterval {
 		return fmt.Errorf("photon: SuspectAfter %v shorter than HeartbeatInterval %v", c.SuspectAfter, c.HeartbeatInterval)
 	}
-	if c.FlightRecords < 0 || c.FlightWindow < 0 {
-		return fmt.Errorf("photon: flight-recorder bounds must be non-negative")
-	}
-	if c.FlightRecords > 0 && c.FlightWindow == 0 {
-		c.FlightWindow = 256
+	if c.FlightRecords < 0 {
+		return fmt.Errorf("photon: flight-recorder bound must be non-negative")
 	}
 	return nil
 }

@@ -642,21 +642,6 @@ func TestPackedPutSingleWireOp(t *testing.T) {
 	}
 }
 
-func TestPackedPutAblationDisables(t *testing.T) {
-	phs := newJob(t, 2, core.Config{DisablePackedPut: true})
-	target := make([]byte, 64)
-	descs, _ := registerAndShare(t, phs, 1, target)
-	if err := phs[0].PutWithCompletion(1, []byte{1, 2}, descs[1], 0, 0, 9); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := phs[1].WaitRemote(9, waitT); err != nil {
-		t.Fatal(err)
-	}
-	if st := phs[0].Stats(); st.PutsDirect != 1 || st.PutsPacked != 0 {
-		t.Fatalf("stats = %+v, want direct path", st)
-	}
-}
-
 func TestPackedPutBadAddressSurfacesError(t *testing.T) {
 	phs := newJob(t, 2, core.Config{})
 	// Descriptor that passes local Contains but points at unregistered

@@ -51,13 +51,10 @@ func (p *Photon) initFaultPoll() {
 
 // pollFaults is the Progress-driven fault sweep: peer health
 // transitions first (a down peer fails everything toward it at
-// once), then op deadlines. It is whole-instance work serialized by
-// shard 0's mutex (the caller); sweeping a peer owned by another
-// shard additionally takes that shard's mutex — lock order is always
-// shard 0 first, then the owning shard, so it can never deadlock
-// against the owning shard's engine (which takes only its own mutex)
-// or Close (which locks shards in ascending index order).
-func (p *Photon) pollFaults(s0 *engineShard) int {
+// once), then op deadlines. It runs under the engine mutex (the
+// caller), which also quiesces retryDeferred while a down peer's
+// deferred queues are dropped.
+func (p *Photon) pollFaults() int {
 	now := nowNanos()
 	if now < p.nextFaultNS {
 		return 0
@@ -65,7 +62,7 @@ func (p *Photon) pollFaults(s0 *engineShard) int {
 	p.nextFaultNS = now + p.faultPollNS
 	n := 0
 	if p.hbe != nil {
-		n += p.pollHealth(s0)
+		n += p.pollHealth()
 	}
 	if p.opTimeoutNS > 0 {
 		n += p.sweepDeadlines(now)
@@ -78,7 +75,7 @@ func (p *Photon) pollFaults(s0 *engineShard) int {
 // redials) from the backend's failure detector. Down is terminal:
 // once latched, the engine never resurrects the peer even if the
 // detector later reports it healthy.
-func (p *Photon) pollHealth(s0 *engineShard) int {
+func (p *Photon) pollHealth() int {
 	n := 0
 	for _, ps := range p.peers {
 		if ps.rank == p.rank {
@@ -113,17 +110,7 @@ func (p *Photon) pollHealth(s0 *engineShard) int {
 		case PeerDown:
 			p.traceEv(trace.KindProtocol, uint64(ps.rank), "peer.down")
 			p.peersDown.Add(1)
-			// Quiesce the peer's owning shard before dropping its
-			// deferred queues: retryDeferred snapshots and pops
-			// pendingWire around a post, and that window must not race
-			// the nil-out in failDeferred.
-			if ps.shard != s0 {
-				ps.shard.mu.Lock()
-				n += p.failPeer(ps)
-				ps.shard.mu.Unlock()
-			} else {
-				n += p.failPeer(ps)
-			}
+			n += p.failPeer(ps)
 		}
 		n++
 	}
@@ -197,7 +184,7 @@ func (p *Photon) failPeer(ps *peerState) int {
 
 // failAllInflight is the Close drain: every pending token, every
 // peer's deferred queues, and every open rendezvous send completes
-// with ErrClosed. Caller holds every shard mutex with p.closed already
+// with ErrClosed. Caller holds the engine mutex with p.closed already
 // set, so no new work can be posted concurrently and the engine is
 // quiescent.
 func (p *Photon) failAllInflight() {
@@ -230,7 +217,7 @@ func (p *Photon) failDeferred(ps *peerState, err error) int {
 		return 0
 	}
 	ps.deferred.Add(-dropped)
-	ps.shard.parked.Add(-dropped)
+	p.eng.parked.Add(-dropped)
 	for i := range wire {
 		p.failWire(&wire[i], err)
 	}
@@ -249,7 +236,7 @@ func (p *Photon) failDeferredWire(ps *peerState, err error) int {
 		return 0
 	}
 	ps.deferred.Add(-int64(len(wire)))
-	ps.shard.parked.Add(-int64(len(wire)))
+	p.eng.parked.Add(-int64(len(wire)))
 	for i := range wire {
 		p.failWire(&wire[i], err)
 	}

@@ -121,7 +121,7 @@ func TestLossyLinkNeverCorrupts(t *testing.T) {
 // When the transport NAKs (bad rkey), the initiator gets an error
 // completion rather than a hang.
 func TestRemoteAccessErrorSurfaces(t *testing.T) {
-	_, phs := faultJob(t, 2, core.Config{DisablePackedPut: true})
+	_, phs := faultJob(t, 2, core.Config{})
 	bogus := coreRemoteBuffer(0x4000, 9999, 4096)
 	if err := phs[0].PutWithCompletion(1, []byte{1}, bogus, 0, 5, 0); err != nil {
 		t.Fatal(err)

@@ -13,15 +13,18 @@ import (
 // itself). Armed by Config.FlightRecords; the fault sweep calls
 // captureFlight on every healthy→degraded and →down transition.
 //
-// captureFlight runs inside pollHealth, which holds shard 0's mutex
-// (and, for the down case, may go on to take the owning shard's
-// mutex). It therefore must NOT call Photon.Metrics() — that locks
-// every shard and would self-deadlock — and instead reads only
+// captureFlight runs inside pollHealth, which holds the engine mutex.
+// It therefore must NOT call Photon.Metrics() — that locks the engine
+// and would self-deadlock — and instead reads only
 // lock-free sources: the trace ring snapshot, the metrics registry
 // (atomic buckets), per-peer health atomics, and the backend's
 // TransportStats (which the StatsBackend contract requires to be safe
 // during operation). Allocation here is fine; transitions are rare,
 // cold events.
+
+// flightWindow is how many of the most recent trace-ring events each
+// flight record retains.
+const flightWindow = 256
 
 // captureFlight snapshots the engine into the flight recorder at one
 // peer-health transition. No-op when the recorder is unarmed.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"photon/internal/core"
+	"photon/internal/trace"
 )
 
 // TestEagerPutAllocGuard pins the zero-allocation property of the
@@ -14,7 +15,36 @@ import (
 // pooled buffer, token, or completion started escaping to the heap
 // again.
 func TestEagerPutAllocGuard(t *testing.T) {
-	p, dst := loopEnv(t, core.Config{})
+	allocs := putRoundTripAllocs(t, core.Config{})
+	t.Logf("eager put round trip: %.2f allocs/op", allocs)
+	if allocs > 1 {
+		t.Fatalf("eager put allocates %.2f times per op, want <= 1", allocs)
+	}
+}
+
+// TestTracedPutAllocGuard is the fully-observed variant of the eager
+// guard: trace ring enabled with every op sampled, so each round trip
+// records the full post → link → complete → reap lifecycle — and must
+// stay at zero allocations.
+func TestTracedPutAllocGuard(t *testing.T) {
+	ring := trace.NewRing(4096)
+	ring.Enable(true)
+	allocs := putRoundTripAllocs(t, core.Config{Trace: ring})
+	t.Logf("traced put round trip: %.2f allocs/op", allocs)
+	if allocs > 0 {
+		t.Fatalf("traced put allocates %.2f times per op, want 0", allocs)
+	}
+	if ring.CountByKind()[trace.KindPost] == 0 {
+		t.Fatal("trace ring recorded no post events — tracing was not active")
+	}
+}
+
+// putRoundTripAllocs warms a loopback engine built from cfg with 100
+// eager put round trips, then returns the average allocations of one
+// more.
+func putRoundTripAllocs(t *testing.T, cfg core.Config) float64 {
+	t.Helper()
+	p, dst := loopEnv(t, cfg)
 	payload := make([]byte, 8)
 	put := func() {
 		for {
@@ -32,11 +62,7 @@ func TestEagerPutAllocGuard(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		put()
 	}
-	allocs := testing.AllocsPerRun(200, put)
-	t.Logf("eager put round trip: %.2f allocs/op", allocs)
-	if allocs > 1 {
-		t.Fatalf("eager put allocates %.2f times per op, want <= 1", allocs)
-	}
+	return testing.AllocsPerRun(200, put)
 }
 
 // TestWaitAllocGuard pins the blocking waits' own cost: WaitLocal and

@@ -18,12 +18,12 @@ import (
 // or two atomic loads when they are off.
 type obsState struct {
 	ring *trace.Ring       // never nil after Init (a private, never-enabled ring without Config.Trace)
-	reg  *metrics.Registry // nil unless Config.Metrics/MetricsTo
+	reg  *metrics.Registry // nil unless Config.Metrics
 	mask uint64            // 2^TraceSampleShift - 1; 0 = sample every op
 	seq  atomic.Uint64     // post counter driving the sampling decision
 
 	// idleSeq drives the 1-in-64 sampling of idle progress-round
-	// phase observations (see progressShard): its own stream, so a
+	// phase observations (see Progress): its own stream, so a
 	// storm of empty polls never perturbs the op sampling draw.
 	idleSeq atomic.Uint64
 
@@ -55,10 +55,7 @@ func (p *Photon) initObs(cfg *Config) {
 	if p.obs.ring == nil {
 		p.obs.ring = trace.NewRing(0) // never enabled: record sites stay one atomic load
 	}
-	switch {
-	case cfg.MetricsTo != nil:
-		p.obs.reg = cfg.MetricsTo
-	case cfg.Metrics:
+	if cfg.Metrics {
 		p.obs.reg = metrics.NewRegistry()
 	}
 	if cfg.TraceSampleShift > 0 {
@@ -124,24 +121,6 @@ func (p *Photon) traceDelivery(sender int, ev *polledEvent, arg uint64, msg stri
 	o.ring.RecordLink(trace.KindLedger, p.rank, sender, arg, 0, msg)
 }
 
-// traceShard records a shard-engine event (KindShard, Peer = shard
-// index). Entry events share the op-post sampling stream
-// (TraceSampleShift) so a hot caller-driven progress loop does not
-// flood the ring; pass sampled=false for rare events (park/wake,
-// steals of already-sampled ops) that should always land.
-//
-//photon:hotpath
-func (p *Photon) traceShard(shard int, arg uint64, sampled bool, msg string) {
-	o := &p.obs
-	if !o.ring.Enabled() {
-		return
-	}
-	if sampled && o.mask != 0 && o.seq.Add(1)&o.mask != 0 {
-		return
-	}
-	o.ring.RecordFull(trace.KindShard, p.rank, shard, arg, 0, 0, msg)
-}
-
 // putTraceCtx writes the wire trace context — this rank and the op's
 // sampled post timestamp — at b[off:off+traceCtxSize].
 //
@@ -202,34 +181,14 @@ func (p *Photon) PeerClockOffset(rank int) (offsetNS, rttNS int64, ok bool) {
 func (p *Photon) Metrics() *metrics.Snapshot {
 	snap := p.obs.reg.Snapshot()
 	g := snap.Gauges
-	var localHW, remoteHW, overflows, parked, hints, reaps int64
-	for _, s := range p.shards {
-		if hw := s.localCQ.highWater(); hw > localHW {
-			localHW = hw
-		}
-		if hw := s.remoteCQ.highWater(); hw > remoteHW {
-			remoteHW = hw
-		}
-		overflows += s.localCQ.overflowCount() + s.remoteCQ.overflowCount()
-		parked += s.parked.Load()
-		hints += s.creditHintTotal.Load()
-		reaps += s.reaps.Load()
-	}
-	g.Set("local_cq_highwater", localHW)
-	g.Set("remote_cq_highwater", remoteHW)
-	g.Set("ring_overflows", overflows)
-	g.Set("deferred_parked", parked)
-	g.Set("credit_hint_pending", hints)
-
-	// Shard gauges: the aggregate reap count plus per-shard activity,
-	// so load imbalance across shards is directly observable.
-	g.Set("engine_shards", int64(len(p.shards)))
-	g.Set("engine_shard_reaps", reaps)
-	for _, s := range p.shards {
-		prefix := fmt.Sprintf("engine_shard%d_", s.idx)
-		g.Set(prefix+"reaps", s.reaps.Load())
-		g.Set(prefix+"sweeps", s.sweeps.Load())
-	}
+	eng := &p.eng
+	g.Set("local_cq_highwater", eng.localCQ.highWater())
+	g.Set("remote_cq_highwater", eng.remoteCQ.highWater())
+	g.Set("ring_overflows", eng.localCQ.overflowCount()+eng.remoteCQ.overflowCount())
+	g.Set("deferred_parked", eng.parked.Load())
+	g.Set("credit_hint_pending", eng.creditHintTotal.Load())
+	g.Set("engine_reaps", eng.reaps.Load())
+	g.Set("engine_sweeps", eng.sweeps.Load())
 
 	// Failure-path gauges: always exported (0 when the fault plane is
 	// disarmed) so dashboards and smoke tests can rely on the names.
@@ -237,29 +196,27 @@ func (p *Photon) Metrics() *metrics.Snapshot {
 	g.Set("peer_suspect_transitions", p.suspectTransitions.Load())
 	g.Set("peers_down", p.peersDown.Load())
 
-	// Per-peer gauges. consumed/lastReturned are owning-shard-engine
-	// and peer-mutex state respectively; take the same locks the
-	// engine does so a snapshot during live traffic stays race-free.
-	for _, s := range p.shards {
-		s.mu.Lock()
-		for _, ps := range s.peers {
-			if ps.rank == p.rank {
-				continue
-			}
-			var consumed, unreturned int64
-			ps.mu.Lock()
-			for cl := 0; cl < numClasses; cl++ {
-				consumed += ps.consumed[cl]
-				unreturned += ps.consumed[cl] - ps.lastReturned[cl]
-			}
-			ps.mu.Unlock()
-			prefix := fmt.Sprintf("peer%d_", ps.rank)
-			g.Set(prefix+"deferred", ps.deferred.Load())
-			g.Set(prefix+"entries_consumed", consumed)
-			g.Set(prefix+"credits_unreturned", unreturned)
+	// Per-peer gauges. consumed/lastReturned are engine and peer-mutex
+	// state respectively; take the same locks the engine does so a
+	// snapshot during live traffic stays race-free.
+	eng.mu.Lock()
+	for _, ps := range p.peers {
+		if ps.rank == p.rank {
+			continue
 		}
-		s.mu.Unlock()
+		var consumed, unreturned int64
+		ps.mu.Lock()
+		for cl := 0; cl < numClasses; cl++ {
+			consumed += ps.consumed[cl]
+			unreturned += ps.consumed[cl] - ps.lastReturned[cl]
+		}
+		ps.mu.Unlock()
+		prefix := fmt.Sprintf("peer%d_", ps.rank)
+		g.Set(prefix+"deferred", ps.deferred.Load())
+		g.Set(prefix+"entries_consumed", consumed)
+		g.Set(prefix+"credits_unreturned", unreturned)
 	}
+	eng.mu.Unlock()
 
 	// Transport-level gauges, when the backend measures itself (the
 	// TCP backend exports its data-path coalescing counters here).

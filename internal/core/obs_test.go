@@ -396,27 +396,33 @@ func TestMergedTraceAcrossPeers(t *testing.T) {
 }
 
 // TestMetricsConcurrentWithTraffic hammers Metrics() from a dedicated
-// goroutine while puts flow into a sharded rank driven by background
-// runners. The per-peer gauge section walks shard- and peer-mutex
+// goroutine while puts flow into a rank driven by a separate Progress
+// goroutine. The per-peer gauge section walks engine- and peer-mutex
 // state, so a snapshot during live traffic must be race-free (this
-// test runs under -race in CI).
+// test runs under -race in CI). The engine's aggregate reap and sweep
+// gauges must be exported and count the traffic.
 func TestMetricsConcurrentWithTraffic(t *testing.T) {
 	ring := trace.NewRing(4096)
 	ring.Enable(true)
-	phs := newJob(t, 3, core.Config{EngineShards: 2, Metrics: true, Trace: ring})
+	phs := newJob(t, 3, core.Config{Metrics: true, Trace: ring})
 	buf := make([]byte, 4096)
 	descs, _ := registerAndShare(t, phs, 0, buf)
-	phs[0].StartProgress()
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	wg.Add(1)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			phs[0].Progress()
+		}
+	}()
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
 			snap := phs[0].Metrics()
-			if _, ok := snap.Gauges.Get("engine_shards"); !ok {
-				t.Error("engine_shards gauge missing from concurrent snapshot")
+			if _, ok := snap.Gauges.Get("engine_reaps"); !ok {
+				t.Error("engine_reaps gauge missing from concurrent snapshot")
 				return
 			}
 		}
@@ -457,6 +463,16 @@ func TestMetricsConcurrentWithTraffic(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+	// The target swept every delivery in; each source reaped its own
+	// signaled puts' backend completions.
+	for _, g := range []struct {
+		rank int
+		name string
+	}{{0, "engine_sweeps"}, {1, "engine_reaps"}, {2, "engine_reaps"}} {
+		if v, ok := phs[g.rank].Metrics().Gauges.Get(g.name); !ok || v <= 0 {
+			t.Errorf("rank %d %s = %d ok=%v, want > 0", g.rank, g.name, v, ok)
+		}
+	}
 }
 
 // TestTraceSampling checks TraceSampleShift thins op posts: with a

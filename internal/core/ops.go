@@ -69,7 +69,7 @@ func (p *Photon) PutWithCompletion(rank int, local []byte, dst mem.RemoteBuffer,
 	// instead of two. Puts without a remote RID stay strictly
 	// one-sided (placement must not depend on target progress), so
 	// they always use the direct write.
-	if remoteRID != 0 && !p.cfg.DisablePackedPut &&
+	if remoteRID != 0 &&
 		len(local) <= p.cfg.EagerEntrySize-ledger.HeaderSize-packedPutHdrSize {
 		return p.putPacked(ps, rank, local, dst.Addr+off, dst.RKey, localRID, remoteRID, ts)
 	}
@@ -490,7 +490,7 @@ func (p *Photon) parkWire(ps *peerState, w wireOp) {
 	ps.pendingWire = append(ps.pendingWire, w) //photon:allow hotpathalloc -- backpressure slow path; growth is amortized and the FIFO shrinks to zero in steady state
 	ps.mu.Unlock()
 	ps.deferred.Add(1)
-	ps.shard.parked.Add(1)
+	p.eng.parked.Add(1)
 	p.stats.deferred.Add(1)
 }
 

@@ -207,8 +207,8 @@ type peerState struct {
 	consumedHint atomic.Int64
 
 	// health mirrors the failure detector's view of this peer
-	// (PeerHealth values); written by the fault sweep under progMu,
-	// read lock-free by the op fast paths. Down is terminal.
+	// (PeerHealth values); written by the fault sweep under the engine
+	// mutex, read lock-free by the op fast paths. Down is terminal.
 	health atomic.Int32
 
 	// lastTransitionNS is the wall-clock UnixNano of the peer's last
@@ -217,14 +217,9 @@ type peerState struct {
 	lastTransitionNS atomic.Int64
 
 	// consumed counts entries drained from each receive ledger; it is
-	// written only by the owning shard's engine (serialized by the
-	// shard mutex), so credit maintenance reads it without touching
-	// ledger mutexes.
+	// written only by the engine (serialized by its mutex), so credit
+	// maintenance reads it without touching ledger mutexes.
 	consumed [numClasses]int64
-
-	// shard is the engine shard that owns this peer (rank %
-	// Config.EngineShards), set once at Init.
-	shard *engineShard
 
 	//photon:lock peer 40
 	mu           sync.Mutex
@@ -272,25 +267,16 @@ type Photon struct {
 	rdzvSends  map[uint64]rdzvSend
 	nextRdzvID uint64
 
-	// shards are the progress-engine partitions (see shard.go): every
-	// peer belongs to exactly one, and each carries its own completion
-	// rings, sweep scratch, idle counters, and notify latch.
-	shards []*engineShard
+	// eng is the progress engine (see progress.go): its try-lock,
+	// completion rings, sweep scratch, and idle counters.
+	eng engine
 
-	// nfy fans backend activity events out to shard runners and parked
-	// waiters; it is the backend's wake sink.
+	// nfy fans backend activity events out to parked waiters and the
+	// BackendNotify latch; it is the backend's wake sink.
 	nfy notifier
 
-	// Background progress mode (StartProgress): one runner per shard.
-	runnersOn atomic.Bool
-	runWG     sync.WaitGroup
-
-	// popCursor rotates Pop scans across shards so no shard's
-	// completion ring is structurally favored.
-	popCursor atomic.Uint64
-
 	// reqPool recycles WriteReq slices for op-path doorbell batches
-	// (ops run concurrently, so these cannot share the shard scratch).
+	// (ops run concurrently, so these cannot share the engine scratch).
 	reqPool sync.Pool
 
 	closed atomic.Bool
@@ -302,8 +288,8 @@ type Photon struct {
 	hbe          HealthBackend
 	opTimeoutNS  int64
 	faultPollNS  int64
-	nextFaultNS  int64       // serialized by shard 0's mutex
-	faultScratch []pendingOp // reused by fault sweeps (shard 0 / Close)
+	nextFaultNS  int64       // serialized by the engine mutex
+	faultScratch []pendingOp // reused by fault sweeps (engine mutex)
 
 	suspectTransitions atomic.Int64
 	opsTimedOut        atomic.Int64
@@ -345,6 +331,13 @@ func Init(be Backend, cfg Config) (*Photon, error) {
 		pool:       mem.NewBufPool(poolBuf, 256),
 		rdzvSends:  make(map[uint64]rdzvSend),
 		nextRdzvID: 1,
+		eng: engine{
+			localCQ:     newCompRing(cfg.CompQueueDepth),
+			remoteCQ:    newCompRing(cfg.CompQueueDepth),
+			wireScratch: make([]wireOp, 0, wireBatchMax),
+			reqScratch:  make([]WriteReq, 0, wireBatchMax),
+		},
+		nfy: notifier{extern: make(chan struct{}, 1)},
 	}
 	p.recvs.init()
 	p.initObs(&cfg)
@@ -384,7 +377,7 @@ func Init(be Backend, cfg Config) (*Photon, error) {
 	p.opTimeoutNS = int64(cfg.OpTimeout)
 	p.initFaultPoll()
 	if cfg.FlightRecords > 0 {
-		p.flightRec = flight.NewRecorder(cfg.FlightRecords, cfg.FlightWindow)
+		p.flightRec = flight.NewRecorder(cfg.FlightRecords, flightWindow)
 	}
 
 	slab, err := mem.NewSlabOver(p.arena[p.slabOff:], rb.Addr+uint64(p.slabOff))
@@ -445,9 +438,6 @@ func Init(be Backend, cfg Config) (*Photon, error) {
 		}
 		p.peers[peer] = ps
 	}
-	p.initShards()
-	p.nfy.p = p
-	p.nfy.extern = make(chan struct{}, 1)
 	be.SetWakeSink(p.nfy.fanout)
 	return p, nil
 }
@@ -472,10 +462,7 @@ func (p *Photon) EagerThreshold() int {
 // Stats returns an activity snapshot.
 func (p *Photon) Stats() Stats {
 	hits, misses := p.pool.Counters()
-	var overflows int64
-	for _, s := range p.shards {
-		overflows += s.localCQ.overflowCount() + s.remoteCQ.overflowCount()
-	}
+	overflows := p.eng.localCQ.overflowCount() + p.eng.remoteCQ.overflowCount()
 	return Stats{
 		PutsDirect:     p.stats.putsDirect.Load(),
 		PutsPacked:     p.stats.putsPacked.Load(),
@@ -553,24 +540,11 @@ func (p *Photon) Close() error {
 	if p.closed.Swap(true) {
 		return nil
 	}
-	// Nudge every shard runner so background progress observes closed
-	// promptly, then wait the runners out — a runner inside
-	// progressShard holds its shard mutex, which the drain below must
-	// be able to take.
-	for _, s := range p.shards {
-		s.kick()
-	}
-	p.runWG.Wait()
-	// Serialize with the progress engines: with every shard mutex held
-	// (ascending index, the fault plane's lock order) the engine is
-	// quiescent and every remaining token is ours to sweep.
-	for _, s := range p.shards {
-		s.mu.Lock() //photon:allow lockorder -- all-shard quiesce: ascending index order, engines already stopped (runWG waited)
-	}
+	// Serialize with the progress engine: with its mutex held the
+	// engine is quiescent and every remaining token is ours to sweep.
+	p.eng.mu.Lock()
 	p.failAllInflight()
-	for i := len(p.shards) - 1; i >= 0; i-- {
-		p.shards[i].mu.Unlock()
-	}
+	p.eng.mu.Unlock()
 	return p.be.Close()
 }
 
@@ -597,17 +571,17 @@ func (p *Photon) checkRank(rank int) error {
 	return nil
 }
 
-// pushLocal enqueues a local completion on the peer's owning shard.
+// pushLocal enqueues a local completion.
 //
 //photon:hotpath
 func (p *Photon) pushLocal(c Completion) {
 	c.Local = true
-	p.peers[c.Rank].shard.localCQ.push(c)
+	p.eng.localCQ.push(c)
 }
 
-// pushRemote enqueues a remote completion on the peer's owning shard.
+// pushRemote enqueues a remote completion.
 //
 //photon:hotpath
 func (p *Photon) pushRemote(c Completion) {
-	p.peers[c.Rank].shard.remoteCQ.push(c)
+	p.eng.remoteCQ.push(c)
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"photon/internal/errs"
@@ -20,41 +22,75 @@ var ErrTimeout = errs.ErrTimeout
 // maxInt bounds untrusted 64-bit size words before narrowing to int.
 const maxInt = int(^uint(0) >> 1)
 
-// Progress drives the whole engine: every shard reaps backend
-// completions, polls its peers' ledgers, retries deferred work, and
-// performs credit maintenance. It returns the number of events it
-// handled. Progress is safe to call from multiple goroutines;
-// concurrent callers coalesce per shard (each shard's engine runs on
-// one caller, others skip it), mirroring Photon's caller-driven
-// progress model. With EngineShards > 1, concurrent callers (or the
-// StartProgress runners) drive distinct shards genuinely in parallel.
+// engine is the progress engine's state: one per instance, owned by
+// Photon and entered through a try-lock, so concurrent Progress
+// callers coalesce (one runs the round, the others return at once) —
+// the paper's caller-driven progress model with no progress thread.
+//
+// Ordering: every completion is harvested by the one engine into one
+// local/remote ring pair, so each stream pops in harvest order (global
+// FIFO across peers, not only per peer). Completions are still keyed
+// by RID, never by position; callers waiting by RID do not depend on
+// the order.
+type engine struct {
+	//photon:lock engine 20
+	mu sync.Mutex // serializes the engine (try-lock entry)
+
+	// Harvested completions, split so producers and consumers do not
+	// share a lock (see ring.go).
+	localCQ  *compRing
+	remoteCQ *compRing
+
+	// parked mirrors the sum of the peers' deferred counts and
+	// creditHintTotal the sum of their consumedHint counters, so a
+	// fully idle round returns after two atomic loads without touching
+	// any per-peer state.
+	parked          atomic.Int64
+	creditHintTotal atomic.Int64
+
+	lastAct uint64 // arena activity counter at last ledger sweep (mu)
+
+	// Reusable sweep scratch, serialized by mu.
+	pollScratch []polledEvent
+	reapScratch [64]BackendCompletion
+	wireScratch []wireOp
+	reqScratch  []WriteReq
+
+	// Activity gauges (engine_reaps/engine_sweeps).
+	reaps  atomic.Int64 // backend completions reaped
+	sweeps atomic.Int64 // productive progress rounds
+}
+
+// cq returns the local or the remote completion ring.
+func (e *engine) cq(local bool) *compRing {
+	if local {
+		return e.localCQ
+	}
+	return e.remoteCQ
+}
+
+// Progress drives the engine: it reaps backend completions, polls the
+// peers' ledgers, retries deferred work, and performs credit
+// maintenance, returning the number of events it handled. Progress is
+// safe to call from multiple goroutines; entry is a try-lock, so the
+// engine is either advanced by this caller or already being advanced
+// by another (which returns 0 immediately), mirroring Photon's
+// caller-driven progress model.
 //
 // The ledger sweep is skipped entirely while the backend's DMA
 // write-activity counter is unchanged. A fully idle round — no ledger
 // activity, no parked work anywhere, no credits owed — additionally
 // skips the per-peer loop: a spinning prober then costs two atomic
-// loads per shard beyond the backend poll, independent of job size.
+// loads beyond the backend poll, independent of job size.
 //
 //photon:hotpath
 func (p *Photon) Progress() int {
 	p.stats.progress.Add(1)
-	n := 0
-	for _, s := range p.shards {
-		n += p.progressShard(s)
-	}
-	return n
-}
-
-// progressShard runs one shard's engine round. Entry is a try-lock:
-// the shard is either advanced by this caller or already being
-// advanced by another.
-//
-//photon:hotpath
-func (p *Photon) progressShard(s *engineShard) int {
-	if !s.mu.TryLock() {
+	eng := &p.eng
+	if !eng.mu.TryLock() {
 		return 0
 	}
-	defer s.mu.Unlock()
+	defer eng.mu.Unlock()
 	// Phase timing: reap is the backend-CQ drain, sweep the per-peer
 	// ledger/deferred/credit pass; a round that handled nothing is
 	// charged to idle instead. Gated on the registry so the disabled
@@ -72,7 +108,7 @@ func (p *Photon) progressShard(s *engineShard) int {
 		}
 	}
 	n := 0
-	nReap := p.reapBackend(s)
+	nReap := p.reapBackend()
 	n += nReap
 	if sample {
 		t1 = nowNanos()
@@ -80,27 +116,26 @@ func (p *Photon) progressShard(s *engineShard) int {
 			p.obs.reg.RecordPhase(metrics.PhaseReap, t1-t0)
 		}
 	}
-	// Fault sweep: whole-instance, so it runs on shard 0 only — one
-	// int64 comparison when OpTimeout and liveness are both off;
-	// otherwise rate-limited inside pollFaults. It must run before the
-	// idle early-out — a wedged op toward a dead peer produces no
-	// ledger activity and parks nothing.
-	if s.idx == 0 && p.faultPollNS != 0 {
-		n += p.pollFaults(s) //photon:allow lockorder -- fault sweep runs on shard 0 and takes the other shards' mutexes in ascending index order
+	// Fault sweep: one int64 comparison when OpTimeout and liveness
+	// are both off; otherwise rate-limited inside pollFaults. It must
+	// run before the idle early-out — a wedged op toward a dead peer
+	// produces no ledger activity and parks nothing.
+	if p.faultPollNS != 0 {
+		n += p.pollFaults()
 	}
 	cur := p.activity()
-	sweep := cur != s.lastAct
-	s.lastAct = cur
-	if !sweep && s.parked.Load() == 0 && s.creditHintTotal.Load() == 0 {
+	sweep := cur != eng.lastAct
+	eng.lastAct = cur
+	if !sweep && eng.parked.Load() == 0 && eng.creditHintTotal.Load() == 0 {
 		if sample && n == 0 {
 			p.obs.reg.RecordPhase(metrics.PhaseIdle, nowNanos()-t0)
 		}
 		return n
 	}
-	for _, ps := range s.peers {
-		n += p.retryDeferred(s, ps)
+	for _, ps := range p.peers {
+		n += p.retryDeferred(ps)
 		if sweep {
-			n += p.pollPeer(s, ps)
+			n += p.pollPeer(ps)
 		}
 		p.returnCredits(ps, false)
 	}
@@ -112,31 +147,27 @@ func (p *Photon) progressShard(s *engineShard) int {
 		}
 	}
 	if n > 0 {
-		s.sweeps.Add(1)
+		eng.sweeps.Add(1)
 	}
 	return n
 }
 
 // reapBackend harvests transport completions and resolves their
-// tokens. The backend queue is shared: any shard may reap any
-// completion (the token table routes it to the right op, and the
-// resulting completion is pushed onto its peer's owning shard), so
-// reaping is work-stealing rather than partitioned — a busy shard
-// never leaves the transport queue to back up.
+// tokens (the token table routes each to its op).
 //
 //photon:hotpath
-func (p *Photon) reapBackend(s *engineShard) int {
-	buf := s.reapScratch[:]
+func (p *Photon) reapBackend() int {
+	buf := p.eng.reapScratch[:]
 	n := 0
 	for {
 		k := p.be.Poll(buf)
 		for i := 0; i < k; i++ {
-			p.handleBackend(s, buf[i])
+			p.handleBackend(buf[i])
 		}
 		n += k
 		if k < len(buf) {
 			if n > 0 {
-				s.reaps.Add(int64(n))
+				p.eng.reaps.Add(int64(n))
 			}
 			return n
 		}
@@ -144,17 +175,10 @@ func (p *Photon) reapBackend(s *engineShard) int {
 }
 
 //photon:hotpath
-func (p *Photon) handleBackend(s *engineShard, bc BackendCompletion) {
+func (p *Photon) handleBackend(bc BackendCompletion) {
 	op, ok := p.takeToken(bc.Token)
 	if !ok {
 		return // unsignaled op surfaced an error CQE, or stale token
-	}
-	// Backend-CQ reaping is work-stealing: any shard may drain the
-	// transport queue. For sampled ops, record when the reaping shard
-	// is not the op's owning shard — the event that makes cross-shard
-	// load flow visible in traces.
-	if op.postNS != 0 && uint(op.rank) < uint(len(p.peers)) && p.peers[op.rank].shard != s {
-		p.traceShard(s.idx, op.rid, false, "shard.steal")
 	}
 	if !bc.OK {
 		err := bc.Err
@@ -253,7 +277,7 @@ func (p *Photon) postEntryOrDefer(ps *peerState, class int, payload []byte) {
 		ps.pendingEntry = append(ps.pendingEntry, entryOp{class: class, payload: append([]byte(nil), payload...)})
 		ps.mu.Unlock()
 		ps.deferred.Add(1)
-		ps.shard.parked.Add(1)
+		p.eng.parked.Add(1)
 		p.stats.deferred.Add(1)
 		return
 	}
@@ -270,16 +294,17 @@ func (p *Photon) postEntryOrDefer(ps *peerState, class int, payload []byte) {
 // first fully-specified wire writes (FIFO; slots already reserved),
 // then unreserved ledger entries, then queued inbound rendezvous.
 // Wire writes drain in doorbell batches.
-func (p *Photon) retryDeferred(s *engineShard, ps *peerState) int {
+func (p *Photon) retryDeferred(ps *peerState) int {
 	if ps.deferred.Load() == 0 {
 		return 0
 	}
+	eng := &p.eng
 	n := 0
 	// Wire writes. Snapshot a batch under the lock, post it outside,
-	// then pop what was accepted. Only this peer's owning shard engine
-	// (serialized by its mutex, which the fault plane also takes before
-	// dropping these queues) removes from pendingWire, and producers
-	// append at the tail, so the snapshot stays valid.
+	// then pop what was accepted. Only the engine (serialized by its
+	// mutex, under which the fault plane also drops these queues)
+	// removes from pendingWire, and producers append at the tail, so
+	// the snapshot stays valid.
 	for {
 		ps.mu.Lock()
 		k := len(ps.pendingWire)
@@ -290,10 +315,10 @@ func (p *Photon) retryDeferred(s *engineShard, ps *peerState) int {
 		if k > wireBatchMax {
 			k = wireBatchMax
 		}
-		batch := append(s.wireScratch[:0], ps.pendingWire[:k]...)
+		batch := append(eng.wireScratch[:0], ps.pendingWire[:k]...)
 		ps.mu.Unlock()
 
-		reqs := s.reqScratch[:0]
+		reqs := eng.reqScratch[:0]
 		for _, w := range batch {
 			reqs = append(reqs, WriteReq{Local: w.local, RemoteAddr: w.raddr, RKey: w.rkey, Token: w.token, Signaled: w.signaled})
 		}
@@ -313,7 +338,7 @@ func (p *Photon) retryDeferred(s *engineShard, ps *peerState) int {
 				}
 			}
 			ps.deferred.Add(-int64(posted))
-			s.parked.Add(-int64(posted))
+			eng.parked.Add(-int64(posted))
 			n += posted
 		}
 		if perr != nil && !errors.Is(perr, ErrWouldBlock) {
@@ -350,7 +375,7 @@ func (p *Photon) retryDeferred(s *engineShard, ps *peerState) int {
 		ps.pendingEntry = ps.pendingEntry[1:]
 		ps.mu.Unlock()
 		ps.deferred.Add(-1)
-		s.parked.Add(-1)
+		eng.parked.Add(-1)
 		n++
 	}
 	// Inbound rendezvous awaiting slab space.
@@ -369,7 +394,7 @@ func (p *Photon) retryDeferred(s *engineShard, ps *peerState) int {
 		ps.pendingRTS = ps.pendingRTS[1:]
 		ps.mu.Unlock()
 		ps.deferred.Add(-1)
-		s.parked.Add(-1)
+		eng.parked.Add(-1)
 		n++
 	}
 	return n
@@ -397,8 +422,9 @@ type polledEvent struct {
 // acquisition for the whole batch, then dispatch outside the lock.
 //
 //photon:hotpath
-func (p *Photon) pollPeer(s *engineShard, ps *peerState) int {
-	s.pollScratch = s.pollScratch[:0]
+func (p *Photon) pollPeer(ps *peerState) int {
+	eng := &p.eng
+	eng.pollScratch = eng.pollScratch[:0]
 	n := 0
 	p.arenaLk.Lock() //photon:allow hotpathalloc -- one arena lock per sweep batch covers every ledger poll; taking it once here is the optimization
 	if !ps.recv[classSys].ReadyLocked() &&
@@ -416,7 +442,7 @@ func (p *Photon) pollPeer(s *engineShard, ps *peerState) int {
 		n++
 		if ev, ok := parseSys(e); ok {
 			ev.rts.rank = ps.rank
-			s.pollScratch = append(s.pollScratch, ev) //photon:allow hotpathalloc -- amortized scratch growth; reset to length 0 each sweep, capacity is reused
+			eng.pollScratch = append(eng.pollScratch, ev) //photon:allow hotpathalloc -- amortized scratch growth; reset to length 0 each sweep, capacity is reused
 		}
 	}
 	for {
@@ -435,7 +461,7 @@ func (p *Photon) pollPeer(s *engineShard, ps *peerState) int {
 				parseTraceCtx(&pe, e.Payload[9:])
 			}
 			//photon:allow hotpathalloc -- amortized scratch growth; reset to length 0 each sweep, capacity is reused
-			s.pollScratch = append(s.pollScratch, pe)
+			eng.pollScratch = append(eng.pollScratch, pe)
 		}
 	}
 	for {
@@ -467,7 +493,7 @@ func (p *Photon) pollPeer(s *engineShard, ps *peerState) int {
 			copy(data, e.Payload[packedHdrSize:packedHdrSize+dlen])
 			pe.data = data
 			//photon:allow hotpathalloc -- amortized scratch growth; reset to length 0 each sweep, capacity is reused
-			s.pollScratch = append(s.pollScratch, pe)
+			eng.pollScratch = append(eng.pollScratch, pe)
 		case len(e.Payload) >= packedPutHdrSize && (e.Payload[0] == tPackedPut || e.Payload[0] == tPackedPutT):
 			dlen := len(e.Payload) - packedPutHdrSize
 			pe := polledEvent{
@@ -492,13 +518,13 @@ func (p *Photon) pollPeer(s *engineShard, ps *peerState) int {
 			//photon:allow bufretain -- parked in pollScratch only until dispatch below; ApplyLocal consumes it and Put recycles it in the same sweep
 			pe.data = data
 			//photon:allow hotpathalloc -- amortized scratch growth; reset to length 0 each sweep, capacity is reused
-			s.pollScratch = append(s.pollScratch, pe)
+			eng.pollScratch = append(eng.pollScratch, pe)
 		}
 	}
 	p.arenaLk.Unlock()
 
-	for i := range s.pollScratch {
-		ev := &s.pollScratch[i]
+	for i := range eng.pollScratch {
+		ev := &eng.pollScratch[i]
 		// Ledger-delivery trace events carry the RID the initiator
 		// posted (its remote RID), correlating both sides of the op.
 		// Sampling is the initiator's choice, carried by the wire trace
@@ -527,7 +553,7 @@ func (p *Photon) pollPeer(s *engineShard, ps *peerState) int {
 				ps.pendingRTS = append(ps.pendingRTS, ev.rts) //photon:allow hotpathalloc -- backpressure FIFO growth; drains to zero in steady state
 				ps.mu.Unlock()
 				ps.deferred.Add(1)
-				s.parked.Add(1)
+				eng.parked.Add(1)
 			}
 		case tFIN:
 			p.traceEv(trace.KindProtocol, ev.rid, "fin.rx")
@@ -540,7 +566,7 @@ func (p *Photon) pollPeer(s *engineShard, ps *peerState) int {
 	}
 	if n > 0 {
 		ps.consumedHint.Add(int64(n))
-		s.creditHintTotal.Add(int64(n))
+		eng.creditHintTotal.Add(int64(n))
 	}
 	return n
 }
@@ -648,12 +674,12 @@ func (p *Photon) startRdzvGet(r rtsOp) bool {
 func (p *Photon) returnCredits(ps *peerState, force bool) {
 	h := ps.consumedHint.Swap(0)
 	if h != 0 {
-		ps.shard.creditHintTotal.Add(-h)
+		p.eng.creditHintTotal.Add(-h)
 	} else if !force {
 		return
 	}
 	for cl := 0; cl < numClasses; cl++ {
-		total := ps.consumed[cl] // owning-shard-engine-owned; no ledger locks
+		total := ps.consumed[cl] // engine-owned; no ledger locks
 		ps.mu.Lock()
 		due := total-ps.lastReturned[cl] >= int64(p.cfg.CreditBatch) || (force && total > ps.lastReturned[cl])
 		if due {
@@ -719,8 +745,7 @@ func (p *Photon) Probe(flags ProbeFlags) (Completion, bool) {
 }
 
 // PopLocal pops the oldest harvested local completion without driving
-// progress. With multiple shards the scan starts at a rotating cursor,
-// so no shard's ring is structurally favored.
+// progress.
 func (p *Photon) PopLocal() (Completion, bool) {
 	return p.popRing(true)
 }
@@ -732,48 +757,11 @@ func (p *Photon) PopRemote() (Completion, bool) {
 
 //photon:hotpath
 func (p *Photon) popRing(local bool) (Completion, bool) {
-	if len(p.shards) == 1 {
-		s := p.shards[0]
-		r := s.remoteCQ
-		if local {
-			r = s.localCQ
-		}
-		c, ok := r.pop()
-		if ok && c.traced {
-			p.traceEv(trace.KindReap, c.RID, "reap.pop")
-		}
-		return c, ok
+	c, ok := p.eng.cq(local).pop()
+	if ok && c.traced {
+		p.traceEv(trace.KindReap, c.RID, "reap.pop")
 	}
-	start := int(p.popCursor.Add(1))
-	for i := 0; i < len(p.shards); i++ {
-		s := p.shards[(start+i)%len(p.shards)]
-		r := s.remoteCQ
-		if local {
-			r = s.localCQ
-		}
-		if c, ok := r.pop(); ok {
-			if c.traced {
-				p.traceEv(trace.KindReap, c.RID, "reap.pop")
-			}
-			return c, true
-		}
-	}
-	return Completion{}, false
-}
-
-// takeMatchAny removes the completion with the given RID from whichever
-// shard ring holds it.
-func (p *Photon) takeMatchAny(rid uint64, local bool) (Completion, bool) {
-	for _, s := range p.shards {
-		r := s.remoteCQ
-		if local {
-			r = s.localCQ
-		}
-		if c, ok := r.takeMatch(rid); ok {
-			return c, true
-		}
-	}
-	return Completion{}, false
+	return c, ok
 }
 
 // WaitLocal drives progress until the local completion with the given
@@ -821,40 +809,26 @@ const parkGrace = time.Millisecond
 // should park on it between dry Progress rounds instead of
 // yield-spinning; see Waiter for why spinning is actively harmful on
 // few-core hosts. The latch is fanned out alongside (not instead of)
-// the engine's own shard and waiter wakeups, so parking on it cannot
-// starve them.
+// the engine's own waiter wakeups, so parking on it cannot starve
+// them.
 func (p *Photon) BackendNotify() <-chan struct{} { return p.nfy.extern }
 
 // Flush forces pending credit returns out (used before quiescing, e.g.
-// by barriers, so peers are never left starved of credits). Shards
-// already being driven elsewhere are skipped, like Progress.
+// by barriers, so peers are never left starved of credits). It is
+// skipped while the engine is being driven elsewhere, like Progress.
 func (p *Photon) Flush() {
-	for _, s := range p.shards {
-		if !s.mu.TryLock() {
-			continue
-		}
-		for _, ps := range s.peers {
-			p.retryDeferred(s, ps)
-			p.returnCredits(ps, true)
-		}
-		s.mu.Unlock()
+	if !p.eng.mu.TryLock() {
+		return
 	}
+	for _, ps := range p.peers {
+		p.retryDeferred(ps)
+		p.returnCredits(ps, true)
+	}
+	p.eng.mu.Unlock()
 }
 
 // PendingLocal and PendingRemote report queue depths (test aid).
-func (p *Photon) PendingLocal() int {
-	n := 0
-	for _, s := range p.shards {
-		n += s.localCQ.length()
-	}
-	return n
-}
+func (p *Photon) PendingLocal() int { return p.eng.localCQ.length() }
 
 // PendingRemote reports the remote completion queue depth.
-func (p *Photon) PendingRemote() int {
-	n := 0
-	for _, s := range p.shards {
-		n += s.remoteCQ.length()
-	}
-	return n
-}
+func (p *Photon) PendingRemote() int { return p.eng.remoteCQ.length() }

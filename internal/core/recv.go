@@ -194,7 +194,7 @@ func (w *Waiter) Release() {
 // it with a caller-driven progress loop. The collectives layer uses it
 // to poll for revocation notices inside post-retry spins.
 func (p *Photon) TakeRemote(rid uint64) (Completion, bool) {
-	return p.takeMatchAny(rid, false)
+	return p.eng.remoteCQ.takeMatch(rid)
 }
 
 // ErrWaitAborted is returned by the spec-carrying waits when one of the
@@ -257,7 +257,7 @@ func (p *Photon) checkSpec(spec *WaitSpec) error {
 		if ar == 0 {
 			continue
 		}
-		if c, ok := p.takeMatchAny(ar, false); ok {
+		if c, ok := p.eng.remoteCQ.takeMatch(ar); ok {
 			spec.AbortIdx = i
 			spec.Aborted = c
 			return ErrWaitAborted
@@ -295,12 +295,13 @@ func (p *Photon) waitAll(w *Waiter, pend []int, rids []uint64, out []Completion,
 			pend = append(pend, i)
 		}
 	}
+	cq := p.eng.cq(local)
 	for len(pend) > 0 {
 		n := p.Progress()
 		took := false
 		for j := 0; j < len(pend); {
 			i := pend[j]
-			c, ok := p.takeMatchAny(rids[i], local)
+			c, ok := cq.takeMatch(rids[i])
 			if !ok {
 				j++
 				continue

@@ -8,11 +8,11 @@ import (
 // Shared backend wake/completion plumbing. Every transport used to
 // hand-roll the same pattern — a mutex-guarded completion slice plus a
 // capacity-1 "kick" channel signaled with non-blocking sends — and the
-// engine's shard fan-out needs one more consumer of the same event.
-// WakeChan and CompQueue centralize it: backends push completions and
-// kick; the engine installs a sink (Backend.SetWakeSink) that fans the
-// event out to every shard, and a bare transport driven without an
-// engine parks on the channel instead.
+// engine's notifier needs to fan the same event out to every parked
+// waiter. WakeChan and CompQueue centralize it: backends push
+// completions and kick; the engine installs a sink
+// (Backend.SetWakeSink) that fans the event out, and a bare transport
+// driven without an engine parks on the channel instead.
 
 // WakeChan is an edge-triggered event latch: a capacity-1 channel
 // signaled with non-blocking sends, with an optionally installed sink
@@ -50,7 +50,7 @@ func (w *WakeChan) Chan() <-chan struct{} { return w.ch }
 // SetSink redirects subsequent kicks to fn (which must be non-blocking
 // and callable from any goroutine); nil restores channel delivery.
 // Installing a sink leaves the channel idle — the engine uses this to
-// fan one backend event out to every shard on the producing goroutine.
+// fan one backend event out to every waiter on the producing goroutine.
 func (w *WakeChan) SetSink(fn func()) {
 	if fn == nil {
 		w.sink.Store(nil)
@@ -111,3 +111,82 @@ func (q *CompQueue) Kick() { q.wake.Kick() }
 
 // Wake exposes the embedded latch for Notify/SetWakeSink plumbing.
 func (q *CompQueue) Wake() *WakeChan { return q.wake }
+
+// notifier fans one backend activity event out to every consumer: the
+// BackendNotify latch and every subscribed blocking waiter. Each waiter
+// owns a private capacity-1 channel for the duration of its wait, so a
+// kick consumed by one waiter can never starve another — the fairness
+// hole of a single shared notify channel. Channels are recycled
+// through a free list, keeping steady-state blocking waits
+// allocation-free.
+type notifier struct {
+	extern chan struct{} // BackendNotify consumers (capacity 1)
+
+	//photon:lock notifier 90
+	mu    sync.Mutex
+	subs  []chan struct{}
+	free  []chan struct{}
+	nSubs atomic.Int32
+}
+
+// fanout delivers one activity event to every consumer. It is the sink
+// installed with Backend.SetWakeSink and runs on the backend's
+// event-producing goroutine, so it must stay non-blocking.
+//
+//photon:hotpath
+func (nf *notifier) fanout() {
+	select {
+	case nf.extern <- struct{}{}:
+	default:
+	}
+	if nf.nSubs.Load() == 0 {
+		return
+	}
+	nf.mu.Lock() //photon:allow hotpathalloc -- subscriber list lock; only taken when a blocking waiter is actually parked
+	for _, ch := range nf.subs {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+	nf.mu.Unlock()
+}
+
+// subscribe hands out a private wake channel, registered for fanout.
+func (nf *notifier) subscribe() chan struct{} {
+	nf.mu.Lock()
+	var ch chan struct{}
+	if n := len(nf.free); n > 0 {
+		ch = nf.free[n-1]
+		nf.free[n-1] = nil
+		nf.free = nf.free[:n-1]
+	} else {
+		ch = make(chan struct{}, 1)
+	}
+	nf.subs = append(nf.subs, ch)
+	nf.mu.Unlock()
+	nf.nSubs.Add(1)
+	return ch
+}
+
+// unsubscribe retires a wake channel back to the free list, draining
+// any stale token so the next subscriber starts clean.
+func (nf *notifier) unsubscribe(ch chan struct{}) {
+	nf.mu.Lock()
+	for i, c := range nf.subs {
+		if c == ch {
+			last := len(nf.subs) - 1
+			nf.subs[i] = nf.subs[last]
+			nf.subs[last] = nil
+			nf.subs = nf.subs[:last]
+			break
+		}
+	}
+	select {
+	case <-ch:
+	default:
+	}
+	nf.free = append(nf.free, ch)
+	nf.mu.Unlock()
+	nf.nSubs.Add(-1)
+}

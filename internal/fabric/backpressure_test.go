@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// TestBackpressureSaturatesOneLink drives a link with a tiny queue and
-// a slow delivery model far past its depth. Send must block (not error,
-// not drop), the high-water mark must show the queue actually filled,
-// and every frame must still arrive — backpressure, not deadlock.
+// TestBackpressureSaturatesOneLink drives a link with a tiny queue far
+// past its depth while the receiver's handler is held shut. Send must
+// block (not error, not drop), the high-water mark must show the queue
+// actually filled, and once the handler opens every frame must still
+// arrive — backpressure, not deadlock.
 func TestBackpressureSaturatesOneLink(t *testing.T) {
 	const (
 		depth = 8
@@ -17,25 +18,49 @@ func TestBackpressureSaturatesOneLink(t *testing.T) {
 	)
 	f := New(2, Model{QueueDepth: depth, PerFrame: 20 * time.Microsecond})
 	defer f.Close()
+	gate := make(chan struct{})
 	var delivered atomic.Int64
-	if err := f.Attach(1, func(Frame) { delivered.Add(1) }); err != nil {
+	if err := f.Attach(1, func(Frame) {
+		<-gate
+		delivered.Add(1)
+	}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < total; i++ {
-		if err := f.Send(0, 1, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < total; i++ {
+			if err := f.Send(0, 1, []byte{byte(i)}); err != nil {
+				sent <- err
+				return
+			}
 		}
+		sent <- nil
+	}()
+	// With the handler shut the queue fills to depth whatever the
+	// delivery goroutine's speed, and the sender blocks behind it.
+	deadline := time.Now().Add(10 * time.Second)
+	for f.Stats(0, 1).MaxQueued < depth {
+		if time.Now().After(deadline) {
+			t.Fatalf("high-water %d never reached depth %d", f.Stats(0, 1).MaxQueued, depth)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
-	f.Drain()
+	select {
+	case err := <-sent:
+		t.Fatalf("sender finished past a full queue (err %v): Send did not block", err)
+	default:
+	}
+	close(gate)
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	f.Close() // waits out every delivery
 	if got := delivered.Load(); got != total {
 		t.Fatalf("delivered %d frames, want %d", got, total)
 	}
 	st := f.Stats(0, 1)
 	if st.Frames != total {
 		t.Errorf("link frames = %d, want %d", st.Frames, total)
-	}
-	if st.MaxQueued < depth/2 {
-		t.Errorf("high-water %d never approached depth %d: the link was not saturated", st.MaxQueued, depth)
 	}
 	if st.MaxQueued > depth {
 		t.Errorf("high-water %d exceeds queue depth %d", st.MaxQueued, depth)

@@ -304,26 +304,6 @@ func (f *Fabric) TotalStats() LinkStats {
 	return t
 }
 
-// Drain blocks until every link queue observed at call time has been
-// delivered. It is a test aid, not a synchronization primitive for
-// protocols (those use completions).
-func (f *Fabric) Drain() {
-	for {
-		f.mu.Lock()
-		pending := 0
-		for _, l := range f.links {
-			pending += len(l.ch)
-		}
-		f.mu.Unlock()
-		if pending == 0 {
-			// One more yield so in-flight handler calls finish.
-			time.Sleep(100 * time.Microsecond)
-			return
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
 // Close shuts the fabric down: queued frames are still delivered, and
 // Close returns once all delivery goroutines exit. Send after Close
 // returns ErrClosed.

@@ -155,7 +155,7 @@ func TestFaultInjectionDrops(t *testing.T) {
 	}
 	f.SetFault(nil)
 	f.Send(0, 1, []byte{2})
-	f.Drain()
+	f.Close()
 	if got := delivered.Load(); got != 1 {
 		t.Fatalf("delivered = %d, want 1 (only post-clear frame)", got)
 	}
@@ -169,7 +169,7 @@ func TestStats(t *testing.T) {
 	f.Send(0, 1, make([]byte, 10))
 	f.Send(0, 1, make([]byte, 20))
 	f.Send(0, 2, make([]byte, 5))
-	f.Drain()
+	f.Close()
 	s01 := f.Stats(0, 1)
 	if s01.Frames != 2 || s01.Bytes != 30 {
 		t.Fatalf("link 0->1 stats = %+v", s01)
@@ -189,7 +189,7 @@ func TestNoHandlerDropsWithoutPanic(t *testing.T) {
 	if err := f.Send(0, 1, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	f.Drain()
+	f.Close()
 	if s := f.Stats(0, 1); s.Frames != 1 {
 		t.Fatalf("frame not counted: %+v", s)
 	}
@@ -239,7 +239,7 @@ func TestConcurrentSenders(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	f.Drain()
+	f.Close()
 	if got := delivered.Load(); got != 16*per {
 		t.Fatalf("delivered = %d, want %d", got, 16*per)
 	}

@@ -177,8 +177,8 @@ func (h *LatHist) N() int64 {
 	return n
 }
 
-// Registry is the per-engine (or shared, via Config.MetricsTo) metrics
-// sink. All Record methods are safe for concurrent use, never
+// Registry is the per-engine metrics sink (Collector merges several).
+// All Record methods are safe for concurrent use, never
 // allocate, and are no-ops on a nil or disabled registry — callers on
 // hot paths gate on Enabled first so the disabled cost is one atomic
 // load.

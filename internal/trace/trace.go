@@ -31,14 +31,14 @@ const (
 	KindUser          // application-defined
 	KindReap          // completion handed to the application (Probe/Test/Wait)
 	KindLink          // span link: remote delivery carrying the initiator's context
-	_                 // 9 is retired; KindShard keeps its value, which trace files carry as the TID
-	KindShard         // shard-engine event (enter/park/wake/steal)
+	_                 // 9 is retired
+	_                 // 10 is retired (was KindShard); a new kind takes 11
 )
 
 var kindNames = [...]string{
 	KindNone: "none", KindPost: "post", KindComplete: "complete", KindLedger: "ledger",
 	KindProtocol: "protocol", KindProgress: "progress", KindUser: "user", KindReap: "reap",
-	KindLink: "link", KindShard: "shard",
+	KindLink: "link",
 }
 
 // String returns the lowercase name of the kind.
