@@ -23,7 +23,6 @@ import (
 	"photon/internal/fabric"
 	"photon/internal/mem"
 	"photon/internal/metrics"
-	"photon/internal/stats"
 	"photon/internal/trace"
 )
 
@@ -99,7 +98,7 @@ func main() {
 		fatal(err)
 	}
 
-	table := stats.NewSeries(fmt.Sprintf("photon-pingpong op=%s backend=%s", *op, *backend),
+	table := bench.NewTable(fmt.Sprintf("photon-pingpong op=%s backend=%s", *op, *backend),
 		"size", "latency-us")
 	for size := *minSize; size <= *maxSize; size *= 2 {
 		var lat time.Duration
@@ -117,7 +116,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		table.Row(float64(size), float64(lat.Nanoseconds())/1e3)
+		table.Row(size, float64(lat.Nanoseconds())/1e3)
 	}
 	fmt.Print(table.Render())
 

@@ -524,7 +524,7 @@ func TestFailureMetricsExported(t *testing.T) {
 		"chaos_dropped",
 	}
 	for _, name := range mustHave {
-		if _, ok := snap.Gauges.Get(name); !ok {
+		if _, ok := snap.Gauges[name]; !ok {
 			t.Errorf("gauge %q missing from Metrics() snapshot", name)
 		}
 	}
@@ -533,7 +533,7 @@ func TestFailureMetricsExported(t *testing.T) {
 		"chaos_dropped": true,
 	}
 	for name := range mustBePositive {
-		if v, _ := snap.Gauges.Get(name); v <= 0 {
+		if v := snap.Gauges[name]; v <= 0 {
 			t.Errorf("gauge %q = %d, want > 0 after the induced faults", name, v)
 		}
 	}

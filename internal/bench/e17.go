@@ -12,7 +12,6 @@ import (
 	"photon/internal/core"
 	"photon/internal/fabric"
 	"photon/internal/nicsim"
-	"photon/internal/stats"
 )
 
 // runE17 — failure-aware collectives (no paper figure: the paper's
@@ -53,7 +52,7 @@ func runE17(scale float64) (*Report, error) {
 	if scale < 0.5 {
 		offReps = 1
 	}
-	abort := stats.NewSeries("E17a: kill->abort latency (ms), worst survivor, allreduce vs ranks (vsim, 300us detect delay, median)",
+	abort := NewTable("E17a: kill->abort latency (ms), worst survivor, allreduce vs ranks (vsim, 300us detect delay, median)",
 		"ranks", "deadline-only-ms", "detector-ms")
 	for _, n := range []int{4, 8, 16, 32} {
 		var off, on []float64
@@ -74,13 +73,13 @@ func runE17(scale float64) (*Report, error) {
 			}
 			on = append(on, ms)
 		}
-		abort.Row(float64(n), medianF(off), medianF(on))
+		abort.Row(n, medianF(off), medianF(on))
 	}
 
 	// Leg b: shrink-then-continue vs restart goodput.
 	iters := max(40, scaled(400, scale))
 	const nB, vecLen = 16, 64
-	tbl := stats.NewTable(fmt.Sprintf("E17b: %d-rank job, %d x %d-double allreduces, one rank killed halfway (vsim, median-free single runs)", nB, iters, vecLen),
+	tbl := NewTable(fmt.Sprintf("E17b: %d-rank job, %d x %d-double allreduces, one rank killed halfway (vsim, median-free single runs)", nB, iters, vecLen),
 		"strategy", "total-ms", "recovery-ms", "allreduces-done")
 	shTotal, shRecover, err := shrinkContinue(nB, lean, vecLen, iters)
 	if err != nil {
@@ -93,7 +92,7 @@ func runE17(scale float64) (*Report, error) {
 	}
 	tbl.Row("restart-from-scratch", ms(rsTotal), ms(rsRecover), iters+iters/2)
 
-	return &Report{Series: []*stats.Series{abort}, Tables: []*stats.Table{tbl}}, nil
+	return &Report{Tables: []*Table{abort, tbl}}, nil
 }
 
 func medianF(vs []float64) float64 {

@@ -7,24 +7,19 @@ import (
 	"photon/internal/core"
 	"photon/internal/fabric"
 	"photon/internal/msg"
-	"photon/internal/stats"
 )
 
-// Report is one experiment's regenerated output: the text tables and
-// series that correspond to the reconstructed paper artifact.
+// Report is one experiment's regenerated output: the text tables that
+// correspond to the reconstructed paper artifact.
 type Report struct {
 	ID     string
 	Title  string
-	Series []*stats.Series
-	Tables []*stats.Table
+	Tables []*Table
 }
 
 // Render prints the full report as text.
 func (r *Report) Render() string {
 	out := fmt.Sprintf("== %s: %s ==\n", r.ID, r.Title)
-	for _, s := range r.Series {
-		out += s.Render() + "\n"
-	}
 	for _, t := range r.Tables {
 		out += t.Render() + "\n"
 	}
@@ -122,9 +117,9 @@ func runE1(scale float64) (*Report, error) {
 		return nil, err
 	}
 	iters := scaled(400, scale)
-	s := stats.NewSeries("Fig 1 (reconstructed): one-way put latency (us) vs size (B)",
+	s := NewTable("Fig 1 (reconstructed): one-way put latency (us) vs size (B)",
 		"size", "photon-pwc", "photon-send", "baseline-sendrecv")
-	for _, size := range stats.Sizes(8, 64*1024) {
+	for _, size := range sizes(8, 64*1024) {
 		pwc, err := PingPongPWC(e.Phs, descs, size, iters)
 		if err != nil {
 			return nil, fmt.Errorf("pwc size %d: %w", size, err)
@@ -137,9 +132,9 @@ func runE1(scale float64) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("baseline size %d: %w", size, err)
 		}
-		s.Row(float64(size), us(pwc), us(snd), us(base))
+		s.Row(size, us(pwc), us(snd), us(base))
 	}
-	return &Report{Series: []*stats.Series{s}}, nil
+	return &Report{Tables: []*Table{s}}, nil
 }
 
 // runE2 — Fig. 2: get latency vs. message size.
@@ -155,9 +150,9 @@ func runE2(scale float64) (*Report, error) {
 		return nil, err
 	}
 	iters := scaled(400, scale)
-	s := stats.NewSeries("Fig 2 (reconstructed): get latency (us) vs size (B)",
+	s := NewTable("Fig 2 (reconstructed): get latency (us) vs size (B)",
 		"size", "photon-gwc", "baseline-pull")
-	for _, size := range stats.Sizes(8, 64*1024) {
+	for _, size := range sizes(8, 64*1024) {
 		g, err := GetLatencyGWC(e.Phs, descs, size, iters)
 		if err != nil {
 			return nil, err
@@ -166,9 +161,9 @@ func runE2(scale float64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Row(float64(size), us(g), us(b))
+		s.Row(size, us(g), us(b))
 	}
-	return &Report{Series: []*stats.Series{s}}, nil
+	return &Report{Tables: []*Table{s}}, nil
 }
 
 // runE3 — Fig. 3: streaming bandwidth vs. message size.
@@ -184,9 +179,9 @@ func runE3(scale float64) (*Report, error) {
 	}
 	iters := scaled(200, scale)
 	const window = 16
-	s := stats.NewSeries("Fig 3 (reconstructed): streaming bandwidth (MiB/s) vs size (B)",
+	s := NewTable("Fig 3 (reconstructed): streaming bandwidth (MiB/s) vs size (B)",
 		"size", "photon-pwc", "baseline-sendrecv")
-	for _, size := range stats.Sizes(1024, 1<<20) {
+	for _, size := range sizes(1024, 1<<20) {
 		p, err := StreamBandwidthPWC(e.Phs, descs, size, window, iters)
 		if err != nil {
 			return nil, err
@@ -195,15 +190,15 @@ func runE3(scale float64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Row(float64(size), p/(1<<20), b/(1<<20))
+		s.Row(size, p/(1<<20), b/(1<<20))
 	}
-	return &Report{Series: []*stats.Series{s}}, nil
+	return &Report{Tables: []*Table{s}}, nil
 }
 
 // runE4 — Fig. 4: small-message rate vs. injector threads.
 func runE4(scale float64) (*Report, error) {
 	per := scaled(2000, scale)
-	s := stats.NewSeries("Fig 4 (reconstructed): 8-byte message rate (Kmsg/s) vs injector threads",
+	s := NewTable("Fig 4 (reconstructed): 8-byte message rate (Kmsg/s) vs injector threads",
 		"threads", "photon-pwc", "baseline-sendrecv")
 	for _, threads := range []int{1, 2, 4, 8} {
 		e, err := NewEnv(2, fabric.Model{}, core.Config{LedgerSlots: 512}, msg.Config{RecvSlots: 512})
@@ -220,9 +215,9 @@ func runE4(scale float64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Row(float64(threads), p/1e3, b/1e3)
+		s.Row(threads, p/1e3, b/1e3)
 	}
-	return &Report{Series: []*stats.Series{s}}, nil
+	return &Report{Tables: []*Table{s}}, nil
 }
 
 // runE5 — Fig. 5: completion-notification overhead: Photon's O(1)
@@ -232,7 +227,7 @@ func runE4(scale float64) (*Report, error) {
 func runE5(scale float64) (*Report, error) {
 	iters := scaled(400, scale)
 	warmProcess(iters / 2)
-	t := stats.NewTable("Fig 5 (reconstructed): notification latency (us) vs posted-receive queue depth",
+	t := NewTable("Fig 5 (reconstructed): notification latency (us) vs posted-receive queue depth",
 		"posted-receives", "photon-ledger-probe", "baseline-match", "baseline/photon")
 	for _, clutter := range []int{0, 64, 256, 1024} {
 		e, err := NewEnv(2, fabric.Model{}, core.Config{}, msg.Config{})
@@ -256,7 +251,7 @@ func runE5(scale float64) (*Report, error) {
 		}
 		t.Row(clutter, us(p), us(b), float64(b)/float64(p))
 	}
-	return &Report{Tables: []*stats.Table{t}}, nil
+	return &Report{Tables: []*Table{t}}, nil
 }
 
 // runE6 — Table 1: eager/rendezvous crossover.
@@ -276,10 +271,10 @@ func runE6(scale float64) (*Report, error) {
 		return nil, err
 	}
 	defer eRdzv.Close()
-	t := stats.NewTable("Table 1 (reconstructed): eager vs rendezvous latency (us) by size",
+	t := NewTable("Table 1 (reconstructed): eager vs rendezvous latency (us) by size",
 		"size", "eager-packed", "rendezvous", "winner")
 	crossover := -1
-	for _, size := range stats.Sizes(64, 32*1024) {
+	for _, size := range sizes(64, 32*1024) {
 		le, err := PingPongSend(eEager.Phs, size, iters)
 		if err != nil {
 			return nil, err
@@ -300,14 +295,14 @@ func runE6(scale float64) (*Report, error) {
 	if crossover > 0 {
 		t.Row("crossover", "-", "-", fmt.Sprintf("~%dB", crossover))
 	}
-	return &Report{Tables: []*stats.Table{t}}, nil
+	return &Report{Tables: []*Table{t}}, nil
 }
 
 // runE7 — Table 2: ledger-size sensitivity under saturation, with the
 // credit-return policy ablation.
 func runE7(scale float64) (*Report, error) {
 	iters := scaled(3000, scale)
-	s := stats.NewSeries("Table 2 (reconstructed): saturated 8B send throughput (Kmsg/s) vs ledger slots",
+	s := NewTable("Table 2 (reconstructed): saturated 8B send throughput (Kmsg/s) vs ledger slots",
 		"slots", "batched-credits", "per-entry-credits")
 	for _, slots := range []int{2, 4, 8, 16, 32, 64, 128} {
 		batched, err := throughputWithConfig(core.Config{LedgerSlots: slots}, iters)
@@ -318,9 +313,9 @@ func runE7(scale float64) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("slots %d batch1: %w", slots, err)
 		}
-		s.Row(float64(slots), batched/1e3, perEntry/1e3)
+		s.Row(slots, batched/1e3, perEntry/1e3)
 	}
-	return &Report{Series: []*stats.Series{s}}, nil
+	return &Report{Tables: []*Table{s}}, nil
 }
 
 func throughputWithConfig(cfg core.Config, iters int) (float64, error) {
@@ -352,21 +347,21 @@ func runE12(scale float64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("Fig 9a (reconstructed): remote update latency (us)",
+	t := NewTable("Fig 9a (reconstructed): remote update latency (us)",
 		"method", "latency-us")
 	t.Row("photon-fetch-add", us(lat))
 	t.Row("baseline-req-ack", us(blat))
 
-	s := stats.NewSeries("Fig 9b (reconstructed): pipelined fetch-add rate (Kops/s) vs window",
+	s := NewTable("Fig 9b (reconstructed): pipelined fetch-add rate (Kops/s) vs window",
 		"window", "photon-fetch-add")
 	for _, w := range []int{1, 2, 4, 8, 16, 32} {
 		r, err := AtomicRate(e.Phs, descs, w, iters)
 		if err != nil {
 			return nil, err
 		}
-		s.Row(float64(w), r/1e3)
+		s.Row(w, r/1e3)
 	}
-	return &Report{Series: []*stats.Series{s}, Tables: []*stats.Table{t}}, nil
+	return &Report{Tables: []*Table{s, t}}, nil
 }
 
 // runE13 — fault injection & recovery (no paper figure: the paper
@@ -379,7 +374,7 @@ func runE12(scale float64) (*Report, error) {
 // onto the OpTimeout sweep.
 func runE13(scale float64) (*Report, error) {
 	trials := scaled(8, scale)
-	rec := stats.NewTable("E13a: recovery time after link sever vs heartbeat interval (TCP, 1ms backoff)",
+	rec := NewTable("E13a: recovery time after link sever vs heartbeat interval (TCP, 1ms backoff)",
 		"heartbeat", "mean-recovery-ms", "max-recovery-ms")
 	for _, hb := range []time.Duration{time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond} {
 		mean, max, err := SeverRecoveryTime(hb, trials)
@@ -389,7 +384,7 @@ func runE13(scale float64) (*Report, error) {
 		rec.Row(hb.String(), ms(mean), ms(max))
 	}
 	iters := scaled(4000, scale)
-	good := stats.NewTable("E13b: sustained 8B send goodput (Kmsg/s) under periodic link severs (TCP)",
+	good := NewTable("E13b: sustained 8B send goodput (Kmsg/s) under periodic link severs (TCP)",
 		"fault-injection", "Kmsg/s")
 	for _, every := range []time.Duration{0, 100 * time.Millisecond, 25 * time.Millisecond} {
 		rate, err := GoodputUnderSevers(iters, every)
@@ -402,7 +397,7 @@ func runE13(scale float64) (*Report, error) {
 		}
 		good.Row(label, rate/1e3)
 	}
-	loss := stats.NewTable("E13c: goodput when frames are lost above the transport (vsim + chaos, OpTimeout 150ms)",
+	loss := NewTable("E13c: goodput when frames are lost above the transport (vsim + chaos, OpTimeout 150ms)",
 		"drop-rate", "sends-ok", "goodput-Kmsg/s")
 	sends := scaled(600, scale)
 	for _, p := range []float64{0, 0.01} {
@@ -412,7 +407,7 @@ func runE13(scale float64) (*Report, error) {
 		}
 		loss.Row(fmt.Sprintf("%.0f%%", p*100), fmt.Sprintf("%d/%d", ok, sends), rate/1e3)
 	}
-	return &Report{Tables: []*stats.Table{rec, good, loss}}, nil
+	return &Report{Tables: []*Table{rec, good, loss}}, nil
 }
 
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }

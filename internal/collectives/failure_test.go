@@ -373,7 +373,7 @@ func TestAbortObservability(t *testing.T) {
 			continue
 		}
 		snap := w.phs[r].Metrics()
-		if v, ok := snap.Gauges.Get("coll_aborts"); !ok || v < 1 {
+		if v, ok := snap.Gauges["coll_aborts"]; !ok || v < 1 {
 			t.Errorf("rank %d: coll_aborts gauge = %d (ok=%v), want >= 1", r, v, ok)
 		}
 		var abortSamples int64
@@ -411,7 +411,7 @@ func TestAbortObservability(t *testing.T) {
 		if r == victim {
 			continue
 		}
-		if v, ok := w.phs[r].Metrics().Gauges.Get("coll_revokes_sent"); ok {
+		if v, ok := w.phs[r].Metrics().Gauges["coll_revokes_sent"]; ok {
 			revokes += v
 		}
 	}
@@ -424,7 +424,7 @@ func TestAbortObservability(t *testing.T) {
 		if r == victim {
 			continue
 		}
-		if v, ok := w.phs[r].Metrics().Gauges.Get("coll_shrinks"); !ok || v != 1 {
+		if v, ok := w.phs[r].Metrics().Gauges["coll_shrinks"]; !ok || v != 1 {
 			t.Errorf("rank %d: coll_shrinks gauge = %d (ok=%v), want 1", r, v, ok)
 		}
 	}

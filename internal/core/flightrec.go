@@ -15,11 +15,11 @@ import (
 //
 // captureFlight runs inside pollHealth, which holds the engine mutex.
 // It therefore must NOT call Photon.Metrics() — that locks the engine
-// and would self-deadlock — and instead reads only
-// lock-free sources: the trace ring snapshot, the metrics registry
-// (atomic buckets), per-peer health atomics, and the backend's
-// TransportStats (which the StatsBackend contract requires to be safe
-// during operation). Allocation here is fine; transitions are rare,
+// and would self-deadlock — and instead reads only lock-free sources:
+// the engine counters (Photon.counters), the trace ring snapshot, the
+// metrics registry (atomic buckets), per-peer health atomics, and the
+// backend's TransportStats (which the StatsBackend contract requires
+// to be safe during operation). Allocation here is fine; transitions are rare,
 // cold events.
 
 // flightWindow is how many of the most recent trace-ring events each
@@ -60,41 +60,21 @@ func (p *Photon) captureRecord(ps *peerState, from, to PeerHealth, reason string
 		From:   from.String(),
 		To:     to.String(),
 		Reason: reason,
-		Gauges: map[string]int64{
-			"peer_suspect_transitions": p.suspectTransitions.Load(),
-			"peers_down":               p.peersDown.Load(),
-			"ops_timed_out":            p.opsTimedOut.Load(),
-			"puts_direct":              p.stats.putsDirect.Load(),
-			"puts_packed":              p.stats.putsPacked.Load(),
-			"gets":                     p.stats.gets.Load(),
-			"rdzv_sends":               p.stats.rdzvSends.Load(),
-			"progress_calls":           p.stats.progress.Load(),
-		},
+		Gauges: map[string]int64{},
 	}
+	set := func(name string, v int64) { rec.Gauges[name] = v }
+	p.counters(set)
 	if p.obs.ring != nil {
 		rec.Events = p.obs.ring.Snapshot()
 	}
 	if p.obs.reg != nil {
 		snap := p.obs.reg.Snapshot()
 		for i := range snap.Hists {
-			h := &snap.Hists[i].Hist
-			if h.N() == 0 {
-				continue
-			}
-			rec.Hists = append(rec.Hists, flight.HistSummary{
-				Name:   snap.Hists[i].Name,
-				N:      h.N(),
-				MeanNS: h.Mean(),
-				P50NS:  h.Quantile(0.50),
-				P99NS:  h.Quantile(0.99),
-				MaxNS:  h.Quantile(1),
-			})
+			rec.Hists = append(rec.Hists, snap.Hists[i].Hist.Summary(snap.Hists[i].Name))
 		}
 	}
 	if sb, ok := p.be.(StatsBackend); ok {
-		sb.TransportStats(func(name string, v int64) {
-			rec.Gauges[name] = v
-		})
+		sb.TransportStats(set)
 	}
 	for _, peer := range p.peers {
 		if peer.rank == p.rank {

@@ -174,31 +174,56 @@ func (p *Photon) PeerClockOffset(rank int) (offsetNS, rttNS int64, ok bool) {
 	return p.be.ClockOffset(rank)
 }
 
+// counters names every engine counter once, reporting each through
+// set: the Stats fields under their snake_case names, completion-ring
+// high-water marks, parked deferred work, progress activity and the
+// fault plane's counters (always reported, 0 while it is disarmed).
+// Every source is an atomic, so it takes no lock: Metrics and the
+// flight recorder (which runs under the engine mutex) both use it.
+func (p *Photon) counters(set func(name string, v int64)) {
+	s := p.Stats()
+	set("puts_direct", s.PutsDirect)
+	set("puts_packed", s.PutsPacked)
+	set("gets", s.Gets)
+	set("rdzv_sends", s.RdzvSends)
+	set("rdzv_recvs", s.RdzvRecvs)
+	set("atomics", s.Atomics)
+	set("credit_writes", s.CreditWrites)
+	set("progress_calls", s.ProgressCalls)
+	set("deferred_writes", s.DeferredWrites)
+	set("entry_pool_hits", s.EntryPoolHits)
+	set("entry_pool_misses", s.EntryPoolMisses)
+	set("ring_overflows", s.RingOverflows)
+	set("batch_posts", s.BatchPosts)
+	set("batched_ops", s.BatchedOps)
+
+	eng := &p.eng
+	set("local_cq_highwater", eng.localCQ.highWater())
+	set("remote_cq_highwater", eng.remoteCQ.highWater())
+	set("deferred_parked", eng.parked.Load())
+	set("credit_hint_pending", eng.creditHintTotal.Load())
+	set("engine_reaps", eng.reaps.Load())
+	set("engine_sweeps", eng.sweeps.Load())
+
+	set("ops_timed_out", p.opsTimedOut.Load())
+	set("peer_suspect_transitions", p.suspectTransitions.Load())
+	set("peers_down", p.peersDown.Load())
+}
+
 // Metrics snapshots the latency registry and attaches engine gauges:
-// completion-ring depth high-water marks and overflow counts, parked
-// deferred work, and per-peer credit/deferred gauges. Callable with
-// metrics disabled (the snapshot then carries gauges only).
+// every engine counter (see counters), per-peer credit/deferred
+// gauges, transport counters and registered gauge sources. Callable
+// with metrics disabled (the snapshot then carries gauges only).
 func (p *Photon) Metrics() *metrics.Snapshot {
 	snap := p.obs.reg.Snapshot()
 	g := snap.Gauges
-	eng := &p.eng
-	g.Set("local_cq_highwater", eng.localCQ.highWater())
-	g.Set("remote_cq_highwater", eng.remoteCQ.highWater())
-	g.Set("ring_overflows", eng.localCQ.overflowCount()+eng.remoteCQ.overflowCount())
-	g.Set("deferred_parked", eng.parked.Load())
-	g.Set("credit_hint_pending", eng.creditHintTotal.Load())
-	g.Set("engine_reaps", eng.reaps.Load())
-	g.Set("engine_sweeps", eng.sweeps.Load())
-
-	// Failure-path gauges: always exported (0 when the fault plane is
-	// disarmed) so dashboards and smoke tests can rely on the names.
-	g.Set("ops_timed_out", p.opsTimedOut.Load())
-	g.Set("peer_suspect_transitions", p.suspectTransitions.Load())
-	g.Set("peers_down", p.peersDown.Load())
+	set := func(name string, v int64) { g[name] = v }
+	p.counters(set)
 
 	// Per-peer gauges. consumed/lastReturned are engine and peer-mutex
 	// state respectively; take the same locks the engine does so a
 	// snapshot during live traffic stays race-free.
+	eng := &p.eng
 	eng.mu.Lock()
 	for _, ps := range p.peers {
 		if ps.rank == p.rank {
@@ -212,16 +237,16 @@ func (p *Photon) Metrics() *metrics.Snapshot {
 		}
 		ps.mu.Unlock()
 		prefix := fmt.Sprintf("peer%d_", ps.rank)
-		g.Set(prefix+"deferred", ps.deferred.Load())
-		g.Set(prefix+"entries_consumed", consumed)
-		g.Set(prefix+"credits_unreturned", unreturned)
+		g[prefix+"deferred"] = ps.deferred.Load()
+		g[prefix+"entries_consumed"] = consumed
+		g[prefix+"credits_unreturned"] = unreturned
 	}
 	eng.mu.Unlock()
 
 	// Transport-level gauges, when the backend measures itself (the
 	// TCP backend exports its data-path coalescing counters here).
 	if sb, ok := p.be.(StatsBackend); ok {
-		sb.TransportStats(func(name string, v int64) { g.Set(name, v) })
+		sb.TransportStats(set)
 	}
 
 	// Layered gauge sources (collectives counters and the like).
@@ -230,7 +255,7 @@ func (p *Photon) Metrics() *metrics.Snapshot {
 	srcs = append(srcs, p.obs.gaugeSrcs...)
 	p.obs.gaugeMu.Unlock()
 	for _, fn := range srcs {
-		fn(func(name string, v int64) { g.Set(name, v) })
+		fn(set)
 	}
 	return snap
 }

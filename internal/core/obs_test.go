@@ -3,12 +3,14 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"photon/internal/backend/tcp"
 	"photon/internal/backend/vsim"
 	"photon/internal/bench"
 	"photon/internal/core"
@@ -208,10 +210,10 @@ func assertOpLatencies(t *testing.T, phs []*core.Photon) {
 		t.Errorf("progress/reap histogram empty after sustained traffic")
 	}
 	// Engine gauges ride along even without traffic-specific state.
-	if _, ok := snap.Gauges.Get("local_cq_highwater"); !ok {
+	if _, ok := snap.Gauges["local_cq_highwater"]; !ok {
 		t.Errorf("local_cq_highwater gauge missing")
 	}
-	if _, ok := snap.Gauges.Get(fmt.Sprintf("peer%d_entries_consumed", 1)); !ok {
+	if _, ok := snap.Gauges[fmt.Sprintf("peer%d_entries_consumed", 1)]; !ok {
 		t.Errorf("per-peer gauge missing")
 	}
 }
@@ -421,7 +423,7 @@ func TestMetricsConcurrentWithTraffic(t *testing.T) {
 		defer wg.Done()
 		for !stop.Load() {
 			snap := phs[0].Metrics()
-			if _, ok := snap.Gauges.Get("engine_reaps"); !ok {
+			if _, ok := snap.Gauges["engine_reaps"]; !ok {
 				t.Error("engine_reaps gauge missing from concurrent snapshot")
 				return
 			}
@@ -469,7 +471,7 @@ func TestMetricsConcurrentWithTraffic(t *testing.T) {
 		rank int
 		name string
 	}{{0, "engine_sweeps"}, {1, "engine_reaps"}, {2, "engine_reaps"}} {
-		if v, ok := phs[g.rank].Metrics().Gauges.Get(g.name); !ok || v <= 0 {
+		if v, ok := phs[g.rank].Metrics().Gauges[g.name]; !ok || v <= 0 {
 			t.Errorf("rank %d %s = %d ok=%v, want > 0", g.rank, g.name, v, ok)
 		}
 	}
@@ -500,4 +502,140 @@ func TestTraceSampling(t *testing.T) {
 	if posts == 0 || posts > ops/2 {
 		t.Fatalf("sampled posts = %d, want ~%d (shift 2 over %d ops)", posts, ops/4, ops)
 	}
+}
+
+// snake converts a Go field name to its gauge name: PutsDirect →
+// puts_direct.
+func snake(name string) string {
+	var b strings.Builder
+	for i, r := range name {
+		if r >= 'A' && r <= 'Z' {
+			if i > 0 {
+				b.WriteByte('_')
+			}
+			r += 'a' - 'A'
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
+}
+
+// TestCountersNamedOnce checks that Stats, Metrics and the flight
+// recorder report one set of engine counters: after traffic of every
+// op kind and a killed peer, every Stats field's value appears in the
+// Metrics gauges under its snake_case name, and the flight record's
+// gauges use those same names.
+func TestCountersNamedOnce(t *testing.T) {
+	phs, _, cleanup, err := bench.NewTCPPhotonsFT(2, core.Config{
+		OpTimeout:         300 * time.Millisecond,
+		HeartbeatInterval: 20 * time.Millisecond,
+		Metrics:           true,
+		FlightRecords:     8,
+	}, func(c *tcp.Config) {
+		c.ReconnectWindow = 150 * time.Millisecond
+		c.ReconnectBackoff = 10 * time.Millisecond
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cleanup)
+	_, descs, _, err := bench.ShareBuffers(phs, 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := make([]byte, 16<<10)
+	rid := uint64(1)
+	waitLocal := func() {
+		t.Helper()
+		if _, err := phs[0].WaitLocal(rid, waitT); err != nil {
+			t.Fatal(err)
+		}
+		rid++
+	}
+	for _, size := range []int{8, len(local)} { // packed, then direct put
+		if err := phs[0].PutWithCompletion(1, local[:size], descs[0][1], 0, rid, rid); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := phs[1].WaitRemote(rid, waitT); err != nil {
+			t.Fatal(err)
+		}
+		waitLocal()
+	}
+	if err := phs[0].GetWithCompletion(1, local[:64], descs[0][1], 0, rid, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitLocal()
+	if err := phs[0].FetchAdd(1, descs[0][1], 0, 1, rid); err != nil {
+		t.Fatal(err)
+	}
+	waitLocal()
+	if err := phs[0].Send(1, local, rid, rid); err != nil { // rendezvous
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { _, err := phs[1].WaitRemote(rid, waitT); done <- err }()
+	waitLocal()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	phs[1].Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for phs[0].PeerHealthState(1) != core.PeerDown {
+		if time.Now().After(deadline) {
+			t.Fatalf("peer never latched down: %v", phs[0].PeerHealthState(1))
+		}
+		phs[0].Progress()
+		time.Sleep(time.Millisecond)
+	}
+
+	st := phs[0].Stats()
+	gauges := phs[0].Metrics().Gauges
+	if again := phs[0].Stats(); again != st {
+		t.Fatalf("engine counters moved while idle: %+v -> %+v", st, again)
+	}
+	v := reflect.ValueOf(st)
+	for i := 0; i < v.NumField(); i++ {
+		name := snake(v.Type().Field(i).Name)
+		got, ok := gauges[name]
+		if !ok {
+			t.Errorf("Metrics has no gauge %q for Stats.%s", name, v.Type().Field(i).Name)
+		} else if want := v.Field(i).Int(); got != want {
+			t.Errorf("gauge %s = %d, Stats.%s = %d", name, got, v.Type().Field(i).Name, want)
+		}
+	}
+	for _, name := range []string{"puts_direct", "puts_packed", "gets", "atomics", "rdzv_sends"} {
+		if gauges[name] == 0 {
+			t.Errorf("gauge %s = 0 after traffic that exercises it", name)
+		}
+	}
+	if gauges["peers_down"] != 1 {
+		t.Errorf("peers_down = %d, want 1", gauges["peers_down"])
+	}
+
+	recs := phs[0].FlightRecorder().Records()
+	if len(recs) == 0 {
+		t.Fatal("peer down left no flight record")
+	}
+	rec := recs[len(recs)-1]
+	for name := range rec.Gauges {
+		if _, ok := gauges[name]; !ok {
+			t.Errorf("flight record gauge %q is not a Metrics gauge", name)
+		}
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if name := snake(v.Type().Field(i).Name); !hasKey(rec.Gauges, name) {
+			t.Errorf("flight record lacks counter %q", name)
+		}
+	}
+	for _, name := range []string{"peers_down", "peer_suspect_transitions", "ops_timed_out", "engine_reaps", "local_cq_highwater"} {
+		if !hasKey(rec.Gauges, name) {
+			t.Errorf("flight record lacks counter %q", name)
+		}
+	}
+}
+
+func hasKey(m map[string]int64, k string) bool {
+	_, ok := m[k]
+	return ok
 }

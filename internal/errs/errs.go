@@ -1,19 +1,20 @@
 // Package errs holds error sentinels shared across Photon's layers.
 //
-// The dependency graph forbids a single home higher up: core imports
-// verbs, so verbs cannot wrap a sentinel defined in core, yet callers
+// The dependency graph forbids a single home higher up: the two-sided
+// baseline (msg) does not import core, so it cannot wrap a sentinel
+// defined there, yet callers
 // want one errors.Is target that matches a timeout no matter which
 // layer produced it. The root sentinels therefore live here, below
 // everything; core aliases them under its public names (core.ErrTimeout
 // is this package's ErrTimeout, the same object) and the other layers
 // wrap them with layer-specific messages. errors.Is against the core
-// name then matches timeouts from verbs, msg, and runtime alike.
+// name then matches timeouts from msg and runtime alike.
 package errs
 
 import "errors"
 
 // ErrTimeout is the root timeout sentinel. core.ErrTimeout aliases it;
-// verbs.ErrTimeout, msg.ErrTimeout, and runtime.ErrTimeout wrap it.
+// msg.ErrTimeout and runtime.ErrTimeout wrap it.
 var ErrTimeout = errors.New("photon: wait timed out")
 
 // ErrPeerDown is the root dead-peer sentinel: a peer's transport could

@@ -9,7 +9,6 @@ import (
 	"photon/internal/errs"
 	"photon/internal/msg"
 	"photon/internal/runtime"
-	"photon/internal/verbs"
 )
 
 // One errors.Is target must match a timeout no matter which layer
@@ -17,7 +16,6 @@ import (
 func TestTimeoutMatchesAcrossLayers(t *testing.T) {
 	layered := map[string]error{
 		"core":    core.ErrTimeout,
-		"verbs":   verbs.ErrTimeout,
 		"msg":     msg.ErrTimeout,
 		"runtime": runtime.ErrTimeout,
 	}
@@ -30,9 +28,9 @@ func TestTimeoutMatchesAcrossLayers(t *testing.T) {
 		}
 	}
 	// Wrapping chains built by callers keep matching.
-	wrapped := fmt.Errorf("op 7 on rank 3: %w", verbs.ErrTimeout)
+	wrapped := fmt.Errorf("op 7 on rank 3: %w", msg.ErrTimeout)
 	if !errors.Is(wrapped, core.ErrTimeout) {
-		t.Error("wrapped verbs timeout lost the core.ErrTimeout identity")
+		t.Error("wrapped msg timeout lost the core.ErrTimeout identity")
 	}
 	// The alias is an identity, not a copy: code that compares directly
 	// (err == core.ErrTimeout, as some older call sites do) still works

@@ -29,6 +29,7 @@ type HistSummary struct {
 	N      int64   `json:"n"`
 	MeanNS float64 `json:"mean_ns"`
 	P50NS  int64   `json:"p50_ns"`
+	P90NS  int64   `json:"p90_ns"`
 	P99NS  int64   `json:"p99_ns"`
 	MaxNS  int64   `json:"max_ns"`
 }

@@ -8,9 +8,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"text/tabwriter"
 	"time"
-
-	"photon/internal/stats"
 )
 
 // This file is the cluster half of the metrics plane: a Collector
@@ -25,7 +24,7 @@ import (
 
 // WireBucket is one non-empty histogram bucket on the wire.
 type WireBucket struct {
-	B   int     `json:"b"`   // bucket index (stats log-linear layout)
+	B   int     `json:"b"`   // bucket index (Hist's log-linear layout)
 	N   int64   `json:"n"`   // observation count
 	Sum float64 `json:"sum"` // nanosecond sum
 }
@@ -48,44 +47,35 @@ type WireSnapshot struct {
 
 // Wire converts a snapshot to its bucket-level wire form.
 func (s *Snapshot) Wire() *WireSnapshot {
-	w := &WireSnapshot{Gauges: map[string]int64{}}
+	w := &WireSnapshot{Gauges: s.Gauges}
 	for i := range s.Hists {
 		nh := &s.Hists[i]
 		wh := WireHist{Name: nh.Name, Metric: nh.Metric, Labels: nh.Labels}
-		for b := 0; b < stats.NumBuckets; b++ {
-			if c := nh.Hist.BucketCount(b); c != 0 {
-				wh.Buckets = append(wh.Buckets, WireBucket{B: b, N: c, Sum: nh.Hist.BucketSum(b)})
+		for b, c := range nh.Hist.counts {
+			if c != 0 {
+				wh.Buckets = append(wh.Buckets, WireBucket{B: b, N: c, Sum: nh.Hist.sums[b]})
 			}
 		}
 		w.Hists = append(w.Hists, wh)
-	}
-	if s.Gauges != nil {
-		for _, n := range s.Gauges.Names() {
-			v, _ := s.Gauges.Get(n)
-			w.Gauges[n] = v
-		}
 	}
 	return w
 }
 
 // Snapshot converts a wire snapshot back into the in-memory form.
+// Bucket data goes through Hist.add, so out-of-range indices and
+// non-positive counts from a remote peer are clamped or dropped.
 func (w *WireSnapshot) Snapshot() *Snapshot {
-	s := &Snapshot{Gauges: stats.NewCounterSet()}
+	s := &Snapshot{Gauges: w.Gauges}
+	if s.Gauges == nil {
+		s.Gauges = map[string]int64{}
+	}
 	for i := range w.Hists {
 		wh := &w.Hists[i]
 		nh := NamedHist{Name: wh.Name, Metric: wh.Metric, Labels: wh.Labels}
 		for _, bk := range wh.Buckets {
-			nh.Hist.AccumulateBucket(bk.B, bk.N, bk.Sum)
+			nh.Hist.add(bk.B, bk.N, bk.Sum)
 		}
 		s.Hists = append(s.Hists, nh)
-	}
-	names := make([]string, 0, len(w.Gauges))
-	for n := range w.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		s.Gauges.Set(n, w.Gauges[n])
 	}
 	return s
 }
@@ -189,7 +179,7 @@ func (c *Collector) scrape(src *PeerSource) PeerMetrics {
 // gauges sum across peers. Per-peer gauge values stay available in
 // Peers for tables that need them unsummed.
 func (cs *ClusterSnapshot) merge() {
-	merged := &Snapshot{Gauges: stats.NewCounterSet()}
+	merged := &Snapshot{Gauges: map[string]int64{}}
 	idx := map[string]int{}
 	for _, pm := range cs.Peers {
 		if pm.Snap == nil {
@@ -205,18 +195,10 @@ func (cs *ClusterSnapshot) merge() {
 					Name: src.Name, Metric: src.Metric, Labels: src.Labels,
 				})
 			}
-			dst := &merged.Hists[j].Hist
-			for b := 0; b < stats.NumBuckets; b++ {
-				if c := src.Hist.BucketCount(b); c != 0 {
-					dst.AccumulateBucket(b, c, src.Hist.BucketSum(b))
-				}
-			}
+			merged.Hists[j].Hist.Merge(&src.Hist)
 		}
-		if pm.Snap.Gauges != nil {
-			for _, n := range pm.Snap.Gauges.Names() {
-				v, _ := pm.Snap.Gauges.Get(n)
-				merged.Gauges.Add(n, v)
-			}
+		for n, v := range pm.Snap.Gauges {
+			merged.Gauges[n] += v
 		}
 	}
 	cs.Merged = merged
@@ -286,11 +268,13 @@ func (cs *ClusterSnapshot) Render() string {
 				continue
 			}
 			seen[name] = true
-			t := stats.NewTable("slowest peers: "+name+" p99 (us)", "rank", "n", "p99")
+			fmt.Fprintf(&b, "# slowest peers: %s p99 (us)\n", name)
+			tw := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+			fmt.Fprintln(tw, "rank\tn\tp99")
 			for _, pq := range cs.TopK(name, 0.99, 3) {
-				t.Row(pq.Rank, pq.N, float64(pq.QuantileNS)/1e3)
+				fmt.Fprintf(tw, "%d\t%d\t%.3f\n", pq.Rank, pq.N, float64(pq.QuantileNS)/1e3)
 			}
-			b.WriteString(t.Render())
+			tw.Flush()
 		}
 	}
 	return b.String()

@@ -21,7 +21,7 @@ func TestCollectorMergesPeers(t *testing.T) {
 
 	snap1 := func() *Snapshot {
 		s := r1.Snapshot()
-		s.Gauges.Set("ring_overflows", 2)
+		s.Gauges["ring_overflows"] = 2
 		return s
 	}
 	srv, err := Serve("127.0.0.1:0", snap1, nil)
@@ -33,7 +33,7 @@ func TestCollectorMergesPeers(t *testing.T) {
 	col := NewCollector([]PeerSource{
 		{Rank: 0, Snap: func() *Snapshot {
 			s := r0.Snapshot()
-			s.Gauges.Set("ring_overflows", 5)
+			s.Gauges["ring_overflows"] = 5
 			return s
 		}},
 		{Rank: 1, URL: "http://" + srv.Addr()},
@@ -65,7 +65,7 @@ func TestCollectorMergesPeers(t *testing.T) {
 	if m := merged.Hist.Mean(); m < 3999 || m > 4001 {
 		t.Fatalf("merged mean = %v, want 4000", m)
 	}
-	if v, _ := cs.Merged.Gauges.Get("ring_overflows"); v != 7 {
+	if v := cs.Merged.Gauges["ring_overflows"]; v != 7 {
 		t.Fatalf("summed gauge = %d, want 7", v)
 	}
 
@@ -123,7 +123,7 @@ func TestWireRoundTrip(t *testing.T) {
 		r.RecordOp(OpGet, StageInitiator, int64(100+i*37))
 	}
 	s := r.Snapshot()
-	s.Gauges.Set("peers_down", 1)
+	s.Gauges["peers_down"] = 1
 	rt := s.Wire().Snapshot()
 	if len(rt.Hists) != len(s.Hists) {
 		t.Fatalf("hist count changed: %d != %d", len(rt.Hists), len(s.Hists))
@@ -135,7 +135,7 @@ func TestWireRoundTrip(t *testing.T) {
 				s.Hists[i].Name, a.N(), b.N(), a.Mean(), b.Mean())
 		}
 	}
-	if v, ok := rt.Gauges.Get("peers_down"); !ok || v != 1 {
+	if v, ok := rt.Gauges["peers_down"]; !ok || v != 1 {
 		t.Fatalf("gauge lost in round trip: %d %v", v, ok)
 	}
 }

@@ -88,7 +88,7 @@ func TestSnapshotRenderAndPrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.RecordOp(OpSend, StageRemote, 1500)
 	snap := r.Snapshot()
-	snap.Gauges.Set("ring_overflows", 3)
+	snap.Gauges["ring_overflows"] = 3
 
 	text := snap.Render()
 	if !strings.Contains(text, "send/remote") || !strings.Contains(text, "ring_overflows") {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"photon/internal/flight"
 	"photon/internal/trace"
 )
 
@@ -66,26 +67,12 @@ func Serve(addr string, snap func() *Snapshot, rings map[string]*trace.Ring) (*S
 		out := map[string]interface{}{}
 		if snap != nil {
 			s := snap()
-			hists := map[string]interface{}{}
+			hists := map[string]flight.HistSummary{}
 			for i := range s.Hists {
-				h := &s.Hists[i].Hist
-				hists[s.Hists[i].Name] = map[string]interface{}{
-					"n":       h.N(),
-					"mean_ns": h.Mean(),
-					"p50_ns":  h.Quantile(0.50),
-					"p99_ns":  h.Quantile(0.99),
-					"max_ns":  h.Quantile(1),
-				}
-			}
-			gauges := map[string]int64{}
-			if s.Gauges != nil {
-				for _, n := range s.Gauges.Names() {
-					v, _ := s.Gauges.Get(n)
-					gauges[n] = v
-				}
+				hists[s.Hists[i].Name] = s.Hists[i].Hist.Summary(s.Hists[i].Name)
 			}
 			out["hists"] = hists
-			out["gauges"] = gauges
+			out["gauges"] = s.Gauges
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")

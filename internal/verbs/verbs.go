@@ -11,9 +11,7 @@ package verbs
 
 import (
 	"fmt"
-	"time"
 
-	"photon/internal/errs"
 	"photon/internal/fabric"
 	"photon/internal/nicsim"
 )
@@ -49,11 +47,6 @@ const (
 	AccessAll        = nicsim.AccessAll
 	AccessRemoteRead = nicsim.AccessRemoteRead
 )
-
-// ErrTimeout is returned by PollN when completions do not arrive in
-// time. It wraps the shared root sentinel (aliased as core.ErrTimeout),
-// so errors.Is(err, core.ErrTimeout) matches timeouts from this layer.
-var ErrTimeout = fmt.Errorf("verbs: poll timed out: %w", errs.ErrTimeout)
 
 // Device is an opened RDMA device on one fabric node.
 type Device struct {
@@ -94,56 +87,3 @@ func (d *Device) CreateQP(sendCQ, recvCQ *CQ) (*QP, error) {
 
 // Close releases the device; all its QPs stop.
 func (d *Device) Close() { d.nic.Close() }
-
-// ConnectPair transitions two QPs (on different devices) into RTS bound
-// to each other. In-process simulation makes the out-of-band exchange
-// trivial; the TCP backend does a real exchange.
-func ConnectPair(a, b *QP, nodeA, nodeB int) error {
-	if err := a.Connect(nodeB, b.QPN()); err != nil {
-		return err
-	}
-	return b.Connect(nodeA, a.QPN())
-}
-
-// PollN polls cq until n completions are reaped or the timeout expires,
-// spinning with a short yield as Photon's progress loops do. It returns
-// the completions collected so far along with ErrTimeout on expiry.
-func PollN(cq *CQ, n int, timeout time.Duration) ([]CQE, error) {
-	out := make([]CQE, 0, n)
-	deadline := time.Now().Add(timeout)
-	for len(out) < n {
-		got := cq.Poll(n - len(out))
-		out = append(out, got...)
-		if len(out) >= n {
-			break
-		}
-		if time.Now().After(deadline) {
-			return out, ErrTimeout
-		}
-		time.Sleep(5 * time.Microsecond)
-	}
-	return out, nil
-}
-
-// PostAndWait posts a signaled work request and blocks until its
-// completion arrives on cq, returning that CQE. Other completions
-// reaped while waiting are returned too (in order); the matching one is
-// last. It is a bootstrap/test helper, not a hot path.
-func PostAndWait(qp *QP, cq *CQ, wr SendWR, timeout time.Duration) (CQE, error) {
-	wr.Signaled = true
-	if err := qp.PostSend(wr); err != nil {
-		return CQE{}, err
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		for _, e := range cq.Poll(16) {
-			if e.WRID == wr.WRID {
-				return e, nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return CQE{}, ErrTimeout
-		}
-		time.Sleep(5 * time.Microsecond)
-	}
-}
