@@ -3,6 +3,7 @@ package collectives
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"photon/internal/core"
 )
@@ -161,17 +162,32 @@ func (c *Comm) allreduceRD(rdgen uint64, vec []float64, op Op) error {
 // Large-vector allreduce: ring reduce-scatter + allgather
 // ---------------------------------------------------------------------
 
+// ringBanks is the ring's posted-receive window: step s receives into
+// bank s%ringBanks, posted two steps before it is awaited.
+const ringBanks = 3
+
 // allreduceRing reduces vec in place with the bandwidth-optimal ring:
 // N-1 reduce-scatter steps leave each rank owning one fully reduced
 // chunk, N-1 allgather steps circulate the finished chunks. Each rank
-// moves 2(N-1)/N of the vector total regardless of N. Sends stage
-// through two scratch banks (a bank is reused only after its transfer's
-// local completion); receives land in a posted scratch buffer that is
-// consumed before the next step posts it again.
+// moves 2(N-1)/N of the vector total regardless of N. At step s a rank
+// sends chunk rank-s right and receives chunk rank-s-1 from the left
+// (folding it in during reduce-scatter, overwriting during allgather).
+//
+// Sends stage through two scratch banks (a bank is reused only after
+// its transfer's local completion). Receives land in a window of
+// ringBanks posted banks: before awaiting step s the receives for steps
+// s+1 and s+2 are posted too. The left neighbor posts its step-g send
+// only after reaping the local completion of its step g-2, which needs
+// this rank's FIN for g-2, so its RTS can run at most two steps ahead
+// of this rank's reads and normally finds its posting — the read lands
+// in place instead of being staged and copied out. The step-0 RTS can
+// still beat its posting while this rank is inside the previous
+// collective; that delivery is a middleware-owned copy.
 func (c *Comm) allreduceRing(gen uint64, vec []float64, op Op) error {
 	n := c.size
 	right := (c.rank + 1) % n
 	left := (c.rank - 1 + n) % n
+	steps := 2 * (n - 1)
 	L := len(vec)
 	bound := func(i int) (int, int) {
 		i %= n
@@ -179,78 +195,65 @@ func (c *Comm) allreduceRing(gen uint64, vec []float64, op Op) error {
 	}
 	maxC := 8 * (L/n + 1)
 	snd := c.sendScratch(2 * maxC)
-	rcv := c.recvScratch(maxC)
+	rcv := c.recvScratch(ringBanks * maxC)
 
 	sridAt := func(step int, src int) uint64 { return rid(gen, kindAllreduce, 0, step, src) }
 	lridAt := func(step int) uint64 { return rid(gen, kindAllreduce, 1, step, c.rank) }
 
-	// sendChunk stages chunk ci of vec into the step's bank and posts it
-	// to the right neighbor; the bank is reclaimed two steps later.
-	sendChunk := func(step, ci int) error {
-		if step >= 2 {
-			if _, err := c.wait1(lridAt(step-2), true); err != nil {
-				return err
-			}
+	// posted is the first step without a receive posting; postings for
+	// steps below it and not yet awaited are live.
+	posted := 0
+	postUpTo := func(end int) {
+		for ; posted < end && posted < steps; posted++ {
+			lo, hi := bound(c.rank - posted - 1 + 2*n)
+			b := (posted % ringBanks) * maxC
+			_ = c.ph.PostRecv(sridAt(posted, left), rcv[b:b+8*(hi-lo)])
 		}
-		slo, shi := bound(ci)
-		sb := snd[(step&1)*maxC : (step&1)*maxC+8*(shi-slo)]
-		encodeF64Into(sb, vec[slo:shi])
-		return c.sendNB(right, sb, lridAt(step), sridAt(step, c.rank))
 	}
-	// recvChunk posts the step's receive, waits for it, and returns the
-	// payload (the posted scratch, or a middleware-owned copy when the
-	// left neighbor ran ahead of the posting).
-	recvChunk := func(step, ci int) ([]byte, error) {
-		rlo, rhi := bound(ci)
-		rnb := 8 * (rhi - rlo)
-		r := sridAt(step, left)
-		_ = c.ph.PostRecv(r, rcv[:rnb])
-		comp, err := c.wait1(r, false)
-		c.ph.CancelRecv(r)
-		if err != nil {
-			return nil, err
+	// abort withdraws the live postings from step s on, so the engine
+	// holds no delivery rights into the scratch once the call unwinds.
+	abort := func(s int, err error) error {
+		for ; s < posted; s++ {
+			c.ph.CancelRecv(sridAt(s, left))
 		}
-		if len(comp.Data) != rnb {
-			return nil, ErrSizeMismatch
-		}
-		return comp.Data, nil
+		return err
 	}
 
-	// Reduce-scatter: at step s, send chunk (rank-s) right and fold the
-	// incoming chunk (rank-s-1); after n-1 steps this rank owns the
-	// fully reduced chunk (rank+1).
-	for s := 0; s < n-1; s++ {
-		if err := sendChunk(s, c.rank-s+2*n); err != nil {
-			return err
+	for s := 0; s < steps; s++ {
+		postUpTo(s + ringBanks)
+		if s >= 2 {
+			// Reclaim the send bank step s-2 used.
+			if _, err := c.wait1(lridAt(s-2), true); err != nil {
+				return abort(s, err)
+			}
 		}
-		ci := c.rank - s - 1 + 2*n
-		data, err := recvChunk(s, ci)
+		slo, shi := bound(c.rank - s + 2*n)
+		sb := snd[(s&1)*maxC : (s&1)*maxC+8*(shi-slo)]
+		encodeF64Into(sb, vec[slo:shi])
+		if err := c.sendNB(right, sb, lridAt(s), sridAt(s, c.rank)); err != nil {
+			return abort(s, err)
+		}
+
+		rlo, rhi := bound(c.rank - s - 1 + 2*n)
+		r := sridAt(s, left)
+		comp, err := c.wait1(r, false)
 		if err != nil {
-			return err
+			return abort(s, err)
 		}
-		rlo, rhi := bound(ci)
-		decodeCombineF64(vec[rlo:rhi], data, op)
-	}
-	// Allgather: circulate the finished chunks; incoming chunks are
-	// final, so they overwrite rather than fold.
-	for s2 := 0; s2 < n-1; s2++ {
-		s := n - 1 + s2
-		if err := sendChunk(s, c.rank-s2+1+2*n); err != nil {
-			return err
+		// A true return means the posting went unused and Data is a
+		// middleware-owned copy; either way Data holds the chunk.
+		c.ph.CancelRecv(r)
+		if len(comp.Data) != 8*(rhi-rlo) {
+			return abort(s+1, ErrSizeMismatch)
 		}
-		ci := c.rank - s2 + 2*n
-		data, err := recvChunk(s, ci)
-		if err != nil {
-			return err
+		if s < n-1 {
+			decodeCombineF64(vec[rlo:rhi], comp.Data, op)
+		} else {
+			decodeF64Into(vec[rlo:rhi], comp.Data)
 		}
-		rlo, rhi := bound(ci)
-		decodeF64Into(vec[rlo:rhi], data)
 	}
 	// Reclaim the last two in-flight send banks.
-	for s := 2*(n-1) - 2; s < 2*(n-1); s++ {
-		if s < 0 {
-			continue
-		}
+	for s := steps - 2; s < steps; s++ {
 		if _, err := c.wait1(lridAt(s), true); err != nil {
 			return err
 		}
@@ -340,12 +343,39 @@ func (c *Comm) reduceVec(gen uint64, kind, root int, acc []float64, op Op) error
 // segSize returns the effective pipeline segment size for an L-byte
 // payload, scaling up from segmentBytes if L would otherwise
 // exceed the RID layout's segment field.
-func (c *Comm) segSize(L int) int {
+func segSize(L int) int {
 	seg := segmentBytes
 	for L > 0 && (L+seg-1)/seg > maxSegs-1 {
 		seg *= 2
 	}
 	return seg
+}
+
+// parseBcastHeader validates bcast's message 0 — an 8-byte
+// little-endian payload length L followed by the first segment — and
+// returns L and the segment size the root used. A single-segment
+// payload must fit the message; a multi-segment one must be coverable
+// by the RID layout's segments of the message's size, and that size
+// must be segSize(L). The bound is checked first, so segSize never sees
+// a length it would overflow on.
+func parseBcastHeader(msg0 []byte) (L, seg int, err error) {
+	if len(msg0) < 8 {
+		return 0, 0, fmt.Errorf("collectives: bcast header of %d bytes", len(msg0))
+	}
+	w := binary.LittleEndian.Uint64(msg0)
+	first := len(msg0) - 8
+	if w <= uint64(first) {
+		L = int(w)
+		return L, segSize(L), nil
+	}
+	if w > math.MaxInt || w > uint64(maxSegs-1)*uint64(first) {
+		return 0, 0, fmt.Errorf("collectives: bcast length %d exceeds %d segments of %d bytes", w, maxSegs-1, first)
+	}
+	L = int(w)
+	if seg = segSize(L); seg != first {
+		return 0, 0, fmt.Errorf("collectives: bcast first segment of %d bytes, want %d for length %d", first, seg, L)
+	}
+	return L, seg, nil
 }
 
 // fanout forwards one segment to every child of the tree, nonblocking.
@@ -369,9 +399,9 @@ func (c *Comm) fanout(gen uint64, ts *treeSched, kind, seg int, data []byte) err
 // child starts receiving segment s while s+1 is still in transit).
 func (c *Comm) bcast(gen uint64, root int, data []byte) ([]byte, error) {
 	ts := c.treeSched(root)
-	L := len(data)
-	seg := c.segSize(L)
 	if c.rank == root {
+		L := len(data)
+		seg := segSize(L)
 		n0 := imin(seg, L)
 		msg0 := c.sendScratch(8 + n0)
 		binary.LittleEndian.PutUint64(msg0, uint64(L))
@@ -394,10 +424,10 @@ func (c *Comm) bcast(gen uint64, root int, data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(comp.Data) < 8 {
-		return nil, fmt.Errorf("collectives: bcast header of %d bytes", len(comp.Data))
+	L, seg, err := parseBcastHeader(comp.Data)
+	if err != nil {
+		return nil, err
 	}
-	L = int(binary.LittleEndian.Uint64(comp.Data))
 	if L <= len(comp.Data)-8 {
 		// Single segment: forward the message as-is and hand the
 		// delivery buffer to the caller.
@@ -458,7 +488,7 @@ func (c *Comm) bcastInto(gen uint64, root int, buf []byte) error {
 		return nil
 	}
 	ts := c.treeSched(root)
-	seg := c.segSize(L)
+	seg := segSize(L)
 	S := (L + seg - 1) / seg
 	if c.rank == root {
 		for s := 0; s < S; s++ {

@@ -51,6 +51,7 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"photon/internal/core"
 	"photon/internal/errs"
@@ -713,22 +714,91 @@ func (c *Comm) Alltoall(blobs [][]byte) ([][]byte, error) {
 // Float encoding
 // ---------------------------------------------------------------------
 
+// The wire format of a float vector is little-endian IEEE 754. On a
+// little-endian host that is the in-memory layout, so an 8-byte-aligned
+// buffer is viewed as []float64 and moved with one copy (or folded
+// directly) instead of converting element by element. Big-endian hosts
+// and unaligned buffers take the portable loops.
+
+// hostLE reports whether the host stores a float64 in wire order.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64View returns the first n float64s of b viewed in place, or ok
+// false when the host byte order or b's alignment rules the view out.
+// b must hold 8*n bytes.
+func f64View(b []byte, n int) (v []float64, ok bool) {
+	b = b[:8*n]
+	if !hostLE || uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), n), true
+}
+
 // encodeF64Into writes v into b, which must hold 8*len(v) bytes.
 func encodeF64Into(b []byte, v []float64) {
+	if w, ok := f64View(b, len(v)); ok {
+		copy(w, v)
+		return
+	}
+	encodeF64Portable(b, v)
+}
+
+// decodeF64Into overwrites v from b; len(b) must be 8*len(v).
+func decodeF64Into(v []float64, b []byte) {
+	if w, ok := f64View(b, len(v)); ok {
+		copy(v, w)
+		return
+	}
+	decodeF64Portable(v, b)
+}
+
+// decodeCombineF64 folds the encoded vector in b into v elementwise.
+func decodeCombineF64(v []float64, b []byte, op Op) {
+	w, ok := f64View(b, len(v))
+	if !ok {
+		decodeCombinePortable(v, b, op)
+		return
+	}
+	// Each arm is exactly Op.apply's expression, so results are
+	// bit-identical to the portable path (NaN payloads and signed zeros
+	// included).
+	switch op {
+	case OpSum:
+		for i := range v {
+			v[i] = v[i] + w[i]
+		}
+	case OpMin:
+		for i := range v {
+			v[i] = math.Min(v[i], w[i])
+		}
+	case OpMax:
+		for i := range v {
+			v[i] = math.Max(v[i], w[i])
+		}
+	case OpProd:
+		for i := range v {
+			v[i] = v[i] * w[i]
+		}
+	default:
+		for i := range v {
+			v[i] = op.apply(v[i], w[i])
+		}
+	}
+}
+
+func encodeF64Portable(b []byte, v []float64) {
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(x))
 	}
 }
 
-// decodeF64Into overwrites v from b; len(b) must be 8*len(v).
-func decodeF64Into(v []float64, b []byte) {
+func decodeF64Portable(v []float64, b []byte) {
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
 }
 
-// decodeCombineF64 folds the encoded vector in b into v elementwise.
-func decodeCombineF64(v []float64, b []byte, op Op) {
+func decodeCombinePortable(v []float64, b []byte, op Op) {
 	for i := range v {
 		x := math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 		v[i] = op.apply(v[i], x)

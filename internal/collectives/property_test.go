@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"photon/internal/backend/vsim"
 	"photon/internal/collectives"
@@ -239,6 +240,77 @@ func TestAllreduceInPlaceLarge(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestRingRendezvousChunks runs the ring at job sizes 2, 3, 4 and 7
+// with every chunk above the eager threshold, so each step is a
+// rendezvous read into the posted-receive window, for all four ops.
+// Inputs are small integers, so every op is exact and the result must
+// equal the serial reference bit for bit. The last rank sleeps before
+// entering each call: its left neighbor's step-0 RTS arrives before the
+// sleeper has posted anything (the owned-copy fallback). At n=2 the
+// ring has two steps, fewer than the window's three banks.
+func TestRingRendezvousChunks(t *testing.T) {
+	ops := []collectives.Op{collectives.OpSum, collectives.OpMin, collectives.OpMax, collectives.OpProd}
+	for _, n := range []int{2, 3, 4, 7} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			cl, err := vsim.NewCluster(n, fabric.Model{}, nicsim.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cl.Close)
+			comms := make([]*collectives.Comm, n)
+			phs := make([]*core.Photon, n)
+			var wg sync.WaitGroup
+			errs := make([]error, n)
+			for r := 0; r < n; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					phs[r], errs[r] = core.Init(cl.Backend(r), core.Config{})
+					if errs[r] == nil {
+						comms[r] = collectives.NewWithConfig(phs[r], collectives.Config{Timeout: waitT, ForceAllreduce: "ring"})
+					}
+				}(r)
+			}
+			wg.Wait()
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", r, err)
+				}
+			}
+			// Every chunk holds at least L/n doubles.
+			per := phs[0].EagerThreshold()/8 + 3
+			L := n*per + n/2
+			for rep := 0; rep < 2; rep++ {
+				for _, op := range ops {
+					vecs := make([][]float64, n)
+					for r := range vecs {
+						vecs[r] = make([]float64, L)
+						for i := range vecs[r] {
+							vecs[r][i] = float64((r+i+rep)%5 + 1)
+						}
+					}
+					want := serialReduce(vecs, op)
+					runAll(t, comms, func(c *collectives.Comm) error {
+						if c.Rank() == n-1 {
+							time.Sleep(2 * time.Millisecond)
+						}
+						vec := append([]float64(nil), vecs[c.Rank()]...)
+						if err := c.AllreduceInPlace(vec, op); err != nil {
+							return err
+						}
+						for i := range vec {
+							if vec[i] != want[i] {
+								return fmt.Errorf("op %d: vec[%d] = %v, want %v", op, i, vec[i], want[i])
+							}
+						}
+						return nil
+					})
+				}
+			}
+		})
+	}
 }
 
 // TestBcastInto exercises the known-length path: no header, deliveries
