@@ -1,12 +1,11 @@
 package apps
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	gort "runtime"
 	"sync"
 	"time"
+	"unsafe"
 
 	"photon/internal/core"
 	"photon/internal/mem"
@@ -43,24 +42,24 @@ func (c *StencilConfig) validate(ranks int) error {
 	return nil
 }
 
-// stencilBand holds one rank's rows plus two halo rows, stored as
-// float64 bits in a registered byte buffer so neighbors can write halos
-// one-sidedly. Layout: row 0 = upper halo, rows 1..H = owned, row H+1 =
+// stencilBand holds one rank's rows plus two halo rows as native
+// float64s, with a byte view of the same memory for registration and
+// halo puts so neighbors can write halos one-sidedly. Halo rows travel
+// between ranks of one job on one byte order, so the bytes need no
+// conversion. Layout: row 0 = upper halo, rows 1..H = owned, row H+1 =
 // lower halo.
 type stencilBand struct {
 	n, h int
-	buf  []byte // (h+2) * n float64s
+	f    []float64 // (h+2) * n cells
+	buf  []byte    // f's memory as bytes
 }
 
-func newBand(n, h int) *stencilBand { return &stencilBand{n: n, h: h, buf: make([]byte, (h+2)*n*8)} }
-
-func (b *stencilBand) at(row, col int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b.buf[(row*b.n+col)*8:]))
+func newBand(n, h int) *stencilBand {
+	f := make([]float64, (h+2)*n)
+	return &stencilBand{n: n, h: h, f: f, buf: unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), len(f)*8)}
 }
 
-func (b *stencilBand) set(row, col int, v float64) {
-	binary.LittleEndian.PutUint64(b.buf[(row*b.n+col)*8:], math.Float64bits(v))
-}
+func (b *stencilBand) row(row int) []float64 { return b.f[row*b.n : (row+1)*b.n] }
 
 func (b *stencilBand) rowBytes(row int) []byte {
 	return b.buf[row*b.n*8 : (row+1)*b.n*8]
@@ -74,14 +73,15 @@ func initBand(b *stencilBand, rank int) {
 	h := b.h
 	for r := 1; r <= h; r++ {
 		globalRow := rank*h + (r - 1)
-		for c := 0; c < b.n; c++ {
+		row := b.row(r)
+		for c := range row {
 			v := 0.0
 			if c == 0 {
 				v = 100
 			} else if (globalRow+c)%17 == 0 {
 				v = 10
 			}
-			b.set(r, c, v)
+			row[c] = v
 		}
 	}
 }
@@ -91,28 +91,28 @@ func initBand(b *stencilBand, rank int) {
 func jacobiSweep(cur, next *stencilBand, topBoundary, bottomBoundary bool) {
 	h, n := cur.h, cur.n
 	for r := 1; r <= h; r++ {
+		mid, out := cur.row(r), next.row(r)
 		// Global boundary rows stay fixed.
 		if (topBoundary && r == 1) || (bottomBoundary && r == h) {
-			copy(next.rowBytes(r), cur.rowBytes(r))
+			copy(out, mid)
 			continue
 		}
-		for c := 0; c < n; c++ {
-			if c == 0 || c == n-1 {
-				next.set(r, c, cur.at(r, c))
-				continue
-			}
-			v := 0.25 * (cur.at(r-1, c) + cur.at(r+1, c) + cur.at(r, c-1) + cur.at(r, c+1))
-			next.set(r, c, v)
+		// Reslicing all four rows to n lets the compiler drop most
+		// bounds checks from the loop.
+		up, dn := cur.row(r - 1)[:n], cur.row(r + 1)[:n]
+		mid, out = mid[:n], out[:n]
+		out[0] = mid[0]
+		for c := 1; c < n-1; c++ {
+			out[c] = 0.25 * (up[c] + dn[c] + mid[c-1] + mid[c+1])
 		}
+		out[n-1] = mid[n-1]
 	}
 }
 
 func (b *stencilBand) checksum() float64 {
 	var s float64
-	for r := 1; r <= b.h; r++ {
-		for c := 0; c < b.n; c++ {
-			s += b.at(r, c)
-		}
+	for _, v := range b.f[b.n : (b.h+1)*b.n] {
+		s += v
 	}
 	return s
 }

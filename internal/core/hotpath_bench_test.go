@@ -153,6 +153,9 @@ func BenchmarkFetchAdd(b *testing.B) {
 // BenchmarkPutEagerVsim measures the same eager put end to end over
 // the simulated-verbs transport (2 ranks, zero-delay fabric): ns/op
 // includes the simulated NIC, so only the delta between runs matters.
+// Rank 0 parks in WaitLocal and the consumer in WaitRemote, so the
+// fabric's delivery goroutines get the processors instead of two
+// Probe spinners.
 func BenchmarkPutEagerVsim(b *testing.B) {
 	env, err := bench.NewPhotonOnly(2, fabric.Model{}, core.Config{})
 	if err != nil {
@@ -165,42 +168,30 @@ func BenchmarkPutEagerVsim(b *testing.B) {
 	}
 	dst := descs[0][1] // rank 1's buffer as seen by rank 0
 
-	stop := make(chan struct{})
-	consumed := make(chan struct{}, 1<<16)
+	consumed := make(chan error, 1)
 	go func() {
-		for {
-			select {
-			case <-stop:
+		for i := 0; i < b.N; i++ {
+			if _, err := env.Phs[1].WaitRemote(2, waitT); err != nil {
+				consumed <- err
 				return
-			default:
-			}
-			if _, ok := env.Phs[1].Probe(core.ProbeRemote); ok {
-				consumed <- struct{}{}
 			}
 		}
+		consumed <- nil
 	}()
-	defer close(stop)
 
 	p0 := env.Phs[0]
 	payload := make([]byte, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for {
-			err := p0.PutWithCompletion(1, payload, dst, 0, 1, 2)
-			if err == nil {
-				break
-			}
-			if err != core.ErrWouldBlock {
-				b.Fatal(err)
-			}
-			p0.Progress()
+		if err := p0.PutBlocking(1, payload, dst, 0, 1, 2); err != nil {
+			b.Fatal(err)
 		}
-		for {
-			if _, ok := p0.Probe(core.ProbeLocal); ok {
-				break
-			}
+		if _, err := p0.WaitLocal(1, waitT); err != nil {
+			b.Fatal(err)
 		}
-		<-consumed
+	}
+	if err := <-consumed; err != nil {
+		b.Fatal(err)
 	}
 }

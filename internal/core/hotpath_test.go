@@ -2,8 +2,11 @@ package core_test
 
 import (
 	"testing"
+	"time"
 
+	"photon/internal/bench"
 	"photon/internal/core"
+	"photon/internal/fabric"
 	"photon/internal/trace"
 )
 
@@ -87,6 +90,73 @@ func TestWaitAllocGuard(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, put); allocs > 0 {
 		t.Fatalf("put + WaitLocal + WaitRemote allocates %.2f times per op, want 0", allocs)
+	}
+}
+
+// TestParkedWaitAllocGuard is TestWaitAllocGuard with waits that
+// park: a 2-rank vsim ping-pong of 8 B puts, rank 1 WaitRemote then
+// PutBlocking back. Each side spins for a while before its put, so
+// the other side's WaitRemote has certainly gone dry and parked: every
+// round trip parks rank 0 on the pong and rank 1 on the ping. Loopback
+// never parks; here every park takes a notifier subscription and a
+// park timer, and both must come from the notifier's free lists — a
+// fresh timer per parked wait was 6 allocations per round trip.
+func TestParkedWaitAllocGuard(t *testing.T) {
+	env, err := bench.NewPhotonOnly(2, fabric.Model{}, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	_, descs, _, err := env.SharedBuffers(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		warm = 100
+		runs = 200
+		rid  = 7
+	)
+	p0, p1 := env.Phs[0], env.Phs[1]
+	dally := func() {
+		for start := time.Now(); time.Since(start) < 50*time.Microsecond; {
+		}
+	}
+	payload := make([]byte, 8)
+	echoed := make(chan error, 1)
+	go func() {
+		// AllocsPerRun makes one extra, unmeasured call.
+		for i := 0; i < warm+runs+1; i++ {
+			if _, err := p1.WaitRemote(rid, waitT); err != nil {
+				echoed <- err
+				return
+			}
+			dally()
+			if err := p1.PutBlocking(0, payload, descs[1][0], 0, 0, rid); err != nil {
+				echoed <- err
+				return
+			}
+		}
+		echoed <- nil
+	}()
+	roundTrip := func() {
+		dally()
+		if err := p0.PutBlocking(1, payload, descs[0][1], 0, 0, rid); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p0.WaitRemote(rid, waitT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		roundTrip()
+	}
+	allocs := testing.AllocsPerRun(runs, roundTrip)
+	if err := <-echoed; err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("parked put ping-pong: %.2f allocs/round trip", allocs)
+	if allocs > 0 {
+		t.Fatalf("parked put ping-pong allocates %.2f times per round trip, want 0", allocs)
 	}
 }
 

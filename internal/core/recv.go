@@ -137,12 +137,15 @@ func (p *Photon) CancelRecv(rid uint64) bool {
 //
 // A Waiter keeps its subscription and park timer alive between waits,
 // so schedule-driven callers (collectives) running thousands of rounds
-// do not re-subscribe per round. The zero value is not usable; obtain
-// one from NewWaiter and Release it when done. A Waiter is not safe for
-// concurrent use.
+// do not re-subscribe per round. Release hands both back to the
+// notifier's free lists, so one-shot waits (WaitLocal, PutBlocking) on
+// a stack Waiter allocate nothing either. The park timer is taken on
+// the first round that actually parks: a wait that never parks takes
+// none. The zero value is not usable; obtain one from NewWaiter and
+// Release it when done. A Waiter is not safe for concurrent use.
 type Waiter struct {
 	p    *Photon
-	park *time.Timer   // lazily created, reused across parks
+	park *time.Timer   // taken on the first park, reused until Release
 	ch   chan struct{} // private notifier subscription (recycled)
 	pend []int         // WaitAll index scratch, reused across calls
 }
@@ -164,12 +167,16 @@ func (w *Waiter) Idle() {
 		return
 	}
 	if w.park == nil {
-		w.park = time.NewTimer(parkGrace)
+		w.park = w.p.nfy.parkTimer()
 	} else {
 		w.park.Reset(parkGrace)
 	}
 	select {
 	case <-w.ch:
+		// A blocking receive after a failed Stop relies on the
+		// pre-Go 1.23 buffered timer channel (go.mod says go 1.22):
+		// the fire is sitting in C. Under 1.23 semantics C is
+		// unbuffered and this would block forever.
 		if !w.park.Stop() {
 			<-w.park.C
 		}
@@ -177,15 +184,13 @@ func (w *Waiter) Idle() {
 	}
 }
 
-// Release retires the waiter's notifier subscription and timer. The
-// waiter may be reused afterwards (the next Idle resubscribes).
+// Release hands the waiter's notifier subscription and park timer back
+// to the notifier. The waiter may be reused afterwards (the next Idle
+// resubscribes).
 func (w *Waiter) Release() {
 	if w.ch != nil {
-		w.p.nfy.unsubscribe(w.ch)
-		w.ch = nil
-	}
-	if w.park != nil {
-		w.park.Stop()
+		w.p.nfy.unsubscribe(w.ch, w.park)
+		w.ch, w.park = nil, nil
 	}
 }
 

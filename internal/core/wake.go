@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Shared backend wake/completion plumbing. Every transport used to
@@ -116,17 +117,18 @@ func (q *CompQueue) Wake() *WakeChan { return q.wake }
 // BackendNotify latch and every subscribed blocking waiter. Each waiter
 // owns a private capacity-1 channel for the duration of its wait, so a
 // kick consumed by one waiter can never starve another — the fairness
-// hole of a single shared notify channel. Channels are recycled
-// through a free list, keeping steady-state blocking waits
-// allocation-free.
+// hole of a single shared notify channel. Channels, and the park
+// timers of waiters that actually parked, are recycled through free
+// lists, keeping steady-state blocking waits allocation-free.
 type notifier struct {
 	extern chan struct{} // BackendNotify consumers (capacity 1)
 
 	//photon:lock notifier 90
-	mu    sync.Mutex
-	subs  []chan struct{}
-	free  []chan struct{}
-	nSubs atomic.Int32
+	mu     sync.Mutex
+	subs   []chan struct{}
+	free   []chan struct{}
+	timers []*time.Timer // stopped, drained park timers
+	nSubs  atomic.Int32
 }
 
 // fanout delivers one activity event to every consumer. It is the sink
@@ -169,10 +171,41 @@ func (nf *notifier) subscribe() chan struct{} {
 	return ch
 }
 
-// unsubscribe retires a wake channel back to the free list, draining
-// any stale token so the next subscriber starts clean.
-func (nf *notifier) unsubscribe(ch chan struct{}) {
+// parkTimer returns a timer armed for parkGrace, recycled from the free
+// list when one is there.
+func (nf *notifier) parkTimer() *time.Timer {
 	nf.mu.Lock()
+	var t *time.Timer
+	if n := len(nf.timers); n > 0 {
+		t = nf.timers[n-1]
+		nf.timers[n-1] = nil
+		nf.timers = nf.timers[:n-1]
+	}
+	nf.mu.Unlock()
+	if t == nil {
+		return time.NewTimer(parkGrace)
+	}
+	t.Reset(parkGrace)
+	return t
+}
+
+// unsubscribe retires a wake channel, and the waiter's park timer if it
+// took one, back to the free lists. Both are left clean for the next
+// user: the channel's stale token is drained, and the timer is stopped
+// with a fire that already landed in C drained. The drain never blocks:
+// a fire still in flight past Stop can at worst wake the next parker
+// early, and every park re-polls anyway.
+func (nf *notifier) unsubscribe(ch chan struct{}, t *time.Timer) {
+	if t != nil && !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	nf.mu.Lock()
+	if t != nil {
+		nf.timers = append(nf.timers, t)
+	}
 	for i, c := range nf.subs {
 		if c == ch {
 			last := len(nf.subs) - 1
