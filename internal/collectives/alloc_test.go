@@ -6,14 +6,18 @@ import (
 	"testing"
 
 	"photon/internal/backend/shm"
+	"photon/internal/backend/vsim"
 	"photon/internal/collectives"
 	"photon/internal/core"
+	"photon/internal/fabric"
+	"photon/internal/nicsim"
 )
 
 // TestCollectiveSteadyStateAllocGuard pins the steady-state allocation
-// count of a barrier plus an in-place allreduce, per vector size. The
-// job runs over the shared-memory backend, whose data path is
-// allocation-free, so any allocation measured here is the collectives
+// count of a barrier plus an in-place allreduce, per backend and vector
+// size. Both backends have allocation-free data paths — shm's rings,
+// and on vsim the simulated NIC's pooled frames, WQEs and recycled
+// memory regions — so any allocation measured here is the collectives
 // layer's own or the engine's on its behalf:
 //
 //   - 8 doubles (recursive doubling over the registered arena): zero.
@@ -21,7 +25,9 @@ import (
 //     ring read that finds its posting lands in place; the six all come
 //     from step-0 RTSs the preceding barrier polls before the ring has
 //     posted its window — such a read lands in a staged block and is
-//     handed over as a middleware-owned copy.
+//     handed over as a middleware-owned copy. On vsim every rendezvous
+//     send also registers its chunk with the NIC, which costs nothing
+//     once the NIC's free list of deregistered regions is warm.
 //
 // testing.AllocsPerRun counts process-global allocations and runs with
 // GOMAXPROCS=1, so the peer ranks iterate in lockstep with the measured
@@ -36,36 +42,70 @@ func TestCollectiveSteadyStateAllocGuard(t *testing.T) {
 		{8192, 6},
 	} {
 		t.Run(fmt.Sprintf("doubles=%d", tc.vecLen), func(t *testing.T) {
-			avg := steadyStateAllocs(t, tc.vecLen)
-			t.Logf("%.1f allocs per barrier+allreduce", avg)
-			if avg > tc.max {
-				t.Errorf("steady-state barrier+allreduce of %d doubles allocates %.1f times per op, want <= %v", tc.vecLen, avg, tc.max)
+			for _, backend := range []string{"shm", "vsim"} {
+				t.Run(backend, func(t *testing.T) {
+					if backend == "vsim" && raceEnabled {
+						t.Skip("under -race, sync.Pool drops nicsim's pooled WQEs at random; CI pins this count in its non-race run")
+					}
+					avg := steadyStateAllocs(t, backend, tc.vecLen)
+					t.Logf("%.1f allocs per barrier+allreduce", avg)
+					if avg > tc.max {
+						t.Errorf("steady-state barrier+allreduce of %d doubles over %s allocates %.1f times per op, want <= %v", tc.vecLen, backend, avg, tc.max)
+					}
+				})
 			}
 		})
 	}
 }
 
-// steadyStateAllocs boots a 4-rank shm job and returns the average
-// allocations of one barrier+allreduce of vecLen doubles after warmup.
-func steadyStateAllocs(t *testing.T, vecLen int) float64 {
+// allocCluster boots an n-rank cluster of the named backend and returns
+// its per-rank backends and its teardown.
+func allocCluster(t *testing.T, backend string, n int) ([]core.Backend, func()) {
+	t.Helper()
+	bes := make([]core.Backend, n)
+	switch backend {
+	case "shm":
+		cl, err := shm.NewCluster(n, shm.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range bes {
+			bes[r] = cl.Backend(r)
+		}
+		return bes, cl.Close
+	case "vsim":
+		cl, err := vsim.NewCluster(n, fabric.Model{}, nicsim.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range bes {
+			bes[r] = cl.Backend(r)
+		}
+		return bes, cl.Close
+	}
+	t.Fatalf("unknown backend %q", backend)
+	return nil, nil
+}
+
+// steadyStateAllocs boots a 4-rank job over the named backend and
+// returns the average allocations of one barrier+allreduce of vecLen
+// doubles after warmup.
+func steadyStateAllocs(t *testing.T, backend string, vecLen int) float64 {
 	const (
 		n     = 4
 		warm  = 50
 		runs  = 100
 		total = warm + runs + 1 // AllocsPerRun calls f runs+1 times
 	)
-	cl, err := shm.NewCluster(n, shm.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	bes, closeCluster := allocCluster(t, backend, n)
+	defer closeCluster()
 	comms := make([]*collectives.Comm, n)
 	var boot sync.WaitGroup
 	for r := 0; r < n; r++ {
 		boot.Add(1)
 		go func(r int) {
 			defer boot.Done()
-			ph, err := core.Init(cl.Backend(r), core.Config{})
+			ph, err := core.Init(bes[r], core.Config{})
 			if err != nil {
 				t.Error(err)
 				return

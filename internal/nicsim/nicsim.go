@@ -68,11 +68,19 @@ var (
 // remote side writes (ledgers, mailboxes) must hold the read lock via
 // RLocker while reading. This stands in for the cache-coherent ordered
 // visibility real DMA provides.
+//
+// The NIC recycles MR objects: once DeregisterMemory returns, the *MR,
+// its RLocker and its WriteActivity belong to whichever registration
+// the NIC hands the object to next, and must not be used again.
 type MR struct {
 	nic *NIC
 	//photon:lock mr 20
 	mu     sync.RWMutex
 	writes atomic.Uint64 // bumped after every remote write/atomic
+	// buf, base, rkey and access are written under both nic.mu and
+	// mu, so either lock suffices to read them. rkey is the
+	// registration's generation: keys are never reused, and a
+	// deregistered MR carries rkey 0.
 	buf    []byte
 	base   uint64
 	rkey   uint32
@@ -142,6 +150,7 @@ type NIC struct {
 	//photon:lock nic 10
 	mu       sync.Mutex
 	mrsByKey map[uint32]*MR // rkey -> MR
+	freeMRs  []*MR          // deregistered MRs, reused by RegisterMemory
 	nextKey  uint32
 	nextBase uint64
 	qps      map[uint32]*QP
@@ -203,7 +212,9 @@ func (n *NIC) Counters() Counters {
 
 // RegisterMemory registers buf with the NIC and returns its MR. The
 // buffer is pinned for the life of the registration: callers must keep
-// it reachable and must not reallocate it.
+// it reachable and must not reallocate it. The MR object comes from the
+// NIC's free list of deregistered regions when one is there, so a
+// register/deregister cycle allocates nothing in steady state.
 func (n *NIC) RegisterMemory(buf []byte, access Access) (*MR, error) {
 	if n.closed.Load() {
 		return nil, ErrClosed
@@ -220,7 +231,17 @@ func (n *NIC) RegisterMemory(buf []byte, access Access) (*MR, error) {
 	// guard gap so off-by-one remote addresses never alias regions.
 	sz := (uint64(len(buf)) + 0xFFF) &^ uint64(0xFFF)
 	n.nextBase += sz + 0x1000
-	mr := &MR{nic: n, buf: buf, base: base, rkey: key, access: access}
+	var mr *MR
+	if k := len(n.freeMRs) - 1; k >= 0 {
+		mr = n.freeMRs[k]
+		n.freeMRs[k] = nil
+		n.freeMRs = n.freeMRs[:k]
+	} else {
+		mr = &MR{nic: n}
+	}
+	mr.mu.Lock()
+	mr.buf, mr.base, mr.rkey, mr.access = buf, base, key, access
+	mr.mu.Unlock()
 	n.mrsByKey[key] = mr
 	return mr, nil
 }
@@ -230,15 +251,11 @@ func (n *NIC) RegisterMemory(buf []byte, access Access) (*MR, error) {
 // data under the region's DMA lock. Middleware uses it to land payloads
 // that arrived packed inside other transfers.
 func (n *NIC) LocalWrite(addr uint64, rkey uint32, data []byte) error {
-	mr, err := n.lookupMR(rkey, addr, len(data), AccessRemoteWrite)
-	if err != nil {
-		n.counters.protErrs.Add(1)
+	if err := n.accessMR(rkey, addr, len(data), AccessRemoteWrite, func(dst []byte) {
+		copy(dst, data)
+	}); err != nil {
 		return err
 	}
-	mr.mu.Lock()
-	copy(mr.buf[addr-mr.base:], data)
-	mr.mu.Unlock()
-	mr.writes.Add(1)
 	n.counters.remoteWrites.Add(1)
 	n.kickWriteHook()
 	return nil
@@ -261,9 +278,13 @@ func (n *NIC) kickWriteHook() {
 	}
 }
 
-// DeregisterMemory removes a registration. In-flight remote operations
-// that race the deregistration fail with protection errors, as on real
-// hardware.
+// DeregisterMemory removes a registration. Remote operations that race
+// the deregistration either finish before it returns or fail with
+// protection errors, as on real hardware: none touches buf afterwards.
+// The MR object then goes back to the NIC's free list, so mr — and
+// any RLocker or WriteActivity taken from it — is dead once this
+// returns. A second DeregisterMemory of it returns ErrUnregistered
+// only while the object waits on the free list.
 func (n *NIC) DeregisterMemory(mr *MR) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -271,25 +292,73 @@ func (n *NIC) DeregisterMemory(mr *MR) error {
 		return ErrUnregistered
 	}
 	delete(n.mrsByKey, mr.rkey)
+	// Taking the DMA lock waits out an operation already applying to
+	// the region; one that looked the rkey up but has not locked yet
+	// finds rkey 0 when it does.
+	mr.mu.Lock()
+	mr.buf, mr.rkey = nil, 0
+	mr.mu.Unlock()
+	n.freeMRs = append(n.freeMRs, mr)
 	return nil
 }
 
-// lookupMR resolves an rkey, validating [addr, addr+length) is inside
-// the region and that the region grants `need`.
-func (n *NIC) lookupMR(rkey uint32, addr uint64, length int, need Access) (*MR, error) {
+// accessMR is the single path by which a remote or loopback operation
+// touches registered memory. It resolves rkey, takes the region's DMA
+// lock (shared for reads; exclusive for writes; for atomics, the NIC's
+// atomic lock first), re-checks the rkey under that lock — the MR may
+// have been deregistered and recycled since the lookup — validates
+// that [addr, addr+length) lies inside the region and that the region
+// grants need, and runs apply on those bytes before unlocking. Any
+// failure counts a protection error. apply must not retain its slice.
+func (n *NIC) accessMR(rkey uint32, addr uint64, length int, need Access, apply func([]byte)) error {
 	n.mu.Lock()
 	mr, ok := n.mrsByKey[rkey]
 	n.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: rkey %d", ErrUnregistered, rkey)
+		n.counters.protErrs.Add(1)
+		return fmt.Errorf("%w: rkey %d", ErrUnregistered, rkey)
 	}
-	if mr.access&need != need {
-		return nil, fmt.Errorf("nicsim: access violation on rkey %d", rkey)
+	write := need != AccessRemoteRead
+	if need == AccessRemoteAtomic {
+		n.atomicMu.Lock()
 	}
-	if addr < mr.base || addr+uint64(length) > mr.base+uint64(len(mr.buf)) || addr+uint64(length) < addr {
-		return nil, fmt.Errorf("nicsim: address range [%#x,+%d) outside MR", addr, length)
+	if write {
+		mr.mu.Lock()
+	} else {
+		mr.mu.RLock()
 	}
-	return mr, nil
+	var err error
+	switch {
+	case mr.rkey != rkey:
+		err = fmt.Errorf("%w: rkey %d", ErrUnregistered, rkey)
+	case mr.access&need != need:
+		err = fmt.Errorf("nicsim: access violation on rkey %d", rkey)
+	case addr < mr.base || addr+uint64(length) > mr.base+uint64(len(mr.buf)) || addr+uint64(length) < addr:
+		err = fmt.Errorf("nicsim: address range [%#x,+%d) outside MR", addr, length)
+	default:
+		off := addr - mr.base
+		apply(mr.buf[off : off+uint64(length)])
+	}
+	if write {
+		mr.mu.Unlock()
+	} else {
+		mr.mu.RUnlock()
+	}
+	if need == AccessRemoteAtomic {
+		n.atomicMu.Unlock()
+	}
+	if err != nil {
+		n.counters.protErrs.Add(1)
+		return err
+	}
+	// Bump the activity counter only after unlocking, so a poller
+	// that sees it move finds the region lock free instead of parking
+	// on it. The object may have been recycled by now; a spurious bump
+	// costs its new owner one needless sweep.
+	if write {
+		mr.writes.Add(1)
+	}
+	return nil
 }
 
 // containsLocal reports whether buf lies within some registered MR.

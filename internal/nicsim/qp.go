@@ -538,23 +538,20 @@ func (qp *QP) consumeRecv(wr RecvWR, ib inbound) {
 func (qp *QP) handleWrite(h header, body []byte, src int) {
 	raddr, rkey, imm, hasImm, payload, err := decodeWrite(body)
 	nak := func(st Status) {
-		qp.nic.counters.protErrs.Add(1)
 		rh := header{typ: fNak, srcQPN: qp.qpn, dstQPN: h.srcQPN, psn: h.psn}
 		qp.respond(src, encodeStatus(rh, st))
 	}
 	if err != nil {
+		qp.nic.counters.protErrs.Add(1)
 		nak(StatusLocalError)
 		return
 	}
-	mr, err := qp.nic.lookupMR(rkey, raddr, len(payload), AccessRemoteWrite)
-	if err != nil {
+	if err := qp.nic.accessMR(rkey, raddr, len(payload), AccessRemoteWrite, func(dst []byte) {
+		copy(dst, payload)
+	}); err != nil {
 		nak(StatusRemoteAccessError)
 		return
 	}
-	mr.mu.Lock()
-	copy(mr.buf[raddr-mr.base:], payload)
-	mr.mu.Unlock()
-	mr.writes.Add(1)
 	qp.nic.counters.remoteWrites.Add(1)
 	qp.nic.kickWriteHook()
 	if hasImm {
@@ -576,23 +573,22 @@ func (qp *QP) handleRead(h header, body []byte, src int) {
 		qp.respond(src, encodeStatus(rh, StatusLocalError))
 		return
 	}
-	mr, err := qp.nic.lookupMR(rkey, raddr, length, AccessRemoteRead)
-	if err != nil {
-		qp.nic.counters.protErrs.Add(1)
+	// Encode the response directly into a pooled frame: the MR bytes
+	// are copied exactly once, under the read lock, into the buffer
+	// that goes on the wire. The frame is sized only once the range
+	// has passed the region's bounds check.
+	var resp []byte
+	if err := qp.nic.accessMR(rkey, raddr, length, AccessRemoteRead, func(b []byte) {
+		resp = frameGet(hdrLen + len(b))
+		copy(resp[hdrLen:], b)
+	}); err != nil {
 		rh.typ = fNak
 		qp.respond(src, encodeStatus(rh, StatusRemoteAccessError))
 		return
 	}
 	qp.nic.counters.remoteReads.Add(1)
-	// Encode the response directly into a pooled frame: the MR bytes
-	// are copied exactly once, under the read lock, into the buffer
-	// that goes on the wire.
 	rh.typ = fReadResp
-	resp := frameGet(hdrLen + length)
 	putHeader(resp, rh)
-	mr.mu.RLock()
-	copy(resp[hdrLen:], mr.buf[raddr-mr.base:])
-	mr.mu.RUnlock()
 	qp.respond(src, resp)
 }
 
@@ -600,39 +596,24 @@ func (qp *QP) handleRead(h header, body []byte, src int) {
 func (qp *QP) handleAtomic(h header, body []byte, src int) {
 	kind, raddr, rkey, operand, compare, err := decodeAtomic(body)
 	rh := header{srcQPN: qp.qpn, dstQPN: h.srcQPN, psn: h.psn}
-	if err != nil || raddr%8 != 0 {
+	if err != nil || raddr%8 != 0 || (kind != atomicFAdd && kind != atomicCSwap) {
 		rh.typ = fNak
 		qp.respond(src, encodeStatus(rh, StatusLocalError))
 		return
 	}
-	mr, err := qp.nic.lookupMR(rkey, raddr, 8, AccessRemoteAtomic)
-	if err != nil {
-		qp.nic.counters.protErrs.Add(1)
+	var orig uint64
+	if err := qp.nic.accessMR(rkey, raddr, 8, AccessRemoteAtomic, func(b []byte) {
+		orig = binary.LittleEndian.Uint64(b)
+		if kind == atomicFAdd {
+			binary.LittleEndian.PutUint64(b, orig+operand)
+		} else if orig == compare {
+			binary.LittleEndian.PutUint64(b, operand)
+		}
+	}); err != nil {
 		rh.typ = fNak
 		qp.respond(src, encodeStatus(rh, StatusRemoteAccessError))
 		return
 	}
-	off := raddr - mr.base
-	qp.nic.atomicMu.Lock()
-	mr.mu.Lock()
-	orig := binary.LittleEndian.Uint64(mr.buf[off:])
-	switch kind {
-	case atomicFAdd:
-		binary.LittleEndian.PutUint64(mr.buf[off:], orig+operand)
-	case atomicCSwap:
-		if orig == compare {
-			binary.LittleEndian.PutUint64(mr.buf[off:], operand)
-		}
-	default:
-		mr.mu.Unlock()
-		qp.nic.atomicMu.Unlock()
-		rh.typ = fNak
-		qp.respond(src, encodeStatus(rh, StatusLocalError))
-		return
-	}
-	mr.mu.Unlock()
-	qp.nic.atomicMu.Unlock()
-	mr.writes.Add(1)
 	qp.nic.counters.remoteAt.Add(1)
 	qp.nic.kickWriteHook()
 	rh.typ = fAtomicResp
