@@ -21,7 +21,6 @@ import (
 	"photon/internal/bench"
 	"photon/internal/core"
 	"photon/internal/fabric"
-	"photon/internal/mem"
 	"photon/internal/metrics"
 	"photon/internal/trace"
 )
@@ -93,7 +92,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "photon-pingpong: debug endpoint on http://%s\n", srv.Addr())
 	}
 
-	descs, err := shareBuffers(phs, *maxSize)
+	_, descs, _, err := bench.ShareBuffers(phs, *maxSize)
 	if err != nil {
 		fatal(err)
 	}
@@ -129,7 +128,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := trace.WriteChromeJSON(f, ring.Snapshot()); err != nil {
+		// One dump per rank; both ranks share this process's clock.
+		dumps := make([]trace.PeerDump, len(phs))
+		for r := range dumps {
+			dumps[r].Rank = r
+		}
+		for _, e := range ring.Snapshot() {
+			dumps[e.Rank].Events = append(dumps[e.Rank].Events, e)
+		}
+		if err := trace.WriteChromeJSONMerged(f, dumps); err != nil {
 			f.Close()
 			fatal(err)
 		}
@@ -138,35 +145,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "photon-pingpong: wrote %d trace events to %s\n", ring.Len(), *traceOut)
 	}
-}
-
-// shareBuffers registers one buffer per rank and exchanges descriptors
-// collectively.
-func shareBuffers(phs []*core.Photon, size int) ([][]mem.RemoteBuffer, error) {
-	descs := make([][]mem.RemoteBuffer, len(phs))
-	errs := make([]error, len(phs))
-	done := make(chan struct{})
-	for r := range phs {
-		go func(r int) {
-			defer func() { done <- struct{}{} }()
-			buf := make([]byte, size)
-			rb, _, err := phs[r].RegisterBuffer(buf)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			descs[r], errs[r] = phs[r].ExchangeBuffers(rb)
-		}(r)
-	}
-	for range phs {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return descs, nil
 }
 
 func fatal(err error) {

@@ -225,13 +225,13 @@ func TestTCPRepeatedExchanges(t *testing.T) {
 	phs := newTCPJob(t, 3, core.Config{})
 	for iter := 0; iter < 5; iter++ {
 		var wg sync.WaitGroup
-		outs := make([][][]byte, 3)
+		outs := make([][]mem.RemoteBuffer, 3)
 		errs := make([]error, 3)
 		for r := 0; r < 3; r++ {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				outs[r], errs[r] = phs[r].Exchange([]byte{byte(iter), byte(r)})
+				outs[r], errs[r] = phs[r].ExchangeBuffers(mem.RemoteBuffer{Addr: uint64(iter), RKey: uint32(r)})
 			}(r)
 		}
 		wg.Wait()
@@ -240,8 +240,8 @@ func TestTCPRepeatedExchanges(t *testing.T) {
 				t.Fatalf("iter %d rank %d: %v", iter, r, errs[r])
 			}
 			for src := 0; src < 3; src++ {
-				if outs[r][src][0] != byte(iter) || outs[r][src][1] != byte(src) {
-					t.Fatalf("iter %d rank %d: blob[%d]=%v", iter, r, src, outs[r][src])
+				if outs[r][src].Addr != uint64(iter) || outs[r][src].RKey != uint32(src) {
+					t.Fatalf("iter %d rank %d: desc[%d]=%+v", iter, r, src, outs[r][src])
 				}
 			}
 		}

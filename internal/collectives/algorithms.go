@@ -394,9 +394,8 @@ func (c *Comm) fanout(gen uint64, ts *treeSched, kind, seg int, data []byte) err
 // message 0 carries an 8-byte length header plus the first segment, so
 // single-segment payloads cost one message and non-roots return the
 // delivery buffer itself — no payload copy anywhere but the root's
-// header prepend. Larger payloads stream the remaining segments into
-// pre-posted receives and forward each as it lands (pipelining: a
-// child starts receiving segment s while s+1 is still in transit).
+// header prepend. Larger payloads stream the remaining segments through
+// bcastSegs.
 func (c *Comm) bcast(gen uint64, root int, data []byte) ([]byte, error) {
 	ts := c.treeSched(root)
 	if c.rank == root {
@@ -406,16 +405,7 @@ func (c *Comm) bcast(gen uint64, root int, data []byte) ([]byte, error) {
 		msg0 := c.sendScratch(8 + n0)
 		binary.LittleEndian.PutUint64(msg0, uint64(L))
 		copy(msg0[8:], data[:n0])
-		if err := c.fanout(gen, ts, kindBcast, 0, msg0); err != nil {
-			return nil, err
-		}
-		for s := 1; s*seg < L; s++ {
-			hi := imin((s+1)*seg, L)
-			if err := c.fanout(gen, ts, kindBcast, s, data[s*seg:hi]); err != nil {
-				return nil, err
-			}
-		}
-		if err := c.drainLocal(); err != nil {
+		if err := c.bcastSegs(gen, ts, data, seg, 1, msg0); err != nil {
 			return nil, err
 		}
 		return data, nil
@@ -429,51 +419,16 @@ func (c *Comm) bcast(gen uint64, root int, data []byte) ([]byte, error) {
 		return nil, err
 	}
 	if L <= len(comp.Data)-8 {
-		// Single segment: forward the message as-is and hand the
+		// Single segment: forward message 0 as-is and hand the
 		// delivery buffer to the caller.
-		if err := c.fanout(gen, ts, kindBcast, 0, comp.Data); err != nil {
-			return nil, err
-		}
-		if err := c.drainLocal(); err != nil {
+		if err := c.bcastSegs(gen, ts, nil, seg, 1, comp.Data); err != nil {
 			return nil, err
 		}
 		return comp.Data[8 : 8+L], nil
 	}
 	out := make([]byte, L)
 	copy(out, comp.Data[8:])
-	for s := 1; s*seg < L; s++ {
-		hi := imin((s+1)*seg, L)
-		_ = c.ph.PostRecv(rid(gen, kindBcast, s, 0, ts.parent), out[s*seg:hi])
-	}
-	if err := c.fanout(gen, ts, kindBcast, 0, comp.Data); err != nil {
-		return nil, err
-	}
-	for s := 1; s*seg < L; s++ {
-		hi := imin((s+1)*seg, L)
-		r := rid(gen, kindBcast, s, 0, ts.parent)
-		comp, err := c.wait1(r, false)
-		if err != nil {
-			// Withdraw the remaining postings before the abort unwinds:
-			// out is about to go out of scope and the engine must not
-			// keep delivery rights into it.
-			for s2 := s; s2*seg < L; s2++ {
-				c.ph.CancelRecv(rid(gen, kindBcast, s2, 0, ts.parent))
-			}
-			return nil, err
-		}
-		if c.ph.CancelRecv(r) {
-			// Arrived before (or larger than) the posting: fold the
-			// middleware-owned copy in.
-			if len(comp.Data) != hi-s*seg {
-				return nil, ErrSizeMismatch
-			}
-			copy(out[s*seg:hi], comp.Data)
-		}
-		if err := c.fanout(gen, ts, kindBcast, s, out[s*seg:hi]); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.drainLocal(); err != nil {
+	if err := c.bcastSegs(gen, ts, out, seg, 1, comp.Data); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -483,39 +438,57 @@ func (c *Comm) bcast(gen uint64, root int, data []byte) ([]byte, error) {
 // same length, so there is no header round and every segment receive is
 // pre-posted straight into buf. Empty payloads are a no-op.
 func (c *Comm) bcastInto(gen uint64, root int, buf []byte) error {
-	L := len(buf)
-	if L == 0 {
+	if len(buf) == 0 {
 		return nil
 	}
-	ts := c.treeSched(root)
-	seg := segSize(L)
-	S := (L + seg - 1) / seg
-	if c.rank == root {
-		for s := 0; s < S; s++ {
-			hi := imin((s+1)*seg, L)
-			if err := c.fanout(gen, ts, kindBcast, s, buf[s*seg:hi]); err != nil {
+	return c.bcastSegs(gen, c.treeSched(root), buf, segSize(len(buf)), 0, nil)
+}
+
+// bcastSegs is the segment loop both broadcasts share: segments first..
+// of buf, seg bytes each, down the tree. head, when set, is message 0
+// and travels first. The root fans each segment out. A non-root
+// pre-posts every receive straight into buf, forwards head, then waits
+// for each segment in turn, folds one that arrived before its posting,
+// and forwards it (pipelining: a child starts receiving segment s while
+// s+1 is still in transit).
+func (c *Comm) bcastSegs(gen uint64, ts *treeSched, buf []byte, seg, first int, head []byte) error {
+	L := len(buf)
+	if ts.parent < 0 {
+		if head != nil {
+			if err := c.fanout(gen, ts, kindBcast, 0, head); err != nil {
+				return err
+			}
+		}
+		for s := first; s*seg < L; s++ {
+			if err := c.fanout(gen, ts, kindBcast, s, buf[s*seg:imin((s+1)*seg, L)]); err != nil {
 				return err
 			}
 		}
 		return c.drainLocal()
 	}
-	for s := 0; s < S; s++ {
-		hi := imin((s+1)*seg, L)
-		_ = c.ph.PostRecv(rid(gen, kindBcast, s, 0, ts.parent), buf[s*seg:hi])
+	for s := first; s*seg < L; s++ {
+		_ = c.ph.PostRecv(rid(gen, kindBcast, s, 0, ts.parent), buf[s*seg:imin((s+1)*seg, L)])
 	}
-	for s := 0; s < S; s++ {
+	if head != nil {
+		if err := c.fanout(gen, ts, kindBcast, 0, head); err != nil {
+			return err
+		}
+	}
+	for s := first; s*seg < L; s++ {
 		hi := imin((s+1)*seg, L)
 		r := rid(gen, kindBcast, s, 0, ts.parent)
 		comp, err := c.wait1(r, false)
 		if err != nil {
-			// Withdraw the remaining postings into the caller's buf
-			// before the abort unwinds.
-			for s2 := s; s2 < S; s2++ {
+			// Withdraw the remaining postings into buf before the
+			// abort unwinds.
+			for s2 := s; s2*seg < L; s2++ {
 				c.ph.CancelRecv(rid(gen, kindBcast, s2, 0, ts.parent))
 			}
 			return err
 		}
 		if c.ph.CancelRecv(r) {
+			// Arrived before (or larger than) the posting: fold the
+			// middleware-owned copy in.
 			if len(comp.Data) != hi-s*seg {
 				return ErrSizeMismatch
 			}

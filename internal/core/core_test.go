@@ -140,7 +140,7 @@ func TestPutLocalOnly(t *testing.T) {
 	}
 	// No remote completion should appear.
 	phs[1].Progress()
-	if phs[1].PendingRemote() != 0 {
+	if phs[1].Metrics().Gauges["remote_cq_highwater"] != 0 {
 		t.Fatal("unexpected remote completion for remoteRID=0")
 	}
 }
@@ -156,7 +156,7 @@ func TestPutRemoteOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	phs[0].Progress()
-	if phs[0].PendingLocal() != 0 {
+	if phs[0].Metrics().Gauges["local_cq_highwater"] != 0 {
 		t.Fatal("unexpected local completion for localRID=0")
 	}
 }

@@ -37,7 +37,7 @@ func TestTracedPutAllocGuard(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("traced put allocates %.2f times per op, want 0", allocs)
 	}
-	if ring.CountByKind()[trace.KindPost] == 0 {
+	if countKind(ring, trace.KindPost) == 0 {
 		t.Fatal("trace ring recorded no post events — tracing was not active")
 	}
 }

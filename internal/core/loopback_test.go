@@ -30,6 +30,12 @@ type loopBackend struct {
 	captureTokens bool
 	tokens        []uint64
 
+	// writeErr, when set, rejects every write post with it (posting
+	// nothing); readBusy rejects that many upcoming reads with
+	// ErrWouldBlock. Tests script transport pushback and failure.
+	writeErr error
+	readBusy int
+
 	// wake and act are the contract's event plumbing: the sink fires
 	// for every queued completion and every applied write, and act
 	// counts the applied writes.
@@ -119,6 +125,9 @@ func (l *loopBackend) inject(c core.BackendCompletion) {
 func (l *loopBackend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, token uint64, signaled bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.writeErr != nil {
+		return l.writeErr
+	}
 	err := l.apply(raddr, rkey, local)
 	l.complete(token, signaled, err)
 	return nil
@@ -127,6 +136,9 @@ func (l *loopBackend) PostWrite(rank int, local []byte, raddr uint64, rkey uint3
 func (l *loopBackend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.writeErr != nil {
+		return 0, l.writeErr
+	}
 	for _, r := range reqs {
 		err := l.apply(r.RemoteAddr, r.RKey, r.Local)
 		l.complete(r.Token, r.Signaled, err)
@@ -137,6 +149,10 @@ func (l *loopBackend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error
 func (l *loopBackend) PostRead(rank int, local []byte, raddr uint64, rkey uint32, token uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.readBusy > 0 {
+		l.readBusy--
+		return core.ErrWouldBlock
+	}
 	r, ok := l.regs[rkey]
 	var err error
 	if !ok || raddr < r.base || raddr+uint64(len(local)) > r.base+uint64(len(r.buf)) {

@@ -19,6 +19,17 @@ import (
 	"photon/internal/trace"
 )
 
+// countKind counts the ring's retained events of one kind.
+func countKind(ring *trace.Ring, kind trace.Kind) int {
+	n := 0
+	for _, e := range ring.Snapshot() {
+		if e.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
 // obsConfig wires a private enabled trace ring and metrics into a
 // config, so each test observes exactly one instance.
 func obsConfig() (core.Config, *trace.Ring) {
@@ -118,7 +129,7 @@ func TestTraceRIDCorrelationLoopback(t *testing.T) {
 		t.Fatalf("only %d post events traced, want >= 3 (put, send, atomic)", posts)
 	}
 	// Reap events close the lifecycle: app-side harvest must be traced.
-	if n := ring.CountByKind()[trace.KindReap]; n == 0 {
+	if n := countKind(ring, trace.KindReap); n == 0 {
 		t.Fatal("no reap events traced")
 	}
 }
@@ -498,7 +509,7 @@ func TestTraceSampling(t *testing.T) {
 		}
 		drainPair(t, p)
 	}
-	posts := ring.CountByKind()[trace.KindPost]
+	posts := countKind(ring, trace.KindPost)
 	if posts == 0 || posts > ops/2 {
 		t.Fatalf("sampled posts = %d, want ~%d (shift 2 over %d ops)", posts, ops/4, ops)
 	}

@@ -527,10 +527,6 @@ func (p *Photon) ExchangeBuffers(rb mem.RemoteBuffer) ([]mem.RemoteBuffer, error
 	return out, nil
 }
 
-// Exchange exposes the backend's raw bootstrap allgather for higher
-// layers (collectives use it during their own setup).
-func (p *Photon) Exchange(local []byte) ([][]byte, error) { return p.be.Exchange(local) }
-
 // Close shuts the instance down deterministically: every in-flight
 // operation — pending backend tokens, parked deferred work, open
 // rendezvous sends — is failed with an ErrClosed error completion

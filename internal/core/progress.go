@@ -826,9 +826,3 @@ func (p *Photon) Flush() {
 	}
 	p.eng.mu.Unlock()
 }
-
-// PendingLocal and PendingRemote report queue depths (test aid).
-func (p *Photon) PendingLocal() int { return p.eng.localCQ.length() }
-
-// PendingRemote reports the remote completion queue depth.
-func (p *Photon) PendingRemote() int { return p.eng.remoteCQ.length() }

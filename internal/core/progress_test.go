@@ -22,13 +22,15 @@ func TestCrossPeerHarvestOrder(t *testing.T) {
 	descs, lk := registerAndShare(t, phs, 3, buf)
 	dst := phs[3]
 
-	// harvest drives rank 3 until its stream holds want completions.
-	harvest := func(pending func() int, want int) {
+	// harvest drives rank 3 until the named queue holds want
+	// completions. Nothing pops them meanwhile, so the queue's
+	// high-water gauge is its depth.
+	harvest := func(gauge string, want int) {
 		t.Helper()
 		deadline := time.Now().Add(waitT)
-		for pending() < want {
+		for int(dst.Metrics().Gauges[gauge]) < want {
 			if time.Now().After(deadline) {
-				t.Fatalf("only %d/%d completions harvested", pending(), want)
+				t.Fatalf("only %d/%d completions harvested", dst.Metrics().Gauges[gauge], want)
 			}
 			dst.Progress()
 		}
@@ -43,7 +45,7 @@ func TestCrossPeerHarvestOrder(t *testing.T) {
 		if _, err := phs[src].WaitLocal(rid, waitT); err != nil {
 			t.Fatalf("src %d local: %v", src, err)
 		}
-		harvest(dst.PendingRemote, k+1)
+		harvest("remote_cq_highwater", k+1)
 	}
 	for _, src := range srcs {
 		c, ok := dst.PopRemote()
@@ -63,7 +65,7 @@ func TestCrossPeerHarvestOrder(t *testing.T) {
 		if err := dst.Send(peer, []byte{byte(peer)}, uint64(2000+peer), 0); err != nil {
 			t.Fatal(err)
 		}
-		harvest(dst.PendingLocal, k+1)
+		harvest("local_cq_highwater", k+1)
 	}
 	for _, peer := range peers {
 		c, ok := dst.PopLocal()

@@ -77,9 +77,11 @@ func TestPostRecvLateFallback(t *testing.T) {
 	if err := phs[0].SendBlocking(1, payload, 0, 779); err != nil {
 		t.Fatal(err)
 	}
-	// Drive the receiver until the delivery is harvested (not just sent).
+	// Drive the receiver until the delivery is harvested (not just
+	// sent): nothing pops it, so the queue's high-water mark is its
+	// depth.
 	deadline := time.Now().Add(waitT)
-	for phs[1].PendingRemote() == 0 {
+	for phs[1].Metrics().Gauges["remote_cq_highwater"] == 0 {
 		phs[1].Progress()
 		if time.Now().After(deadline) {
 			t.Fatal("delivery never arrived")

@@ -155,14 +155,6 @@ func (r *compRing) takeMatch(rid uint64) (Completion, bool) {
 	return Completion{}, false
 }
 
-// length reports the queue depth (ring plus spill). Approximate under
-// concurrency; exact when quiescent (it exists as a test aid).
-func (r *compRing) length() int {
-	t := r.tail.Load()
-	h := r.head.Load()
-	return int(t-h) + int(r.spillN.Load())
-}
-
 // overflowCount reports lifetime spill pushes.
 func (r *compRing) overflowCount() int64 { return r.overflows.Load() }
 

@@ -40,11 +40,8 @@ func NewBufPool(size, max int) *BufPool {
 	return &BufPool{size: size, max: max}
 }
 
-// BufSize reports the capacity of pooled buffers.
-func (p *BufPool) BufSize() int { return p.size }
-
 // Get returns a length-n buffer. Pooled buffers keep their full
-// capacity, so the caller may re-slice up to BufSize.
+// capacity, so the caller may re-slice up to the pool's buffer size.
 func (p *BufPool) Get(n int) []byte {
 	if n > p.size {
 		p.misses.Add(1)

@@ -47,16 +47,16 @@ func TestBufPoolBound(t *testing.T) {
 }
 
 // TestBufPoolPutForeignCapacity pins Put's guard: only buffers whose
-// capacity is exactly BufSize() enter the free list. Anything else — a
+// capacity is exactly the pool's buffer size enter the free list. Anything else — a
 // slice from elsewhere, an undersized allocation, a capacity-limited
 // three-index reslice, nil — is dropped for the GC, because adopting a
 // foreign buffer would hand later Get callers a slice that cannot be
-// re-sliced to BufSize (or worse, shares an array with the original
+// re-sliced to the buffer size (or worse, shares an array with the original
 // owner).
 func TestBufPoolPutForeignCapacity(t *testing.T) {
 	p := NewBufPool(64, 4)
-	if got := p.BufSize(); got != 64 {
-		t.Fatalf("BufSize = %d, want 64", got)
+	if p.size != 64 {
+		t.Fatalf("buffer size = %d, want 64", p.size)
 	}
 	foreign := [][]byte{
 		nil,

@@ -54,12 +54,6 @@ type Block struct {
 	slab *Slab
 }
 
-// RemoteAddr returns the NIC virtual address of the block's first byte.
-func (b *Block) RemoteAddr() uint64 { return b.slab.base + uint64(b.off) }
-
-// Size returns the usable size of the block (>= the requested size).
-func (b *Block) Size() int { return b.size }
-
 type hole struct{ off, size int }
 
 // Slab allocates variable-size blocks from one registered arena using

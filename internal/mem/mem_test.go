@@ -23,21 +23,21 @@ func TestSlabAllocRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b1.Size() != 128 { // rounded to 64
-		t.Fatalf("size = %d, want 128", b1.Size())
+	if b1.size != 128 { // rounded to 64
+		t.Fatalf("size = %d, want 128", b1.size)
 	}
 	if len(b1.Buf) != 128 {
 		t.Fatalf("buf len = %d", len(b1.Buf))
 	}
-	if b1.RemoteAddr() != slabBase {
-		t.Fatalf("remote addr = %#x", b1.RemoteAddr())
+	if b1.off != 0 {
+		t.Fatalf("offset = %d", b1.off)
 	}
 	if s.used != 128 {
 		t.Fatalf("used = %d", s.used)
 	}
 	b2, _ := s.Alloc(64)
-	if b2.RemoteAddr() != slabBase+128 {
-		t.Fatalf("second block addr = %#x", b2.RemoteAddr())
+	if b2.off != 128 {
+		t.Fatalf("second block offset = %d", b2.off)
 	}
 	if err := s.Release(b1); err != nil {
 		t.Fatal(err)
@@ -47,8 +47,8 @@ func TestSlabAllocRelease(t *testing.T) {
 	}
 	// First-fit reuses the front hole.
 	b3, _ := s.Alloc(64)
-	if b3.RemoteAddr() != slabBase {
-		t.Fatalf("first-fit violated: %#x", b3.RemoteAddr())
+	if b3.off != 0 {
+		t.Fatalf("first-fit violated: offset %d", b3.off)
 	}
 }
 
@@ -134,7 +134,7 @@ func TestSlabInvariantProperty(t *testing.T) {
 			}
 			sum := 0
 			for _, b := range live {
-				sum += b.Size()
+				sum += b.size
 			}
 			if s.used != sum {
 				return false

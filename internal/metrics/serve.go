@@ -113,11 +113,29 @@ func Serve(addr string, snap func() *Snapshot, rings map[string]*trace.Ring) (*S
 				evs = append(evs, ring.Snapshot()...)
 			}
 		}
-		trace.WriteChromeJSON(w, evs)
+		trace.WriteChromeJSONMerged(w, peerDumps(evs))
 	})
 	s.srv = &http.Server{Handler: mux}
 	go s.srv.Serve(ln)
 	return s, nil
+}
+
+// peerDumps splits in-process trace events into one dump per rank for
+// the merged exporter. The ranks share this process's clock, so every
+// offset is 0.
+func peerDumps(evs []trace.Event) []trace.PeerDump {
+	var dumps []trace.PeerDump
+	at := make(map[int]int)
+	for _, e := range evs {
+		i, ok := at[e.Rank]
+		if !ok {
+			i = len(dumps)
+			at[e.Rank] = i
+			dumps = append(dumps, trace.PeerDump{Rank: e.Rank})
+		}
+		dumps[i].Events = append(dumps[i].Events, e)
+	}
+	return dumps
 }
 
 // Addr returns the bound address (useful with port 0).

@@ -13,14 +13,13 @@ const (
 	OpInvalid Opcode = iota
 	OpSend
 	OpRDMAWrite
-	OpRDMAWriteImm
 	OpRDMARead
 	OpAtomicFetchAdd
 	OpAtomicCompSwap
 	OpRecv
 )
 
-var opNames = [...]string{"invalid", "send", "rdma-write", "rdma-write-imm", "rdma-read", "fetch-add", "comp-swap", "recv"}
+var opNames = [...]string{"invalid", "send", "rdma-write", "rdma-read", "fetch-add", "comp-swap", "recv"}
 
 // String returns the lowercase opcode name.
 func (o Opcode) String() string {
@@ -59,8 +58,6 @@ type CQE struct {
 	Status  Status
 	Op      Opcode
 	ByteLen int    // bytes transferred (receives: payload length)
-	Imm     uint32 // immediate data, if HasImm
-	HasImm  bool
 	QPN     uint32 // local QP the completion belongs to
 	SrcQPN  uint32 // remote QP (receives only)
 	SrcNode int    // remote node (receives only)
@@ -127,32 +124,6 @@ func (c *CQ) SetWakeHook(fn func()) {
 	c.wakeHook.Store(&fn)
 }
 
-// Poll reaps up to max completions without blocking, returning however
-// many are available (possibly zero).
-func (c *CQ) Poll(max int) []CQE {
-	if max <= 0 {
-		return nil
-	}
-	c.mu.Lock()
-	n := c.sz
-	if n > max {
-		n = max
-	}
-	if n == 0 {
-		c.mu.Unlock()
-		return nil
-	}
-	out := make([]CQE, n)
-	for i := 0; i < n; i++ {
-		out[i] = c.ring[(c.head+i)%len(c.ring)]
-	}
-	c.head = (c.head + n) % len(c.ring)
-	c.sz -= n
-	c.fastLen.Store(int32(c.sz))
-	c.mu.Unlock()
-	return out
-}
-
 // PollInto reaps up to len(dst) completions into dst without
 // allocating, returning the count.
 func (c *CQ) PollInto(dst []CQE) int {
@@ -177,10 +148,3 @@ func (c *CQ) PollInto(dst []CQE) int {
 // FastLen reports the queue depth without locking: a cheap empty check
 // for polling loops (exact at quiescence, advisory under concurrency).
 func (c *CQ) FastLen() int { return int(c.fastLen.Load()) }
-
-// Len reports the number of completions currently queued.
-func (c *CQ) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sz
-}

@@ -78,8 +78,9 @@ func connectQP(a, b *NIC) (*QP, *CQ, func(), error) {
 // off the test goroutine.
 func awaitCQE(cq *CQ) (CQE, error) {
 	deadline := time.Now().Add(5 * time.Second)
+	var got [1]CQE
 	for time.Now().Before(deadline) {
-		if got := cq.Poll(1); len(got) == 1 {
+		if cq.PollInto(got[:]) == 1 {
 			return got[0], nil
 		}
 		runtime.Gosched()

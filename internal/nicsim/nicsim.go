@@ -17,10 +17,10 @@
 //     read/atomic response) arrives, so completion timing includes a
 //     full round trip, as on real RC transports.
 //
-// Supported opcodes: SEND (with optional immediate), RDMA WRITE, RDMA
-// WRITE WITH IMM, RDMA READ, and the two masked 64-bit atomics FETCH-ADD
-// and COMPARE-SWAP. Unsignaled work requests suppress the sender-side
-// CQE (selective signaling), which Photon uses on its ledger writes.
+// Supported opcodes: SEND, RDMA WRITE, RDMA READ, and the two masked
+// 64-bit atomics FETCH-ADD and COMPARE-SWAP. Unsignaled work requests
+// suppress the sender-side CQE (selective signaling), which Photon uses
+// on its ledger writes.
 //
 // The NIC attaches to a fabric.Fabric node; in-order per-link delivery
 // gives the in-order guarantees of an RC queue pair.
@@ -56,7 +56,6 @@ var (
 	ErrSQFull       = errors.New("nicsim: send queue full")
 	ErrRQFull       = errors.New("nicsim: receive queue full")
 	ErrQPState      = errors.New("nicsim: queue pair not in a usable state")
-	ErrBadMR        = errors.New("nicsim: buffer not within a registered memory region")
 	ErrBadWR        = errors.New("nicsim: malformed work request")
 	ErrUnregistered = errors.New("nicsim: memory region not registered")
 )
@@ -126,9 +125,6 @@ type Config struct {
 	SQDepth int
 	// RQDepth bounds posted receive buffers per QP (default 1024).
 	RQDepth int
-	// StrictLocal, when true, requires every local buffer in a work
-	// request to lie within a registered MR, as real verbs do.
-	StrictLocal bool
 }
 
 func (c *Config) setDefaults() {
@@ -359,43 +355,6 @@ func (n *NIC) accessMR(rkey uint32, addr uint64, length int, need Access, apply 
 		mr.writes.Add(1)
 	}
 	return nil
-}
-
-// containsLocal reports whether buf lies within some registered MR.
-// Only consulted when Config.StrictLocal is set.
-func (n *NIC) containsLocal(buf []byte) bool {
-	if len(buf) == 0 {
-		return true
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, mr := range n.mrsByKey {
-		if len(mr.buf) == 0 {
-			continue
-		}
-		if sameBacking(mr.buf, buf) {
-			return true
-		}
-	}
-	return false
-}
-
-// sameBacking reports whether sub is a subslice of outer, comparing
-// element addresses without unsafe by scanning capacity windows.
-func sameBacking(outer, sub []byte) bool {
-	// Compare via pointer identity of first elements across the
-	// addressable range of outer. &outer[i] == &sub[0] for some i
-	// iff sub aliases outer.
-	if cap(outer) == 0 || len(sub) == 0 {
-		return false
-	}
-	o := outer[:cap(outer)]
-	for i := range o {
-		if &o[i] == &sub[0] {
-			return i+len(sub) <= len(o)
-		}
-	}
-	return false
 }
 
 // Close shuts the NIC down: all QPs move to the error state and their

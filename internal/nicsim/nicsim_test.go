@@ -56,8 +56,9 @@ func newPair(t *testing.T, cfg Config) *pair {
 func waitCQE(t *testing.T, cq *CQ) CQE {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
+	var got [1]CQE
 	for time.Now().Before(deadline) {
-		if got := cq.Poll(1); len(got) == 1 {
+		if cq.PollInto(got[:]) == 1 {
 			return got[0]
 		}
 		time.Sleep(20 * time.Microsecond)
@@ -89,16 +90,6 @@ func TestSendRecv(t *testing.T) {
 	sc := waitCQE(t, p.cqA)
 	if sc.WRID != 1 || sc.Status != StatusOK || sc.Op != OpSend {
 		t.Fatalf("send CQE = %+v", sc)
-	}
-}
-
-func TestSendWithImmediate(t *testing.T) {
-	p := newPair(t, Config{})
-	p.qpB.PostRecv(RecvWR{WRID: 1, Buf: make([]byte, 8)})
-	p.qpA.PostSend(SendWR{WRID: 2, Op: OpSend, Local: []byte{1}, Imm: 0xdeadbeef, HasImm: true, Signaled: true})
-	rc := waitCQE(t, p.rcqB)
-	if !rc.HasImm || rc.Imm != 0xdeadbeef {
-		t.Fatalf("immediate not delivered: %+v", rc)
 	}
 }
 
@@ -161,32 +152,9 @@ func TestRDMAWrite(t *testing.T) {
 		t.Fatalf("target memory = %q", target[16:16+len(payload)])
 	}
 	// No receive-side completion for plain RDMA WRITE.
-	if p.rcqB.Len() != 0 {
+	if p.rcqB.FastLen() != 0 {
 		t.Fatal("plain RDMA write must not consume a receive")
 	}
-}
-
-func TestRDMAWriteWithImm(t *testing.T) {
-	p := newPair(t, Config{})
-	target := make([]byte, 64)
-	mr, _ := p.nicB.RegisterMemory(target, AccessAll)
-	p.qpB.PostRecv(RecvWR{WRID: 11})
-	payload := []byte{9, 9, 9}
-	p.qpA.PostSend(SendWR{
-		WRID: 4, Op: OpRDMAWriteImm, Local: payload,
-		RemoteAddr: mr.Base(), RKey: mr.RKey(), Imm: 42, HasImm: true, Signaled: true,
-	})
-	rc := waitCQE(t, p.rcqB)
-	if rc.WRID != 11 || rc.Imm != 42 || !rc.HasImm {
-		t.Fatalf("imm notification = %+v", rc)
-	}
-	if rc.ByteLen != len(payload) {
-		t.Fatalf("ByteLen = %d, want %d", rc.ByteLen, len(payload))
-	}
-	if !bytes.Equal(target[:3], payload) {
-		t.Fatalf("payload not placed: %v", target[:6])
-	}
-	waitCQE(t, p.cqA)
 }
 
 func TestRDMARead(t *testing.T) {
@@ -343,7 +311,7 @@ func TestUnsignaledSuppressesCQE(t *testing.T) {
 	if sc.WRID != 2 {
 		t.Fatalf("got CQE for WRID %d, want 2 (unsignaled suppressed)", sc.WRID)
 	}
-	if p.cqA.Len() != 0 {
+	if p.cqA.FastLen() != 0 {
 		t.Fatal("unexpected extra CQE")
 	}
 	if mem[0] != 1 || mem[1] != 2 {
@@ -379,22 +347,6 @@ func TestRegisterEmptyBuffer(t *testing.T) {
 	defer nic.Close()
 	if _, err := nic.RegisterMemory(nil, AccessAll); err == nil {
 		t.Fatal("empty registration accepted")
-	}
-}
-
-func TestStrictLocalMode(t *testing.T) {
-	p := newPair(t, Config{StrictLocal: true})
-	reg := make([]byte, 64)
-	if _, err := p.nicA.RegisterMemory(reg, AccessAll); err != nil {
-		t.Fatal(err)
-	}
-	unreg := make([]byte, 8)
-	err := p.qpA.PostSend(SendWR{WRID: 1, Op: OpSend, Local: unreg, Signaled: true})
-	if err != ErrBadMR {
-		t.Fatalf("unregistered local buffer: %v, want ErrBadMR", err)
-	}
-	if err := p.qpA.PostSend(SendWR{WRID: 2, Op: OpSend, Local: reg[8:16], Signaled: true}); err != nil {
-		t.Fatalf("registered subslice rejected: %v", err)
 	}
 }
 
@@ -503,11 +455,9 @@ func TestCountersTrackTraffic(t *testing.T) {
 
 func TestCQPollSemantics(t *testing.T) {
 	cq := NewCQ(4)
-	if got := cq.Poll(1); got != nil {
-		t.Fatalf("empty poll = %v", got)
-	}
-	if got := cq.Poll(0); got != nil {
-		t.Fatal("poll(0) should return nil")
+	dst := make([]CQE, 10)
+	if n := cq.PollInto(dst); n != 0 {
+		t.Fatalf("empty poll = %d entries", n)
 	}
 	for i := 0; i < 4; i++ {
 		cq.push(CQE{WRID: uint64(i)})
@@ -516,13 +466,13 @@ func TestCQPollSemantics(t *testing.T) {
 	if cq.Overflows() != 1 {
 		t.Fatalf("overflows = %d", cq.Overflows())
 	}
-	got := cq.Poll(10)
-	if len(got) != 4 {
-		t.Fatalf("poll = %d entries", len(got))
+	n := cq.PollInto(dst)
+	if n != 4 {
+		t.Fatalf("poll = %d entries", n)
 	}
-	for i, e := range got {
+	for i, e := range dst[:n] {
 		if e.WRID != uint64(i) {
-			t.Fatalf("order violated: %+v", got)
+			t.Fatalf("order violated: %+v", dst[:n])
 		}
 	}
 }
@@ -593,7 +543,9 @@ func TestSharedCQAcrossQPs(t *testing.T) {
 	seen := map[uint64]bool{}
 	deadline := time.Now().Add(2 * time.Second)
 	for len(seen) < 2 && time.Now().Before(deadline) {
-		for _, e := range shared.Poll(4) {
+		var got [4]CQE
+		n := shared.PollInto(got[:])
+		for _, e := range got[:n] {
 			seen[e.WRID] = true
 			if e.Status != StatusOK {
 				t.Fatalf("bad completion %+v", e)
@@ -615,19 +567,5 @@ func TestOpcodeAndStatusStrings(t *testing.T) {
 	}
 	if Opcode(200).String() != "opcode(?)" || Status(200).String() != "status(?)" {
 		t.Fatal("unknown enum names wrong")
-	}
-}
-
-func TestSameBacking(t *testing.T) {
-	buf := make([]byte, 100)
-	if !sameBacking(buf, buf[10:20]) {
-		t.Fatal("subslice not detected")
-	}
-	other := make([]byte, 10)
-	if sameBacking(buf, other) {
-		t.Fatal("foreign slice detected as subslice")
-	}
-	if sameBacking(buf, nil) {
-		t.Fatal("nil slice detected")
 	}
 }

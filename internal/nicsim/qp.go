@@ -10,9 +10,8 @@ import (
 
 // SendWR is a send-side work request. The fields used depend on Op:
 //
-//	OpSend:            Local (payload), Imm/HasImm optional
+//	OpSend:            Local (payload)
 //	OpRDMAWrite:       Local (payload), RemoteAddr, RKey
-//	OpRDMAWriteImm:    as OpRDMAWrite plus Imm (consumes a remote recv)
 //	OpRDMARead:        Local (destination), RemoteAddr, RKey
 //	OpAtomicFetchAdd:  Local (8-byte result), RemoteAddr, RKey, Add
 //	OpAtomicCompSwap:  Local (8-byte result), RemoteAddr, RKey, Compare, Swap
@@ -25,16 +24,13 @@ type SendWR struct {
 	Local      []byte
 	RemoteAddr uint64
 	RKey       uint32
-	Imm        uint32
-	HasImm     bool
 	Signaled   bool
 	Add        uint64
 	Compare    uint64
 	Swap       uint64
 }
 
-// RecvWR is a receive-side work request: a buffer for one incoming SEND
-// (or the notification slot for one RDMA WRITE WITH IMM).
+// RecvWR is a receive-side work request: a buffer for one incoming SEND.
 type RecvWR struct {
 	WRID uint64
 	Buf  []byte
@@ -65,15 +61,11 @@ type wqe struct {
 	byteLen int
 }
 
-// inbound is a SEND or WRITE-WITH-IMM awaiting a posted receive buffer
-// (infinite RNR-retry emulation).
+// inbound is a SEND awaiting a posted receive buffer (infinite
+// RNR-retry emulation).
 type inbound struct {
 	h       header
-	imm     uint32
-	hasImm  bool
-	payload []byte // SEND payload; nil for WRITE WITH IMM
-	isWrite bool
-	written int // bytes the WRITE placed directly into the MR
+	payload []byte
 	srcNode int
 }
 
@@ -196,15 +188,11 @@ func (qp *QP) PostSend(wr SendWR) error {
 	switch wr.Op {
 	case OpSend:
 		h.typ = fSend
-		w.frame = encodeSend(h, wr.Imm, wr.HasImm, wr.Local)
+		w.frame = encodeSend(h, wr.Local)
 		w.wr.Local = nil
 	case OpRDMAWrite:
 		h.typ = fWrite
-		w.frame = encodeWrite(h, wr.RemoteAddr, wr.RKey, 0, false, wr.Local)
-		w.wr.Local = nil
-	case OpRDMAWriteImm:
-		h.typ = fWrite
-		w.frame = encodeWrite(h, wr.RemoteAddr, wr.RKey, wr.Imm, true, wr.Local)
+		w.frame = encodeWrite(h, wr.RemoteAddr, wr.RKey, wr.Local)
 		w.wr.Local = nil
 	case OpRDMARead:
 		h.typ = fRead
@@ -230,7 +218,7 @@ func (qp *QP) PostSend(wr SendWR) error {
 func (qp *QP) validateSend(wr *SendWR) error {
 	switch wr.Op {
 	case OpSend:
-	case OpRDMAWrite, OpRDMAWriteImm:
+	case OpRDMAWrite:
 		if wr.RemoteAddr == 0 {
 			return fmt.Errorf("%w: zero remote address", ErrBadWR)
 		}
@@ -251,14 +239,11 @@ func (qp *QP) validateSend(wr *SendWR) error {
 	default:
 		return fmt.Errorf("%w: opcode %v", ErrBadWR, wr.Op)
 	}
-	if qp.nic.cfg.StrictLocal && len(wr.Local) > 0 && !qp.nic.containsLocal(wr.Local) {
-		return ErrBadMR
-	}
 	return nil
 }
 
 // PostRecv posts a receive buffer. Buffers complete in FIFO order as
-// SENDs (and WRITE-WITH-IMM notifications) arrive.
+// SENDs arrive.
 func (qp *QP) PostRecv(wr RecvWR) error {
 	qp.mu.Lock()
 	if qp.state == qpClosed || qp.state == qpError {
@@ -429,12 +414,7 @@ func (n *NIC) onFrame(fr fabric.Frame) {
 	}
 	switch h.typ {
 	case fSend:
-		imm, hasImm, payload, err := decodeSend(body)
-		if err != nil {
-			n.counters.protErrs.Add(1)
-			return
-		}
-		qp.handleInbound(inbound{h: h, imm: imm, hasImm: hasImm, payload: payload, srcNode: fr.Src})
+		qp.handleInbound(inbound{h: h, payload: body, srcNode: fr.Src})
 	case fWrite:
 		qp.handleWrite(h, body, fr.Src)
 	case fRead:
@@ -466,8 +446,8 @@ func (qp *QP) respond(to int, frame []byte) {
 	_ = qp.nic.fab.Send(qp.nic.node, to, frame)
 }
 
-// handleInbound delivers a SEND (or queued WRITE-WITH-IMM notification)
-// into a posted receive buffer, queueing it if none is posted yet.
+// handleInbound delivers a SEND into a posted receive buffer, queueing
+// it if none is posted yet.
 func (qp *QP) handleInbound(ib inbound) {
 	qp.mu.Lock()
 	if qp.state == qpClosed {
@@ -497,29 +477,22 @@ func (qp *QP) handleInbound(ib inbound) {
 	qp.consumeRecv(wr, ib)
 }
 
-// consumeRecv finishes delivery of an inbound SEND / WRITE-WITH-IMM
-// into the given receive WR and ACKs the initiator.
+// consumeRecv finishes delivery of an inbound SEND into the given
+// receive WR and ACKs the initiator.
 func (qp *QP) consumeRecv(wr RecvWR, ib inbound) {
-	st := StatusOK
-	byteLen := ib.written
-	op := OpRecv
-	if !ib.isWrite {
-		if len(ib.payload) > len(wr.Buf) {
-			st = StatusLengthError
-		} else {
-			copy(wr.Buf, ib.payload)
-			byteLen = len(ib.payload)
-		}
+	st, byteLen := StatusOK, len(ib.payload)
+	if byteLen > len(wr.Buf) {
+		st, byteLen = StatusLengthError, 0
+	} else {
+		copy(wr.Buf, ib.payload)
 	}
 	qp.nic.counters.recvDelivered.Add(1)
 	qp.nic.counters.completions.Add(1)
 	qp.recvCQ.push(CQE{
 		WRID:    wr.WRID,
 		Status:  st,
-		Op:      op,
+		Op:      OpRecv,
 		ByteLen: byteLen,
-		Imm:     ib.imm,
-		HasImm:  ib.hasImm,
 		QPN:     qp.qpn,
 		SrcQPN:  ib.h.srcQPN,
 		SrcNode: ib.srcNode,
@@ -536,7 +509,7 @@ func (qp *QP) consumeRecv(wr RecvWR, ib inbound) {
 
 // handleWrite executes an RDMA WRITE against local registered memory.
 func (qp *QP) handleWrite(h header, body []byte, src int) {
-	raddr, rkey, imm, hasImm, payload, err := decodeWrite(body)
+	raddr, rkey, payload, err := decodeWrite(body)
 	nak := func(st Status) {
 		rh := header{typ: fNak, srcQPN: qp.qpn, dstQPN: h.srcQPN, psn: h.psn}
 		qp.respond(src, encodeStatus(rh, st))
@@ -554,12 +527,6 @@ func (qp *QP) handleWrite(h header, body []byte, src int) {
 	}
 	qp.nic.counters.remoteWrites.Add(1)
 	qp.nic.kickWriteHook()
-	if hasImm {
-		// WRITE WITH IMM additionally consumes a receive WR to
-		// deliver the immediate; the ACK is sent on delivery.
-		qp.handleInbound(inbound{h: h, imm: imm, hasImm: true, isWrite: true, written: len(payload), srcNode: src})
-		return
-	}
 	rh := header{typ: fAck, srcQPN: qp.qpn, dstQPN: h.srcQPN, psn: h.psn}
 	qp.respond(src, encodeStatus(rh, StatusOK))
 }

@@ -14,8 +14,8 @@ type frameType uint8
 
 const (
 	fInvalid    frameType = iota
-	fSend                 // body: flags(1) imm(4) payload
-	fWrite                // body: raddr(8) rkey(4) flags(1) imm(4) payload
+	fSend                 // body: payload
+	fWrite                // body: raddr(8) rkey(4) payload
 	fRead                 // body: raddr(8) rkey(4) length(4)
 	fAtomic               // body: kind(1) raddr(8) rkey(4) operand(8) compare(8)
 	fAck                  // body: status(1)
@@ -26,7 +26,6 @@ const (
 
 const (
 	hdrLen      = 1 + 4 + 4 + 8
-	flagHasImm  = 1 << 0
 	atomicFAdd  = 1
 	atomicCSwap = 2
 )
@@ -34,6 +33,7 @@ const (
 // Fixed body lengths shared by the encoders and the decoders' short-
 // frame checks.
 const (
+	writeHdrLen   = 8 + 4             // raddr | rkey
 	readBodyLen   = 8 + 4 + 4         // raddr | rkey | length
 	atomicBodyLen = 1 + 8 + 4 + 8 + 8 // kind | raddr | rkey | operand | compare
 )
@@ -70,50 +70,29 @@ func parseHeader(b []byte) (header, []byte, error) {
 // stale contents. The receiving NIC returns frames to the pool when
 // delivery finishes (see onFrame).
 
-func encodeSend(h header, imm uint32, hasImm bool, payload []byte) []byte {
-	b := frameGet(hdrLen + 5 + len(payload))
+func encodeSend(h header, payload []byte) []byte {
+	b := frameGet(hdrLen + len(payload))
 	putHeader(b, h)
-	b[hdrLen] = 0
-	if hasImm {
-		b[hdrLen] = flagHasImm
-	}
-	binary.LittleEndian.PutUint32(b[hdrLen+1:], imm)
-	copy(b[hdrLen+5:], payload)
+	copy(b[hdrLen:], payload)
 	return b
 }
 
-func decodeSend(body []byte) (imm uint32, hasImm bool, payload []byte, err error) {
-	if len(body) < 5 {
-		return 0, false, nil, fmt.Errorf("nicsim: short send body")
-	}
-	hasImm = body[0]&flagHasImm != 0
-	imm = binary.LittleEndian.Uint32(body[1:])
-	return imm, hasImm, body[5:], nil
-}
-
-func encodeWrite(h header, raddr uint64, rkey uint32, imm uint32, hasImm bool, payload []byte) []byte {
-	b := frameGet(hdrLen + 17 + len(payload))
+func encodeWrite(h header, raddr uint64, rkey uint32, payload []byte) []byte {
+	b := frameGet(hdrLen + writeHdrLen + len(payload))
 	putHeader(b, h)
 	binary.LittleEndian.PutUint64(b[hdrLen:], raddr)
 	binary.LittleEndian.PutUint32(b[hdrLen+8:], rkey)
-	b[hdrLen+12] = 0
-	if hasImm {
-		b[hdrLen+12] = flagHasImm
-	}
-	binary.LittleEndian.PutUint32(b[hdrLen+13:], imm)
-	copy(b[hdrLen+17:], payload)
+	copy(b[hdrLen+writeHdrLen:], payload)
 	return b
 }
 
-func decodeWrite(body []byte) (raddr uint64, rkey uint32, imm uint32, hasImm bool, payload []byte, err error) {
-	if len(body) < 17 {
-		return 0, 0, 0, false, nil, fmt.Errorf("nicsim: short write body")
+func decodeWrite(body []byte) (raddr uint64, rkey uint32, payload []byte, err error) {
+	if len(body) < writeHdrLen {
+		return 0, 0, nil, fmt.Errorf("nicsim: short write body")
 	}
 	raddr = binary.LittleEndian.Uint64(body)
 	rkey = binary.LittleEndian.Uint32(body[8:])
-	hasImm = body[12]&flagHasImm != 0
-	imm = binary.LittleEndian.Uint32(body[13:])
-	return raddr, rkey, imm, hasImm, body[17:], nil
+	return raddr, rkey, body[writeHdrLen:], nil
 }
 
 func encodeRead(h header, raddr uint64, rkey uint32, length int) []byte {
@@ -170,13 +149,6 @@ func decodeStatus(body []byte) (Status, error) {
 		return StatusLocalError, fmt.Errorf("nicsim: short status body")
 	}
 	return Status(body[0]), nil
-}
-
-func encodeReadResp(h header, payload []byte) []byte {
-	b := frameGet(hdrLen + len(payload))
-	putHeader(b, h)
-	copy(b[hdrLen:], payload)
-	return b
 }
 
 func encodeAtomicResp(h header, value uint64) []byte {

@@ -60,10 +60,6 @@ func (g *GlobalArray) Owner(index uint64) (int, uint64, error) {
 	return int(index / uint64(g.blockBytes)), index % uint64(g.blockBytes), nil
 }
 
-// Local returns this rank's block and the read-locker guarding it
-// against remote writes.
-func (g *GlobalArray) Local() ([]byte, sync.Locker) { return g.local, g.localLk }
-
 // Put writes data at the global index, resolving the future when the
 // local buffer is reusable and the data is ordered toward visibility.
 func (g *GlobalArray) Put(index uint64, data []byte) (*Future, error) {

@@ -7,6 +7,26 @@ import (
 	"sort"
 )
 
+// chromeEvent is one entry of the Chrome trace-event JSON format
+// (the "JSON Array Format" consumed by chrome://tracing and Perfetto).
+type chromeEvent struct {
+	Name  string                 `json:"name"`
+	Cat   string                 `json:"cat,omitempty"`
+	Phase string                 `json:"ph"`
+	TS    float64                `json:"ts"` // microseconds
+	PID   int                    `json:"pid"`
+	TID   int                    `json:"tid"`
+	ID    string                 `json:"id,omitempty"`
+	Scope string                 `json:"s,omitempty"`
+	BP    string                 `json:"bp,omitempty"` // flow binding point ("e" on finish)
+	Args  map[string]interface{} `json:"args,omitempty"`
+}
+
+type chromeFile struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
 // PeerDump is one peer's ring snapshot plus the clock offset that maps
 // its local timestamps into the merged (reference) clock: OffsetNS is
 // added to every nanosecond timestamp this peer recorded. Offsets come
@@ -19,25 +39,45 @@ type PeerDump struct {
 	Events   []Event
 }
 
-// mergedEvent pairs an event with its owning peer and its adjusted
-// (offset-corrected) absolute nanosecond timestamp.
+// mergedEvent pairs an event with its owning peer, its adjusted
+// (offset-corrected) absolute nanosecond timestamp and, for a link
+// event, 1 + the index of the chain it resolves (0 for none).
 type mergedEvent struct {
 	ev    Event
 	rank  int
 	adjNS int64
+	chain int
 }
 
-// WriteChromeJSONMerged stitches N peers' ring snapshots into one
-// Chrome trace. Each peer renders as a process lane (pid = rank+1).
-// Timestamps are corrected by the per-peer clock offset before the
-// lanes are merged onto one axis.
+// chain is one causal path: indices into the merged event list for the
+// origin post, the remote link delivery and the origin's closing
+// complete/reap (-1 when not seen).
+type chain struct {
+	post, link, end int
+}
+
+// chainKey indexes open chains by origin rank and RID.
+type chainKey struct {
+	rank int
+	rid  uint64
+}
+
+// WriteChromeJSONMerged renders trace events as Chrome trace-event JSON,
+// to be opened in chrome://tracing or Perfetto. It takes one PeerDump
+// per rank: a cluster's per-process rings with their clock offsets, or
+// one shared in-process ring split on Event.Rank with every offset 0.
+// Each peer renders as a process lane (pid = rank+1), every event as an
+// instant, on one axis after the offset correction.
 //
-// Causal links are resolved from the wire trace context: a KindPost
-// event on the origin (Arg = wire RID, Arg2 = local RID) is matched to
-// the target's KindLink delivery event carrying Peer = origin rank and
-// the same Arg, and then back to the origin's KindComplete/KindReap
-// event with Arg = the post's local RID. Each resolved chain is
-// emitted as a Chrome flow (ph "s" → "t" → "f"), so the put renders as
+// Every KindPost with a non-zero Arg opens a causal chain. A remote op
+// posts Arg = wire RID and Arg2 = local RID: the chain takes the
+// target's first KindLink delivery with Peer = origin and the same Arg,
+// then closes at the origin's first later KindComplete/KindReap whose
+// Arg is the local RID. A local-only op (a get, an atomic, a put with
+// no remote RID) posts Arg = Arg2 = local RID and no delivery is
+// traced: its chain closes at the origin's first later complete/reap
+// carrying that RID. Each chain that reached a link or a close is
+// emitted as a Chrome flow (ph "s" → "t" → "f"), so an op renders as
 // one causally-linked lane: post → remote apply → ack/reap.
 func WriteChromeJSONMerged(w io.Writer, peers []PeerDump) error {
 	var all []mergedEvent
@@ -57,9 +97,9 @@ func WriteChromeJSONMerged(w io.Writer, peers []PeerDump) error {
 	})
 
 	out := chromeFile{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ns"}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
 	if len(all) == 0 {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
 		return enc.Encode(&out)
 	}
 	t0 := all[0].adjNS
@@ -77,50 +117,10 @@ func WriteChromeJSONMerged(w io.Writer, peers []PeerDump) error {
 		})
 	}
 
-	// Pass 1: resolve causal chains. Posts queue FIFO per
-	// (origin, wire RID); a link event consumes the oldest matching
-	// post; the origin's first later complete/reap with Arg equal to
-	// the post's local RID closes the chain.
-	type flowKey struct {
-		origin int
-		rid    uint64
-	}
-	pending := make(map[flowKey][]int)
-	var chains []chain
-	for i := range all {
-		m := &all[i]
-		switch m.ev.Kind {
-		case KindPost:
-			if m.ev.Arg != 0 {
-				pending[flowKey{m.rank, m.ev.Arg}] = append(pending[flowKey{m.rank, m.ev.Arg}], i)
-			}
-		case KindLink:
-			if m.ev.Peer >= 0 {
-				k := flowKey{m.ev.Peer, m.ev.Arg}
-				if q := pending[k]; len(q) > 0 {
-					chains = append(chains, chain{post: q[0], link: i, end: -1})
-					pending[k] = q[1:]
-				}
-			}
-		case KindComplete, KindReap:
-			// Close the oldest open chain whose post came from this
-			// rank with a matching local RID.
-			for ci := range chains {
-				c := &chains[ci]
-				if c.end >= 0 {
-					continue
-				}
-				p := &all[c.post]
-				if p.rank == m.rank && p.ev.Arg2 != 0 && p.ev.Arg2 == m.ev.Arg {
-					c.end = i
-					break
-				}
-			}
-		}
-	}
+	chains := resolveChains(all)
 
-	// Pass 2: instants for every event (annotated with link context),
-	// then the resolved flows in deterministic order.
+	// Instants for every event (annotated with link context), then
+	// the resolved flows in post order.
 	for i := range all {
 		m := &all[i]
 		args := map[string]interface{}{"seq": m.ev.Seq, "arg": m.ev.Arg, "rank": m.rank}
@@ -131,9 +131,9 @@ func WriteChromeJSONMerged(w io.Writer, peers []PeerDump) error {
 			args["arg2"] = m.ev.Arg2
 		}
 		if m.ev.Kind == KindLink {
-			if ci, ok2 := linkChain(chains, i); ok2 {
+			if m.chain > 0 {
 				// One-way delay estimate after clock correction.
-				args["wire_delay_ns"] = m.adjNS - all[chains[ci].post].adjNS
+				args["wire_delay_ns"] = m.adjNS - all[chains[m.chain-1].post].adjNS
 			}
 			if m.ev.PeerNS != 0 {
 				args["ctx_post_ns"] = m.ev.PeerNS
@@ -150,50 +150,87 @@ func WriteChromeJSONMerged(w io.Writer, peers []PeerDump) error {
 			Args:  args,
 		})
 	}
-	for ci, c := range chains {
-		p, l := &all[c.post], &all[c.link]
-		id := fmt.Sprintf("f%d", ci)
+	flows := 0
+	for _, c := range chains {
+		last := c.end
+		if last < 0 {
+			last = c.link
+		}
+		if last < 0 {
+			continue
+		}
+		p := &all[c.post]
+		id := fmt.Sprintf("f%d", flows)
+		flows++
 		args := map[string]interface{}{"origin": p.rank, "rid": p.ev.Arg}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: p.ev.Msg, Cat: "flow", Phase: "s", TS: ts(p),
-			PID: p.rank + 1, TID: int(p.ev.Kind), ID: id, Args: args,
-		})
-		if c.end >= 0 {
-			e := &all[c.end]
+		flow := func(m *mergedEvent, ph, bp string) {
 			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: l.ev.Msg, Cat: "flow", Phase: "t", TS: ts(l),
-				PID: l.rank + 1, TID: int(l.ev.Kind), ID: id, Args: args,
-			})
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: e.ev.Msg, Cat: "flow", Phase: "f", BP: "e", TS: ts(e),
-				PID: e.rank + 1, TID: int(e.ev.Kind), ID: id, Args: args,
-			})
-		} else {
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: l.ev.Msg, Cat: "flow", Phase: "f", BP: "e", TS: ts(l),
-				PID: l.rank + 1, TID: int(l.ev.Kind), ID: id, Args: args,
+				Name: m.ev.Msg, Cat: "flow", Phase: ph, BP: bp, TS: ts(m),
+				PID: m.rank + 1, TID: int(m.ev.Kind), ID: id, Args: args,
 			})
 		}
+		flow(p, "s", "")
+		if c.link >= 0 && c.link != last {
+			flow(&all[c.link], "t", "")
+		}
+		flow(&all[last], "f", "e")
 	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
 	return enc.Encode(&out)
 }
 
-// chain is one resolved causal path: indices into the merged event
-// list for the origin post, the remote link delivery, and the origin's
-// closing complete/reap (-1 when the op never completed locally).
-type chain struct {
-	post, link, end int
-}
-
-// linkChain finds the chain whose link event index is i.
-func linkChain(chains []chain, i int) (int, bool) {
-	for ci := range chains {
-		if chains[ci].link == i {
-			return ci, true
+// resolveChains opens one chain per post with a non-zero Arg and
+// resolves it in two passes over the time-ordered events, each open
+// chain indexed by (rank, RID) so every event costs one map lookup.
+// Links first: a link takes the oldest chain posted by its origin with
+// its Arg, and the link event is tagged with that chain. Then closes: a
+// complete/reap takes the oldest chain posted on its own rank whose
+// local RID is its Arg and that is due — its link already seen, or a
+// local-only chain (no link, Arg == Arg2).
+func resolveChains(all []mergedEvent) []chain {
+	var chains []chain
+	awaitLink := make(map[chainKey][]int)
+	for i := range all {
+		m := &all[i]
+		switch {
+		case m.ev.Kind == KindPost && m.ev.Arg != 0:
+			k := chainKey{m.rank, m.ev.Arg}
+			awaitLink[k] = append(awaitLink[k], len(chains))
+			chains = append(chains, chain{post: i, link: -1, end: -1})
+		case m.ev.Kind == KindLink && m.ev.Peer >= 0:
+			k := chainKey{m.ev.Peer, m.ev.Arg}
+			if q := awaitLink[k]; len(q) > 0 {
+				chains[q[0]].link = i
+				m.chain = q[0] + 1
+				awaitLink[k] = q[1:]
+			}
 		}
 	}
-	return -1, false
+
+	awaitEnd := make(map[chainKey][]int)
+	next := 0 // chains are in post order
+	for i := range all {
+		m := &all[i]
+		switch m.ev.Kind {
+		case KindPost:
+			if next == len(chains) || chains[next].post != i {
+				continue
+			}
+			if e := &m.ev; e.Arg2 != 0 && (chains[next].link >= 0 || e.Arg == e.Arg2) {
+				k := chainKey{m.rank, e.Arg2}
+				awaitEnd[k] = append(awaitEnd[k], next)
+			}
+			next++
+		case KindComplete, KindReap:
+			k := chainKey{m.rank, m.ev.Arg}
+			q := awaitEnd[k]
+			for j, ci := range q {
+				if chains[ci].link < i { // -1 for a local-only chain
+					chains[ci].end = i
+					awaitEnd[k] = append(q[:j], q[j+1:]...)
+					break
+				}
+			}
+		}
+	}
+	return chains
 }

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -59,6 +62,80 @@ func TestWriteChromeJSONMergedUnresolved(t *testing.T) {
 	}
 	if !strings.Contains(out, `"bp": "e"`) {
 		t.Fatalf("no flow finish:\n%s", out)
+	}
+}
+
+// TestMergedLocalOnlyFlow checks a get-shaped chain: the post carries
+// Arg = Arg2 = the local RID and no remote delivery is traced, so the
+// flow starts at the post and finishes at the same rank's completion
+// (the first later complete/reap with that RID; the reap is left over).
+func TestMergedLocalOnlyFlow(t *testing.T) {
+	peers := []PeerDump{{Rank: 0, Events: []Event{
+		{Seq: 1, When: time.Unix(0, 1000), Kind: KindPost, Rank: 0, Peer: 1, Arg: 5, Arg2: 5, Msg: "get"},
+		{Seq: 2, When: time.Unix(0, 3000), Kind: KindComplete, Rank: 0, Peer: -1, Arg: 5, Msg: "get.done"},
+		{Seq: 3, When: time.Unix(0, 4000), Kind: KindReap, Rank: 0, Peer: -1, Arg: 5, Msg: "reap.wait"},
+	}}}
+	var b strings.Builder
+	if err := WriteChromeJSONMerged(&b, peers); err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(b.String()), &out); err != nil {
+		t.Fatal(err)
+	}
+	var flow []chromeEvent
+	for _, e := range out.TraceEvents {
+		if e.Cat == "flow" {
+			flow = append(flow, e)
+		}
+	}
+	if len(flow) != 2 || flow[0].Phase != "s" || flow[1].Phase != "f" {
+		t.Fatalf("flow records = %+v, want one s and one f", flow)
+	}
+	if flow[0].Name != "get" || flow[1].Name != "get.done" || flow[1].TS != 2 || flow[1].BP != "e" {
+		t.Fatalf("flow runs %q -> %q (f at %vus), want get -> get.done at 2us", flow[0].Name, flow[1].Name, flow[1].TS)
+	}
+}
+
+// putPingPongDumps synthesizes a traced 2-rank put ping-pong of n
+// events: each half round is a post on one rank (wire RID = local RID
+// = the round number), the link delivery on the other, and the
+// initiator's complete and reap.
+func putPingPongDumps(n int) []PeerDump {
+	peers := []PeerDump{{Rank: 0}, {Rank: 1}}
+	var seq uint64
+	add := func(rank int, e Event) {
+		seq++
+		e.Seq, e.When, e.Rank = seq, time.Unix(0, int64(seq)*100), rank
+		peers[rank].Events = append(peers[rank].Events, e)
+	}
+	for i := 0; seq < uint64(n); i++ {
+		from, to := i%2, 1-i%2
+		rid := uint64(i/2 + 1)
+		add(from, Event{Kind: KindPost, Peer: to, Arg: rid, Arg2: rid, Msg: "put.packed"})
+		add(to, Event{Kind: KindLink, Peer: from, Arg: rid, Msg: "ledger.put"})
+		add(from, Event{Kind: KindComplete, Peer: -1, Arg: rid, Msg: "put.done"})
+		add(from, Event{Kind: KindReap, Peer: -1, Arg: rid, Msg: "reap.wait"})
+	}
+	return peers
+}
+
+// BenchmarkWriteChromeJSONMerged reports the exporter's cost per event
+// at two trace sizes; a cost that grows with the size means some step
+// is not linear.
+func BenchmarkWriteChromeJSONMerged(b *testing.B) {
+	for _, n := range []int{4096, 65536} {
+		peers := putPingPongDumps(n)
+		b.Run(fmt.Sprintf("events=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := WriteChromeJSONMerged(io.Discard, peers); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/event")
+		})
 	}
 }
 

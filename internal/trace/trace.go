@@ -167,12 +167,3 @@ func (r *Ring) Dump() string {
 	}
 	return b.String()
 }
-
-// CountByKind tallies retained events per kind.
-func (r *Ring) CountByKind() map[Kind]int {
-	m := make(map[Kind]int)
-	for _, e := range r.Snapshot() {
-		m[e.Kind]++
-	}
-	return m
-}

@@ -104,7 +104,10 @@ func TestDumpAndCounts(t *testing.T) {
 	if !strings.Contains(d, "post") || !strings.Contains(d, "complete") {
 		t.Fatalf("dump missing kinds:\n%s", d)
 	}
-	counts := r.CountByKind()
+	counts := make(map[Kind]int)
+	for _, e := range r.Snapshot() {
+		counts[e.Kind]++
+	}
 	if counts[KindComplete] != 2 || counts[KindPost] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
@@ -195,16 +198,25 @@ type orderErr struct{}
 
 func (e *orderErr) Error() string { return "snapshot out of order" }
 
+// TestWriteChromeJSON renders one shared ring's events split per rank,
+// as photon-pingpong and metrics.Serve do: a put posted on rank 0,
+// delivered on rank 1 and completed on rank 0 becomes one instant per
+// event plus one flow s -> t -> f.
 func TestWriteChromeJSON(t *testing.T) {
 	base := time.Now()
 	at := func(us int) time.Time { return base.Add(time.Duration(us) * time.Microsecond) }
-	evs := []Event{
-		{Seq: 0, When: at(0), Kind: KindPost, Rank: 0, Arg: 7, Msg: "put.packed"},
-		{Seq: 1, When: at(5), Kind: KindLedger, Rank: 1, Arg: 7, Msg: "ledger.put"},
-		{Seq: 2, When: at(9), Kind: KindReap, Rank: 1, Arg: 7, Msg: "reap.remote"},
+	peers := []PeerDump{
+		{Rank: 0, Events: []Event{
+			{Seq: 0, When: at(0), Kind: KindPost, Rank: 0, Peer: 1, Arg: 7, Arg2: 9, Msg: "put.packed"},
+			{Seq: 3, When: at(9), Kind: KindComplete, Rank: 0, Peer: -1, Arg: 9, Msg: "put.done"},
+		}},
+		{Rank: 1, Events: []Event{
+			{Seq: 1, When: at(5), Kind: KindLink, Rank: 1, Peer: 0, Arg: 7, Msg: "ledger.put"},
+			{Seq: 2, When: at(6), Kind: KindReap, Rank: 1, Peer: -1, Arg: 7, Msg: "reap.remote"},
+		}},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeJSON(&buf, evs); err != nil {
+	if err := WriteChromeJSONMerged(&buf, peers); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -213,31 +225,24 @@ func TestWriteChromeJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatalf("chrome export is not valid JSON: %v\n%s", err, buf.String())
 	}
-	var begins, ends, instants int
+	phases := make(map[string]int)
 	for _, e := range out.TraceEvents {
-		switch e["ph"] {
-		case "b":
-			begins++
-			if e["id"] != "0x7" {
-				t.Fatalf("span id = %v, want 0x7", e["id"])
-			}
-		case "e":
-			ends++
-		case "i":
-			instants++
+		phases[e["ph"].(string)]++
+		if e["cat"] == "flow" && e["id"] != "f0" {
+			t.Fatalf("flow id = %v, want f0", e["id"])
 		}
 	}
-	if instants != len(evs) {
-		t.Fatalf("instants = %d, want %d", instants, len(evs))
+	if phases["i"] != 4 || phases["M"] != 2 {
+		t.Fatalf("instants/lanes = %d/%d, want 4/2", phases["i"], phases["M"])
 	}
-	if begins != 1 || ends != 1 {
-		t.Fatalf("span pairs = %d/%d, want 1/1 (post correlated with ledger delivery)", begins, ends)
+	if phases["s"] != 1 || phases["t"] != 1 || phases["f"] != 1 {
+		t.Fatalf("flow records s/t/f = %d/%d/%d, want 1/1/1", phases["s"], phases["t"], phases["f"])
 	}
 }
 
 func TestWriteChromeJSONEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeJSON(&buf, nil); err != nil {
+	if err := WriteChromeJSONMerged(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var out map[string]interface{}

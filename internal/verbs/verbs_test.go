@@ -73,17 +73,16 @@ func TestEndToEndWriteViaVerbs(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var cqe CQE
+	var got [1]CQE
 	for deadline := time.Now().Add(time.Second); ; time.Sleep(5 * time.Microsecond) {
-		if got := scq.Poll(1); len(got) == 1 {
-			cqe = got[0]
+		if scq.PollInto(got[:]) == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("write completion did not arrive")
 		}
 	}
-	if cqe.Status != StatusOK || cqe.WRID != 42 {
+	if cqe := got[0]; cqe.Status != StatusOK || cqe.WRID != 42 {
 		t.Fatalf("cqe = %+v", cqe)
 	}
 	if !bytes.Equal(target[:len(payload)], payload) {
