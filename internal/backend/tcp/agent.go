@@ -10,11 +10,12 @@ import (
 	"sync/atomic"
 
 	"photon/internal/core"
+	"photon/internal/mem"
 )
 
 // replyFrame is one queued response (or nack) with the cumulative ack
 // it carries in its frame header. The stamp is captured at push time —
-// the applied-signaled-write count from this peer at that moment — so
+// the applied-write count from this peer at that moment — so
 // a response frame also acknowledges every write applied before the
 // operation it answers, which is what keeps cross-kind completions in
 // posting order at the initiator.
@@ -111,102 +112,131 @@ func (r *replyQueue) requeue(fs []replyFrame) {
 	r.notify()
 }
 
+// Window bounds. Every opWrite is numbered in the cumulative-ack
+// sequence space, signaled or not, so a stamp on traffic that already
+// flows the other way (credit returns, responses) retires unsignaled
+// writes too. A pure one-way stream has no such traffic: its receiver
+// forces a standalone ack once ackEvery applied writes are
+// unacknowledged, and the writer admits no new request while winMax
+// writes are unacknowledged. Together they bound the window, and so
+// what a reconnect replays, without a knob.
+const (
+	ackEvery = 128
+	winMax   = 2 * ackEvery
+)
+
 // winEntry is one outbound opWrite frame held in the send window. The
 // frame bytes themselves are retained (not just the completion token)
 // so a reconnect can replay everything the dead connection may have
-// lost. seq is the signaled-write sequence number, 0 for unsignaled
-// writes, which ride along for ordering but have no completion.
+// lost. Its sequence number is implicit: the window holds writes
+// done+1, done+2, ... in order.
 type winEntry struct {
 	frame    []byte
 	tok      uint64
-	seq      uint64
 	signaled bool
 }
 
 // sendWindow is the per-peer retransmit window: every opWrite frame in
-// wire order, trimmed by the peer's cumulative acks. done tracks the
-// highest signaled sequence resolved (acked or nacked), which makes
-// both paths idempotent — a duplicated ack or a replayed nack after a
+// wire order, trimmed by the peer's cumulative acks. done is the
+// highest sequence resolved (acked, nacked or drained), which makes
+// every path idempotent — a duplicated ack or a replayed nack after a
 // reconnect is a no-op.
 type sendWindow struct {
 	//photon:lock tcpwin 50
-	mu   sync.Mutex
-	ents []winEntry
-	head int
-	done uint64 // highest signaled seq resolved
-	next uint64 // last signaled seq assigned
+	mu      sync.Mutex
+	ents    []winEntry
+	head    int
+	done    uint64 // highest seq resolved
+	stalled bool   // the writer found the window full; wake it on retire
+	hiwat   int    // deepest the window has been
+
+	// freed is kicked when a retire reopens a window the writer found
+	// full (cap 1).
+	freed chan struct{}
+}
+
+func newSendWindow() *sendWindow {
+	return &sendWindow{freed: make(chan struct{}, 1)}
 }
 
 // add appends a frame in wire order (called while building a flush,
-// before the bytes hit the wire, so the peer's ack can never race it).
-func (w *sendWindow) add(frame []byte, tok uint64, signaled bool) {
+// before the bytes hit the wire, so the peer's ack can never race it)
+// and reports whether the window is now full.
+func (w *sendWindow) add(frame []byte, tok uint64, signaled bool) (full bool) {
 	w.mu.Lock()
-	var seq uint64
-	if signaled {
-		w.next++
-		seq = w.next
+	w.ents = append(w.ents, winEntry{frame: frame, tok: tok, signaled: signaled})
+	d := len(w.ents) - w.head
+	if d > w.hiwat {
+		w.hiwat = d
 	}
-	w.ents = append(w.ents, winEntry{frame: frame, tok: tok, seq: seq, signaled: signaled})
 	w.mu.Unlock()
+	return d >= winMax
 }
 
-// ackTo resolves signaled writes 1..k: their tokens are appended to
-// dst and every entry through the last covered signaled write leaves
-// the window (the in-order stream delivered the unsignaled writes
-// between them). k <= done is a no-op, so duplicate and handshake
-// acks are safe.
+// room reports whether the writer may admit another request. A full
+// window marks itself stalled, so the retire that reopens it kicks
+// freed.
+func (w *sendWindow) room() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.ents)-w.head < winMax {
+		return true
+	}
+	w.stalled = true
+	return false
+}
+
+// retire pops the n oldest entries, appending the tokens of the
+// signaled ones to dst and recycling their frames: an acked or nacked
+// frame is never replayed, and the writer copied its bytes into a
+// flush before the peer could see it. Caller holds w.mu.
+func (w *sendWindow) retire(n int, dst []uint64) []uint64 {
+	for i := w.head; i < w.head+n; i++ {
+		e := &w.ents[i]
+		if e.signaled {
+			dst = append(dst, e.tok)
+		}
+		mem.PutFrame(e.frame)
+		*e = winEntry{}
+	}
+	w.head += n
+	w.done += uint64(n)
+	if w.stalled && len(w.ents)-w.head < winMax {
+		w.stalled = false
+		nudge(w.freed)
+	}
+	w.compact()
+	return dst
+}
+
+// ackTo resolves writes 1..k: every entry through seq k leaves the
+// window, and the tokens of the signaled ones are appended to dst.
+// k <= done is a no-op, so duplicate and handshake acks are safe.
 func (w *sendWindow) ackTo(k uint64, dst []uint64) []uint64 {
 	w.mu.Lock()
-	if k <= w.done {
-		w.mu.Unlock()
-		return dst
-	}
-	cut := -1
-	for i := w.head; i < len(w.ents); i++ {
-		e := &w.ents[i]
-		if e.seq != 0 {
-			if e.seq > k {
-				break
-			}
-			dst = append(dst, e.tok)
-			cut = i
+	if k > w.done {
+		n := len(w.ents) - w.head
+		if k-w.done < uint64(n) {
+			n = int(k - w.done)
 		}
+		dst = w.retire(n, dst)
 	}
-	if cut >= 0 {
-		for i := w.head; i <= cut; i++ {
-			w.ents[i] = winEntry{}
-		}
-		w.head = cut + 1
-	}
-	w.done = k
-	w.compact()
 	w.mu.Unlock()
 	return dst
 }
 
-// takeNack resolves signaled write #seq as failed, returning its
-// token. Unsignaled frames ahead of it were delivered by the stream
-// and are dropped. A replayed nack (seq already resolved) is a no-op.
+// takeNack resolves write #seq as failed, returning its token. The
+// caller acked 1..seq-1 first, so #seq is the head. A replayed nack
+// (seq already resolved) is a no-op.
 func (w *sendWindow) takeNack(seq uint64) (uint64, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if seq <= w.done {
+	if seq != w.done+1 || w.head == len(w.ents) || !w.ents[w.head].signaled {
 		return 0, false
 	}
-	for w.head < len(w.ents) && w.ents[w.head].seq == 0 {
-		w.ents[w.head] = winEntry{}
-		w.head++
-	}
-	if w.head == len(w.ents) || w.ents[w.head].seq != seq {
-		w.compact()
-		return 0, false
-	}
-	tok := w.ents[w.head].tok
-	w.ents[w.head] = winEntry{}
-	w.head++
-	w.done = seq
-	w.compact()
-	return tok, true
+	var tok [1]uint64
+	w.retire(1, tok[:0])
+	return tok[0], true
 }
 
 // pending snapshots the retained frames in wire order (retransmit
@@ -219,20 +249,29 @@ func (w *sendWindow) pending(dst []winEntry) []winEntry {
 }
 
 // drainAll empties the window, returning the tokens of unresolved
-// signaled writes (peer declared down: fail them all).
+// signaled writes (peer declared down: fail them all). Its frames are
+// left to the GC, not recycled: the writer may still be copying them
+// into a flush toward the dead connection.
 func (w *sendWindow) drainAll(dst []uint64) []uint64 {
 	w.mu.Lock()
 	for i := w.head; i < len(w.ents); i++ {
 		if e := &w.ents[i]; e.signaled {
 			dst = append(dst, e.tok)
-			w.done = e.seq
 		}
 		w.ents[i] = winEntry{}
 	}
+	w.done += uint64(len(w.ents) - w.head)
 	w.ents = w.ents[:0]
 	w.head = 0
 	w.mu.Unlock()
 	return dst
+}
+
+// peak reports the deepest the window has been.
+func (w *sendWindow) peak() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.hiwat
 }
 
 // compact releases popped slots; caller holds w.mu.
@@ -248,8 +287,8 @@ func (w *sendWindow) compact() {
 }
 
 // safeStamp computes the cumulative ack a request or standalone-ack
-// frame toward peer may carry. The plain answer is recvSeqW (signaled
-// writes applied from peer), but a stamp must never overtake a queued
+// frame toward peer may carry. The plain answer is recvSeqW (writes
+// applied from peer), but a stamp must never overtake a queued
 // nack: if write #k failed, a data frame stamped >= k that passes the
 // nack on the wire would complete #k as OK at the initiator. The
 // writer passes the highest nack seq it has already drained into a
@@ -319,10 +358,9 @@ func (b *Backend) writer(peer int) {
 
 // retransmit replays the unacknowledged window after a reconnect, in
 // original wire order, stamped 0 ("no ack information") so a replayed
-// frame can never overtake a queued nack. Unsignaled writes may be
-// re-applied at the peer — raw memory writes are idempotent — while
-// signaled writes were trimmed to the peer's reported applied count at
-// install, so each is applied exactly once.
+// frame can never overtake a queued nack. The window was trimmed to the
+// peer's reported applied count at install, and every write, signaled
+// or not, is in that count, so each write is applied exactly once.
 func (b *Backend) retransmit(conn net.Conn, peer int, gen uint64, ents []winEntry) bool {
 	st := &b.cstats[peer]
 	flush := make([]byte, 0, flushBytes+frameHdrLen)
@@ -378,7 +416,9 @@ func (b *Backend) writeLoop(peer int, lk *link, conn net.Conn, gen uint64, rq *r
 		maxStamp uint64
 		respToks []uint64
 		popped   []replyFrame // replies in the flush being built (requeued on loss)
+		full     = true       // the window may be full: check before admitting
 	)
+	b.ackSent[peer].Store(conveyed)
 
 	appendFrame := func(body []byte, stamp uint64) {
 		var hdr [frameHdrLen]byte
@@ -396,7 +436,7 @@ func (b *Backend) writeLoop(peer int, lk *link, conn net.Conn, gen uint64, rq *r
 	// connection can fail them (they are never replayed).
 	appendReq := func(f outFrame, stamp uint64) {
 		if len(f.data) > 0 && f.data[0] == opWrite {
-			win.add(f.data, f.token, f.signaled)
+			full = win.add(f.data, f.token, f.signaled)
 		} else if f.signaled {
 			respToks = append(respToks, f.token)
 		}
@@ -433,6 +473,13 @@ func (b *Backend) writeLoop(peer int, lk *link, conn net.Conn, gen uint64, rq *r
 				it, ws.hasPending = ws.pending, false
 				ws.pending = outItem{}
 			} else {
+				// A full window admits nothing until an ack retires
+				// part of it; replies and acks above still flow.
+				if full {
+					if full = !win.room(); full {
+						break
+					}
+				}
 				select {
 				case it = <-b.outs[peer]:
 				default:
@@ -456,24 +503,32 @@ func (b *Backend) writeLoop(peer int, lk *link, conn net.Conn, gen uint64, rq *r
 		if reqFrames > 0 && stamp > maxStamp {
 			maxStamp = stamp
 		}
-		// Standalone cumulative ack: the peer is owed acks and no
-		// frame above carries the fresh stamp (12 bytes, piggybacked
-		// on the same syscall when replies are flushing anyway).
-		if stamp > conveyed && stamp > maxStamp && reqFrames == 0 {
+		// Standalone cumulative ack: no frame above carries the fresh
+		// stamp, and either replies are flushing anyway (12 bytes on
+		// the same syscall) or the reader marked an ack owed — a
+		// signaled write, or ackEvery writes gone unacknowledged.
+		owed := b.ackDue[peer].Load() > conveyed
+		if stamp > conveyed && stamp > maxStamp && reqFrames == 0 && (frames > 0 || owed) {
 			appendFrame(nil, stamp)
 			frames++
 			soloAck = true
 			st.ackFrames.Add(1)
 		}
 		if frames == 0 {
-			// Idle: flush buffer is empty; block until work arrives.
+			// Idle: flush buffer is empty; block until work arrives
+			// (requests only while the window has room).
+			var reqs chan outItem
+			if !full {
+				reqs = b.outs[peer]
+			}
 			select {
 			case <-b.closed:
 				return false
 			case <-lk.reconn: // conn replaced or link down
 				continue
 			case <-rq.wake:
-			case it := <-b.outs[peer]:
+			case <-win.freed:
+			case it := <-reqs:
 				ws.pending, ws.hasPending = it, true
 			}
 			continue
@@ -486,6 +541,7 @@ func (b *Backend) writeLoop(peer int, lk *link, conn net.Conn, gen uint64, rq *r
 				st.acksPiggy.Add(int64(adv))
 			}
 			conveyed = maxStamp
+			b.ackSent[peer].Store(conveyed)
 		}
 		if len(respToks) > 0 {
 			// Registered before the Write: if the flush fails (or its
@@ -528,6 +584,10 @@ func (b *Backend) drainDown(peer int, lk *link, rq *replyQueue, ws *writerState)
 	lk.mu.Unlock()
 	if err == nil {
 		err = fmt.Errorf("tcp: rank %d: %w", peer, core.ErrPeerDown)
+	}
+	// Writes added after markDown drained the window fail here.
+	for _, tok := range b.windows[peer].drainAll(nil) {
+		b.compq.Push(core.BackendCompletion{Token: tok, OK: false, Err: err})
 	}
 	if ws.hasPending {
 		b.failItem(ws.pending, err)
@@ -578,8 +638,15 @@ func (b *Backend) failItem(it outItem, err error) {
 }
 
 // loopbackWriter applies self-rank requests directly: no wire, no seq
-// accounting — signaled writes complete inline in handleFrame.
+// accounting — signaled writes complete inline in handleFrame, after
+// which a write frame is spent and goes back to the pool.
 func (b *Backend) loopbackWriter() {
+	apply := func(f outFrame) {
+		b.handleFrame(b.rank, f.data)
+		if f.data[0] == opWrite {
+			mem.PutFrame(f.data)
+		}
+	}
 	for {
 		select {
 		case <-b.closed:
@@ -587,10 +654,10 @@ func (b *Backend) loopbackWriter() {
 		case it := <-b.outs[b.rank]:
 			if it.many != nil {
 				for _, f := range it.many {
-					b.handleFrame(b.rank, f.data)
+					apply(f)
 				}
 			} else {
-				b.handleFrame(b.rank, it.one.data)
+				apply(it.one)
 			}
 		}
 	}
@@ -637,9 +704,9 @@ func (b *Backend) reader(peer int, conn net.Conn, gen uint64, done chan struct{}
 // from the kernel in one syscall and then parsed from memory. Each
 // frame's header cumAck is processed before its body (the ack covers
 // writes that precede this frame on the peer's stream). When the
-// socket drains with signaled writes applied since the last flush, the
-// reader nudges the writer so a standalone cumulative ack goes out —
-// one ack frame per drained burst, not per op.
+// socket drains with an ack owed (handleFrame), the reader nudges the
+// writer so a standalone cumulative ack goes out — one ack frame per
+// drained burst, not per op.
 func (b *Backend) readLoop(peer int, conn net.Conn) error {
 	st := &b.cstats[peer]
 	lk := b.links[peer]
@@ -688,7 +755,8 @@ func (b *Backend) readLoop(peer int, conn net.Conn) error {
 	}
 }
 
-// applyCumAck completes signaled writes 1..k toward peer, in order.
+// applyCumAck retires writes 1..k toward peer, completing the signaled
+// ones in order.
 func (b *Backend) applyCumAck(peer int, k uint64, scratch []uint64) []uint64 {
 	scratch = b.windows[peer].ackTo(k, scratch)
 	for _, tok := range scratch {
@@ -700,8 +768,8 @@ func (b *Backend) applyCumAck(peer int, k uint64, scratch []uint64) []uint64 {
 	return scratch
 }
 
-// applyNack completes writes 1..seq-1 as OK and write #seq with an
-// error. The nack's own header stamp is seq-1, and reply-queue FIFO
+// applyNack retires writes 1..seq-1 as OK and completes signaled write
+// #seq with an error. The nack's own header stamp is seq-1, and reply-queue FIFO
 // order guarantees no later stamp covering seq was processed first.
 // Both steps are idempotent, so a nack replayed across a reconnect is
 // a no-op.
@@ -727,8 +795,9 @@ const (
 
 // handleFrame dispatches one inbound frame body (requests are applied
 // against local memory; responses complete pending tokens). It returns
-// true when a signaled write from a remote peer was applied, i.e. the
-// peer is owed a cumulative ack. The frame buffer is only valid during
+// true when a remote peer is owed a standalone cumulative ack: a
+// signaled write was applied, or ackEvery writes have been applied
+// since the last ack conveyed. The frame buffer is only valid during
 // the call: anything retained must be copied.
 func (b *Backend) handleFrame(peer int, f []byte) bool {
 	if len(f) < 1 {
@@ -752,23 +821,23 @@ func (b *Backend) handleFrame(peer int, f []byte) bool {
 		if err == nil {
 			b.kick()
 		}
-		if !signaled {
-			return false
-		}
 		if peer == b.rank {
 			// Loopback: no wire, complete inline.
-			var cerr error
-			if err != nil {
-				cerr = fmt.Errorf("tcp: remote write failed")
+			if signaled {
+				var cerr error
+				if err != nil {
+					cerr = fmt.Errorf("tcp: remote write failed")
+				}
+				b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: cerr})
 			}
-			b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: cerr})
 			return false
 		}
-		// Advance the applied-signaled-write count. On failure the
-		// explicit nack is queued first and lastNack recorded before
-		// recvSeqW advances — safeStamp's load order relies on this.
+		// Advance the applied-write count. A failed signaled write is
+		// nacked (an unsignaled one has no completion to fail): the
+		// nack is queued first and lastNack recorded before recvSeqW
+		// advances — safeStamp's load order relies on this.
 		seq := b.recvSeqW[peer].Load() + 1
-		if err != nil {
+		if err != nil && signaled {
 			nack := make([]byte, 9)
 			nack[0] = opNack
 			binary.LittleEndian.PutUint64(nack[1:], seq)
@@ -777,7 +846,11 @@ func (b *Backend) handleFrame(peer int, f []byte) bool {
 			b.cstats[peer].nacksSent.Add(1)
 		}
 		b.recvSeqW[peer].Store(seq)
-		return true
+		if signaled || seq-b.ackSent[peer].Load() >= ackEvery {
+			b.ackDue[peer].Store(seq)
+			return true
+		}
+		return false
 	case opRead:
 		if len(f) < 25 {
 			return false

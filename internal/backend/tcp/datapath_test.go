@@ -265,7 +265,11 @@ func TestTCPPipelinedStress(t *testing.T) {
 // the registration lock its apply path needs) while the initiator
 // floods large writes. The flood must surface as ErrWouldBlock at the
 // initiator — bounded queues, no unbounded buffering — and every write
-// must still complete once the reader resumes.
+// must still complete once the reader resumes. The stall lasts until
+// the first ErrWouldBlock, or until the flood is far past what loopback
+// socket buffers can absorb (autotuning grows a receive buffer to 32
+// MiB), so a fast host cannot swallow the flood before backpressure
+// shows.
 func TestTCPSlowReaderBackpressure(t *testing.T) {
 	bes := newBackendPair(t, Config{SendDepth: 8})
 	sink := make([]byte, 1<<20)
@@ -277,16 +281,40 @@ func TestTCPSlowReaderBackpressure(t *testing.T) {
 	// Stall rank 1's reader: its next opWrite apply blocks while a
 	// local reader holds the DMA lock.
 	dma.Lock()
-	release := time.AfterFunc(100*time.Millisecond, dma.Unlock)
-	defer release.Stop()
+	stalled := true
+	release := func() {
+		if stalled {
+			stalled = false
+			dma.Unlock()
+		}
+	}
+	defer release()
 
-	const ops = 64
+	const floodBound = 128 << 20
 	src := make([]byte, 64<<10)
-	wouldBlock := 0
-	for posted := 0; posted < ops; {
-		err := bes[0].PostWrite(1, src, rb.Addr, rb.RKey, uint64(posted+1), true)
+	posted, wouldBlock := 0, 0
+	post := func() error {
+		return bes[0].PostWrite(1, src, rb.Addr, rb.RKey, uint64(posted+1), true)
+	}
+	for posted*len(src) < floodBound {
+		err := post()
 		if err == core.ErrWouldBlock {
 			wouldBlock++
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		posted++
+	}
+	release()
+	if wouldBlock == 0 {
+		t.Errorf("%d MiB flood against a stalled reader never hit ErrWouldBlock; send queue is not applying backpressure", posted*len(src)>>20)
+	}
+	// A tail posted behind the stall must drain too.
+	for tail := posted + 16; posted < tail; {
+		err := post()
+		if err == core.ErrWouldBlock {
 			time.Sleep(time.Millisecond)
 			continue
 		}
@@ -295,10 +323,7 @@ func TestTCPSlowReaderBackpressure(t *testing.T) {
 		}
 		posted++
 	}
-	if wouldBlock == 0 {
-		t.Error("4MiB flood against a stalled reader never hit ErrWouldBlock; send queue is not applying backpressure")
-	}
-	comps := waitComps(t, bes[0], ops)
+	comps := waitComps(t, bes[0], posted)
 	for _, c := range comps {
 		if !c.OK {
 			t.Fatalf("write %d failed: %v", c.Token, c.Err)

@@ -21,9 +21,9 @@ import (
 // the higher rank waits for the dial-in on the persistent accept
 // loop. Both sides quiesce the dead connection's reader *before*
 // handshaking, which makes the applied-write count each side reports
-// exact — the peer trims its retransmit window to that count, so a
-// signaled write is applied exactly once no matter where the old
-// connection died. When ReconnectWindow expires without a new
+// exact — the peer trims its retransmit window to that count, so every
+// write, signaled or not, is applied exactly once no matter where the
+// old connection died. When ReconnectWindow expires without a new
 // connection the peer is declared down: terminal, and everything in
 // flight or queued toward it fails with core.ErrPeerDown.
 
@@ -163,8 +163,8 @@ func (b *Backend) handleInbound(conn net.Conn) {
 }
 
 // installConn activates a handshaken connection: the send window is
-// trimmed to what the peer reports applied (completing those signaled
-// writes), the generation advances, and a fresh reader starts. The
+// trimmed to what the peer reports applied (completing the signaled
+// writes among them), the generation advances, and a fresh reader starts. The
 // writer observes the new generation via awaitConn and replays the
 // remaining window before any new frames.
 func (b *Backend) installConn(peer int, conn net.Conn, peerApplied, sentApplied uint64) bool {

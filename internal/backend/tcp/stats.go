@@ -52,6 +52,11 @@ type DataPathStats struct {
 	Reconnects       int64
 	RetransmitFrames int64
 	ClockSamples     int64
+
+	// WindowPeak is the deepest any send window has been: the most
+	// write frames held unacknowledged toward one peer (a maximum, not
+	// a sum, across connections).
+	WindowPeak int64
 }
 
 func (s *DataPathStats) add(c *connStats) {
@@ -77,6 +82,7 @@ func (b *Backend) Stats() DataPathStats {
 	var s DataPathStats
 	for i := range b.cstats {
 		s.add(&b.cstats[i])
+		s.WindowPeak = max(s.WindowPeak, int64(b.windows[i].peak()))
 	}
 	return s
 }
@@ -86,6 +92,7 @@ func (b *Backend) PeerStats(peer int) DataPathStats {
 	var s DataPathStats
 	if peer >= 0 && peer < len(b.cstats) {
 		s.add(&b.cstats[peer])
+		s.WindowPeak = int64(b.windows[peer].peak())
 	}
 	return s
 }
@@ -109,6 +116,7 @@ func (b *Backend) TransportStats(yield func(name string, value int64)) {
 	yield("tcp_reconnects", s.Reconnects)
 	yield("tcp_retransmit_frames", s.RetransmitFrames)
 	yield("tcp_clock_samples", s.ClockSamples)
+	yield("tcp_window_peak", s.WindowPeak)
 	// Per-peer clock-sync gauges, exported only once a sample exists so
 	// dashboards can distinguish "no estimate" from "zero offset".
 	for peer, lk := range b.links {

@@ -7,21 +7,24 @@
 // One-sided semantics are emulated the way Photon's TCP and UD backends
 // emulate them: each rank runs an agent loop per connection that
 // applies WRITE/READ/ATOMIC requests directly against the local
-// registration table and acknowledges signaled operations. Per
+// registration table and acknowledges writes cumulatively. Per
 // connection, TCP's in-order bytestream plays the role of the RC queue
 // pair: requests apply in posting order, and an ACK for operation k
 // implies operations 1..k-1 have been applied.
 //
-// Data path (wire format v4): every frame carries a 12-byte header,
+// Data path (wire format v5): every frame carries a 12-byte header,
 //
 //	u32 bodyLen | u64 cumAck | body
 //
-// where cumAck is the cumulative count of *signaled writes* this
+// where cumAck is the cumulative count of writes, signaled or not, this
 // sender has applied from the receiving peer (0 = no information).
 // Acks therefore piggyback on whatever traffic already flows the other
 // way; a standalone ack (bodyLen 0) is emitted only after the reader
-// drains its socket with acks still owed. The writer coalesces queued
-// frames into one gather buffer and flushes with a single Write —
+// drains its socket with an ack owed — a signaled write, or a fixed
+// count of writes gone unacknowledged, which keeps the retransmit
+// window of a one-way stream bounded. An acked write frame leaves the
+// window and goes back to a size-classed pool. The writer coalesces
+// queued frames into one gather buffer and flushes with a single Write —
 // immediately when the queue runs dry (latency never waits on a
 // timer), batching up to flushBytes while more work is queued. Reads
 // and atomics are not in the cumAck sequence space; they complete via
@@ -31,15 +34,15 @@
 //
 // Fault tolerance: a lost connection is redialed with bounded
 // exponential backoff inside Config.ReconnectWindow. The handshake
-// is symmetric — both sides report how many of the peer's signaled
-// writes they have applied — so after a reconnect each writer trims
-// its retransmit window to the peer's report and replays exactly the
-// frames the dead connection may have lost, preserving the RC
-// ordering contract. Non-idempotent operations (reads, atomics) in
-// flight on a dead connection are never replayed; they complete with
-// core.ErrPeerDown. When the window expires the peer is declared down
-// and everything queued toward it fails. See DESIGN.md "Fault
-// tolerance" and recover.go for the link state machine.
+// is symmetric — both sides report how many of the peer's writes they
+// have applied — so after a reconnect each writer trims its retransmit
+// window to the peer's report and replays exactly the frames the dead
+// connection may have lost: every write is applied exactly once,
+// preserving the RC ordering contract. Non-idempotent operations
+// (reads, atomics) in flight on a dead connection are never replayed;
+// they complete with core.ErrPeerDown. When the window expires the peer
+// is declared down and everything queued toward it fails. See DESIGN.md
+// "Fault tolerance" and recover.go for the link state machine.
 //
 // Bootstrap exchange is a star over rank 0: every rank ships its blob
 // to the root, which gathers and rebroadcasts. Connections form a full
@@ -119,17 +122,17 @@ func (c *Config) setDefaults() error {
 // match.
 const flushBytes = 256 << 10
 
-// Wire format v4 framing.
+// Wire format v5 framing.
 const (
 	// frameHdrLen prefixes every frame: u32 body length | u64 cumAck.
 	frameHdrLen = 12
 	// maxFrameLen rejects absurd lengths from a poisoned stream.
 	maxFrameLen = 1 << 30
 	// Handshake (symmetric, 24 bytes each way): magic, wire version,
-	// rank, flags, and the cumulative count of the peer's signaled
-	// writes this side has applied — the retransmit cut point.
+	// rank, flags, and the cumulative count of the peer's writes this
+	// side has applied — the retransmit cut point.
 	wireMagic   = 0x32764850
-	wireVersion = 4
+	wireVersion = 5
 	hsLen       = 24
 	// hsFlagReconnect marks a handshake that replaces an earlier
 	// connection (informational; both paths are handled identically).
@@ -150,7 +153,7 @@ const (
 	opHeartbeat  = 10 // liveness probe + clock sync, suppressed by data
 )
 
-// Heartbeat body (wire v4): u8 op | i64 txNS | i64 echoTxNS | i64
+// Heartbeat body (since wire v4): u8 op | i64 txNS | i64 echoTxNS | i64
 // echoRxNS, all wall-clock UnixNano in the sender's clock domain
 // except echoTxNS, which echoes the receiver's own earlier tx stamp.
 // The four timestamps of two opposing heartbeats form one NTP-style
@@ -205,7 +208,9 @@ type Backend struct {
 
 	// Per-peer cumulative-ack state (self slot unused).
 	windows  []*sendWindow   // unacked opWrite frames, retained for retransmit
-	recvSeqW []atomic.Uint64 // signaled writes applied from each peer
+	recvSeqW []atomic.Uint64 // writes applied from each peer
+	ackSent  []atomic.Uint64 // highest cumulative ack conveyed toward each peer
+	ackDue   []atomic.Uint64 // highest applied write owed a standalone ack
 	lastNack []atomic.Uint64 // highest nack seq queued toward each peer
 	cstats   []connStats     // data-path counters per connection
 
@@ -267,6 +272,8 @@ func New(cfg Config) (*Backend, error) {
 		outs:      make([]chan outItem, n),
 		windows:   make([]*sendWindow, n),
 		recvSeqW:  make([]atomic.Uint64, n),
+		ackSent:   make([]atomic.Uint64, n),
+		ackDue:    make([]atomic.Uint64, n),
 		lastNack:  make([]atomic.Uint64, n),
 		cstats:    make([]connStats, n),
 		mem:       mem.NewRegTable("tcp"),
@@ -278,7 +285,7 @@ func New(cfg Config) (*Backend, error) {
 	}
 	b.exgCond = sync.NewCond(&b.exgMu)
 	for i := range b.windows {
-		b.windows[i] = &sendWindow{}
+		b.windows[i] = newSendWindow()
 		if i != b.rank {
 			b.links[i] = newLink(i)
 		}
@@ -387,9 +394,9 @@ func (b *Backend) awaitMesh(budget time.Duration) error {
 }
 
 // writeHello sends one side of the symmetric handshake: magic, wire
-// version, rank, flags, and the cumulative count of the peer's
-// signaled writes this side has applied (the retransmit cut point; 0
-// on an initial connection, where nothing has been applied yet).
+// version, rank, flags, and the cumulative count of the peer's writes
+// this side has applied (the retransmit cut point; 0 on an initial
+// connection, where nothing has been applied yet).
 func writeHello(conn net.Conn, rank int, flags uint32, applied uint64) error {
 	var hs [hsLen]byte
 	binary.LittleEndian.PutUint32(hs[0:], wireMagic)
@@ -481,12 +488,16 @@ func (b *Backend) enqueue(rank int, it outItem) error {
 	}
 }
 
-// writeFrame builds an opWrite frame, copying the payload
-// (snapshot-at-post).
+// writeFrame builds an opWrite frame in a pooled buffer, copying the
+// payload (snapshot-at-post). The frame goes back to the pool when the
+// peer's cumulative ack (or nack) retires it from the send window, or
+// once a loopback write is applied — never at flush, because a
+// reconnect replays the window from these bytes.
 func writeFrame(local []byte, raddr uint64, rkey uint32, token uint64, signaled bool) []byte {
-	f := make([]byte, 1+8+1+8+4+4+len(local))
+	f := mem.GetFrame(writeBodyMin + len(local))
 	f[0] = opWrite
 	binary.LittleEndian.PutUint64(f[1:], token)
+	f[9] = 0
 	if signaled {
 		f[9] = 1
 	}
@@ -500,7 +511,11 @@ func writeFrame(local []byte, raddr uint64, rkey uint32, token uint64, signaled 
 // PostWrite queues a one-sided write toward rank.
 func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, token uint64, signaled bool) error {
 	f := writeFrame(local, raddr, rkey, token, signaled)
-	return b.enqueue(rank, outItem{one: outFrame{data: f, token: token, signaled: signaled}})
+	if err := b.enqueue(rank, outItem{one: outFrame{data: f, token: token, signaled: signaled}}); err != nil {
+		mem.PutFrame(f) // never queued: the frame is still ours
+		return err
+	}
+	return nil
 }
 
 // PostWriteBatch queues a burst of one-sided writes toward rank. The
@@ -523,6 +538,9 @@ func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 		}
 	}
 	if err := b.enqueue(rank, outItem{many: frames}); err != nil {
+		for _, f := range frames {
+			mem.PutFrame(f.data)
+		}
 		return 0, err
 	}
 	return len(reqs), nil

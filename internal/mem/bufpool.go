@@ -63,10 +63,10 @@ func (p *BufPool) Get(n int) []byte {
 
 // GetOwned returns a length-n buffer that will never be recycled: use
 // it when the buffer's ownership transfers to the caller (for example
-// Completion.Data). Pool accounting still records the miss so the
-// counters reflect true allocator pressure.
+// Completion.Data). It is a plain allocation, not pool traffic, so it
+// counts as neither a hit nor a miss: the miss counter measures only
+// Gets the free list failed to serve.
 func (p *BufPool) GetOwned(n int) []byte {
-	p.misses.Add(1)
 	return make([]byte, n)
 }
 

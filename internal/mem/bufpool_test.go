@@ -92,4 +92,7 @@ func TestBufPoolGetOwned(t *testing.T) {
 	if len(p.free) != 0 {
 		t.Fatal("GetOwned buffer must not enter the free list")
 	}
+	if hits, misses := p.Counters(); hits != 0 || misses != 0 {
+		t.Fatalf("GetOwned counted as pool traffic: hits %d, misses %d", hits, misses)
+	}
 }

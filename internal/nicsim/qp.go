@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"photon/internal/fabric"
+	"photon/internal/mem"
 )
 
 // SendWR is a send-side work request. The fields used depend on Op:
@@ -59,6 +60,21 @@ type wqe struct {
 	psn     uint64
 	frame   []byte
 	byteLen int
+}
+
+// wqePool recycles send work-queue entries: every wqe path terminates
+// in completeSend exactly once (transmit failure, flush, or response
+// match), which returns it here. Wire frames recycle through
+// mem.GetFrame/PutFrame on the same lifecycle.
+var wqePool = sync.Pool{New: func() any { return new(wqe) }}
+
+func wqeGet() *wqe {
+	return wqePool.Get().(*wqe)
+}
+
+func wqePut(w *wqe) {
+	*w = wqe{}
+	wqePool.Put(w)
 }
 
 // inbound is a SEND awaiting a posted receive buffer (infinite
@@ -209,7 +225,7 @@ func (qp *QP) PostSend(wr SendWR) error {
 		qp.nic.counters.sendsPosted.Add(1)
 		return nil
 	default:
-		framePut(w.frame)
+		mem.PutFrame(w.frame)
 		wqePut(w)
 		return ErrSQFull
 	}
@@ -338,7 +354,7 @@ func (qp *QP) dropPending(psn uint64) {
 // to their pools here.
 func (qp *QP) completeSend(w *wqe, st Status) {
 	if w.frame != nil {
-		framePut(w.frame)
+		mem.PutFrame(w.frame)
 		w.frame = nil
 	}
 	if st == StatusOK && !w.wr.Signaled {
@@ -396,7 +412,7 @@ func (qp *QP) Close() {
 // the pendingRecv staging copy) or finishes with them before returning,
 // so the buffer goes back to the frame pool on exit.
 func (n *NIC) onFrame(fr fabric.Frame) {
-	defer framePut(fr.Data)
+	defer mem.PutFrame(fr.Data)
 	if n.closed.Load() {
 		return
 	}
@@ -546,7 +562,7 @@ func (qp *QP) handleRead(h header, body []byte, src int) {
 	// has passed the region's bounds check.
 	var resp []byte
 	if err := qp.nic.accessMR(rkey, raddr, length, AccessRemoteRead, func(b []byte) {
-		resp = frameGet(hdrLen + len(b))
+		resp = mem.GetFrame(hdrLen + len(b))
 		copy(resp[hdrLen:], b)
 	}); err != nil {
 		rh.typ = fNak

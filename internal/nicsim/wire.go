@@ -3,6 +3,8 @@ package nicsim
 import (
 	"encoding/binary"
 	"fmt"
+
+	"photon/internal/mem"
 )
 
 // Wire frame types exchanged between NICs over the fabric. The format
@@ -71,14 +73,14 @@ func parseHeader(b []byte) (header, []byte, error) {
 // delivery finishes (see onFrame).
 
 func encodeSend(h header, payload []byte) []byte {
-	b := frameGet(hdrLen + len(payload))
+	b := mem.GetFrame(hdrLen + len(payload))
 	putHeader(b, h)
 	copy(b[hdrLen:], payload)
 	return b
 }
 
 func encodeWrite(h header, raddr uint64, rkey uint32, payload []byte) []byte {
-	b := frameGet(hdrLen + writeHdrLen + len(payload))
+	b := mem.GetFrame(hdrLen + writeHdrLen + len(payload))
 	putHeader(b, h)
 	binary.LittleEndian.PutUint64(b[hdrLen:], raddr)
 	binary.LittleEndian.PutUint32(b[hdrLen+8:], rkey)
@@ -96,7 +98,7 @@ func decodeWrite(body []byte) (raddr uint64, rkey uint32, payload []byte, err er
 }
 
 func encodeRead(h header, raddr uint64, rkey uint32, length int) []byte {
-	b := frameGet(hdrLen + readBodyLen)
+	b := mem.GetFrame(hdrLen + readBodyLen)
 	putHeader(b, h)
 	binary.LittleEndian.PutUint64(b[hdrLen:], raddr)
 	binary.LittleEndian.PutUint32(b[hdrLen+8:], rkey)
@@ -115,7 +117,7 @@ func decodeRead(body []byte) (raddr uint64, rkey uint32, length int, err error) 
 }
 
 func encodeAtomic(h header, kind byte, raddr uint64, rkey uint32, operand, compare uint64) []byte {
-	b := frameGet(hdrLen + atomicBodyLen)
+	b := mem.GetFrame(hdrLen + atomicBodyLen)
 	putHeader(b, h)
 	b[hdrLen] = kind
 	binary.LittleEndian.PutUint64(b[hdrLen+1:], raddr)
@@ -138,7 +140,7 @@ func decodeAtomic(body []byte) (kind byte, raddr uint64, rkey uint32, operand, c
 }
 
 func encodeStatus(h header, st Status) []byte {
-	b := frameGet(hdrLen + 1)
+	b := mem.GetFrame(hdrLen + 1)
 	putHeader(b, h)
 	b[hdrLen] = byte(st)
 	return b
@@ -152,7 +154,7 @@ func decodeStatus(body []byte) (Status, error) {
 }
 
 func encodeAtomicResp(h header, value uint64) []byte {
-	b := frameGet(hdrLen + 8)
+	b := mem.GetFrame(hdrLen + 8)
 	putHeader(b, h)
 	binary.LittleEndian.PutUint64(b[hdrLen:], value)
 	return b
