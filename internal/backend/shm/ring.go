@@ -76,7 +76,9 @@ func (r *spscRing) publish(newTail uint64) {
 	r.tail.Store(newTail)
 }
 
-// pending reports how many bytes are readable. Consumer side only.
+// pending reports how many bytes are readable. The consumer reads
+// frames by it; a producer holding the ring's producer lock reads 0 as
+// "drained": every published frame has been consumed.
 //
 //photon:hotpath
 func (r *spscRing) pending() uint64 {

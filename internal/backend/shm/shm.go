@@ -1,34 +1,50 @@
 // Package shm is Photon's intra-host shared-memory backend: the
-// core.Backend transport contract over per-peer-pair SPSC ring buffers
-// instead of a NIC or a socket. It models the shared-memory transports
-// high-performance runtimes select for same-node peers (process-shared
-// rings under CMA/XPMEM-style copy agents): when every rank lives in
-// one OS process, a put is two ring copies and a futex-style wake —
-// no syscalls, no serialization beyond the wire frame, and latency set
-// by cache-coherency traffic rather than the network stack.
+// core.Backend transport contract for ranks that share one address
+// space, with no simulated NIC or socket between a post and its apply.
+// It models the paths high-performance runtimes select for same-node
+// peers, where co-located ranks load and store straight into each
+// other's registered windows (MPI-3 shared-memory windows, CMA/XPMEM)
+// instead of going through a message agent.
 //
-// Topology: each rank owns one inbound spscRing per peer (the directed
-// pair's request channel) and a single agent goroutine that drains all
-// of them. A posted operation is framed and copied into the target's
-// inbound ring at post time (PostWrite's snapshot-at-post contract for
-// free), the target's agent is kicked through a WakeChan, and the
-// agent applies the operation against the target's registration table
-// and pushes the completion directly into the *initiator's* CompQueue.
-// Responses never traverse a reverse ring: the agent writes read and
-// atomic results straight into the initiator's parked destination
-// buffer — legal because the ranks share an address space, and exactly
-// the shortcut a CMA copy agent takes on real hardware.
+// Two paths. A post toward rank t first looks, under this rank's
+// producer lock for t, at the directed ring toward t. When the ring is
+// drained (head == tail: every earlier request has been applied and
+// completed) and t's registration table lock is free, the posting
+// goroutine applies the operation itself — a write, read, fetch-add or
+// comp-swap against t's mem.RegTable, one copy — kicks t's engine as
+// the agent would, and pushes its own completion before releasing the
+// producer lock. Otherwise the request is framed into the ring (the
+// payload is copied at post time, PostWrite's snapshot-at-post
+// contract), t's agent goroutine is woken, and the agent applies it,
+// writing read and atomic results straight into the initiator's
+// parked destination buffer and pushing the completion into the
+// initiator's CompQueue. The ring and agent carry backlog and
+// contention; the choice is made from state the poster observes, with
+// no knob. A poster never waits for a peer's table lock (the
+// RegTable accessors' try mode), so two ranks that each hold their
+// own DMA lock while posting to each other fall back to the rings
+// rather than deadlock.
+//
+// Both paths rest on the ranks sharing one address space: the poster
+// stores into the target's memory and the agent into the initiator's.
+// Ranks in separate processes need a mapped segment instead, and both
+// shortcuts must be replaced along with the rings' Go slices.
 //
 // Ordering: one ring per directed pair, drained FIFO, gives RC
-// in-order-per-rank execution; completions are pushed in processing
-// order, so a signaled completion fences everything posted earlier
-// toward the same rank. A full ring surfaces as core.ErrWouldBlock
-// (counted in shm_ring_full_spins) and the engine defers and retries,
-// the same backpressure path as a full send queue.
+// in-order-per-rank execution, and the in-place path runs only on a
+// drained ring under the producer lock, so it never overtakes a queued
+// request. Completions are pushed in processing order, so a signaled
+// completion fences everything posted earlier toward the same rank. A
+// full ring surfaces as core.ErrWouldBlock (counted in
+// shm_ring_full_spins) and the engine defers and retries, the same
+// backpressure path as a full send queue. A post toward a closed rank
+// fails with core.ErrPeerDown, and Close fails every request still
+// queued toward the closing rank.
 package shm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -69,15 +85,16 @@ const (
 	flagSignaled = 1 << 0
 
 	lenPrefix    = 4
-	writeHdrLen  = lenPrefix + 1 + 8 + 1 + 8 + 4 // through rkey; payload follows
-	readBodyLen  = 1 + 8 + 8 + 4 + 4
-	fAddBodyLen  = 1 + 8 + 8 + 4 + 8
-	cSwapBodyLen = 1 + 8 + 8 + 4 + 8 + 8
-	maxFixedLen  = lenPrefix + cSwapBodyLen // agent header scratch bound
+	reqHdrLen    = 1 + 8                 // op, token: every body starts so
+	writeBodyMin = reqHdrLen + 1 + 8 + 4 // through rkey; payload follows
+	readBodyLen  = reqHdrLen + 8 + 4 + 4
+	fAddBodyLen  = reqHdrLen + 8 + 4 + 8
+	cSwapBodyLen = reqHdrLen + 8 + 4 + 8 + 8
+	maxFixedLen  = lenPrefix + cSwapBodyLen // header scratch bound
 
 	// atomicResultLen is the 8-byte word every fetch-add/comp-swap
-	// result buffer must hold; the agent writes exactly this many
-	// bytes back into the initiator's pending buffer.
+	// result buffer must hold; the prior value is written back into
+	// exactly this many bytes of the initiator's buffer.
 	atomicResultLen = 8
 )
 
@@ -194,7 +211,8 @@ type Backend struct {
 	inRings []*spscRing
 	// prodMu[t] serializes this rank's posters toward rank t: the
 	// directed ring is SPSC, so concurrent engine goroutines posting to
-	// the same target take the producer role one at a time.
+	// the same target take the producer role one at a time, and the
+	// in-place path's drained-ring check holds only under it.
 	//photon:lock shmprod 20
 	prodMu []sync.Mutex
 
@@ -203,8 +221,9 @@ type Backend struct {
 	// guarding registered memory.
 	mem *mem.RegTable
 
-	// pend parks read/atomic result destinations by token until the
-	// target's agent fills and completes them.
+	// pend parks the result destinations of reads and atomics that went
+	// through the ring, by token, until the target's agent fills and
+	// completes them.
 	//photon:lock shmpend 40
 	pendMu sync.Mutex
 	pend   map[uint64][]byte
@@ -219,7 +238,9 @@ type Backend struct {
 	agentWG sync.WaitGroup
 	closed  chan struct{}
 
-	// Transport counters (TransportStats).
+	// Transport counters (TransportStats). framesOut and bytesOut count
+	// only requests that went through a ring, not those applied in
+	// place.
 	framesIn   atomic.Int64
 	framesOut  atomic.Int64
 	bytesIn    atomic.Int64
@@ -250,11 +271,12 @@ func (b *Backend) Deregister(rb mem.RemoteBuffer) error { return b.mem.Deregiste
 // ApplyLocal performs a loopback DMA write into this rank's own
 // registered memory with full validation.
 func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
-	return b.mem.Write(raddr, rkey, data, nil)
+	return b.mem.Write(false, raddr, rkey, data, nil)
 }
 
 // WriteActivity counts applied writes with one counter for all
-// registrations (the agent applies every remote write).
+// registrations (every remote write, in place or by the agent, goes
+// through the table).
 func (b *Backend) WriteActivity(mem.RemoteBuffer) (func() uint64, bool) {
 	return b.mem.Activity, true
 }
@@ -302,7 +324,8 @@ func (b *Backend) Exchange(local []byte) ([][]byte, error) {
 	return b.cluster.exchange(b.rank, local)
 }
 
-// Close stops the agent and releases the endpoint. Idempotent.
+// Close stops the agent, fails every request still queued toward this
+// rank with core.ErrPeerDown, and releases the endpoint. Idempotent.
 func (b *Backend) Close() error {
 	b.pendMu.Lock()
 	select {
@@ -315,76 +338,56 @@ func (b *Backend) Close() error {
 	b.pendMu.Unlock()
 	b.wake.Kick()
 	b.agentWG.Wait()
+	// The agent is gone, so Close is the rings' consumer now. Holding
+	// each producer lock fences posters that checked closed before it
+	// was set: everything they published is in the ring, and anything
+	// later sees closed and fails at post.
+	var hdr [maxFixedLen]byte
+	down := peerDown(b.rank)
+	for src, r := range b.inRings {
+		if r == nil {
+			continue
+		}
+		peer := b.cluster.backends[src]
+		peer.prodMu[b.rank].Lock()
+		b.drainRing(src, r, hdr[:], down)
+		peer.prodMu[b.rank].Unlock()
+	}
 	return nil
+}
+
+func peerDown(rank int) error {
+	return fmt.Errorf("shm: rank %d closed: %w", rank, core.ErrPeerDown)
+}
+
+func (b *Backend) isClosed() bool {
+	select {
+	case <-b.closed:
+		return true
+	default:
+		return false
+	}
 }
 
 func (b *Backend) checkRank(rank int) error {
 	if rank < 0 || rank >= b.size {
 		return core.ErrBadRank
 	}
-	select {
-	case <-b.closed:
+	if b.isClosed() {
 		return core.ErrClosed
-	default:
-		return nil
 	}
-}
-
-// outRing returns the directed ring from this rank toward rank t.
-func (b *Backend) outRing(t int) *spscRing {
-	return b.cluster.backends[t].inRings[b.rank]
-}
-
-// PostWrite frames local into rank's inbound ring. The payload is
-// copied at post time (snapshot-at-post), so the caller may recycle
-// local as soon as this returns nil.
-func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, token uint64, signaled bool) error {
-	if err := b.checkRank(rank); err != nil {
-		return err
-	}
-	if rank == b.rank {
-		if err := b.ApplyLocal(raddr, rkey, local); err != nil {
-			return err
-		}
-		if signaled {
-			b.compq.Push(core.BackendCompletion{Token: token, OK: true})
-		}
-		return nil
-	}
-	r := b.outRing(rank)
-	total := writeHdrLen + len(local)
-	if total > len(r.buf)/2 {
-		return core.ErrTooLarge
-	}
-	var hdr [writeHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(total-lenPrefix))
-	hdr[4] = opWrite
-	binary.LittleEndian.PutUint64(hdr[5:], token)
-	if signaled {
-		hdr[13] = flagSignaled
-	}
-	binary.LittleEndian.PutUint64(hdr[14:], raddr)
-	binary.LittleEndian.PutUint32(hdr[22:], rkey)
-
-	b.prodMu[rank].Lock()
-	pos, ok := r.tryReserve(total)
-	if !ok {
-		b.prodMu[rank].Unlock()
-		return core.ErrWouldBlock
-	}
-	r.writeAt(pos, hdr[:])
-	r.writeAt(pos+writeHdrLen, local)
-	r.publish(pos + uint64(total))
-	b.prodMu[rank].Unlock()
-
-	b.framesOut.Add(1)
-	b.bytesOut.Add(int64(total))
-	b.cluster.backends[rank].wake.Kick()
 	return nil
 }
 
-// PostWriteBatch takes one producer-lock acquisition and one doorbell
-// kick for the whole burst.
+// PostWrite writes local to (raddr, rkey) at rank. The payload is
+// copied before PostWrite returns (applied in place, or framed into the
+// ring), so the caller may recycle local as soon as this returns nil.
+func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, token uint64, signaled bool) error {
+	return b.post(rank, &frame{op: opWrite, signaled: signaled, token: token, raddr: raddr, rkey: rkey, n: len(local)}, local)
+}
+
+// PostWriteBatch posts a burst under one producer-lock acquisition,
+// with one doorbell kick when any of it went through the ring.
 func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 	if err := b.checkRank(rank); err != nil {
 		return 0, err
@@ -397,158 +400,177 @@ func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 		}
 		return len(reqs), nil
 	}
-	r := b.outRing(rank)
-	var hdr [writeHdrLen]byte
+	var frames, bytes int
 	n := 0
-	var frames, bytes int64
+	var err error
 	b.prodMu[rank].Lock()
-	for i := range reqs {
-		total := writeHdrLen + len(reqs[i].Local)
-		if total > len(r.buf)/2 {
-			b.prodMu[rank].Unlock()
-			if frames > 0 {
-				b.flushBatchStats(rank, frames, bytes)
-			}
-			return n, core.ErrTooLarge
+	for ; n < len(reqs); n++ {
+		q := &reqs[n]
+		f := frame{op: opWrite, signaled: q.Signaled, token: q.Token, raddr: q.RemoteAddr, rkey: q.RKey, n: len(q.Local)}
+		var used int
+		if used, err = b.submit(rank, &f, q.Local); err != nil {
+			break
 		}
-		pos, ok := r.tryReserve(total)
-		if !ok {
-			b.prodMu[rank].Unlock()
-			if frames > 0 {
-				b.flushBatchStats(rank, frames, bytes)
-			}
-			return n, core.ErrWouldBlock
+		if used > 0 {
+			frames++
+			bytes += used
 		}
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(total-lenPrefix))
-		hdr[4] = opWrite
-		binary.LittleEndian.PutUint64(hdr[5:], reqs[i].Token)
-		hdr[13] = 0
-		if reqs[i].Signaled {
-			hdr[13] = flagSignaled
-		}
-		binary.LittleEndian.PutUint64(hdr[14:], reqs[i].RemoteAddr)
-		binary.LittleEndian.PutUint32(hdr[22:], reqs[i].RKey)
-		r.writeAt(pos, hdr[:])
-		r.writeAt(pos+writeHdrLen, reqs[i].Local)
-		r.publish(pos + uint64(total))
-		frames++
-		bytes += int64(total)
-		n++
 	}
 	b.prodMu[rank].Unlock()
-	b.flushBatchStats(rank, frames, bytes)
-	return n, nil
-}
-
-func (b *Backend) flushBatchStats(rank int, frames, bytes int64) {
-	b.framesOut.Add(frames)
-	b.bytesOut.Add(bytes)
-	b.cluster.backends[rank].wake.Kick()
-}
-
-// postFixed frames a payload-free request (read/atomic) after parking
-// the result destination under the token.
-func (b *Backend) postFixed(rank int, local []byte, body []byte, token uint64) error {
-	b.pendMu.Lock()
-	b.pend[token] = local
-	b.pendMu.Unlock()
-
-	r := b.outRing(rank)
-	total := lenPrefix + len(body)
-	b.prodMu[rank].Lock()
-	pos, ok := r.tryReserve(total)
-	if !ok {
-		b.prodMu[rank].Unlock()
-		b.pendMu.Lock()
-		delete(b.pend, token)
-		b.pendMu.Unlock()
-		return core.ErrWouldBlock
-	}
-	var lenBuf [lenPrefix]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(body)))
-	r.writeAt(pos, lenBuf[:])
-	r.writeAt(pos+lenPrefix, body)
-	r.publish(pos + uint64(total))
-	b.prodMu[rank].Unlock()
-
-	b.framesOut.Add(1)
-	b.bytesOut.Add(int64(total))
-	b.cluster.backends[rank].wake.Kick()
-	return nil
+	b.queued(rank, frames, bytes)
+	return n, err
 }
 
 // PostRead starts a one-sided read; local is owned by the backend
 // until the completion is reported.
 func (b *Backend) PostRead(rank int, local []byte, raddr uint64, rkey uint32, token uint64) error {
-	if err := b.checkRank(rank); err != nil {
-		return err
-	}
-	if rank == b.rank {
-		err := b.mem.Read(local, raddr, rkey)
-		b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
-		return nil
-	}
-	var body [readBodyLen]byte
-	body[0] = opRead
-	binary.LittleEndian.PutUint64(body[1:], token)
-	binary.LittleEndian.PutUint64(body[9:], raddr)
-	binary.LittleEndian.PutUint32(body[17:], rkey)
-	binary.LittleEndian.PutUint32(body[21:], uint32(len(local)))
-	return b.postFixed(rank, local, body[:], token)
+	return b.post(rank, &frame{op: opRead, token: token, raddr: raddr, rkey: rkey, n: len(local)}, local)
 }
 
 // PostFetchAdd atomically adds to the 8-byte word at (raddr, rkey).
 func (b *Backend) PostFetchAdd(rank int, result []byte, raddr uint64, rkey uint32, add uint64, token uint64) error {
-	if err := b.checkRank(rank); err != nil {
-		return err
-	}
 	if len(result) < atomicResultLen {
 		return fmt.Errorf("shm: fetch-add result buffer too small")
 	}
-	if rank == b.rank {
-		old, err := b.mem.FetchAdd(raddr, rkey, add)
-		b.compq.Push(atomicComp(token, result, old, err))
-		return nil
-	}
-	var body [fAddBodyLen]byte
-	body[0] = opFAdd
-	binary.LittleEndian.PutUint64(body[1:], token)
-	binary.LittleEndian.PutUint64(body[9:], raddr)
-	binary.LittleEndian.PutUint32(body[17:], rkey)
-	binary.LittleEndian.PutUint64(body[21:], add)
-	return b.postFixed(rank, result, body[:], token)
+	return b.post(rank, &frame{op: opFAdd, token: token, raddr: raddr, rkey: rkey, operand: add}, result)
 }
 
 // PostCompSwap atomically compare-and-swaps the 8-byte word.
 func (b *Backend) PostCompSwap(rank int, result []byte, raddr uint64, rkey uint32, compare, swap uint64, token uint64) error {
-	if err := b.checkRank(rank); err != nil {
-		return err
-	}
 	if len(result) < atomicResultLen {
 		return fmt.Errorf("shm: comp-swap result buffer too small")
 	}
-	if rank == b.rank {
-		old, err := b.mem.CompSwap(raddr, rkey, compare, swap)
-		b.compq.Push(atomicComp(token, result, old, err))
-		return nil
-	}
-	var body [cSwapBodyLen]byte
-	body[0] = opCSwap
-	binary.LittleEndian.PutUint64(body[1:], token)
-	binary.LittleEndian.PutUint64(body[9:], raddr)
-	binary.LittleEndian.PutUint32(body[17:], rkey)
-	binary.LittleEndian.PutUint64(body[21:], compare)
-	binary.LittleEndian.PutUint64(body[29:], swap)
-	return b.postFixed(rank, result, body[:], token)
+	return b.post(rank, &frame{op: opCSwap, token: token, raddr: raddr, rkey: rkey, operand: compare, swap: swap}, result)
 }
 
-// atomicComp builds an atomic's completion, placing the prior value in
-// the initiator's result buffer when the operation applied.
-func atomicComp(token uint64, result []byte, old uint64, err error) core.BackendCompletion {
-	if err == nil {
-		binary.LittleEndian.PutUint64(result, old)
+// post submits one request toward rank. local is a write's payload, or
+// a read's or atomic's result destination.
+func (b *Backend) post(rank int, f *frame, local []byte) error {
+	if err := b.checkRank(rank); err != nil {
+		return err
 	}
-	return core.BackendCompletion{Token: token, OK: err == nil, Err: err}
+	if rank == b.rank {
+		b.apply(b, false, f, local, nil, local)
+		return nil
+	}
+	b.prodMu[rank].Lock()
+	used, err := b.submit(rank, f, local)
+	b.prodMu[rank].Unlock()
+	if used > 0 {
+		b.queued(rank, 1, used)
+	}
+	return err
+}
+
+// submit runs f toward rank; the caller holds prodMu[rank]. When the
+// ring is drained and the target's table lock is free, f is applied in
+// place and completed; otherwise it is framed into the ring, and submit
+// returns the ring bytes it used. The in-place completion is pushed
+// under prodMu, so a later post's ring frame cannot complete first;
+// the wake sink that push calls is non-blocking by contract.
+func (b *Backend) submit(rank int, f *frame, local []byte) (int, error) {
+	t := b.cluster.backends[rank]
+	if t.isClosed() {
+		return 0, peerDown(rank)
+	}
+	r := t.inRings[b.rank]
+	total := lenPrefix + f.bodyLen()
+	if total > len(r.buf)/2 {
+		return 0, core.ErrTooLarge
+	}
+	if r.pending() == 0 && t.apply(b, true, f, local, nil, local) {
+		return 0, nil
+	}
+	pos, ok := r.tryReserve(total)
+	if !ok {
+		return 0, core.ErrWouldBlock
+	}
+	var hdr [maxFixedLen]byte
+	h := f.encode(hdr[:])
+	r.writeAt(pos, h)
+	if f.op == opWrite {
+		r.writeAt(pos+uint64(len(h)), local)
+	} else {
+		b.pendMu.Lock()
+		b.pend[f.token] = local
+		b.pendMu.Unlock()
+	}
+	r.publish(pos + uint64(total))
+	return total, nil
+}
+
+// queued accounts frames published toward rank and wakes its agent.
+func (b *Backend) queued(rank, frames, bytes int) {
+	if frames == 0 {
+		return
+	}
+	b.framesOut.Add(int64(frames))
+	b.bytesOut.Add(int64(bytes))
+	b.cluster.backends[rank].wake.Kick()
+}
+
+// apply executes f against b's registered memory on behalf of src and
+// completes it into src's queue: a write's payload is head then tail,
+// a read's or atomic's result lands in dst. With try set it gives up
+// when b's table lock is held, doing nothing and returning false. The
+// agent, the in-place path and self-posts all run requests through it.
+func (b *Backend) apply(src *Backend, try bool, f *frame, head, tail, dst []byte) bool {
+	switch f.op {
+	case opWrite:
+		return b.applyWrite(src, try, f, head, tail)
+	case opRead:
+		return b.applyRead(src, try, f, dst)
+	default:
+		return b.applyAtomic(src, try, f, dst)
+	}
+}
+
+func (b *Backend) applyWrite(src *Backend, try bool, f *frame, head, tail []byte) bool {
+	err := b.mem.Write(try, f.raddr, f.rkey, head, tail)
+	if errors.Is(err, mem.ErrBusy) {
+		return false
+	}
+	if err == nil {
+		// Data is visible: kick this rank's engine sweep even when
+		// unsignaled (ledger writes are unsignaled by design).
+		b.compq.Kick()
+	}
+	if f.signaled {
+		src.compq.Push(core.BackendCompletion{Token: f.token, OK: err == nil, Err: err})
+	}
+	return true
+}
+
+func (b *Backend) applyRead(src *Backend, try bool, f *frame, dst []byte) bool {
+	var err error
+	if len(dst) < f.n {
+		err = fmt.Errorf("shm: read destination missing for token %d", f.token)
+	} else if err = b.mem.Read(try, dst[:f.n], f.raddr, f.rkey); errors.Is(err, mem.ErrBusy) {
+		return false
+	}
+	src.compq.Push(core.BackendCompletion{Token: f.token, OK: err == nil, Err: err})
+	return true
+}
+
+func (b *Backend) applyAtomic(src *Backend, try bool, f *frame, dst []byte) bool {
+	var old uint64
+	var err error
+	switch {
+	case len(dst) < atomicResultLen:
+		err = fmt.Errorf("shm: atomic destination missing for token %d", f.token)
+	case f.op == opFAdd:
+		old, err = b.mem.FetchAdd(try, f.raddr, f.rkey, f.operand)
+	default:
+		old, err = b.mem.CompSwap(try, f.raddr, f.rkey, f.operand, f.swap)
+	}
+	if errors.Is(err, mem.ErrBusy) {
+		return false
+	}
+	if err == nil {
+		binary.LittleEndian.PutUint64(dst, old)
+	}
+	src.compq.Push(core.BackendCompletion{Token: f.token, OK: err == nil, Err: err})
+	return true
 }
 
 // takePend claims the parked destination for token.
@@ -558,6 +580,12 @@ func (b *Backend) takePend(token uint64) []byte {
 	delete(b.pend, token)
 	b.pendMu.Unlock()
 	return buf
+}
+
+// fail completes token with err, releasing its parked destination.
+func (b *Backend) fail(token uint64, err error) {
+	b.takePend(token)
+	b.compq.Push(core.BackendCompletion{Token: token, Err: err})
 }
 
 // agent is this rank's consumer loop: it drains every inbound ring,
@@ -573,20 +601,18 @@ func (b *Backend) agent() {
 			if r == nil {
 				continue
 			}
-			if n := b.drainRing(src, r, hdr[:]); n > 0 {
+			if n := b.drainRing(src, r, hdr[:], nil); n > 0 {
 				busy = true
 				// Ring space opened up: wake the producer's engine so
 				// deferred (ErrWouldBlock) posts retry promptly.
 				b.cluster.backends[src].compq.Kick()
 			}
 		}
+		if b.isClosed() {
+			return
+		}
 		if busy {
 			continue
-		}
-		select {
-		case <-b.closed:
-			return
-		default:
 		}
 		b.agentParks.Add(1)
 		select {
@@ -598,87 +624,40 @@ func (b *Backend) agent() {
 	}
 }
 
-// drainRing consumes every complete frame currently in r (requests
-// from rank src), returning the frame count.
-func (b *Backend) drainRing(src int, r *spscRing, hdr []byte) int {
+// drainRing consumes the complete frames in r (requests from rank src)
+// and returns their count. With down nil it applies each one and stops
+// early once this rank closes; otherwise it fails each one that owes a
+// completion with down.
+func (b *Backend) drainRing(src int, r *spscRing, hdr []byte, down error) int {
+	peer := b.cluster.backends[src]
 	frames := 0
-	for {
-		if r.pending() < lenPrefix {
-			return frames
+	for r.pending() >= lenPrefix {
+		if down == nil && b.isClosed() {
+			break
 		}
 		pos := r.head.Load()
-		lb := r.readAt(pos, hdr[:lenPrefix], lenPrefix)
-		bodyLen := int(binary.LittleEndian.Uint32(lb))
 		// Producers publish whole frames, so the body is present.
-		b.applyFrame(src, r, pos+lenPrefix, bodyLen, hdr)
+		bodyLen := int(binary.LittleEndian.Uint32(r.readAt(pos, hdr, lenPrefix)))
+		pos += lenPrefix
+		f, err := decodeFrame(r.readAt(pos, hdr, min(bodyLen, cSwapBodyLen)), bodyLen)
+		if err == nil {
+			err = down
+		}
+		switch {
+		case err == nil && f.op == opWrite:
+			// The payload goes straight from the ring into the target
+			// registration (two segments across the wrap point at most).
+			head, tail := r.span(pos+writeBodyMin, f.n)
+			b.applyWrite(peer, false, &f, head, tail)
+		case err == nil:
+			b.apply(peer, false, &f, nil, nil, peer.takePend(f.token))
+		case f.op != opWrite || f.signaled:
+			peer.fail(f.token, err)
+		}
 		r.advance(uint64(lenPrefix + bodyLen))
 		frames++
 		b.framesIn.Add(1)
 		b.bytesIn.Add(int64(lenPrefix + bodyLen))
 	}
-}
-
-// applyFrame decodes and executes one request body at ring position
-// pos, pushing the completion into the initiator's queue.
-func (b *Backend) applyFrame(src int, r *spscRing, pos uint64, bodyLen int, hdr []byte) {
-	peer := b.cluster.backends[src]
-	fixed := bodyLen
-	if fixed > len(hdr) {
-		fixed = len(hdr)
-	}
-	h := r.readAt(pos, hdr[:fixed], fixed)
-	op := h[0]
-	token := binary.LittleEndian.Uint64(h[1:])
-	switch op {
-	case opWrite:
-		signaled := h[9]&flagSignaled != 0
-		raddr := binary.LittleEndian.Uint64(h[10:])
-		rkey := binary.LittleEndian.Uint32(h[18:])
-		n := bodyLen - (writeHdrLen - lenPrefix)
-		// The payload goes straight from the ring into the target
-		// registration (two segments across the wrap point at most).
-		head, tail := r.span(pos+writeHdrLen-lenPrefix, n)
-		err := b.mem.Write(raddr, rkey, head, tail)
-		if err == nil {
-			// Data is visible: kick the target engine's sweep even when
-			// unsignaled (ledger writes are unsignaled by design).
-			b.compq.Kick()
-			if signaled {
-				peer.compq.Push(core.BackendCompletion{Token: token, OK: true})
-			}
-		} else if signaled {
-			peer.compq.Push(core.BackendCompletion{Token: token, OK: false, Err: err})
-		}
-	case opRead:
-		raddr := binary.LittleEndian.Uint64(h[9:])
-		rkey := binary.LittleEndian.Uint32(h[17:])
-		n := int(binary.LittleEndian.Uint32(h[21:]))
-		dst := peer.takePend(token)
-		var err error
-		if dst == nil || len(dst) < n {
-			err = fmt.Errorf("shm: read destination missing for token %d", token)
-		} else {
-			err = b.mem.Read(dst[:n], raddr, rkey)
-		}
-		peer.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: err})
-	case opFAdd, opCSwap:
-		raddr := binary.LittleEndian.Uint64(h[9:])
-		rkey := binary.LittleEndian.Uint32(h[17:])
-		operand := binary.LittleEndian.Uint64(h[21:]) // add, or compare
-		dst := peer.takePend(token)
-		var old uint64
-		var err error
-		switch {
-		case dst == nil:
-			err = fmt.Errorf("shm: atomic destination missing for token %d", token)
-		case op == opFAdd:
-			old, err = b.mem.FetchAdd(raddr, rkey, operand)
-		default:
-			old, err = b.mem.CompSwap(raddr, rkey, operand, binary.LittleEndian.Uint64(h[29:]))
-		}
-		peer.compq.Push(atomicComp(token, dst, old, err))
-	default:
-		peer.compq.Push(core.BackendCompletion{Token: token, OK: false,
-			Err: fmt.Errorf("shm: unknown opcode %d", op)})
-	}
+	return frames
 }

@@ -3,6 +3,8 @@ package shm_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -373,10 +375,11 @@ func TestPhotonOverShm(t *testing.T) {
 }
 
 // TestShmPutAllocGuard extends the zero-allocation guard to the shm
-// hot path: post, ring enqueue, agent dequeue/apply, completion
-// push/drain — the full put round trip must stay allocation-free in
-// steady state. Waits spin on Progress rather than parking (the
-// parked path's timer is not part of the data path).
+// hot path: post, in-place apply or ring enqueue and agent apply,
+// completion push/drain — the full put round trip, and a get and a
+// fetch-add round trip, must stay allocation-free in steady state.
+// Waits spin on Progress rather than parking (the parked path's timer
+// is not part of the data path).
 func TestShmPutAllocGuard(t *testing.T) {
 	phs := newShmJob(t, 2, core.Config{})
 	buf := make([]byte, 4096)
@@ -413,13 +416,50 @@ func TestShmPutAllocGuard(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < 100; i++ {
-		put()
+	// localOp posts a one-sided op completing only at rank 0 and spins
+	// until its local completion.
+	localOp := func(post func() error) func() {
+		return func() {
+			for {
+				err := post()
+				if err == nil {
+					break
+				}
+				if err != core.ErrWouldBlock {
+					t.Fatal(err)
+				}
+				phs[0].Progress()
+			}
+			for {
+				if c, ok := phs[0].Probe(core.ProbeLocal); ok {
+					if c.Err != nil {
+						t.Fatal(c.Err)
+					}
+					return
+				}
+			}
+		}
 	}
-	allocs := testing.AllocsPerRun(200, put)
-	t.Logf("shm put round trip: %.2f allocs/op", allocs)
-	if allocs > 1 {
-		t.Fatalf("shm put allocates %.2f times per op, want <= 1", allocs)
+	got := make([]byte, 64)
+	get := localOp(func() error { return phs[0].GetWithCompletion(1, got, d0[1], 64, 3, 0) })
+	fadd := localOp(func() error { return phs[0].FetchAdd(1, d0[1], 1024, 1, 4) })
+	for _, tc := range []struct {
+		name string
+		op   func()
+		max  float64
+	}{
+		{"put", put, 1},
+		{"get", get, 0},
+		{"fetch-add", fadd, 0},
+	} {
+		for i := 0; i < 100; i++ {
+			tc.op()
+		}
+		allocs := testing.AllocsPerRun(200, tc.op)
+		t.Logf("shm %s round trip: %.2f allocs/op", tc.name, allocs)
+		if allocs > tc.max {
+			t.Errorf("shm %s allocates %.2f times per op, want <= %v", tc.name, allocs, tc.max)
+		}
 	}
 }
 
@@ -482,5 +522,219 @@ func TestTracedShmPutAllocGuard(t *testing.T) {
 	}
 	if posts == 0 {
 		t.Fatal("trace ring recorded no post events — tracing was not active")
+	}
+}
+
+// framesOut reads b's shm_frames_out: how many requests went through
+// a ring rather than being applied in place.
+func framesOut(b *shm.Backend) int64 {
+	var n int64
+	b.TransportStats(func(name string, v int64) {
+		if name == "shm_frames_out" {
+			n = v
+		}
+	})
+	return n
+}
+
+// TestInPlaceNeverOvertakesRing pins the two-path ordering rule. Each
+// round stalls rank 1's agent on its DMA lock, so a run of unsignaled
+// writes and a signaled one must queue in the ring; then the lock is
+// released and every slot is overwritten at once, behind another
+// signaled write. Whether those overwrites are applied in place or
+// queued depends on how far the agent has got, but an in-place write
+// may only run on a drained ring: the signaled completions must arrive
+// in posting order and the slots must end with the second values.
+// The test opens with the in-place path's own case: an idle target.
+func TestInPlaceNeverOvertakesRing(t *testing.T) {
+	cl := newCluster(t, 2)
+	b0 := cl.Backend(0)
+	target := make([]byte, 64)
+	rb, dma, err := cl.Backend(1).Register(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slots, rounds = 8, 200
+	write := func(slot int, v byte, token uint64, signaled bool) {
+		t.Helper()
+		if err := b0.PostWrite(1, []byte{v}, rb.Addr+uint64(slot), rb.RKey, token, signaled); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// An idle target is written in place: no frame goes out, and the
+	// completion is queued before PostWrite returns.
+	write(0, 0xFF, 1<<40, true)
+	var c [1]core.BackendCompletion
+	if framesOut(b0) != 0 || b0.Poll(c[:]) != 1 || c[0].Token != 1<<40 || target[0] != 0xFF {
+		t.Fatalf("write to an idle target was not applied in place (frames out %d)", framesOut(b0))
+	}
+
+	for round := 0; round < rounds; round++ {
+		first, second := byte(2*round), byte(2*round+1)
+		before := framesOut(b0)
+		dma.Lock()
+		for i := 0; i < slots; i++ {
+			write(i, first, 0, false)
+		}
+		write(slots, first, uint64(2*round+1), true)
+		if queued := framesOut(b0) - before; queued != slots+1 {
+			t.Fatalf("round %d: %d of %d writes reached the ring while the target's table was locked", round, queued, slots+1)
+		}
+		dma.Unlock()
+		for i := 0; i < slots; i++ {
+			write(i, second, 0, false)
+		}
+		write(slots, second, uint64(2*round+2), true)
+
+		comps := waitComps(t, b0, 2)
+		if comps[0].Token != uint64(2*round+1) || comps[1].Token != uint64(2*round+2) {
+			t.Fatalf("round %d: completions %d, %d out of posting order", round, comps[0].Token, comps[1].Token)
+		}
+		dma.Lock()
+		for i := 0; i <= slots; i++ {
+			if target[i] != second {
+				dma.Unlock()
+				t.Fatalf("round %d: slot %d holds %d, want %d: a queued write landed after a later one", round, i, target[i], second)
+			}
+		}
+		dma.Unlock()
+	}
+}
+
+// TestCrossedDMALocksDoNotDeadlock has each rank hold its own
+// registration read lock while posting a write and a fetch-add to the
+// other. A poster never waits for a peer's table lock, so every post
+// returns at once and queues, and everything completes once the locks
+// are released.
+func TestCrossedDMALocksDoNotDeadlock(t *testing.T) {
+	cl := newCluster(t, 2)
+	var rbs [2]mem.RemoteBuffer
+	var dmas [2]sync.Locker
+	for r := 0; r < 2; r++ {
+		var err error
+		rbs[r], dmas[r], err = cl.Backend(r).Register(make([]byte, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	results := [2][]byte{make([]byte, 8), make([]byte, 8)}
+	posted := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		dmas[r].Lock()
+		go func(r int) {
+			peer := 1 - r
+			err := cl.Backend(r).PostWrite(peer, []byte{byte(r + 1)}, rbs[peer].Addr, rbs[peer].RKey, 1, true)
+			if err == nil {
+				err = cl.Backend(r).PostFetchAdd(peer, results[r], rbs[peer].Addr+8, rbs[peer].RKey, 5, 2)
+			}
+			posted <- err
+		}(r)
+	}
+	for r := 0; r < 2; r++ {
+		select {
+		case err := <-posted:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(waitT):
+			t.Fatal("a post blocked on the peer's table lock")
+		}
+	}
+	for r := 0; r < 2; r++ {
+		dmas[r].Unlock()
+	}
+	for r := 0; r < 2; r++ {
+		waitComps(t, cl.Backend(r), 2)
+		if binary.LittleEndian.Uint64(results[r]) != 0 {
+			t.Errorf("rank %d fetch-add prior = %d, want 0", r, binary.LittleEndian.Uint64(results[r]))
+		}
+	}
+}
+
+// TestPostToClosedPeerFails pins the closed-peer contract: a post
+// toward a closed rank fails at once with core.ErrPeerDown naming the
+// rank, and Close fails every request still queued toward the closing
+// rank instead of leaving it without a completion.
+func TestPostToClosedPeerFails(t *testing.T) {
+	cl := newCluster(t, 3)
+	b0 := cl.Backend(0)
+	target := make([]byte, 64)
+	rb, dma, err := cl.Backend(1).Register(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Queue a signaled write and a read behind a write the agent is
+	// stalled applying, then close rank 1 under them.
+	dma.Lock()
+	for tok := uint64(1); tok <= 2; tok++ {
+		if err := b0.PostWrite(1, []byte{1}, rb.Addr, rb.RKey, tok, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b0.PostRead(1, make([]byte, 8), rb.Addr, rb.RKey, 3); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() { cl.Backend(1).Close(); close(closed) }()
+	want := 3 // tokens awaiting a completion
+	deadline := time.Now().Add(waitT)
+	for tok := uint64(100); ; tok++ {
+		err := b0.PostWrite(1, []byte{1}, rb.Addr, rb.RKey, tok, true)
+		if errors.Is(err, core.ErrPeerDown) {
+			if !strings.Contains(err.Error(), "rank 1") {
+				t.Errorf("post to closed rank: %q does not name the rank", err)
+			}
+			break
+		}
+		switch {
+		case err == nil: // queued before the close landed
+			want++
+		case err != core.ErrWouldBlock:
+			t.Fatalf("post to closing rank: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("post to a closed rank never failed")
+		}
+	}
+	dma.Unlock()
+	<-closed
+
+	// Token 1 may have been applied before the agent saw the close;
+	// everything queued behind it fails with ErrPeerDown.
+	var comps [8]core.BackendCompletion
+	seen := map[uint64]bool{}
+	for deadline := time.Now().Add(waitT); len(seen) < want; {
+		n := b0.Poll(comps[:])
+		for _, c := range comps[:n] {
+			if seen[c.Token] {
+				t.Fatalf("token %d completed twice", c.Token)
+			}
+			seen[c.Token] = true
+			if c.Token != 1 && (c.OK || !errors.Is(c.Err, core.ErrPeerDown)) {
+				t.Errorf("queued token %d completed ok=%v err=%v, want ErrPeerDown", c.Token, c.OK, c.Err)
+			}
+		}
+		if n == 0 && time.Now().After(deadline) {
+			t.Fatalf("queued requests never completed: %d of %d", len(seen), want)
+		}
+	}
+
+	// A fresh post toward the closed rank fails fast; the other peer is
+	// unaffected.
+	if err := b0.PostFetchAdd(1, make([]byte, 8), rb.Addr, rb.RKey, 1, 10); !errors.Is(err, core.ErrPeerDown) {
+		t.Fatalf("fetch-add to closed rank: %v, want ErrPeerDown", err)
+	}
+	other := make([]byte, 8)
+	rb2, _, err := cl.Backend(2).Register(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b0.PostWrite(2, []byte{7}, rb2.Addr, rb2.RKey, 11, true); err != nil {
+		t.Fatal(err)
+	}
+	if c := waitComps(t, b0, 1); c[0].Token != 11 || other[0] != 7 {
+		t.Fatalf("write to a live peer: token %d, memory %d", c[0].Token, other[0])
 	}
 }

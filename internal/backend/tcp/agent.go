@@ -817,7 +817,7 @@ func (b *Backend) handleFrame(peer int, f []byte) bool {
 		if n > len(payload) {
 			n = len(payload)
 		}
-		err := b.mem.Write(raddr, rkey, payload[:n], nil)
+		err := b.mem.Write(false, raddr, rkey, payload[:n], nil)
 		if err == nil {
 			b.kick()
 		}
@@ -870,7 +870,7 @@ func (b *Backend) handleFrame(peer int, f []byte) bool {
 		resp[0] = opReadResp
 		binary.LittleEndian.PutUint64(resp[1:], token)
 		if err == nil {
-			err = b.mem.Read(resp[readRespBodyMin:], raddr, rkey)
+			err = b.mem.Read(false, resp[readRespBodyMin:], raddr, rkey)
 		}
 		if err != nil {
 			resp = resp[:readRespBodyMin]
@@ -975,9 +975,9 @@ func (b *Backend) handleAtomic(peer int, f []byte) {
 	var orig uint64
 	var err error
 	if f[0] == opFAdd {
-		orig, err = b.mem.FetchAdd(raddr, rkey, operand)
+		orig, err = b.mem.FetchAdd(false, raddr, rkey, operand)
 	} else {
-		orig, err = b.mem.CompSwap(raddr, rkey, operand, swap)
+		orig, err = b.mem.CompSwap(false, raddr, rkey, operand, swap)
 	}
 	if err != nil {
 		resp[9] = 1

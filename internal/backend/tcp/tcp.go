@@ -616,7 +616,7 @@ func (b *Backend) markSentResp(peer int, toks []uint64) {
 // ApplyLocal places data into this rank's own registered memory with
 // full validation (loopback DMA for packed-put payloads).
 func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
-	return b.mem.Write(raddr, rkey, data, nil)
+	return b.mem.Write(false, raddr, rkey, data, nil)
 }
 
 // WriteActivity counts applied writes with one counter for all

@@ -21,13 +21,16 @@ import (
 // layer's own or the engine's on its behalf:
 //
 //   - 8 doubles (recursive doubling over the registered arena): zero.
-//   - 8192 doubles (64 KiB, ring with rendezvous chunks): six. Every
-//     ring read that finds its posting lands in place; the six all come
-//     from step-0 RTSs the preceding barrier polls before the ring has
-//     posted its window — such a read lands in a staged block and is
-//     handed over as a middleware-owned copy. On vsim every rendezvous
-//     send also registers its chunk with the NIC, which costs nothing
-//     once the NIC's free list of deregistered regions is warm.
+//   - 8192 doubles (64 KiB, ring with rendezvous chunks): five on shm,
+//     three on vsim. Every ring read that finds its posting lands in
+//     place; the rest are step-0 RTSs the preceding barrier polls
+//     before the ring has posted its window. Such a read lands in a
+//     slab block (whose header the slab recycles) and is handed over
+//     as a middleware-owned copy: one allocation each. shm delivers an
+//     RTS sooner than vsim, so more of them beat the window. On vsim
+//     every rendezvous send also registers its chunk with the NIC,
+//     which costs nothing once the NIC's free list of deregistered
+//     regions is warm.
 //
 // testing.AllocsPerRun counts process-global allocations and runs with
 // GOMAXPROCS=1, so the peer ranks iterate in lockstep with the measured
@@ -36,10 +39,10 @@ import (
 func TestCollectiveSteadyStateAllocGuard(t *testing.T) {
 	for _, tc := range []struct {
 		vecLen int
-		max    float64
+		max    map[string]float64 // by backend
 	}{
-		{8, 0},
-		{8192, 6},
+		{8, map[string]float64{"shm": 0, "vsim": 0}},
+		{8192, map[string]float64{"shm": 5, "vsim": 3}},
 	} {
 		t.Run(fmt.Sprintf("doubles=%d", tc.vecLen), func(t *testing.T) {
 			for _, backend := range []string{"shm", "vsim"} {
@@ -49,8 +52,8 @@ func TestCollectiveSteadyStateAllocGuard(t *testing.T) {
 					}
 					avg := steadyStateAllocs(t, backend, tc.vecLen)
 					t.Logf("%.1f allocs per barrier+allreduce", avg)
-					if avg > tc.max {
-						t.Errorf("steady-state barrier+allreduce of %d doubles over %s allocates %.1f times per op, want <= %v", tc.vecLen, backend, avg, tc.max)
+					if avg > tc.max[backend] {
+						t.Errorf("steady-state barrier+allreduce of %d doubles over %s allocates %.1f times per op, want <= %v", tc.vecLen, backend, avg, tc.max[backend])
 					}
 				})
 			}

@@ -46,7 +46,9 @@ func (rb RemoteBuffer) Contains(off uint64, n int) bool {
 // Slab: variable-size first-fit allocator with coalescing.
 // ---------------------------------------------------------------------
 
-// Block is a variable-size allocation from a Slab.
+// Block is a variable-size allocation from a Slab. Its header is
+// recycled: once released, a later Alloc may hand the same *Block out
+// again, so the caller must drop it at Release.
 type Block struct {
 	Buf  []byte
 	off  int
@@ -64,7 +66,8 @@ type Slab struct {
 	arena []byte
 	//photon:lock slab 30
 	mu    sync.Mutex
-	holes []hole // sorted by offset, non-adjacent
+	holes []hole   // sorted by offset, non-adjacent
+	free  []*Block // released headers, reused by Alloc
 	used  int
 }
 
@@ -93,7 +96,14 @@ func (s *Slab) Alloc(n int) (*Block, error) {
 	defer s.mu.Unlock()
 	for i, h := range s.holes {
 		if h.size >= n {
-			b := &Block{Buf: s.arena[h.off : h.off+n], off: h.off, size: n, slab: s}
+			var b *Block
+			if k := len(s.free); k > 0 {
+				b = s.free[k-1]
+				s.free = s.free[:k-1]
+			} else {
+				b = new(Block)
+			}
+			*b = Block{Buf: s.arena[h.off : h.off+n], off: h.off, size: n, slab: s}
 			if h.size == n {
 				s.holes = append(s.holes[:i], s.holes[i+1:]...)
 			} else {
@@ -137,6 +147,7 @@ func (s *Slab) Release(b *Block) error {
 		s.holes[i] = h
 	}
 	s.used -= b.size
-	b.slab = nil
+	*b = Block{}
+	s.free = append(s.free, b)
 	return nil
 }

@@ -95,6 +95,25 @@ func TestSlabDoubleFree(t *testing.T) {
 	}
 }
 
+// TestSlabAllocGuard pins header recycling: a steady Alloc/Release
+// cycle reuses the released *Block instead of allocating a new one.
+func TestSlabAllocGuard(t *testing.T) {
+	s := newSlab(t, 4096)
+	cycle := func() {
+		b, err := s.Alloc(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Release(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("slab alloc/release cycle allocates %.2f times, want 0", allocs)
+	}
+}
+
 func TestSlabBadSize(t *testing.T) {
 	if _, err := NewSlabOver(nil, slabBase); err == nil {
 		t.Fatal("empty arena accepted")

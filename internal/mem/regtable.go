@@ -2,14 +2,20 @@ package mem
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
+// ErrBusy is returned by an accessor called with try set when the table
+// lock is held: the access was not attempted and may be retried or
+// handed to an agent.
+var ErrBusy = errors.New("mem: registration table busy")
+
 // RegTable is the registration table of a transport whose one-sided
-// operations are applied in software by an agent (the tcp and shm
-// backends): pinned buffers in a fake address space — page-aligned
+// operations are applied in software (tcp's reader, shm's agent or the
+// posting rank itself): pinned buffers in a fake address space — page-aligned
 // bases handed out linearly, keyed by rkey — behind one RWMutex that
 // doubles as the "DMA lock" Register hands back to local readers.
 //
@@ -98,9 +104,15 @@ func (t *RegTable) Check(addr uint64, rkey uint32, n int) error {
 }
 
 // Write copies head then tail (a payload that may arrive in two
-// segments, e.g. across a ring's wrap point) to addr.
-func (t *RegTable) Write(addr uint64, rkey uint32, head, tail []byte) error {
-	t.mu.Lock()
+// segments, e.g. across a ring's wrap point) to addr. With try set it
+// returns ErrBusy instead of waiting for the table lock, as do Read,
+// FetchAdd and CompSwap.
+func (t *RegTable) Write(try bool, addr uint64, rkey uint32, head, tail []byte) error {
+	if !try {
+		t.mu.Lock()
+	} else if !t.mu.TryLock() {
+		return ErrBusy
+	}
 	w, err := t.window(addr, rkey, len(head)+len(tail))
 	if err == nil {
 		copy(w[copy(w, head):], tail)
@@ -113,8 +125,12 @@ func (t *RegTable) Write(addr uint64, rkey uint32, head, tail []byte) error {
 }
 
 // Read fills dst from addr.
-func (t *RegTable) Read(dst []byte, addr uint64, rkey uint32) error {
-	t.mu.RLock()
+func (t *RegTable) Read(try bool, dst []byte, addr uint64, rkey uint32) error {
+	if !try {
+		t.mu.RLock()
+	} else if !t.mu.TryRLock() {
+		return ErrBusy
+	}
 	w, err := t.window(addr, rkey, len(dst))
 	if err == nil {
 		copy(dst, w)
@@ -125,14 +141,14 @@ func (t *RegTable) Read(dst []byte, addr uint64, rkey uint32) error {
 
 // FetchAdd atomically adds add to the 8-byte word at addr, returning
 // the prior value.
-func (t *RegTable) FetchAdd(addr uint64, rkey uint32, add uint64) (uint64, error) {
-	return t.atomic(addr, rkey, func(old uint64) uint64 { return old + add })
+func (t *RegTable) FetchAdd(try bool, addr uint64, rkey uint32, add uint64) (uint64, error) {
+	return t.atomic(try, addr, rkey, func(old uint64) uint64 { return old + add })
 }
 
 // CompSwap atomically replaces the 8-byte word at addr with swap when
 // it equals compare, returning the prior value.
-func (t *RegTable) CompSwap(addr uint64, rkey uint32, compare, swap uint64) (uint64, error) {
-	return t.atomic(addr, rkey, func(old uint64) uint64 {
+func (t *RegTable) CompSwap(try bool, addr uint64, rkey uint32, compare, swap uint64) (uint64, error) {
+	return t.atomic(try, addr, rkey, func(old uint64) uint64 {
 		if old == compare {
 			return swap
 		}
@@ -140,8 +156,12 @@ func (t *RegTable) CompSwap(addr uint64, rkey uint32, compare, swap uint64) (uin
 	})
 }
 
-func (t *RegTable) atomic(addr uint64, rkey uint32, fn func(uint64) uint64) (uint64, error) {
-	t.mu.Lock()
+func (t *RegTable) atomic(try bool, addr uint64, rkey uint32, fn func(uint64) uint64) (uint64, error) {
+	if !try {
+		t.mu.Lock()
+	} else if !t.mu.TryLock() {
+		return 0, ErrBusy
+	}
 	w, err := t.window(addr, rkey, atomicWidth)
 	if err == nil && addr%atomicWidth != 0 {
 		err = fmt.Errorf("%s: misaligned atomic", t.name)
