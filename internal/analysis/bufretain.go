@@ -34,7 +34,10 @@ const memPkgPath = "photon/internal/mem"
 //     leak analysis.
 //
 // GetOwned is exempt by design: its documented contract transfers
-// ownership permanently (Completion.Data). Intentional retentions —
+// ownership permanently (Completion.Data). A small GetOwned buffer is a
+// capped slice of a shared chunk whose bytes are never handed out
+// again, so retaining it is as safe as retaining a plain allocation;
+// it only keeps its chunk alive. Intentional retentions —
 // e.g. an atomic result word parked in the token table until its
 // completion — are documented in place with //photon:allow bufretain.
 var BufRetain = &Analyzer{

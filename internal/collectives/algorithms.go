@@ -166,6 +166,30 @@ func (c *Comm) allreduceRD(rdgen uint64, vec []float64, op Op) error {
 // bank s%ringBanks, posted two steps before it is awaited.
 const ringBanks = 3
 
+// ringCarry records the receives a successful ring call posted for the
+// next ring call's first steps: the generation they carry, the vector
+// length their chunk sizes assume, and how many steps are posted (0:
+// nothing is carried).
+type ringCarry struct {
+	gen    uint64
+	vecLen int
+	steps  int
+}
+
+// withdrawCarry cancels the carried postings and reports whether any
+// of them had already been consumed. A consumed posting's read lands
+// in ringB, and its completion's Data aliases it.
+func (c *Comm) withdrawCarry() (consumed bool) {
+	left := (c.rank - 1 + c.size) % c.size
+	for s := 0; s < c.carry.steps; s++ {
+		if !c.ph.CancelRecv(rid(c.carry.gen, kindAllreduce, 0, s, left)) {
+			consumed = true
+		}
+	}
+	c.carry.steps = 0
+	return consumed
+}
+
 // allreduceRing reduces vec in place with the bandwidth-optimal ring:
 // N-1 reduce-scatter steps leave each rank owning one fully reduced
 // chunk, N-1 allgather steps circulate the finished chunks. Each rank
@@ -174,15 +198,21 @@ const ringBanks = 3
 // (folding it in during reduce-scatter, overwriting during allgather).
 //
 // Sends stage through two scratch banks (a bank is reused only after
-// its transfer's local completion). Receives land in a window of
-// ringBanks posted banks: before awaiting step s the receives for steps
-// s+1 and s+2 are posted too. The left neighbor posts its step-g send
-// only after reaping the local completion of its step g-2, which needs
-// this rank's FIN for g-2, so its RTS can run at most two steps ahead
-// of this rank's reads and normally finds its posting — the read lands
-// in place instead of being staged and copied out. The step-0 RTS can
-// still beat its posting while this rank is inside the previous
-// collective; that delivery is a middleware-owned copy.
+// its transfer's local completion). Receives land in ringB, a window
+// of ringBanks posted banks: before awaiting step s the receives for
+// steps s+1 and s+2 are posted too. The left neighbor posts its step-g
+// send only after reaping the local completion of its step g-2, which
+// needs this rank's FIN for g-2, so its RTS can run at most two steps
+// ahead of this rank's reads and finds its posting. The window also
+// spans calls: a call that succeeds posts the next call's first
+// ringBanks steps (the ring's own generation counter makes their RIDs
+// known in advance), so the step-0 RTSs a neighbor sends while this
+// rank is still in the collectives between two ring calls land in
+// place too. The next call adopts them when its length matches and
+// withdraws them otherwise; revoke and Shrink withdraw them between
+// calls. A read that still beats its posting (two ring calls back to
+// back, a first call) is staged and handed over as a middleware-owned
+// copy, which the loop decodes the same way.
 func (c *Comm) allreduceRing(gen uint64, vec []float64, op Op) error {
 	n := c.size
 	right := (c.rank + 1) % n
@@ -195,23 +225,36 @@ func (c *Comm) allreduceRing(gen uint64, vec []float64, op Op) error {
 	}
 	maxC := 8 * (L/n + 1)
 	snd := c.sendScratch(2 * maxC)
-	rcv := c.recvScratch(ringBanks * maxC)
-
-	sridAt := func(step int, src int) uint64 { return rid(gen, kindAllreduce, 0, step, src) }
-	lridAt := func(step int) uint64 { return rid(gen, kindAllreduce, 1, step, c.rank) }
 
 	// posted is the first step without a receive posting; postings for
 	// steps below it and not yet awaited are live.
 	posted := 0
-	postUpTo := func(end int) {
-		for ; posted < end && posted < steps; posted++ {
-			lo, hi := bound(c.rank - posted - 1 + 2*n)
-			b := (posted % ringBanks) * maxC
-			_ = c.ph.PostRecv(sridAt(posted, left), rcv[b:b+8*(hi-lo)])
+	if c.carry.steps > 0 {
+		if c.carry.gen == gen && c.carry.vecLen == L {
+			posted = c.carry.steps
+			c.carry.steps = 0
+		} else if c.withdrawCarry() {
+			// A carried read of another chunk layout is landing in
+			// ringB. Its completion keeps those banks alive; this
+			// call posts into fresh ones, so no posting aliases that
+			// chunk before its step decodes it.
+			c.ringB = nil
 		}
 	}
+	if cap(c.ringB) < ringBanks*maxC {
+		c.ringB = make([]byte, ringBanks*maxC)
+	}
+	rcv := c.ringB[:ringBanks*maxC]
+
+	sridAt := func(step int, src int) uint64 { return rid(gen, kindAllreduce, 0, step, src) }
+	lridAt := func(step int) uint64 { return rid(gen, kindAllreduce, 1, step, c.rank) }
+	postStep := func(g uint64, s int) error {
+		lo, hi := bound(c.rank - s - 1 + 2*n)
+		b := (s % ringBanks) * maxC
+		return c.ph.PostRecv(rid(g, kindAllreduce, 0, s, left), rcv[b:b+8*(hi-lo)])
+	}
 	// abort withdraws the live postings from step s on, so the engine
-	// holds no delivery rights into the scratch once the call unwinds.
+	// holds no delivery rights into ringB once the call unwinds.
 	abort := func(s int, err error) error {
 		for ; s < posted; s++ {
 			c.ph.CancelRecv(sridAt(s, left))
@@ -220,7 +263,11 @@ func (c *Comm) allreduceRing(gen uint64, vec []float64, op Op) error {
 	}
 
 	for s := 0; s < steps; s++ {
-		postUpTo(s + ringBanks)
+		for ; posted < s+ringBanks && posted < steps; posted++ {
+			if err := postStep(gen, posted); err != nil {
+				return abort(s, err)
+			}
+		}
 		if s >= 2 {
 			// Reclaim the send bank step s-2 used.
 			if _, err := c.wait1(lridAt(s-2), true); err != nil {
@@ -240,8 +287,10 @@ func (c *Comm) allreduceRing(gen uint64, vec []float64, op Op) error {
 		if err != nil {
 			return abort(s, err)
 		}
-		// A true return means the posting went unused and Data is a
-		// middleware-owned copy; either way Data holds the chunk.
+		// A true return means this call's posting went unused: Data
+		// is a middleware-owned copy, or the old banks a carried
+		// posting of another length received into. Either way Data
+		// holds the chunk.
 		c.ph.CancelRecv(r)
 		if len(comp.Data) != 8*(rhi-rlo) {
 			return abort(s+1, ErrSizeMismatch)
@@ -257,6 +306,16 @@ func (c *Comm) allreduceRing(gen uint64, vec []float64, op Op) error {
 		if _, err := c.wait1(lridAt(s), true); err != nil {
 			return err
 		}
+	}
+	// Every bank is decoded: carry the window into the next call.
+	next := c.cgen(c.ringGen.Load() + 1)
+	c.carry = ringCarry{gen: next, vecLen: L}
+	for s := 0; s < ringBanks && s < steps; s++ {
+		if err := postStep(next, s); err != nil {
+			c.withdrawCarry()
+			return err
+		}
+		c.carry.steps++
 	}
 	return nil
 }

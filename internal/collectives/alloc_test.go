@@ -1,7 +1,6 @@
 package collectives_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -14,23 +13,24 @@ import (
 )
 
 // TestCollectiveSteadyStateAllocGuard pins the steady-state allocation
-// count of a barrier plus an in-place allreduce, per backend and vector
-// size. Both backends have allocation-free data paths — shm's rings,
+// count of a barrier plus in-place allreduces, per backend and vector
+// sizes. Both backends have allocation-free data paths — shm's rings,
 // and on vsim the simulated NIC's pooled frames, WQEs and recycled
 // memory regions — so any allocation measured here is the collectives
-// layer's own or the engine's on its behalf:
+// layer's own or the engine's on its behalf. Every case reads zero:
 //
-//   - 8 doubles (recursive doubling over the registered arena): zero.
-//   - 8192 doubles (64 KiB, ring with rendezvous chunks): five on shm,
-//     three on vsim. Every ring read that finds its posting lands in
-//     place; the rest are step-0 RTSs the preceding barrier polls
-//     before the ring has posted its window. Such a read lands in a
-//     slab block (whose header the slab recycles) and is handed over
-//     as a middleware-owned copy: one allocation each. shm delivers an
-//     RTS sooner than vsim, so more of them beat the window. On vsim
-//     every rendezvous send also registers its chunk with the NIC,
-//     which costs nothing once the NIC's free list of deregistered
-//     regions is warm.
+//   - doubles=8: recursive doubling over the registered arena.
+//   - doubles=8192: the ring with rendezvous chunks. Every ring read
+//     lands in a posted receive. A ring call that succeeds posts the
+//     next call's first steps, so the step-0 RTSs the barrier polls
+//     before the next ring call starts land in place too instead of
+//     being staged in a slab block and handed over as a
+//     middleware-owned copy. On vsim every rendezvous send also
+//     registers its chunk with the NIC, which costs nothing once the
+//     NIC's free list of deregistered regions is warm.
+//   - solver_step: the allreduce_step benchmark's step (16 doubles over
+//     the arena, 8192 over the ring, then the barrier), so the RD call
+//     and the barrier both sit between two ring calls.
 //
 // testing.AllocsPerRun counts process-global allocations and runs with
 // GOMAXPROCS=1, so the peer ranks iterate in lockstep with the measured
@@ -38,22 +38,23 @@ import (
 // the guard covers the whole job, not just rank 0.
 func TestCollectiveSteadyStateAllocGuard(t *testing.T) {
 	for _, tc := range []struct {
-		vecLen int
-		max    map[string]float64 // by backend
+		name    string
+		vecLens []int // allreduces per op, in order, before the barrier
 	}{
-		{8, map[string]float64{"shm": 0, "vsim": 0}},
-		{8192, map[string]float64{"shm": 5, "vsim": 3}},
+		{"doubles=8", []int{8}},
+		{"doubles=8192", []int{8192}},
+		{"solver_step", []int{16, 8192}},
 	} {
-		t.Run(fmt.Sprintf("doubles=%d", tc.vecLen), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			for _, backend := range []string{"shm", "vsim"} {
 				t.Run(backend, func(t *testing.T) {
 					if backend == "vsim" && raceEnabled {
 						t.Skip("under -race, sync.Pool drops nicsim's pooled WQEs at random; CI pins this count in its non-race run")
 					}
-					avg := steadyStateAllocs(t, backend, tc.vecLen)
-					t.Logf("%.1f allocs per barrier+allreduce", avg)
-					if avg > tc.max[backend] {
-						t.Errorf("steady-state barrier+allreduce of %d doubles over %s allocates %.1f times per op, want <= %v", tc.vecLen, backend, avg, tc.max[backend])
+					avg := steadyStateAllocs(t, backend, tc.vecLens)
+					t.Logf("%.1f allocs per op", avg)
+					if avg > 0 {
+						t.Errorf("steady-state allreduces of %v doubles plus a barrier over %s allocate %.1f times per op, want 0", tc.vecLens, backend, avg)
 					}
 				})
 			}
@@ -91,9 +92,9 @@ func allocCluster(t *testing.T, backend string, n int) ([]core.Backend, func()) 
 }
 
 // steadyStateAllocs boots a 4-rank job over the named backend and
-// returns the average allocations of one barrier+allreduce of vecLen
-// doubles after warmup.
-func steadyStateAllocs(t *testing.T, backend string, vecLen int) float64 {
+// returns the average allocations of one op after warmup: an in-place
+// allreduce of each length in vecLens, then a barrier.
+func steadyStateAllocs(t *testing.T, backend string, vecLens []int) float64 {
 	const (
 		n     = 4
 		warm  = 50
@@ -123,11 +124,20 @@ func steadyStateAllocs(t *testing.T, backend string, vecLen int) float64 {
 		}
 	}
 
-	iter := func(c *collectives.Comm, vec []float64) error {
-		if err := c.Barrier(); err != nil {
-			return err
+	iter := func(c *collectives.Comm, vecs [][]float64) error {
+		for _, vec := range vecs {
+			if err := c.AllreduceInPlace(vec, collectives.OpSum); err != nil {
+				return err
+			}
 		}
-		return c.AllreduceInPlace(vec, collectives.OpSum)
+		return c.Barrier()
+	}
+	newVecs := func() [][]float64 {
+		vecs := make([][]float64, len(vecLens))
+		for i, n := range vecLens {
+			vecs[i] = make([]float64, n)
+		}
+		return vecs
 	}
 
 	// Peer ranks run exactly `total` lockstep iterations; the
@@ -137,9 +147,9 @@ func steadyStateAllocs(t *testing.T, backend string, vecLen int) float64 {
 		wg.Add(1)
 		go func(c *collectives.Comm) {
 			defer wg.Done()
-			vec := make([]float64, vecLen)
+			vecs := newVecs()
 			for i := 0; i < total; i++ {
-				if err := iter(c, vec); err != nil {
+				if err := iter(c, vecs); err != nil {
 					t.Errorf("rank %d iter %d: %v", c.Rank(), i, err)
 					return
 				}
@@ -147,17 +157,19 @@ func steadyStateAllocs(t *testing.T, backend string, vecLen int) float64 {
 		}(comms[r])
 	}
 
-	vec := make([]float64, vecLen)
-	for i := range vec {
-		vec[i] = float64(i)
+	vecs := newVecs()
+	for _, vec := range vecs {
+		for i := range vec {
+			vec[i] = float64(i)
+		}
 	}
 	for i := 0; i < warm; i++ {
-		if err := iter(comms[0], vec); err != nil {
+		if err := iter(comms[0], vecs); err != nil {
 			t.Fatalf("warmup iter %d: %v", i, err)
 		}
 	}
 	avg := testing.AllocsPerRun(runs, func() {
-		if err := iter(comms[0], vec); err != nil {
+		if err := iter(comms[0], vecs); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -20,10 +20,11 @@
 //	allgather   ring, zero-copy forwarding
 //	alltoall    pairwise, all N-1 sends posted before any wait
 //
-// Steady state allocates nothing on the barrier and in-place small
-// allreduce paths: schedules, wait scratch, and the RD arena are
-// per-Comm state, and payloads move through posted receives or the
-// registered arena.
+// Steady state allocates nothing on the barrier and the in-place
+// allreduce paths (recursive doubling and ring): schedules, wait
+// scratch, the RD arena and the ring's receive banks are per-Comm
+// state, and payloads move through posted receives or the registered
+// arena.
 //
 // Every rank of the job must call each collective, with the same
 // arguments where semantics require it, in the same order (MPI-style
@@ -207,8 +208,9 @@ type Comm struct {
 	epoch   uint64 // bumped by Shrink; fences stale RIDs via genBase
 	genBase uint64 // epoch bits pre-shifted into the RID gen field
 
-	gen   atomic.Uint64 // shared collective generation (RID uniqueness)
-	rdGen atomic.Uint64 // RD-allreduce call counter (arena banking)
+	gen     atomic.Uint64 // shared collective generation (RID uniqueness)
+	rdGen   atomic.Uint64 // RD-allreduce call counter (arena banking)
+	ringGen atomic.Uint64 // ring-allreduce call counter (carried window)
 
 	w *core.Waiter
 
@@ -237,10 +239,12 @@ type Comm struct {
 	comp1 [1]core.Completion
 
 	// Payload scratch, grown on demand and retained.
-	accF []float64
-	scrB []byte // send-side staging (encoded vectors, banked ring chunks)
-	rcvB []byte // receive-side staging (posted ring/tree buffers)
-	vec1 [1]float64
+	accF  []float64
+	scrB  []byte    // send-side staging (encoded vectors, banked ring chunks)
+	rcvB  []byte    // receive-side staging (posted tree buffers)
+	ringB []byte    // the ring's posted-receive banks, kept across calls
+	carry ringCarry // ring receives posted for the next ring call
+	vec1  [1]float64
 
 	st *commStats
 }
@@ -622,7 +626,7 @@ func (c *Comm) AllreduceInPlace(vec []float64, op Op) error {
 		return c.allreduceRD(c.cgen(c.rdGen.Add(1)), vec, op)
 	case algoRing:
 		c.st.algos[algoRing].Add(1)
-		return c.allreduceRing(c.cgen(c.gen.Add(1)), vec, op)
+		return c.allreduceRing(c.cgen(c.ringGen.Add(1)), vec, op)
 	default:
 		c.st.algos[algoTree].Add(1)
 		return c.allreduceTree(c.cgen(c.gen.Add(1)), vec, op)

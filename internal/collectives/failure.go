@@ -189,6 +189,9 @@ func (c *Comm) revoke(dead int) error {
 		c.deadRank.CompareAndSwap(-1, int64(dead))
 	}
 	if c.revoked.CompareAndSwap(false, true) {
+		// The epoch is dead: no ring call will adopt the carried
+		// receives, so withdraw the engine's delivery rights into ringB.
+		c.withdrawCarry()
 		c.st.aborts.Add(1)
 		c.sendRevokes()
 		c.recordAbort()

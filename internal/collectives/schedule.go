@@ -56,7 +56,7 @@ const (
 	kindBarrier = iota + 1
 	kindBcast
 	kindReduce
-	kindAllreduce // ring / composed large-vector allreduce
+	kindAllreduce // ring allreduce (own gen counter: carried window)
 	kindGather
 	kindAllgather
 	kindAlltoall

@@ -60,6 +60,9 @@ func (c *Comm) commitRID(leader int) uint64 { return rid(c.genBase, kindShrink, 
 // The parent Comm is unusable afterwards. Shrink may be called at most
 // once per Comm (its agreement RIDs are epoch-scoped singletons).
 func (c *Comm) Shrink() (*Comm, error) {
+	// The parent runs no further ring call, so nothing may deliver
+	// into its ring banks (a revoked parent has withdrawn them already).
+	c.withdrawCarry()
 	if c.timeout > 0 {
 		c.deadline = time.Now().Add(c.timeout)
 	} else {

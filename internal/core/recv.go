@@ -173,12 +173,15 @@ func (w *Waiter) Idle() {
 	}
 	select {
 	case <-w.ch:
-		// A blocking receive after a failed Stop relies on the
-		// pre-Go 1.23 buffered timer channel (go.mod says go 1.22):
-		// the fire is sitting in C. Under 1.23 semantics C is
-		// unbuffered and this would block forever.
+		// The drain never blocks, so it is right under both timer
+		// channel semantics: with the buffered pre-1.23 channel a
+		// fire still in flight past Stop can at worst wake the next
+		// park early, which re-polls anyway.
 		if !w.park.Stop() {
-			<-w.park.C
+			select {
+			case <-w.park.C:
+			default:
+			}
 		}
 	case <-w.park.C:
 	}

@@ -21,8 +21,9 @@ type BufPool struct {
 	max  int // free-list bound
 
 	//photon:lock bufpool 10
-	mu   sync.Mutex
-	free [][]byte
+	mu    sync.Mutex
+	free  [][]byte
+	carve []byte // unused tail of the chunk GetOwned carves from
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -61,13 +62,37 @@ func (p *BufPool) Get(n int) []byte {
 	return make([]byte, n, p.size)
 }
 
+// Small owned copies are carved out of a shared chunk instead of
+// allocated one by one.
+const (
+	ownedChunk    = 4 << 10 // bytes per shared chunk
+	ownedCarveMax = 256     // largest copy carved from a chunk
+)
+
 // GetOwned returns a length-n buffer that will never be recycled: use
 // it when the buffer's ownership transfers to the caller (for example
-// Completion.Data). It is a plain allocation, not pool traffic, so it
-// counts as neither a hit nor a miss: the miss counter measures only
-// Gets the free list failed to serve.
+// Completion.Data). It is not pool traffic, so it counts as neither a
+// hit nor a miss: the miss counter measures only Gets the free list
+// failed to serve.
+//
+// A buffer of at most ownedCarveMax bytes is a slice of a shared
+// ownedChunk-byte chunk, 8-byte aligned and capped at n, so an append
+// to it reallocates instead of writing into a neighbour's bytes. No
+// carved byte is ever handed out twice, and the GC frees a chunk once
+// its last slice dies; the cost is that one retained small slice pins
+// its whole chunk. Larger buffers are plain allocations.
 func (p *BufPool) GetOwned(n int) []byte {
-	return make([]byte, n)
+	if n <= 0 || n > ownedCarveMax {
+		return make([]byte, n)
+	}
+	p.mu.Lock()
+	if len(p.carve) < n {
+		p.carve = make([]byte, ownedChunk)
+	}
+	b := p.carve[:n:n]
+	p.carve = p.carve[min((n+7)&^7, len(p.carve)):]
+	p.mu.Unlock()
+	return b
 }
 
 // Put returns a buffer obtained from Get to the free list. Buffers of

@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestBufPoolRecycle(t *testing.T) {
 	p := NewBufPool(64, 4)
@@ -94,5 +97,48 @@ func TestBufPoolGetOwned(t *testing.T) {
 	}
 	if hits, misses := p.Counters(); hits != 0 || misses != 0 {
 		t.Fatalf("GetOwned counted as pool traffic: hits %d, misses %d", hits, misses)
+	}
+}
+
+// TestGetOwnedCarvedCopiesAreIsolated checks the carved small copies:
+// each is a distinct, 8-byte aligned slice capped at its length, so an
+// append to one reallocates instead of writing into the next copy
+// carved from the same chunk.
+func TestGetOwnedCarvedCopiesAreIsolated(t *testing.T) {
+	p := NewBufPool(64, 4)
+	a := p.GetOwned(13)
+	b := p.GetOwned(13)
+	if len(a) != 13 {
+		t.Fatalf("carved copy has len %d, want 13", len(a))
+	}
+	if uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
+		t.Fatal("carved copy is not 8-byte aligned")
+	}
+	if &a[0] == &b[0] {
+		t.Fatal("two GetOwned calls returned the same bytes")
+	}
+	for i := range b {
+		b[i] = 0xB
+	}
+	a = append(a, make([]byte, 64)...)
+	for i := range a {
+		a[i] = 0xA
+	}
+	for i, v := range b {
+		if v != 0xB {
+			t.Fatalf("append to one carved copy overwrote byte %d of the next", i)
+		}
+	}
+	// Larger copies are plain allocations; a full chunk is replaced.
+	if big := p.GetOwned(ownedCarveMax + 1); cap(big) != ownedCarveMax+1 {
+		t.Fatalf("oversize GetOwned cap %d", cap(big))
+	}
+	seen := map[*byte]bool{}
+	for i := 0; i < 3*ownedChunk/ownedCarveMax; i++ {
+		c := p.GetOwned(ownedCarveMax)
+		if seen[&c[0]] {
+			t.Fatalf("copy %d reuses carved bytes", i)
+		}
+		seen[&c[0]] = true
 	}
 }
