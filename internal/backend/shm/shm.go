@@ -102,15 +102,7 @@ const (
 // state. All ranks live in the calling process.
 type Cluster struct {
 	backends []*Backend
-
-	//photon:lock shmcluster 10
-	mu      sync.Mutex
-	cond    *sync.Cond
-	gen     int
-	arrived int
-	blobs   [][]byte
-	outs    map[int][][]byte
-	readers map[int]int
+	ag       *core.Allgather // bootstrap exchange
 }
 
 // NewCluster creates an n-rank shared-memory job.
@@ -119,13 +111,7 @@ func NewCluster(n int, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("shm: cluster size %d", n)
 	}
 	cfg.setDefaults()
-	c := &Cluster{
-		backends: make([]*Backend, n),
-		blobs:    make([][]byte, n),
-		outs:     make(map[int][][]byte),
-		readers:  make(map[int]int),
-	}
-	c.cond = sync.NewCond(&c.mu)
+	c := &Cluster{backends: make([]*Backend, n), ag: core.NewAllgather(n)}
 	for r := 0; r < n; r++ {
 		b := &Backend{
 			cluster: c,
@@ -166,38 +152,6 @@ func (c *Cluster) Close() {
 			b.Close()
 		}
 	}
-}
-
-// exchange implements the collective allgather barrier (same protocol
-// as the vsim cluster: arrive, last rank publishes, everyone reads).
-func (c *Cluster) exchange(rank int, blob []byte) ([][]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	gen := c.gen
-	c.blobs[rank] = append([]byte(nil), blob...)
-	c.arrived++
-	n := len(c.backends)
-	if c.arrived == n {
-		out := make([][]byte, n)
-		copy(out, c.blobs)
-		c.outs[gen] = out
-		c.readers[gen] = n
-		c.blobs = make([][]byte, n)
-		c.arrived = 0
-		c.gen++
-		c.cond.Broadcast()
-	} else {
-		for c.gen == gen {
-			c.cond.Wait()
-		}
-	}
-	out := c.outs[gen]
-	c.readers[gen]--
-	if c.readers[gen] == 0 {
-		delete(c.outs, gen)
-		delete(c.readers, gen)
-	}
-	return out, nil
 }
 
 // Backend is one rank's shared-memory transport endpoint.
@@ -321,7 +275,7 @@ func (b *Backend) ClockOffset(rank int) (offsetNS, rttNS int64, ok bool) {
 
 // Exchange performs the collective bootstrap allgather.
 func (b *Backend) Exchange(local []byte) ([][]byte, error) {
-	return b.cluster.exchange(b.rank, local)
+	return b.cluster.ag.Exchange(b.rank, local), nil
 }
 
 // Close stops the agent, fails every request still queued toward this

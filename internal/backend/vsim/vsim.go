@@ -19,7 +19,6 @@ import (
 	"photon/internal/fabric"
 	"photon/internal/mem"
 	"photon/internal/nicsim"
-	"photon/internal/verbs"
 )
 
 // Cluster is a set of vsim backends sharing one fabric, one per rank.
@@ -27,15 +26,7 @@ type Cluster struct {
 	fab      *fabric.Fabric
 	ownsFab  bool
 	backends []*Backend
-
-	//photon:lock vsimcluster 10
-	mu      sync.Mutex
-	cond    *sync.Cond
-	gen     int
-	arrived int
-	blobs   [][]byte
-	outs    map[int][][]byte
-	readers map[int]int
+	ag       *core.Allgather // bootstrap exchange
 }
 
 // NewCluster creates n ranks over a fresh fabric with the given delay
@@ -55,16 +46,9 @@ func NewCluster(n int, fm fabric.Model, nc nicsim.Config) (*Cluster, error) {
 // fabric (which the caller continues to own).
 func NewClusterOver(fab *fabric.Fabric, nc nicsim.Config) (*Cluster, error) {
 	n := fab.NumNodes()
-	c := &Cluster{
-		fab:     fab,
-		blobs:   make([][]byte, n),
-		outs:    make(map[int][][]byte),
-		readers: make(map[int]int),
-	}
-	c.cond = sync.NewCond(&c.mu)
-	c.backends = make([]*Backend, n)
+	c := &Cluster{fab: fab, ag: core.NewAllgather(n), backends: make([]*Backend, n)}
 	for r := 0; r < n; r++ {
-		dev, err := verbs.Open(fab, r, nc)
+		nic, err := nicsim.New(fab, r, nc)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -72,17 +56,17 @@ func NewClusterOver(fab *fabric.Fabric, nc nicsim.Config) (*Cluster, error) {
 		b := &Backend{
 			cluster: c,
 			rank:    r,
-			dev:     dev,
-			cq:      dev.CreateCQ(8192),
-			qps:     make([]*verbs.QP, n),
-			mrs:     make(map[uint64]*verbs.MR),
+			nic:     nic,
+			cq:      nicsim.NewCQ(8192),
+			qps:     make([]*nicsim.QP, n),
+			mrs:     make(map[uint64]*nicsim.MR),
 			wake:    core.NewWakeChan(),
 		}
 		// Latch both event sources: local completions (CQ push) and
 		// remote data landing in this rank's memory (NIC write hook),
 		// so parked progress runners wake for either.
 		b.cq.SetWakeHook(b.wake.Kick)
-		dev.NIC().SetWriteHook(b.wake.Kick)
+		nic.SetWriteHook(b.wake.Kick)
 		c.backends[r] = b
 	}
 	// Full QP mesh: one QP at each rank toward every rank (self
@@ -90,7 +74,7 @@ func NewClusterOver(fab *fabric.Fabric, nc nicsim.Config) (*Cluster, error) {
 	for i := 0; i < n; i++ {
 		bi := c.backends[i]
 		for j := 0; j < n; j++ {
-			qp, err := bi.dev.CreateQP(bi.cq, bi.dev.CreateCQ(16))
+			qp, err := bi.nic.CreateQP(bi.cq, nicsim.NewCQ(16))
 			if err != nil {
 				c.Close()
 				return nil, err
@@ -131,52 +115,21 @@ func (c *Cluster) Close() {
 	}
 }
 
-// exchange implements the collective allgather barrier.
-func (c *Cluster) exchange(rank int, blob []byte) ([][]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	gen := c.gen
-	c.blobs[rank] = append([]byte(nil), blob...)
-	c.arrived++
-	n := len(c.backends)
-	if c.arrived == n {
-		out := make([][]byte, n)
-		copy(out, c.blobs)
-		c.outs[gen] = out
-		c.readers[gen] = n
-		c.blobs = make([][]byte, n)
-		c.arrived = 0
-		c.gen++
-		c.cond.Broadcast()
-	} else {
-		for c.gen == gen {
-			c.cond.Wait()
-		}
-	}
-	out := c.outs[gen]
-	c.readers[gen]--
-	if c.readers[gen] == 0 {
-		delete(c.outs, gen)
-		delete(c.readers, gen)
-	}
-	return out, nil
-}
-
 // Backend is one rank's transport endpoint.
 type Backend struct {
 	cluster *Cluster
 	rank    int
-	dev     *verbs.Device
-	cq      *verbs.CQ
-	qps     []*verbs.QP
+	nic     *nicsim.NIC
+	cq      *nicsim.CQ
+	qps     []*nicsim.QP
 
 	//photon:lock vsimmr 20
 	mrMu sync.Mutex
-	mrs  map[uint64]*verbs.MR // keyed by base address
+	mrs  map[uint64]*nicsim.MR // keyed by base address
 
 	//photon:lock vsimpoll 30
 	pollMu      sync.Mutex
-	pollScratch []verbs.CQE // reused across Poll calls (no per-call alloc)
+	pollScratch []nicsim.CQE // reused across Poll calls (no per-call alloc)
 
 	// wake latches backend activity: kicked by the simulated NIC after
 	// every completion push and every remote write applied to this
@@ -202,12 +155,16 @@ func (b *Backend) Rank() int { return b.rank }
 // Size returns the job size.
 func (b *Backend) Size() int { return len(b.qps) }
 
-// Device exposes the verbs device (counters, ablation).
-func (b *Backend) Device() *verbs.Device { return b.dev }
+// NIC exposes the rank's simulated NIC (counters, ablation).
+func (b *Backend) NIC() *nicsim.NIC { return b.nic }
+
+// Device returns the backend itself, whose NIC method is the device's
+// accessor: callers reach the counters as Device().NIC().
+func (b *Backend) Device() *Backend { return b }
 
 // Register pins buf with the NIC.
 func (b *Backend) Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error) {
-	mr, err := b.dev.RegMR(buf, verbs.AccessAll)
+	mr, err := b.nic.RegisterMemory(buf, nicsim.AccessAll)
 	if err != nil {
 		return mem.RemoteBuffer{}, nil, err
 	}
@@ -229,7 +186,7 @@ func (b *Backend) Deregister(rb mem.RemoteBuffer) error {
 	if !ok {
 		return fmt.Errorf("vsim: no registration at %#x", rb.Addr)
 	}
-	return b.dev.DeregMR(mr)
+	return b.nic.DeregisterMemory(mr)
 }
 
 // translate maps transport errors to the core sentinel space.
@@ -251,8 +208,8 @@ func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, t
 	if rank < 0 || rank >= len(b.qps) {
 		return core.ErrBadRank
 	}
-	return translate(b.qps[rank].PostSend(verbs.SendWR{
-		WRID: token, Op: verbs.OpRDMAWrite, Local: local,
+	return translate(b.qps[rank].PostSend(nicsim.SendWR{
+		WRID: token, Op: nicsim.OpRDMAWrite, Local: local,
 		RemoteAddr: raddr, RKey: rkey, Signaled: signaled,
 	}))
 }
@@ -268,8 +225,8 @@ func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 	}
 	qp := b.qps[rank]
 	for i, r := range reqs {
-		err := qp.PostSend(verbs.SendWR{
-			WRID: r.Token, Op: verbs.OpRDMAWrite, Local: r.Local,
+		err := qp.PostSend(nicsim.SendWR{
+			WRID: r.Token, Op: nicsim.OpRDMAWrite, Local: r.Local,
 			RemoteAddr: r.RemoteAddr, RKey: r.RKey, Signaled: r.Signaled,
 		})
 		if err != nil {
@@ -284,8 +241,8 @@ func (b *Backend) PostRead(rank int, local []byte, raddr uint64, rkey uint32, to
 	if rank < 0 || rank >= len(b.qps) {
 		return core.ErrBadRank
 	}
-	return translate(b.qps[rank].PostSend(verbs.SendWR{
-		WRID: token, Op: verbs.OpRDMARead, Local: local,
+	return translate(b.qps[rank].PostSend(nicsim.SendWR{
+		WRID: token, Op: nicsim.OpRDMARead, Local: local,
 		RemoteAddr: raddr, RKey: rkey, Signaled: true,
 	}))
 }
@@ -295,8 +252,8 @@ func (b *Backend) PostFetchAdd(rank int, result []byte, raddr uint64, rkey uint3
 	if rank < 0 || rank >= len(b.qps) {
 		return core.ErrBadRank
 	}
-	return translate(b.qps[rank].PostSend(verbs.SendWR{
-		WRID: token, Op: verbs.OpAtomicFetchAdd, Local: result,
+	return translate(b.qps[rank].PostSend(nicsim.SendWR{
+		WRID: token, Op: nicsim.OpAtomicFetchAdd, Local: result,
 		RemoteAddr: raddr, RKey: rkey, Add: add, Signaled: true,
 	}))
 }
@@ -306,8 +263,8 @@ func (b *Backend) PostCompSwap(rank int, result []byte, raddr uint64, rkey uint3
 	if rank < 0 || rank >= len(b.qps) {
 		return core.ErrBadRank
 	}
-	return translate(b.qps[rank].PostSend(verbs.SendWR{
-		WRID: token, Op: verbs.OpAtomicCompSwap, Local: result,
+	return translate(b.qps[rank].PostSend(nicsim.SendWR{
+		WRID: token, Op: nicsim.OpAtomicCompSwap, Local: result,
 		RemoteAddr: raddr, RKey: rkey, Compare: compare, Swap: swap, Signaled: true,
 	}))
 }
@@ -315,7 +272,7 @@ func (b *Backend) PostCompSwap(rank int, result []byte, raddr uint64, rkey uint3
 // ApplyLocal places data into this rank's own registered memory with
 // full protection checks (loopback DMA for packed-put payloads).
 func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
-	return b.dev.NIC().LocalWrite(raddr, rkey, data)
+	return b.nic.LocalWrite(raddr, rkey, data)
 }
 
 // WriteActivity exposes the registration's DMA write counter.
@@ -337,16 +294,16 @@ func (b *Backend) Poll(dst []core.BackendCompletion) int {
 	b.pollMu.Lock()
 	defer b.pollMu.Unlock()
 	if cap(b.pollScratch) < len(dst) {
-		b.pollScratch = make([]verbs.CQE, len(dst))
+		b.pollScratch = make([]nicsim.CQE, len(dst))
 	}
 	tmp := b.pollScratch[:len(dst)]
 	n := b.cq.PollInto(tmp)
 	for i := 0; i < n; i++ {
 		dst[i] = core.BackendCompletion{
 			Token: tmp[i].WRID,
-			OK:    tmp[i].Status == verbs.StatusOK,
+			OK:    tmp[i].Status == nicsim.StatusOK,
 		}
-		if tmp[i].Status != verbs.StatusOK {
+		if tmp[i].Status != nicsim.StatusOK {
 			dst[i].Err = fmt.Errorf("vsim: completion status %v", tmp[i].Status)
 		}
 	}
@@ -361,14 +318,14 @@ func (b *Backend) ClockOffset(rank int) (offsetNS, rttNS int64, ok bool) {
 
 // Exchange performs the collective bootstrap allgather.
 func (b *Backend) Exchange(local []byte) ([][]byte, error) {
-	return b.cluster.exchange(b.rank, local)
+	return b.cluster.ag.Exchange(b.rank, local), nil
 }
 
 // closeLocal tears down this rank's device without touching the
 // cluster.
 func (b *Backend) closeLocal() {
-	if b.dev != nil {
-		b.dev.Close()
+	if b.nic != nil {
+		b.nic.Close()
 	}
 }
 

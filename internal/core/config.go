@@ -17,46 +17,10 @@ const (
 	numClasses
 )
 
-// Entry type tags carried in the first payload byte of a ledger entry.
-const (
-	tCompletion = 1 // pwc: [type][rid8]
-	tPacked     = 2 // eager: [type][rid8][data...]
-	tRTS        = 3 // sys: [type][lrid8][rrid8][size8][addr8][rkey4]
-	tFIN        = 4 // sys: [type][lrid8]
-	tPackedPut  = 5 // eager: [type][rid8][raddr8][rkey4][data...] — a
-	// small direct put folded into one ledger write; the target's
-	// middleware places the payload (Photon's small-PWC optimization)
-
-	// Traced variants: the same layouts with a trace context —
-	// [origin rank u32][post timestamp i64] — appended to the payload.
-	// Posted only for sampled ops (TraceSampleShift gate), so the
-	// target's delivery event carries the initiator's identity and post
-	// time and the merged Chrome exporter can stitch both rings into
-	// one causal lane. The context rides in existing entry headroom
-	// (pwc entries use 21 of 24 payload bytes, sys 49 of 56); eager
-	// entries whose payload would no longer fit fall back to the
-	// untraced tag.
-	tCompletionT = 6
-	tPackedT     = 7
-	tPackedPutT  = 8
-	tRTST        = 9
-)
-
-// traceCtxSize is the wire size of the sampled trace context appended
-// to traced ledger entries.
-const traceCtxSize = 4 + 8
-
 // Fixed entry sizes for the non-eager classes.
 const (
 	pwcEntrySize = 32 // 8 header + 1 type + 8 rid (+ pad)
-	sysEntrySize = 64 // 8 header + rtsEntryLen worst case (+ pad)
-)
-
-// Sys-entry payload lengths shared by the rendezvous encoder and
-// parseSys's short-entry checks.
-const (
-	sysMinLen   = 1 + 8                 // [type][lrid8] — a FIN is exactly this
-	rtsEntryLen = 1 + 8 + 8 + 8 + 8 + 4 // [type][lrid8][rrid8][size8][addr8][rkey4]
+	sysEntrySize = 64 // 8 header + rtsLen worst case (+ pad)
 )
 
 // Config tunes the Photon engine. The zero value selects defaults.
@@ -176,14 +140,6 @@ func (c *Config) setDefaults() error {
 	}
 	return nil
 }
-
-// packedHdrSize is the in-payload header of a packed eager entry:
-// type byte plus the remote RID.
-const packedHdrSize = 1 + 8
-
-// packedPutHdrSize is the in-payload header of a packed put entry:
-// type, remote RID, destination address, destination rkey.
-const packedPutHdrSize = 1 + 8 + 8 + 4
 
 // entrySize returns the wire entry size for a ledger class.
 func (c *Config) entrySize(class int) int {

@@ -8,11 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"photon/internal/backend/vsim"
 	"photon/internal/core"
-	"photon/internal/fabric"
 	"photon/internal/mem"
-	"photon/internal/nicsim"
 )
 
 const waitT = 5 * time.Second
@@ -20,20 +17,22 @@ const waitT = 5 * time.Second
 // newJob boots an n-rank Photon job over a fresh simulated cluster.
 func newJob(t *testing.T, n int, cfg core.Config) []*core.Photon {
 	t.Helper()
-	cl, err := vsim.NewCluster(n, fabric.Model{}, nicsim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	phs := make([]*core.Photon, n)
-	errs := make([]error, n)
+	_, phs := faultJob(t, n, cfg)
+	return phs
+}
+
+// initRanks runs the collective core.Init over one backend per rank.
+func initRanks(t *testing.T, cfg core.Config, bes ...core.Backend) []*core.Photon {
+	t.Helper()
+	phs := make([]*core.Photon, len(bes))
+	errs := make([]error, len(bes))
 	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
+	for r, be := range bes {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			phs[r], errs[r] = core.Init(cl.Backend(r), cfg)
-		}(r)
+			phs[r], errs[r] = core.Init(be, cfg)
+		}()
 	}
 	wg.Wait()
 	for r, err := range errs {

@@ -117,58 +117,22 @@ func (p *Photon) pollHealth() int {
 	return n
 }
 
-// sweepDeadlines converts ops past their deadline into ErrTimeout
-// error completions: pending backend tokens first, then open
-// rendezvous sends (which have no backend token of their own — they
-// wait on the target's FIN).
+// sweepDeadlines converts ops past their deadline — backend ops and
+// rendezvous sends awaiting their FIN alike — into ErrTimeout error
+// completions.
 func (p *Photon) sweepDeadlines(now int64) int {
 	p.faultScratch = p.tok.sweepExpired(now, p.faultScratch[:0])
-	n := len(p.faultScratch)
 	for i := range p.faultScratch {
 		p.completeFailed(&p.faultScratch[i], errOpTimeout)
 		p.opsTimedOut.Add(1)
 		p.faultScratch[i] = pendingOp{}
 	}
-	n += p.sweepRdzvSends(now, -1, errOpTimeout)
-	return n
-}
-
-// sweepRdzvSends fails open rendezvous sends selected by deadline
-// (now > 0) and/or peer (rank >= 0; -1 = all). The sender-side buffer
-// registration is released: the target can no longer be allowed to
-// read it once the send has been reported failed.
-func (p *Photon) sweepRdzvSends(now int64, rank int, err error) int {
-	type failed struct {
-		id uint64
-		rs rdzvSend
-	}
-	var fails []failed
-	p.rdzvMu.Lock()
-	for id, rs := range p.rdzvSends {
-		if rank >= 0 && rs.rank != rank {
-			continue
-		}
-		if rank < 0 && (rs.deadlineNS == 0 || rs.deadlineNS > now) {
-			continue
-		}
-		fails = append(fails, failed{id, rs})
-		delete(p.rdzvSends, id)
-	}
-	p.rdzvMu.Unlock()
-	for _, f := range fails {
-		_ = p.be.Deregister(f.rs.rb)
-		if rank < 0 {
-			p.opsTimedOut.Add(1)
-		}
-		p.traceEv(trace.KindComplete, f.rs.rid, "rdzv.fail")
-		p.pushLocal(Completion{Rank: f.rs.rank, RID: f.rs.rid, Err: err, traced: f.rs.postNS != 0})
-	}
-	return len(fails)
+	return len(p.faultScratch)
 }
 
 // failPeer fails everything in flight toward a peer that has been
-// declared down: pending backend tokens, the parked deferred queues,
-// and open rendezvous sends.
+// declared down: its pending tokens (rendezvous sends included) and
+// the parked deferred queues.
 func (p *Photon) failPeer(ps *peerState) int {
 	err := fmt.Errorf("photon: rank %d: %w", ps.rank, ErrPeerDown)
 	p.faultScratch = p.tok.sweepRank(ps.rank, p.faultScratch[:0])
@@ -178,14 +142,13 @@ func (p *Photon) failPeer(ps *peerState) int {
 		p.faultScratch[i] = pendingOp{}
 	}
 	n += p.failDeferred(ps, err)
-	n += p.sweepRdzvSends(0, ps.rank, err)
 	return n
 }
 
-// failAllInflight is the Close drain: every pending token, every
-// peer's deferred queues, and every open rendezvous send completes
-// with ErrClosed. Caller holds the engine mutex with p.closed already
-// set, so no new work can be posted concurrently and the engine is
+// failAllInflight is the Close drain: every pending token (rendezvous
+// sends included) and every peer's deferred queues complete with
+// ErrClosed. Caller holds the engine mutex with p.closed already set,
+// so no new work can be posted concurrently and the engine is
 // quiescent.
 func (p *Photon) failAllInflight() {
 	err := fmt.Errorf("photon: instance closed: %w", ErrClosed)
@@ -197,7 +160,6 @@ func (p *Photon) failAllInflight() {
 	for _, ps := range p.peers {
 		p.failDeferred(ps, err)
 	}
-	p.sweepRdzvSends(0, -1, err)
 }
 
 // failDeferred drops a peer's parked queues, failing the signaled
@@ -260,14 +222,19 @@ func (p *Photon) failWire(w *wireOp, err error) {
 // buffers and slab blocks are intentionally leaked (see the ownership
 // note at the top of this file).
 func (p *Photon) completeFailed(op *pendingOp, err error) {
-	if op.postNS != 0 {
-		p.traceEv(trace.KindComplete, op.rid, "fault.fail")
-	}
-	if op.kind == opRdzvGet {
+	switch {
+	case op.kind == opRdzvGet:
 		// Target-side staging read: the waiter is whoever waits for
 		// the message delivery, keyed by the initiator's remote RID.
 		p.pushRemote(Completion{Rank: op.rank, RID: op.remoteRID, Err: err, traced: op.traced})
 		return
+	case op.kind == opRdzvSend:
+		// The target may no longer read the send's buffer once the
+		// send has been reported failed.
+		_ = p.be.Deregister(op.rb)
+		p.traceEv(trace.KindComplete, op.rid, "rdzv.fail")
+	case op.postNS != 0:
+		p.traceEv(trace.KindComplete, op.rid, "fault.fail")
 	}
 	p.pushLocal(Completion{Rank: op.rank, RID: op.rid, Err: err, traced: op.postNS != 0})
 }

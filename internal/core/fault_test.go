@@ -22,23 +22,11 @@ func faultJob(t *testing.T, n int, cfg core.Config) (*vsim.Cluster, []*core.Phot
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	phs := make([]*core.Photon, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			phs[r], errs[r] = core.Init(cl.Backend(r), cfg)
-		}(r)
+	bes := make([]core.Backend, n)
+	for r := range bes {
+		bes[r] = cl.Backend(r)
 	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	return cl, phs
+	return cl, initRanks(t, cfg, bes...)
 }
 
 // A silently dropped ledger write must surface as a timeout at the

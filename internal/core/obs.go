@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -119,22 +118,6 @@ func (p *Photon) traceDelivery(sender int, ev *polledEvent, arg uint64, msg stri
 		return
 	}
 	o.ring.RecordLink(trace.KindLedger, p.rank, sender, arg, 0, msg)
-}
-
-// putTraceCtx writes the wire trace context — this rank and the op's
-// sampled post timestamp — at b[off:off+traceCtxSize].
-//
-//photon:hotpath
-func (p *Photon) putTraceCtx(b []byte, off int, ts int64) {
-	binary.LittleEndian.PutUint32(b[off:], uint32(p.rank))
-	binary.LittleEndian.PutUint64(b[off+4:], uint64(ts))
-}
-
-// parseTraceCtx decodes a wire trace context into the polled event.
-func parseTraceCtx(ev *polledEvent, ctx []byte) {
-	ev.hasCtx = true
-	ev.origin = int(binary.LittleEndian.Uint32(ctx))
-	ev.ctxNS = int64(binary.LittleEndian.Uint64(ctx[4:]))
 }
 
 // opDone records the initiator-side end of a sampled op: the

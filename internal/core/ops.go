@@ -53,10 +53,8 @@ func (p *Photon) PutWithCompletion(rank int, local []byte, dst mem.RemoteBuffer,
 		if err != nil {
 			return err
 		}
-		ent, err := p.completionEntry(res, remoteRID, ts)
-		if err != nil {
-			return err
-		}
+		ent := p.newEntry(tCompletion, remoteRID, 0, ts)
+		sealEntry(ent, res)
 		p.postEntry(ps, rank, ent, res, localRID, remoteRID, ts, metrics.OpPut, "put.notify")
 		p.stats.putsDirect.Add(1)
 		return nil
@@ -92,10 +90,8 @@ func (p *Photon) PutWithCompletion(rank int, local []byte, dst mem.RemoteBuffer,
 	if err != nil {
 		return err
 	}
-	ent, err := p.completionEntry(res, remoteRID, ts)
-	if err != nil {
-		return err
-	}
+	ent := p.newEntry(tCompletion, remoteRID, 0, ts)
+	sealEntry(ent, res)
 	tok := p.newToken(pendingOp{
 		kind: opPutLocal, rank: rank, rid: localRID,
 		postNS: ts, mkind: metrics.OpPut, remoteVis: true,
@@ -179,43 +175,6 @@ func (p *Photon) Send(rank int, data []byte, localRID, remoteRID uint64) error {
 	return p.sendRendezvous(ps, rank, data, localRID, remoteRID, ts)
 }
 
-// completionLen is the PWC completion payload without trace context:
-// [tCompletion][rid8].
-const completionLen = 1 + 8
-
-// encodeCompletion writes the PWC completion payload
-// [tCompletion|tCompletionT][rid8][ctx12?] at b; a sampled op (ts != 0)
-// carries the wire trace context, so b must hold traceCtxSize more.
-//
-//photon:hotpath
-func (p *Photon) encodeCompletion(b []byte, rid uint64, ts int64) {
-	b[0] = tCompletion
-	binary.LittleEndian.PutUint64(b[1:], rid)
-	if ts != 0 {
-		b[0] = tCompletionT
-		p.putTraceCtx(b, completionLen, ts)
-	}
-}
-
-// completionEntry builds the pooled, header-encoded PWC completion
-// entry for the slot res. The caller owns it until it posts it with
-// pooled set.
-//
-//photon:hotpath
-func (p *Photon) completionEntry(res ledger.Reservation, rid uint64, ts int64) ([]byte, error) {
-	plen := completionLen
-	if ts != 0 {
-		plen += traceCtxSize
-	}
-	ent := p.pool.Get(ledger.HeaderSize + plen)
-	p.encodeCompletion(ent[ledger.HeaderSize:], rid, ts)
-	if err := ledger.EncodeHeader(ent, res.Seq, plen); err != nil {
-		p.pool.Put(ent)
-		return nil, err
-	}
-	return ent, nil //photon:allow bufretain -- hand-off: the caller posts the entry pooled, and postOrPark/postPair recycle it once the backend has snapshotted it
-}
-
 // postEntry posts the pooled ledger entry that carries a whole put or
 // send (zero-byte put, packed put, eager send) into the slot res. A
 // sampled op is posted signaled even when the caller suppressed the
@@ -239,10 +198,10 @@ func (p *Photon) postEntry(ps *peerState, rank int, ent []byte, res ledger.Reser
 	p.postOrPark(ps, rank, ent, res.RemoteAddr, res.RKey, tok, signaled, true)
 }
 
-// putPacked folds a small put into one eager-ledger write:
-// [tPackedPut][remoteRID][raddr][rkey][data]. The target validates and
-// places the payload before surfacing the remote completion, so the
-// "remote RID implies data visible" invariant holds unchanged.
+// putPacked folds a small put into one eager-ledger write
+// (tPackedPut). The target validates and places the payload before
+// surfacing the remote completion, so the "remote RID implies data
+// visible" invariant holds unchanged.
 //
 //photon:hotpath
 func (p *Photon) putPacked(ps *peerState, rank int, local []byte, raddr uint64, rkey uint32, localRID, remoteRID uint64, ts int64) error {
@@ -250,34 +209,20 @@ func (p *Photon) putPacked(ps *peerState, rank int, local []byte, raddr uint64, 
 	if err != nil {
 		return err
 	}
-	// Traced entries append the wire trace context when the eager entry
-	// still has room for it; max-payload puts fall back to untraced.
-	plen := packedPutHdrSize + len(local)
-	traced := ts != 0 && ledger.HeaderSize+plen+traceCtxSize <= p.cfg.EagerEntrySize
-	if traced {
-		plen += traceCtxSize
-	}
-	ent := p.pool.Get(ledger.HeaderSize + plen)
+	ent := p.newEntry(tPackedPut, remoteRID, len(local), ts)
 	b := ent[ledger.HeaderSize:]
-	b[0] = tPackedPut
-	binary.LittleEndian.PutUint64(b[1:], remoteRID)
 	binary.LittleEndian.PutUint64(b[9:], raddr)
 	binary.LittleEndian.PutUint32(b[17:], rkey)
 	copy(b[packedPutHdrSize:], local)
-	if traced {
-		b[0] = tPackedPutT
-		p.putTraceCtx(b, packedPutHdrSize+len(local), ts)
-	}
-	if err := ledger.EncodeHeader(ent, res.Seq, plen); err != nil {
-		p.pool.Put(ent)
-		return err
-	}
+	sealEntry(ent, res)
 	p.postEntry(ps, rank, ent, res, localRID, remoteRID, ts, metrics.OpPut, "put.packed")
 	p.stats.putsPacked.Add(1)
 	return nil
 }
 
 // sendPacked copies data into an eager ledger entry: one RDMA write.
+// Only the used prefix of the slot travels on the wire; the receiver
+// reads the payload length from the entry header.
 //
 //photon:hotpath
 func (p *Photon) sendPacked(ps *peerState, rank int, data []byte, localRID, remoteRID uint64, ts int64) error {
@@ -285,33 +230,17 @@ func (p *Photon) sendPacked(ps *peerState, rank int, data []byte, localRID, remo
 	if err != nil {
 		return err
 	}
-	// Only the used prefix of the slot travels on the wire; the
-	// receiver reads the payload length from the entry header.
-	plen := packedHdrSize + len(data)
-	traced := ts != 0 && ledger.HeaderSize+plen+traceCtxSize <= p.cfg.EagerEntrySize
-	if traced {
-		plen += traceCtxSize
-	}
-	ent := p.pool.Get(ledger.HeaderSize + plen)
-	b := ent[ledger.HeaderSize:]
-	b[0] = tPacked
-	binary.LittleEndian.PutUint64(b[1:], remoteRID)
-	copy(b[packedHdrSize:], data)
-	if traced {
-		b[0] = tPackedT
-		p.putTraceCtx(b, packedHdrSize+len(data), ts)
-	}
-	if err := ledger.EncodeHeader(ent, res.Seq, plen); err != nil {
-		p.pool.Put(ent)
-		return err
-	}
+	ent := p.newEntry(tPacked, remoteRID, len(data), ts)
+	copy(ent[ledger.HeaderSize+packedHdrSize:], data)
+	sealEntry(ent, res)
 	p.postEntry(ps, rank, ent, res, localRID, remoteRID, ts, metrics.OpSend, "send.eager")
 	p.stats.putsPacked.Add(1)
 	return nil
 }
 
-// sendRendezvous registers data and writes an RTS control entry; the
-// target pulls the payload with an RDMA read and FINs back.
+// sendRendezvous registers data and writes an RTS control entry
+// carrying the send's token; the target pulls the payload with an RDMA
+// read and FINs the token back (handleFIN).
 func (p *Photon) sendRendezvous(ps *peerState, rank int, data []byte, localRID, remoteRID uint64, ts int64) error {
 	if len(data) == 0 {
 		// Rendezvous of nothing degenerates to a packed send.
@@ -325,43 +254,23 @@ func (p *Photon) sendRendezvous(ps *peerState, rank int, data []byte, localRID, 
 	if err != nil {
 		return err
 	}
-	var deadline int64
-	if p.opTimeoutNS != 0 {
-		deadline = nowNanos() + p.opTimeoutNS
-	}
-	p.rdzvMu.Lock()
-	id := p.nextRdzvID
-	p.nextRdzvID++
-	p.rdzvSends[id] = rdzvSend{rank: rank, rid: localRID, rb: rb, postNS: ts, deadlineNS: deadline}
-	p.rdzvMu.Unlock()
+	tok := p.newToken(pendingOp{
+		kind: opRdzvSend, rank: rank, rid: localRID, rb: rb,
+		postNS: ts, mkind: metrics.OpSend, remoteVis: true,
+	})
 	if ts != 0 {
 		p.tracePost(rank, remoteRID, localRID, "send.rdzv")
-		p.traceEv(trace.KindProtocol, id, "rts.tx")
+		p.traceEv(trace.KindProtocol, tok, "rts.tx")
 	}
-
-	const rtsLen = rtsEntryLen
-	plen := rtsLen
-	if ts != 0 {
-		plen += traceCtxSize
-	}
-	ent := p.pool.Get(ledger.HeaderSize + plen)
+	ent := p.newEntry(tRTS, tok, 0, ts)
 	b := ent[ledger.HeaderSize:]
-	b[0] = tRTS
-	binary.LittleEndian.PutUint64(b[1:], id)
 	binary.LittleEndian.PutUint64(b[9:], remoteRID)
 	binary.LittleEndian.PutUint64(b[17:], uint64(len(data)))
 	binary.LittleEndian.PutUint64(b[25:], rb.Addr)
 	binary.LittleEndian.PutUint32(b[33:], rb.RKey)
-	if ts != 0 {
-		b[0] = tRTST
-		p.putTraceCtx(b, rtsLen, ts)
-	}
-	if err := ledger.EncodeHeader(ent, res.Seq, plen); err != nil {
-		p.pool.Put(ent)
-		return err
-	}
+	sealEntry(ent, res)
 	p.postOrPark(ps, rank, ent, res.RemoteAddr, res.RKey, 0, false, true)
-	p.stats.rdzvSends.Add(1)
+	p.stats.rdzvSent.Add(1)
 	return nil
 }
 

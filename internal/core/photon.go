@@ -106,7 +106,7 @@ type Stats struct {
 	BatchedOps      int64 // writes carried by those batches
 }
 
-// opKind classifies a pending backend token.
+// opKind classifies a pending token.
 type opKind uint8
 
 const (
@@ -114,9 +114,11 @@ const (
 	opGetLocal
 	opRdzvGet
 	opAtomic
+	opRdzvSend // resolved by the target's FIN, not by the backend
 )
 
-// pendingOp is the engine-side state for one signaled backend op.
+// pendingOp is the engine-side state for one in-flight op: a signaled
+// backend op, or a rendezvous send awaiting its FIN.
 type pendingOp struct {
 	kind      opKind
 	rank      int
@@ -125,7 +127,8 @@ type pendingOp struct {
 	result    []byte // atomic result buffer
 	block     *mem.Block
 	size      int
-	rdzvID    uint64 // rendezvous transfer id (FIN key)
+	rdzvID    uint64           // opRdzvGet: the sender's token, which the FIN carries back
+	rb        mem.RemoteBuffer // opRdzvSend: the send's registration, released at FIN
 
 	// postedBuf, for opRdzvGet, is a caller-posted receive buffer the
 	// RDMA read lands in directly (no staging block, no copy-out); nil
@@ -167,10 +170,11 @@ type wireOp struct {
 	pooled   bool
 }
 
-// entryOp is a ledger entry not yet reserved, parked for credits.
+// entryOp is a built ledger entry (pooled, not yet sealed) parked
+// for credits in its class's ledger.
 type entryOp struct {
-	class   int
-	payload []byte
+	class int
+	ent   []byte
 }
 
 // rtsOp is an inbound rendezvous request awaiting slab space or SQ room.
@@ -182,15 +186,6 @@ type rtsOp struct {
 	addr      uint64
 	rkey      uint32
 	traced    bool // RTS carried a wire trace context (sampled send)
-}
-
-// rdzvSend tracks an outstanding rendezvous send awaiting FIN.
-type rdzvSend struct {
-	rank       int    // target rank (fault sweeps select by peer)
-	rid        uint64 // local RID to surface on FIN
-	rb         mem.RemoteBuffer
-	postNS     int64 // obsStamp at RTS post (0 = unsampled)
-	deadlineNS int64 // OpTimeout deadline (0 = none)
 }
 
 // peerState holds all per-peer protocol state.
@@ -254,18 +249,14 @@ type Photon struct {
 	// op fast path never hits the allocator.
 	pool *mem.BufPool
 
-	// tok maps signaled-post tokens to pending-op state: sharded and
-	// generation-tagged (see token.go).
+	// tok maps tokens — signaled backend posts and rendezvous sends —
+	// to pending-op state: sharded and generation-tagged (see
+	// token.go).
 	tok tokenTable
 
 	// recvs is the one-shot posted-receive table (see recv.go): message
 	// deliveries whose RID has a posted buffer land there directly.
 	recvs recvTab
-
-	//photon:lock rdzv 50
-	rdzvMu     sync.Mutex
-	rdzvSends  map[uint64]rdzvSend
-	nextRdzvID uint64
 
 	// eng is the progress engine (see progress.go): its try-lock,
 	// completion rings, sweep scratch, and idle counters.
@@ -305,7 +296,7 @@ type Photon struct {
 
 	stats struct {
 		putsDirect, putsPacked, gets     atomic.Int64
-		rdzvSends, rdzvRecvs, atomics    atomic.Int64
+		rdzvSent, rdzvRecvd, atomics     atomic.Int64
 		creditWrites, progress, deferred atomic.Int64
 		batchPosts, batchedOps           atomic.Int64
 	}
@@ -324,13 +315,11 @@ func Init(be Backend, cfg Config) (*Photon, error) {
 		poolBuf = 64
 	}
 	p := &Photon{
-		be:         be,
-		cfg:        cfg,
-		rank:       be.Rank(),
-		size:       be.Size(),
-		pool:       mem.NewBufPool(poolBuf, 256),
-		rdzvSends:  make(map[uint64]rdzvSend),
-		nextRdzvID: 1,
+		be:   be,
+		cfg:  cfg,
+		rank: be.Rank(),
+		size: be.Size(),
+		pool: mem.NewBufPool(poolBuf, 256),
 		eng: engine{
 			localCQ:     newCompRing(cfg.CompQueueDepth),
 			remoteCQ:    newCompRing(cfg.CompQueueDepth),
@@ -467,8 +456,8 @@ func (p *Photon) Stats() Stats {
 		PutsDirect:     p.stats.putsDirect.Load(),
 		PutsPacked:     p.stats.putsPacked.Load(),
 		Gets:           p.stats.gets.Load(),
-		RdzvSends:      p.stats.rdzvSends.Load(),
-		RdzvRecvs:      p.stats.rdzvRecvs.Load(),
+		RdzvSends:      p.stats.rdzvSent.Load(),
+		RdzvRecvs:      p.stats.rdzvRecvd.Load(),
 		Atomics:        p.stats.atomics.Load(),
 		CreditWrites:   p.stats.creditWrites.Load(),
 		ProgressCalls:  p.stats.progress.Load(),

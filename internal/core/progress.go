@@ -9,18 +9,14 @@ import (
 	"time"
 
 	"photon/internal/errs"
-	"photon/internal/ledger"
 	"photon/internal/metrics"
 	"photon/internal/trace"
 )
 
 // ErrTimeout is returned by the Wait helpers when the deadline passes.
 // It aliases the shared root sentinel, so errors.Is against it also
-// matches timeouts surfaced by the verbs, msg, and runtime layers.
+// matches timeouts surfaced by the msg and runtime layers.
 var ErrTimeout = errs.ErrTimeout
-
-// maxInt bounds untrusted 64-bit size words before narrowing to int.
-const maxInt = int(^uint(0) >> 1)
 
 // engine is the progress engine's state: one per instance, owned by
 // Photon and entered through a try-lock, so concurrent Progress
@@ -225,7 +221,7 @@ func (p *Photon) handleBackend(bc BackendCompletion) {
 		}
 		p.traceEv(trace.KindProtocol, op.rdzvID, "rdzv.read.done")
 		p.sendFIN(op.rank, op.rdzvID)
-		p.stats.rdzvRecvs.Add(1)
+		p.stats.rdzvRecvd.Add(1)
 		p.pushRemote(Completion{Rank: op.rank, RID: op.remoteRID, Data: data, traced: op.traced})
 	case opAtomic:
 		p.opDone(&op, "atomic.done")
@@ -248,45 +244,33 @@ func (p *Photon) handleBackend(bc BackendCompletion) {
 //
 //photon:hotpath
 func (p *Photon) notifyRemote(rank int, rid uint64) {
-	var payload [completionLen]byte
-	p.encodeCompletion(payload[:], rid, 0)
-	p.postEntryOrDefer(p.peers[rank], classPWC, payload[:])
+	p.postEntryOrDefer(p.peers[rank], classPWC, p.newEntry(tCompletion, rid, 0, 0))
 }
 
-// sendFIN writes a rendezvous-complete entry into the peer's sys ledger.
+// sendFIN writes a rendezvous-complete entry carrying the sender's
+// token into the peer's sys ledger.
 //
 //photon:hotpath
-func (p *Photon) sendFIN(rank int, rdzvID uint64) {
-	var payload [9]byte
-	payload[0] = tFIN
-	binary.LittleEndian.PutUint64(payload[1:], rdzvID)
-	p.postEntryOrDefer(p.peers[rank], classSys, payload[:])
+func (p *Photon) sendFIN(rank int, tok uint64) {
+	p.postEntryOrDefer(p.peers[rank], classSys, p.newEntry(tFIN, tok, 0, 0))
 }
 
 // postEntryOrDefer reserves a slot in the peer's class ledger and posts
-// the entry, parking it for Progress when out of credits. payload is
-// copied before this function returns (both paths), so callers may
-// pass stack-backed scratch.
+// the pooled entry ent, parking it for Progress when out of credits.
 //
 //photon:hotpath
-func (p *Photon) postEntryOrDefer(ps *peerState, class int, payload []byte) {
+func (p *Photon) postEntryOrDefer(ps *peerState, class int, ent []byte) {
 	res, err := p.reserve(ps, class)
 	if err != nil {
-		ps.mu.Lock() //photon:allow hotpathalloc -- credit-exhaustion slow path; the fast path never takes this branch
-		//photon:allow hotpathalloc -- credit-exhaustion slow path: the deferred copy and FIFO growth happen only under backpressure
-		ps.pendingEntry = append(ps.pendingEntry, entryOp{class: class, payload: append([]byte(nil), payload...)})
+		ps.mu.Lock()                                                               //photon:allow hotpathalloc -- credit-exhaustion slow path; the fast path never takes this branch
+		ps.pendingEntry = append(ps.pendingEntry, entryOp{class: class, ent: ent}) //photon:allow hotpathalloc -- credit-exhaustion slow path: FIFO growth happens only under backpressure
 		ps.mu.Unlock()
 		ps.deferred.Add(1)
 		p.eng.parked.Add(1)
 		p.stats.deferred.Add(1)
 		return
 	}
-	ent := p.pool.Get(ledger.HeaderSize + len(payload))
-	copy(ent[ledger.HeaderSize:], payload)
-	if err := ledger.EncodeHeader(ent, res.Seq, len(payload)); err != nil {
-		// Payload exceeds entry capacity: engine bug; surface loudly.
-		panic(err)
-	}
+	sealEntry(ent, res)
 	p.postOrPark(ps, ps.rank, ent, res.RemoteAddr, res.RKey, 0, false, true)
 }
 
@@ -365,12 +349,8 @@ func (p *Photon) retryDeferred(ps *peerState) int {
 		if err != nil {
 			break
 		}
-		ent := p.pool.Get(ledger.HeaderSize + len(e.payload))
-		copy(ent[ledger.HeaderSize:], e.payload)
-		if err := ledger.EncodeHeader(ent, res.Seq, len(e.payload)); err != nil {
-			panic(err)
-		}
-		p.postOrPark(ps, ps.rank, ent, res.RemoteAddr, res.RKey, 0, false, true)
+		sealEntry(e.ent, res)
+		p.postOrPark(ps, ps.rank, e.ent, res.RemoteAddr, res.RKey, 0, false, true)
 		ps.mu.Lock()
 		ps.pendingEntry = ps.pendingEntry[1:]
 		ps.mu.Unlock()
@@ -400,16 +380,15 @@ func (p *Photon) retryDeferred(ps *peerState) int {
 	return n
 }
 
-// polledEvent is one parsed ledger arrival, collected under the arena
-// read-lock and dispatched after it is released (dispatch may need to
-// re-acquire arena-guarded state, and RWMutex read locks must not
-// nest).
+// polledEvent is one decoded ledger arrival (see decodeEntry),
+// collected under the arena read-lock and dispatched after it is
+// released (dispatch may need to re-acquire arena-guarded state, and
+// RWMutex read locks must not nest).
 type polledEvent struct {
-	kind   uint8 // reuses the entry type tags (traced variants normalized)
-	rid    uint64
+	kind   entryType
+	rid    uint64 // remote RID, or a rendezvous send's token (RTS, FIN)
 	raddr  uint64
 	rkey   uint32
-	err    error
 	data   []byte // copied out of the ledger slot
 	pooled bool   // data is pool scratch to recycle after dispatch
 	rts    rtsOp
@@ -417,6 +396,9 @@ type polledEvent struct {
 	origin int   // initiator rank from the context
 	ctxNS  int64 // initiator post timestamp from the context
 }
+
+// pollOrder is the order pollPeer drains a peer's ledgers in.
+var pollOrder = [numClasses]int{classSys, classPWC, classEager}
 
 // pollPeer drains this peer's three receive ledgers: one arena lock
 // acquisition for the whole batch, then dispatch outside the lock.
@@ -427,98 +409,55 @@ func (p *Photon) pollPeer(ps *peerState) int {
 	eng.pollScratch = eng.pollScratch[:0]
 	n := 0
 	p.arenaLk.Lock() //photon:allow hotpathalloc -- one arena lock per sweep batch covers every ledger poll; taking it once here is the optimization
-	if !ps.recv[classSys].ReadyLocked() &&
-		!ps.recv[classPWC].ReadyLocked() &&
-		!ps.recv[classEager].ReadyLocked() {
+	ready := false
+	for _, cl := range pollOrder {
+		ready = ready || ps.recv[cl].ReadyLocked()
+	}
+	if !ready {
 		p.arenaLk.Unlock()
 		return 0
 	}
-	for {
-		e, ok := ps.recv[classSys].PollLocked()
-		if !ok {
-			break
-		}
-		ps.consumed[classSys]++
-		n++
-		if ev, ok := parseSys(e); ok {
-			ev.rts.rank = ps.rank
+	for _, cl := range pollOrder {
+		for {
+			e, ok := ps.recv[cl].PollLocked()
+			if !ok {
+				break
+			}
+			ps.consumed[cl]++
+			n++
+			ev, body, ok := decodeEntry(cl, e.Payload)
+			if !ok {
+				continue
+			}
+			switch ev.kind {
+			case tPacked:
+				// The payload copy becomes Completion.Data, owned by
+				// the caller forever — never pool scratch. A posted
+				// receive supplies the destination instead (one atomic
+				// load when none are posted; recvtab rank 35 nests
+				// above arena 30).
+				data, posted := p.recvs.take(ev.rid, len(body))
+				if !posted {
+					data = p.pool.GetOwned(len(body))
+				}
+				copy(data, body)
+				ev.data = data
+			case tPackedPut:
+				// Copy the payload out and place it after the arena
+				// lock is released: ApplyLocal takes registration locks
+				// that may be the very lock guarding this sweep (the
+				// TCP backend uses one table-wide RWMutex), so it must
+				// never run under it. This copy only lives until
+				// ApplyLocal places it, so it can come from the
+				// recycling pool.
+				data := p.pool.Get(len(body))
+				copy(data, body)
+				//photon:allow bufretain -- parked in pollScratch only until dispatch below; ApplyLocal consumes it and Put recycles it in the same sweep
+				ev.data, ev.pooled = data, true
+			case tRTS:
+				ev.rts.rank = ps.rank
+			}
 			eng.pollScratch = append(eng.pollScratch, ev) //photon:allow hotpathalloc -- amortized scratch growth; reset to length 0 each sweep, capacity is reused
-		}
-	}
-	for {
-		e, ok := ps.recv[classPWC].PollLocked()
-		if !ok {
-			break
-		}
-		ps.consumed[classPWC]++
-		n++
-		if len(e.Payload) >= 9 && (e.Payload[0] == tCompletion || e.Payload[0] == tCompletionT) {
-			pe := polledEvent{
-				kind: tCompletion,
-				rid:  binary.LittleEndian.Uint64(e.Payload[1:]),
-			}
-			if e.Payload[0] == tCompletionT && len(e.Payload) >= 9+traceCtxSize {
-				parseTraceCtx(&pe, e.Payload[9:])
-			}
-			//photon:allow hotpathalloc -- amortized scratch growth; reset to length 0 each sweep, capacity is reused
-			eng.pollScratch = append(eng.pollScratch, pe)
-		}
-	}
-	for {
-		e, ok := ps.recv[classEager].PollLocked()
-		if !ok {
-			break
-		}
-		ps.consumed[classEager]++
-		n++
-		switch {
-		case len(e.Payload) >= packedHdrSize && (e.Payload[0] == tPacked || e.Payload[0] == tPackedT):
-			dlen := len(e.Payload) - packedHdrSize
-			pe := polledEvent{
-				kind: tPacked,
-				rid:  binary.LittleEndian.Uint64(e.Payload[1:]),
-			}
-			if e.Payload[0] == tPackedT && dlen >= traceCtxSize {
-				dlen -= traceCtxSize
-				parseTraceCtx(&pe, e.Payload[packedHdrSize+dlen:])
-			}
-			// The payload copy becomes Completion.Data, owned by the
-			// caller forever — never pool scratch. A posted receive
-			// supplies the destination instead (one atomic load when
-			// none are posted; recvtab rank 35 nests above arena 30).
-			data, posted := p.recvs.take(pe.rid, dlen)
-			if !posted {
-				data = p.pool.GetOwned(dlen)
-			}
-			copy(data, e.Payload[packedHdrSize:packedHdrSize+dlen])
-			pe.data = data
-			//photon:allow hotpathalloc -- amortized scratch growth; reset to length 0 each sweep, capacity is reused
-			eng.pollScratch = append(eng.pollScratch, pe)
-		case len(e.Payload) >= packedPutHdrSize && (e.Payload[0] == tPackedPut || e.Payload[0] == tPackedPutT):
-			dlen := len(e.Payload) - packedPutHdrSize
-			pe := polledEvent{
-				kind:   tPackedPut,
-				rid:    binary.LittleEndian.Uint64(e.Payload[1:]),
-				raddr:  binary.LittleEndian.Uint64(e.Payload[9:]),
-				rkey:   binary.LittleEndian.Uint32(e.Payload[17:]),
-				pooled: true,
-			}
-			if e.Payload[0] == tPackedPutT && dlen >= traceCtxSize {
-				dlen -= traceCtxSize
-				parseTraceCtx(&pe, e.Payload[packedPutHdrSize+dlen:])
-			}
-			// Copy the payload out and place it after the arena lock
-			// is released: ApplyLocal takes registration locks that
-			// may be the very lock guarding this sweep (the TCP
-			// backend uses one table-wide RWMutex), so it must never
-			// run under it. This copy only lives until ApplyLocal
-			// places it, so it can come from the recycling pool.
-			data := p.pool.Get(dlen)
-			copy(data, e.Payload[packedPutHdrSize:packedPutHdrSize+dlen])
-			//photon:allow bufretain -- parked in pollScratch only until dispatch below; ApplyLocal consumes it and Put recycles it in the same sweep
-			pe.data = data
-			//photon:allow hotpathalloc -- amortized scratch growth; reset to length 0 each sweep, capacity is reused
-			eng.pollScratch = append(eng.pollScratch, pe)
 		}
 	}
 	p.arenaLk.Unlock()
@@ -535,7 +474,7 @@ func (p *Photon) pollPeer(ps *peerState) int {
 		switch ev.kind {
 		case tCompletion:
 			p.traceDelivery(ps.rank, ev, ev.rid, "ledger.pwc")
-			p.pushRemote(Completion{Rank: ps.rank, RID: ev.rid, Err: ev.err, traced: ev.hasCtx})
+			p.pushRemote(Completion{Rank: ps.rank, RID: ev.rid, traced: ev.hasCtx})
 		case tPacked:
 			p.traceDelivery(ps.rank, ev, ev.rid, "ledger.eager")
 			p.pushRemote(Completion{Rank: ps.rank, RID: ev.rid, Data: ev.data, traced: ev.hasCtx})
@@ -547,7 +486,6 @@ func (p *Photon) pollPeer(ps *peerState) int {
 			}
 		case tRTS:
 			p.traceDelivery(ps.rank, ev, ev.rts.remoteRID, "ledger.rts")
-			ev.rts.traced = ev.hasCtx
 			if !p.startRdzvGet(ev.rts) {
 				ps.mu.Lock()                                  //photon:allow hotpathalloc -- staging-exhaustion slow path; only reached when the slab is full
 				ps.pendingRTS = append(ps.pendingRTS, ev.rts) //photon:allow hotpathalloc -- backpressure FIFO growth; drains to zero in steady state
@@ -571,67 +509,22 @@ func (p *Photon) pollPeer(ps *peerState) int {
 	return n
 }
 
-// parseSys decodes a sys-ledger control entry into a polled event.
-func parseSys(e ledger.Entry) (polledEvent, bool) {
-	if len(e.Payload) < sysMinLen {
-		return polledEvent{}, false
+// handleFIN completes the rendezvous send whose token the FIN carries.
+// The token must name a send toward the FIN's sender: any other FIN —
+// stale, forged, or naming another peer's send or a backend op — is
+// dropped and leaves that op alone.
+func (p *Photon) handleFIN(ps *peerState, tok uint64) {
+	op, ok := p.tok.takeIf(tok, opRdzvSend, ps.rank)
+	if !ok {
+		return
 	}
-	switch e.Payload[0] {
-	case tRTS, tRTST:
-		if len(e.Payload) < rtsEntryLen {
-			return polledEvent{}, false
-		}
-		// A corrupt or hostile size word must not wrap negative when
-		// narrowed to int (slab.Alloc and block.Buf[:size] would panic);
-		// oversize values are rejected here and the entry dropped.
-		size := binary.LittleEndian.Uint64(e.Payload[17:])
-		if size > uint64(maxInt) {
-			return polledEvent{}, false
-		}
-		pe := polledEvent{
-			kind: tRTS,
-			rts: rtsOp{
-				rdzvID:    binary.LittleEndian.Uint64(e.Payload[1:]),
-				remoteRID: binary.LittleEndian.Uint64(e.Payload[9:]),
-				size:      int(size),
-				addr:      binary.LittleEndian.Uint64(e.Payload[25:]),
-				rkey:      binary.LittleEndian.Uint32(e.Payload[33:]),
-			},
-		}
-		if e.Payload[0] == tRTST && len(e.Payload) >= rtsEntryLen+traceCtxSize {
-			parseTraceCtx(&pe, e.Payload[rtsEntryLen:])
-		}
-		return pe, true
-	case tFIN:
-		return polledEvent{kind: tFIN, rid: binary.LittleEndian.Uint64(e.Payload[1:])}, true
-	}
-	return polledEvent{}, false
-}
-
-// handleFIN completes an outstanding rendezvous send.
-func (p *Photon) handleFIN(ps *peerState, id uint64) {
-	p.rdzvMu.Lock()
-	rs, ok := p.rdzvSends[id]
-	if ok {
-		delete(p.rdzvSends, id)
-	}
-	p.rdzvMu.Unlock()
-	if ok {
-		_ = p.be.Deregister(rs.rb)
-		if rs.postNS != 0 {
-			// FIN closes the rendezvous: the target has staged the data
-			// and surfaced its delivery, so one latency closes both the
-			// initiator and the remote-delivery distributions.
-			lat := nowNanos() - rs.postNS
-			p.traceEv(trace.KindComplete, rs.rid, "send.rdzv.done")
-			if r := p.obs.reg; r.Enabled() {
-				r.RecordOp(metrics.OpSend, metrics.StageInitiator, lat)
-				r.RecordOp(metrics.OpSend, metrics.StageRemote, lat)
-			}
-		}
-		if rs.rid != 0 {
-			p.pushLocal(Completion{Rank: ps.rank, RID: rs.rid, traced: rs.postNS != 0})
-		}
+	_ = p.be.Deregister(op.rb)
+	// FIN closes the rendezvous: the target has read the data and
+	// surfaced its delivery, so one latency closes both the initiator
+	// and the remote-delivery distributions (remoteVis).
+	p.opDone(&op, "send.rdzv.done")
+	if op.rid != 0 {
+		p.pushLocal(Completion{Rank: op.rank, RID: op.rid, traced: op.postNS != 0})
 	}
 }
 

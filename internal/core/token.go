@@ -72,6 +72,13 @@ func (t *tokenTable) put(op pendingOp) uint64 {
 // are unknown, already taken, or stale (generation mismatch after the
 // slot was recycled).
 func (t *tokenTable) take(tok uint64) (pendingOp, bool) {
+	return t.takeIf(tok, 0, -1)
+}
+
+// takeIf is take restricted to an op of the given kind toward rank
+// (kind 0 matches any kind, rank -1 any rank). A live token that names
+// another op stays live.
+func (t *tokenTable) takeIf(tok uint64, kind opKind, rank int) (pendingOp, bool) {
 	sh := &t.shards[tok&(tokShards-1)]
 	idx := (tok >> tokShardBits) & tokIdxMask
 	gen := uint32(tok >> 32)
@@ -81,20 +88,28 @@ func (t *tokenTable) take(tok uint64) (pendingOp, bool) {
 		return pendingOp{}, false
 	}
 	s := &sh.slots[idx]
-	if !s.live || s.gen != gen {
+	if !s.live || s.gen != gen || (kind != 0 && s.op.kind != kind) || (rank >= 0 && s.op.rank != rank) {
 		sh.mu.Unlock()
 		return pendingOp{}, false
 	}
 	op := s.op
-	s.op = pendingOp{} // release buffer references
+	sh.release(uint32(idx))
+	sh.mu.Unlock()
+	return op, true
+}
+
+// release frees a live slot: its op references are dropped and its
+// generation bumped (skipping zero), so the slot's old token resolves
+// nothing. Caller holds sh.mu.
+func (sh *tokShard) release(idx uint32) {
+	s := &sh.slots[idx]
+	s.op = pendingOp{}
 	s.live = false
 	s.gen++
 	if s.gen == 0 {
 		s.gen = 1
 	}
-	sh.free = append(sh.free, uint32(idx))
-	sh.mu.Unlock()
-	return op, true
+	sh.free = append(sh.free, idx)
 }
 
 // sweep removes every live op for which keep returns false, appending
@@ -112,13 +127,7 @@ func (t *tokenTable) sweep(keep func(*pendingOp) bool, dst []pendingOp) []pendin
 				continue
 			}
 			dst = append(dst, s.op)
-			s.op = pendingOp{}
-			s.live = false
-			s.gen++
-			if s.gen == 0 {
-				s.gen = 1
-			}
-			sh.free = append(sh.free, uint32(i))
+			sh.release(uint32(i))
 		}
 		sh.mu.Unlock()
 	}

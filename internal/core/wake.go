@@ -113,6 +113,50 @@ func (q *CompQueue) Kick() { q.wake.Kick() }
 // Wake exposes the embedded latch for Notify/SetWakeSink plumbing.
 func (q *CompQueue) Wake() *WakeChan { return q.wake }
 
+// Allgather is the bootstrap exchange of a job whose ranks share one
+// process (the vsim and shm clusters): each rank contributes a blob,
+// the last to arrive publishes them all, and every rank returns the
+// same set, indexed by rank. One Allgather serves any number of
+// rounds: a round publishes only once every rank has returned from the
+// previous one, so one published set is all it keeps.
+type Allgather struct {
+	//photon:lock allgather 95
+	mu      sync.Mutex
+	cond    sync.Cond
+	gen     int
+	arrived int
+	blobs   [][]byte
+	out     [][]byte
+}
+
+// NewAllgather creates the exchange for n ranks.
+func NewAllgather(n int) *Allgather {
+	a := &Allgather{blobs: make([][]byte, n)}
+	a.cond.L = &a.mu
+	return a
+}
+
+// Exchange contributes rank's blob (copied) and blocks until every
+// rank has contributed to this round.
+func (a *Allgather) Exchange(rank int, blob []byte) [][]byte {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	gen := a.gen
+	a.blobs[rank] = append([]byte(nil), blob...)
+	a.arrived++
+	if a.arrived == len(a.blobs) {
+		a.out = a.blobs
+		a.blobs = make([][]byte, len(a.out))
+		a.arrived = 0
+		a.gen++
+		a.cond.Broadcast()
+	}
+	for a.gen == gen {
+		a.cond.Wait()
+	}
+	return a.out
+}
+
 // notifier fans one backend activity event out to every consumer: the
 // BackendNotify latch and every subscribed blocking waiter. Each waiter
 // owns a private capacity-1 channel for the duration of its wait, so a

@@ -32,7 +32,6 @@ import (
 	"photon/internal/fabric"
 	"photon/internal/mem"
 	"photon/internal/nicsim"
-	"photon/internal/verbs"
 )
 
 // Errors returned by the message layer. ErrTimeout wraps the shared
@@ -117,10 +116,10 @@ type Endpoint struct {
 	rank int
 	size int
 	cfg  Config
-	dev  *verbs.Device
-	scq  *verbs.CQ
-	rcq  *verbs.CQ
-	qps  []*verbs.QP
+	nic  *nicsim.NIC
+	scq  *nicsim.CQ
+	rcq  *nicsim.CQ
+	qps  []*nicsim.QP
 
 	//photon:lock ep 10
 	mu        sync.Mutex
@@ -148,7 +147,7 @@ type Endpoint struct {
 }
 
 type rdzvSrc struct {
-	mr   *verbs.MR
+	mr   *nicsim.MR
 	wait *pendingSend
 	tok  uint64 // send token: its flow-control credit settles on FIN
 	peer int
@@ -193,7 +192,7 @@ func NewJobOver(fab *fabric.Fabric, nc nicsim.Config, cfg Config) (*Job, error) 
 	n := fab.NumNodes()
 	j := &Job{fab: fab, eps: make([]*Endpoint, n)}
 	for r := 0; r < n; r++ {
-		dev, err := verbs.Open(fab, r, nc)
+		nic, err := nicsim.New(fab, r, nc)
 		if err != nil {
 			j.Close()
 			return nil, err
@@ -202,10 +201,10 @@ func NewJobOver(fab *fabric.Fabric, nc nicsim.Config, cfg Config) (*Job, error) 
 			rank:      r,
 			size:      n,
 			cfg:       cfg,
-			dev:       dev,
-			scq:       dev.CreateCQ(8192),
-			rcq:       dev.CreateCQ(8192),
-			qps:       make([]*verbs.QP, n),
+			nic:       nic,
+			scq:       nicsim.NewCQ(8192),
+			rcq:       nicsim.NewCQ(8192),
+			qps:       make([]*nicsim.QP, n),
 			rdzvSrc:   make(map[uint64]*rdzvSrc),
 			rdzvDst:   make(map[uint64]*rdzvDst),
 			sendWaits: make(map[uint64]*pendingSend),
@@ -220,7 +219,7 @@ func NewJobOver(fab *fabric.Fabric, nc nicsim.Config, cfg Config) (*Job, error) 
 	}
 	for i := 0; i < n; i++ {
 		for k := 0; k < n; k++ {
-			qp, err := j.eps[i].dev.CreateQP(j.eps[i].scq, j.eps[i].rcq)
+			qp, err := j.eps[i].nic.CreateQP(j.eps[i].scq, j.eps[i].rcq)
 			if err != nil {
 				j.Close()
 				return nil, err
@@ -270,7 +269,7 @@ func (ep *Endpoint) prepost() error {
 		for i := range bufs {
 			bufs[i] = make([]byte, hdrMax+ep.cfg.EagerLimit)
 			wrid := recvWRID(peer, i)
-			if err := ep.qps[peer].PostRecv(verbs.RecvWR{WRID: wrid, Buf: bufs[i]}); err != nil {
+			if err := ep.qps[peer].PostRecv(nicsim.RecvWR{WRID: wrid, Buf: bufs[i]}); err != nil {
 				return err
 			}
 		}
@@ -320,7 +319,7 @@ func (ep *Endpoint) close() {
 		}
 	}
 	ep.mu.Unlock()
-	ep.dev.Close()
+	ep.nic.Close()
 }
 
 // Send transmits data to rank under tag and returns a wait handle; the
@@ -372,7 +371,7 @@ func (ep *Endpoint) Send(rank int, tag uint64, data []byte) (*SendHandle, error)
 	}
 
 	// Rendezvous: register the source and advertise it.
-	mr, err := ep.dev.RegMR(data, verbs.AccessRemoteRead)
+	mr, err := ep.nic.RegisterMemory(data, nicsim.AccessRemoteRead)
 	if err != nil {
 		ep.dropWait(tok)
 		return nil, err
@@ -411,8 +410,8 @@ func (ep *Endpoint) dropWait(tok uint64) {
 // postSendRetry posts a SEND, spinning briefly on a full send queue.
 func (ep *Endpoint) postSendRetry(rank int, frame []byte, tok uint64) error {
 	for {
-		err := ep.qps[rank].PostSend(verbs.SendWR{
-			WRID: tok, Op: verbs.OpSend, Local: frame, Signaled: tok != 0,
+		err := ep.qps[rank].PostSend(nicsim.SendWR{
+			WRID: tok, Op: nicsim.OpSend, Local: frame, Signaled: tok != 0,
 		})
 		if err == nil || !errors.Is(err, nicsim.ErrSQFull) {
 			return err
@@ -545,8 +544,8 @@ func (ep *Endpoint) startRdzvReadLocked(req *recvReq, u *unexpected) {
 	ep.rdzvDst[tok] = &rdzvDst{src: u.src, seq: u.seq, tag: u.tag, buf: dst[:u.size], done: req.done}
 	// Post outside the lock? PostSend is non-blocking and lock-free
 	// with respect to ep.mu; safe to call while holding it.
-	err := ep.qps[u.src].PostSend(verbs.SendWR{
-		WRID: tok, Op: verbs.OpRDMARead, Local: dst[:u.size],
+	err := ep.qps[u.src].PostSend(nicsim.SendWR{
+		WRID: tok, Op: nicsim.OpRDMARead, Local: dst[:u.size],
 		RemoteAddr: u.addr, RKey: u.rkey, Signaled: true,
 	})
 	if err != nil {
@@ -563,7 +562,7 @@ func (ep *Endpoint) startRdzvReadLocked(req *recvReq, u *unexpected) {
 // and rendezvous reads. Returns events handled.
 func (ep *Endpoint) Progress() int {
 	n := 0
-	var cqes [64]verbs.CQE
+	var cqes [64]nicsim.CQE
 	// Receive side.
 	for {
 		k := ep.rcq.PollInto(cqes[:])
@@ -589,11 +588,11 @@ func (ep *Endpoint) Progress() int {
 	return n
 }
 
-func (ep *Endpoint) handleRecvCQE(e verbs.CQE) {
+func (ep *Endpoint) handleRecvCQE(e nicsim.CQE) {
 	peer, slot := recvWRIDParts(e.WRID)
 	ep.mu.Lock()
 	bufs, ok := ep.recvBufs[peer]
-	if !ok || slot >= len(bufs) || e.Status != verbs.StatusOK {
+	if !ok || slot >= len(bufs) || e.Status != nicsim.StatusOK {
 		ep.mu.Unlock()
 		return
 	}
@@ -601,7 +600,7 @@ func (ep *Endpoint) handleRecvCQE(e verbs.CQE) {
 	ep.dispatchFrameLocked(e.SrcNode, frame) //photon:allow lockorder -- every r.done is buffered (cap 1, one completion per request); the send cannot block
 	ep.mu.Unlock()
 	// Re-post the bounce buffer (consumed exactly once).
-	_ = ep.qps[peer].PostRecv(verbs.RecvWR{WRID: e.WRID, Buf: bufs[slot]})
+	_ = ep.qps[peer].PostRecv(nicsim.RecvWR{WRID: e.WRID, Buf: bufs[slot]})
 }
 
 // maxFrameInt bounds untrusted 64-bit size words before narrowing to
@@ -725,7 +724,7 @@ func (ep *Endpoint) dispatchFrameLocked(src int, buf []byte) {
 				delete(ep.tokPeer, s.tok)
 				ep.inflight[s.peer]--
 			}
-			_ = ep.dev.DeregMR(s.mr)
+			_ = ep.nic.DeregisterMemory(s.mr)
 			select {
 			case s.wait.done <- nil:
 			default:
@@ -734,12 +733,12 @@ func (ep *Endpoint) dispatchFrameLocked(src int, buf []byte) {
 	}
 }
 
-func (ep *Endpoint) handleSendCQE(e verbs.CQE) {
+func (ep *Endpoint) handleSendCQE(e nicsim.CQE) {
 	ep.mu.Lock()
 	if d, ok := ep.rdzvDst[e.WRID]; ok {
 		delete(ep.rdzvDst, e.WRID)
 		ep.mu.Unlock()
-		if e.Status == verbs.StatusOK {
+		if e.Status == nicsim.StatusOK {
 			// FIN the sender, then deliver.
 			fin := ep.framePool.Get(finFrameLen)
 			fin[0] = kFIN
@@ -762,7 +761,7 @@ func (ep *Endpoint) handleSendCQE(e verbs.CQE) {
 	ep.mu.Unlock()
 	if ok {
 		var err error
-		if e.Status != verbs.StatusOK {
+		if e.Status != nicsim.StatusOK {
 			err = fmt.Errorf("msg: send failed: %v", e.Status)
 		}
 		select {

@@ -67,6 +67,16 @@ func waitCQE(t *testing.T, cq *CQ) CQE {
 	return CQE{}
 }
 
+// A NIC cannot attach to a node its fabric does not have.
+func TestNewOnBadNodeFails(t *testing.T) {
+	fab := fabric.New(1, fabric.Model{})
+	defer fab.Close()
+	if nic, err := New(fab, 5, Config{}); err == nil {
+		nic.Close()
+		t.Fatal("New on an out-of-range node succeeded")
+	}
+}
+
 func TestSendRecv(t *testing.T) {
 	p := newPair(t, Config{})
 	rbuf := make([]byte, 64)
