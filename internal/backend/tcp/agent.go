@@ -28,20 +28,14 @@ type replyFrame struct {
 	nackSeq uint64
 }
 
-// replyQueue is the unbounded per-peer response queue. Readers append
+// replyQueue is the unbounded per-peer response queue. Readers push
 // (never blocking) and the writer loop drains it ahead of requests;
 // keeping the reader non-blocking breaks the bidirectional-saturation
 // deadlock that bounded reply channels would allow.
-//
-// Pops advance a head index instead of reslicing (`q = q[1:]` would
-// pin every popped frame in the backing array); popped slots are
-// cleared for GC and the array is reused from the start whenever the
-// queue drains, with periodic compaction under sustained backlog.
 type replyQueue struct {
 	//photon:lock tcpreply 60
 	mu   sync.Mutex
-	q    []replyFrame
-	head int
+	q    mem.Queue[replyFrame]
 	wake chan struct{}
 }
 
@@ -51,7 +45,7 @@ func newReplyQueue() *replyQueue {
 
 func (r *replyQueue) push(f replyFrame) {
 	r.mu.Lock()
-	r.q = append(r.q, f)
+	r.q.PushBack(f)
 	r.mu.Unlock()
 	r.notify()
 }
@@ -68,23 +62,7 @@ func (r *replyQueue) notify() {
 func (r *replyQueue) pop() (replyFrame, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.head == len(r.q) {
-		r.q = r.q[:0]
-		r.head = 0
-		return replyFrame{}, false
-	}
-	f := r.q[r.head]
-	r.q[r.head] = replyFrame{}
-	r.head++
-	if r.head == len(r.q) {
-		r.q = r.q[:0]
-		r.head = 0
-	} else if r.head >= 256 && r.head*2 >= len(r.q) {
-		n := copy(r.q, r.q[r.head:])
-		r.q = r.q[:n]
-		r.head = 0
-	}
-	return f, true
+	return r.q.PopFront()
 }
 
 // requeue returns popped frames to the FRONT of the queue in their
@@ -98,15 +76,8 @@ func (r *replyQueue) requeue(fs []replyFrame) {
 		return
 	}
 	r.mu.Lock()
-	if r.head >= len(fs) {
-		r.head -= len(fs)
-		copy(r.q[r.head:], fs)
-	} else {
-		nq := make([]replyFrame, 0, len(fs)+len(r.q)-r.head)
-		nq = append(nq, fs...)
-		nq = append(nq, r.q[r.head:]...)
-		r.q = nq
-		r.head = 0
+	for i := len(fs) - 1; i >= 0; i-- {
+		r.q.PushFront(fs[i])
 	}
 	r.mu.Unlock()
 	r.notify()
@@ -144,8 +115,7 @@ type winEntry struct {
 type sendWindow struct {
 	//photon:lock tcpwin 50
 	mu      sync.Mutex
-	ents    []winEntry
-	head    int
+	ents    mem.Queue[winEntry]
 	done    uint64 // highest seq resolved
 	stalled bool   // the writer found the window full; wake it on retire
 	hiwat   int    // deepest the window has been
@@ -164,8 +134,8 @@ func newSendWindow() *sendWindow {
 // and reports whether the window is now full.
 func (w *sendWindow) add(frame []byte, tok uint64, signaled bool) (full bool) {
 	w.mu.Lock()
-	w.ents = append(w.ents, winEntry{frame: frame, tok: tok, signaled: signaled})
-	d := len(w.ents) - w.head
+	w.ents.PushBack(winEntry{frame: frame, tok: tok, signaled: signaled})
+	d := w.ents.Len()
 	if d > w.hiwat {
 		w.hiwat = d
 	}
@@ -179,7 +149,7 @@ func (w *sendWindow) add(frame []byte, tok uint64, signaled bool) (full bool) {
 func (w *sendWindow) room() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.ents)-w.head < winMax {
+	if w.ents.Len() < winMax {
 		return true
 	}
 	w.stalled = true
@@ -191,21 +161,18 @@ func (w *sendWindow) room() bool {
 // frame is never replayed, and the writer copied its bytes into a
 // flush before the peer could see it. Caller holds w.mu.
 func (w *sendWindow) retire(n int, dst []uint64) []uint64 {
-	for i := w.head; i < w.head+n; i++ {
-		e := &w.ents[i]
+	for i := 0; i < n; i++ {
+		e, _ := w.ents.PopFront()
 		if e.signaled {
 			dst = append(dst, e.tok)
 		}
 		mem.PutFrame(e.frame)
-		*e = winEntry{}
 	}
-	w.head += n
 	w.done += uint64(n)
-	if w.stalled && len(w.ents)-w.head < winMax {
+	if w.stalled && w.ents.Len() < winMax {
 		w.stalled = false
 		nudge(w.freed)
 	}
-	w.compact()
 	return dst
 }
 
@@ -215,7 +182,7 @@ func (w *sendWindow) retire(n int, dst []uint64) []uint64 {
 func (w *sendWindow) ackTo(k uint64, dst []uint64) []uint64 {
 	w.mu.Lock()
 	if k > w.done {
-		n := len(w.ents) - w.head
+		n := w.ents.Len()
 		if k-w.done < uint64(n) {
 			n = int(k - w.done)
 		}
@@ -231,7 +198,7 @@ func (w *sendWindow) ackTo(k uint64, dst []uint64) []uint64 {
 func (w *sendWindow) takeNack(seq uint64) (uint64, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if seq != w.done+1 || w.head == len(w.ents) || !w.ents[w.head].signaled {
+	if seq != w.done+1 || w.ents.Len() == 0 || !w.ents.At(0).signaled {
 		return 0, false
 	}
 	var tok [1]uint64
@@ -243,7 +210,9 @@ func (w *sendWindow) takeNack(seq uint64) (uint64, bool) {
 // after a reconnect).
 func (w *sendWindow) pending(dst []winEntry) []winEntry {
 	w.mu.Lock()
-	dst = append(dst, w.ents[w.head:]...)
+	for i := 0; i < w.ents.Len(); i++ {
+		dst = append(dst, w.ents.At(i))
+	}
 	w.mu.Unlock()
 	return dst
 }
@@ -254,15 +223,12 @@ func (w *sendWindow) pending(dst []winEntry) []winEntry {
 // into a flush toward the dead connection.
 func (w *sendWindow) drainAll(dst []uint64) []uint64 {
 	w.mu.Lock()
-	for i := w.head; i < len(w.ents); i++ {
-		if e := &w.ents[i]; e.signaled {
+	for e, ok := w.ents.PopFront(); ok; e, ok = w.ents.PopFront() {
+		if e.signaled {
 			dst = append(dst, e.tok)
 		}
-		w.ents[i] = winEntry{}
+		w.done++
 	}
-	w.done += uint64(len(w.ents) - w.head)
-	w.ents = w.ents[:0]
-	w.head = 0
 	w.mu.Unlock()
 	return dst
 }
@@ -272,18 +238,6 @@ func (w *sendWindow) peak() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.hiwat
-}
-
-// compact releases popped slots; caller holds w.mu.
-func (w *sendWindow) compact() {
-	if w.head == len(w.ents) {
-		w.ents = w.ents[:0]
-		w.head = 0
-	} else if w.head >= 256 && w.head*2 >= len(w.ents) {
-		n := copy(w.ents, w.ents[w.head:])
-		w.ents = w.ents[:n]
-		w.head = 0
-	}
 }
 
 // safeStamp computes the cumulative ack a request or standalone-ack
@@ -1026,29 +980,29 @@ func (b *Backend) Exchange(local []byte) ([][]byte, error) {
 	// Wait for the root's broadcast.
 	b.exgMu.Lock()
 	defer b.exgMu.Unlock()
-	for len(b.exgResp) == 0 {
+	for {
+		if out, ok := b.exgResp.PopFront(); ok {
+			return out, nil
+		}
 		if b.isClosed() {
 			return nil, core.ErrClosed
 		}
 		b.exgCond.Wait()
 	}
-	out := b.exgResp[0]
-	b.exgResp = b.exgResp[1:]
-	return out, nil
 }
 
 func (b *Backend) exchangeRoot(local []byte) ([][]byte, error) {
 	b.exgMu.Lock()
-	b.exgSelf = append(b.exgSelf, append([]byte(nil), local...))
+	b.exgSelf.PushBack(append([]byte(nil), local...))
 	// Wait until one blob from every peer (and self) is queued.
 	for {
 		if b.isClosed() {
 			b.exgMu.Unlock()
 			return nil, core.ErrClosed
 		}
-		ready := len(b.exgSelf) > 0
+		ready := b.exgSelf.Len() > 0
 		for r := 1; r < b.size; r++ {
-			if len(b.exgGather[r]) == 0 {
+			if b.exgGather[r].Len() == 0 {
 				ready = false
 				break
 			}
@@ -1059,11 +1013,9 @@ func (b *Backend) exchangeRoot(local []byte) ([][]byte, error) {
 		b.exgCond.Wait()
 	}
 	out := make([][]byte, b.size)
-	out[0] = b.exgSelf[0]
-	b.exgSelf = b.exgSelf[1:]
+	out[0], _ = b.exgSelf.PopFront()
 	for r := 1; r < b.size; r++ {
-		out[r] = b.exgGather[r][0]
-		b.exgGather[r] = b.exgGather[r][1:]
+		out[r], _ = b.exgGather[r].PopFront()
 	}
 	b.exgMu.Unlock()
 	// Broadcast the result.
@@ -1089,7 +1041,7 @@ func (b *Backend) handleExg(peer int, body []byte) {
 	}
 	blob := append([]byte(nil), body[4:4+n]...)
 	b.exgMu.Lock()
-	b.exgGather[peer] = append(b.exgGather[peer], blob)
+	b.exgGather[peer].PushBack(blob)
 	b.exgCond.Broadcast()
 	b.exgMu.Unlock()
 }
@@ -1101,7 +1053,7 @@ func (b *Backend) handleExgResp(body []byte) {
 		return
 	}
 	b.exgMu.Lock()
-	b.exgResp = append(b.exgResp, out)
+	b.exgResp.PushBack(out)
 	b.exgCond.Broadcast()
 	b.exgMu.Unlock()
 }
@@ -1129,6 +1081,11 @@ func decodeExgResp(body []byte) ([][]byte, error) {
 		return nil, fmt.Errorf("tcp: short exchange response")
 	}
 	count := int(binary.LittleEndian.Uint32(body))
+	if count > (len(body)-4)/4 {
+		// Every blob carries a 4-byte length: a count the body cannot
+		// hold would size the result from an untrusted number.
+		return nil, fmt.Errorf("tcp: exchange response claims %d blobs in %d bytes", count, len(body))
+	}
 	out := make([][]byte, 0, count)
 	off := 4
 	for i := 0; i < count; i++ {

@@ -12,71 +12,74 @@ import (
 	"photon/internal/core"
 )
 
-// --- replyQueue retention / compaction ---
+// --- replyQueue retention / order ---
 
-// TestReplyQueueNoRetention is the regression test for the pop path:
-// a popped frame's slot in the backing array must be cleared, or the
-// array pins every response payload ever queued until the next
-// reallocation (reads of large buffers would accumulate as garbage
-// the GC cannot reclaim).
+// TestReplyQueueNoRetention is the regression test for the pop path: a
+// popped frame must not stay reachable from the queue, or the queue
+// pins every response payload ever queued (reads of large buffers
+// would accumulate as garbage the GC cannot reclaim). The payload's
+// finalizer runs only once nothing references it.
 func TestReplyQueueNoRetention(t *testing.T) {
 	rq := newReplyQueue()
-	rq.push(replyFrame{data: make([]byte, 1<<20)})
-	rq.push(replyFrame{data: make([]byte, 1<<20)})
+	freed := make(chan struct{})
+	big := make([]byte, 1<<20)
+	runtime.SetFinalizer(&big[0], func(*byte) { close(freed) })
+	rq.push(replyFrame{data: big})
 	rq.push(replyFrame{data: []byte("tail")})
-
-	for i := 0; i < 2; i++ {
-		if _, ok := rq.pop(); !ok {
-			t.Fatalf("pop %d: queue empty", i)
+	big = nil
+	if f, ok := rq.pop(); !ok || len(f.data) != 1<<20 {
+		t.Fatalf("first pop = %d bytes, %v", len(f.data), ok)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-freed:
+			done = true
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("popped payload is still reachable from the queue")
+			}
 		}
 	}
-	rq.mu.Lock()
-	for i := 0; i < rq.head; i++ {
-		if rq.q[i].data != nil {
-			t.Fatalf("popped slot %d still references its payload", i)
-		}
-	}
-	rq.mu.Unlock()
-
-	// Draining the queue must reset it to reuse the array from the
-	// start rather than appending past a stale head forever.
 	if f, ok := rq.pop(); !ok || string(f.data) != "tail" {
 		t.Fatalf("tail pop = %q, %v", f.data, ok)
 	}
-	rq.mu.Lock()
-	if rq.head != 0 || len(rq.q) != 0 {
-		t.Fatalf("drained queue not reset: head=%d len=%d", rq.head, len(rq.q))
+	if _, ok := rq.pop(); ok {
+		t.Fatal("pop from a drained queue succeeded")
 	}
-	rq.mu.Unlock()
 }
 
-// TestReplyQueueCompaction exercises the sustained-backlog path: once
-// enough slots have been popped, the live tail is copied down so the
-// dead prefix is released instead of growing without bound.
-func TestReplyQueueCompaction(t *testing.T) {
+// TestReplyQueueRequeue covers a flush lost with its connection: the
+// writer requeues the frames it had popped, and they must go out
+// again first, in their original order, ahead of a non-empty backlog
+// that has wrapped the queue's ring, even when they outgrow it.
+func TestReplyQueueRequeue(t *testing.T) {
 	rq := newReplyQueue()
 	const n = 600
 	for i := 0; i < n; i++ {
-		rq.push(replyFrame{data: []byte{byte(i)}, stamp: uint64(i)})
+		rq.push(replyFrame{stamp: uint64(i)})
 	}
+	var popped []replyFrame
 	for i := 0; i < n/2; i++ {
 		f, ok := rq.pop()
 		if !ok || f.stamp != uint64(i) {
 			t.Fatalf("pop %d = stamp %d, %v", i, f.stamp, ok)
 		}
+		popped = append(popped, f)
 	}
-	rq.mu.Lock()
-	head, length := rq.head, len(rq.q)
-	rq.mu.Unlock()
-	if head != 0 || length != n/2 {
-		t.Fatalf("no compaction after %d pops: head=%d len=%d", n/2, head, length)
+	for i := n; i < 2*n; i++ {
+		rq.push(replyFrame{stamp: uint64(i)})
 	}
-	// FIFO order must survive compaction.
-	for i := n / 2; i < n; i++ {
+	rq.requeue(popped[n/6:])
+	for want := uint64(n / 6); want < 2*n; want++ {
 		f, ok := rq.pop()
-		if !ok || f.stamp != uint64(i) {
-			t.Fatalf("post-compaction pop = stamp %d, %v (want %d)", f.stamp, ok, i)
+		if !ok || f.stamp != want {
+			t.Fatalf("pop after requeue = stamp %d, %v (want %d)", f.stamp, ok, want)
 		}
+	}
+	if _, ok := rq.pop(); ok {
+		t.Fatal("queue holds frames it was never given")
 	}
 }
 

@@ -239,9 +239,9 @@ type Backend struct {
 	//photon:lock tcpexg 80
 	exgMu     sync.Mutex
 	exgCond   *sync.Cond
-	exgResp   [][][]byte       // queue of completed exchanges (non-root waits here)
-	exgGather map[int][][]byte // root: per-rank queues of received blobs
-	exgSelf   [][]byte         // root: own blobs queued per generation
+	exgResp   mem.Queue[[][]byte] // completed exchanges (non-root waits here)
+	exgGather []mem.Queue[[]byte] // root: per-rank queues of received blobs
+	exgSelf   mem.Queue[[]byte]   // root: own blobs queued per generation
 
 	closed chan struct{}
 	//photon:lock tcpclose 90
@@ -279,7 +279,7 @@ func New(cfg Config) (*Backend, error) {
 		mem:       mem.NewRegTable("tcp"),
 		pendBuf:   make(map[uint64]pendDst),
 		sentResp:  make([]map[uint64]struct{}, n),
-		exgGather: make(map[int][][]byte),
+		exgGather: make([]mem.Queue[[]byte], n),
 		compq:     core.NewCompQueue(),
 		closed:    make(chan struct{}),
 	}
@@ -398,22 +398,35 @@ func (b *Backend) awaitMesh(budget time.Duration) error {
 // this side has applied (the retransmit cut point; 0 on an initial
 // connection, where nothing has been applied yet).
 func writeHello(conn net.Conn, rank int, flags uint32, applied uint64) error {
+	hs := encodeHello(rank, flags, applied)
+	_, err := conn.Write(hs[:])
+	return err
+}
+
+func encodeHello(rank int, flags uint32, applied uint64) [hsLen]byte {
 	var hs [hsLen]byte
 	binary.LittleEndian.PutUint32(hs[0:], wireMagic)
 	binary.LittleEndian.PutUint32(hs[4:], wireVersion)
 	binary.LittleEndian.PutUint32(hs[8:], uint32(rank))
 	binary.LittleEndian.PutUint32(hs[12:], flags)
 	binary.LittleEndian.PutUint64(hs[16:], applied)
-	_, err := conn.Write(hs[:])
-	return err
+	return hs
 }
 
-// readHello validates magic and wire version and returns the sender's
-// rank, flags, and applied count.
+// readHello reads one hello off conn and parses it.
 func readHello(conn net.Conn) (rank int, flags uint32, applied uint64, err error) {
 	var hs [hsLen]byte
 	if _, rerr := io.ReadFull(conn, hs[:]); rerr != nil {
 		return 0, 0, 0, fmt.Errorf("%w: %v", ErrHandshake, rerr)
+	}
+	return parseHello(hs[:])
+}
+
+// parseHello validates magic and wire version and returns the sender's
+// rank, flags, and applied count.
+func parseHello(hs []byte) (rank int, flags uint32, applied uint64, err error) {
+	if len(hs) < hsLen {
+		return 0, 0, 0, fmt.Errorf("%w: short hello (%d bytes)", ErrHandshake, len(hs))
 	}
 	if m := binary.LittleEndian.Uint32(hs[0:]); m != wireMagic {
 		return 0, 0, 0, fmt.Errorf("%w: bad magic %#x", ErrHandshake, m)

@@ -56,7 +56,7 @@ func TestTCPUnsignaledWindowBounded(t *testing.T) {
 		lk.Unlock()
 		w := bes[0].windows[1]
 		w.mu.Lock()
-		depth := len(w.ents) - w.head
+		depth := w.ents.Len()
 		w.mu.Unlock()
 		if last == n && depth < ackEvery {
 			break

@@ -40,7 +40,7 @@ import (
 func runE17(scale float64) (*Report, error) {
 	warmProcess(scaled(50, scale))
 
-	lean := core.Config{LedgerSlots: 16, EagerEntrySize: 256, CompQueueDepth: 256, RdzvSlabSize: 64 << 10}
+	lean := core.Config{LedgerSlots: 16, EagerEntrySize: 256, RdzvSlabSize: 64 << 10}
 
 	// Leg a: abort latency vs ranks, detector on/off. The deadline-only
 	// column reads the configured deadline by construction, so a quick

@@ -90,7 +90,7 @@ func newChaosWorld(t *testing.T, n int, ccfg collectives.Config, coreCfg core.Co
 // leanCfg keeps per-rank engine state small enough for many-rank
 // in-process clusters.
 func leanCfg() core.Config {
-	return core.Config{LedgerSlots: 16, EagerEntrySize: 256, CompQueueDepth: 256, RdzvSlabSize: 64 << 10}
+	return core.Config{LedgerSlots: 16, EagerEntrySize: 256, RdzvSlabSize: 64 << 10}
 }
 
 // runAllErrs runs fn concurrently on every rank and returns the

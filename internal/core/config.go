@@ -63,12 +63,6 @@ type Config struct {
 	// default) disables the sweep. When set, blocking waits without an
 	// explicit timeout are implicitly bounded by 2×OpTimeout.
 	OpTimeout time.Duration
-	// CompQueueDepth is the fixed capacity of each harvested-completion
-	// ring (local and remote), rounded up to a power of two (default
-	// 1024). Overflow spills to an unbounded list — nothing is dropped
-	// — but spilling re-introduces allocation, so size this above the
-	// workload's harvest lag (Stats.RingOverflows counts spills).
-	CompQueueDepth int
 
 	// Trace, when non-nil, receives this instance's op-lifecycle events;
 	// without it nothing is recorded. The ring must also be Enabled: a
@@ -116,12 +110,6 @@ func (c *Config) setDefaults() error {
 		if c.CreditBatch < 1 {
 			c.CreditBatch = 1
 		}
-	}
-	if c.CompQueueDepth == 0 {
-		c.CompQueueDepth = 1024
-	}
-	if c.CompQueueDepth < 1 {
-		return fmt.Errorf("photon: completion queue depth must be positive")
 	}
 	if c.TraceSampleShift < 0 || c.TraceSampleShift > 62 {
 		return fmt.Errorf("photon: trace sample shift %d out of range [0, 62]", c.TraceSampleShift)

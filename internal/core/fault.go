@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"photon/internal/mem"
 	"photon/internal/trace"
 )
 
@@ -167,23 +168,13 @@ func (p *Photon) failAllInflight() {
 // their pooled scratch is recycled here (unlike token-swept ops).
 func (p *Photon) failDeferred(ps *peerState, err error) int {
 	ps.mu.Lock()
-	wire := ps.pendingWire
-	ps.pendingWire = nil
-	entries := len(ps.pendingEntry)
-	ps.pendingEntry = nil
-	rts := len(ps.pendingRTS)
-	ps.pendingRTS = nil
+	dropped := ps.pendingEntry.Len() + ps.pendingRTS.Len()
+	ps.pendingEntry = mem.Queue[entryOp]{}
+	ps.pendingRTS = mem.Queue[rtsOp]{}
 	ps.mu.Unlock()
-	dropped := int64(len(wire) + entries + rts)
-	if dropped == 0 {
-		return 0
-	}
-	ps.deferred.Add(-dropped)
-	p.eng.parked.Add(-dropped)
-	for i := range wire {
-		p.failWire(&wire[i], err)
-	}
-	return int(dropped)
+	ps.deferred.Add(-int64(dropped))
+	p.eng.parked.Add(-int64(dropped))
+	return dropped + p.failDeferredWire(ps, err)
 }
 
 // failDeferredWire drops only the parked wire queue (retryDeferred's
@@ -192,17 +183,15 @@ func (p *Photon) failDeferred(ps *peerState, err error) int {
 func (p *Photon) failDeferredWire(ps *peerState, err error) int {
 	ps.mu.Lock()
 	wire := ps.pendingWire
-	ps.pendingWire = nil
+	ps.pendingWire = mem.Queue[wireOp]{}
 	ps.mu.Unlock()
-	if len(wire) == 0 {
-		return 0
+	n := wire.Len()
+	ps.deferred.Add(-int64(n))
+	p.eng.parked.Add(-int64(n))
+	for w, ok := wire.PopFront(); ok; w, ok = wire.PopFront() {
+		p.failWire(&w, err)
 	}
-	ps.deferred.Add(-int64(len(wire)))
-	p.eng.parked.Add(-int64(len(wire)))
-	for i := range wire {
-		p.failWire(&wire[i], err)
-	}
-	return len(wire)
+	return n
 }
 
 // failWire fails one wire op that never reached the transport.

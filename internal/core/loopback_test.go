@@ -20,10 +20,9 @@ type loopBackend struct {
 	nextRKey uint32
 	nextBase uint64
 
-	// comps is a fixed ring of pending completions (no allocation on
-	// the post path).
-	comps      [4096]core.BackendCompletion
-	head, tail int
+	// comps holds pending completions (no allocation on a warm post
+	// path).
+	comps mem.Queue[core.BackendCompletion]
 
 	// captureTokens, when set, records signaled tokens instead of
 	// completing them (the test injects completions itself).
@@ -96,11 +95,9 @@ func (l *loopBackend) apply(raddr uint64, rkey uint32, data []byte) error {
 	return nil
 }
 
-// pushLocked queues one completion; the ring is sized far beyond any
-// test's in-flight window.
+// pushLocked queues one completion.
 func (l *loopBackend) pushLocked(c core.BackendCompletion) {
-	l.comps[l.tail%len(l.comps)] = c
-	l.tail++
+	l.comps.PushBack(c)
 	l.wake.Kick()
 }
 
@@ -209,13 +206,7 @@ func (l *loopBackend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
 func (l *loopBackend) Poll(dst []core.BackendCompletion) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := 0
-	for l.head < l.tail && n < len(dst) {
-		dst[n] = l.comps[l.head%len(l.comps)]
-		l.head++
-		n++
-	}
-	return n
+	return l.comps.PopInto(dst)
 }
 
 func (l *loopBackend) Exchange(local []byte) ([][]byte, error) {

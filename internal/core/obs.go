@@ -181,8 +181,8 @@ func (p *Photon) counters(set func(name string, v int64)) {
 	set("batched_ops", s.BatchedOps)
 
 	eng := &p.eng
-	set("local_cq_highwater", eng.localCQ.highWater())
-	set("remote_cq_highwater", eng.remoteCQ.highWater())
+	set("local_cq_highwater", eng.localCQ.hw.Load())
+	set("remote_cq_highwater", eng.remoteCQ.hw.Load())
 	set("deferred_parked", eng.parked.Load())
 	set("credit_hint_pending", eng.creditHintTotal.Load())
 	set("engine_reaps", eng.reaps.Load())

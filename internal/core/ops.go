@@ -372,7 +372,7 @@ func (p *Photon) reserve(ps *peerState, class int) (ledger.Reservation, error) {
 //photon:hotpath
 func (p *Photon) postOrPark(ps *peerState, rank int, local []byte, raddr uint64, rkey uint32, token uint64, signaled, pooled bool) {
 	ps.mu.Lock() //photon:allow hotpathalloc -- per-peer lock held for one length check; uncontended on the single-threaded fast path
-	parked := len(ps.pendingWire) > 0
+	parked := ps.pendingWire.Len() > 0
 	ps.mu.Unlock()
 	if !parked {
 		err := p.be.PostWrite(rank, local, raddr, rkey, token, signaled)
@@ -395,8 +395,8 @@ func (p *Photon) postOrPark(ps *peerState, rank int, local []byte, raddr uint64,
 //
 //photon:hotpath
 func (p *Photon) parkWire(ps *peerState, w wireOp) {
-	ps.mu.Lock()                               //photon:allow hotpathalloc -- per-peer lock guarding the deferred FIFO; only taken once the transport pushed back
-	ps.pendingWire = append(ps.pendingWire, w) //photon:allow hotpathalloc -- backpressure slow path; growth is amortized and the FIFO shrinks to zero in steady state
+	ps.mu.Lock() //photon:allow hotpathalloc -- per-peer lock guarding the deferred FIFO; only taken once the transport pushed back
+	ps.pendingWire.PushBack(w)
 	ps.mu.Unlock()
 	ps.deferred.Add(1)
 	p.eng.parked.Add(1)
@@ -411,7 +411,7 @@ func (p *Photon) parkWire(ps *peerState, w wireOp) {
 //photon:hotpath
 func (p *Photon) postPair(ps *peerState, rank int, a, b wireOp) {
 	ps.mu.Lock() //photon:allow hotpathalloc -- per-peer lock held for one length check; uncontended on the single-threaded fast path
-	parked := len(ps.pendingWire) > 0
+	parked := ps.pendingWire.Len() > 0
 	ps.mu.Unlock()
 	if parked {
 		p.parkWire(ps, a)

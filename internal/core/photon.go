@@ -101,7 +101,7 @@ type Stats struct {
 	// Hot-path memory/batching counters.
 	EntryPoolHits   int64 // entry scratch served from the free list
 	EntryPoolMisses int64 // entry scratch that had to allocate
-	RingOverflows   int64 // completions spilled past CompQueueDepth
+	RingOverflows   int64 // completion-ring growths past their initial 1024 slots
 	BatchPosts      int64 // doorbell batches issued (PostWriteBatch)
 	BatchedOps      int64 // writes carried by those batches
 }
@@ -220,9 +220,9 @@ type peerState struct {
 	mu           sync.Mutex
 	lastMail     [numClasses]uint64 // mailbox value already credited
 	lastReturned [numClasses]int64  // consumed count already written back
-	pendingWire  []wireOp
-	pendingEntry []entryOp
-	pendingRTS   []rtsOp
+	pendingWire  mem.Queue[wireOp]
+	pendingEntry mem.Queue[entryOp]
+	pendingRTS   mem.Queue[rtsOp]
 	remoteArena  mem.RemoteBuffer // peer's arena descriptor
 }
 
@@ -321,8 +321,8 @@ func Init(be Backend, cfg Config) (*Photon, error) {
 		size: be.Size(),
 		pool: mem.NewBufPool(poolBuf, 256),
 		eng: engine{
-			localCQ:     newCompRing(cfg.CompQueueDepth),
-			remoteCQ:    newCompRing(cfg.CompQueueDepth),
+			localCQ:     newCompRing(),
+			remoteCQ:    newCompRing(),
 			wireScratch: make([]wireOp, 0, wireBatchMax),
 			reqScratch:  make([]WriteReq, 0, wireBatchMax),
 		},
@@ -451,7 +451,7 @@ func (p *Photon) EagerThreshold() int {
 // Stats returns an activity snapshot.
 func (p *Photon) Stats() Stats {
 	hits, misses := p.pool.Counters()
-	overflows := p.eng.localCQ.overflowCount() + p.eng.remoteCQ.overflowCount()
+	overflows := p.eng.localCQ.overflows.Load() + p.eng.remoteCQ.overflows.Load()
 	return Stats{
 		PutsDirect:     p.stats.putsDirect.Load(),
 		PutsPacked:     p.stats.putsPacked.Load(),

@@ -262,8 +262,8 @@ func (p *Photon) sendFIN(rank int, tok uint64) {
 func (p *Photon) postEntryOrDefer(ps *peerState, class int, ent []byte) {
 	res, err := p.reserve(ps, class)
 	if err != nil {
-		ps.mu.Lock()                                                               //photon:allow hotpathalloc -- credit-exhaustion slow path; the fast path never takes this branch
-		ps.pendingEntry = append(ps.pendingEntry, entryOp{class: class, ent: ent}) //photon:allow hotpathalloc -- credit-exhaustion slow path: FIFO growth happens only under backpressure
+		ps.mu.Lock() //photon:allow hotpathalloc -- credit-exhaustion slow path; the fast path never takes this branch
+		ps.pendingEntry.PushBack(entryOp{class: class, ent: ent})
 		ps.mu.Unlock()
 		ps.deferred.Add(1)
 		p.eng.parked.Add(1)
@@ -287,19 +287,19 @@ func (p *Photon) retryDeferred(ps *peerState) int {
 	// Wire writes. Snapshot a batch under the lock, post it outside,
 	// then pop what was accepted. Only the engine (serialized by its
 	// mutex, under which the fault plane also drops these queues)
-	// removes from pendingWire, and producers append at the tail, so
+	// removes from pendingWire, and producers push at the back, so
 	// the snapshot stays valid.
 	for {
 		ps.mu.Lock()
-		k := len(ps.pendingWire)
+		k := min(ps.pendingWire.Len(), wireBatchMax)
 		if k == 0 {
 			ps.mu.Unlock()
 			break
 		}
-		if k > wireBatchMax {
-			k = wireBatchMax
+		batch := eng.wireScratch[:0]
+		for i := 0; i < k; i++ {
+			batch = append(batch, ps.pendingWire.At(i))
 		}
-		batch := append(eng.wireScratch[:0], ps.pendingWire[:k]...)
 		ps.mu.Unlock()
 
 		reqs := eng.reqScratch[:0]
@@ -314,7 +314,9 @@ func (p *Photon) retryDeferred(ps *peerState) int {
 			p.stats.batchPosts.Add(1)
 			p.stats.batchedOps.Add(int64(posted))
 			ps.mu.Lock()
-			ps.pendingWire = ps.pendingWire[posted:]
+			for i := 0; i < posted; i++ {
+				ps.pendingWire.PopFront()
+			}
 			ps.mu.Unlock()
 			for i := 0; i < posted; i++ {
 				if batch[i].pooled {
@@ -339,11 +341,11 @@ func (p *Photon) retryDeferred(ps *peerState) int {
 	// Ledger entries awaiting credits.
 	for {
 		ps.mu.Lock()
-		if len(ps.pendingEntry) == 0 {
+		if ps.pendingEntry.Len() == 0 {
 			ps.mu.Unlock()
 			break
 		}
-		e := ps.pendingEntry[0]
+		e := ps.pendingEntry.At(0)
 		ps.mu.Unlock()
 		res, err := p.reserve(ps, e.class)
 		if err != nil {
@@ -352,7 +354,7 @@ func (p *Photon) retryDeferred(ps *peerState) int {
 		sealEntry(e.ent, res)
 		p.postOrPark(ps, ps.rank, e.ent, res.RemoteAddr, res.RKey, 0, false, true)
 		ps.mu.Lock()
-		ps.pendingEntry = ps.pendingEntry[1:]
+		ps.pendingEntry.PopFront()
 		ps.mu.Unlock()
 		ps.deferred.Add(-1)
 		eng.parked.Add(-1)
@@ -361,17 +363,17 @@ func (p *Photon) retryDeferred(ps *peerState) int {
 	// Inbound rendezvous awaiting slab space.
 	for {
 		ps.mu.Lock()
-		if len(ps.pendingRTS) == 0 {
+		if ps.pendingRTS.Len() == 0 {
 			ps.mu.Unlock()
 			break
 		}
-		r := ps.pendingRTS[0]
+		r := ps.pendingRTS.At(0)
 		ps.mu.Unlock()
 		if !p.startRdzvGet(r) {
 			break
 		}
 		ps.mu.Lock()
-		ps.pendingRTS = ps.pendingRTS[1:]
+		ps.pendingRTS.PopFront()
 		ps.mu.Unlock()
 		ps.deferred.Add(-1)
 		eng.parked.Add(-1)
@@ -487,8 +489,8 @@ func (p *Photon) pollPeer(ps *peerState) int {
 		case tRTS:
 			p.traceDelivery(ps.rank, ev, ev.rts.remoteRID, "ledger.rts")
 			if !p.startRdzvGet(ev.rts) {
-				ps.mu.Lock()                                  //photon:allow hotpathalloc -- staging-exhaustion slow path; only reached when the slab is full
-				ps.pendingRTS = append(ps.pendingRTS, ev.rts) //photon:allow hotpathalloc -- backpressure FIFO growth; drains to zero in steady state
+				ps.mu.Lock() //photon:allow hotpathalloc -- staging-exhaustion slow path; only reached when the slab is full
+				ps.pendingRTS.PushBack(ev.rts)
 				ps.mu.Unlock()
 				ps.deferred.Add(1)
 				eng.parked.Add(1)

@@ -179,3 +179,55 @@ func TestConcurrentWaitersNotStarved(t *testing.T) {
 		}
 	}
 }
+
+// TestCompRingGrowsPastInitialSlots queues more local completions than
+// the ring's initial 1024 slots without harvesting any. The ring must
+// grow instead of dropping or reordering: RingOverflows counts the one
+// growth, the high-water gauge reads the full depth, a wait takes an
+// RID out of the middle, and the rest pop in post order.
+func TestCompRingGrowsPastInitialSlots(t *testing.T) {
+	p, dst := loopEnv(t, core.Config{})
+	const n = 1100
+	payload := make([]byte, 8)
+	for rid := uint64(1); rid <= n; rid++ {
+		for {
+			err := p.PutWithCompletion(0, payload, dst, 0, rid, 0)
+			if err == nil {
+				break
+			}
+			if err != core.ErrWouldBlock {
+				t.Fatal(err)
+			}
+			p.Progress()
+		}
+	}
+	deadline := time.Now().Add(waitT)
+	for p.Metrics().Gauges["local_cq_highwater"] < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("local ring holds %d of %d completions", p.Metrics().Gauges["local_cq_highwater"], n)
+		}
+		p.Progress()
+	}
+	if got := p.Metrics().Gauges["local_cq_highwater"]; got != n {
+		t.Fatalf("local_cq_highwater = %d, want %d", got, n)
+	}
+	if got := p.Stats().RingOverflows; got != 1 {
+		t.Fatalf("RingOverflows = %d, want 1 growth past the initial slots", got)
+	}
+	const mid = n / 2
+	if c, err := p.WaitLocal(mid, waitT); err != nil || c.RID != mid {
+		t.Fatalf("WaitLocal(%d) = RID %d, %v", mid, c.RID, err)
+	}
+	for want := uint64(1); want <= n; want++ {
+		if want == mid {
+			continue
+		}
+		c, ok := p.PopLocal()
+		if !ok || c.RID != want {
+			t.Fatalf("pop = RID %d, %v; want %d", c.RID, ok, want)
+		}
+	}
+	if c, ok := p.PopLocal(); ok {
+		t.Fatalf("ring still holds RID %d after draining", c.RID)
+	}
+}

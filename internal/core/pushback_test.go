@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"photon/internal/core"
@@ -79,5 +80,56 @@ func TestPostedRecvSurvivesBusyRead(t *testing.T) {
 	}
 	if !bytes.Equal(posted, payload) {
 		t.Fatal("posted buffer does not hold the payload")
+	}
+}
+
+// TestDeferredWriteAllocGuard pins the deferred-write FIFO's park/drain
+// cycle at zero allocations. Each round the transport pushes back,
+// depth eager puts park on the peer's queue, and the next progress
+// round drains them. A FIFO that pops by reslicing (x = x[n:]) loses a
+// slot of capacity per pop, so the first park after a drain
+// reallocated every round.
+func TestDeferredWriteAllocGuard(t *testing.T) {
+	for _, depth := range []int{1, 3} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			p, lb := loopJob(t)
+			rb, _, err := p.RegisterBuffer(make([]byte, 64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := make([]byte, 8)
+			rounds := 0
+			round := func() {
+				lb.writeErr = core.ErrWouldBlock
+				for i := 0; i < depth; i++ {
+					if err := p.PutWithCompletion(0, payload, rb, uint64(8*i), 1, 2); err != nil {
+						t.Fatal(err)
+					}
+				}
+				lb.writeErr = nil
+				for got := 0; got < 2*depth; {
+					c, ok := p.Probe(core.ProbeAny)
+					if !ok {
+						continue
+					}
+					if c.Err != nil {
+						t.Fatal(c.Err)
+					}
+					got++
+				}
+				rounds++
+			}
+			for i := 0; i < 100; i++ {
+				round()
+			}
+			allocs := testing.AllocsPerRun(200, round)
+			t.Logf("park %d + drain: %.2f allocs/round", depth, allocs)
+			if got, want := p.Stats().DeferredWrites, int64(depth*rounds); got != want {
+				t.Fatalf("deferred writes = %d, want %d (every put parked)", got, want)
+			}
+			if allocs > 0 {
+				t.Fatalf("park/drain cycle allocates %.2f times per round, want 0", allocs)
+			}
+		})
 	}
 }

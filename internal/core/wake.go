@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"photon/internal/mem"
 )
 
 // Shared backend wake/completion plumbing. Every transport used to
@@ -67,7 +69,7 @@ func (w *WakeChan) SetSink(fn func()) {
 type CompQueue struct {
 	//photon:lock compq 80
 	mu    sync.Mutex
-	comps []BackendCompletion
+	comps mem.Queue[BackendCompletion]
 	wake  *WakeChan
 }
 
@@ -80,8 +82,8 @@ func NewCompQueue() *CompQueue {
 //
 //photon:hotpath
 func (q *CompQueue) Push(c BackendCompletion) {
-	q.mu.Lock()                  //photon:allow hotpathalloc -- queue mutex is the completion handoff point; held only for one append
-	q.comps = append(q.comps, c) //photon:allow hotpathalloc -- amortized queue growth; the slice is drained to length 0 and its capacity reused
+	q.mu.Lock() //photon:allow hotpathalloc -- queue mutex is the completion handoff point; held only for one push
+	q.comps.PushBack(c)
 	q.mu.Unlock()
 	q.wake.Kick()
 }
@@ -91,15 +93,8 @@ func (q *CompQueue) Push(c BackendCompletion) {
 //
 //photon:hotpath
 func (q *CompQueue) Drain(dst []BackendCompletion) int {
-	q.mu.Lock() //photon:allow hotpathalloc -- queue mutex is the completion handoff point; held only for the copy
-	n := copy(dst, q.comps)
-	if n > 0 {
-		rest := copy(q.comps, q.comps[n:])
-		for i := rest; i < len(q.comps); i++ {
-			q.comps[i] = BackendCompletion{}
-		}
-		q.comps = q.comps[:rest]
-	}
+	q.mu.Lock() //photon:allow hotpathalloc -- queue mutex is the completion handoff point; held only for the pops
+	n := q.comps.PopInto(dst)
 	q.mu.Unlock()
 	return n
 }

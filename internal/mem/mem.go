@@ -13,6 +13,8 @@
 //   - RegTable: the registration table — rkey, bounds and alignment
 //     checks on every remote access — shared by the transports that
 //     apply remote operations in software (regtable.go).
+//   - Queue: the growable ring FIFO every queue in the engine, the tcp
+//     backend and the simulated NIC sits on (queue.go).
 package mem
 
 import (

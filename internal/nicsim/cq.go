@@ -3,6 +3,8 @@ package nicsim
 import (
 	"sync"
 	"sync/atomic"
+
+	"photon/internal/mem"
 )
 
 // Opcode identifies the kind of work a completion refers to.
@@ -70,10 +72,10 @@ type CQE struct {
 type CQ struct {
 	//photon:lock cq 30
 	mu       sync.Mutex
-	ring     []CQE
-	head, sz int
+	q        mem.Queue[CQE]
+	capacity int
 	overflow int64
-	fastLen  atomic.Int32 // lock-free mirror of sz for empty checks
+	fastLen  atomic.Int32 // lock-free mirror of q.Len() for empty checks
 
 	// wakeHook, when set, is invoked (outside the queue lock) after
 	// every push — the simulated analogue of a completion-channel
@@ -87,7 +89,7 @@ func NewCQ(capacity int) *CQ {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &CQ{ring: make([]CQE, capacity)}
+	return &CQ{q: mem.NewQueue[CQE](capacity), capacity: capacity}
 }
 
 // Overflows reports how many completions were dropped due to overflow.
@@ -99,14 +101,13 @@ func (c *CQ) Overflows() int64 {
 
 func (c *CQ) push(e CQE) {
 	c.mu.Lock()
-	if c.sz == len(c.ring) {
+	if c.q.Len() == c.capacity {
 		c.overflow++
 		c.mu.Unlock()
 		return
 	}
-	c.ring[(c.head+c.sz)%len(c.ring)] = e
-	c.sz++
-	c.fastLen.Store(int32(c.sz))
+	c.q.PushBack(e)
+	c.fastLen.Store(int32(c.q.Len()))
 	c.mu.Unlock()
 	if f := c.wakeHook.Load(); f != nil {
 		(*f)()
@@ -131,16 +132,8 @@ func (c *CQ) PollInto(dst []CQE) int {
 		return 0
 	}
 	c.mu.Lock()
-	n := c.sz
-	if n > len(dst) {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = c.ring[(c.head+i)%len(c.ring)]
-	}
-	c.head = (c.head + n) % len(c.ring)
-	c.sz -= n
-	c.fastLen.Store(int32(c.sz))
+	n := c.q.PopInto(dst)
+	c.fastLen.Store(int32(c.q.Len()))
 	c.mu.Unlock()
 	return n
 }

@@ -102,8 +102,8 @@ type QP struct {
 	remoteQPN   uint32
 	nextPSN     uint64
 	pending     map[uint64]*wqe
-	rq          []RecvWR
-	pendingRecv []inbound
+	rq          mem.Queue[RecvWR]
+	pendingRecv mem.Queue[inbound]
 }
 
 // CreateQP creates a queue pair bound to the given completion queues.
@@ -266,22 +266,18 @@ func (qp *QP) PostRecv(wr RecvWR) error {
 		qp.mu.Unlock()
 		return ErrQPState
 	}
-	if len(qp.rq) >= qp.nic.cfg.RQDepth {
+	if qp.rq.Len() >= qp.nic.cfg.RQDepth {
 		qp.mu.Unlock()
 		return ErrRQFull
 	}
-	var deliver *inbound
-	if len(qp.pendingRecv) > 0 {
-		ib := qp.pendingRecv[0]
-		qp.pendingRecv = qp.pendingRecv[1:]
-		deliver = &ib
-	} else {
-		qp.rq = append(qp.rq, wr)
+	ib, deliver := qp.pendingRecv.PopFront()
+	if !deliver {
+		qp.rq.PushBack(wr)
 	}
 	qp.mu.Unlock()
 	qp.nic.counters.recvsPosted.Add(1)
-	if deliver != nil {
-		qp.consumeRecv(wr, *deliver)
+	if deliver {
+		qp.consumeRecv(wr, ib)
 	}
 	return nil
 }
@@ -470,8 +466,9 @@ func (qp *QP) handleInbound(ib inbound) {
 		qp.mu.Unlock()
 		return
 	}
-	if len(qp.rq) == 0 {
-		if len(qp.pendingRecv) >= pendingRecvLimit {
+	wr, ok := qp.rq.PopFront()
+	if !ok {
+		if qp.pendingRecv.Len() >= pendingRecvLimit {
 			qp.mu.Unlock()
 			// RNR retries exhausted: NAK the sender.
 			h := header{typ: fNak, srcQPN: qp.qpn, dstQPN: ib.h.srcQPN, psn: ib.h.psn}
@@ -483,12 +480,10 @@ func (qp *QP) handleInbound(ib inbound) {
 		// receive is posted.
 		cp := ib
 		cp.payload = append([]byte(nil), ib.payload...)
-		qp.pendingRecv = append(qp.pendingRecv, cp)
+		qp.pendingRecv.PushBack(cp)
 		qp.mu.Unlock()
 		return
 	}
-	wr := qp.rq[0]
-	qp.rq = qp.rq[1:]
 	qp.mu.Unlock()
 	qp.consumeRecv(wr, ib)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"photon/internal/mem"
 )
 
 // Property: every frame encoder/decoder pair round-trips arbitrary
@@ -115,4 +117,80 @@ func TestWireShortFrames(t *testing.T) {
 	if _, err := decodeAtomicResp(make([]byte, 4)); err == nil {
 		t.Fatal("short atomic response accepted")
 	}
+}
+
+// FuzzNicsimWire feeds arbitrary frames to parseHeader and to every
+// body decoder. h is the frame's head, bounded to the longest fixed
+// part (header plus atomic body) so minimization stays fast; extra
+// appends that many patterned payload bytes. No decoder may panic, an
+// accepted payload must be the tail of the input (never bytes from
+// elsewhere), and re-encoding what a decoder accepted must reproduce
+// the bytes it read, from a recycled frame buffer.
+func FuzzNicsimWire(f *testing.F) {
+	h := header{typ: fWrite, srcQPN: 1, dstQPN: 2, psn: 3}
+	for _, fr := range [][]byte{
+		encodeSend(header{typ: fSend, srcQPN: 7, psn: 1}, []byte("hello")),
+		encodeWrite(h, 0x1000, 9, []byte{1, 2, 3}),
+		encodeRead(header{typ: fRead, psn: 5}, 0x2000, 4, 64),
+		encodeAtomic(header{typ: fAtomic, psn: 6}, atomicCSwap, 0x3008, 2, 5, 6),
+		encodeStatus(header{typ: fNak, psn: 8}, StatusRNRExceeded),
+		encodeAtomicResp(header{typ: fAtomicResp, psn: 9}, 42),
+	} {
+		f.Add(append([]byte(nil), fr...), uint16(0))
+	}
+	f.Add([]byte{byte(fWrite), 1, 2}, uint16(100))
+	f.Fuzz(func(t *testing.T, head []byte, extra uint16) {
+		if len(head) > hdrLen+atomicBodyLen {
+			head = head[:hdrLen+atomicBodyLen]
+		}
+		in := append([]byte(nil), head...)
+		for i := 0; i < int(extra); i++ {
+			in = append(in, byte(i))
+		}
+		h, body, err := parseHeader(in)
+		if err != nil {
+			return
+		}
+		if !isTail(in, body) || len(body) != len(in)-hdrLen {
+			t.Fatalf("header accepted a %d-byte body from a %d-byte frame", len(body), len(in))
+		}
+		same := func(what string, enc []byte, n int) {
+			t.Helper()
+			if !bytes.Equal(enc, in[:n]) {
+				t.Fatalf("%s round trip:\n got % x\nwant % x", what, enc, in[:n])
+			}
+			mem.PutFrame(enc)
+		}
+		same("send", encodeSend(h, body), len(in))
+		if raddr, rkey, payload, err := decodeWrite(body); err == nil {
+			if !isTail(in, payload) || len(payload) != len(body)-writeHdrLen {
+				t.Fatalf("write accepted a %d-byte payload from a %d-byte body", len(payload), len(body))
+			}
+			same("write", encodeWrite(h, raddr, rkey, payload), len(in))
+		}
+		if raddr, rkey, length, err := decodeRead(body); err == nil {
+			if length < 0 {
+				t.Fatalf("read accepted a negative length %d", length)
+			}
+			same("read", encodeRead(h, raddr, rkey, length), hdrLen+readBodyLen)
+		}
+		if kind, raddr, rkey, operand, compare, err := decodeAtomic(body); err == nil {
+			same("atomic", encodeAtomic(h, kind, raddr, rkey, operand, compare), hdrLen+atomicBodyLen)
+		}
+		if st, err := decodeStatus(body); err == nil {
+			same("status", encodeStatus(h, st), hdrLen+1)
+		}
+		if v, err := decodeAtomicResp(body); err == nil {
+			same("atomic response", encodeAtomicResp(h, v), hdrLen+8)
+		}
+	})
+}
+
+// isTail reports whether sub is the last len(sub) bytes of b, by
+// identity rather than content.
+func isTail(b, sub []byte) bool {
+	if len(sub) == 0 {
+		return true
+	}
+	return len(sub) <= len(b) && &sub[len(sub)-1] == &b[len(b)-1] && &sub[0] == &b[len(b)-len(sub)]
 }
