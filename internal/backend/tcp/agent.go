@@ -968,12 +968,8 @@ func (b *Backend) Exchange(local []byte) ([][]byte, error) {
 	}
 	// Ship the blob to the root (blocking enqueue: exchange is a
 	// collective, so waiting is correct).
-	f := make([]byte, 1+4+len(local))
-	f[0] = opExg
-	binary.LittleEndian.PutUint32(f[1:], uint32(len(local)))
-	copy(f[5:], local)
 	select {
-	case b.outs[0] <- outItem{one: outFrame{data: f}}:
+	case b.outs[0] <- outItem{one: outFrame{data: encodeExg(local)}}:
 	case <-b.closed:
 		return nil, core.ErrClosed
 	}
@@ -1030,16 +1026,13 @@ func (b *Backend) exchangeRoot(local []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// handleExg queues a gathered blob at the root.
+// handleExg queues a gathered blob at the root. A malformed gather is
+// dropped, as handleExgResp drops a bad broadcast.
 func (b *Backend) handleExg(peer int, body []byte) {
-	if len(body) < 4 {
+	blob, err := decodeExg(body)
+	if err != nil {
 		return
 	}
-	n := int(binary.LittleEndian.Uint32(body))
-	if n > len(body)-4 {
-		n = len(body) - 4
-	}
-	blob := append([]byte(nil), body[4:4+n]...)
 	b.exgMu.Lock()
 	b.exgGather[peer].PushBack(blob)
 	b.exgCond.Broadcast()
@@ -1056,6 +1049,28 @@ func (b *Backend) handleExgResp(body []byte) {
 	b.exgResp.PushBack(out)
 	b.exgCond.Broadcast()
 	b.exgMu.Unlock()
+}
+
+// encodeExg frames a rank's blob for the root's gather.
+func encodeExg(blob []byte) []byte {
+	f := make([]byte, 1+4+len(blob))
+	f[0] = opExg
+	binary.LittleEndian.PutUint32(f[1:], uint32(len(blob)))
+	copy(f[5:], blob)
+	return f
+}
+
+// decodeExg reads a peer's gather body: a 4-byte length, then exactly
+// that many bytes, as Exchange encodes it. It returns a copy of the
+// blob.
+func decodeExg(body []byte) ([]byte, error) {
+	if len(body) < 4 {
+		return nil, fmt.Errorf("tcp: short exchange gather")
+	}
+	if n := binary.LittleEndian.Uint32(body); uint64(n) != uint64(len(body)-4) {
+		return nil, fmt.Errorf("tcp: exchange gather claims %d bytes, carries %d", n, len(body)-4)
+	}
+	return append([]byte(nil), body[4:]...), nil
 }
 
 func encodeExgResp(blobs [][]byte) []byte {

@@ -3,6 +3,7 @@ package vsim_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"photon/internal/backend/vsim"
 	"photon/internal/core"
@@ -145,24 +146,42 @@ func TestPostToBadRank(t *testing.T) {
 	}
 }
 
+// TestSQFullTranslatesToWouldBlock: with one outstanding request
+// allowed and a 2 ms wire, a second write posted inside the first
+// one's round trip is refused with ErrWouldBlock, and a retry succeeds
+// once the ACK is back, no earlier than one round trip after the first.
 func TestSQFullTranslatesToWouldBlock(t *testing.T) {
-	cl, err := vsim.NewCluster(2, fabric.Model{Latency: 2_000_000}, nicsim.Config{SQDepth: 1})
+	const lat = 2 * time.Millisecond
+	cl, err := vsim.NewCluster(2, fabric.Model{Latency: lat}, nicsim.Config{SQDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	target := make([]byte, 64)
 	rb, _, _ := cl.Backend(1).Register(target)
-	sawBlock := false
-	for i := 0; i < 64 && !sawBlock; i++ {
-		err := cl.Backend(0).PostWrite(1, []byte{1}, rb.Addr, rb.RKey, 0, false)
-		if err == core.ErrWouldBlock {
-			sawBlock = true
-		} else if err != nil {
-			t.Fatal(err)
-		}
+	write := func() error { return cl.Backend(0).PostWrite(1, []byte{1}, rb.Addr, rb.RKey, 0, false) }
+	start := time.Now()
+	if err := write(); err != nil {
+		t.Fatal(err)
 	}
-	if !sawBlock {
-		t.Fatal("SQ never filled despite 2ms wire latency and depth 1")
+	if err := write(); err != core.ErrWouldBlock {
+		if err != nil || time.Since(start) < 2*lat {
+			t.Fatalf("second write inside the first one's round trip: %v, want ErrWouldBlock", err)
+		}
+		t.Skipf("poster descheduled past the round trip (%v): nothing to assert", time.Since(start))
+	}
+	deadline := start.Add(5 * time.Second)
+	for {
+		err := write()
+		if err == nil {
+			break
+		}
+		if err != core.ErrWouldBlock || time.Now().After(deadline) {
+			t.Fatalf("retry: %v", err)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	if rtt := time.Since(start); rtt < 2*lat {
+		t.Fatalf("retry accepted after %v, inside the %v round trip", rtt, 2*lat)
 	}
 }

@@ -36,7 +36,8 @@ type Model struct {
 	// (models per-packet processing, the LogGP "gap").
 	PerFrame time.Duration
 	// QueueDepth bounds the number of in-flight frames per directed
-	// link; senders block when the queue is full (backpressure).
+	// link; when the queue is full Send blocks and TrySend returns
+	// ErrFull (backpressure).
 	// Zero selects the default of 4096.
 	QueueDepth int
 }
@@ -59,9 +60,9 @@ type Handler func(Frame)
 // LinkStats reports per-directed-link traffic counters. MaxQueued is
 // the high-water mark of queue occupancy observed at enqueue time: how
 // close the link came to its QueueDepth bound. A MaxQueued at or near
-// QueueDepth means senders on this link experienced blocking
-// backpressure; well below it, the queue bound was never the
-// constraint.
+// QueueDepth means senders on this link met backpressure (Send
+// blocked, TrySend returned ErrFull); well below it, the queue bound
+// was never the constraint.
 type LinkStats struct {
 	Frames    int64
 	Bytes     int64
@@ -114,8 +115,12 @@ func (l *link) noteOccupancy() {
 	}
 }
 
-// ErrClosed is returned by Send after the fabric has been closed.
+// ErrClosed is returned by Send and TrySend after the fabric has been
+// closed.
 var ErrClosed = errors.New("fabric: closed")
+
+// ErrFull is returned by TrySend when the link's queue has no room.
+var ErrFull = errors.New("fabric: link queue full")
 
 // ErrBadNode is returned for out-of-range node indices.
 var ErrBadNode = errors.New("fabric: node index out of range")
@@ -157,7 +162,9 @@ func (f *Fabric) Attach(node int, h Handler) error {
 }
 
 // SetFault installs a frame-drop predicate for failure injection; pass
-// nil to clear. The predicate runs on the sender's goroutine.
+// nil to clear. The predicate runs on the sending goroutine: the
+// poster's for a simulated NIC's requests (TrySend), the delivery
+// goroutine of the reverse link for its responses (Send).
 func (f *Fabric) SetFault(fn func(src, dst int) bool) {
 	if fn == nil {
 		f.fault.Store(nil)
@@ -170,28 +177,22 @@ func (f *Fabric) SetFault(fn func(src, dst int) bool) {
 // data; callers must not modify it afterwards. Send blocks if the link
 // queue is full, modeling transmit backpressure.
 //
-// Deadlock freedom: delivery handlers re-enter Send (the simulated NIC
-// ACKs every request on the reverse link), so a blocked Send can stall
-// a delivery goroutine. A cycle therefore needs every directed link in
-// it full at once — for a node pair, QueueDepth frames outstanding in
-// BOTH directions with neither receiver draining. Photon's middleware
-// cannot reach that state: the ledger credit flow bounds a peer's
-// un-ACKed requests to a small multiple of LedgerSlots (hundreds of
-// frames at defaults, far below DefaultQueueDepth), and responders
-// consume requests unconditionally — delivery never waits on
-// middleware-level progress, only on reverse-link space for the ACK,
-// which the credit bound keeps available. Deployments that shrink
-// QueueDepth below the credit bound give up this argument; the
-// MaxQueued high-water in LinkStats exists to check the margin.
+// Only responders block here: the simulated NIC posts requests with
+// TrySend and re-enters Send from delivery handlers to ACK or answer
+// every request on the reverse link, so a blocked Send stalls a
+// delivery goroutine. A cycle therefore needs both directed links of a
+// node pair full at once, each delivery goroutine waiting to answer
+// into the other. Every send work request a NIC has outstanding has at
+// most one frame in flight — its request or its response — and
+// nicsim.Config.SQDepth bounds those per queue pair, so a link carries
+// at most SQDepth times the queue pairs posting across the pair of
+// nodes (2048 frames for Photon's one QP per direction at the default
+// SQDepth, half of DefaultQueueDepth). Deployments that shrink
+// QueueDepth below that bound give up this argument; the MaxQueued
+// high-water in LinkStats exists to check the margin.
 func (f *Fabric) Send(src, dst int, data []byte) error {
-	if src < 0 || src >= f.n || dst < 0 || dst >= f.n {
-		return ErrBadNode
-	}
-	if fp := f.fault.Load(); fp != nil && (*fp)(src, dst) {
-		return nil // silently dropped, like a lossy link
-	}
-	l, err := f.linkFor(src, dst)
-	if err != nil {
+	l, err := f.route(src, dst)
+	if l == nil {
 		return err
 	}
 	select {
@@ -201,6 +202,36 @@ func (f *Fabric) Send(src, dst int, data []byte) error {
 	case <-f.done:
 		return ErrClosed
 	}
+}
+
+// TrySend is Send without the wait: when the link's queue is full it
+// returns ErrFull at once and data stays the caller's. On success, and
+// when the fault predicate drops the frame, the fabric owns data.
+func (f *Fabric) TrySend(src, dst int, data []byte) error {
+	l, err := f.route(src, dst)
+	if l == nil {
+		return err
+	}
+	select {
+	case l.ch <- queued{fr: Frame{Src: src, Dst: dst, Data: data}, at: time.Now()}:
+		l.noteOccupancy()
+		return nil
+	default:
+		return ErrFull
+	}
+}
+
+// route checks the node indices, consults the fault predicate and
+// returns the link src->dst. A nil link with a nil error means the
+// predicate dropped the frame, silently, like a lossy link.
+func (f *Fabric) route(src, dst int) (*link, error) {
+	if src < 0 || src >= f.n || dst < 0 || dst >= f.n {
+		return nil, ErrBadNode
+	}
+	if fp := f.fault.Load(); fp != nil && (*fp)(src, dst) {
+		return nil, nil
+	}
+	return f.linkFor(src, dst)
 }
 
 func (f *Fabric) linkFor(src, dst int) (*link, error) {

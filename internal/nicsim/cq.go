@@ -41,10 +41,9 @@ const (
 	StatusRemoteAccessError
 	StatusLengthError
 	StatusRNRExceeded
-	StatusFlushed
 )
 
-var statusNames = [...]string{"ok", "local-error", "remote-access-error", "length-error", "rnr-exceeded", "flushed"}
+var statusNames = [...]string{"ok", "local-error", "remote-access-error", "length-error", "rnr-exceeded"}
 
 // String returns the lowercase status name.
 func (s Status) String() string {

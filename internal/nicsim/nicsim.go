@@ -8,10 +8,10 @@
 //     NIC-assigned virtual base address. Remote operations are bounds-
 //     and access-checked against the MR table, exactly the checks a
 //     hardware translation/protection table does.
-//   - Queue pairs (QP): reliable connected endpoints. Work requests are
-//     posted to a bounded send queue and executed in order by a per-QP
-//     engine goroutine; receives are posted to a receive queue consumed
-//     by incoming SENDs.
+//   - Queue pairs (QP): reliable connected endpoints. A posted send work
+//     request goes onto the fabric on the caller's goroutine, and stays
+//     outstanding until its ACK or response arrives; receives are posted
+//     to a receive queue consumed by incoming SENDs.
 //   - Completion queues (CQ): bounded rings that report work completion.
 //     Send-side completions are generated when the responder's ACK (or
 //     read/atomic response) arrives, so completion timing includes a
@@ -121,7 +121,9 @@ type Counters struct {
 
 // Config tunes NIC behaviour.
 type Config struct {
-	// SQDepth bounds outstanding send work requests per QP (default 1024).
+	// SQDepth bounds outstanding send work requests per QP: requests
+	// posted and not yet answered by their ACK or response (default
+	// 1024). A post past it fails with ErrSQFull.
 	SQDepth int
 	// RQDepth bounds posted receive buffers per QP (default 1024).
 	RQDepth int
@@ -357,9 +359,9 @@ func (n *NIC) accessMR(rkey uint32, addr uint64, length int, need Access, apply 
 	return nil
 }
 
-// Close shuts the NIC down: all QPs move to the error state and their
-// engines stop. The fabric itself is left running (it may serve other
-// NICs).
+// Close shuts the NIC down: every QP moves to the closed state, and
+// requests already on the wire never complete. The fabric itself is
+// left running (it may serve other NICs).
 func (n *NIC) Close() {
 	if n.closed.Swap(true) {
 		return

@@ -21,7 +21,13 @@ type pair struct {
 
 func newPair(t *testing.T, cfg Config) *pair {
 	t.Helper()
-	fab := fabric.New(2, fabric.Model{})
+	return newPairOn(t, fabric.Model{}, cfg)
+}
+
+// newPairOn is newPair over a fabric with the given delay model.
+func newPairOn(t *testing.T, m fabric.Model, cfg Config) *pair {
+	t.Helper()
+	fab := fabric.New(2, m)
 	t.Cleanup(fab.Close)
 	nicA, err := New(fab, 0, cfg)
 	if err != nil {
@@ -360,21 +366,46 @@ func TestRegisterEmptyBuffer(t *testing.T) {
 	}
 }
 
+// TestSQFull: SQDepth bounds requests posted and not yet answered.
+// With one allowed and a 2 ms wire, the second post is refused until
+// the first one's ACK is back (no earlier than one round trip after
+// it was posted), and then succeeds.
 func TestSQFull(t *testing.T) {
-	p := newPair(t, Config{SQDepth: 1})
-	// Saturate: the engine drains quickly, so spam until we observe
-	// ErrSQFull at least once or give up.
-	sawFull := false
-	for i := 0; i < 10000 && !sawFull; i++ {
-		err := p.qpA.PostSend(SendWR{WRID: uint64(i), Op: OpRDMAWrite, Local: make([]byte, 1),
-			RemoteAddr: 0x999999, RKey: 12345}) // will NAK eventually, fine
-		if err == ErrSQFull {
-			sawFull = true
-		} else if err == ErrQPState {
-			break // NAK already errored the QP; acceptable
-		}
+	const lat = 2 * time.Millisecond
+	p := newPairOn(t, fabric.Model{Latency: lat}, Config{SQDepth: 1})
+	mr, err := p.nicB.RegisterMemory(make([]byte, 64), AccessAll)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = sawFull // Depth-1 queues may drain faster than we post; nothing to assert strictly.
+	write := func(id uint64) error {
+		return p.qpA.PostSend(SendWR{WRID: id, Op: OpRDMAWrite, Local: []byte{byte(id)},
+			RemoteAddr: mr.Base(), RKey: mr.RKey(), Signaled: true})
+	}
+	start := time.Now()
+	if err := write(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := write(2); err != ErrSQFull {
+		if err != nil || time.Since(start) < 2*lat {
+			t.Fatalf("second post inside the first one's round trip: %v, want ErrSQFull", err)
+		}
+		t.Skipf("poster descheduled past the round trip (%v): nothing to assert", time.Since(start))
+	}
+	if c := waitCQE(t, p.cqA); c.WRID != 1 || c.Status != StatusOK {
+		t.Fatalf("first write completed as %+v", c)
+	}
+	if rtt := time.Since(start); rtt < 2*lat {
+		t.Fatalf("ACK back after %v, under the %v round trip", rtt, 2*lat)
+	}
+	if err := write(3); err != nil {
+		t.Fatalf("post after the ACK: %v", err)
+	}
+	if c := waitCQE(t, p.cqA); c.WRID != 3 || c.Status != StatusOK {
+		t.Fatalf("third write completed as %+v", c)
+	}
+	if c := p.nicA.Counters(); c.SendsPosted != 2 || c.WireFrames != 2 {
+		t.Fatalf("refused post counted: %+v", c)
+	}
 }
 
 func TestRQFull(t *testing.T) {

@@ -2,6 +2,7 @@ package nicsim
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -57,14 +58,13 @@ const (
 // the CQE after Local is dropped.
 type wqe struct {
 	wr      SendWR
-	psn     uint64
-	frame   []byte
 	byteLen int
 }
 
-// wqePool recycles send work-queue entries: every wqe path terminates
-// in completeSend exactly once (transmit failure, flush, or response
-// match), which returns it here. Wire frames recycle through
+// wqePool recycles send work-queue entries. A post refused for a full
+// link returns its wqe at once; every accepted one terminates in
+// completeSend exactly once (local transmit failure or response match),
+// which returns it here. Wire frames recycle through
 // mem.GetFrame/PutFrame on the same lifecycle.
 var wqePool = sync.Pool{New: func() any { return new(wqe) }}
 
@@ -91,9 +91,6 @@ type QP struct {
 	qpn    uint32
 	sendCQ *CQ
 	recvCQ *CQ
-
-	sq     chan *wqe
-	closed chan struct{}
 
 	//photon:lock qp 40
 	mu          sync.Mutex
@@ -123,13 +120,10 @@ func (n *NIC) CreateQP(sendCQ, recvCQ *CQ) (*QP, error) {
 		qpn:     qpn,
 		sendCQ:  sendCQ,
 		recvCQ:  recvCQ,
-		sq:      make(chan *wqe, n.cfg.SQDepth),
-		closed:  make(chan struct{}),
 		pending: make(map[uint64]*wqe),
 	}
 	n.qps[qpn] = qp
 	n.mu.Unlock()
-	go qp.engine()
 	return qp, nil
 }
 
@@ -168,20 +162,28 @@ func (qp *QP) Errored() bool {
 	return qp.state == qpError
 }
 
-// PostSend enqueues a send work request. It never blocks: when the send
-// queue is full it returns ErrSQFull, and the caller is expected to
-// reap completions and retry (Photon's progress engine does exactly
-// that under ledger backpressure).
+// PostSend posts a send work request and puts its frame onto the
+// fabric on the caller's goroutine; no goroutine stands between the
+// doorbell and the wire. It never blocks: when SQDepth requests are
+// already outstanding, or the link toward the peer has no room, it
+// returns ErrSQFull, and the caller is expected to reap completions and
+// retry (Photon's progress engine does exactly that under ledger
+// backpressure). One goroutine's posts reach the wire in call order;
+// concurrent posters' posts interleave as their calls do.
 //
 // The wire frame — including any payload — is encoded here, before
 // PostSend returns, mirroring a real NIC's DMA-at-doorbell model
 // closely enough for middleware purposes: the caller may reuse the
 // Local buffer of a SEND/WRITE as soon as PostSend returns. READ and
 // atomic requests still retain Local (the result destination) until
-// completion. The PSN is also assigned here; a request bounced with
-// ErrSQFull leaves a PSN hole, which is harmless because responders
-// echo the PSN and the initiator matches responses through the pending
-// map rather than by sequence.
+// completion. The PSN is also assigned here, and the request enters
+// the pending map before its frame exists. A post refused for a full
+// link leaves a PSN hole, and concurrent posters may put PSNs on the
+// wire out of order; both are harmless, because responders echo the
+// PSN and the initiator matches responses through the pending map
+// rather than by sequence. A frame the fabric refuses for any other
+// reason completes the request with StatusLocalError and moves the QP
+// to the error state.
 func (qp *QP) PostSend(wr SendWR) error {
 	if err := qp.validateSend(&wr); err != nil {
 		return err
@@ -191,44 +193,58 @@ func (qp *QP) PostSend(wr SendWR) error {
 		qp.mu.Unlock()
 		return ErrQPState
 	}
+	if len(qp.pending) >= qp.nic.cfg.SQDepth {
+		qp.mu.Unlock()
+		return ErrSQFull
+	}
 	psn := qp.nextPSN
 	qp.nextPSN++
-	dstQPN := qp.remoteQPN
+	w := wqeGet()
+	w.wr, w.byteLen = wr, len(wr.Local)
+	if wr.Op == OpSend || wr.Op == OpRDMAWrite {
+		w.wr.Local = nil // the frame carries the payload
+	}
+	qp.pending[psn] = w
+	dstNode, dstQPN := qp.remoteNode, qp.remoteQPN
 	qp.mu.Unlock()
 
-	w := wqeGet()
-	w.wr = wr
-	w.psn = psn
-	w.byteLen = len(wr.Local)
+	// w belongs to the response path from here on: once the frame is
+	// on the link, its answer may complete and recycle w at any time.
 	h := header{srcQPN: qp.qpn, dstQPN: dstQPN, psn: psn}
+	var frame []byte
 	switch wr.Op {
 	case OpSend:
 		h.typ = fSend
-		w.frame = encodeSend(h, wr.Local)
-		w.wr.Local = nil
+		frame = encodeSend(h, wr.Local)
 	case OpRDMAWrite:
 		h.typ = fWrite
-		w.frame = encodeWrite(h, wr.RemoteAddr, wr.RKey, wr.Local)
-		w.wr.Local = nil
+		frame = encodeWrite(h, wr.RemoteAddr, wr.RKey, wr.Local)
 	case OpRDMARead:
 		h.typ = fRead
-		w.frame = encodeRead(h, wr.RemoteAddr, wr.RKey, len(wr.Local))
+		frame = encodeRead(h, wr.RemoteAddr, wr.RKey, len(wr.Local))
 	case OpAtomicFetchAdd:
 		h.typ = fAtomic
-		w.frame = encodeAtomic(h, atomicFAdd, wr.RemoteAddr, wr.RKey, wr.Add, 0)
+		frame = encodeAtomic(h, atomicFAdd, wr.RemoteAddr, wr.RKey, wr.Add, 0)
 	case OpAtomicCompSwap:
 		h.typ = fAtomic
-		w.frame = encodeAtomic(h, atomicCSwap, wr.RemoteAddr, wr.RKey, wr.Swap, wr.Compare)
+		frame = encodeAtomic(h, atomicCSwap, wr.RemoteAddr, wr.RKey, wr.Swap, wr.Compare)
 	}
-	select {
-	case qp.sq <- w:
+	err := qp.nic.fab.TrySend(qp.nic.node, dstNode, frame)
+	if err == nil {
 		qp.nic.counters.sendsPosted.Add(1)
+		qp.nic.counters.wireFrames.Add(1)
+		qp.nic.counters.wireBytes.Add(int64(len(frame)))
 		return nil
-	default:
-		mem.PutFrame(w.frame)
+	}
+	mem.PutFrame(frame)
+	qp.dropPending(psn)
+	if errors.Is(err, fabric.ErrFull) {
 		wqePut(w)
 		return ErrSQFull
 	}
+	qp.nic.counters.sendsPosted.Add(1)
+	qp.completeSend(w, StatusLocalError)
+	return nil
 }
 
 func (qp *QP) validateSend(wr *SendWR) error {
@@ -282,61 +298,6 @@ func (qp *QP) PostRecv(wr RecvWR) error {
 	return nil
 }
 
-// engine executes send work requests in order on the wire.
-func (qp *QP) engine() {
-	for {
-		select {
-		case <-qp.closed:
-			qp.flushSQ()
-			return
-		case w := <-qp.sq:
-			if !qp.transmit(w) {
-				// transmit failed locally; the WQE already
-				// completed with an error and moved the QP to
-				// the error state. Flush the rest.
-				qp.flushSQ()
-			}
-		}
-	}
-}
-
-// flushSQ completes every queued WQE with StatusFlushed.
-func (qp *QP) flushSQ() {
-	for {
-		select {
-		case w := <-qp.sq:
-			qp.completeSend(w, StatusFlushed)
-		default:
-			return
-		}
-	}
-}
-
-// transmit puts one pre-encoded WQE onto the fabric. Returns false on
-// local failure.
-func (qp *QP) transmit(w *wqe) bool {
-	qp.mu.Lock()
-	if qp.state != qpRTS {
-		qp.mu.Unlock()
-		qp.completeSend(w, StatusFlushed)
-		return false
-	}
-	qp.pending[w.psn] = w
-	dstNode := qp.remoteNode
-	qp.mu.Unlock()
-
-	frame := w.frame
-	w.frame = nil // fabric takes ownership
-	qp.nic.counters.wireFrames.Add(1)
-	qp.nic.counters.wireBytes.Add(int64(len(frame)))
-	if err := qp.nic.fab.Send(qp.nic.node, dstNode, frame); err != nil {
-		qp.dropPending(w.psn)
-		qp.completeSend(w, StatusLocalError)
-		return false
-	}
-	return true
-}
-
 func (qp *QP) dropPending(psn uint64) {
 	qp.mu.Lock()
 	delete(qp.pending, psn)
@@ -345,14 +306,9 @@ func (qp *QP) dropPending(psn uint64) {
 
 // completeSend finishes a WQE: errors always produce a CQE; success
 // produces one only when the request was signaled. This is the single
-// terminal for every WQE path (response match, transmit failure, SQ
-// flush), so the WQE — and a frame never handed to the fabric — return
-// to their pools here.
+// terminal for every accepted WQE (response match or local transmit
+// failure), so the WQE returns to its pool here.
 func (qp *QP) completeSend(w *wqe, st Status) {
-	if w.frame != nil {
-		mem.PutFrame(w.frame)
-		w.frame = nil
-	}
 	if st == StatusOK && !w.wr.Signaled {
 		wqePut(w)
 		return
@@ -376,19 +332,16 @@ func (qp *QP) completeSend(w *wqe, st Status) {
 	qp.sendCQ.push(cqe)
 }
 
-// close tears the QP down without completing pending requests.
+// close tears the QP down without completing pending requests: those
+// already on the wire never complete.
 func (qp *QP) close() {
 	qp.mu.Lock()
-	if qp.state == qpClosed {
-		qp.mu.Unlock()
-		return
-	}
 	qp.state = qpClosed
 	qp.mu.Unlock()
-	close(qp.closed)
 }
 
-// Close transitions the QP to the closed state and stops its engine.
+// Close transitions the QP to the closed state; later posts fail with
+// ErrQPState.
 func (qp *QP) Close() {
 	qp.close()
 	qp.nic.mu.Lock()

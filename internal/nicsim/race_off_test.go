@@ -1,0 +1,5 @@
+//go:build !race
+
+package nicsim
+
+const raceEnabled = false
