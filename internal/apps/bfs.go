@@ -138,16 +138,15 @@ func RunBFSParcels(locs []*runtime.Locality, cfg BFSConfig) (BFSResult, []int32,
 	for r, l := range locs {
 		st := states[r]
 		if _, err := l.RegisterAction(actVisit, func(ctx *runtime.Context) ([]byte, error) {
-			p := ctx.Payload
-			if len(p) < visitHdrLen {
-				return nil, fmt.Errorf("short visit parcel")
+			lo := st.rank * st.perRank
+			level, ids, err := decodeVisit(ctx.Payload, lo, st.perRank)
+			if err != nil {
+				return nil, err
 			}
-			level := int32(binary.LittleEndian.Uint32(p[0:]))
-			count := int(binary.LittleEndian.Uint32(p[4:]))
 			st.mu.Lock()
-			for i := 0; i < count; i++ {
-				v := int32(binary.LittleEndian.Uint32(p[visitHdrLen+i*4:]))
-				lv := int(v) - st.rank*st.perRank
+			for i := 0; i < len(ids); i += 4 {
+				v := int32(binary.LittleEndian.Uint32(ids[i:]))
+				lv := int(v) - lo
 				if st.dist[lv] == -1 {
 					st.dist[lv] = level
 					st.next = append(st.next, v)
@@ -327,6 +326,29 @@ const (
 	visitHdrLen = 4 + 4 // level4 | count4; count vertex IDs follow
 	sumLen      = 8     // count8, in the request and in the reply
 )
+
+// decodeVisit parses a visit parcel body, level4 | count4 | count
+// vertex IDs of 4 bytes each, at the rank owning global vertices
+// [lo, lo+perRank). It returns the level and the encoded IDs, and
+// rejects a body whose length does not match its count and any vertex
+// outside that range, so the handler can index its local state by
+// every ID it is given.
+func decodeVisit(p []byte, lo, perRank int) (level int32, ids []byte, err error) {
+	if len(p) < visitHdrLen {
+		return 0, nil, fmt.Errorf("apps: visit parcel of %d bytes, header is %d", len(p), visitHdrLen)
+	}
+	count := binary.LittleEndian.Uint32(p[4:])
+	ids = p[visitHdrLen:]
+	if uint64(len(ids)) != 4*uint64(count) {
+		return 0, nil, fmt.Errorf("apps: visit parcel carries %d bytes of vertices, count %d", len(ids), count)
+	}
+	for i := 0; i < len(ids); i += 4 {
+		if v := int(binary.LittleEndian.Uint32(ids[i:])); v < lo || v >= lo+perRank {
+			return 0, nil, fmt.Errorf("apps: visit of vertex %d, this rank owns [%d, %d)", v, lo, lo+perRank)
+		}
+	}
+	return int32(binary.LittleEndian.Uint32(p)), ids, nil
+}
 
 // The BFS actions and their IDs, hashed once.
 const (

@@ -6,40 +6,47 @@
 // other's registered windows (MPI-3 shared-memory windows, CMA/XPMEM)
 // instead of going through a message agent.
 //
-// Two paths. A post toward rank t first looks, under this rank's
-// producer lock for t, at the directed ring toward t. When the ring is
-// drained (head == tail: every earlier request has been applied and
-// completed) and t's registration table lock is free, the posting
-// goroutine applies the operation itself — a write, read, fetch-add or
-// comp-swap against t's mem.RegTable, one copy — kicks t's engine as
-// the agent would, and pushes its own completion before releasing the
-// producer lock. Otherwise the request is framed into the ring (the
-// payload is copied at post time, PostWrite's snapshot-at-post
-// contract), t's agent goroutine is woken, and the agent applies it,
-// writing read and atomic results straight into the initiator's
-// parked destination buffer and pushing the completion into the
-// initiator's CompQueue. The ring and agent carry backlog and
-// contention; the choice is made from state the poster observes, with
-// no knob. A poster never waits for a peer's table lock (the
-// RegTable accessors' try mode), so two ranks that each hold their
-// own DMA lock while posting to each other fall back to the rings
-// rather than deadlock.
+// One applier rule. Every operation from rank s toward rank t runs
+// under s's producer lock for t, in try mode against t's mem.RegTable:
+// whoever holds that lock applies. A post toward t first drains s's
+// backlog toward t, then applies the operation itself — a write, read,
+// fetch-add or comp-swap, one copy — when the backlog is empty and t's
+// table lock is free, pushing its own completion before it releases the
+// producer lock. Otherwise the request joins the backlog (a write's
+// payload is copied into the pair's ring at post time, PostWrite's
+// snapshot-at-post contract). The backlog is drained by the next post
+// toward t, by s's Poll and by t's Poll, each from the front and each
+// in try mode, so a request queued behind a busy table lands even if s
+// never posts or polls again. No goroutine is involved: a backend is
+// driven entirely by its callers, and a poster never waits for a
+// peer's table lock, so two ranks that each hold their own DMA lock
+// while posting to each other queue rather than deadlock.
 //
-// Both paths rest on the ranks sharing one address space: the poster
-// stores into the target's memory and the agent into the initiator's.
-// Ranks in separate processes need a mapped segment instead, and both
-// shortcuts must be replaced along with the rings' Go slices.
+// Wake-ups. Appending a request kicks t's engine. A backlogged request
+// that finds t's table lock held marks t refused, and whoever releases
+// that lock kicks t's engine when the mark is set: an applier, t's
+// ApplyLocal, Register or Deregister, or a holder of the DMA lock
+// Register hands out. So a parked engine polls again as soon as the
+// lock is free, and not before: where a goroutine used to wait inside
+// Lock, nothing waits or re-polls while another goroutine holds the
+// DMA lock. Draining kicks s's engine, so posts it deferred for lack
+// of ring space retry.
 //
-// Ordering: one ring per directed pair, drained FIFO, gives RC
-// in-order-per-rank execution, and the in-place path runs only on a
-// drained ring under the producer lock, so it never overtakes a queued
-// request. Completions are pushed in processing order, so a signaled
-// completion fences everything posted earlier toward the same rank. A
-// full ring surfaces as core.ErrWouldBlock (counted in
-// shm_ring_full_spins) and the engine defers and retries, the same
-// backpressure path as a full send queue. A post toward a closed rank
-// fails with core.ErrPeerDown, and Close fails every request still
-// queued toward the closing rank.
+// The poster stores into the target's memory, and a target's Poll
+// stores read and atomic results into the initiator's buffer: both rest
+// on the ranks sharing one address space. Ranks in separate processes
+// need a mapped segment instead.
+//
+// Ordering: one FIFO backlog per directed pair, applied only under the
+// pair's producer lock, gives RC in-order-per-rank execution, and an
+// operation is applied at post time only on an empty backlog, so it
+// never overtakes a queued request. Completions are pushed in applying
+// order, so a signaled completion fences everything posted earlier
+// toward the same rank. A full ring surfaces as core.ErrWouldBlock
+// (counted in shm_ring_full_spins) and the engine defers and retries,
+// the same backpressure path as a full send queue. A post toward a
+// closed rank fails with core.ErrPeerDown, and Close fails every
+// request still queued toward the closing rank.
 package shm
 
 import (
@@ -73,30 +80,60 @@ func (c *Config) setDefaults() {
 	c.RingBytes = sz
 }
 
-// Wire frame: u32 bodyLen | u8 op | u64 token | op-specific fields.
-// The length prefix counts everything after itself. Producers publish
-// whole frames only, so a consumer never observes a partial frame.
 const (
-	opWrite = 1 // u8 flags | u64 raddr | u32 rkey | payload
-	opRead  = 2 // u64 raddr | u32 rkey | u32 n
-	opFAdd  = 3 // u64 raddr | u32 rkey | u64 add
-	opCSwap = 4 // u64 raddr | u32 rkey | u64 cmp | u64 swap
-
-	flagSignaled = 1 << 0
-
-	lenPrefix    = 4
-	reqHdrLen    = 1 + 8                 // op, token: every body starts so
-	writeBodyMin = reqHdrLen + 1 + 8 + 4 // through rkey; payload follows
-	readBodyLen  = reqHdrLen + 8 + 4 + 4
-	fAddBodyLen  = reqHdrLen + 8 + 4 + 8
-	cSwapBodyLen = reqHdrLen + 8 + 4 + 8 + 8
-	maxFixedLen  = lenPrefix + cSwapBodyLen // header scratch bound
+	opWrite = iota
+	opRead
+	opFAdd
+	opCSwap
 
 	// atomicResultLen is the 8-byte word every fetch-add/comp-swap
 	// result buffer must hold; the prior value is written back into
 	// exactly this many bytes of the initiator's buffer.
 	atomicResultLen = 8
 )
+
+// opCost is what a backlogged request is charged in ring bytes, a
+// write's payload excluded: the size of its fixed fields as the ring
+// once framed them (u32 length, u8 op, u64 token, then u64 raddr and
+// u32 rkey, plus a write's u8 flags, a read's u32 length or an atomic's
+// u64 operands).
+var opCost = [...]int{opWrite: 26, opRead: 29, opFAdd: 33, opCSwap: 41}
+
+// request is one operation toward a peer.
+type request struct {
+	op       byte
+	signaled bool // opWrite
+	token    uint64
+	raddr    uint64
+	rkey     uint32
+	n        int    // opWrite payload length, opRead length
+	operand  uint64 // opFAdd addend, opCSwap compare
+	swap     uint64 // opCSwap
+	dst      []byte // a backlogged read's or atomic's result destination
+}
+
+// cost is the ring bytes r is charged while it is backlogged.
+func (r *request) cost() int {
+	if r.op == opWrite {
+		return opCost[opWrite] + r.n
+	}
+	return opCost[r.op]
+}
+
+// owesCompletion reports whether r's initiator awaits a completion.
+func (r *request) owesCompletion() bool { return r.op != opWrite || r.signaled }
+
+// backlog holds one directed pair's requests that could not be applied
+// at post time, in posting order. The source rank's producer lock for
+// the target guards it.
+type backlog struct {
+	reqs mem.Queue[request]
+	ring ring
+	// fullSpins counts posts refused for lack of ring space (surfaced
+	// as ErrWouldBlock → engine defer/retry); TransportStats exports it
+	// as shm_ring_full_spins.
+	fullSpins atomic.Int64
+}
 
 // Cluster owns one shm backend per rank plus the bootstrap exchange
 // state. All ranks live in the calling process.
@@ -105,7 +142,8 @@ type Cluster struct {
 	ag       *core.Allgather // bootstrap exchange
 }
 
-// NewCluster creates an n-rank shared-memory job.
+// NewCluster creates an n-rank shared-memory job. It starts no
+// goroutine.
 func NewCluster(n int, cfg Config) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("shm: cluster size %d", n)
@@ -117,24 +155,17 @@ func NewCluster(n int, cfg Config) (*Cluster, error) {
 			cluster: c,
 			rank:    r,
 			size:    n,
-			inRings: make([]*spscRing, n),
 			prodMu:  make([]sync.Mutex, n),
+			out:     make([]backlog, n),
 			mem:     mem.NewRegTable("shm"),
-			pend:    make(map[uint64][]byte),
 			compq:   core.NewCompQueue(),
-			wake:    core.NewWakeChan(),
-			closed:  make(chan struct{}),
 		}
-		for s := 0; s < n; s++ {
-			if s != r {
-				b.inRings[s] = newRing(cfg.RingBytes)
+		for t := range b.out {
+			if t != r {
+				b.out[t].ring = newRing(cfg.RingBytes)
 			}
 		}
 		c.backends[r] = b
-	}
-	for _, b := range c.backends {
-		b.agentWG.Add(1)
-		go b.agent()
 	}
 	return c, nil
 }
@@ -160,47 +191,45 @@ type Backend struct {
 	rank    int
 	size    int
 
-	// inRings[s] carries requests from rank s toward this rank (nil at
-	// self). This rank's agent is the only consumer of all of them.
-	inRings []*spscRing
-	// prodMu[t] serializes this rank's posters toward rank t: the
-	// directed ring is SPSC, so concurrent engine goroutines posting to
-	// the same target take the producer role one at a time, and the
-	// in-place path's drained-ring check holds only under it.
+	// prodMu[t] makes its holder the only applier of this rank's
+	// operations toward rank t: posters, this rank's Poll and t's Poll
+	// take it, so operations toward t run one at a time in posting
+	// order, and an empty out[t] under it means everything posted
+	// earlier has been applied.
 	//photon:lock shmprod 20
 	prodMu []sync.Mutex
+	// out[t] is this rank's backlog toward rank t (unused at self).
+	out []backlog
+	// queued counts the requests in the backlogs this rank's Poll
+	// drains, toward it and from it, so an idle Poll takes no lock.
+	queued atomic.Int64
 
 	// mem is the registration table every access is validated against
 	// (shared with the TCP backend); its lock is the "DMA lock"
 	// guarding registered memory.
 	mem *mem.RegTable
-
-	// pend parks the result destinations of reads and atomics that went
-	// through the ring, by token, until the target's agent fills and
-	// completes them.
-	//photon:lock shmpend 40
-	pendMu sync.Mutex
-	pend   map[uint64][]byte
+	// refused is set when a backlogged request toward this rank found
+	// the table lock held; whoever releases the lock then kicks this
+	// rank's engine (released), whose Poll applies the request. A
+	// refused drain sets it and then tries once more, so a release
+	// between the refusal and the mark is not missed.
+	refused atomic.Bool
+	// dma is the read lock Register hands out: the table's, with a
+	// release that calls released.
+	dma     dmaLock
+	dmaOnce sync.Once
 
 	// compq carries completions back to this rank's engine and doubles
 	// as its wake event source.
-	compq *core.CompQueue
+	compq  *core.CompQueue
+	closed atomic.Bool
 
-	// wake parks the agent between bursts (futex analogue: producers
-	// kick it after publishing into an inbound ring).
-	wake    *core.WakeChan
-	agentWG sync.WaitGroup
-	closed  chan struct{}
-
-	// Transport counters (TransportStats). framesOut and bytesOut count
-	// only requests that went through a ring, not those applied in
-	// place.
-	framesIn   atomic.Int64
-	framesOut  atomic.Int64
-	bytesIn    atomic.Int64
-	bytesOut   atomic.Int64
-	agentParks atomic.Int64
-	agentWakes atomic.Int64
+	// Transport counters (TransportStats). They count only requests
+	// that went through a backlog, not those applied at post time.
+	framesIn  atomic.Int64
+	framesOut atomic.Int64
+	bytesIn   atomic.Int64
+	bytesOut  atomic.Int64
 }
 
 var (
@@ -214,30 +243,92 @@ func (b *Backend) Rank() int { return b.rank }
 // Size returns the job size.
 func (b *Backend) Size() int { return b.size }
 
-// Register pins buf into the local registration table.
+// Register pins buf into the local registration table. The read lock
+// it returns is the table's, and releasing it wakes this rank's engine
+// when a request was refused while it was held.
 func (b *Backend) Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error) {
-	return b.mem.Register(buf)
+	rb, rl, err := b.mem.Register(buf)
+	b.released()
+	if err != nil {
+		return rb, nil, err
+	}
+	b.dmaOnce.Do(func() { b.dma = dmaLock{b: b, rl: rl} })
+	return rb, &b.dma, nil
+}
+
+// dmaLock is the DMA lock Register hands out.
+type dmaLock struct {
+	b *Backend
+	//photon:lock regmem 40
+	rl sync.Locker
+}
+
+func (l *dmaLock) Lock() { l.rl.Lock() }
+
+func (l *dmaLock) Unlock() {
+	l.rl.Unlock()
+	l.b.released()
+}
+
+// released follows every release of this rank's table lock: when a
+// request toward this rank was refused while the lock was held, it
+// kicks this rank's engine, so its Poll applies the request now rather
+// than on some later wake-up.
+func (b *Backend) released() {
+	if b.refused.Load() && b.refused.Swap(false) {
+		b.compq.Kick()
+	}
 }
 
 // Deregister removes a registration.
-func (b *Backend) Deregister(rb mem.RemoteBuffer) error { return b.mem.Deregister(rb) }
+func (b *Backend) Deregister(rb mem.RemoteBuffer) error {
+	err := b.mem.Deregister(rb)
+	b.released()
+	return err
+}
 
 // ApplyLocal performs a loopback DMA write into this rank's own
 // registered memory with full validation.
 func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
-	return b.mem.Write(false, raddr, rkey, data, nil)
+	err := b.mem.Write(false, raddr, rkey, data, nil)
+	b.released()
+	return err
 }
 
 // WriteActivity counts applied writes with one counter for all
-// registrations (every remote write, in place or by the agent, goes
-// through the table).
+// registrations (every remote write goes through the table, whoever
+// applies it).
 func (b *Backend) WriteActivity(mem.RemoteBuffer) (func() uint64, bool) {
 	return b.mem.Activity, true
 }
 
-// Poll reaps completions.
+// Poll applies what it can of the backlogs toward and from this rank,
+// then reaps completions. It never blocks.
 func (b *Backend) Poll(dst []core.BackendCompletion) int {
+	if b.queued.Load() > 0 {
+		b.drainAll()
+	}
 	return b.compq.Drain(dst)
+}
+
+// drainAll drains every backlog this rank polls whose producer lock is
+// free. What it leaves waits on a held lock: a producer lock's holder
+// drains the backlog itself, and a table lock's holder kicks the
+// target when it releases (see refused).
+func (b *Backend) drainAll() {
+	for _, p := range b.cluster.backends {
+		if p == b {
+			continue
+		}
+		if b.prodMu[p.rank].TryLock() {
+			b.drain(p)
+			b.prodMu[p.rank].Unlock()
+		}
+		if p.prodMu[b.rank].TryLock() {
+			p.drain(b)
+			p.prodMu[b.rank].Unlock()
+		}
+	}
 }
 
 // Notify returns the channel signaled when a completion is queued or
@@ -256,13 +347,9 @@ func (b *Backend) TransportStats(yield func(name string, v int64)) {
 	yield("shm_frames_out", b.framesOut.Load())
 	yield("shm_bytes_in", b.bytesIn.Load())
 	yield("shm_bytes_out", b.bytesOut.Load())
-	yield("shm_agent_parks", b.agentParks.Load())
-	yield("shm_agent_wakes", b.agentWakes.Load())
 	var spins int64
-	for _, peer := range b.cluster.backends {
-		if peer.rank != b.rank {
-			spins += peer.inRings[b.rank].fullSpins.Load()
-		}
+	for i := range b.out {
+		spins += b.out[i].fullSpins.Load()
 	}
 	yield("shm_ring_full_spins", spins)
 }
@@ -278,34 +365,21 @@ func (b *Backend) Exchange(local []byte) ([][]byte, error) {
 	return b.cluster.ag.Exchange(b.rank, local), nil
 }
 
-// Close stops the agent, fails every request still queued toward this
-// rank with core.ErrPeerDown, and releases the endpoint. Idempotent.
+// Close marks this rank closed and, holding each peer's producer lock
+// toward it, fails every request still queued toward it with
+// core.ErrPeerDown. A poster that checked before the mark has queued
+// by the time Close holds its lock, and any later one fails at post.
+// Idempotent.
 func (b *Backend) Close() error {
-	b.pendMu.Lock()
-	select {
-	case <-b.closed:
-		b.pendMu.Unlock()
+	if !b.closed.CompareAndSwap(false, true) {
 		return nil
-	default:
-		close(b.closed)
 	}
-	b.pendMu.Unlock()
-	b.wake.Kick()
-	b.agentWG.Wait()
-	// The agent is gone, so Close is the rings' consumer now. Holding
-	// each producer lock fences posters that checked closed before it
-	// was set: everything they published is in the ring, and anything
-	// later sees closed and fails at post.
-	var hdr [maxFixedLen]byte
-	down := peerDown(b.rank)
-	for src, r := range b.inRings {
-		if r == nil {
-			continue
+	for _, p := range b.cluster.backends {
+		if p != b {
+			p.prodMu[b.rank].Lock()
+			p.drain(b)
+			p.prodMu[b.rank].Unlock()
 		}
-		peer := b.cluster.backends[src]
-		peer.prodMu[b.rank].Lock()
-		b.drainRing(src, r, hdr[:], down)
-		peer.prodMu[b.rank].Unlock()
 	}
 	return nil
 }
@@ -314,34 +388,26 @@ func peerDown(rank int) error {
 	return fmt.Errorf("shm: rank %d closed: %w", rank, core.ErrPeerDown)
 }
 
-func (b *Backend) isClosed() bool {
-	select {
-	case <-b.closed:
-		return true
-	default:
-		return false
-	}
-}
-
 func (b *Backend) checkRank(rank int) error {
 	if rank < 0 || rank >= b.size {
 		return core.ErrBadRank
 	}
-	if b.isClosed() {
+	if b.closed.Load() {
 		return core.ErrClosed
 	}
 	return nil
 }
 
 // PostWrite writes local to (raddr, rkey) at rank. The payload is
-// copied before PostWrite returns (applied in place, or framed into the
-// ring), so the caller may recycle local as soon as this returns nil.
+// copied before PostWrite returns (applied at once, or into the
+// backlog's ring), so the caller may recycle local as soon as this
+// returns nil.
 func (b *Backend) PostWrite(rank int, local []byte, raddr uint64, rkey uint32, token uint64, signaled bool) error {
-	return b.post(rank, &frame{op: opWrite, signaled: signaled, token: token, raddr: raddr, rkey: rkey, n: len(local)}, local)
+	return b.post(rank, &request{op: opWrite, signaled: signaled, token: token, raddr: raddr, rkey: rkey, n: len(local)}, local)
 }
 
 // PostWriteBatch posts a burst under one producer-lock acquisition,
-// with one doorbell kick when any of it went through the ring.
+// with one kick of the target when any of it was backlogged.
 func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 	if err := b.checkRank(rank); err != nil {
 		return 0, err
@@ -360,9 +426,9 @@ func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 	b.prodMu[rank].Lock()
 	for ; n < len(reqs); n++ {
 		q := &reqs[n]
-		f := frame{op: opWrite, signaled: q.Signaled, token: q.Token, raddr: q.RemoteAddr, rkey: q.RKey, n: len(q.Local)}
+		r := request{op: opWrite, signaled: q.Signaled, token: q.Token, raddr: q.RemoteAddr, rkey: q.RKey, n: len(q.Local)}
 		var used int
-		if used, err = b.submit(rank, &f, q.Local); err != nil {
+		if used, err = b.submit(rank, &r, q.Local); err != nil {
 			break
 		}
 		if used > 0 {
@@ -371,14 +437,14 @@ func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 		}
 	}
 	b.prodMu[rank].Unlock()
-	b.queued(rank, frames, bytes)
+	b.appended(rank, frames, bytes)
 	return n, err
 }
 
 // PostRead starts a one-sided read; local is owned by the backend
 // until the completion is reported.
 func (b *Backend) PostRead(rank int, local []byte, raddr uint64, rkey uint32, token uint64) error {
-	return b.post(rank, &frame{op: opRead, token: token, raddr: raddr, rkey: rkey, n: len(local)}, local)
+	return b.post(rank, &request{op: opRead, token: token, raddr: raddr, rkey: rkey, n: len(local)}, local)
 }
 
 // PostFetchAdd atomically adds to the 8-byte word at (raddr, rkey).
@@ -386,7 +452,7 @@ func (b *Backend) PostFetchAdd(rank int, result []byte, raddr uint64, rkey uint3
 	if len(result) < atomicResultLen {
 		return fmt.Errorf("shm: fetch-add result buffer too small")
 	}
-	return b.post(rank, &frame{op: opFAdd, token: token, raddr: raddr, rkey: rkey, operand: add}, result)
+	return b.post(rank, &request{op: opFAdd, token: token, raddr: raddr, rkey: rkey, operand: add}, result)
 }
 
 // PostCompSwap atomically compare-and-swaps the 8-byte word.
@@ -394,224 +460,157 @@ func (b *Backend) PostCompSwap(rank int, result []byte, raddr uint64, rkey uint3
 	if len(result) < atomicResultLen {
 		return fmt.Errorf("shm: comp-swap result buffer too small")
 	}
-	return b.post(rank, &frame{op: opCSwap, token: token, raddr: raddr, rkey: rkey, operand: compare, swap: swap}, result)
+	return b.post(rank, &request{op: opCSwap, token: token, raddr: raddr, rkey: rkey, operand: compare, swap: swap}, result)
 }
 
 // post submits one request toward rank. local is a write's payload, or
 // a read's or atomic's result destination.
-func (b *Backend) post(rank int, f *frame, local []byte) error {
+func (b *Backend) post(rank int, r *request, local []byte) error {
 	if err := b.checkRank(rank); err != nil {
 		return err
 	}
 	if rank == b.rank {
-		b.apply(b, false, f, local, nil, local)
+		b.apply(b, false, r, local, nil, local)
 		return nil
 	}
 	b.prodMu[rank].Lock()
-	used, err := b.submit(rank, f, local)
+	used, err := b.submit(rank, r, local)
 	b.prodMu[rank].Unlock()
 	if used > 0 {
-		b.queued(rank, 1, used)
+		b.appended(rank, 1, used)
 	}
 	return err
 }
 
-// submit runs f toward rank; the caller holds prodMu[rank]. When the
-// ring is drained and the target's table lock is free, f is applied in
-// place and completed; otherwise it is framed into the ring, and submit
-// returns the ring bytes it used. The in-place completion is pushed
-// under prodMu, so a later post's ring frame cannot complete first;
-// the wake sink that push calls is non-blocking by contract.
-func (b *Backend) submit(rank int, f *frame, local []byte) (int, error) {
+// submit runs r toward rank; the caller holds prodMu[rank]. It drains
+// the backlog first; when that empties it and the target's table lock
+// is free, r is applied and completed at once. Otherwise r joins the
+// backlog, and submit returns the ring bytes it was charged. The
+// completion of an operation applied here is pushed under prodMu, so a
+// later post cannot complete first; the wake sink that push calls is
+// non-blocking by contract.
+func (b *Backend) submit(rank int, r *request, local []byte) (int, error) {
 	t := b.cluster.backends[rank]
-	if t.isClosed() {
+	if t.closed.Load() {
 		return 0, peerDown(rank)
 	}
-	r := t.inRings[b.rank]
-	total := lenPrefix + f.bodyLen()
-	if total > len(r.buf)/2 {
+	bl := &b.out[rank]
+	cost := r.cost()
+	if cost > len(bl.ring.buf)/2 {
 		return 0, core.ErrTooLarge
 	}
-	if r.pending() == 0 && t.apply(b, true, f, local, nil, local) {
+	if bl.reqs.Len() > 0 {
+		b.drain(t)
+	}
+	if bl.reqs.Len() == 0 && t.apply(b, true, r, local, nil, local) {
 		return 0, nil
 	}
-	pos, ok := r.tryReserve(total)
-	if !ok {
+	var payload []byte
+	if r.op == opWrite {
+		payload = local
+	} else {
+		r.dst = local
+	}
+	if !bl.ring.put(cost, payload) {
+		bl.fullSpins.Add(1)
 		return 0, core.ErrWouldBlock
 	}
-	var hdr [maxFixedLen]byte
-	h := f.encode(hdr[:])
-	r.writeAt(pos, h)
-	if f.op == opWrite {
-		r.writeAt(pos+uint64(len(h)), local)
-	} else {
-		b.pendMu.Lock()
-		b.pend[f.token] = local
-		b.pendMu.Unlock()
-	}
-	r.publish(pos + uint64(total))
-	return total, nil
+	bl.reqs.PushBack(*r)
+	b.queued.Add(1)
+	t.queued.Add(1)
+	return cost, nil
 }
 
-// queued accounts frames published toward rank and wakes its agent.
-func (b *Backend) queued(rank, frames, bytes int) {
+// appended accounts requests backlogged toward rank and kicks its
+// engine, whose Poll drains them.
+func (b *Backend) appended(rank, frames, bytes int) {
 	if frames == 0 {
 		return
 	}
 	b.framesOut.Add(int64(frames))
 	b.bytesOut.Add(int64(bytes))
-	b.cluster.backends[rank].wake.Kick()
+	b.cluster.backends[rank].compq.Kick()
 }
 
-// apply executes f against b's registered memory on behalf of src and
+// drain applies b's backlog toward t from the front, in try mode, until
+// it is empty or t's table lock is held; the caller holds
+// b.prodMu[t.rank]. Toward a closed t it fails every request that owes
+// a completion instead. Draining kicks b's engine, so posts it deferred
+// for lack of ring space retry.
+func (b *Backend) drain(t *Backend) {
+	bl := &b.out[t.rank]
+	var frames, bytes int64
+	for bl.reqs.Len() > 0 {
+		r := bl.reqs.At(0)
+		if t.closed.Load() {
+			if r.owesCompletion() {
+				b.compq.Push(core.BackendCompletion{Token: r.token, Err: peerDown(t.rank)})
+			}
+		} else {
+			var head, tail []byte
+			if r.op == opWrite {
+				head, tail = bl.ring.span(bl.ring.head, r.n)
+			}
+			if !t.apply(b, true, &r, head, tail, r.dst) {
+				// Flag the refusal for the lock's holder, then look
+				// once more: the holder may have released the lock
+				// before it could see the flag.
+				t.refused.Store(true)
+				if !t.apply(b, true, &r, head, tail, r.dst) {
+					break
+				}
+			}
+		}
+		bl.reqs.PopFront()
+		cost := r.cost()
+		bl.ring.head += uint64(cost)
+		frames++
+		bytes += int64(cost)
+	}
+	if frames == 0 {
+		return
+	}
+	b.queued.Add(-frames)
+	t.queued.Add(-frames)
+	t.framesIn.Add(frames)
+	t.bytesIn.Add(bytes)
+	b.compq.Kick()
+}
+
+// apply executes r against b's registered memory on behalf of src and
 // completes it into src's queue: a write's payload is head then tail,
 // a read's or atomic's result lands in dst. With try set it gives up
-// when b's table lock is held, doing nothing and returning false. The
-// agent, the in-place path and self-posts all run requests through it.
-func (b *Backend) apply(src *Backend, try bool, f *frame, head, tail, dst []byte) bool {
-	switch f.op {
+// when b's table lock is held, doing nothing and returning false.
+// Posts, drains and self-posts all run requests through it.
+func (b *Backend) apply(src *Backend, try bool, r *request, head, tail, dst []byte) bool {
+	var err error
+	switch r.op {
 	case opWrite:
-		return b.applyWrite(src, try, f, head, tail)
-	case opRead:
-		return b.applyRead(src, try, f, dst)
-	default:
-		return b.applyAtomic(src, try, f, dst)
-	}
-}
-
-func (b *Backend) applyWrite(src *Backend, try bool, f *frame, head, tail []byte) bool {
-	err := b.mem.Write(try, f.raddr, f.rkey, head, tail)
-	if errors.Is(err, mem.ErrBusy) {
-		return false
-	}
-	if err == nil {
-		// Data is visible: kick this rank's engine sweep even when
-		// unsignaled (ledger writes are unsignaled by design).
-		b.compq.Kick()
-	}
-	if f.signaled {
-		src.compq.Push(core.BackendCompletion{Token: f.token, OK: err == nil, Err: err})
-	}
-	return true
-}
-
-func (b *Backend) applyRead(src *Backend, try bool, f *frame, dst []byte) bool {
-	var err error
-	if len(dst) < f.n {
-		err = fmt.Errorf("shm: read destination missing for token %d", f.token)
-	} else if err = b.mem.Read(try, dst[:f.n], f.raddr, f.rkey); errors.Is(err, mem.ErrBusy) {
-		return false
-	}
-	src.compq.Push(core.BackendCompletion{Token: f.token, OK: err == nil, Err: err})
-	return true
-}
-
-func (b *Backend) applyAtomic(src *Backend, try bool, f *frame, dst []byte) bool {
-	var old uint64
-	var err error
-	switch {
-	case len(dst) < atomicResultLen:
-		err = fmt.Errorf("shm: atomic destination missing for token %d", f.token)
-	case f.op == opFAdd:
-		old, err = b.mem.FetchAdd(try, f.raddr, f.rkey, f.operand)
-	default:
-		old, err = b.mem.CompSwap(try, f.raddr, f.rkey, f.operand, f.swap)
-	}
-	if errors.Is(err, mem.ErrBusy) {
-		return false
-	}
-	if err == nil {
-		binary.LittleEndian.PutUint64(dst, old)
-	}
-	src.compq.Push(core.BackendCompletion{Token: f.token, OK: err == nil, Err: err})
-	return true
-}
-
-// takePend claims the parked destination for token.
-func (b *Backend) takePend(token uint64) []byte {
-	b.pendMu.Lock()
-	buf := b.pend[token]
-	delete(b.pend, token)
-	b.pendMu.Unlock()
-	return buf
-}
-
-// fail completes token with err, releasing its parked destination.
-func (b *Backend) fail(token uint64, err error) {
-	b.takePend(token)
-	b.compq.Push(core.BackendCompletion{Token: token, Err: err})
-}
-
-// agent is this rank's consumer loop: it drains every inbound ring,
-// applies operations against local registered memory, and completes
-// them into the initiator's queue. One goroutine per rank; parked on
-// the wake latch between bursts.
-func (b *Backend) agent() {
-	defer b.agentWG.Done()
-	var hdr [maxFixedLen]byte
-	for {
-		busy := false
-		for src, r := range b.inRings {
-			if r == nil {
-				continue
-			}
-			if n := b.drainRing(src, r, hdr[:], nil); n > 0 {
-				busy = true
-				// Ring space opened up: wake the producer's engine so
-				// deferred (ErrWouldBlock) posts retry promptly.
-				b.cluster.backends[src].compq.Kick()
-			}
-		}
-		if b.isClosed() {
-			return
-		}
-		if busy {
-			continue
-		}
-		b.agentParks.Add(1)
-		select {
-		case <-b.wake.Chan():
-			b.agentWakes.Add(1)
-		case <-b.closed:
-			return
-		}
-	}
-}
-
-// drainRing consumes the complete frames in r (requests from rank src)
-// and returns their count. With down nil it applies each one and stops
-// early once this rank closes; otherwise it fails each one that owes a
-// completion with down.
-func (b *Backend) drainRing(src int, r *spscRing, hdr []byte, down error) int {
-	peer := b.cluster.backends[src]
-	frames := 0
-	for r.pending() >= lenPrefix {
-		if down == nil && b.isClosed() {
-			break
-		}
-		pos := r.head.Load()
-		// Producers publish whole frames, so the body is present.
-		bodyLen := int(binary.LittleEndian.Uint32(r.readAt(pos, hdr, lenPrefix)))
-		pos += lenPrefix
-		f, err := decodeFrame(r.readAt(pos, hdr, min(bodyLen, cSwapBodyLen)), bodyLen)
+		err = b.mem.Write(try, r.raddr, r.rkey, head, tail)
 		if err == nil {
-			err = down
+			// Data is visible: kick this rank's engine sweep even when
+			// unsignaled (ledger writes are unsignaled by design).
+			b.compq.Kick()
 		}
-		switch {
-		case err == nil && f.op == opWrite:
-			// The payload goes straight from the ring into the target
-			// registration (two segments across the wrap point at most).
-			head, tail := r.span(pos+writeBodyMin, f.n)
-			b.applyWrite(peer, false, &f, head, tail)
-		case err == nil:
-			b.apply(peer, false, &f, nil, nil, peer.takePend(f.token))
-		case f.op != opWrite || f.signaled:
-			peer.fail(f.token, err)
+	case opRead:
+		err = b.mem.Read(try, dst[:r.n], r.raddr, r.rkey)
+	default:
+		var old uint64
+		if r.op == opFAdd {
+			old, err = b.mem.FetchAdd(try, r.raddr, r.rkey, r.operand)
+		} else {
+			old, err = b.mem.CompSwap(try, r.raddr, r.rkey, r.operand, r.swap)
 		}
-		r.advance(uint64(lenPrefix + bodyLen))
-		frames++
-		b.framesIn.Add(1)
-		b.bytesIn.Add(int64(lenPrefix + bodyLen))
+		if err == nil {
+			binary.LittleEndian.PutUint64(dst, old)
+		}
 	}
-	return frames
+	if errors.Is(err, mem.ErrBusy) {
+		return false
+	}
+	b.released()
+	if r.owesCompletion() {
+		src.compq.Push(core.BackendCompletion{Token: r.token, OK: err == nil, Err: err})
+	}
+	return true
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -47,6 +48,128 @@ func waitComps(t *testing.T, b *shm.Backend, want int) []core.BackendCompletion 
 		}
 	}
 	return out
+}
+
+// TestNewClusterStartsNoGoroutine pins the shape of the backend: a
+// job of 8 ranks, and traffic through its backlogs, run entirely on
+// the callers' goroutines. Goroutines left by earlier tests may still
+// be exiting, so the baseline is taken once the count holds still, and
+// the count must not rise above it.
+func TestNewClusterStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for deadline := time.Now().Add(waitT); time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
+	}
+	cl, err := shm.NewCluster(8, shm.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("NewCluster(8) changed the goroutine count %d → %d", before, n)
+	}
+	rb, dma, err := cl.Backend(7).Register(make([]byte, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dma.Lock()
+	for r := 0; r < 7; r++ {
+		if err := cl.Backend(r).PostWrite(7, []byte{byte(r)}, rb.Addr+uint64(r), rb.RKey, 0, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dma.Unlock()
+	cl.Backend(7).Poll(nil)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("backlogged traffic changed the goroutine count %d → %d", before, n)
+	}
+}
+
+// TestBackloggedPutLandsWithPosterParked queues one unsignaled write
+// behind rank 1's held DMA lock; rank 0 then neither posts nor polls
+// again. Once the lock is released, rank 1's own Poll must land the
+// bytes and move its write-activity counter.
+func TestBackloggedPutLandsWithPosterParked(t *testing.T) {
+	cl := newCluster(t, 2)
+	b0, b1 := cl.Backend(0), cl.Backend(1)
+	target := make([]byte, 64)
+	rb, dma, err := b1.Register(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	act, _ := b1.WriteActivity(rb)
+	dma.Lock()
+	if err := b0.PostWrite(1, []byte{0xC0, 0xDE}, rb.Addr+8, rb.RKey, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	a0 := act()
+	dma.Unlock()
+	if framesOut(b0) != 1 {
+		t.Fatalf("the write posted behind a held table lock was not backlogged (frames out %d)", framesOut(b0))
+	}
+	select {
+	case <-b1.Notify():
+	default:
+		t.Fatal("backlogging the write did not kick the target")
+	}
+	if n := b1.Poll(make([]core.BackendCompletion, 4)); n != 0 {
+		t.Fatalf("target reaped %d completions for an unsignaled write", n)
+	}
+	dma.Lock()
+	landed := target[8] == 0xC0 && target[9] == 0xDE
+	dma.Unlock()
+	if !landed || act() == a0 {
+		t.Fatalf("target's Poll did not land the backlogged write: bytes % x, activity %d → %d", target[8:10], a0, act())
+	}
+}
+
+// TestDMAUnlockWakesRefusedTarget: when rank 1's Poll finds a
+// backlogged write behind rank 1's held DMA lock, releasing the lock
+// must wake rank 1 again, so a parked engine retries at once instead of
+// waiting for some unrelated event.
+func TestDMAUnlockWakesRefusedTarget(t *testing.T) {
+	cl := newCluster(t, 2)
+	b0, b1 := cl.Backend(0), cl.Backend(1)
+	target := make([]byte, 8)
+	rb, dma, err := b1.Register(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	woken := func() bool {
+		select {
+		case <-b1.Notify():
+			return true
+		default:
+			return false
+		}
+	}
+	dma.Lock()
+	if err := b0.PostWrite(1, []byte{0x5A}, rb.Addr, rb.RKey, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	if !woken() {
+		t.Fatal("backlogging the write did not kick the target")
+	}
+	b1.Poll(nil) // refused: the table lock is held
+	if woken() {
+		t.Fatal("target woken while its DMA lock is still held")
+	}
+	dma.Unlock()
+	if !woken() {
+		t.Fatal("releasing the DMA lock did not wake the target that was refused")
+	}
+	b1.Poll(nil)
+	dma.Lock()
+	landed := target[0] == 0x5A
+	dma.Unlock()
+	if !landed {
+		t.Fatal("the woken target's Poll did not land the write")
+	}
 }
 
 func TestBackendIdentity(t *testing.T) {
@@ -167,8 +290,8 @@ func TestSignaledFencesEarlier(t *testing.T) {
 
 // TestConcurrentBidirectionalRace hammers writes in both directions
 // from multiple goroutines per rank (run under -race in CI): the
-// per-target producer lock must serialize same-ring posters while the
-// two agents drain concurrently.
+// per-target producer lock must serialize same-pair posters while both
+// ranks' Polls drain backlogs concurrently.
 func TestConcurrentBidirectionalRace(t *testing.T) {
 	cl := newCluster(t, 2)
 	const perWorker = 200
@@ -375,9 +498,10 @@ func TestPhotonOverShm(t *testing.T) {
 }
 
 // TestShmPutAllocGuard extends the zero-allocation guard to the shm
-// hot path: post, in-place apply or ring enqueue and agent apply,
-// completion push/drain — the full put round trip, and a get and a
-// fetch-add round trip, must stay allocation-free in steady state.
+// hot path: post, in-place apply, completion push/drain — the full put
+// round trip, and a get and a fetch-add round trip, must stay
+// allocation-free in steady state, and so must a put, a get and a
+// fetch-add that go through the backlog.
 // Waits spin on Progress rather than parking (the parked path's timer
 // is not part of the data path).
 func TestShmPutAllocGuard(t *testing.T) {
@@ -451,6 +575,7 @@ func TestShmPutAllocGuard(t *testing.T) {
 		{"put", put, 1},
 		{"get", get, 0},
 		{"fetch-add", fadd, 0},
+		{"backlog", backlogLeg(t), 0},
 	} {
 		for i := 0; i < 100; i++ {
 			tc.op()
@@ -463,10 +588,52 @@ func TestShmPutAllocGuard(t *testing.T) {
 	}
 }
 
+// backlogLeg returns one round of the backlog path on a bare 2-rank
+// cluster: with rank 1's DMA lock held, rank 0 posts a put, a get and a
+// fetch-add, which all join the backlog; the lock is released, rank 1's
+// Poll drains them, and rank 0 reaps the three completions.
+func backlogLeg(t *testing.T) func() {
+	cl := newCluster(t, 2)
+	b0, b1 := cl.Backend(0), cl.Backend(1)
+	rb, dma, err := b1.Register(make([]byte, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, got, result := make([]byte, 8), make([]byte, 64), make([]byte, 8)
+	var comps [4]core.BackendCompletion
+	return func() {
+		before := framesOut(b0)
+		dma.Lock()
+		if err := b0.PostWrite(1, payload, rb.Addr, rb.RKey, 1, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := b0.PostRead(1, got, rb.Addr+64, rb.RKey, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := b0.PostFetchAdd(1, result, rb.Addr+1024, rb.RKey, 1, 3); err != nil {
+			t.Fatal(err)
+		}
+		dma.Unlock()
+		if framesOut(b0)-before != 3 {
+			t.Fatal("an op posted behind a held table lock was not backlogged")
+		}
+		b1.Poll(comps[:0])
+		for n := 0; n < 3; {
+			k := b0.Poll(comps[:])
+			for _, c := range comps[:k] {
+				if !c.OK {
+					t.Fatal(c.Err)
+				}
+			}
+			n += k
+		}
+	}
+}
+
 // TestTracedShmPutAllocGuard is the fully-observed variant of the put
 // guard: an enabled trace ring with every op sampled, so each round
 // trip records post, wire-context link, complete, and reap events and
-// carries the trace context through the shm ring frame — and must
+// carries the trace context through the ledger entry shm writes — and must
 // still never touch the heap.
 func TestTracedShmPutAllocGuard(t *testing.T) {
 	ring := trace.NewRing(4096)
@@ -526,7 +693,7 @@ func TestTracedShmPutAllocGuard(t *testing.T) {
 }
 
 // framesOut reads b's shm_frames_out: how many requests went through
-// a ring rather than being applied in place.
+// a backlog rather than being applied in place.
 func framesOut(b *shm.Backend) int64 {
 	var n int64
 	b.TransportStats(func(name string, v int64) {
@@ -537,14 +704,13 @@ func framesOut(b *shm.Backend) int64 {
 	return n
 }
 
-// TestInPlaceNeverOvertakesRing pins the two-path ordering rule. Each
-// round stalls rank 1's agent on its DMA lock, so a run of unsignaled
-// writes and a signaled one must queue in the ring; then the lock is
-// released and every slot is overwritten at once, behind another
-// signaled write. Whether those overwrites are applied in place or
-// queued depends on how far the agent has got, but an in-place write
-// may only run on a drained ring: the signaled completions must arrive
-// in posting order and the slots must end with the second values.
+// TestInPlaceNeverOvertakesRing pins the ordering rule. Each round
+// holds rank 1's DMA lock, so a run of unsignaled writes and a signaled
+// one must queue in the backlog; then the lock is released and every
+// slot is overwritten at once, behind another signaled write. An
+// in-place write may only run on a drained backlog: the signaled
+// completions must arrive in posting order and the slots must end with
+// the second values.
 // The test opens with the in-place path's own case: an idle target.
 func TestInPlaceNeverOvertakesRing(t *testing.T) {
 	cl := newCluster(t, 2)
@@ -579,7 +745,7 @@ func TestInPlaceNeverOvertakesRing(t *testing.T) {
 		}
 		write(slots, first, uint64(2*round+1), true)
 		if queued := framesOut(b0) - before; queued != slots+1 {
-			t.Fatalf("round %d: %d of %d writes reached the ring while the target's table was locked", round, queued, slots+1)
+			t.Fatalf("round %d: %d of %d writes were backlogged while the target's table was locked", round, queued, slots+1)
 		}
 		dma.Unlock()
 		for i := 0; i < slots; i++ {
@@ -665,8 +831,8 @@ func TestPostToClosedPeerFails(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Queue a signaled write and a read behind a write the agent is
-	// stalled applying, then close rank 1 under them.
+	// Queue two signaled writes and a read behind rank 1's held DMA
+	// lock, then close rank 1 under them.
 	dma.Lock()
 	for tok := uint64(1); tok <= 2; tok++ {
 		if err := b0.PostWrite(1, []byte{1}, rb.Addr, rb.RKey, tok, true); err != nil {
@@ -701,8 +867,8 @@ func TestPostToClosedPeerFails(t *testing.T) {
 	dma.Unlock()
 	<-closed
 
-	// Token 1 may have been applied before the agent saw the close;
-	// everything queued behind it fails with ErrPeerDown.
+	// Every queued request completes once; all but token 1, at the
+	// front, must fail with ErrPeerDown.
 	var comps [8]core.BackendCompletion
 	seen := map[uint64]bool{}
 	for deadline := time.Now().Add(waitT); len(seen) < want; {

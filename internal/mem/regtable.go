@@ -10,14 +10,15 @@ import (
 
 // ErrBusy is returned by an accessor called with try set when the table
 // lock is held: the access was not attempted and may be retried or
-// handed to an agent.
+// queued by the caller.
 var ErrBusy = errors.New("mem: registration table busy")
 
 // RegTable is the registration table of a transport whose one-sided
-// operations are applied in software (tcp's reader, shm's agent or the
-// posting rank itself): pinned buffers in a fake address space — page-aligned
-// bases handed out linearly, keyed by rkey — behind one RWMutex that
-// doubles as the "DMA lock" Register hands back to local readers.
+// operations are applied in software (tcp's reader, or on shm whichever
+// rank holds the pair's producer lock): pinned buffers in a fake
+// address space — page-aligned bases handed out linearly, keyed by
+// rkey — behind one RWMutex that doubles as the "DMA lock" Register
+// hands back to local readers.
 //
 // Every remote access goes through it, so the rkey, bounds, address
 // wrap-around and atomic-alignment checks on addresses that arrive
