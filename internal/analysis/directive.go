@@ -14,9 +14,10 @@ import (
 const DirectiveAnalyzerName = "directive"
 
 const (
-	hotpathDirective = "photon:hotpath"
-	allowDirective   = "photon:allow"
-	lockDirective    = "photon:lock"
+	hotpathDirective  = "photon:hotpath"
+	allowDirective    = "photon:allow"
+	lockDirective     = "photon:lock"
+	reentersDirective = "photon:reenters"
 )
 
 // A lockDecl is one parsed //photon:lock <name> <rank> directive,
@@ -29,6 +30,19 @@ type lockDecl struct {
 	file   string
 	line   int // source line of the comment itself
 	target int // declaration line the classification applies to
+	pos    token.Pos
+}
+
+// A reentersDecl is one parsed //photon:reenters <func> directive on a
+// struct field: a method called through that field may run the named
+// function of the same package before it returns (a handler the
+// callee holds and invokes), so lockorder charges such a call with
+// that function's lock summary.
+type reentersDecl struct {
+	fn     string
+	file   string
+	line   int // source line of the comment itself
+	target int // declaration line of the field
 	pos    token.Pos
 }
 
@@ -49,6 +63,7 @@ type Directives struct {
 	byLine     map[string]map[int][]*allow // file -> target line -> allows
 	locks      []*lockDecl
 	lockByLine map[string]map[int]*lockDecl // file -> target line -> lock class
+	reenters   []*reentersDecl
 	problems   []Diagnostic
 }
 
@@ -58,6 +73,17 @@ func (d *Directives) Hotpath(fn *ast.FuncDecl) bool { return d.hotpath[fn] }
 // LockAt returns the //photon:lock classification targeting the given
 // declaration line, or nil.
 func (d *Directives) LockAt(file string, line int) *lockDecl { return d.lockByLine[file][line] }
+
+// ReentersAt returns the //photon:reenters directive targeting the
+// given declaration line, or nil.
+func (d *Directives) ReentersAt(file string, line int) *reentersDecl {
+	for _, r := range d.reenters {
+		if r.file == file && r.target == line {
+			return r
+		}
+	}
+	return nil
+}
 
 // suppress consumes an allow matching (analyzer, file, line) if one
 // exists, marking it used.
@@ -190,6 +216,20 @@ func (d *Directives) collectFile(fset *token.FileSet, f *ast.File, known map[str
 		}
 	}
 
+	// targetLine is the line a directive on line applies to: its own
+	// when it shares the line with code, else the first code line
+	// below its comment block.
+	targetLine := func(line int) int {
+		if codeLines[line] {
+			return line
+		}
+		t := line + 1
+		for commentLines[t] {
+			t++
+		}
+		return t
+	}
+
 	problem := func(pos token.Pos, format string, args ...any) {
 		d.problems = append(d.problems, Diagnostic{
 			Analyzer: DirectiveAnalyzerName,
@@ -217,17 +257,8 @@ func (d *Directives) collectFile(fset *token.FileSet, f *ast.File, known map[str
 				if l == nil {
 					continue
 				}
-				line := fset.Position(c.Pos()).Line
-				l.line = line
-				if codeLines[line] {
-					l.target = line // end-of-line form
-				} else {
-					t := line + 1
-					for commentLines[t] {
-						t++
-					}
-					l.target = t
-				}
+				l.line = fset.Position(c.Pos()).Line
+				l.target = targetLine(l.line)
 				if d.lockByLine[filename] == nil {
 					d.lockByLine[filename] = map[int]*lockDecl{}
 				}
@@ -237,25 +268,25 @@ func (d *Directives) collectFile(fset *token.FileSet, f *ast.File, known map[str
 				}
 				d.locks = append(d.locks, l)
 				d.lockByLine[filename][l.target] = l
+			case strings.HasPrefix(trimmed, reentersDirective):
+				fields := strings.Fields(strings.TrimPrefix(trimmed, reentersDirective))
+				if len(fields) != 1 || !token.IsIdentifier(fields[0]) {
+					problem(c.Pos(), "//photon:reenters wants exactly one function name")
+					continue
+				}
+				line := fset.Position(c.Pos()).Line
+				d.reenters = append(d.reenters, &reentersDecl{
+					fn: fields[0], file: filename, line: line, target: targetLine(line), pos: c.Pos(),
+				})
 			case strings.HasPrefix(trimmed, allowDirective):
 				a := d.parseAllow(c, trimmed, filename, fset, known, problem)
 				if a == nil {
 					continue
 				}
-				line := fset.Position(c.Pos()).Line
-				a.line = line
-				if codeLines[line] {
-					a.target = line // end-of-line form
-				} else {
-					// Own-line form: skip the rest of the comment
-					// block (stacked allows, ordinary comments) down
-					// to the first code line.
-					t := line + 1
-					for commentLines[t] {
-						t++
-					}
-					a.target = t
-				}
+				// Own-line form skips the rest of the comment block
+				// (stacked allows, ordinary comments).
+				a.line = fset.Position(c.Pos()).Line
+				a.target = targetLine(a.line)
 				d.allows = append(d.allows, a)
 				if d.byLine[filename] == nil {
 					d.byLine[filename] = map[int][]*allow{}

@@ -228,3 +228,30 @@ type s struct {
 		t.Errorf("conflicting ranks not reported:\n%s", joined)
 	}
 }
+
+func TestReentersDirectives(t *testing.T) {
+	_, _, d := parseDirectives(t, `package p
+
+type s struct {
+	//photon:reenters onFrame
+	link *int
+	a int //photon:reenters
+	b int //photon:reenters one two
+}
+`)
+	if r := d.ReentersAt("dir_test.go", 5); r == nil || r.fn != "onFrame" {
+		t.Errorf("own-line reenters = %+v, want onFrame on line 5", r)
+	}
+	if len(d.reenters) != 1 {
+		t.Errorf("malformed reenters directives were accepted: %+v", d.reenters)
+	}
+	n := 0
+	for _, p := range d.problems {
+		if strings.Contains(p.Message, "//photon:reenters wants exactly one function name") {
+			n++
+		}
+	}
+	if n != 2 {
+		t.Errorf("%d malformed reenters reported, want 2: %v", n, d.problems)
+	}
+}

@@ -24,14 +24,24 @@ import (
 // package's partial acquisition order: a lock may only be acquired
 // while holding locks of strictly lower rank. Within each function the
 // analyzer tracks the held lock set syntactically — Lock/RLock acquire,
-// Unlock/RUnlock release, the `if !mu.TryLock() { return }` and
-// `if mu.TryLock() { ... }` guard idioms acquire on the held branch,
-// and loop bodies are walked twice so a net acquisition is checked
-// against the next iteration's. The held set then propagates through
-// the intra-package call graph (see callgraph.go): each function's
-// transitive summary records which classes it may acquire and whether
-// it may block, and every call made while holding a lock is checked
-// against the callee's summary.
+// Unlock/RUnlock release, the `if !mu.TryLock() { return }`,
+// `if !mu.TryLock() { ...; mu.Lock() }` and `if mu.TryLock() { ... }`
+// guard idioms acquire on the held branch, and loop bodies are walked
+// twice so a net acquisition is checked against the next iteration's.
+// The held set then propagates through the intra-package call graph
+// (see callgraph.go): each function's transitive summary records which
+// classes it may acquire and whether it may block, and every call made
+// while holding a lock is checked against the callee's summary.
+//
+// A struct field may carry
+//
+//	//photon:reenters <func>
+//
+// naming a function or method of the package that a call through the
+// field may run before it returns — a handler registered with another
+// package, as a simulated NIC's frame handler is with the fabric. Every
+// method call on that field is then charged with <func>'s summary, as
+// if it called <func> directly.
 //
 // Reported while any classified lock is held:
 //
@@ -46,7 +56,7 @@ import (
 //     via a callee. Wakeups (non-blocking sends in a select with
 //     default) pass.
 //
-// Calls through interfaces and function values are opaque, local
+// Other calls through interfaces and function values are opaque, local
 // mutex variables are untracked, and function literal bodies run at
 // invocation time, not where they are written — all three are outside
 // the summary, by design: photonvet is a vet, and the classified
@@ -83,6 +93,7 @@ type lockOrderState struct {
 	byObj     map[types.Object]*lockClass
 	summaries map[*types.Func]*lockSummary
 	reported  map[token.Pos]map[string]bool
+	reentry   map[types.Object]*types.Func // field -> the function a call through it may run
 }
 
 func runLockOrder(pass *Pass) error {
@@ -92,9 +103,11 @@ func runLockOrder(pass *Pass) error {
 		byObj:     map[types.Object]*lockClass{},
 		summaries: map[*types.Func]*lockSummary{},
 		reported:  map[token.Pos]map[string]bool{},
+		reentry:   map[types.Object]*types.Func{},
 	}
 	lo.collectClasses()
 	lo.graph = buildCallGraph(pass)
+	lo.collectReentry()
 	lo.buildSummaries()
 	for _, node := range lo.graph.nodes {
 		w := &lockWalker{lo: lo}
@@ -217,6 +230,93 @@ func (lo *lockOrderState) collectClasses() {
 			return true
 		})
 	}
+}
+
+// collectReentry binds every //photon:reenters field to the function
+// it names and adds a call-graph edge from each call through the field
+// to that function.
+func (lo *lockOrderState) collectReentry() {
+	pass := lo.pass
+	bound := map[*reentersDecl]bool{}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				p := pass.Fset.Position(field.Pos())
+				r := pass.Directives.ReentersAt(p.Filename, p.Line)
+				if r == nil {
+					continue
+				}
+				bound[r] = true
+				var target *types.Func
+				for fn := range lo.graph.nodes {
+					if fn.Name() != r.fn {
+						continue
+					}
+					if target != nil {
+						lo.report(r.pos, "//photon:reenters %s is ambiguous: more than one function of the package has that name", r.fn)
+					}
+					target = fn
+				}
+				if target == nil {
+					lo.report(r.pos, "//photon:reenters names %s, which is no function of this package", r.fn)
+					continue
+				}
+				for _, name := range field.Names {
+					if obj := pass.ObjectOf(name); obj != nil {
+						lo.reentry[obj] = target
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, r := range pass.Directives.reenters {
+		if !bound[r] {
+			lo.report(r.pos, "//photon:reenters must sit on or just above a struct field")
+		}
+	}
+	if len(lo.reentry) == 0 {
+		return
+	}
+	for _, node := range lo.graph.nodes {
+		ast.Inspect(node.decl.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.GoStmt:
+				return false // runs on its own stack
+			case *ast.CallExpr:
+				if target := lo.reentryTarget(n); target != nil {
+					node.calls = append(node.calls, callSite{call: n, callee: target})
+				}
+			}
+			return true
+		})
+	}
+}
+
+// reentryTarget returns the function a method call through a
+// //photon:reenters field may run, or nil.
+func (lo *lockOrderState) reentryTarget(call *ast.CallExpr) *types.Func {
+	if len(lo.reentry) == 0 {
+		return nil
+	}
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	field, ok := unparen(sel.X).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if obj := lo.pass.ObjectOf(field.Sel); obj != nil {
+		return lo.reentry[obj]
+	}
+	return nil
 }
 
 // isPackageLevel reports whether obj is declared at package scope.
@@ -547,7 +647,7 @@ func (w *lockWalker) ifStmt(s *ast.IfStmt, held []heldLock) []heldLock {
 				if s.Else != nil {
 					w.stmt(s.Else, copyHeld(held))
 				}
-				if terminates(s.Body) {
+				if terminates(s.Body) || w.endsAcquiring(s.Body, cls) {
 					return w.acquire(cls, call.Pos(), held)
 				}
 				return held
@@ -563,6 +663,25 @@ func (w *lockWalker) ifStmt(s *ast.IfStmt, held []heldLock) []heldLock {
 	// assumes balanced branches (the TryLock idioms above are the
 	// deliberate exceptions).
 	return held
+}
+
+// endsAcquiring reports whether block's last statement acquires cls —
+// the `if !mu.TryLock() { if try { return }; mu.Lock() }` idiom, after
+// which the lock is held either way.
+func (w *lockWalker) endsAcquiring(block *ast.BlockStmt, cls *lockClass) bool {
+	if len(block.List) == 0 {
+		return false
+	}
+	last, ok := block.List[len(block.List)-1].(*ast.ExprStmt)
+	if !ok {
+		return false
+	}
+	call, ok := unparen(last.X).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	verb, c := w.lo.lockMethod(call)
+	return (verb == "Lock" || verb == "RLock") && c == cls
 }
 
 // terminates reports whether block certainly leaves the enclosing
@@ -641,6 +760,11 @@ func (w *lockWalker) call(call *ast.CallExpr, held []heldLock) []heldLock {
 	if callee == nil || len(held) == 0 {
 		return held
 	}
+	name := callee.Name()
+	if target := w.lo.reentryTarget(call); target != nil {
+		name = sprintf("%s (which may run %s)", name, target.Name())
+		callee = target
+	}
 	summ, ok := w.lo.summaries[callee]
 	if !ok {
 		return held
@@ -650,15 +774,15 @@ func (w *lockWalker) call(call *ast.CallExpr, held []heldLock) []heldLock {
 			switch {
 			case acq.rank < h.cls.rank:
 				w.lo.report(call.Pos(), "call to %s may acquire %s (rank %d) while holding %s (rank %d): inverts the declared lock order",
-					callee.Name(), acq.name, acq.rank, h.cls.name, h.cls.rank)
+					name, acq.name, acq.rank, h.cls.name, h.cls.rank)
 			case acq.rank == h.cls.rank:
 				w.lo.report(call.Pos(), "call to %s may acquire %s (rank %d) while holding %s (rank %d): same-rank nesting needs its own //photon:allow",
-					callee.Name(), acq.name, acq.rank, h.cls.name, h.cls.rank)
+					name, acq.name, acq.rank, h.cls.name, h.cls.rank)
 			}
 		}
 	}
 	if summ.blocks {
-		w.lo.report(call.Pos(), "call to %s may block while holding %s", callee.Name(), describeHeld(held))
+		w.lo.report(call.Pos(), "call to %s may block while holding %s", name, describeHeld(held))
 	}
 	return held
 }

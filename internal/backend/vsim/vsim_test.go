@@ -1,6 +1,8 @@
 package vsim_test
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"photon/internal/backend/vsim"
 	"photon/internal/core"
 	"photon/internal/fabric"
+	"photon/internal/mem"
 	"photon/internal/nicsim"
 )
 
@@ -184,4 +187,82 @@ func TestSQFullTranslatesToWouldBlock(t *testing.T) {
 	if rtt := time.Since(start); rtt < 2*lat {
 		t.Fatalf("retry accepted after %v, inside the %v round trip", rtt, 2*lat)
 	}
+}
+
+// TestIdleClusterRunsNoGoroutine: a zero-delay vsim job runs no
+// fabric goroutine while idle. At N = 2, 4 and 8, building the cluster
+// starts none, and after every rank has written to every rank (self
+// included), with one write per target parked behind its held DMA lock
+// so that delivery goroutines must start, the goroutine count returns
+// to its baseline.
+func TestIdleClusterRunsNoGoroutine(t *testing.T) {
+	for _, n := range []int{2, 4, 8} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			base := settledGoroutines()
+			cl, err := vsim.NewCluster(n, fabric.Model{}, nicsim.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if got := runtime.NumGoroutine(); got > base {
+				t.Fatalf("NewCluster(%d) started %d goroutines", n, got-base)
+			}
+			rbs := make([]mem.RemoteBuffer, n)
+			dmas := make([]sync.Locker, n)
+			for r := range rbs {
+				if rbs[r], dmas[r], err = cl.Backend(r).Register(make([]byte, 8*n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			post := func(src, dst int) {
+				if err := cl.Backend(src).PostWrite(dst, []byte{byte(src)}, rbs[dst].Addr+uint64(8*src), rbs[dst].RKey, uint64(src*n+dst), true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for dst := 0; dst < n; dst++ {
+				dmas[dst].Lock()
+				post((dst+1)%n, dst) // refused on the poster, left to a delivery goroutine
+				dmas[dst].Unlock()
+			}
+			for src := 0; src < n; src++ {
+				for dst := 0; dst < n; dst++ {
+					post(src, dst)
+				}
+			}
+			var comps [64]core.BackendCompletion
+			for r := 0; r < n; r++ {
+				want := n + 1 // one write to each rank, and the parked one
+				for got, deadline := 0, time.Now().Add(5*time.Second); got < want; {
+					if time.Now().After(deadline) {
+						t.Fatalf("rank %d: %d/%d completions", r, got, want)
+					}
+					k := cl.Backend(r).Poll(comps[:])
+					for _, c := range comps[:k] {
+						if !c.OK {
+							t.Fatalf("rank %d: completion %d: %v", r, c.Token, c.Err)
+						}
+					}
+					got += k
+				}
+			}
+			if got := settledGoroutines(); got > base {
+				t.Fatalf("%d goroutines still running on an idle %d-rank job", got-base, n)
+			}
+		})
+	}
+}
+
+// settledGoroutines waits for the goroutine count to hold still (other
+// tests' goroutines may still be exiting) and returns it.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }

@@ -153,9 +153,9 @@ func BenchmarkFetchAdd(b *testing.B) {
 // BenchmarkPutEagerVsim measures the same eager put end to end over
 // the simulated-verbs transport (2 ranks, zero-delay fabric): ns/op
 // includes the simulated NIC, so only the delta between runs matters.
-// Rank 0 parks in WaitLocal and the consumer in WaitRemote, so the
-// fabric's delivery goroutines get the processors instead of two
-// Probe spinners.
+// Rank 0 parks in WaitLocal and the consumer in WaitRemote, so
+// whatever delivery the poster's goroutine does not do inline gets the
+// processors instead of two Probe spinners.
 func BenchmarkPutEagerVsim(b *testing.B) {
 	env, err := bench.NewPhotonOnly(2, fabric.Model{}, core.Config{})
 	if err != nil {

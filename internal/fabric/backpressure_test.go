@@ -126,14 +126,23 @@ func TestTrySendFullLinkRefuses(t *testing.T) {
 	defer f.Close()
 	gate := make(chan struct{})
 	got := make(chan byte, 2*depth)
-	if err := f.Attach(1, func(fr Frame) {
+	if err := f.AttachTry(1, func(fr Frame, inline bool) bool {
+		if inline {
+			select {
+			case <-gate:
+			default:
+				return false // shut: the delivery goroutine waits instead
+			}
+		}
 		<-gate
 		got <- fr.Data[0]
+		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Frame 0 is taken by the delivery goroutine, which then waits on
-	// the gate; the next depth frames fill the queue.
+	// Frame 0 is refused on the sender's goroutine and taken by the
+	// delivery goroutine, which then waits on the gate; the next depth
+	// frames fill the queue.
 	if err := f.TrySend(0, 1, []byte{0}); err != nil {
 		t.Fatal(err)
 	}

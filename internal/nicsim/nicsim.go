@@ -24,6 +24,20 @@
 //
 // The NIC attaches to a fabric.Fabric node; in-order per-link delivery
 // gives the in-order guarantees of an RC queue pair.
+//
+// Where the responder runs. On a drained zero-delay link the fabric
+// hands a frame to the destination NIC on the sending goroutine, so a
+// post can run the responder's apply, and the ACK or response can run
+// the initiator's completion, before PostSend returns. On that path
+// the NIC never waits: every lock it needs — the MR and QPN lookups
+// under the NIC lock, the region's DMA lock, the atomic lock, the QP
+// lock — is only tried, and when one is held elsewhere the NIC refuses
+// the frame before touching anything, and the fabric's delivery
+// goroutine brings it back to be applied blocking, in order. (The CQ
+// lock is taken outright: nobody holds it across anything else.)
+// Neither may anyone hold one of those locks across a post or a
+// fabric send: the fabric field carries a lockorder directive that
+// makes photonvet check it.
 package nicsim
 
 import (
@@ -76,8 +90,9 @@ type MR struct {
 	//photon:lock mr 20
 	mu     sync.RWMutex
 	writes atomic.Uint64 // bumped after every remote write/atomic
-	// buf, base, rkey and access are written under both nic.mu and
-	// mu, so either lock suffices to read them. rkey is the
+	// buf, base, rkey and access are written under mu; remote
+	// accesses read them under it, and the registration's owner
+	// without it once RegisterMemory has returned. rkey is the
 	// registration's generation: keys are never reused, and a
 	// deregistered MR carries rkey 0.
 	buf    []byte
@@ -140,13 +155,18 @@ func (c *Config) setDefaults() {
 
 // NIC is one simulated RDMA NIC attached to a fabric node.
 type NIC struct {
-	node   int
+	node int
+	// A fabric send may run any NIC's frame handler before it returns.
+	//photon:reenters onFrame
 	fab    *fabric.Fabric
 	cfg    Config
 	closed atomic.Bool
 
+	// mu guards the tables below. It is never held across another
+	// lock, so frame handlers take it shared, and only try it on a
+	// sender's goroutine.
 	//photon:lock nic 10
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	mrsByKey map[uint32]*MR // rkey -> MR
 	freeMRs  []*MR          // deregistered MRs, reused by RegisterMemory
 	nextKey  uint32
@@ -186,7 +206,7 @@ func New(fab *fabric.Fabric, node int, cfg Config) (*NIC, error) {
 		qps:      make(map[uint32]*QP),
 		nextQPN:  1,
 	}
-	if err := fab.Attach(node, n.onFrame); err != nil {
+	if err := fab.AttachTry(node, n.onFrame); err != nil {
 		return nil, err
 	}
 	return n, nil
@@ -221,7 +241,6 @@ func (n *NIC) RegisterMemory(buf []byte, access Access) (*MR, error) {
 		return nil, fmt.Errorf("%w: empty buffer", ErrBadWR)
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	key := n.nextKey
 	n.nextKey++
 	base := n.nextBase
@@ -237,10 +256,15 @@ func (n *NIC) RegisterMemory(buf []byte, access Access) (*MR, error) {
 	} else {
 		mr = &MR{nic: n}
 	}
+	n.mu.Unlock()
+	// A stale access may still hold the recycled object; taking its
+	// DMA lock waits it out, and the new rkey makes the next one NAK.
 	mr.mu.Lock()
 	mr.buf, mr.base, mr.rkey, mr.access = buf, base, key, access
 	mr.mu.Unlock()
+	n.mu.Lock()
 	n.mrsByKey[key] = mr
+	n.mu.Unlock()
 	return mr, nil
 }
 
@@ -249,7 +273,7 @@ func (n *NIC) RegisterMemory(buf []byte, access Access) (*MR, error) {
 // data under the region's DMA lock. Middleware uses it to land payloads
 // that arrived packed inside other transfers.
 func (n *NIC) LocalWrite(addr uint64, rkey uint32, data []byte) error {
-	if err := n.accessMR(rkey, addr, len(data), AccessRemoteWrite, func(dst []byte) {
+	if err := n.accessMR(rkey, addr, len(data), AccessRemoteWrite, false, func(dst []byte) {
 		copy(dst, data)
 	}); err != nil {
 		return err
@@ -285,20 +309,27 @@ func (n *NIC) kickWriteHook() {
 // only while the object waits on the free list.
 func (n *NIC) DeregisterMemory(mr *MR) error {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	if _, ok := n.mrsByKey[mr.rkey]; !ok {
+		n.mu.Unlock()
 		return ErrUnregistered
 	}
 	delete(n.mrsByKey, mr.rkey)
+	n.mu.Unlock()
 	// Taking the DMA lock waits out an operation already applying to
 	// the region; one that looked the rkey up but has not locked yet
 	// finds rkey 0 when it does.
 	mr.mu.Lock()
 	mr.buf, mr.rkey = nil, 0
 	mr.mu.Unlock()
+	n.mu.Lock()
 	n.freeMRs = append(n.freeMRs, mr)
+	n.mu.Unlock()
 	return nil
 }
+
+// errBusy is accessMR's answer in try mode when a lock it needs is
+// held elsewhere: nothing was touched, and the caller refuses the frame.
+var errBusy = errors.New("nicsim: lock busy")
 
 // accessMR is the single path by which a remote or loopback operation
 // touches registered memory. It resolves rkey, takes the region's DMA
@@ -308,22 +339,46 @@ func (n *NIC) DeregisterMemory(mr *MR) error {
 // that [addr, addr+length) lies inside the region and that the region
 // grants need, and runs apply on those bytes before unlocking. Any
 // failure counts a protection error. apply must not retain its slice.
-func (n *NIC) accessMR(rkey uint32, addr uint64, length int, need Access, apply func([]byte)) error {
-	n.mu.Lock()
+// In try mode it only tries each lock, and returns errBusy, having
+// done nothing, when one is held elsewhere.
+func (n *NIC) accessMR(rkey uint32, addr uint64, length int, need Access, try bool, apply func([]byte)) error {
+	if !n.mu.TryRLock() {
+		if try {
+			return errBusy
+		}
+		n.mu.RLock()
+	}
 	mr, ok := n.mrsByKey[rkey]
-	n.mu.Unlock()
+	n.mu.RUnlock()
 	if !ok {
 		n.counters.protErrs.Add(1)
 		return fmt.Errorf("%w: rkey %d", ErrUnregistered, rkey)
 	}
 	write := need != AccessRemoteRead
-	if need == AccessRemoteAtomic {
+	if need == AccessRemoteAtomic && !n.atomicMu.TryLock() {
+		if try {
+			return errBusy
+		}
 		n.atomicMu.Lock()
 	}
+	var locked bool
 	if write {
-		mr.mu.Lock()
+		locked = mr.mu.TryLock()
 	} else {
-		mr.mu.RLock()
+		locked = mr.mu.TryRLock()
+	}
+	if !locked {
+		if try {
+			if need == AccessRemoteAtomic {
+				n.atomicMu.Unlock()
+			}
+			return errBusy
+		}
+		if write {
+			mr.mu.Lock()
+		} else {
+			mr.mu.RLock()
+		}
 	}
 	var err error
 	switch {

@@ -34,8 +34,9 @@ func TestPostToFullLinkRefused(t *testing.T) {
 	}
 	dma := mr.RLocker()
 	dma.Lock()
-	// Write 0 reaches the target, whose delivery goroutine then waits
-	// on the region lock; write 1 takes the link's one queue slot.
+	// Write 0 is refused on the poster's goroutine (the region lock is
+	// held) and the link's delivery goroutine then waits on the lock;
+	// write 1 takes the link's one queue slot.
 	if err := write(0); err != nil {
 		dma.Unlock()
 		t.Fatal(err)
@@ -245,5 +246,44 @@ func TestPostSendAllocGuard(t *testing.T) {
 	t.Logf("%.2f allocs per signaled 8 B write and its poll", avg)
 	if avg != 0 {
 		t.Errorf("signaled 8 B write allocates %.2f times, want 0", avg)
+	}
+	if hw := p.fab.TotalStats().MaxQueued; hw != 0 {
+		t.Errorf("a frame was queued (high-water %d): the guard did not run the inline path", hw)
+	}
+}
+
+// TestPostCompletesInline: on drained zero-delay links a signaled
+// 8 B write is applied, ACKed and its CQE queued before PostSend
+// returns — no goroutine stands between the post and its completion —
+// and so are a read (its destination filled) and a fetch-add.
+func TestPostCompletesInline(t *testing.T) {
+	p := newPair(t, Config{})
+	target := make([]byte, 64)
+	mr, err := p.nicB.RegisterMemory(target, AccessAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, old := make([]byte, 8), make([]byte, 8)
+	for i, wr := range []SendWR{
+		{Op: OpRDMAWrite, Local: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+		{Op: OpRDMARead, Local: dst},
+		{Op: OpAtomicFetchAdd, Local: old, Add: 5},
+	} {
+		wr.WRID, wr.RemoteAddr, wr.RKey, wr.Signaled = uint64(i), mr.Base(), mr.RKey(), true
+		if err := p.qpA.PostSend(wr); err != nil {
+			t.Fatal(err)
+		}
+		if n := p.cqA.FastLen(); n != 1 {
+			t.Fatalf("%v: %d completions queued when PostSend returned, want 1", wr.Op, n)
+		}
+		if c := waitCQE(t, p.cqA); c.WRID != uint64(i) || c.Status != StatusOK {
+			t.Fatalf("%v completed as %+v", wr.Op, c)
+		}
+	}
+	if string(dst) != "\x01\x02\x03\x04\x05\x06\x07\x08" || old[0] != 1 || target[0] != 6 {
+		t.Fatalf("read %x, fetch-add returned %x, target now %x", dst, old, target[:8])
+	}
+	if hw := p.fab.TotalStats().MaxQueued; hw != 0 {
+		t.Fatalf("%d frames queued on drained links", hw)
 	}
 }

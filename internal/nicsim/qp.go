@@ -164,12 +164,17 @@ func (qp *QP) Errored() bool {
 
 // PostSend posts a send work request and puts its frame onto the
 // fabric on the caller's goroutine; no goroutine stands between the
-// doorbell and the wire. It never blocks: when SQDepth requests are
-// already outstanding, or the link toward the peer has no room, it
-// returns ErrSQFull, and the caller is expected to reap completions and
-// retry (Photon's progress engine does exactly that under ledger
-// backpressure). One goroutine's posts reach the wire in call order;
-// concurrent posters' posts interleave as their calls do.
+// doorbell and the wire. On a drained zero-delay link the fabric runs
+// the responder on this goroutine too, and then its ACK or response,
+// so a request may complete — its CQE queued, a READ's or atomic's
+// Local filled — before PostSend returns (see the package comment).
+// It never blocks: the responder only tries its locks on this
+// goroutine, and when SQDepth requests are already outstanding, or
+// the link toward the peer has no room, PostSend returns ErrSQFull,
+// and the caller is expected to reap completions and retry (Photon's
+// progress engine does exactly that under ledger backpressure). One
+// goroutine's posts reach the wire in call order; concurrent posters'
+// posts interleave as their calls do.
 //
 // The wire frame — including any payload — is encoded here, before
 // PostSend returns, mirroring a real NIC's DMA-at-doorbell model
@@ -229,20 +234,26 @@ func (qp *QP) PostSend(wr SendWR) error {
 		h.typ = fAtomic
 		frame = encodeAtomic(h, atomicCSwap, wr.RemoteAddr, wr.RKey, wr.Swap, wr.Compare)
 	}
+	// Count before the send: its completion may be queued before
+	// TrySend returns.
+	c := &qp.nic.counters
+	c.sendsPosted.Add(1)
+	c.wireFrames.Add(1)
+	c.wireBytes.Add(int64(len(frame)))
 	err := qp.nic.fab.TrySend(qp.nic.node, dstNode, frame)
 	if err == nil {
-		qp.nic.counters.sendsPosted.Add(1)
-		qp.nic.counters.wireFrames.Add(1)
-		qp.nic.counters.wireBytes.Add(int64(len(frame)))
 		return nil
 	}
+	c.wireFrames.Add(-1)
+	c.wireBytes.Add(-int64(len(frame)))
 	mem.PutFrame(frame)
-	qp.dropPending(psn)
 	if errors.Is(err, fabric.ErrFull) {
+		c.sendsPosted.Add(-1)
+		qp.dropPending(psn, StatusOK)
 		wqePut(w)
 		return ErrSQFull
 	}
-	qp.nic.counters.sendsPosted.Add(1)
+	qp.dropPending(psn, StatusLocalError)
 	qp.completeSend(w, StatusLocalError)
 	return nil
 }
@@ -298,27 +309,32 @@ func (qp *QP) PostRecv(wr RecvWR) error {
 	return nil
 }
 
-func (qp *QP) dropPending(psn uint64) {
+// dropPending removes a request from the pending map; a request that
+// ends with an error status moves the QP to the error state.
+func (qp *QP) dropPending(psn uint64, st Status) {
 	qp.mu.Lock()
 	delete(qp.pending, psn)
+	qp.failLocked(st)
 	qp.mu.Unlock()
+}
+
+// failLocked moves a ready QP to the error state when st is an error.
+// qp.mu is held.
+func (qp *QP) failLocked(st Status) {
+	if st != StatusOK && qp.state == qpRTS {
+		qp.state = qpError
+	}
 }
 
 // completeSend finishes a WQE: errors always produce a CQE; success
 // produces one only when the request was signaled. This is the single
 // terminal for every accepted WQE (response match or local transmit
-// failure), so the WQE returns to its pool here.
+// failure), so the WQE returns to its pool here. The caller has taken
+// w out of the pending map and, for an error, failed the QP.
 func (qp *QP) completeSend(w *wqe, st Status) {
 	if st == StatusOK && !w.wr.Signaled {
 		wqePut(w)
 		return
-	}
-	if st != StatusOK {
-		qp.mu.Lock()
-		if qp.state == qpRTS {
-			qp.state = qpError
-		}
-		qp.mu.Unlock()
 	}
 	qp.nic.counters.completions.Add(1)
 	cqe := CQE{
@@ -355,37 +371,54 @@ func (qp *QP) Close() {
 
 // onFrame is the fabric delivery handler: it executes remote operations
 // against local memory and routes responses/ACKs back to initiators.
+// With inline set it runs on the sending goroutine and must not wait:
+// each handler only tries its locks, and returns false, before any
+// side effect, when one is held elsewhere, so the fabric's delivery
+// goroutine offers the frame again with inline clear.
 //
 // Delivery is the end of a frame's life: every handler either copies
 // payload bytes out (posted receives, MR writes, read/atomic results,
 // the pendingRecv staging copy) or finishes with them before returning,
-// so the buffer goes back to the frame pool on exit.
-func (n *NIC) onFrame(fr fabric.Frame) {
-	defer mem.PutFrame(fr.Data)
+// so the buffer goes back to the frame pool once the frame is accepted.
+func (n *NIC) onFrame(fr fabric.Frame, inline bool) bool {
+	if !n.dispatch(fr, inline) {
+		return false
+	}
+	mem.PutFrame(fr.Data)
+	return true
+}
+
+// dispatch applies one frame; false means refused (inline only).
+func (n *NIC) dispatch(fr fabric.Frame, inline bool) bool {
 	if n.closed.Load() {
-		return
+		return true
 	}
 	h, body, err := parseHeader(fr.Data)
 	if err != nil {
 		n.counters.protErrs.Add(1)
-		return
+		return true
 	}
-	n.mu.Lock()
+	if !n.mu.TryRLock() {
+		if inline {
+			return false
+		}
+		n.mu.RLock()
+	}
 	qp := n.qps[h.dstQPN]
-	n.mu.Unlock()
+	n.mu.RUnlock()
 	if qp == nil {
 		n.counters.protErrs.Add(1)
-		return
+		return true
 	}
 	switch h.typ {
 	case fSend:
-		qp.handleInbound(inbound{h: h, payload: body, srcNode: fr.Src})
+		return qp.handleInbound(inbound{h: h, payload: body, srcNode: fr.Src}, inline)
 	case fWrite:
-		qp.handleWrite(h, body, fr.Src)
+		return qp.handleWrite(h, body, fr.Src, inline)
 	case fRead:
-		qp.handleRead(h, body, fr.Src)
+		return qp.handleRead(h, body, fr.Src, inline)
 	case fAtomic:
-		qp.handleAtomic(h, body, fr.Src)
+		return qp.handleAtomic(h, body, fr.Src, inline)
 	case fAck, fNak:
 		st, err := decodeStatus(body)
 		if err != nil {
@@ -394,14 +427,12 @@ func (n *NIC) onFrame(fr fabric.Frame) {
 		if h.typ == fNak && st == StatusOK {
 			st = StatusRemoteAccessError
 		}
-		qp.handleResponse(h.psn, st, nil)
-	case fReadResp:
-		qp.handleResponse(h.psn, StatusOK, body)
-	case fAtomicResp:
-		qp.handleResponse(h.psn, StatusOK, body)
-	default:
-		n.counters.protErrs.Add(1)
+		return qp.handleResponse(h.psn, st, nil, inline)
+	case fReadResp, fAtomicResp:
+		return qp.handleResponse(h.psn, StatusOK, body, inline)
 	}
+	n.counters.protErrs.Add(1)
+	return true
 }
 
 // respond sends an ACK/NAK or response frame back to the initiator.
@@ -412,12 +443,18 @@ func (qp *QP) respond(to int, frame []byte) {
 }
 
 // handleInbound delivers a SEND into a posted receive buffer, queueing
-// it if none is posted yet.
-func (qp *QP) handleInbound(ib inbound) {
-	qp.mu.Lock()
+// it if none is posted yet. In try mode it refuses (false) when the QP
+// lock is held elsewhere.
+func (qp *QP) handleInbound(ib inbound, try bool) bool {
+	if !qp.mu.TryLock() {
+		if try {
+			return false
+		}
+		qp.mu.Lock()
+	}
 	if qp.state == qpClosed {
 		qp.mu.Unlock()
-		return
+		return true
 	}
 	wr, ok := qp.rq.PopFront()
 	if !ok {
@@ -426,7 +463,7 @@ func (qp *QP) handleInbound(ib inbound) {
 			// RNR retries exhausted: NAK the sender.
 			h := header{typ: fNak, srcQPN: qp.qpn, dstQPN: ib.h.srcQPN, psn: ib.h.psn}
 			qp.respond(ib.srcNode, encodeStatus(h, StatusRNRExceeded))
-			return
+			return true
 		}
 		// Copy the payload: the fabric frame buffer is reused by
 		// upper layers' lifetimes, and we must hold it until a
@@ -435,10 +472,11 @@ func (qp *QP) handleInbound(ib inbound) {
 		cp.payload = append([]byte(nil), ib.payload...)
 		qp.pendingRecv.PushBack(cp)
 		qp.mu.Unlock()
-		return
+		return true
 	}
 	qp.mu.Unlock()
 	qp.consumeRecv(wr, ib)
+	return true
 }
 
 // consumeRecv finishes delivery of an inbound SEND into the given
@@ -472,7 +510,8 @@ func (qp *QP) consumeRecv(wr RecvWR, ib inbound) {
 }
 
 // handleWrite executes an RDMA WRITE against local registered memory.
-func (qp *QP) handleWrite(h header, body []byte, src int) {
+// In try mode it refuses (false) when a lock it needs is held elsewhere.
+func (qp *QP) handleWrite(h header, body []byte, src int, try bool) bool {
 	raddr, rkey, payload, err := decodeWrite(body)
 	nak := func(st Status) {
 		rh := header{typ: fNak, srcQPN: qp.qpn, dstQPN: h.srcQPN, psn: h.psn}
@@ -481,100 +520,128 @@ func (qp *QP) handleWrite(h header, body []byte, src int) {
 	if err != nil {
 		qp.nic.counters.protErrs.Add(1)
 		nak(StatusLocalError)
-		return
+		return true
 	}
-	if err := qp.nic.accessMR(rkey, raddr, len(payload), AccessRemoteWrite, func(dst []byte) {
+	err = qp.nic.accessMR(rkey, raddr, len(payload), AccessRemoteWrite, try, func(dst []byte) {
 		copy(dst, payload)
-	}); err != nil {
+	})
+	if errors.Is(err, errBusy) {
+		return false
+	}
+	if err != nil {
 		nak(StatusRemoteAccessError)
-		return
+		return true
 	}
 	qp.nic.counters.remoteWrites.Add(1)
 	qp.nic.kickWriteHook()
 	rh := header{typ: fAck, srcQPN: qp.qpn, dstQPN: h.srcQPN, psn: h.psn}
 	qp.respond(src, encodeStatus(rh, StatusOK))
+	return true
 }
 
 // handleRead executes an RDMA READ against local registered memory.
-func (qp *QP) handleRead(h header, body []byte, src int) {
+// In try mode it refuses (false) when a lock it needs is held elsewhere.
+func (qp *QP) handleRead(h header, body []byte, src int, try bool) bool {
 	raddr, rkey, length, err := decodeRead(body)
 	rh := header{srcQPN: qp.qpn, dstQPN: h.srcQPN, psn: h.psn}
 	if err != nil {
 		rh.typ = fNak
 		qp.respond(src, encodeStatus(rh, StatusLocalError))
-		return
+		return true
 	}
 	// Encode the response directly into a pooled frame: the MR bytes
 	// are copied exactly once, under the read lock, into the buffer
 	// that goes on the wire. The frame is sized only once the range
 	// has passed the region's bounds check.
 	var resp []byte
-	if err := qp.nic.accessMR(rkey, raddr, length, AccessRemoteRead, func(b []byte) {
+	err = qp.nic.accessMR(rkey, raddr, length, AccessRemoteRead, try, func(b []byte) {
 		resp = mem.GetFrame(hdrLen + len(b))
 		copy(resp[hdrLen:], b)
-	}); err != nil {
+	})
+	if errors.Is(err, errBusy) {
+		return false
+	}
+	if err != nil {
 		rh.typ = fNak
 		qp.respond(src, encodeStatus(rh, StatusRemoteAccessError))
-		return
+		return true
 	}
 	qp.nic.counters.remoteReads.Add(1)
 	rh.typ = fReadResp
 	putHeader(resp, rh)
 	qp.respond(src, resp)
+	return true
 }
 
 // handleAtomic executes a 64-bit remote atomic against local memory.
-func (qp *QP) handleAtomic(h header, body []byte, src int) {
+// In try mode it refuses (false) when a lock it needs is held elsewhere.
+func (qp *QP) handleAtomic(h header, body []byte, src int, try bool) bool {
 	kind, raddr, rkey, operand, compare, err := decodeAtomic(body)
 	rh := header{srcQPN: qp.qpn, dstQPN: h.srcQPN, psn: h.psn}
 	if err != nil || raddr%8 != 0 || (kind != atomicFAdd && kind != atomicCSwap) {
 		rh.typ = fNak
 		qp.respond(src, encodeStatus(rh, StatusLocalError))
-		return
+		return true
 	}
 	var orig uint64
-	if err := qp.nic.accessMR(rkey, raddr, 8, AccessRemoteAtomic, func(b []byte) {
+	err = qp.nic.accessMR(rkey, raddr, 8, AccessRemoteAtomic, try, func(b []byte) {
 		orig = binary.LittleEndian.Uint64(b)
 		if kind == atomicFAdd {
 			binary.LittleEndian.PutUint64(b, orig+operand)
 		} else if orig == compare {
 			binary.LittleEndian.PutUint64(b, operand)
 		}
-	}); err != nil {
+	})
+	if errors.Is(err, errBusy) {
+		return false
+	}
+	if err != nil {
 		rh.typ = fNak
 		qp.respond(src, encodeStatus(rh, StatusRemoteAccessError))
-		return
+		return true
 	}
 	qp.nic.counters.remoteAt.Add(1)
 	qp.nic.kickWriteHook()
 	rh.typ = fAtomicResp
 	qp.respond(src, encodeAtomicResp(rh, orig))
+	return true
 }
 
 // handleResponse matches an ACK/NAK/read/atomic response to its pending
-// work request and completes it.
-func (qp *QP) handleResponse(psn uint64, st Status, payload []byte) {
-	qp.mu.Lock()
+// work request and completes it. In try mode it refuses (false) when
+// the QP lock is held elsewhere.
+func (qp *QP) handleResponse(psn uint64, st Status, payload []byte, try bool) bool {
+	if !qp.mu.TryLock() {
+		if try {
+			return false
+		}
+		qp.mu.Lock()
+	}
 	w, ok := qp.pending[psn]
+	var v uint64
 	if ok {
 		delete(qp.pending, psn)
+		if st == StatusOK && (w.wr.Op == OpAtomicFetchAdd || w.wr.Op == OpAtomicCompSwap) {
+			var err error
+			if v, err = decodeAtomicResp(payload); err != nil {
+				st = StatusLocalError
+			}
+		}
+		qp.failLocked(st)
 	}
 	qp.mu.Unlock()
 	if !ok {
 		qp.nic.counters.protErrs.Add(1)
-		return
+		return true
 	}
 	if st == StatusOK {
 		switch w.wr.Op {
 		case OpRDMARead:
 			copy(w.wr.Local, payload)
 		case OpAtomicFetchAdd, OpAtomicCompSwap:
-			if v, err := decodeAtomicResp(payload); err == nil {
-				binary.LittleEndian.PutUint64(w.wr.Local, v)
-			} else {
-				st = StatusLocalError
-			}
+			binary.LittleEndian.PutUint64(w.wr.Local, v)
 		}
 	}
 	qp.completeSend(w, st)
+	return true
 }

@@ -399,6 +399,42 @@ const (
 	barrierBodyLen = 8     // generation8
 )
 
+// putParcelHeader writes a parcel's header into b[:parcelHdrLen].
+func putParcelHeader(b []byte, action ActionID, cont uint64) {
+	binary.LittleEndian.PutUint32(b[0:], uint32(action))
+	binary.LittleEndian.PutUint64(b[4:], cont)
+}
+
+// decodeParcel splits a parcel into its action, the continuation its
+// result resolves (0 for none) and its payload, which aliases b. ok is
+// false for a buffer shorter than the header.
+func decodeParcel(b []byte) (action ActionID, cont uint64, payload []byte, ok bool) {
+	if len(b) < parcelHdrLen {
+		return 0, 0, nil, false
+	}
+	return ActionID(binary.LittleEndian.Uint32(b[0:])), binary.LittleEndian.Uint64(b[4:]), b[parcelHdrLen:], true
+}
+
+// putReplyHeader writes a reply parcel's header into b[:replyHdrLen].
+func putReplyHeader(b []byte, cont uint64, failed bool) {
+	binary.LittleEndian.PutUint64(b[0:], cont)
+	b[8] = 0
+	if failed {
+		b[8] = 1
+	}
+}
+
+// decodeReply splits a reply parcel's payload into the continuation it
+// resolves, whether the handler failed (the body is then its error
+// text) and the body, which aliases p. ok is false for a buffer shorter
+// than the header or a failure flag other than 0 or 1.
+func decodeReply(p []byte) (cont uint64, failed bool, body []byte, ok bool) {
+	if len(p) < replyHdrLen || p[8] > 1 {
+		return 0, false, nil, false
+	}
+	return binary.LittleEndian.Uint64(p[0:]), p[8] == 1, p[replyHdrLen:], true
+}
+
 // Apply sends a fire-and-forget parcel. payload is copied before Apply
 // returns.
 func (l *Locality) Apply(rank int, action ActionID, payload []byte) error {
@@ -433,8 +469,7 @@ func (l *Locality) send(rank int, action ActionID, cont uint64, head, payload []
 	} else {
 		b = make([]byte, n)
 	}
-	binary.LittleEndian.PutUint32(b[0:], uint32(action))
-	binary.LittleEndian.PutUint64(b[4:], cont)
+	putParcelHeader(b, action, cont)
 	copy(b[parcelHdrLen:], head)
 	copy(b[parcelHdrLen+len(head):], payload)
 	rid := bitParcel | (l.seq.Add(1) & ((1 << 48) - 1))
@@ -453,9 +488,8 @@ func (l *Locality) send(rank int, action ActionID, cont uint64, head, payload []
 // fails it with the error's text.
 func (l *Locality) reply(rank int, cont uint64, out []byte, err error) {
 	var head [replyHdrLen]byte
-	binary.LittleEndian.PutUint64(head[0:], cont)
+	putReplyHeader(head[:], cont, err != nil)
 	if err != nil {
-		head[8] = 1
 		out = []byte(err.Error())
 	}
 	_ = l.send(rank, replyID, 0, head[:], out)
@@ -504,12 +538,10 @@ func (l *Locality) dispatch() {
 // execParcel decodes one parcel and hands it to a worker. c.Data is the
 // dispatcher's to give away: the payload (and a reply body) alias it.
 func (l *Locality) execParcel(c core.Completion) {
-	if len(c.Data) < parcelHdrLen {
+	action, cont, payload, ok := decodeParcel(c.Data)
+	if !ok {
 		return
 	}
-	action := ActionID(binary.LittleEndian.Uint32(c.Data[0:]))
-	cont := binary.LittleEndian.Uint64(c.Data[4:])
-	payload := c.Data[parcelHdrLen:]
 	// Replies resolve inline on the dispatcher: they only complete
 	// futures and must never wait behind workers whose handlers are
 	// themselves blocked on those futures.
@@ -568,16 +600,16 @@ func (l *Locality) worker(w work) {
 
 // resolveReply resolves the continuation future a reply parcel names.
 func (l *Locality) resolveReply(p []byte) {
-	if len(p) < replyHdrLen {
-		return
-	}
-	f, ok := l.takeFuture(binary.LittleEndian.Uint64(p[0:]))
+	cont, failed, body, ok := decodeReply(p)
 	if !ok {
 		return
 	}
-	body := p[replyHdrLen:]
+	f, ok := l.takeFuture(cont)
+	if !ok {
+		return
+	}
 	switch {
-	case p[8] == 1:
+	case failed:
 		f.set(nil, 0, errors.New(string(body)))
 	case len(body) == 0: // a handler that returned nothing resolves to nil
 		f.set(nil, 0, nil)
