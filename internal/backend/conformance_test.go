@@ -119,6 +119,16 @@ func TestBackendConformance(t *testing.T) {
 		t.Run(tr.name, func(t *testing.T) {
 			t.Run("batch", func(t *testing.T) { testBatch(t, tr.boot(t)) })
 			t.Run("wake", func(t *testing.T) { testWakeAndActivity(t, tr.boot(t)) })
+			t.Run("region-lock", func(t *testing.T) { writeBesideHeldRegion(t, tr.boot(t)) })
+			t.Run("region-activity", func(t *testing.T) {
+				actA, a0, actB, b0 := writeBesideHeldRegion(t, tr.boot(t))
+				if actA() != a0 {
+					t.Errorf("a write into region B moved region A's activity counter by %d", actA()-a0)
+				}
+				if actB() == b0 {
+					t.Error("a write into region B left B's activity counter where it was")
+				}
+			})
 			for _, rj := range rejections {
 				t.Run("reject/"+rj.name, func(t *testing.T) { testRejected(t, tr.boot(t), rj.post) })
 			}
@@ -272,6 +282,50 @@ func testWakeAndActivity(t *testing.T, bes []core.Backend) {
 			t.Errorf("ApplyLocal accepted %s", bad.what)
 		}
 	}
+}
+
+// writeBesideHeldRegion registers regions A and B at rank 1 and, while
+// holding A's DMA lock, writes into B from rank 0 with a signaled write:
+// every registration has its own lock, so the write lands and completes
+// while A stays locked. It returns A's and B's activity loaders with
+// their readings before the write.
+func writeBesideHeldRegion(t *testing.T, bes []core.Backend) (actA func() uint64, a0 uint64, actB func() uint64, b0 uint64) {
+	rbA, dmaA, err := bes[1].Register(make([]byte, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := make([]byte, 64)
+	rbB, dmaB, err := bes[1].Register(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	actA, okA := bes[1].WriteActivity(rbA)
+	actB, okB := bes[1].WriteActivity(rbB)
+	if !okA || !okB {
+		t.Fatal("no write-activity counter for a live registration")
+	}
+	a0, b0 = actA(), actB()
+
+	dmaA.Lock()
+	defer dmaA.Unlock()
+	if err := bes[0].PostWrite(1, []byte{1, 2, 3, 4, 5, 6, 7, 8}, rbB.Addr+8, rbB.RKey, 7, true); err != nil {
+		t.Fatal(err)
+	}
+	var c [1]core.BackendCompletion
+	await(t, "a write into region B while region A's DMA lock is held", func() bool {
+		bes[1].Poll(c[:0])
+		return bes[0].Poll(c[:]) == 1
+	})
+	if c[0].Token != 7 || !c[0].OK {
+		t.Fatalf("completion %+v", c[0])
+	}
+	dmaB.Lock()
+	landed := target[15] == 8
+	dmaB.Unlock()
+	if !landed {
+		t.Fatal("write into region B completed before it was visible")
+	}
+	return actA, a0, actB, b0
 }
 
 const rejectTok = 99

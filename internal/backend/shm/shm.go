@@ -10,27 +10,31 @@
 // under s's producer lock for t, in try mode against t's mem.RegTable:
 // whoever holds that lock applies. A post toward t first drains s's
 // backlog toward t, then applies the operation itself — a write, read,
-// fetch-add or comp-swap, one copy — when the backlog is empty and t's
-// table lock is free, pushing its own completion before it releases the
-// producer lock. Otherwise the request joins the backlog (a write's
-// payload is copied into the pair's ring at post time, PostWrite's
-// snapshot-at-post contract). The backlog is drained by the next post
-// toward t, by s's Poll and by t's Poll, each from the front and each
-// in try mode, so a request queued behind a busy table lands even if s
-// never posts or polls again. No goroutine is involved: a backend is
-// driven entirely by its callers, and a poster never waits for a
-// peer's table lock, so two ranks that each hold their own DMA lock
-// while posting to each other queue rather than deadlock.
+// fetch-add or comp-swap, one copy — when the backlog is empty and the
+// target region's DMA lock (and t's table lock) is free, pushing its
+// own completion before it releases the producer lock. Otherwise the
+// request joins the backlog (a write's payload is copied into the
+// pair's ring at post time, PostWrite's snapshot-at-post contract).
+// The backlog is drained by the next post toward t, by s's Poll and by
+// t's Poll, each from the front and each in try mode, so a request
+// queued behind a busy region lands even if s never posts or polls
+// again. No goroutine is involved: a backend is driven entirely by its
+// callers, and a poster never waits for a peer's lock, so two ranks
+// that each hold their own DMA lock while posting to each other queue
+// rather than deadlock. Each registration has its own DMA lock, so a
+// write into a data region never waits for the target polling its
+// ledger arena.
 //
 // Wake-ups. Appending a request kicks t's engine. A backlogged request
-// that finds t's table lock held marks t refused, and whoever releases
-// that lock kicks t's engine when the mark is set: an applier, t's
-// ApplyLocal, Register or Deregister, or a holder of the DMA lock
-// Register hands out. So a parked engine polls again as soon as the
-// lock is free, and not before: where a goroutine used to wait inside
-// Lock, nothing waits or re-polls while another goroutine holds the
-// DMA lock. Draining kicks s's engine, so posts it deferred for lack
-// of ring space retry.
+// that finds a lock of t's table held marks t refused, and every
+// release of a lock of t's table kicks t's engine when the mark is
+// set: an applier's, t's ApplyLocal, Register or Deregister, or a
+// holder of a DMA lock Register handed out (the table runs t's
+// released hook after each). So a parked engine polls again as soon
+// as the lock is free, and not before: where a goroutine used to wait
+// inside Lock, nothing waits or re-polls while another goroutine holds
+// the DMA lock. Draining kicks s's engine, so posts it deferred for
+// lack of ring space retry.
 //
 // The poster stores into the target's memory, and a target's Poll
 // stores read and atomic results into the initiator's buffer: both rest
@@ -157,9 +161,9 @@ func NewCluster(n int, cfg Config) (*Cluster, error) {
 			size:    n,
 			prodMu:  make([]sync.Mutex, n),
 			out:     make([]backlog, n),
-			mem:     mem.NewRegTable("shm"),
 			compq:   core.NewCompQueue(),
 		}
+		b.mem = mem.NewRegTable("shm", b.released)
 		for t := range b.out {
 			if t != r {
 				b.out[t].ring = newRing(cfg.RingBytes)
@@ -205,19 +209,16 @@ type Backend struct {
 	queued atomic.Int64
 
 	// mem is the registration table every access is validated against
-	// (shared with the TCP backend); its lock is the "DMA lock"
-	// guarding registered memory.
+	// and applied through, under the target region's own DMA lock. It
+	// calls released after every release of a lock it takes or hands
+	// out.
 	mem *mem.RegTable
 	// refused is set when a backlogged request toward this rank found
-	// the table lock held; whoever releases the lock then kicks this
-	// rank's engine (released), whose Poll applies the request. A
-	// refused drain sets it and then tries once more, so a release
-	// between the refusal and the mark is not missed.
+	// a lock of its table held; whoever releases a lock of the table
+	// then kicks this rank's engine (released), whose Poll applies the
+	// request. A refused drain sets it and then tries once more, so a
+	// release between the refusal and the mark is not missed.
 	refused atomic.Bool
-	// dma is the read lock Register hands out: the table's, with a
-	// release that calls released.
-	dma     dmaLock
-	dmaOnce sync.Once
 
 	// compq carries completions back to this rank's engine and doubles
 	// as its wake event source.
@@ -243,35 +244,19 @@ func (b *Backend) Rank() int { return b.rank }
 // Size returns the job size.
 func (b *Backend) Size() int { return b.size }
 
-// Register pins buf into the local registration table. The read lock
-// it returns is the table's, and releasing it wakes this rank's engine
-// when a request was refused while it was held.
+// Register pins buf into the local registration table. The locker it
+// returns is the registration's own DMA lock, and releasing it wakes
+// this rank's engine when a request was refused while it was held.
 func (b *Backend) Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error) {
-	rb, rl, err := b.mem.Register(buf)
-	b.released()
+	r, err := b.mem.Register(buf, mem.AccessAll)
 	if err != nil {
-		return rb, nil, err
+		return mem.RemoteBuffer{}, nil, err
 	}
-	b.dmaOnce.Do(func() { b.dma = dmaLock{b: b, rl: rl} })
-	return rb, &b.dma, nil
+	return r.Remote(), r.RLocker(), nil
 }
 
-// dmaLock is the DMA lock Register hands out.
-type dmaLock struct {
-	b *Backend
-	//photon:lock regmem 40
-	rl sync.Locker
-}
-
-func (l *dmaLock) Lock() { l.rl.Lock() }
-
-func (l *dmaLock) Unlock() {
-	l.rl.Unlock()
-	l.b.released()
-}
-
-// released follows every release of this rank's table lock: when a
-// request toward this rank was refused while the lock was held, it
+// released follows every release of a lock of this rank's table: when
+// a request toward this rank was refused while a lock was held, it
 // kicks this rank's engine, so its Poll applies the request now rather
 // than on some later wake-up.
 func (b *Backend) released() {
@@ -281,25 +266,18 @@ func (b *Backend) released() {
 }
 
 // Deregister removes a registration.
-func (b *Backend) Deregister(rb mem.RemoteBuffer) error {
-	err := b.mem.Deregister(rb)
-	b.released()
-	return err
-}
+func (b *Backend) Deregister(rb mem.RemoteBuffer) error { return b.mem.Deregister(rb) }
 
 // ApplyLocal performs a loopback DMA write into this rank's own
 // registered memory with full validation.
 func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
-	err := b.mem.Write(false, raddr, rkey, data, nil)
-	b.released()
-	return err
+	return b.mem.Write(false, raddr, rkey, data, nil)
 }
 
-// WriteActivity counts applied writes with one counter for all
-// registrations (every remote write goes through the table, whoever
-// applies it).
-func (b *Backend) WriteActivity(mem.RemoteBuffer) (func() uint64, bool) {
-	return b.mem.Activity, true
+// WriteActivity counts the writes applied to one registration, whoever
+// applies them.
+func (b *Backend) WriteActivity(rb mem.RemoteBuffer) (func() uint64, bool) {
+	return b.mem.WriteActivity(rb)
 }
 
 // Poll applies what it can of the backlogs toward and from this rank,
@@ -313,8 +291,8 @@ func (b *Backend) Poll(dst []core.BackendCompletion) int {
 
 // drainAll drains every backlog this rank polls whose producer lock is
 // free. What it leaves waits on a held lock: a producer lock's holder
-// drains the backlog itself, and a table lock's holder kicks the
-// target when it releases (see refused).
+// drains the backlog itself, and the holder of a lock of the target's
+// table kicks the target when it releases (see refused).
 func (b *Backend) drainAll() {
 	for _, p := range b.cluster.backends {
 		if p == b {
@@ -483,8 +461,8 @@ func (b *Backend) post(rank int, r *request, local []byte) error {
 }
 
 // submit runs r toward rank; the caller holds prodMu[rank]. It drains
-// the backlog first; when that empties it and the target's table lock
-// is free, r is applied and completed at once. Otherwise r joins the
+// the backlog first; when that empties it and the target's locks are
+// free, r is applied and completed at once. Otherwise r joins the
 // backlog, and submit returns the ring bytes it was charged. The
 // completion of an operation applied here is pushed under prodMu, so a
 // later post cannot complete first; the wake sink that push calls is
@@ -533,7 +511,7 @@ func (b *Backend) appended(rank, frames, bytes int) {
 }
 
 // drain applies b's backlog toward t from the front, in try mode, until
-// it is empty or t's table lock is held; the caller holds
+// it is empty or a lock of t's table is held; the caller holds
 // b.prodMu[t.rank]. Toward a closed t it fails every request that owes
 // a completion instead. Draining kicks b's engine, so posts it deferred
 // for lack of ring space retry.
@@ -580,7 +558,7 @@ func (b *Backend) drain(t *Backend) {
 // apply executes r against b's registered memory on behalf of src and
 // completes it into src's queue: a write's payload is head then tail,
 // a read's or atomic's result lands in dst. With try set it gives up
-// when b's table lock is held, doing nothing and returning false.
+// when a lock of b's table is held, doing nothing and returning false.
 // Posts, drains and self-posts all run requests through it.
 func (b *Backend) apply(src *Backend, try bool, r *request, head, tail, dst []byte) bool {
 	var err error
@@ -608,7 +586,6 @@ func (b *Backend) apply(src *Backend, try bool, r *request, head, tail, dst []by
 	if errors.Is(err, mem.ErrBusy) {
 		return false
 	}
-	b.released()
 	if r.owesCompletion() {
 		src.compq.Push(core.BackendCompletion{Token: r.token, OK: err == nil, Err: err})
 	}

@@ -815,21 +815,17 @@ func (b *Backend) handleFrame(peer int, f []byte) bool {
 		n := int(binary.LittleEndian.Uint32(f[21:]))
 		// n comes off the wire (up to 4 GiB): it sizes the response only
 		// once the registration has vouched for it.
-		size := readRespBodyMin
-		err := b.mem.Check(raddr, rkey, n)
-		if err == nil {
-			size += n
-		}
-		resp := make([]byte, size)
-		resp[0] = opReadResp
-		binary.LittleEndian.PutUint64(resp[1:], token)
-		if err == nil {
-			err = b.mem.Read(false, resp[readRespBodyMin:], raddr, rkey)
-		}
+		var resp []byte
+		err := b.mem.Access(false, raddr, rkey, n, mem.AccessRemoteRead, func(w []byte) {
+			resp = make([]byte, readRespBodyMin+len(w))
+			copy(resp[readRespBodyMin:], w)
+		})
 		if err != nil {
-			resp = resp[:readRespBodyMin]
+			resp = make([]byte, readRespBodyMin)
 			resp[9] = 1 // status: failed
 		}
+		resp[0] = opReadResp
+		binary.LittleEndian.PutUint64(resp[1:], token)
 		b.reply(peer, resp)
 	case opFAdd, opCSwap:
 		b.handleAtomic(peer, f)

@@ -215,7 +215,8 @@ type Backend struct {
 	cstats   []connStats     // data-path counters per connection
 
 	// mem is the registration table every remote access is validated
-	// against; its lock is the "DMA lock" guarding registered memory.
+	// against and applied through, under the target region's own DMA
+	// lock.
 	mem *mem.RegTable
 
 	// compq carries agent→engine completions and doubles as the wake
@@ -276,7 +277,7 @@ func New(cfg Config) (*Backend, error) {
 		ackDue:    make([]atomic.Uint64, n),
 		lastNack:  make([]atomic.Uint64, n),
 		cstats:    make([]connStats, n),
-		mem:       mem.NewRegTable("tcp"),
+		mem:       mem.NewRegTable("tcp", nil),
 		pendBuf:   make(map[uint64]pendDst),
 		sentResp:  make([]map[uint64]struct{}, n),
 		exgGather: make([]mem.Queue[[]byte], n),
@@ -471,9 +472,14 @@ func (b *Backend) Rank() int { return b.rank }
 // Size returns the job size.
 func (b *Backend) Size() int { return b.size }
 
-// Register pins buf into the local registration table.
+// Register pins buf into the local registration table; the locker is
+// the registration's own DMA lock.
 func (b *Backend) Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error) {
-	return b.mem.Register(buf)
+	r, err := b.mem.Register(buf, mem.AccessAll)
+	if err != nil {
+		return mem.RemoteBuffer{}, nil, err
+	}
+	return r.Remote(), r.RLocker(), nil
 }
 
 // Deregister removes a registration.
@@ -632,10 +638,9 @@ func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
 	return b.mem.Write(false, raddr, rkey, data, nil)
 }
 
-// WriteActivity counts applied writes with one counter for all
-// registrations (the TCP agent applies every remote write).
-func (b *Backend) WriteActivity(mem.RemoteBuffer) (func() uint64, bool) {
-	return b.mem.Activity, true
+// WriteActivity counts the writes applied to one registration.
+func (b *Backend) WriteActivity(rb mem.RemoteBuffer) (func() uint64, bool) {
+	return b.mem.WriteActivity(rb)
 }
 
 // Poll reaps completions.

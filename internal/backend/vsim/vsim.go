@@ -59,7 +59,6 @@ func NewClusterOver(fab *fabric.Fabric, nc nicsim.Config) (*Cluster, error) {
 			nic:     nic,
 			cq:      nicsim.NewCQ(8192),
 			qps:     make([]*nicsim.QP, n),
-			mrs:     make(map[uint64]*nicsim.MR),
 			wake:    core.NewWakeChan(),
 		}
 		// Latch both event sources: local completions (CQ push) and
@@ -123,10 +122,6 @@ type Backend struct {
 	cq      *nicsim.CQ
 	qps     []*nicsim.QP
 
-	//photon:lock vsimmr 20
-	mrMu sync.Mutex
-	mrs  map[uint64]*nicsim.MR // keyed by base address
-
 	//photon:lock vsimpoll 30
 	pollMu      sync.Mutex
 	pollScratch []nicsim.CQE // reused across Poll calls (no per-call alloc)
@@ -162,32 +157,18 @@ func (b *Backend) NIC() *nicsim.NIC { return b.nic }
 // accessor: callers reach the counters as Device().NIC().
 func (b *Backend) Device() *Backend { return b }
 
-// Register pins buf with the NIC.
+// Register pins buf with the NIC; the locker is the registration's
+// own DMA lock.
 func (b *Backend) Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error) {
 	mr, err := b.nic.RegisterMemory(buf, nicsim.AccessAll)
 	if err != nil {
 		return mem.RemoteBuffer{}, nil, err
 	}
-	rb := mem.RemoteBuffer{Addr: mr.Base(), RKey: mr.RKey(), Len: mr.Len()}
-	b.mrMu.Lock()
-	b.mrs[rb.Addr] = mr
-	b.mrMu.Unlock()
-	return rb, mr.RLocker(), nil
+	return mr.Remote(), mr.RLocker(), nil
 }
 
 // Deregister releases a registration by descriptor.
-func (b *Backend) Deregister(rb mem.RemoteBuffer) error {
-	b.mrMu.Lock()
-	mr, ok := b.mrs[rb.Addr]
-	if ok {
-		delete(b.mrs, rb.Addr)
-	}
-	b.mrMu.Unlock()
-	if !ok {
-		return fmt.Errorf("vsim: no registration at %#x", rb.Addr)
-	}
-	return b.nic.DeregisterMemory(mr)
-}
+func (b *Backend) Deregister(rb mem.RemoteBuffer) error { return b.nic.Memory().Deregister(rb) }
 
 // translate maps transport errors to the core sentinel space.
 func translate(err error) error {
@@ -275,15 +256,9 @@ func (b *Backend) ApplyLocal(raddr uint64, rkey uint32, data []byte) error {
 	return b.nic.LocalWrite(raddr, rkey, data)
 }
 
-// WriteActivity exposes the registration's DMA write counter.
+// WriteActivity exposes the registration's own DMA write counter.
 func (b *Backend) WriteActivity(rb mem.RemoteBuffer) (func() uint64, bool) {
-	b.mrMu.Lock()
-	mr, ok := b.mrs[rb.Addr]
-	b.mrMu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return mr.WriteActivity, true
+	return b.nic.Memory().WriteActivity(rb)
 }
 
 // Poll reaps transport completions.

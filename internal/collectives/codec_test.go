@@ -1,9 +1,11 @@
 package collectives
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -159,6 +161,66 @@ func FuzzBcastHeader(f *testing.F) {
 		}
 		if L > len(msg0)-8 && (L+seg-1)/seg > maxSegs-1 {
 			t.Fatalf("accepted L=%d in more than %d segments of %d", L, maxSegs-1, seg)
+		}
+	})
+}
+
+// TestDecodeCommitRejects pins the follower's commit checks: each
+// malformed commit is an error, not a Comm whose members repeat or an
+// adopted foreign epoch.
+func TestDecodeCommitRejects(t *testing.T) {
+	const size, epoch = 6, 3
+	good := encodeCommit(epoch, []int{0, 2, 5})
+	if got, err := decodeCommit(good, size, epoch); err != nil || !slices.Equal(got, []int{0, 2, 5}) {
+		t.Fatalf("well-formed commit: %v, %v", got, err)
+	}
+	for _, tc := range []struct {
+		what string
+		pay  []byte
+	}{
+		{"short body", good[:commitHdrLen-1]},
+		{"count beyond the body", good[:len(good)-2]},
+		{"body beyond the count", append(slices.Clone(good), 0, 0)},
+		{"rank >= size", encodeCommit(epoch, []int{0, size})},
+		{"duplicate ranks", encodeCommit(epoch, []int{1, 1, 4})},
+		{"descending ranks", encodeCommit(epoch, []int{4, 1})},
+		{"stale epoch", encodeCommit(epoch-1, []int{0, 1})},
+		{"future epoch", encodeCommit(epoch+1, []int{0, 1})},
+	} {
+		if got, err := decodeCommit(tc.pay, size, epoch); err == nil {
+			t.Errorf("%s: accepted as %v", tc.what, got)
+		}
+	}
+}
+
+// FuzzShrinkCommit: decoding any payload never panics, and whatever it
+// accepts is a strictly ascending in-range survivor list that the
+// leader's encoder turns back into exactly those bytes; every list the
+// leader can send (a subset of the comm, as a bitmap) round-trips.
+func FuzzShrinkCommit(f *testing.F) {
+	f.Add(encodeCommit(1, []int{0, 1, 3}), uint16(4), uint64(1))
+	f.Add(encodeCommit(2, []int{2, 2}), uint16(4), uint64(2))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 255, 255}, uint16(8), uint64(1))
+	f.Fuzz(func(t *testing.T, pay []byte, size uint16, epoch uint64) {
+		if got, err := decodeCommit(pay, int(size), epoch); err == nil {
+			for i, r := range got {
+				if r >= int(size) || i > 0 && r <= got[i-1] {
+					t.Fatalf("accepted survivors %v of %d", got, size)
+				}
+			}
+			if !bytes.Equal(encodeCommit(epoch, got), pay) {
+				t.Fatalf("accepted %x, which re-encodes as %x", pay, encodeCommit(epoch, got))
+			}
+		}
+		var survivors []int
+		for r := 0; r < int(size) && r/8 < len(pay); r++ {
+			if pay[r/8]&(1<<(r%8)) != 0 {
+				survivors = append(survivors, r)
+			}
+		}
+		got, err := decodeCommit(encodeCommit(epoch, survivors), int(size), epoch)
+		if err != nil || !slices.Equal(got, survivors) {
+			t.Fatalf("survivors %v round-tripped as %v, %v", survivors, got, err)
 		}
 	})
 }

@@ -34,6 +34,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"photon/internal/core"
@@ -209,19 +210,13 @@ func (c *Comm) shrinkLead(dead []bool, refresh func(), mergeNotice func(core.Com
 			return nil, err
 		}
 	}
-	// Commit: epoch (8) | count (2) | parent comm ranks (2 each).
 	survivors := make([]int, 0, c.size)
 	for r := 0; r < c.size; r++ {
 		if !dead[r] {
 			survivors = append(survivors, r)
 		}
 	}
-	pay := make([]byte, 10+2*len(survivors))
-	binary.LittleEndian.PutUint64(pay[0:], c.epoch+1)
-	binary.LittleEndian.PutUint16(pay[8:], uint16(len(survivors)))
-	for i, r := range survivors {
-		binary.LittleEndian.PutUint16(pay[10+2*i:], uint16(r))
-	}
+	pay := encodeCommit(c.epoch+1, survivors)
 	c.lrids = c.lrids[:0]
 	for _, r := range survivors {
 		if r == c.rank {
@@ -257,30 +252,60 @@ func (c *Comm) shrinkLead(dead []bool, refresh func(), mergeNotice func(core.Com
 	return c.buildShrunken(c.epoch+1, survivors)
 }
 
-// applyCommit is the follower side of phase 2.
-func (c *Comm) applyCommit(pay []byte) (*Comm, error) {
-	if len(pay) < 10 {
+// commitHdrLen is the fixed part of a commit: epoch (8) | count (2),
+// followed by the survivors' parent comm ranks (2 each, ascending).
+const commitHdrLen = 10
+
+// encodeCommit is the leader's phase-2 payload.
+func encodeCommit(epoch uint64, survivors []int) []byte {
+	pay := make([]byte, commitHdrLen+2*len(survivors))
+	binary.LittleEndian.PutUint64(pay[0:], epoch)
+	binary.LittleEndian.PutUint16(pay[8:], uint16(len(survivors)))
+	for i, r := range survivors {
+		binary.LittleEndian.PutUint16(pay[commitHdrLen+2*i:], uint16(r))
+	}
+	return pay
+}
+
+// decodeCommit parses a commit for a follower of a size-rank comm
+// that expects epoch: a body whose count does not match its length, a
+// rank outside the comm, ranks that repeat or are out of order, or
+// another epoch is an error.
+func decodeCommit(pay []byte, size int, epoch uint64) ([]int, error) {
+	if len(pay) < commitHdrLen {
 		return nil, fmt.Errorf("collectives: shrink commit of %d bytes", len(pay))
 	}
-	epoch := binary.LittleEndian.Uint64(pay[0:])
+	if e := binary.LittleEndian.Uint64(pay[0:]); e != epoch {
+		return nil, fmt.Errorf("collectives: shrink commit for epoch %d, want %d", e, epoch)
+	}
 	n := int(binary.LittleEndian.Uint16(pay[8:]))
-	if len(pay) < 10+2*n {
+	if len(pay) != commitHdrLen+2*n {
 		return nil, fmt.Errorf("collectives: shrink commit names %d survivors in %d bytes", n, len(pay))
 	}
 	survivors := make([]int, n)
-	in := false
 	for i := range survivors {
-		r := int(binary.LittleEndian.Uint16(pay[10+2*i:]))
-		if r >= c.size {
-			return nil, fmt.Errorf("collectives: shrink commit names rank %d of %d", r, c.size)
+		r := int(binary.LittleEndian.Uint16(pay[commitHdrLen+2*i:]))
+		switch {
+		case r >= size:
+			return nil, fmt.Errorf("collectives: shrink commit names rank %d of %d", r, size)
+		case i > 0 && r <= survivors[i-1]:
+			return nil, fmt.Errorf("collectives: shrink commit ranks not strictly ascending (%d after %d)", r, survivors[i-1])
 		}
 		survivors[i] = r
-		in = in || r == c.rank
 	}
-	if !in {
+	return survivors, nil
+}
+
+// applyCommit is the follower side of phase 2.
+func (c *Comm) applyCommit(pay []byte) (*Comm, error) {
+	survivors, err := decodeCommit(pay, c.size, c.epoch+1)
+	if err != nil {
+		return nil, err
+	}
+	if !slices.Contains(survivors, c.rank) {
 		return nil, fmt.Errorf("collectives: excluded from shrink commit (presumed dead): %w", ErrCommRevoked)
 	}
-	return c.buildShrunken(epoch, survivors)
+	return c.buildShrunken(c.epoch+1, survivors)
 }
 
 // buildShrunken constructs the successor communicator and fences it

@@ -122,17 +122,19 @@ type Backend interface {
 	Size() int
 
 	// Register pins buf for remote access, returning its descriptor
-	// and a read-locker that callers must hold while polling bytes
-	// that remote peers write into buf.
+	// and the registration's own DMA lock: a read-locker that callers
+	// must hold while polling bytes that remote peers write into buf.
+	// Holding it stalls accesses to this registration only.
 	Register(buf []byte) (mem.RemoteBuffer, sync.Locker, error)
 	// Deregister releases a registration by its descriptor.
 	Deregister(rb mem.RemoteBuffer) error
-	// WriteActivity returns a loader for a monotonic count of writes
-	// and atomics applied to the registration (remote ones and
-	// ApplyLocal); ok is false when rb is not registered here. The
-	// progress engine uses it as a DMA event counter — ledger rings are
-	// swept only when the count has moved, so an idle or spinning
-	// poller never contends with the transport's memory lock.
+	// WriteActivity returns a loader for the registration's own
+	// monotonic count of writes and atomics applied to it (remote ones
+	// and ApplyLocal); writes into other registrations do not move it,
+	// and ok is false when rb is not registered here. The progress
+	// engine uses it as a DMA event counter — ledger rings are swept
+	// only when the arena's count has moved, so an idle or spinning
+	// poller never contends with the arena's DMA lock.
 	WriteActivity(rb mem.RemoteBuffer) (load func() uint64, ok bool)
 
 	// PostWrite starts a one-sided write of local into rank's memory

@@ -1,6 +1,5 @@
-// Package mem holds the memory plumbing the engine and the socket-like
-// transports share. Registration itself belongs to the transport
-// (Backend.Register); this package provides what sits around it:
+// Package mem holds the memory plumbing the engine and the transports
+// share, registration included:
 //
 //   - RemoteBuffer: the (address, rkey, length) descriptor of a remotely
 //     accessible region, what ranks exchange at init and what every
@@ -10,9 +9,12 @@
 //     the caller's buffer is not registered.
 //   - BufPool: a bounded free list of heap scratch buffers for hot-path
 //     staging (bufpool.go).
-//   - RegTable: the registration table — rkey, bounds and alignment
-//     checks on every remote access — shared by the transports that
-//     apply remote operations in software (regtable.go).
+//   - RegTable: the one registration table every transport registers
+//     through — the simulated NIC's memory regions and the memory tcp
+//     and shm apply one-sided operations to. Each registration is a
+//     Region with its own DMA lock, write-activity counter and access
+//     rights, and every access is rkey-, rights-, bounds- and
+//     alignment-checked by RegTable.Access (regtable.go).
 //   - Queue: the growable ring FIFO every queue in the engine, the tcp
 //     backend and the simulated NIC sits on (queue.go).
 package mem

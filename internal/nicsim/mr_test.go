@@ -164,17 +164,17 @@ func TestRecycledMRRejectsStaleRKey(t *testing.T) {
 	}
 }
 
-// blockedInAccessMR waits until some goroutine is parked on a
-// sync.Mutex inside accessMR — while the test holds the NIC's atomic
-// lock, the only mutex it can wait on there — and reports whether one
-// did within five seconds.
-func blockedInAccessMR() bool {
+// blockedOnRegionLock waits until some goroutine is parked on a
+// region's lock inside the registration table's Access — while the
+// test holds that region's DMA lock, the only lock it can wait on
+// there — and reports whether one did within five seconds.
+func blockedOnRegionLock() bool {
 	buf := make([]byte, 1<<20)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		dump := string(buf[:runtime.Stack(buf, true)])
 		for _, g := range strings.Split(dump, "\n\n") {
-			if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, "nicsim.(*NIC).accessMR") {
+			if strings.Contains(g, "[sync.RWMutex.Lock") && strings.Contains(g, "mem.(*RegTable).Access") {
 				return true
 			}
 		}
@@ -183,12 +183,12 @@ func blockedInAccessMR() bool {
 	return false
 }
 
-// TestRecycledMRInFlightAtomic holds the NIC's atomic lock while a
-// remote atomic against A is in flight, so the responder resolves A's
-// rkey and then stalls before taking the region lock. A is deregistered
-// and its object recycled for B meanwhile; once released, the atomic
-// must find the rkey changed under the region lock and NAK rather than
-// apply to B.
+// TestRecycledMRInFlightAtomic holds A's DMA lock while a remote atomic
+// against A is in flight, so the responder resolves A's rkey and then
+// waits for the region lock. A is deregistered meanwhile — unmapped at
+// once, its object recycled for B once the atomic is out of the way —
+// and the atomic must find the rkey gone under the region lock and NAK
+// rather than apply to A or to B.
 func TestRecycledMRInFlightAtomic(t *testing.T) {
 	p := newPair(t, Config{})
 	memA := make([]byte, 64)
@@ -203,23 +203,31 @@ func TestRecycledMRInFlightAtomic(t *testing.T) {
 	}
 	defer closeQP()
 
-	p.nicB.atomicMu.Lock()
+	dma := mrA.RLocker()
+	dma.Lock()
 	if err := qp.PostSend(SendWR{Op: OpAtomicFetchAdd, Local: make([]byte, 8),
 		RemoteAddr: oldBase, RKey: oldKey, Add: 1, Signaled: true}); err != nil {
-		p.nicB.atomicMu.Unlock()
+		dma.Unlock()
 		t.Fatal(err)
 	}
-	if !blockedInAccessMR() {
-		p.nicB.atomicMu.Unlock()
-		t.Fatal("responder never blocked inside accessMR")
+	if !blockedOnRegionLock() {
+		dma.Unlock()
+		t.Fatal("responder never blocked on the region lock")
 	}
-	if err := p.nicB.DeregisterMemory(mrA); err != nil {
-		p.nicB.atomicMu.Unlock()
+	deregistered := make(chan error, 1)
+	go func() { deregistered <- p.nicB.DeregisterMemory(mrA) }()
+	for deadline := time.Now().Add(5 * time.Second); mrA.RKey() != 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			dma.Unlock()
+			t.Fatal("DeregisterMemory never unmapped the region")
+		}
+	}
+	dma.Unlock()
+	if err := <-deregistered; err != nil {
 		t.Fatal(err)
 	}
 	memB := make([]byte, 64)
 	mrB, err := p.nicB.RegisterMemory(memB, AccessAll)
-	p.nicB.atomicMu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}

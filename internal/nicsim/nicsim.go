@@ -5,9 +5,11 @@
 //
 //   - Memory regions (MR): user buffers registered with the NIC,
 //     addressable for remote access by a remote key (rkey) plus a
-//     NIC-assigned virtual base address. Remote operations are bounds-
-//     and access-checked against the MR table, exactly the checks a
-//     hardware translation/protection table does.
+//     NIC-assigned virtual base address. The NIC's translation and
+//     protection table is a mem.RegTable, the one registration table
+//     every transport uses: it rkey-, rights-, bounds- and
+//     alignment-checks each remote operation and applies it under the
+//     region's own DMA lock.
 //   - Queue pairs (QP): reliable connected endpoints. A posted send work
 //     request goes onto the fabric on the caller's goroutine, and stays
 //     outstanding until its ACK or response arrives; receives are posted
@@ -29,12 +31,13 @@
 // hands a frame to the destination NIC on the sending goroutine, so a
 // post can run the responder's apply, and the ACK or response can run
 // the initiator's completion, before PostSend returns. On that path
-// the NIC never waits: every lock it needs — the MR and QPN lookups
-// under the NIC lock, the region's DMA lock, the atomic lock, the QP
-// lock — is only tried, and when one is held elsewhere the NIC refuses
-// the frame before touching anything, and the fabric's delivery
-// goroutine brings it back to be applied blocking, in order. (The CQ
-// lock is taken outright: nobody holds it across anything else.)
+// the NIC never waits: every lock it needs — the registration table's
+// lock and the region's DMA lock (the table's try mode), the QP lock —
+// is only tried, and when one is held elsewhere the NIC refuses the
+// frame before touching anything, and the fabric's delivery goroutine
+// brings it back to be applied blocking, in order. (The QPN lookup
+// takes no lock, and the CQ lock is taken outright: nobody holds it
+// across anything else.)
 // Neither may anyone hold one of those locks across a post or a
 // fabric send: the fabric field carries a lockorder directive that
 // makes photonvet check it.
@@ -42,27 +45,27 @@ package nicsim
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"photon/internal/fabric"
+	"photon/internal/mem"
 )
 
-// Access is a bitmask of permissions granted when registering memory.
-type Access uint8
+// Access is a bitmask of permissions granted when registering memory,
+// mirroring IBV_ACCESS_*; the registration table checks it.
+type Access = mem.Access
 
-// Access flag values, mirroring IBV_ACCESS_*.
+// Access flag values.
 const (
-	AccessLocalWrite Access = 1 << iota
-	AccessRemoteRead
-	AccessRemoteWrite
-	AccessRemoteAtomic
+	AccessLocalWrite   = mem.AccessLocalWrite
+	AccessRemoteRead   = mem.AccessRemoteRead
+	AccessRemoteWrite  = mem.AccessRemoteWrite
+	AccessRemoteAtomic = mem.AccessRemoteAtomic
 )
 
 // AccessAll grants every permission; Photon registers its ledgers and
 // eager buffers with this.
-const AccessAll = AccessLocalWrite | AccessRemoteRead | AccessRemoteWrite | AccessRemoteAtomic
+const AccessAll = mem.AccessAll
 
 // Errors returned by NIC operations.
 var (
@@ -71,54 +74,15 @@ var (
 	ErrRQFull       = errors.New("nicsim: receive queue full")
 	ErrQPState      = errors.New("nicsim: queue pair not in a usable state")
 	ErrBadWR        = errors.New("nicsim: malformed work request")
-	ErrUnregistered = errors.New("nicsim: memory region not registered")
+	ErrUnregistered = mem.ErrUnregistered
 )
 
-// MR is a registered memory region.
-//
-// Remote operations against the region (writes, reads, atomics) are
-// serialized with an internal RWMutex; local code that polls memory the
-// remote side writes (ledgers, mailboxes) must hold the read lock via
-// RLocker while reading. This stands in for the cache-coherent ordered
-// visibility real DMA provides.
-//
+// MR is a registered memory region: a region of the NIC's registration
+// table, with its own DMA lock (RLocker) and write-activity counter.
 // The NIC recycles MR objects: once DeregisterMemory returns, the *MR,
 // its RLocker and its WriteActivity belong to whichever registration
 // the NIC hands the object to next, and must not be used again.
-type MR struct {
-	nic *NIC
-	//photon:lock mr 20
-	mu     sync.RWMutex
-	writes atomic.Uint64 // bumped after every remote write/atomic
-	// buf, base, rkey and access are written under mu; remote
-	// accesses read them under it, and the registration's owner
-	// without it once RegisterMemory has returned. rkey is the
-	// registration's generation: keys are never reused, and a
-	// deregistered MR carries rkey 0.
-	buf    []byte
-	base   uint64
-	rkey   uint32
-	access Access
-}
-
-// WriteActivity returns a monotonic count of remote writes and atomics
-// applied to the region — the software analogue of a DMA event counter.
-// Pollers use it to skip sweeping rings when nothing has arrived.
-func (m *MR) WriteActivity() uint64 { return m.writes.Load() }
-
-// RLocker returns a read-locker that synchronizes local polling against
-// remote DMA into the region.
-func (m *MR) RLocker() sync.Locker { return m.mu.RLocker() }
-
-// Base returns the NIC-assigned virtual base address of the region.
-// Remote peers address bytes in the region as Base()+offset.
-func (m *MR) Base() uint64 { return m.base }
-
-// RKey returns the remote access key.
-func (m *MR) RKey() uint32 { return m.rkey }
-
-// Len returns the length of the registered buffer.
-func (m *MR) Len() int { return len(m.buf) }
+type MR = mem.Region
 
 // Counters aggregates NIC activity, useful for ablation reporting.
 type Counters struct {
@@ -162,20 +126,13 @@ type NIC struct {
 	cfg    Config
 	closed atomic.Bool
 
-	// mu guards the tables below. It is never held across another
-	// lock, so frame handlers take it shared, and only try it on a
-	// sender's goroutine.
-	//photon:lock nic 10
-	mu       sync.RWMutex
-	mrsByKey map[uint32]*MR // rkey -> MR
-	freeMRs  []*MR          // deregistered MRs, reused by RegisterMemory
-	nextKey  uint32
-	nextBase uint64
-	qps      map[uint32]*QP
-	nextQPN  uint32
-
-	//photon:lock nicatomic 15
-	atomicMu sync.Mutex // serializes remote atomics against this NIC's memory
+	// mem is the NIC's translation/protection table: every remote or
+	// loopback access to registered memory goes through it.
+	mem *mem.RegTable
+	// qps is the QP table, indexed by QPN-1: a slice replaced whole by
+	// CreateQP and QP.Close, so frame handlers look a QPN up without a
+	// lock.
+	qps atomic.Pointer[[]*QP]
 
 	// writeHook, when set, runs after every remote write or atomic is
 	// applied to this NIC's registered memory (and after loopback
@@ -196,16 +153,7 @@ type NIC struct {
 // New creates a NIC and attaches it to fabric node `node`.
 func New(fab *fabric.Fabric, node int, cfg Config) (*NIC, error) {
 	cfg.setDefaults()
-	n := &NIC{
-		node:     node,
-		fab:      fab,
-		cfg:      cfg,
-		mrsByKey: make(map[uint32]*MR),
-		nextKey:  1,
-		nextBase: 0x1000, // never hand out address 0
-		qps:      make(map[uint32]*QP),
-		nextQPN:  1,
-	}
+	n := &NIC{node: node, fab: fab, cfg: cfg, mem: mem.NewRegTable("nicsim", nil)}
 	if err := fab.AttachTry(node, n.onFrame); err != nil {
 		return nil, err
 	}
@@ -231,56 +179,49 @@ func (n *NIC) Counters() Counters {
 // RegisterMemory registers buf with the NIC and returns its MR. The
 // buffer is pinned for the life of the registration: callers must keep
 // it reachable and must not reallocate it. The MR object comes from the
-// NIC's free list of deregistered regions when one is there, so a
+// table's free list of deregistered regions when one is there, so a
 // register/deregister cycle allocates nothing in steady state.
 func (n *NIC) RegisterMemory(buf []byte, access Access) (*MR, error) {
 	if n.closed.Load() {
 		return nil, ErrClosed
 	}
-	if len(buf) == 0 {
-		return nil, fmt.Errorf("%w: empty buffer", ErrBadWR)
-	}
-	n.mu.Lock()
-	key := n.nextKey
-	n.nextKey++
-	base := n.nextBase
-	// Align bases to 4KiB pages like a real pin would, and keep a
-	// guard gap so off-by-one remote addresses never alias regions.
-	sz := (uint64(len(buf)) + 0xFFF) &^ uint64(0xFFF)
-	n.nextBase += sz + 0x1000
-	var mr *MR
-	if k := len(n.freeMRs) - 1; k >= 0 {
-		mr = n.freeMRs[k]
-		n.freeMRs[k] = nil
-		n.freeMRs = n.freeMRs[:k]
-	} else {
-		mr = &MR{nic: n}
-	}
-	n.mu.Unlock()
-	// A stale access may still hold the recycled object; taking its
-	// DMA lock waits it out, and the new rkey makes the next one NAK.
-	mr.mu.Lock()
-	mr.buf, mr.base, mr.rkey, mr.access = buf, base, key, access
-	mr.mu.Unlock()
-	n.mu.Lock()
-	n.mrsByKey[key] = mr
-	n.mu.Unlock()
-	return mr, nil
+	return n.mem.Register(buf, access)
 }
 
+// DeregisterMemory removes a registration. Remote operations that race
+// the deregistration either finish before it returns or fail with
+// protection errors, as on real hardware: none touches buf afterwards.
+// The MR object then goes back to the free list, so mr — and any
+// RLocker or WriteActivity taken from it — is dead once this returns.
+// A second DeregisterMemory of it returns ErrUnregistered only while
+// the object waits on the free list.
+func (n *NIC) DeregisterMemory(mr *MR) error { return n.mem.Deregister(mr.Remote()) }
+
+// Memory returns the NIC's registration table, through which a
+// backend deregisters and watches registrations by descriptor.
+func (n *NIC) Memory() *mem.RegTable { return n.mem }
+
 // LocalWrite performs a loopback DMA write: it validates (rkey, addr,
-// len) against the MR table exactly as a remote write would and places
-// data under the region's DMA lock. Middleware uses it to land payloads
-// that arrived packed inside other transfers.
+// len) against the registration table exactly as a remote write would
+// and places data under the region's DMA lock. Middleware uses it to
+// land payloads that arrived packed inside other transfers.
 func (n *NIC) LocalWrite(addr uint64, rkey uint32, data []byte) error {
-	if err := n.accessMR(rkey, addr, len(data), AccessRemoteWrite, false, func(dst []byte) {
-		copy(dst, data)
-	}); err != nil {
+	if err := n.counted(n.mem.Write(false, addr, rkey, data, nil)); err != nil {
 		return err
 	}
 	n.counters.remoteWrites.Add(1)
 	n.kickWriteHook()
 	return nil
+}
+
+// counted passes through the result of a registration-table access,
+// counting a rejection (anything but mem.ErrBusy) as a protection
+// error.
+func (n *NIC) counted(err error) error {
+	if err != nil && !errors.Is(err, mem.ErrBusy) {
+		n.counters.protErrs.Add(1)
+	}
+	return err
 }
 
 // SetWriteHook installs fn to run after every remote write/atomic
@@ -300,120 +241,6 @@ func (n *NIC) kickWriteHook() {
 	}
 }
 
-// DeregisterMemory removes a registration. Remote operations that race
-// the deregistration either finish before it returns or fail with
-// protection errors, as on real hardware: none touches buf afterwards.
-// The MR object then goes back to the NIC's free list, so mr — and
-// any RLocker or WriteActivity taken from it — is dead once this
-// returns. A second DeregisterMemory of it returns ErrUnregistered
-// only while the object waits on the free list.
-func (n *NIC) DeregisterMemory(mr *MR) error {
-	n.mu.Lock()
-	if _, ok := n.mrsByKey[mr.rkey]; !ok {
-		n.mu.Unlock()
-		return ErrUnregistered
-	}
-	delete(n.mrsByKey, mr.rkey)
-	n.mu.Unlock()
-	// Taking the DMA lock waits out an operation already applying to
-	// the region; one that looked the rkey up but has not locked yet
-	// finds rkey 0 when it does.
-	mr.mu.Lock()
-	mr.buf, mr.rkey = nil, 0
-	mr.mu.Unlock()
-	n.mu.Lock()
-	n.freeMRs = append(n.freeMRs, mr)
-	n.mu.Unlock()
-	return nil
-}
-
-// errBusy is accessMR's answer in try mode when a lock it needs is
-// held elsewhere: nothing was touched, and the caller refuses the frame.
-var errBusy = errors.New("nicsim: lock busy")
-
-// accessMR is the single path by which a remote or loopback operation
-// touches registered memory. It resolves rkey, takes the region's DMA
-// lock (shared for reads; exclusive for writes; for atomics, the NIC's
-// atomic lock first), re-checks the rkey under that lock — the MR may
-// have been deregistered and recycled since the lookup — validates
-// that [addr, addr+length) lies inside the region and that the region
-// grants need, and runs apply on those bytes before unlocking. Any
-// failure counts a protection error. apply must not retain its slice.
-// In try mode it only tries each lock, and returns errBusy, having
-// done nothing, when one is held elsewhere.
-func (n *NIC) accessMR(rkey uint32, addr uint64, length int, need Access, try bool, apply func([]byte)) error {
-	if !n.mu.TryRLock() {
-		if try {
-			return errBusy
-		}
-		n.mu.RLock()
-	}
-	mr, ok := n.mrsByKey[rkey]
-	n.mu.RUnlock()
-	if !ok {
-		n.counters.protErrs.Add(1)
-		return fmt.Errorf("%w: rkey %d", ErrUnregistered, rkey)
-	}
-	write := need != AccessRemoteRead
-	if need == AccessRemoteAtomic && !n.atomicMu.TryLock() {
-		if try {
-			return errBusy
-		}
-		n.atomicMu.Lock()
-	}
-	var locked bool
-	if write {
-		locked = mr.mu.TryLock()
-	} else {
-		locked = mr.mu.TryRLock()
-	}
-	if !locked {
-		if try {
-			if need == AccessRemoteAtomic {
-				n.atomicMu.Unlock()
-			}
-			return errBusy
-		}
-		if write {
-			mr.mu.Lock()
-		} else {
-			mr.mu.RLock()
-		}
-	}
-	var err error
-	switch {
-	case mr.rkey != rkey:
-		err = fmt.Errorf("%w: rkey %d", ErrUnregistered, rkey)
-	case mr.access&need != need:
-		err = fmt.Errorf("nicsim: access violation on rkey %d", rkey)
-	case addr < mr.base || addr+uint64(length) > mr.base+uint64(len(mr.buf)) || addr+uint64(length) < addr:
-		err = fmt.Errorf("nicsim: address range [%#x,+%d) outside MR", addr, length)
-	default:
-		off := addr - mr.base
-		apply(mr.buf[off : off+uint64(length)])
-	}
-	if write {
-		mr.mu.Unlock()
-	} else {
-		mr.mu.RUnlock()
-	}
-	if need == AccessRemoteAtomic {
-		n.atomicMu.Unlock()
-	}
-	if err != nil {
-		n.counters.protErrs.Add(1)
-		return err
-	}
-	// Bump the activity counter only after unlocking, so a poller
-	// that sees it move finds the region lock free instead of parking
-	// on it. The object may have been recycled by now; a spurious bump
-	// costs its new owner one needless sweep.
-	if write {
-		mr.writes.Add(1)
-	}
-	return nil
-}
-
 // Close shuts the NIC down: every QP moves to the closed state, and
 // requests already on the wire never complete. The fabric itself is
 // left running (it may serve other NICs).
@@ -421,13 +248,11 @@ func (n *NIC) Close() {
 	if n.closed.Swap(true) {
 		return
 	}
-	n.mu.Lock()
-	qps := make([]*QP, 0, len(n.qps))
-	for _, qp := range n.qps {
-		qps = append(qps, qp)
-	}
-	n.mu.Unlock()
-	for _, qp := range qps {
-		qp.close()
+	if qps := n.qps.Load(); qps != nil {
+		for _, qp := range *qps {
+			if qp != nil {
+				qp.close()
+			}
+		}
 	}
 }

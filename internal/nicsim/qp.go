@@ -112,19 +112,41 @@ func (n *NIC) CreateQP(sendCQ, recvCQ *CQ) (*QP, error) {
 	if sendCQ == nil || recvCQ == nil {
 		return nil, fmt.Errorf("%w: nil CQ", ErrBadWR)
 	}
-	n.mu.Lock()
-	qpn := n.nextQPN
-	n.nextQPN++
-	qp := &QP{
-		nic:     n,
-		qpn:     qpn,
-		sendCQ:  sendCQ,
-		recvCQ:  recvCQ,
-		pending: make(map[uint64]*wqe),
-	}
-	n.qps[qpn] = qp
-	n.mu.Unlock()
+	var qp *QP
+	n.updateQPs(func(qps []*QP) []*QP {
+		qp = &QP{
+			nic:     n,
+			qpn:     uint32(len(qps) + 1),
+			sendCQ:  sendCQ,
+			recvCQ:  recvCQ,
+			pending: make(map[uint64]*wqe),
+		}
+		return append(qps, qp)
+	})
 	return qp, nil
+}
+
+// updateQPs publishes fn's edit of a copy of the QP table.
+func (n *NIC) updateQPs(fn func([]*QP) []*QP) {
+	for {
+		old := n.qps.Load()
+		var cur []*QP
+		if old != nil {
+			cur = *old
+		}
+		next := fn(append([]*QP(nil), cur...))
+		if n.qps.CompareAndSwap(old, &next) {
+			return
+		}
+	}
+}
+
+// lookupQP returns the live QP numbered qpn, or nil.
+func (n *NIC) lookupQP(qpn uint32) *QP {
+	if qps := n.qps.Load(); qps != nil && qpn-1 < uint32(len(*qps)) {
+		return (*qps)[qpn-1]
+	}
+	return nil
 }
 
 // QPN returns the queue pair number, unique per NIC.
@@ -360,9 +382,10 @@ func (qp *QP) close() {
 // ErrQPState.
 func (qp *QP) Close() {
 	qp.close()
-	qp.nic.mu.Lock()
-	delete(qp.nic.qps, qp.qpn)
-	qp.nic.mu.Unlock()
+	qp.nic.updateQPs(func(qps []*QP) []*QP {
+		qps[qp.qpn-1] = nil
+		return qps
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -398,14 +421,7 @@ func (n *NIC) dispatch(fr fabric.Frame, inline bool) bool {
 		n.counters.protErrs.Add(1)
 		return true
 	}
-	if !n.mu.TryRLock() {
-		if inline {
-			return false
-		}
-		n.mu.RLock()
-	}
-	qp := n.qps[h.dstQPN]
-	n.mu.RUnlock()
+	qp := n.lookupQP(h.dstQPN)
 	if qp == nil {
 		n.counters.protErrs.Add(1)
 		return true
@@ -522,10 +538,8 @@ func (qp *QP) handleWrite(h header, body []byte, src int, try bool) bool {
 		nak(StatusLocalError)
 		return true
 	}
-	err = qp.nic.accessMR(rkey, raddr, len(payload), AccessRemoteWrite, try, func(dst []byte) {
-		copy(dst, payload)
-	})
-	if errors.Is(err, errBusy) {
+	err = qp.nic.counted(qp.nic.mem.Write(try, raddr, rkey, payload, nil))
+	if errors.Is(err, mem.ErrBusy) {
 		return false
 	}
 	if err != nil {
@@ -554,11 +568,11 @@ func (qp *QP) handleRead(h header, body []byte, src int, try bool) bool {
 	// that goes on the wire. The frame is sized only once the range
 	// has passed the region's bounds check.
 	var resp []byte
-	err = qp.nic.accessMR(rkey, raddr, length, AccessRemoteRead, try, func(b []byte) {
+	err = qp.nic.counted(qp.nic.mem.Access(try, raddr, rkey, length, AccessRemoteRead, func(b []byte) {
 		resp = mem.GetFrame(hdrLen + len(b))
 		copy(resp[hdrLen:], b)
-	})
-	if errors.Is(err, errBusy) {
+	}))
+	if errors.Is(err, mem.ErrBusy) {
 		return false
 	}
 	if err != nil {
@@ -578,21 +592,18 @@ func (qp *QP) handleRead(h header, body []byte, src int, try bool) bool {
 func (qp *QP) handleAtomic(h header, body []byte, src int, try bool) bool {
 	kind, raddr, rkey, operand, compare, err := decodeAtomic(body)
 	rh := header{srcQPN: qp.qpn, dstQPN: h.srcQPN, psn: h.psn}
-	if err != nil || raddr%8 != 0 || (kind != atomicFAdd && kind != atomicCSwap) {
+	if err != nil || (kind != atomicFAdd && kind != atomicCSwap) {
 		rh.typ = fNak
 		qp.respond(src, encodeStatus(rh, StatusLocalError))
 		return true
 	}
 	var orig uint64
-	err = qp.nic.accessMR(rkey, raddr, 8, AccessRemoteAtomic, try, func(b []byte) {
-		orig = binary.LittleEndian.Uint64(b)
-		if kind == atomicFAdd {
-			binary.LittleEndian.PutUint64(b, orig+operand)
-		} else if orig == compare {
-			binary.LittleEndian.PutUint64(b, operand)
-		}
-	})
-	if errors.Is(err, errBusy) {
+	if kind == atomicFAdd {
+		orig, err = qp.nic.mem.FetchAdd(try, raddr, rkey, operand)
+	} else {
+		orig, err = qp.nic.mem.CompSwap(try, raddr, rkey, compare, operand)
+	}
+	if errors.Is(qp.nic.counted(err), mem.ErrBusy) {
 		return false
 	}
 	if err != nil {
