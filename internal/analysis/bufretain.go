@@ -33,8 +33,8 @@ const memPkgPath = "photon/internal/mem"
 //     dropped Put calls on straight-line scratch use, not a full
 //     leak analysis.
 //
-// GetOwned is exempt by design: its documented contract transfers
-// ownership permanently (Completion.Data). A small GetOwned buffer is a
+// CopyOwned is exempt by design: its documented contract transfers
+// ownership permanently (Completion.Data). A small CopyOwned copy is a
 // capped slice of a shared chunk whose bytes are never handed out
 // again, so retaining it is as safe as retaining a plain allocation;
 // it only keeps its chunk alive. Intentional retentions —

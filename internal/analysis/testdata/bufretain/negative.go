@@ -63,10 +63,10 @@ func spreadCopy(p *mem.BufPool, dst []byte) []byte {
 	return dst
 }
 
-// owned uses GetOwned, whose documented contract transfers ownership
+// owned uses CopyOwned, whose documented contract transfers ownership
 // permanently — bufretain does not track it.
-func owned(p *mem.BufPool) []byte {
-	b := p.GetOwned(64)
+func owned(p *mem.BufPool, src []byte) []byte {
+	b := p.CopyOwned(src)
 	return b
 }
 

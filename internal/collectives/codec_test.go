@@ -224,3 +224,58 @@ func FuzzShrinkCommit(f *testing.F) {
 		}
 	})
 }
+
+// FuzzShrinkNotices covers the two payloads Shrink folds into its death
+// view, a member's death-bitmap report and a revocation notice: decoding
+// any payload never panics, never marks the receiver itself or a rank at
+// or beyond the comm size, and every view the encoders send round-trips
+// (less the receiver, whom no decode marks).
+func FuzzShrinkNotices(f *testing.F) {
+	f.Add(encodeDeathBitmap([]bool{false, true, false, true}), uint16(4), uint16(0))
+	f.Add([]byte{0xff, 0xff}, uint16(9), uint16(3))
+	n := encodeRevokeNotice(unknownRank)
+	f.Add(n[:], uint16(2), uint16(1))
+	f.Fuzz(func(t *testing.T, pay []byte, size, self uint16) {
+		sz, me := int(size)%(MaxRanks+1), int(self)
+		// A tail past size catches a decoder that marks beyond it.
+		dead := make([]bool, sz+16)
+		decodeDeathBitmap(pay, sz, me, dead)
+		for r, d := range dead {
+			if d && (r == me || r >= sz) {
+				t.Fatalf("bitmap %x marked rank %d (self %d, size %d)", pay, r, me, sz)
+			}
+		}
+		if d := decodeRevokeNotice(pay, sz, me); d != -1 && (d < 0 || d == me || d >= sz) {
+			t.Fatalf("notice %x named rank %d (self %d, size %d)", pay, d, me, sz)
+		}
+
+		// Round trips: the view the fuzzed bytes spell as a bitmap, and
+		// a notice naming each rank the first payload byte picks.
+		view := make([]bool, sz)
+		for r := range view {
+			view[r] = r/8 < len(pay) && pay[r/8]&(1<<(r%8)) != 0
+		}
+		got := make([]bool, sz)
+		decodeDeathBitmap(encodeDeathBitmap(view), sz, me, got)
+		for r := range view {
+			if got[r] != (view[r] && r != me) {
+				t.Fatalf("view %v (self %d) round-tripped as %v", view, me, got)
+			}
+		}
+		if sz > 0 && len(pay) > 0 {
+			d := int(pay[0]) % sz
+			want := d
+			if d == me {
+				want = -1
+			}
+			enc := encodeRevokeNotice(d)
+			if got := decodeRevokeNotice(enc[:], sz, me); got != want {
+				t.Fatalf("notice for rank %d (self %d, size %d) decoded as %d", d, me, sz, got)
+			}
+		}
+		unk := encodeRevokeNotice(unknownRank)
+		if got := decodeRevokeNotice(unk[:], sz, me); got != -1 {
+			t.Fatalf("unknown-rank notice decoded as %d", got)
+		}
+	})
+}

@@ -172,13 +172,7 @@ func (c *Comm) commRankOf(engineRank int) int {
 // revokeFromNotice revokes the comm off a received revocation notice,
 // adopting the failed rank its payload names (when known).
 func (c *Comm) revokeFromNotice(comp core.Completion) error {
-	dead := -1
-	if len(comp.Data) >= 2 {
-		if d := int(binary.LittleEndian.Uint16(comp.Data)); d < c.size {
-			dead = d
-		}
-	}
-	return c.revoke(dead)
+	return c.revoke(decodeRevokeNotice(comp.Data, c.size, c.rank))
 }
 
 // revoke latches the communicator revoked (terminal for the epoch),
@@ -206,12 +200,11 @@ func (c *Comm) revoke(dead int) error {
 // retry budget is skipped; the flood is redundant (every revoked rank
 // forwards once) and the deadline still bounds ranks it misses.
 func (c *Comm) sendRevokes() {
-	var pay [2]byte
 	d := c.deadRank.Load()
 	if d < 0 {
 		d = unknownRank
 	}
-	binary.LittleEndian.PutUint16(pay[:], uint16(d))
+	pay := encodeRevokeNotice(int(d))
 	r := rid(c.genBase, kindRevoke, 0, 0, c.rank)
 	for _, dst := range c.revokeOut {
 		if dst == int(d) || c.ph.PeerHealthState(c.group[dst]) == core.PeerDown {
@@ -232,6 +225,27 @@ func (c *Comm) sendRevokes() {
 		}
 	}
 	c.ph.Flush()
+}
+
+// encodeRevokeNotice is the revocation notice payload: the failed comm
+// rank, or unknownRank when it is not known.
+func encodeRevokeNotice(dead int) [2]byte {
+	var pay [2]byte
+	binary.LittleEndian.PutUint16(pay[:], uint16(dead))
+	return pay
+}
+
+// decodeRevokeNotice returns the failed comm rank a notice names, or -1
+// when it names none a size-rank comm member self can adopt: a short
+// payload, unknownRank or another rank beyond the comm, or self.
+func decodeRevokeNotice(pay []byte, size, self int) int {
+	if len(pay) < 2 {
+		return -1
+	}
+	if d := int(binary.LittleEndian.Uint16(pay)); d < size && d != self {
+		return d
+	}
+	return -1
 }
 
 // recordAbort feeds the observability plane at the revocation instant:

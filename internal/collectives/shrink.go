@@ -96,10 +96,8 @@ func (c *Comm) Shrink() (*Comm, error) {
 	// view: during Shrink a late notice is information, not a reason
 	// to abort the agreement.
 	mergeNotice := func(comp core.Completion) {
-		if len(comp.Data) >= 2 {
-			if d := int(binary.LittleEndian.Uint16(comp.Data)); d < c.size && d != c.rank {
-				dead[d] = true
-			}
+		if d := decodeRevokeNotice(comp.Data, c.size, c.rank); d >= 0 {
+			dead[d] = true
 		}
 	}
 
@@ -110,15 +108,27 @@ func (c *Comm) Shrink() (*Comm, error) {
 	return c.shrinkFollow(dead, refresh, leaderOf, mergeNotice)
 }
 
-// deathBitmap encodes dead as the phase-1 report payload.
-func (c *Comm) deathBitmap(dead []bool) []byte {
-	bm := make([]byte, (c.size+7)/8)
+// encodeDeathBitmap encodes dead as the phase-1 report payload: bit r
+// set when comm rank r is believed dead.
+func encodeDeathBitmap(dead []bool) []byte {
+	bm := make([]byte, (len(dead)+7)/8)
 	for r, d := range dead {
 		if d {
 			bm[r/8] |= 1 << (r % 8)
 		}
 	}
 	return bm
+}
+
+// decodeDeathBitmap marks in dead every rank a report's bitmap names,
+// except self and any rank at or beyond size; bits past the payload
+// read as alive.
+func decodeDeathBitmap(bm []byte, size, self int, dead []bool) {
+	for r := 0; r < size && r/8 < len(bm); r++ {
+		if r != self && bm[r/8]&(1<<(r%8)) != 0 {
+			dead[r] = true
+		}
+	}
 }
 
 // shrinkFollow is the non-leader side: report to the believed leader,
@@ -133,7 +143,7 @@ func (c *Comm) shrinkFollow(dead []bool, refresh func(), leaderOf func() int, me
 			return c.shrinkLead(dead, refresh, mergeNotice)
 		}
 		if leader != reported {
-			err := c.sendNBRaw(leader, c.deathBitmap(dead), 0, c.reportRID(c.rank))
+			err := c.sendNBRaw(leader, encodeDeathBitmap(dead), 0, c.reportRID(c.rank))
 			if err != nil {
 				if errors.Is(err, core.ErrPeerDown) {
 					dead[leader] = true
@@ -190,11 +200,7 @@ func (c *Comm) shrinkLead(dead []bool, refresh func(), mergeNotice func(core.Com
 			}
 			src := int(c.rids[i] & (MaxRanks - 1))
 			received[src] = true
-			for r := 0; r < c.size && r/8 < len(out[i].Data); r++ {
-				if r != c.rank && out[i].Data[r/8]&(1<<(r%8)) != 0 {
-					dead[r] = true
-				}
-			}
+			decodeDeathBitmap(out[i].Data, c.size, c.rank, dead)
 			out[i] = core.Completion{}
 		}
 		switch {

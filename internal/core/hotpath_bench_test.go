@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"photon/internal/bench"
@@ -193,5 +195,60 @@ func BenchmarkPutEagerVsim(b *testing.B) {
 	}
 	if err := <-consumed; err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkWaitAllDeepQueue measures one WaitAll over 64 remote RIDs
+// (64 eager puts to self, then the wait) with a backlog of unrelated
+// remote completions queued ahead of them that nobody takes. The
+// queued=0 case is the same round with an empty backlog, so the
+// difference is what matching by RID pays per queued completion.
+func BenchmarkWaitAllDeepQueue(b *testing.B) {
+	for _, depth := range []int{0, 1024} {
+		b.Run(fmt.Sprintf("queued=%d", depth), func(b *testing.B) {
+			p, dst := loopEnv(b, core.Config{})
+			payload := make([]byte, 8)
+			put := func(remoteRID uint64) {
+				for {
+					err := p.PutWithCompletion(0, payload, dst, 0, 0, remoteRID)
+					if err == nil {
+						return
+					}
+					if !errors.Is(err, core.ErrWouldBlock) {
+						b.Fatal(err)
+					}
+					p.Progress()
+				}
+			}
+			for i := 0; i < depth; i++ {
+				put(1<<40 + uint64(i))
+			}
+			for p.PendingRemote() < depth {
+				p.Progress()
+			}
+			const width = 64
+			rids := make([]uint64, width)
+			for i := range rids {
+				rids[i] = uint64(i + 1)
+			}
+			out := make([]core.Completion, width)
+			spec := &core.WaitSpec{}
+			w := core.NewWaiter(p)
+			defer w.Release()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for _, r := range rids {
+					put(r)
+				}
+				if err := p.WaitAll(w, rids, out, spec, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if got := p.PendingRemote(); got != depth {
+				b.Fatalf("%d remote completions queued after the waits, want %d", got, depth)
+			}
+		})
 	}
 }

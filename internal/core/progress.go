@@ -215,8 +215,7 @@ func (p *Photon) handleBackend(bc BackendCompletion) {
 		// already landed in the caller's buffer: no block, no copy.
 		data := op.postedBuf
 		if data == nil {
-			data = p.pool.GetOwned(op.size)
-			copy(data, op.block.Buf[:op.size])
+			data = p.pool.CopyOwned(op.block.Buf[:op.size])
 			_ = p.slab.Release(op.block)
 		}
 		p.traceEv(trace.KindProtocol, op.rdzvID, "rdzv.read.done")
@@ -369,7 +368,9 @@ func (p *Photon) retryDeferred(ps *peerState) int {
 		}
 		r := ps.pendingRTS.At(0)
 		ps.mu.Unlock()
-		if !p.startRdzvGet(r) {
+		reaped, ok := p.startRdzvGet(r)
+		n += reaped
+		if !ok {
 			break
 		}
 		ps.mu.Lock()
@@ -409,7 +410,8 @@ var pollOrder = [numClasses]int{classSys, classPWC, classEager}
 func (p *Photon) pollPeer(ps *peerState) int {
 	eng := &p.eng
 	eng.pollScratch = eng.pollScratch[:0]
-	n := 0
+	n := 0      // ledger entries consumed: the credit hint
+	reaped := 0 // backend completions the rendezvous reads reaped
 	p.arenaLk.Lock() //photon:allow hotpathalloc -- one arena lock per sweep batch covers every ledger poll; taking it once here is the optimization
 	ready := false
 	for _, cl := range pollOrder {
@@ -438,12 +440,12 @@ func (p *Photon) pollPeer(ps *peerState) int {
 				// receive supplies the destination instead (one atomic
 				// load when none are posted; recvtab rank 35 nests
 				// above arena 30).
-				data, posted := p.recvs.take(ev.rid, len(body))
-				if !posted {
-					data = p.pool.GetOwned(len(body))
+				if data, posted := p.recvs.take(ev.rid, len(body)); posted {
+					copy(data, body)
+					ev.data = data
+				} else {
+					ev.data = p.pool.CopyOwned(body)
 				}
-				copy(data, body)
-				ev.data = data
 			case tPackedPut:
 				// Copy the payload out and place it after the arena
 				// lock is released: ApplyLocal takes registration locks
@@ -488,7 +490,9 @@ func (p *Photon) pollPeer(ps *peerState) int {
 			}
 		case tRTS:
 			p.traceDelivery(ps.rank, ev, ev.rts.remoteRID, "ledger.rts")
-			if !p.startRdzvGet(ev.rts) {
+			k, ok := p.startRdzvGet(ev.rts)
+			reaped += k
+			if !ok {
 				ps.mu.Lock() //photon:allow hotpathalloc -- staging-exhaustion slow path; only reached when the slab is full
 				ps.pendingRTS.PushBack(ev.rts)
 				ps.mu.Unlock()
@@ -508,7 +512,7 @@ func (p *Photon) pollPeer(ps *peerState) int {
 		ps.consumedHint.Add(int64(n))
 		eng.creditHintTotal.Add(int64(n))
 	}
-	return n
+	return n + reaped
 }
 
 // handleFIN completes the rendezvous send whose token the FIN carries.
@@ -531,10 +535,16 @@ func (p *Photon) handleFIN(ps *peerState, tok uint64) {
 }
 
 // startRdzvGet allocates staging space and posts the rendezvous read.
-// Returns false when it must be retried later (no slab space / SQ full).
+// ok is false when it must be retried later (no slab space / SQ full).
 // When the delivery RID has a posted receive, the read lands in the
 // posted buffer directly — no slab block, no copy-out at completion.
-func (p *Photon) startRdzvGet(r rtsOp) bool {
+//
+// An accepted read is reaped at once: a transport that applies a read
+// at post (shm on a free region, vsim on a drained zero-delay link)
+// has already queued its completion, so the copy-out, FIN and delivery
+// happen in this round instead of the next. n counts what that reap
+// handled. Callers hold the engine lock.
+func (p *Photon) startRdzvGet(r rtsOp) (n int, ok bool) {
 	if buf, ok := p.recvs.take(r.remoteRID, r.size); ok {
 		tok := p.newToken(pendingOp{
 			kind: opRdzvGet, rank: r.rank, remoteRID: r.remoteRID,
@@ -543,13 +553,13 @@ func (p *Photon) startRdzvGet(r rtsOp) bool {
 		if err := p.be.PostRead(r.rank, buf, r.addr, r.rkey, tok); err != nil {
 			p.takeToken(tok)
 			p.recvs.restore(r.remoteRID, buf)
-			return false
+			return 0, false
 		}
-		return true
+		return p.reapBackend(), true
 	}
 	block, err := p.slab.Alloc(r.size)
 	if err != nil {
-		return false
+		return 0, false
 	}
 	tok := p.newToken(pendingOp{
 		kind: opRdzvGet, rank: r.rank, remoteRID: r.remoteRID,
@@ -558,9 +568,9 @@ func (p *Photon) startRdzvGet(r rtsOp) bool {
 	if err := p.be.PostRead(r.rank, block.Buf[:r.size], r.addr, r.rkey, tok); err != nil {
 		p.takeToken(tok)
 		_ = p.slab.Release(block)
-		return false
+		return 0, false
 	}
-	return true
+	return p.reapBackend(), true
 }
 
 // returnCredits publishes consumed-entry counts to the peer's mailbox

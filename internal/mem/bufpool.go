@@ -23,7 +23,7 @@ type BufPool struct {
 	//photon:lock bufpool 10
 	mu    sync.Mutex
 	free  [][]byte
-	carve []byte // unused tail of the chunk GetOwned carves from
+	carve []byte // unused tail of the chunk CopyOwned carves from
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -69,21 +69,27 @@ const (
 	ownedCarveMax = 256     // largest copy carved from a chunk
 )
 
-// GetOwned returns a length-n buffer that will never be recycled: use
-// it when the buffer's ownership transfers to the caller (for example
+// CopyOwned returns a copy of src that will never be recycled: use it
+// when the copy's ownership transfers to the caller (for example
 // Completion.Data). It is not pool traffic, so it counts as neither a
 // hit nor a miss: the miss counter measures only Gets the free list
-// failed to serve.
+// failed to serve. The result's length and capacity are both len(src),
+// so an append to it reallocates instead of writing past its end.
 //
-// A buffer of at most ownedCarveMax bytes is a slice of a shared
-// ownedChunk-byte chunk, 8-byte aligned and capped at n, so an append
-// to it reallocates instead of writing into a neighbour's bytes. No
-// carved byte is ever handed out twice, and the GC frees a chunk once
-// its last slice dies; the cost is that one retained small slice pins
-// its whole chunk. Larger buffers are plain allocations.
-func (p *BufPool) GetOwned(n int) []byte {
-	if n <= 0 || n > ownedCarveMax {
-		return make([]byte, n)
+// A copy of at most ownedCarveMax bytes is a slice of a shared
+// ownedChunk-byte chunk, 8-byte aligned. No carved byte is ever handed
+// out twice, and the GC frees a chunk once its last slice dies; the
+// cost is that one retained small slice pins its whole chunk. A larger
+// copy is one append onto a nil slice: the runtime zeroes only the
+// size-class slack past len(src), never the bytes the copy overwrites
+// (make followed by copy clears them all first).
+func (p *BufPool) CopyOwned(src []byte) []byte {
+	n := len(src)
+	if n == 0 {
+		return []byte{}
+	}
+	if n > ownedCarveMax {
+		return append([]byte(nil), src...)[:n:n]
 	}
 	p.mu.Lock()
 	if len(p.carve) < n {
@@ -92,6 +98,7 @@ func (p *BufPool) GetOwned(n int) []byte {
 	b := p.carve[:n:n]
 	p.carve = p.carve[min((n+7)&^7, len(p.carve)):]
 	p.mu.Unlock()
+	copy(b, src)
 	return b
 }
 

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"testing"
 	"unsafe"
 )
@@ -88,26 +89,51 @@ func TestBufPoolPutForeignCapacity(t *testing.T) {
 	}
 }
 
-func TestBufPoolGetOwned(t *testing.T) {
+func TestBufPoolCopyOwned(t *testing.T) {
 	p := NewBufPool(64, 4)
-	b := p.GetOwned(16)
+	b := p.CopyOwned(make([]byte, 16))
 	p.Put(b) // cap 16 != 64: not adopted
 	if len(p.free) != 0 {
-		t.Fatal("GetOwned buffer must not enter the free list")
+		t.Fatal("CopyOwned buffer must not enter the free list")
 	}
 	if hits, misses := p.Counters(); hits != 0 || misses != 0 {
-		t.Fatalf("GetOwned counted as pool traffic: hits %d, misses %d", hits, misses)
+		t.Fatalf("CopyOwned counted as pool traffic: hits %d, misses %d", hits, misses)
 	}
 }
 
-// TestGetOwnedCarvedCopiesAreIsolated checks the carved small copies:
+// TestCopyOwnedSizes checks both sides of the carve limit: the copy
+// holds src's bytes, does not share src's memory, and has len == cap.
+func TestCopyOwnedSizes(t *testing.T) {
+	p := NewBufPool(64, 4)
+	for _, n := range []int{0, 8, ownedCarveMax, ownedCarveMax + 1, 4 << 10, 64 << 10} {
+		src := make([]byte, n)
+		for i := range src {
+			src[i] = byte(i*7 + 1)
+		}
+		c := p.CopyOwned(src)
+		if c == nil || !bytes.Equal(c, src) {
+			t.Fatalf("CopyOwned(%d bytes) = %d bytes, contents differ", n, len(c))
+		}
+		if len(c) != n || cap(c) != n {
+			t.Fatalf("CopyOwned(%d bytes) has len %d cap %d", n, len(c), cap(c))
+		}
+		if n > 0 {
+			src[0]++
+			if c[0] == src[0] {
+				t.Fatalf("CopyOwned(%d bytes) shares src's memory", n)
+			}
+		}
+	}
+}
+
+// TestCopyOwnedCarvedCopiesAreIsolated checks the carved small copies:
 // each is a distinct, 8-byte aligned slice capped at its length, so an
 // append to one reallocates instead of writing into the next copy
 // carved from the same chunk.
-func TestGetOwnedCarvedCopiesAreIsolated(t *testing.T) {
+func TestCopyOwnedCarvedCopiesAreIsolated(t *testing.T) {
 	p := NewBufPool(64, 4)
-	a := p.GetOwned(13)
-	b := p.GetOwned(13)
+	a := p.CopyOwned(make([]byte, 13))
+	b := p.CopyOwned(make([]byte, 13))
 	if len(a) != 13 {
 		t.Fatalf("carved copy has len %d, want 13", len(a))
 	}
@@ -115,27 +141,29 @@ func TestGetOwnedCarvedCopiesAreIsolated(t *testing.T) {
 		t.Fatal("carved copy is not 8-byte aligned")
 	}
 	if &a[0] == &b[0] {
-		t.Fatal("two GetOwned calls returned the same bytes")
+		t.Fatal("two CopyOwned calls returned the same bytes")
 	}
 	for i := range b {
 		b[i] = 0xB
 	}
-	a = append(a, make([]byte, 64)...)
-	for i := range a {
-		a[i] = 0xA
-	}
-	for i, v := range b {
-		if v != 0xB {
-			t.Fatalf("append to one carved copy overwrote byte %d of the next", i)
+	for _, grow := range []int{1, 64} {
+		a2 := append(a, make([]byte, grow)...)
+		for i := range a2 {
+			a2[i] = 0xA
+		}
+		for i, v := range b {
+			if v != 0xB {
+				t.Fatalf("append of %d to one carved copy overwrote byte %d of the next", grow, i)
+			}
 		}
 	}
-	// Larger copies are plain allocations; a full chunk is replaced.
-	if big := p.GetOwned(ownedCarveMax + 1); cap(big) != ownedCarveMax+1 {
-		t.Fatalf("oversize GetOwned cap %d", cap(big))
+	// Larger copies are their own allocations; a full chunk is replaced.
+	if big := p.CopyOwned(make([]byte, ownedCarveMax+1)); cap(big) != ownedCarveMax+1 {
+		t.Fatalf("oversize CopyOwned cap %d", cap(big))
 	}
 	seen := map[*byte]bool{}
 	for i := 0; i < 3*ownedChunk/ownedCarveMax; i++ {
-		c := p.GetOwned(ownedCarveMax)
+		c := p.CopyOwned(make([]byte, ownedCarveMax))
 		if seen[&c[0]] {
 			t.Fatalf("copy %d reuses carved bytes", i)
 		}
