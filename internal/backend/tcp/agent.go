@@ -735,11 +735,12 @@ func (b *Backend) applyNack(peer int, seq uint64, scratch []uint64) []uint64 {
 	return scratch
 }
 
-// Fixed-part body lengths checked by handleFrame before field
+// Fixed-part body lengths checked by decodeFrame before field
 // extraction; a frame shorter than its opcode's fixed part is corrupt
 // and dropped. Encoders build bodies to the same layouts.
 const (
 	writeBodyMin      = 26 // op1 | token8 | sig1 | raddr8 | rkey4 | n4; payload follows
+	readBodyLen       = 25 // op1 | token8 | raddr8 | rkey4 | n4
 	nackBodyMin       = 9  // op1 | seq8
 	readRespBodyMin   = 10 // op1 | token8 | failed1; payload follows
 	atomicRespBodyLen = 18 // op1 | token8 | failed1 | value8
@@ -747,42 +748,206 @@ const (
 	cSwapBodyMin      = 37 // fAddBodyMin + swap8
 )
 
-// handleFrame dispatches one inbound frame body (requests are applied
-// against local memory; responses complete pending tokens). It returns
-// true when a remote peer is owed a standalone cumulative ack: a
-// signaled write was applied, or ackEvery writes have been applied
-// since the last ack conveyed. The frame buffer is only valid during
-// the call: anything retained must be copied.
-func (b *Backend) handleFrame(peer int, f []byte) bool {
-	if len(f) < 1 {
-		return false
+// frame is one decoded inbound body. Which fields are set depends on
+// op; payload aliases the decoded body.
+type frame struct {
+	op       byte
+	token    uint64   // requests and responses
+	signaled bool     // opWrite
+	failed   bool     // opReadResp, opAtomicResp
+	raddr    uint64   // requests
+	rkey     uint32   // requests
+	n        int      // opRead: bytes asked for
+	operand  uint64   // opFAdd addend, opCSwap compare
+	swap     uint64   // opCSwap
+	seq      uint64   // opNack: the failed signaled write
+	value    uint64   // opAtomicResp
+	hb       [3]int64 // opHeartbeat: tx, echoed tx, echoed rx (see hbBodyLen)
+	payload  []byte   // opWrite and opReadResp data, opExg and opExgResp body
+}
+
+// decodeFrame parses an inbound frame body against its opcode's layout.
+// ok is false for an empty body, an unknown opcode, a body shorter
+// than its opcode's fixed part, a flag byte other than 0 or 1, and a
+// write whose length field disagrees with its payload. Bytes past a
+// fixed-size body are ignored. Decoding never allocates.
+func decodeFrame(f []byte) (fr frame, ok bool) {
+	if len(f) == 0 {
+		return fr, false
 	}
-	switch f[0] {
+	fr.op = f[0]
+	le := binary.LittleEndian
+	switch fr.op {
 	case opWrite:
 		if len(f) < writeBodyMin {
-			return false
+			return fr, false
 		}
-		token := binary.LittleEndian.Uint64(f[1:])
-		signaled := f[9] == 1
-		raddr := binary.LittleEndian.Uint64(f[10:])
-		rkey := binary.LittleEndian.Uint32(f[18:])
-		n := int(binary.LittleEndian.Uint32(f[22:]))
-		payload := f[26:]
-		if n > len(payload) {
-			n = len(payload)
+		fr.token = le.Uint64(f[1:])
+		fr.signaled, ok = flagByte(f[9])
+		fr.raddr = le.Uint64(f[10:])
+		fr.rkey = le.Uint32(f[18:])
+		fr.payload = f[writeBodyMin:]
+		return fr, ok && int(le.Uint32(f[22:])) == len(fr.payload)
+	case opRead:
+		if len(f) < readBodyLen {
+			return fr, false
 		}
-		err := b.mem.Write(false, raddr, rkey, payload[:n], nil)
+		fr.token = le.Uint64(f[1:])
+		fr.raddr = le.Uint64(f[9:])
+		fr.rkey = le.Uint32(f[17:])
+		fr.n = int(le.Uint32(f[21:]))
+	case opFAdd, opCSwap:
+		if len(f) < fAddBodyMin || fr.op == opCSwap && len(f) < cSwapBodyMin {
+			return fr, false
+		}
+		fr.token = le.Uint64(f[1:])
+		fr.raddr = le.Uint64(f[9:])
+		fr.rkey = le.Uint32(f[17:])
+		fr.operand = le.Uint64(f[21:])
+		if fr.op == opCSwap {
+			fr.swap = le.Uint64(f[29:])
+		}
+	case opNack:
+		if len(f) < nackBodyMin {
+			return fr, false
+		}
+		fr.seq = le.Uint64(f[1:])
+	case opReadResp:
+		if len(f) < readRespBodyMin {
+			return fr, false
+		}
+		fr.token = le.Uint64(f[1:])
+		if fr.failed, ok = flagByte(f[9]); !fr.failed {
+			fr.payload = f[readRespBodyMin:]
+		}
+		return fr, ok
+	case opAtomicResp:
+		if len(f) < atomicRespBodyLen {
+			return fr, false
+		}
+		fr.token = le.Uint64(f[1:])
+		fr.failed, ok = flagByte(f[9])
+		fr.value = le.Uint64(f[10:])
+		return fr, ok
+	case opExg, opExgResp:
+		fr.payload = f[1:]
+	case opHeartbeat:
+		if len(f) < hbBodyLen {
+			return fr, false
+		}
+		for i := range fr.hb {
+			fr.hb[i] = int64(le.Uint64(f[1+8*i:]))
+		}
+	default:
+		return fr, false
+	}
+	return fr, true
+}
+
+// flagByte decodes a 0/1 flag byte; ok is false for any other value.
+func flagByte(b byte) (set, ok bool) { return b == 1, b <= 1 }
+
+// encodeRead builds an opRead request body.
+func encodeRead(token, raddr uint64, rkey uint32, n int) []byte {
+	f := make([]byte, readBodyLen)
+	f[0] = opRead
+	binary.LittleEndian.PutUint64(f[1:], token)
+	binary.LittleEndian.PutUint64(f[9:], raddr)
+	binary.LittleEndian.PutUint32(f[17:], rkey)
+	binary.LittleEndian.PutUint32(f[21:], uint32(n))
+	return f
+}
+
+// encodeAtomic builds an opFAdd (operand is the addend) or opCSwap
+// (operand is the compare value) request body.
+func encodeAtomic(op byte, token, raddr uint64, rkey uint32, operand, swap uint64) []byte {
+	n := fAddBodyMin
+	if op == opCSwap {
+		n = cSwapBodyMin
+	}
+	f := make([]byte, n)
+	f[0] = op
+	binary.LittleEndian.PutUint64(f[1:], token)
+	binary.LittleEndian.PutUint64(f[9:], raddr)
+	binary.LittleEndian.PutUint32(f[17:], rkey)
+	binary.LittleEndian.PutUint64(f[21:], operand)
+	if op == opCSwap {
+		binary.LittleEndian.PutUint64(f[29:], swap)
+	}
+	return f
+}
+
+// encodeNack builds the opNack body for failed signaled write #seq.
+func encodeNack(seq uint64) []byte {
+	f := make([]byte, nackBodyMin)
+	f[0] = opNack
+	binary.LittleEndian.PutUint64(f[1:], seq)
+	return f
+}
+
+// encodeReadResp builds an opReadResp body carrying data, or a failed
+// status and no data.
+func encodeReadResp(token uint64, data []byte, failed bool) []byte {
+	f := make([]byte, readRespBodyMin+len(data))
+	f[0] = opReadResp
+	binary.LittleEndian.PutUint64(f[1:], token)
+	if failed {
+		f[9] = 1
+	}
+	copy(f[readRespBodyMin:], data)
+	return f
+}
+
+// encodeAtomicResp builds an opAtomicResp body carrying the original
+// value, or a failed status.
+func encodeAtomicResp(token, value uint64, failed bool) []byte {
+	f := make([]byte, atomicRespBodyLen)
+	f[0] = opAtomicResp
+	binary.LittleEndian.PutUint64(f[1:], token)
+	if failed {
+		f[9] = 1
+	}
+	binary.LittleEndian.PutUint64(f[10:], value)
+	return f
+}
+
+// encodeHeartbeat builds an opHeartbeat body from its three stamps
+// (see hbBodyLen).
+func encodeHeartbeat(tx, echoTx, echoRx int64) []byte {
+	f := make([]byte, hbBodyLen)
+	f[0] = opHeartbeat
+	binary.LittleEndian.PutUint64(f[1:], uint64(tx))
+	binary.LittleEndian.PutUint64(f[9:], uint64(echoTx))
+	binary.LittleEndian.PutUint64(f[17:], uint64(echoRx))
+	return f
+}
+
+// handleFrame dispatches one inbound frame body (requests are applied
+// against local memory; responses complete pending tokens); a body
+// decodeFrame rejects is dropped. It returns true when a remote peer is
+// owed a standalone cumulative ack: a signaled write was applied, or
+// ackEvery writes have been applied since the last ack conveyed. The
+// frame buffer is only valid during the call: anything retained must
+// be copied.
+func (b *Backend) handleFrame(peer int, f []byte) bool {
+	fr, ok := decodeFrame(f)
+	if !ok {
+		return false
+	}
+	switch fr.op {
+	case opWrite:
+		err := b.mem.Write(false, fr.raddr, fr.rkey, fr.payload, nil)
 		if err == nil {
 			b.kick()
 		}
 		if peer == b.rank {
 			// Loopback: no wire, complete inline.
-			if signaled {
+			if fr.signaled {
 				var cerr error
 				if err != nil {
 					cerr = fmt.Errorf("tcp: remote write failed")
 				}
-				b.compq.Push(core.BackendCompletion{Token: token, OK: err == nil, Err: cerr})
+				b.compq.Push(core.BackendCompletion{Token: fr.token, OK: err == nil, Err: cerr})
 			}
 			return false
 		}
@@ -791,98 +956,71 @@ func (b *Backend) handleFrame(peer int, f []byte) bool {
 		// nack is queued first and lastNack recorded before recvSeqW
 		// advances — safeStamp's load order relies on this.
 		seq := b.recvSeqW[peer].Load() + 1
-		if err != nil && signaled {
-			nack := make([]byte, 9)
-			nack[0] = opNack
-			binary.LittleEndian.PutUint64(nack[1:], seq)
+		if err != nil && fr.signaled {
 			b.lastNack[peer].Store(seq)
-			b.replyQueueFor(peer).push(replyFrame{data: nack, stamp: seq - 1, nackSeq: seq})
+			b.replyQueueFor(peer).push(replyFrame{data: encodeNack(seq), stamp: seq - 1, nackSeq: seq})
 			b.cstats[peer].nacksSent.Add(1)
 		}
 		b.recvSeqW[peer].Store(seq)
-		if signaled || seq-b.ackSent[peer].Load() >= ackEvery {
+		if fr.signaled || seq-b.ackSent[peer].Load() >= ackEvery {
 			b.ackDue[peer].Store(seq)
 			return true
 		}
 		return false
 	case opRead:
-		if len(f) < 25 {
-			return false
-		}
-		token := binary.LittleEndian.Uint64(f[1:])
-		raddr := binary.LittleEndian.Uint64(f[9:])
-		rkey := binary.LittleEndian.Uint32(f[17:])
-		n := int(binary.LittleEndian.Uint32(f[21:]))
 		// n comes off the wire (up to 4 GiB): it sizes the response only
 		// once the registration has vouched for it.
 		var resp []byte
-		err := b.mem.Access(false, raddr, rkey, n, mem.AccessRemoteRead, func(w []byte) {
-			resp = make([]byte, readRespBodyMin+len(w))
-			copy(resp[readRespBodyMin:], w)
+		err := b.mem.Access(false, fr.raddr, fr.rkey, fr.n, mem.AccessRemoteRead, func(w []byte) {
+			resp = encodeReadResp(fr.token, w, false)
 		})
 		if err != nil {
-			resp = make([]byte, readRespBodyMin)
-			resp[9] = 1 // status: failed
+			resp = encodeReadResp(fr.token, nil, true)
 		}
-		resp[0] = opReadResp
-		binary.LittleEndian.PutUint64(resp[1:], token)
 		b.reply(peer, resp)
 	case opFAdd, opCSwap:
-		b.handleAtomic(peer, f)
+		b.handleAtomic(peer, fr)
 	case opNack:
-		if len(f) < nackBodyMin || peer == b.rank {
-			return false
+		if peer != b.rank {
+			b.applyNack(peer, fr.seq, nil)
 		}
-		b.applyNack(peer, binary.LittleEndian.Uint64(f[1:]), nil)
 	case opReadResp:
-		if len(f) < readRespBodyMin {
-			return false
-		}
-		token := binary.LittleEndian.Uint64(f[1:])
-		failed := f[9] == 1
-		dst, ok := b.takePend(peer, token)
+		dst, ok := b.takePend(peer, fr.token)
 		if !ok {
 			return false // already failed (link reset); drop the late response
 		}
-		if !failed && dst != nil {
-			copy(dst, f[10:])
-		}
 		var err error
-		if failed {
+		if fr.failed {
 			err = fmt.Errorf("tcp: remote read failed")
+		} else {
+			copy(dst, fr.payload)
 		}
-		b.compq.Push(core.BackendCompletion{Token: token, OK: !failed, Err: err})
+		b.compq.Push(core.BackendCompletion{Token: fr.token, OK: !fr.failed, Err: err})
 	case opAtomicResp:
-		if len(f) < atomicRespBodyLen {
-			return false
-		}
-		token := binary.LittleEndian.Uint64(f[1:])
-		failed := f[9] == 1
-		dst, ok := b.takePend(peer, token)
+		dst, ok := b.takePend(peer, fr.token)
 		if !ok {
 			return false
 		}
-		if !failed && dst != nil {
-			copy(dst, f[10:18])
-		}
 		var err error
-		if failed {
+		if fr.failed {
 			err = fmt.Errorf("tcp: remote atomic failed")
+		} else {
+			var v [8]byte
+			binary.LittleEndian.PutUint64(v[:], fr.value)
+			copy(dst, v[:])
 		}
-		b.compq.Push(core.BackendCompletion{Token: token, OK: !failed, Err: err})
+		b.compq.Push(core.BackendCompletion{Token: fr.token, OK: !fr.failed, Err: err})
 	case opExg:
-		b.handleExg(peer, f[1:])
+		b.handleExg(peer, fr.payload)
 	case opExgResp:
-		b.handleExgResp(f[1:])
+		b.handleExgResp(fr.payload)
 	case opHeartbeat:
 		// Liveness probe: the header read already refreshed lastRx, and
 		// its stamp (processed above) doubled as a cumulative ack. The
-		// body carries clock-sync timestamps; a short one is malformed
-		// and must not reach the fixed-offset reads below.
-		if len(f) >= hbBodyLen && peer != b.rank {
-			b.handleHeartbeatSync(peer, f)
+		// body carries clock-sync timestamps.
+		if peer != b.rank {
+			b.handleHeartbeatSync(peer, fr.hb)
 		}
-		return false
 	}
 	return false
 }
@@ -904,38 +1042,20 @@ func (b *Backend) takePend(peer int, token uint64) ([]byte, bool) {
 	return pd.buf, true
 }
 
-func (b *Backend) handleAtomic(peer int, f []byte) {
-	if len(f) < fAddBodyMin {
-		return
-	}
-	token := binary.LittleEndian.Uint64(f[1:])
-	raddr := binary.LittleEndian.Uint64(f[9:])
-	rkey := binary.LittleEndian.Uint32(f[17:])
-	operand := binary.LittleEndian.Uint64(f[21:])
-	var swap uint64
-	if f[0] == opCSwap {
-		if len(f) < cSwapBodyMin {
-			return
-		}
-		swap = binary.LittleEndian.Uint64(f[29:])
-	}
-	resp := make([]byte, atomicRespBodyLen)
-	resp[0] = opAtomicResp
-	binary.LittleEndian.PutUint64(resp[1:], token)
+func (b *Backend) handleAtomic(peer int, fr frame) {
 	var orig uint64
 	var err error
-	if f[0] == opFAdd {
-		orig, err = b.mem.FetchAdd(false, raddr, rkey, operand)
+	if fr.op == opFAdd {
+		orig, err = b.mem.FetchAdd(false, fr.raddr, fr.rkey, fr.operand)
 	} else {
-		orig, err = b.mem.CompSwap(false, raddr, rkey, operand, swap)
+		orig, err = b.mem.CompSwap(false, fr.raddr, fr.rkey, fr.operand, fr.swap)
 	}
 	if err != nil {
-		resp[9] = 1
-	} else {
-		binary.LittleEndian.PutUint64(resp[10:], orig)
-		b.kick()
+		b.reply(peer, encodeAtomicResp(fr.token, 0, true))
+		return
 	}
-	b.reply(peer, resp)
+	b.kick()
+	b.reply(peer, encodeAtomicResp(fr.token, orig, false))
 }
 
 // reply routes a response frame back to peer (loopback applies

@@ -60,6 +60,95 @@ func FuzzTCPHandshake(f *testing.F) {
 	})
 }
 
+// FuzzTCPFrame feeds arbitrary bodies to decodeFrame, the parser of
+// every data frame a peer sends after the handshake. It never panics;
+// an unknown opcode and a body shorter than its opcode's fixed part are
+// rejected; and an accepted body re-encodes, through writeFrame and the
+// request and response encoders the backend sends with, to the bytes
+// it was decoded from (a fixed-size body to its prefix, since bytes
+// past it are ignored).
+func FuzzTCPFrame(f *testing.F) {
+	wf := writeFrame([]byte("payload"), 1<<40, 7, 99, true)
+	f.Add(append([]byte(nil), wf...))
+	mem.PutFrame(wf)
+	for _, seed := range [][]byte{
+		encodeRead(3, 1<<32, 9, 4096),
+		encodeAtomic(opFAdd, 4, 64, 2, 1, 0),
+		encodeAtomic(opCSwap, 5, 64, 2, 10, 20),
+		encodeNack(17),
+		encodeReadResp(6, []byte{1, 2, 3}, false),
+		encodeReadResp(6, nil, true),
+		encodeAtomicResp(8, 1234, false),
+		encodeHeartbeat(1, 2, 3),
+		encodeExg([]byte("blob")),
+		{opWrite, 0xFF},
+		{0xEE, 1, 2, 3},
+	} {
+		f.Add(seed)
+	}
+	// Each opcode's fixed part is what its encoder writes with no
+	// payload; opExg and opExgResp bodies have their own decoders.
+	wf = writeFrame(nil, 0, 0, 0, false)
+	fixed := map[byte]int{
+		opWrite:      len(wf),
+		opRead:       len(encodeRead(0, 0, 0, 0)),
+		opFAdd:       len(encodeAtomic(opFAdd, 0, 0, 0, 0, 0)),
+		opCSwap:      len(encodeAtomic(opCSwap, 0, 0, 0, 0, 0)),
+		opNack:       len(encodeNack(0)),
+		opReadResp:   len(encodeReadResp(0, nil, false)),
+		opAtomicResp: len(encodeAtomicResp(0, 0, false)),
+		opExg:        1,
+		opExgResp:    1,
+		opHeartbeat:  len(encodeHeartbeat(0, 0, 0)),
+	}
+	mem.PutFrame(wf)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		fr, ok := decodeFrame(in)
+		if len(in) == 0 {
+			if ok {
+				t.Fatal("empty body accepted")
+			}
+			return
+		}
+		fixedLen, known := fixed[in[0]]
+		switch {
+		case !known && ok:
+			t.Fatalf("unknown opcode %d accepted", in[0])
+		case len(in) < fixedLen && ok:
+			t.Fatalf("opcode %d body of %d bytes accepted, fixed part is %d", in[0], len(in), fixedLen)
+		case !ok:
+			return
+		}
+		var enc []byte
+		exact := false
+		switch fr.op {
+		case opWrite:
+			enc = writeFrame(fr.payload, fr.raddr, fr.rkey, fr.token, fr.signaled)
+			defer mem.PutFrame(enc)
+			exact = true
+		case opRead:
+			enc = encodeRead(fr.token, fr.raddr, fr.rkey, fr.n)
+		case opFAdd, opCSwap:
+			enc = encodeAtomic(fr.op, fr.token, fr.raddr, fr.rkey, fr.operand, fr.swap)
+		case opNack:
+			enc = encodeNack(fr.seq)
+		case opReadResp:
+			enc = encodeReadResp(fr.token, fr.payload, fr.failed)
+			exact = !fr.failed
+		case opAtomicResp:
+			enc = encodeAtomicResp(fr.token, fr.value, fr.failed)
+		case opExg, opExgResp:
+			enc = append([]byte{fr.op}, fr.payload...)
+			exact = true
+		case opHeartbeat:
+			enc = encodeHeartbeat(fr.hb[0], fr.hb[1], fr.hb[2])
+		}
+		if len(enc) > len(in) || exact && len(enc) != len(in) || !bytes.Equal(enc, in[:len(enc)]) {
+			t.Fatalf("opcode %d round trip:\n got % x\nwant % x", fr.op, enc, in)
+		}
+	})
+}
+
 // A gather whose length prefix overruns its frame, or falls short of
 // it, is dropped at the root rather than queued truncated or padded; a
 // well-formed one is queued whole.

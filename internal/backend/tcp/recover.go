@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net"
@@ -464,11 +463,11 @@ func (b *Backend) PeerHealth(rank int) core.PeerHealth {
 // NTP-style exchange and yield an offset/RTT sample. Only the
 // minimum-RTT sample is kept — queueing delay inflates both legs, and
 // the tightest round trip bounds the offset error by rtt/2.
-func (b *Backend) handleHeartbeatSync(peer int, f []byte) {
+func (b *Backend) handleHeartbeatSync(peer int, hb [3]int64) {
 	t3 := time.Now().UnixNano()
-	t2 := int64(binary.LittleEndian.Uint64(f[1:]))  // peer's send time
-	t0 := int64(binary.LittleEndian.Uint64(f[9:]))  // our echoed tx
-	t1 := int64(binary.LittleEndian.Uint64(f[17:])) // peer's receipt of it
+	t2 := hb[0] // peer's send time
+	t0 := hb[1] // our echoed tx
+	t1 := hb[2] // peer's receipt of it
 	lk := b.links[peer]
 	lk.hbPeerTx.Store(t2)
 	lk.hbPeerRx.Store(t3)
@@ -537,13 +536,8 @@ func (b *Backend) heartbeatLoop(hb, suspectAfter time.Duration) {
 			// this frame's stamp, and the stamp doubles as an ack. The
 			// body carries this side's wall clock plus an echo of the
 			// peer's last heartbeat, closing one NTP-style exchange.
-			hb := make([]byte, hbBodyLen)
-			hb[0] = opHeartbeat
-			binary.LittleEndian.PutUint64(hb[1:], uint64(time.Now().UnixNano()))
-			binary.LittleEndian.PutUint64(hb[9:], uint64(lk.hbPeerTx.Load()))
-			binary.LittleEndian.PutUint64(hb[17:], uint64(lk.hbPeerRx.Load()))
 			b.replyQueueFor(peer).push(replyFrame{
-				data:  hb,
+				data:  encodeHeartbeat(time.Now().UnixNano(), lk.hbPeerTx.Load(), lk.hbPeerRx.Load()),
 				stamp: b.recvSeqW[peer].Load(),
 			})
 			b.cstats[peer].heartbeats.Add(1)

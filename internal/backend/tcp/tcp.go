@@ -567,36 +567,17 @@ func (b *Backend) PostWriteBatch(rank int, reqs []core.WriteReq) (int, error) {
 
 // PostRead queues a one-sided read from rank.
 func (b *Backend) PostRead(rank int, local []byte, raddr uint64, rkey uint32, token uint64) error {
-	f := make([]byte, 1+8+8+4+4)
-	f[0] = opRead
-	binary.LittleEndian.PutUint64(f[1:], token)
-	binary.LittleEndian.PutUint64(f[9:], raddr)
-	binary.LittleEndian.PutUint32(f[17:], rkey)
-	binary.LittleEndian.PutUint32(f[21:], uint32(len(local)))
-	return b.postResponseKeyed(rank, local, token, f)
+	return b.postResponseKeyed(rank, local, token, encodeRead(token, raddr, rkey, len(local)))
 }
 
 // PostFetchAdd queues a remote fetch-and-add.
 func (b *Backend) PostFetchAdd(rank int, result []byte, raddr uint64, rkey uint32, add uint64, token uint64) error {
-	f := make([]byte, 1+8+8+4+8)
-	f[0] = opFAdd
-	binary.LittleEndian.PutUint64(f[1:], token)
-	binary.LittleEndian.PutUint64(f[9:], raddr)
-	binary.LittleEndian.PutUint32(f[17:], rkey)
-	binary.LittleEndian.PutUint64(f[21:], add)
-	return b.postResponseKeyed(rank, result, token, f)
+	return b.postResponseKeyed(rank, result, token, encodeAtomic(opFAdd, token, raddr, rkey, add, 0))
 }
 
 // PostCompSwap queues a remote compare-and-swap.
 func (b *Backend) PostCompSwap(rank int, result []byte, raddr uint64, rkey uint32, compare, swap uint64, token uint64) error {
-	f := make([]byte, 1+8+8+4+8+8)
-	f[0] = opCSwap
-	binary.LittleEndian.PutUint64(f[1:], token)
-	binary.LittleEndian.PutUint64(f[9:], raddr)
-	binary.LittleEndian.PutUint32(f[17:], rkey)
-	binary.LittleEndian.PutUint64(f[21:], compare)
-	binary.LittleEndian.PutUint64(f[29:], swap)
-	return b.postResponseKeyed(rank, result, token, f)
+	return b.postResponseKeyed(rank, result, token, encodeAtomic(opCSwap, token, raddr, rkey, compare, swap))
 }
 
 // postResponseKeyed queues a request that completes via a token-keyed

@@ -61,13 +61,13 @@ func runE17(scale float64) (*Report, error) {
 				// Detector disarmed: HeartbeatInterval 0 leaves the
 				// engine's peer-health plane dark, so the only way out
 				// of the collective is the whole-collective deadline.
-				ms, err := abortLatency(n, lean, 0, collectives.Config{Timeout: deadlineOnly})
+				ms, err := abortLatency(n, lean, 0, deadlineOnly)
 				if err != nil {
 					return nil, fmt.Errorf("E17a deadline n=%d: %w", n, err)
 				}
 				off = append(off, ms)
 			}
-			ms, err := abortLatency(n, lean, 200*time.Microsecond, collectives.Config{Timeout: benchWait})
+			ms, err := abortLatency(n, lean, 200*time.Microsecond, benchWait)
 			if err != nil {
 				return nil, fmt.Errorf("E17a detector n=%d: %w", n, err)
 			}
@@ -111,7 +111,7 @@ type chaosEnv struct {
 	comms []*collectives.Comm
 }
 
-func newChaosEnv(n int, fm fabric.Model, coreCfg core.Config, ccfg collectives.Config) (*chaosEnv, error) {
+func newChaosEnv(n int, fm fabric.Model, coreCfg core.Config, timeout time.Duration) (*chaosEnv, error) {
 	cl, err := vsim.NewCluster(n, fm, nicsim.Config{})
 	if err != nil {
 		return nil, err
@@ -130,7 +130,7 @@ func newChaosEnv(n int, fm fabric.Model, coreCfg core.Config, ccfg collectives.C
 		if e.phs[r], err = core.Init(e.bes[r], coreCfg); err != nil {
 			return err
 		}
-		e.comms[r] = collectives.NewWithConfig(e.phs[r], ccfg)
+		e.comms[r] = collectives.New(e.phs[r], timeout)
 		return nil
 	}))
 	if err != nil {
@@ -152,12 +152,12 @@ func (e *chaosEnv) Close() {
 // abortLatency runs one kill-mid-allreduce round and returns the worst
 // survivor's kill->error latency in milliseconds. hb == 0 leaves the
 // failure detector disarmed.
-func abortLatency(n int, coreCfg core.Config, hb time.Duration, ccfg collectives.Config) (float64, error) {
+func abortLatency(n int, coreCfg core.Config, hb, timeout time.Duration) (float64, error) {
 	coreCfg.HeartbeatInterval = hb
 	if hb > 0 {
 		coreCfg.SuspectAfter = 4 * hb
 	}
-	e, err := newChaosEnv(n, latModel, coreCfg, ccfg)
+	e, err := newChaosEnv(n, latModel, coreCfg, timeout)
 	if err != nil {
 		return 0, err
 	}
@@ -210,7 +210,7 @@ func detectorCfg(base core.Config) core.Config {
 // n-1 ranks. Returns total wall time and the recovery span (revoked
 // collective entered -> shrunken comm ready on all survivors).
 func shrinkContinue(n int, coreCfg core.Config, vecLen, iters int) (total, recovery time.Duration, err error) {
-	e, err := newChaosEnv(n, latModel, detectorCfg(coreCfg), collectives.Config{Timeout: benchWait})
+	e, err := newChaosEnv(n, latModel, detectorCfg(coreCfg), benchWait)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -273,7 +273,7 @@ func restartFromScratch(n int, coreCfg core.Config, vecLen, iters int) (total, r
 	start := time.Now()
 
 	run := func(nRanks, todo int, kill bool) error {
-		e, err := newChaosEnv(nRanks, latModel, detectorCfg(coreCfg), collectives.Config{Timeout: benchWait})
+		e, err := newChaosEnv(nRanks, latModel, detectorCfg(coreCfg), benchWait)
 		if err != nil {
 			return err
 		}

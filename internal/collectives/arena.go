@@ -34,11 +34,12 @@ type collArena struct {
 	//photon:lock collarena 45
 	lk    sync.Locker
 	peers []mem.RemoteBuffer // exchanged descriptors, indexed by rank
-	slot  int                // slot size in bytes (cfg.SmallAllreduceMax)
 }
 
+// off is the offset of a round's slot in a bank; a slot holds
+// smallAllreduceMax bytes.
 func (a *collArena) off(round, bank int) uint64 {
-	return uint64(((round * 2) + bank) * a.slot)
+	return uint64(((round * 2) + bank) * smallAllreduceMax)
 }
 
 // arenaBlobLen is the wire size of one arena descriptor:
@@ -48,7 +49,7 @@ const arenaBlobLen = 20
 
 // ensureArena lazily builds the arena on first use. The descriptor
 // exchange is collective, but so is the caller: algorithm selection is
-// a pure function of (vector length, size, config), so every rank
+// a pure function of (vector length, size), so every rank
 // reaches its first RD allreduce — and therefore this exchange — on
 // the same call. Descriptors ride the Comm's own allgather rather than
 // the backend's boot-time Exchange: the backend barrier blocks on
@@ -60,8 +61,7 @@ func (c *Comm) ensureArena() (*collArena, error) {
 		return c.arena, nil
 	}
 	rounds := c.rdSched().rounds
-	a := &collArena{slot: c.cfg.SmallAllreduceMax}
-	a.buf = make([]byte, rounds*2*a.slot)
+	a := &collArena{buf: make([]byte, rounds*2*smallAllreduceMax)}
 	rb, lk, err := c.ph.RegisterBuffer(a.buf)
 	if err != nil {
 		return nil, err

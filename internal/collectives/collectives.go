@@ -7,15 +7,17 @@
 // Collectives compile into reusable per-Comm schedules (see
 // schedule.go): each call posts a round's edges nonblocking and reaps
 // the round's completions together, so a round costs one network
-// latency regardless of fan-out. Algorithms are selected by vector
-// size and job size:
+// latency regardless of fan-out. Schedules and the allreduce algorithm
+// follow from the vector length and the job size alone; nothing is
+// tunable, so ranks cannot disagree on a schedule:
 //
-//	barrier     radix-k dissemination, ceil(log_k N) rounds
-//	bcast       k-nomial tree, segmented and pipelined above segmentBytes
-//	reduce      k-nomial tree combine with pre-posted child receives
-//	allreduce   recursive doubling over a registered PWC arena (small),
-//	            ring reduce-scatter + allgather (large, bandwidth-
-//	            optimal), tree reduce + bcast (in between)
+//	barrier     radix-2 dissemination, ceil(log2 N) rounds
+//	bcast       binomial tree, segmented and pipelined above segmentBytes
+//	reduce      binomial tree combine with pre-posted child receives
+//	allreduce   recursive doubling over a registered PWC arena (up to
+//	            smallAllreduceMax bytes), ring reduce-scatter +
+//	            allgather (at least one element per rank, bandwidth-
+//	            optimal), tree reduce + bcast (otherwise)
 //	gather      flat, all sends in flight at once
 //	allgather   ring, zero-copy forwarding
 //	alltoall    pairwise, all N-1 sends posted before any wait
@@ -97,47 +99,13 @@ func (o Op) apply(a, b float64) float64 {
 	panic(fmt.Sprintf("collectives: unknown op %d", o))
 }
 
-// Config tunes a communicator. The zero value of every field selects a
-// sensible default.
-type Config struct {
-	// Timeout bounds each whole collective call with one monotonic
-	// deadline armed at entry (<=0 waits forever): however many rounds
-	// and internal waits the schedule runs, the call returns ErrTimeout
-	// within Timeout of entering. Production runs use a generous bound
-	// so a wedged peer surfaces as an error instead of a hang even
-	// when the failure detector cannot see it.
-	Timeout time.Duration
+// radix is the tree and dissemination fan-out k. Schedules are
+// compiled on each rank, so every rank must use the same value.
+const radix = 2
 
-	// Radix is the tree/dissemination fan-out k (default 2). Higher
-	// radix trades more messages per round for fewer rounds — with
-	// nonblocking rounds the extra messages overlap, so radix 4 barriers
-	// halve the round count at the same per-round latency.
-	Radix int
-
-	// SmallAllreduceMax is the largest encoded vector (bytes) served by
-	// the recursive-doubling arena path, and the arena slot size.
-	// Default 4096.
-	SmallAllreduceMax int
-
-	// ForceAllreduce pins the allreduce algorithm for benchmarking:
-	// "rd", "ring", "tree", or "" for size-based selection. Forced
-	// choices that the vector cannot satisfy (rd beyond the arena slot,
-	// ring with fewer elements than ranks) fall back to selection.
-	ForceAllreduce string
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.Radix < 2 {
-		cfg.Radix = 2
-	}
-	if cfg.Radix > 16 {
-		cfg.Radix = 16
-	}
-	if cfg.SmallAllreduceMax <= 0 {
-		cfg.SmallAllreduceMax = 4096
-	}
-	return cfg
-}
+// smallAllreduceMax is the largest encoded vector (bytes) served by the
+// recursive-doubling arena path, and the arena slot size.
+const smallAllreduceMax = 4096
 
 // segmentBytes is the bcast/ring pipeline segment size. Payloads larger
 // than one segment are split and streamed so transfer overlaps
@@ -200,8 +168,7 @@ type Comm struct {
 	ph      *core.Photon
 	rank    int // comm rank (index into group)
 	size    int
-	cfg     Config
-	timeout time.Duration
+	timeout time.Duration // bounds each whole collective call; <=0 waits forever
 
 	// Membership and epoch (see failure.go / shrink.go).
 	group   []int  // comm rank -> engine rank
@@ -249,18 +216,13 @@ type Comm struct {
 	st *commStats
 }
 
-// New creates a communicator with default tuning. timeout bounds each
-// whole collective call (<=0 waits forever).
+// New creates a communicator over the whole job. timeout bounds each
+// whole collective call with one monotonic deadline armed at entry
+// (<=0 waits forever): however many rounds and internal waits the
+// schedule runs, the call returns ErrTimeout within timeout of
+// entering. Panics if the job exceeds MaxRanks (the collective RID
+// layout).
 func New(ph *core.Photon, timeout time.Duration) *Comm {
-	return NewWithConfig(ph, Config{Timeout: timeout})
-}
-
-// NewWithConfig creates a tuned communicator over the whole job. Ranks
-// must agree on the algorithm-affecting fields (Radix,
-// SmallAllreduceMax, ForceAllreduce) — schedules are compiled locally
-// and must match. Panics if the job exceeds MaxRanks (the collective
-// RID layout).
-func NewWithConfig(ph *core.Photon, cfg Config) *Comm {
 	if ph.Size() > MaxRanks {
 		panic(fmt.Sprintf("collectives: job size %d exceeds MaxRanks %d", ph.Size(), MaxRanks))
 	}
@@ -269,14 +231,14 @@ func NewWithConfig(ph *core.Photon, cfg Config) *Comm {
 		group[i] = i
 	}
 	st := &commStats{}
-	c := newComm(ph, cfg, group, 0, st)
+	c := newComm(ph, timeout, group, 0, st)
 	ph.AddGaugeSource(st.gauges)
 	return c
 }
 
 // newComm builds a communicator over an explicit membership table.
 // group maps comm rank to engine rank and must contain ph.Rank().
-func newComm(ph *core.Photon, cfg Config, group []int, epoch uint64, st *commStats) *Comm {
+func newComm(ph *core.Photon, timeout time.Duration, group []int, epoch uint64, st *commStats) *Comm {
 	rank := -1
 	for i, er := range group {
 		if er == ph.Rank() {
@@ -291,8 +253,7 @@ func newComm(ph *core.Photon, cfg Config, group []int, epoch uint64, st *commSta
 		ph:      ph,
 		rank:    rank,
 		size:    len(group),
-		cfg:     cfg.withDefaults(),
-		timeout: cfg.Timeout,
+		timeout: timeout,
 		group:   group,
 		epoch:   epoch,
 		genBase: (epoch % maxEpochs) << callGenBits,
@@ -507,9 +468,9 @@ func (c *Comm) accFor(n int) []float64 {
 // Public API
 // ---------------------------------------------------------------------
 
-// Barrier blocks until every rank has entered it: radix-k dissemination
+// Barrier blocks until every rank has entered it: radix-2 dissemination
 // with every round's notifications posted nonblocking and reaped in one
-// wait, so the critical path is ceil(log_k N) network latencies.
+// wait, so the critical path is ceil(log2 N) network latencies.
 func (c *Comm) Barrier() error {
 	if err := c.enter(); err != nil {
 		return err
@@ -523,7 +484,7 @@ func (c *Comm) Barrier() error {
 	return c.barrier(gen)
 }
 
-// Bcast distributes root's data to every rank (k-nomial tree, segmented
+// Bcast distributes root's data to every rank (binomial tree, segmented
 // above SegmentBytes) and returns each rank's copy. The root's return
 // value is data itself; non-roots receive into buffers the delivery
 // lands in directly — no rank copies the payload more than once.
@@ -593,12 +554,12 @@ func (c *Comm) Reduce(root int, data []float64, op Op) ([]float64, error) {
 }
 
 // Allreduce combines every rank's vector and distributes the result to
-// all ranks, returning a fresh slice. The algorithm is chosen by
-// encoded size: recursive doubling over the registered arena below
-// SmallAllreduceMax, bandwidth-optimal ring reduce-scatter + allgather
-// when the vector has at least one element per rank, tree reduce +
-// broadcast in between. Use AllreduceInPlace to avoid the result
-// allocation.
+// all ranks, returning a fresh slice. The algorithm is chosen from the
+// vector length and the communicator size: recursive doubling over the
+// registered arena up to smallAllreduceMax encoded bytes, bandwidth-
+// optimal ring reduce-scatter + allgather when the vector has at least
+// one element per rank, tree reduce + broadcast otherwise. Use
+// AllreduceInPlace to avoid the result allocation.
 func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
 	out := make([]float64, len(data))
 	copy(out, data)
@@ -611,6 +572,11 @@ func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
 // AllreduceInPlace is Allreduce overwriting vec with the result. On the
 // small-vector path this allocates nothing after warmup.
 func (c *Comm) AllreduceInPlace(vec []float64, op Op) error {
+	return c.allreduce(c.pickAllreduce(len(vec)), vec, op)
+}
+
+// allreduce runs AllreduceInPlace with the allreduce algorithm algo.
+func (c *Comm) allreduce(algo int, vec []float64, op Op) error {
 	if err := c.enter(); err != nil {
 		return err
 	}
@@ -620,40 +586,24 @@ func (c *Comm) AllreduceInPlace(vec []float64, op Op) error {
 		c.gen.Add(1)
 		return nil
 	}
-	switch c.pickAllreduce(len(vec)) {
+	c.st.algos[algo].Add(1)
+	switch algo {
 	case algoRD:
-		c.st.algos[algoRD].Add(1)
 		return c.allreduceRD(c.cgen(c.rdGen.Add(1)), vec, op)
 	case algoRing:
-		c.st.algos[algoRing].Add(1)
 		return c.allreduceRing(c.cgen(c.ringGen.Add(1)), vec, op)
 	default:
-		c.st.algos[algoTree].Add(1)
 		return c.allreduceTree(c.cgen(c.gen.Add(1)), vec, op)
 	}
 }
 
 // pickAllreduce selects the allreduce algorithm. Pure in (vector
-// length, size, config), so every rank picks the same schedule.
+// length, size), so every rank picks the same schedule.
 func (c *Comm) pickAllreduce(n int) int {
-	fitsRD := 8*n <= c.cfg.SmallAllreduceMax
-	fitsRing := n >= c.size
-	switch c.cfg.ForceAllreduce {
-	case "rd":
-		if fitsRD {
-			return algoRD
-		}
-	case "ring":
-		if fitsRing {
-			return algoRing
-		}
-	case "tree":
-		return algoTree
-	}
-	if fitsRD {
+	if 8*n <= smallAllreduceMax {
 		return algoRD
 	}
-	if fitsRing {
+	if n >= c.size {
 		return algoRing
 	}
 	return algoTree

@@ -17,8 +17,15 @@ import (
 
 const waitT = 10 * time.Second
 
-// newComms boots n Photon ranks and a communicator per rank.
+// newComms boots n Photon ranks and a communicator per rank whose
+// calls time out after waitT.
 func newComms(t *testing.T, n int) []*collectives.Comm {
+	return newCommsWait(t, n, waitT)
+}
+
+// newCommsWait is newComms with each call bounded by timeout (<=0
+// waits forever).
+func newCommsWait(t *testing.T, n int, timeout time.Duration) []*collectives.Comm {
 	t.Helper()
 	cl, err := vsim.NewCluster(n, fabric.Model{}, nicsim.Config{})
 	if err != nil {
@@ -37,7 +44,7 @@ func newComms(t *testing.T, n int) []*collectives.Comm {
 				errs[r] = err
 				return
 			}
-			comms[r] = collectives.New(ph, waitT)
+			comms[r] = collectives.New(ph, timeout)
 		}(r)
 	}
 	wg.Wait()

@@ -63,7 +63,7 @@ func (c *Comm) Revoked() bool { return c.revoked.Load() }
 // round's notify set, in-edges the union of the await sets. Each
 // in-edge has one epoch-scoped notice RID this comm's waits watch.
 func (c *Comm) compileRevokeEdges() {
-	c.barSched = compileBarrier(c.rank, c.size, c.cfg.Radix)
+	c.barSched = compileBarrier(c.rank, c.size, radix)
 	add := func(set []int, r int) []int {
 		for _, x := range set {
 			if x == r {

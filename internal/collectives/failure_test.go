@@ -39,16 +39,17 @@ type chaosWorld struct {
 }
 
 // newChaosWorld boots n ranks over vsim with a chaos group wrapper and
-// an armed failure detector on every rank.
-func newChaosWorld(t *testing.T, n int, ccfg collectives.Config, coreCfg core.Config) *chaosWorld {
+// an armed failure detector on every rank. Each collective call times
+// out after timeout, or failT when it is 0.
+func newChaosWorld(t *testing.T, n int, timeout time.Duration, coreCfg core.Config) *chaosWorld {
 	t.Helper()
 	cl, err := vsim.NewCluster(n, fabric.Model{}, nicsim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	if ccfg.Timeout == 0 {
-		ccfg.Timeout = failT
+	if timeout == 0 {
+		timeout = failT
 	}
 	if coreCfg.HeartbeatInterval == 0 {
 		coreCfg.HeartbeatInterval = 2 * time.Millisecond
@@ -75,7 +76,7 @@ func newChaosWorld(t *testing.T, n int, ccfg collectives.Config, coreCfg core.Co
 				return
 			}
 			w.phs[r] = ph
-			w.comms[r] = collectives.NewWithConfig(ph, ccfg)
+			w.comms[r] = collectives.New(ph, timeout)
 		}(r)
 	}
 	wg.Wait()
@@ -135,7 +136,7 @@ func TestBarrierAbortsOnPeerDeath(t *testing.T) {
 	const n = 8
 	for _, victim := range []int{7, 2, 0} {
 		t.Run(fmt.Sprintf("victim=%d", victim), func(t *testing.T) {
-			w := newChaosWorld(t, n, collectives.Config{}, core.Config{})
+			w := newChaosWorld(t, n, 0, core.Config{})
 			if errs := runAllErrs(w.comms, func(r int, c *collectives.Comm) error { return c.Barrier() }); true {
 				for r, err := range errs {
 					if err != nil {
@@ -172,10 +173,10 @@ func TestAllreduceAbortsMidCall(t *testing.T) {
 		{"ring", 6, 2, 2, 64},
 	} {
 		t.Run(tc.algo, func(t *testing.T) {
-			w := newChaosWorld(t, tc.n, collectives.Config{ForceAllreduce: tc.algo}, core.Config{})
+			w := newChaosWorld(t, tc.n, 0, core.Config{})
 			warm := runAllErrs(w.comms, func(r int, c *collectives.Comm) error {
 				vec := make([]float64, tc.vec)
-				return c.AllreduceInPlace(vec, collectives.OpSum)
+				return c.AllreduceForced(tc.algo, vec, collectives.OpSum)
 			})
 			for r, err := range warm {
 				if err != nil {
@@ -189,7 +190,7 @@ func TestAllreduceAbortsMidCall(t *testing.T) {
 				for i := range vec {
 					vec[i] = float64(r*tc.vec + i)
 				}
-				return c.AllreduceInPlace(vec, collectives.OpSum)
+				return c.AllreduceForced(tc.algo, vec, collectives.OpSum)
 			})
 			if el := time.Since(start); el > promptT {
 				t.Errorf("abort took %v, want detection-driven (< %v)", el, promptT)
@@ -203,7 +204,7 @@ func TestAllreduceAbortsMidCall(t *testing.T) {
 // the same comm return immediately without touching the network.
 func TestRevokedCommFailsFast(t *testing.T) {
 	const n, victim = 4, 3
-	w := newChaosWorld(t, n, collectives.Config{}, core.Config{})
+	w := newChaosWorld(t, n, 0, core.Config{})
 	w.group.Kill(victim)
 	runAllErrs(w.comms, func(r int, c *collectives.Comm) error { return c.Barrier() })
 	for r := 0; r < n; r++ {
@@ -299,7 +300,7 @@ func shrinkAndCheck(t *testing.T, w *chaosWorld, victim int) {
 // rank before they can agree.
 func TestShrinkAfterLeaderDeath(t *testing.T) {
 	const n, victim = 8, 0
-	w := newChaosWorld(t, n, collectives.Config{}, core.Config{})
+	w := newChaosWorld(t, n, 0, core.Config{})
 	w.bes[victim].CrashAfterOps(2)
 	errs := runAllErrs(w.comms, func(r int, c *collectives.Comm) error {
 		vec := make([]float64, 16)
@@ -318,7 +319,7 @@ func TestShrinkN32MidAllreduce(t *testing.T) {
 		t.Skip("32-rank cluster in -short mode")
 	}
 	const n, victim = 32, 13
-	w := newChaosWorld(t, n, collectives.Config{}, leanCfg())
+	w := newChaosWorld(t, n, 0, leanCfg())
 	warm := runAllErrs(w.comms, func(r int, c *collectives.Comm) error { return c.Barrier() })
 	for r, err := range warm {
 		if err != nil {
@@ -351,7 +352,7 @@ func TestShrinkN32MidAllreduce(t *testing.T) {
 func TestAbortObservability(t *testing.T) {
 	const n, victim = 4, 3
 	cfg := core.Config{Metrics: true, FlightRecords: 16}
-	w := newChaosWorld(t, n, collectives.Config{}, cfg)
+	w := newChaosWorld(t, n, 0, cfg)
 	warm := runAllErrs(w.comms, func(r int, c *collectives.Comm) error { return c.Barrier() })
 	for r, err := range warm {
 		if err != nil {

@@ -16,38 +16,6 @@ import (
 	"photon/internal/nicsim"
 )
 
-// newCommsCfg boots n ranks with a shared communicator config.
-func newCommsCfg(t *testing.T, n int, cfg collectives.Config) []*collectives.Comm {
-	t.Helper()
-	cl, err := vsim.NewCluster(n, fabric.Model{}, nicsim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	comms := make([]*collectives.Comm, n)
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			ph, err := core.Init(cl.Backend(r), core.Config{})
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			comms[r] = collectives.NewWithConfig(ph, cfg)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	return comms
-}
-
 // approxEq compares reduction results: exact for Min/Max (no rounding),
 // relative tolerance for Sum/Prod (combine order differs between the
 // schedule-based algorithms and the serial reference).
@@ -86,27 +54,21 @@ func serialReduce(vecs [][]float64, op collectives.Op) []float64 {
 
 // TestCollectivesMatchReference drives every collective across job
 // sizes 1..17 (non-powers-of-two included), random ops, vector lengths
-// spanning all three allreduce algorithms, and random roots, comparing
-// each result against a serial in-process reference.
+// and random roots, comparing each result against a serial in-process
+// reference. Every length here fits the recursive-doubling arena, so
+// sizes rotate between selection and a forced ring or tree allreduce,
+// which selection alone would not pick at these lengths.
 func TestCollectivesMatchReference(t *testing.T) {
 	sizes := []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17}
-	// Config variants rotate radix, arena ceiling, and forced algorithm
-	// so k-nomial trees, the ring, and the tree-compose path all run at
-	// sizes where size-based selection alone would not pick them.
-	cfgs := []collectives.Config{
-		{},
-		{Radix: 4, SmallAllreduceMax: 128},
-		{Radix: 3, ForceAllreduce: "tree"},
-		{SmallAllreduceMax: 64, ForceAllreduce: "ring"},
-	}
+	algos := []string{"", "tree", "ring"}
 	ops := []collectives.Op{collectives.OpSum, collectives.OpMin, collectives.OpMax, collectives.OpProd}
 	lens := []int{0, 1, 3, 8, 17, 64, 300}
 	for si, n := range sizes {
 		n := n
-		cfg := cfgs[si%len(cfgs)]
+		algo := algos[si%len(algos)]
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			t.Parallel()
-			comms := newCommsCfg(t, n, cfg)
+			comms := newCommsWait(t, n, 0)
 			rng := rand.New(rand.NewSource(int64(1000 + n)))
 			for trial := 0; trial < 4; trial++ {
 				op := ops[rng.Intn(len(ops))]
@@ -145,8 +107,8 @@ func TestCollectivesMatchReference(t *testing.T) {
 
 				runAll(t, comms, func(c *collectives.Comm) error {
 					r := c.Rank()
-					ar, err := c.Allreduce(vecs[r], op)
-					if err != nil {
+					ar := append([]float64(nil), vecs[r]...)
+					if err := c.AllreduceForced(algo, ar, op); err != nil {
 						return fmt.Errorf("allreduce: %w", err)
 					}
 					for i := range want {
@@ -269,7 +231,7 @@ func TestRingRendezvousChunks(t *testing.T) {
 					defer wg.Done()
 					phs[r], errs[r] = core.Init(cl.Backend(r), core.Config{})
 					if errs[r] == nil {
-						comms[r] = collectives.NewWithConfig(phs[r], collectives.Config{Timeout: waitT, ForceAllreduce: "ring"})
+						comms[r] = collectives.New(phs[r], waitT)
 					}
 				}(r)
 			}
@@ -297,7 +259,7 @@ func TestRingRendezvousChunks(t *testing.T) {
 							time.Sleep(2 * time.Millisecond)
 						}
 						vec := append([]float64(nil), vecs[c.Rank()]...)
-						if err := c.AllreduceInPlace(vec, op); err != nil {
+						if err := c.AllreduceForced("ring", vec, op); err != nil {
 							return err
 						}
 						for i := range vec {

@@ -36,7 +36,7 @@ func fillEager(t *testing.T, w *chaosWorld, from, to int) {
 // report goes through and both ranks agree on the unchanged group.
 func TestShrinkReportWaitsOutBackpressure(t *testing.T) {
 	t.Run("leader idle", func(t *testing.T) {
-		w := newChaosWorld(t, 2, collectives.Config{Timeout: 200 * time.Millisecond}, leanCfg())
+		w := newChaosWorld(t, 2, 200*time.Millisecond, leanCfg())
 		fillEager(t, w, 1, 0)
 		start := time.Now()
 		done := make(chan error, 1)
@@ -57,7 +57,7 @@ func TestShrinkReportWaitsOutBackpressure(t *testing.T) {
 		}
 	})
 	t.Run("leader drains", func(t *testing.T) {
-		w := newChaosWorld(t, 2, collectives.Config{}, leanCfg())
+		w := newChaosWorld(t, 2, 0, leanCfg())
 		fillEager(t, w, 1, 0)
 		comms := make([]*collectives.Comm, 2)
 		errs := runAllErrs(w.comms, func(r int, c *collectives.Comm) error {

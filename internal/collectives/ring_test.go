@@ -15,7 +15,7 @@ import (
 )
 
 // ringWorld boots n ranks over vsim behind a chaos group, with an armed
-// failure detector and the ring forced for every allreduce.
+// failure detector. Tests force the ring with AllreduceForced.
 func ringWorld(t *testing.T, n int) ([]*Comm, []*chaos.Backend, *chaos.Group) {
 	t.Helper()
 	cl, err := vsim.NewCluster(n, fabric.Model{}, nicsim.Config{})
@@ -38,7 +38,7 @@ func ringWorld(t *testing.T, n int) ([]*Comm, []*chaos.Backend, *chaos.Group) {
 				errs[r] = err
 				return
 			}
-			comms[r] = NewWithConfig(ph, Config{Timeout: 30 * time.Second, ForceAllreduce: "ring"})
+			comms[r] = New(ph, 30*time.Second)
 		}(r)
 	}
 	wg.Wait()
@@ -77,7 +77,7 @@ func ringSum(comms []*Comm, vecLen int) []error {
 		for i := range vec {
 			vec[i] = float64(r + i)
 		}
-		if err := c.AllreduceInPlace(vec, OpSum); err != nil {
+		if err := c.AllreduceForced("ring", vec, OpSum); err != nil {
 			return err
 		}
 		for i, v := range vec {
@@ -244,7 +244,7 @@ func TestRingMixedLengthsStayExact(t *testing.T) {
 			for j := range vec {
 				vec[j] = float64(r + j)
 			}
-			if err := c.AllreduceInPlace(vec, OpSum); err != nil {
+			if err := c.AllreduceForced("ring", vec, OpSum); err != nil {
 				return fmt.Errorf("call %d (length %d): %w", i, L, err)
 			}
 			for j, v := range vec {

@@ -216,7 +216,7 @@ func compileRD(rank, size int) *rdSched {
 
 func (c *Comm) barrierSched() *barrierSched {
 	if c.barSched == nil {
-		c.barSched = compileBarrier(c.rank, c.size, c.cfg.Radix)
+		c.barSched = compileBarrier(c.rank, c.size, radix)
 	}
 	return c.barSched
 }
@@ -225,7 +225,7 @@ func (c *Comm) treeSched(root int) *treeSched {
 	if ts, ok := c.trees[root]; ok {
 		return ts
 	}
-	ts := compileTree(c.rank, c.size, root, c.cfg.Radix)
+	ts := compileTree(c.rank, c.size, root, radix)
 	c.trees[root] = ts
 	return ts
 }

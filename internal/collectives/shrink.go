@@ -322,7 +322,7 @@ func (c *Comm) buildShrunken(epoch uint64, survivors []int) (*Comm, error) {
 	for i, r := range survivors {
 		group[i] = c.group[r]
 	}
-	nc := newComm(c.ph, c.cfg, group, epoch, c.st)
+	nc := newComm(c.ph, c.timeout, group, epoch, c.st)
 	c.revoked.Store(true) // parent is retired either way
 	if err := nc.Barrier(); err != nil {
 		return nc, err

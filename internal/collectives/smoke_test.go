@@ -12,18 +12,11 @@ import (
 // schedule compiler, RID space, and credit flow see real fan-out. CI
 // runs this under -race.
 func TestManyRankSmoke(t *testing.T) {
-	for _, tc := range []struct {
-		n   int
-		cfg collectives.Config
-	}{
-		{16, collectives.Config{}},
-		{24, collectives.Config{Radix: 4}},
-	} {
-		tc := tc
-		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
+	for _, n := range []int{16, 24} {
+		n := n
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			t.Parallel()
-			comms := newCommsCfg(t, tc.n, tc.cfg)
-			n := tc.n
+			comms := newCommsWait(t, n, 0)
 			runAll(t, comms, func(c *collectives.Comm) error {
 				for iter := 0; iter < 3; iter++ {
 					if err := c.Barrier(); err != nil {
@@ -36,8 +29,9 @@ func TestManyRankSmoke(t *testing.T) {
 					if sum != float64(n) {
 						return fmt.Errorf("allreduce sum = %v, want %d", sum, n)
 					}
-					// Large vector: ring reduce-scatter + allgather.
-					vec := make([]float64, 4*n)
+					// Large vector (8 KiB and up, past the arena slot):
+					// ring reduce-scatter + allgather.
+					vec := make([]float64, 64*n)
 					for i := range vec {
 						vec[i] = float64(c.Rank())
 					}

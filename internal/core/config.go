@@ -102,6 +102,9 @@ func (c *Config) setDefaults() error {
 	if c.EagerEntrySize < ledger.HeaderSize+packedHdrSize+1 {
 		return fmt.Errorf("photon: eager entry size %d too small", c.EagerEntrySize)
 	}
+	if c.RdzvSlabSize < 0 || c.CreditBatch < 0 {
+		return fmt.Errorf("photon: rendezvous slab size %d and credit batch %d must be non-negative", c.RdzvSlabSize, c.CreditBatch)
+	}
 	if c.RdzvSlabSize == 0 {
 		c.RdzvSlabSize = 4 << 20
 	}

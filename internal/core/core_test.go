@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"photon/internal/backend/vsim"
 	"photon/internal/core"
+	"photon/internal/fabric"
 	"photon/internal/mem"
+	"photon/internal/nicsim"
 )
 
 const waitT = 5 * time.Second
@@ -86,6 +90,30 @@ func TestInitBasics(t *testing.T) {
 	}
 	if phs[0].EagerThreshold() != 1024-8-9 {
 		t.Fatalf("EagerThreshold = %d", phs[0].EagerThreshold())
+	}
+}
+
+// TestConfigRejectsNegativeSizes: a negative rendezvous slab or credit
+// batch is an error from Init, not a panic sizing the slab, an arena
+// error, or a value Config reports back.
+func TestConfigRejectsNegativeSizes(t *testing.T) {
+	cl, err := vsim.NewCluster(1, fabric.Model{}, nicsim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	for _, cfg := range []core.Config{
+		{RdzvSlabSize: -8 << 20},
+		{RdzvSlabSize: -1},
+		{CreditBatch: -3},
+	} {
+		ph, err := core.Init(cl.Backend(0), cfg)
+		if err == nil {
+			ph.Close()
+			t.Errorf("Init accepted %+v", cfg)
+		} else if !strings.Contains(err.Error(), "non-negative") {
+			t.Errorf("Init(%+v): %v, want a non-negative-size error", cfg, err)
+		}
 	}
 }
 

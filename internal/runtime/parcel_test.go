@@ -119,10 +119,13 @@ type gate struct {
 	release chan struct{}
 }
 
+// workers is the runtime's worker bound, the most handlers one
+// locality runs at a time.
+const workers = 64
+
 func newGate() *gate {
-	// entered never blocks a handler: 64 is the default Workers bound,
-	// the most handlers one locality runs at a time.
-	return &gate{entered: make(chan struct{}, 64), release: make(chan struct{})}
+	// entered never blocks a handler: no more than workers run.
+	return &gate{entered: make(chan struct{}, workers), release: make(chan struct{})}
 }
 
 func (g *gate) handler(*runtime.Context) ([]byte, error) {
@@ -142,45 +145,55 @@ func (g *gate) waitEntered(t *testing.T, n int) {
 	}
 }
 
-// TestBlockedHandlersDoNotStarveParcels: below the Workers bound a
+// TestBlockedHandlersDoNotStarveParcels: below the worker bound a
 // blocked handler never stands in a parcel's way (a parcel goes to an
-// idle worker or a new one, never into a queue behind a busy one), and
-// at the bound — every worker blocked — replies still resolve, because
-// the dispatcher resolves them itself.
+// idle worker or a new one, never into a queue behind a busy one); at
+// the bound — every worker blocked — replies still resolve, because the
+// dispatcher resolves them itself, and one more parcel waits for a
+// worker, which pins the bound at 64.
 func TestBlockedHandlersDoNotStarveParcels(t *testing.T) {
 	g := newGate()
-	locs := jobCfg(t, 2, runtime.Config{Workers: 4, Timeout: waitT}, func(l *runtime.Locality) {
+	locs := job(t, 2, func(l *runtime.Locality) {
 		l.RegisterAction("block", g.handler)
 		l.RegisterAction("ping", func(*runtime.Context) ([]byte, error) { return []byte("pong"), nil })
 	})
 	block, ping := runtime.ActionIDFor("block"), runtime.ActionIDFor("ping")
 	var blocked []*runtime.Future
-	for i := 0; i < 3; i++ {
-		f, err := locs[0].Call(1, block, nil)
-		if err != nil {
-			t.Fatal(err)
+	// Also when the test fails early, release the blocked handlers and
+	// let their replies land before Shutdown stops the dispatchers: a
+	// handler still sending to a stopped rank would never return.
+	release := sync.OnceFunc(func() { close(g.release) })
+	t.Cleanup(func() {
+		release()
+		for _, f := range blocked {
+			f.Wait(waitT)
 		}
-		blocked = append(blocked, f)
+	})
+	callBlock := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			f, err := locs[0].Call(1, block, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocked = append(blocked, f)
+		}
+		g.waitEntered(t, n)
 	}
-	g.waitEntered(t, 3)
+	callBlock(workers - 1)
 
-	// Three of rank 1's four workers are blocked: a fourth parcel runs.
+	// All but one of rank 1's workers are blocked: one more parcel runs.
 	f, err := locs[0].Call(1, ping, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out, err := f.Wait(waitT); err != nil || string(out) != "pong" {
-		t.Fatalf("fourth parcel with three handlers blocked: %q, %v", out, err)
+		t.Fatalf("parcel with %d handlers blocked: %q, %v", workers-1, out, err)
 	}
 
-	// Block the fourth too. Rank 1 now has no worker to give, yet a
+	// Block the last one too. Rank 1 now has no worker to give, yet a
 	// reply addressed to it resolves its future.
-	f, err = locs[0].Call(1, block, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocked = append(blocked, f)
-	g.waitEntered(t, 1)
+	callBlock(1)
 	f, err = locs[1].Call(0, ping, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -189,11 +202,23 @@ func TestBlockedHandlersDoNotStarveParcels(t *testing.T) {
 		t.Fatalf("reply with every worker blocked: %q, %v", out, err)
 	}
 
-	close(g.release)
+	// A parcel past the bound waits until a worker is free.
+	f, err = locs[0].Call(1, ping, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := f.Wait(20 * time.Millisecond); !errors.Is(err, runtime.ErrTimeout) {
+		t.Fatalf("parcel past the %d-worker bound ran: %q, %v", workers, out, err)
+	}
+
+	release()
 	for i, f := range blocked {
 		if out, err := f.Wait(waitT); err != nil || string(out) != "released" {
 			t.Fatalf("blocked call %d: %q, %v", i, out, err)
 		}
+	}
+	if out, err := f.Wait(waitT); err != nil || string(out) != "pong" {
+		t.Fatalf("parcel past the bound after release: %q, %v", out, err)
 	}
 }
 

@@ -10,10 +10,11 @@
 // and optionally a continuation: a future at the sender that the
 // handler's return value resolves. Parcels ride Photon Sends whose
 // remote RID carries the parcel tag; the locality's dispatcher harvests
-// remote completions, decodes parcels, and runs handlers on a bounded
-// worker pool. Local completions route back to futures, which is how
-// the global-address-space layer (gas.go) turns one-sided puts and gets
-// into awaitable operations.
+// remote completions, decodes parcels, and runs handlers on a pool of
+// at most 64 workers (maxWorkers). Local completions route back to
+// futures, which is how the global-address-space layer (gas.go) turns
+// one-sided puts and gets into awaitable operations. Config holds only
+// a wait timeout.
 //
 // RID space: the runtime claims bits 62 (parcels) and 61 (local future
 // routing). Applications sharing a Photon instance with the runtime
@@ -70,19 +71,17 @@ type Context struct {
 // resolves the future with that error.
 type Handler func(ctx *Context) ([]byte, error)
 
+// maxWorkers bounds concurrently executing handlers on one locality.
+const maxWorkers = 64
+
 // Config tunes a locality.
 type Config struct {
-	// Workers bounds concurrently executing handlers (default 64).
-	Workers int
 	// Timeout bounds internal waits like Barrier (default 30s; <=0
 	// waits forever).
 	Timeout time.Duration
 }
 
 func (c *Config) setDefaults() {
-	if c.Workers <= 0 {
-		c.Workers = 64
-	}
 	if c.Timeout == 0 {
 		c.Timeout = 30 * time.Second
 	}
@@ -565,7 +564,7 @@ func (l *Locality) execParcel(c core.Completion) {
 		return
 	default:
 	}
-	if l.nWorkers < l.cfg.Workers {
+	if l.nWorkers < maxWorkers {
 		l.nWorkers++
 		l.handlers.Add(1)
 		go l.worker(w)
