@@ -7,10 +7,10 @@ type wireOp struct {
 	n     int
 }
 
-func post(op wireOp) error      { return nil }
-func encode(dst, src []byte)    {}
-func consume(b []byte)          {}
-func postPtr(op *wireOp) error  { return nil }
+func post(op wireOp) error     { return nil }
+func encode(dst, src []byte)   {}
+func consume(b []byte)         {}
+func postPtr(op *wireOp) error { return nil }
 
 // straightLine is the canonical scratch lifetime: Get, fill, Put.
 func straightLine(p *mem.BufPool) {

@@ -32,11 +32,12 @@ type BFSConfig struct {
 	Seed int64
 	// Root is the starting vertex.
 	Root int
-	// Batch caps vertices per relaxation parcel (default 64).
-	Batch int
 }
 
-func (c *BFSConfig) setDefaults(ranks int) error {
+// bfsBatch caps vertices per relaxation parcel.
+const bfsBatch = 64
+
+func (c *BFSConfig) validate(ranks int) error {
 	if c.Vertices <= 0 || c.Degree < 0 {
 		return fmt.Errorf("apps: bad BFS geometry %+v", *c)
 	}
@@ -45,9 +46,6 @@ func (c *BFSConfig) setDefaults(ranks int) error {
 	}
 	if c.Root < 0 || c.Root >= c.Vertices {
 		return fmt.Errorf("apps: root %d out of range", c.Root)
-	}
-	if c.Batch <= 0 {
-		c.Batch = 64
 	}
 	return nil
 }
@@ -115,7 +113,7 @@ type bfsRankState struct {
 // aggregates) plus the distance vector assembled at rank 0.
 func RunBFSParcels(locs []*runtime.Locality, cfg BFSConfig) (BFSResult, []int32, error) {
 	n := len(locs)
-	if err := cfg.setDefaults(n); err != nil {
+	if err := cfg.validate(n); err != nil {
 		return BFSResult{}, nil, err
 	}
 	perRank := cfg.Vertices / n
@@ -179,7 +177,7 @@ func RunBFSParcels(locs []*runtime.Locality, cfg BFSConfig) (BFSResult, []int32,
 			// Scratch reused across batches and levels: Call copies the
 			// parcel body before it returns.
 			buckets := make([][]int32, n)
-			body := make([]byte, visitHdrLen+4*cfg.Batch)
+			body := make([]byte, visitHdrLen+4*bfsBatch)
 			var futs []*runtime.Future
 			flush := func(owner int) error {
 				b := buckets[owner]
@@ -209,7 +207,7 @@ func RunBFSParcels(locs []*runtime.Locality, cfg BFSConfig) (BFSResult, []int32,
 					for _, w := range full[v] {
 						owner := int(w) / perRank
 						buckets[owner] = append(buckets[owner], w)
-						if len(buckets[owner]) >= cfg.Batch {
+						if len(buckets[owner]) >= bfsBatch {
 							if err := flush(owner); err != nil {
 								errs[r] = err
 								return

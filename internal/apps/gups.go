@@ -13,7 +13,6 @@ package apps
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
 	gort "runtime"
@@ -101,13 +100,15 @@ func RunGUPSPhoton(phs []*core.Photon, cfg GUPSConfig) (GUPSResult, error) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(r)))
 			ph := phs[r]
+			w := core.NewWaiter(ph)
+			defer w.Release()
 			inflight := 0
 			next := uint64(1)
 			drain := func(target int) error {
 				for inflight > target {
 					// Batch: one progress round, then pop every
 					// available completion before progressing again.
-					ph.Progress()
+					n := ph.Progress()
 					popped := false
 					for {
 						c, ok := ph.PopLocal()
@@ -120,25 +121,20 @@ func RunGUPSPhoton(phs []*core.Photon, cfg GUPSConfig) (GUPSResult, error) {
 						inflight--
 						popped = true
 					}
-					if !popped {
-						gort.Gosched()
+					if n == 0 && !popped {
+						w.Idle()
 					}
 				}
 				return nil
 			}
 			for i := 0; i < cfg.UpdatesPerRank; i++ {
 				dst := rng.Intn(n)
-				word := rng.Intn(cfg.TableWordsPerRank)
-				for {
-					err := ph.FetchAdd(dst, descs[r][dst], uint64(word*8), 1, next)
-					if err == nil {
-						break
-					}
-					if !errors.Is(err, core.ErrWouldBlock) {
-						errs[r] = err
-						return
-					}
-					ph.Progress()
+				off := uint64(rng.Intn(cfg.TableWordsPerRank) * 8)
+				if err := ph.Retry(w, nil, func() error {
+					return ph.FetchAdd(dst, descs[r][dst], off, 1, next)
+				}); err != nil {
+					errs[r] = err
+					return
 				}
 				next++
 				inflight++

@@ -119,6 +119,7 @@ func TestBackendConformance(t *testing.T) {
 		t.Run(tr.name, func(t *testing.T) {
 			t.Run("batch", func(t *testing.T) { testBatch(t, tr.boot(t)) })
 			t.Run("wake", func(t *testing.T) { testWakeAndActivity(t, tr.boot(t)) })
+			t.Run("wide-token", func(t *testing.T) { testWideTokens(t, tr.boot(t)) })
 			t.Run("region-lock", func(t *testing.T) { writeBesideHeldRegion(t, tr.boot(t)) })
 			t.Run("region-activity", func(t *testing.T) {
 				actA, a0, actB, b0 := writeBesideHeldRegion(t, tr.boot(t))
@@ -218,6 +219,54 @@ func testBatch(t *testing.T, bes []core.Backend) {
 	if last != total {
 		t.Fatalf("target holds write %d, want the last one posted (%d)", last, total)
 	}
+}
+
+// testWideTokens posts one of each signaled op with a token whose high
+// 32 bits are set — the slot generation core's token table issues
+// there — and checks that Poll hands every token back whole: a backend
+// that narrows a token to 32 bits completes a different op.
+func testWideTokens(t *testing.T, bes []core.Backend) {
+	target := make([]byte, 64)
+	rb, _, err := bes[1].Register(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gen = uint64(0xa5a5_0001) << 32
+	posts := []func(tok uint64) error{
+		func(tok uint64) error { return bes[0].PostWrite(1, make([]byte, 8), rb.Addr, rb.RKey, tok, true) },
+		func(tok uint64) error { return bes[0].PostRead(1, make([]byte, 8), rb.Addr+8, rb.RKey, tok) },
+		func(tok uint64) error { return bes[0].PostFetchAdd(1, make([]byte, 8), rb.Addr+16, rb.RKey, 1, tok) },
+		func(tok uint64) error {
+			return bes[0].PostCompSwap(1, make([]byte, 8), rb.Addr+24, rb.RKey, 0, 1, tok)
+		},
+		func(tok uint64) error {
+			_, err := bes[0].PostWriteBatch(1, []core.WriteReq{
+				{Local: make([]byte, 8), RemoteAddr: rb.Addr + 32, RKey: rb.RKey, Token: tok, Signaled: true},
+				{Local: make([]byte, 8), RemoteAddr: rb.Addr + 40, RKey: rb.RKey, Token: tok + 1, Signaled: true},
+			})
+			return err
+		},
+	}
+	want := map[uint64]bool{}
+	for i, post := range posts {
+		tok := gen | uint64(2*i+1)
+		if err := post(tok); err != nil {
+			t.Fatalf("post %d: %v", i, err)
+		}
+		want[tok] = true
+	}
+	want[gen|uint64(2*len(posts))] = true // the batch's second write
+	var comps [8]core.BackendCompletion
+	await(t, "every wide-token completion", func() bool {
+		bes[1].Poll(comps[:])
+		for _, c := range comps[:bes[0].Poll(comps[:])] {
+			if !want[c.Token] || !c.OK {
+				t.Fatalf("completion token %#x ok=%v (%v): not a token posted, or posted twice", c.Token, c.OK, c.Err)
+			}
+			delete(want, c.Token)
+		}
+		return len(want) == 0
+	})
 }
 
 // testWakeAndActivity checks the event plumbing the engine parks on:

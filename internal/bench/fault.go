@@ -48,6 +48,8 @@ func SeverRecoveryTime(hb time.Duration, trials int) (mean, max time.Duration, e
 	if _, err := phs[1].WaitRemote(1, 30*time.Second); err != nil {
 		return 0, 0, err
 	}
+	w := core.NewWaiter(phs[0])
+	defer w.Release()
 	var total time.Duration
 	for i := 0; i < trials; i++ {
 		rid := uint64(100 + i)
@@ -56,15 +58,9 @@ func SeverRecoveryTime(hb time.Duration, trials int) (mean, max time.Duration, e
 		// Recovery is over when a message posted after the sever is
 		// DELIVERED: detection + redial backoff + re-handshake + window
 		// retransmit + the send itself.
-		for {
-			err := phs[0].Send(1, []byte{byte(i)}, 0, rid)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, core.ErrWouldBlock) {
-				return 0, 0, fmt.Errorf("trial %d: %w", i, err)
-			}
-			phs[0].Progress()
+		spec := core.WaitSpec{Deadline: start.Add(benchWait)}
+		if err := phs[0].Retry(w, &spec, func() error { return phs[0].Send(1, []byte{byte(i)}, 0, rid) }); err != nil {
+			return 0, 0, fmt.Errorf("trial %d: %w", i, err)
 		}
 		if _, err := phs[1].WaitRemote(rid, 30*time.Second); err != nil {
 			return 0, 0, fmt.Errorf("trial %d: recovery never completed: %w", i, err)
@@ -149,6 +145,7 @@ func LossyGoodput(n int, dropProb float64) (ok int, rate float64, err error) {
 	start := time.Now()
 	posted := make([]bool, n+1)
 	for i := 1; i <= n; i++ {
+		// Its own loop, not core's Retry: one goroutine drives both ranks.
 		deadline := time.Now().Add(400 * time.Millisecond)
 		for {
 			perr := phs[0].Send(1, []byte{byte(i)}, uint64(i), uint64(i))

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
-	gort "runtime"
 	"time"
 
 	"photon/internal/core"
@@ -88,8 +86,10 @@ func windowed(ph *core.Photon, window, iters int, post func(i int) error) error 
 }
 
 // drainRemote progresses ph until it has popped total remote
-// completions, calling idle after every dry round.
-func drainRemote(ph *core.Photon, total int, idle func()) error {
+// completions, parking on a core.Waiter after every dry round.
+func drainRemote(ph *core.Photon, total int) error {
+	w := core.NewWaiter(ph)
+	defer w.Release()
 	deadline := time.Now().Add(benchWait)
 	for got := 0; got < total; {
 		ph.Progress()
@@ -104,7 +104,7 @@ func drainRemote(ph *core.Photon, total int, idle func()) error {
 		if popped {
 			continue
 		}
-		idle()
+		w.Idle()
 		if time.Now().After(deadline) {
 			return fmt.Errorf("remote drain stalled at %d/%d", got, total)
 		}
@@ -277,11 +277,7 @@ func StreamBandwidthPWC(phs []*core.Photon, descs [][]mem.RemoteBuffer, size, wi
 				return phs[0].PutBlocking(1, payload, descs[0][1], 0, uint64(i), uint64(i))
 			})
 		},
-		func() error { // target drains remote completions
-			w := core.NewWaiter(phs[1])
-			defer w.Release()
-			return drainRemote(phs[1], iters, w.Idle)
-		})
+		func() error { return drainRemote(phs[1], iters) })
 	return perSecond(elapsed, float64(size)*float64(iters), err)
 }
 
@@ -332,7 +328,7 @@ func MessageRatePWC(phs []*core.Photon, threads, perThread int) (float64, error)
 			return phs[0].SendBlocking(1, payload, 0, base+uint64(i))
 		}))
 	}
-	fns = append(fns, func() error { return drainRemote(phs[1], total, gort.Gosched) })
+	fns = append(fns, func() error { return drainRemote(phs[1], total) })
 	elapsed, err := timeRanks(fns...)
 	return perSecond(elapsed, float64(total), err)
 }
@@ -383,15 +379,11 @@ func AtomicLatency(phs []*core.Photon, descs [][]mem.RemoteBuffer, iters int) (t
 // AtomicRate measures pipelined fetch-add throughput with a window.
 func AtomicRate(phs []*core.Photon, descs [][]mem.RemoteBuffer, window, iters int) (float64, error) {
 	ph := phs[0]
+	w := core.NewWaiter(ph)
+	defer w.Release()
 	elapsed, err := timeRanks(func() error {
 		return windowed(ph, window, iters, func(i int) error {
-			for {
-				err := ph.FetchAdd(1, descs[0][1], 0, 1, uint64(i))
-				if !errors.Is(err, core.ErrWouldBlock) {
-					return err
-				}
-				ph.Progress()
-			}
+			return ph.Retry(w, nil, func() error { return ph.FetchAdd(1, descs[0][1], 0, 1, uint64(i)) })
 		})
 	})
 	return perSecond(elapsed, float64(iters), err)
@@ -413,6 +405,6 @@ func SaturatedSendThroughput(phs []*core.Photon, size, iters int) (float64, erro
 	payload := make([]byte, size)
 	elapsed, err := timeRanks(
 		loop(iters, func(i int) error { return phs[0].SendBlocking(1, payload, 0, uint64(i)) }),
-		func() error { return drainRemote(phs[1], iters, gort.Gosched) })
+		func() error { return drainRemote(phs[1], iters) })
 	return perSecond(elapsed, float64(iters), err)
 }

@@ -38,8 +38,12 @@
 // # Failure awareness
 //
 // Collectives are failure-aware end to end (see failure.go): every
-// wait and post-retry loop observes the engine's peer-health latches,
-// a dead member turns the whole collective into a prompt
+// wait and every post refused for backpressure runs core's one
+// blocking loop (WaitAll, Retry) under the collective's WaitSpec, so it
+// observes the engine's peer-health latches and the revocation notices
+// and is bounded by the whole-collective deadline (by 2×OpTimeout when
+// the timeout is <=0 and op deadlines are armed); a dead member turns
+// the whole collective into a prompt
 // ErrCommRevoked on every surviving rank (ULFM-style revocation
 // notices flood the dissemination edges so ranks not adjacent to the
 // corpse abort in one network latency), and Comm.Shrink rebuilds a
@@ -304,46 +308,36 @@ func (c *Comm) obsEnd(k metrics.CollKind, t0 time.Time) {
 // Nonblocking post + wait helpers
 // ---------------------------------------------------------------------
 
-// sendNB posts a message, driving progress through transient
-// backpressure (ErrWouldBlock). The retry loop is failure-aware: a
-// destination latched down, an arrived revocation notice, or the
-// whole-collective deadline ends the spin instead of livelocking
-// against a dead peer. dst is a comm rank.
+// sendNB posts a message through core's retry loop (core.Photon.Retry),
+// which drives progress through transient backpressure (ErrWouldBlock)
+// and ends the spin on the same conditions as a collective wait: an
+// arrived revocation notice, the destination latched down, or the
+// whole-collective deadline. A hard post error or a dead destination
+// revokes the comm (filterWait). dst is a comm rank.
 func (c *Comm) sendNB(dst int, data []byte, localRID, remoteRID uint64) error {
-	for {
-		err := c.ph.Send(c.group[dst], data, localRID, remoteRID)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, core.ErrWouldBlock) {
-			return c.filterPost(err, dst)
-		}
-		if err := c.stall(dst); err != nil {
-			return err
-		}
-		if c.ph.Progress() == 0 {
-			c.w.Idle()
-		}
-	}
+	return c.filterWait(c.ph.Retry(c.w, c.postSpec(dst, c.revokeRIDs), func() error {
+		return c.ph.Send(c.group[dst], data, localRID, remoteRID)
+	}))
 }
 
 // putNB posts a one-sided put the same way.
 func (c *Comm) putNB(dst int, data []byte, rb mem.RemoteBuffer, off uint64, localRID, remoteRID uint64) error {
-	for {
-		err := c.ph.PutWithCompletion(c.group[dst], data, rb, off, localRID, remoteRID)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, core.ErrWouldBlock) {
-			return c.filterPost(err, dst)
-		}
-		if err := c.stall(dst); err != nil {
-			return err
-		}
-		if c.ph.Progress() == 0 {
-			c.w.Idle()
-		}
-	}
+	return c.filterWait(c.ph.Retry(c.w, c.postSpec(dst, c.revokeRIDs), func() error {
+		return c.ph.PutWithCompletion(c.group[dst], data, rb, off, localRID, remoteRID)
+	}))
+}
+
+// postSpec arms c.spec for a post retry toward comm rank dst: the
+// whole-collective deadline, dst watched, the given abort RIDs. DownRank
+// is preset to dst, so a post that fails hard with ErrPeerDown is
+// converted like a watched death.
+func (c *Comm) postSpec(dst int, abort []uint64) *core.WaitSpec {
+	c.watch = append(c.watch[:0], c.group[dst])
+	c.spec.Deadline = c.deadline
+	c.spec.Watch = c.watch
+	c.spec.AbortRIDs = abort
+	c.spec.DownRank = c.group[dst]
+	return &c.spec
 }
 
 // waitAll is the failure-aware batched reap behind every collective

@@ -3,12 +3,13 @@ package collectives
 // Failure plane: the abort/revoke half of the failure-aware
 // collectives (Shrink, the recovery half, lives in shrink.go).
 //
-// Abort: every wait goes through waitAll, which watches the engine's
-// peer-health latches for the ranks it is awaiting and bounds itself
-// with the whole-collective deadline; every post-retry loop runs stall
-// between attempts. The first observation of a member's death — a
-// watched latch, an ErrPeerDown error completion, a fail-fast post, or
-// a peer's revocation notice — revokes the communicator.
+// Abort: every wait (waitAll) and every post retry (sendNB, putNB) runs
+// core's one blocking loop under c.spec: it watches the engine's
+// peer-health latches for the ranks involved, matches the revocation
+// notice RIDs, and is bounded by the whole-collective deadline. The
+// first observation of a member's death — a watched latch, an
+// ErrPeerDown error completion, a fail-fast post, or a peer's
+// revocation notice — revokes the communicator (filterWait).
 //
 // Revoke: the revoking rank fans a notice out over its dissemination
 // out-edges (the barrier schedule's notify set), exactly like a
@@ -86,66 +87,18 @@ func (c *Comm) compileRevokeEdges() {
 	}
 }
 
-// stall runs inside the post-retry loops: an arrived revocation
-// notice or a downed destination revokes the comm and ends the spin;
-// the whole-collective deadline bounds spins no failure explains.
-func (c *Comm) stall(dst int) error {
-	for _, ar := range c.revokeRIDs {
-		if comp, ok := c.ph.TakeRemote(ar); ok {
-			return c.revokeFromNotice(comp)
-		}
-	}
-	if c.ph.PeerHealthState(c.group[dst]) == core.PeerDown {
-		return c.revoke(dst)
-	}
-	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
-		return fmt.Errorf("collectives: collective deadline exceeded: %w", core.ErrTimeout)
-	}
-	return nil
-}
-
-// stallRaw is stall for Shrink's retry loops: same bounds, no
-// revocation side effects, raw sentinels out.
-func (c *Comm) stallRaw(dst int) error {
-	if c.ph.PeerHealthState(c.group[dst]) == core.PeerDown {
-		return fmt.Errorf("collectives: rank %d: %w", dst, core.ErrPeerDown)
-	}
-	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
-		return fmt.Errorf("collectives: shrink deadline exceeded: %w", core.ErrTimeout)
-	}
-	return nil
-}
-
-// sendNBRaw is sendNB for Shrink: backpressure retries bounded by
-// stallRaw, errors passed through raw.
+// sendNBRaw is sendNB for Shrink: the same retry loop with no abort
+// RIDs (Shrink observes notices itself), errors passed through raw.
 func (c *Comm) sendNBRaw(dst int, data []byte, localRID, remoteRID uint64) error {
-	for {
-		err := c.ph.Send(c.group[dst], data, localRID, remoteRID)
-		if err == nil || !errors.Is(err, core.ErrWouldBlock) {
-			return err
-		}
-		if err := c.stallRaw(dst); err != nil {
-			return err
-		}
-		if c.ph.Progress() == 0 {
-			c.w.Idle()
-		}
-	}
+	return c.ph.Retry(c.w, c.postSpec(dst, nil), func() error {
+		return c.ph.Send(c.group[dst], data, localRID, remoteRID)
+	})
 }
 
-// filterPost converts a hard post error: a dead destination revokes
-// the comm, everything else passes through.
-func (c *Comm) filterPost(err error, dst int) error {
-	if errors.Is(err, core.ErrPeerDown) {
-		return c.revoke(dst)
-	}
-	return err
-}
-
-// filterWait converts a waitAllRaw error into the comm's failure
-// semantics: a watched-rank death or ErrPeerDown completion revokes,
-// an arrived notice revokes with the notice's failed rank, timeouts
-// and everything else pass through.
+// filterWait converts a waitAllRaw or post-retry error into the comm's
+// failure semantics: a watched-rank death, an ErrPeerDown completion or
+// post revokes (naming c.spec.DownRank), an arrived notice revokes with
+// the notice's failed rank, timeouts and everything else pass through.
 func (c *Comm) filterWait(err error) error {
 	switch {
 	case err == nil:
@@ -210,6 +163,8 @@ func (c *Comm) sendRevokes() {
 		if dst == int(d) || c.ph.PeerHealthState(c.group[dst]) == core.PeerDown {
 			continue
 		}
+		// A fixed budget, not core's Retry: the flood is best-effort
+		// and must not wait out the collective deadline.
 		for tries := 0; tries < 64; tries++ {
 			err := c.ph.Send(c.group[dst], pay[:], 0, r)
 			if err == nil {

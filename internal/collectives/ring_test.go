@@ -177,8 +177,19 @@ func TestRingRevokeBetweenCalls(t *testing.T) {
 		if live := stillPosted(c, next, ringBanks); live != nil {
 			t.Errorf("rank %d: carried steps %v still posted after the revoke", r, live)
 		}
-		for s := 0; s < ringBanks; s++ {
-			if _, ok := c.ph.TakeRemote(ringRID(c, next, s)); ok {
+		// A deadline already passed: WaitAll makes exactly one take
+		// pass over the carried steps' RIDs and times out.
+		rids := make([]uint64, ringBanks)
+		for s := range rids {
+			rids[s] = ringRID(c, next, s)
+		}
+		out := make([]core.Completion, ringBanks)
+		spec := core.WaitSpec{Deadline: time.Now().Add(-time.Second)}
+		if err := c.ph.WaitAll(c.w, rids, out, &spec, false); !errors.Is(err, core.ErrTimeout) {
+			t.Errorf("rank %d: probe of the carried steps: want ErrTimeout, got %v", r, err)
+		}
+		for s := range out {
+			if out[s].RID != 0 {
 				t.Errorf("rank %d: carried step %d resolved a delivery after the revoke", r, s)
 			}
 		}

@@ -391,6 +391,75 @@ func TestSendBlockingUnderPressure(t *testing.T) {
 	wg.Wait()
 }
 
+// fillCredits sends packed messages from rank 0 to rank 1, which never
+// progresses, until the eager ledger is out of credits.
+func fillCredits(t *testing.T, phs []*core.Photon) {
+	t.Helper()
+	for i := 0; ; i++ {
+		err := phs[0].Send(1, []byte{byte(i)}, 0, uint64(i+1))
+		if errors.Is(err, core.ErrWouldBlock) {
+			return
+		}
+		if err != nil || i > 1<<10 {
+			t.Fatalf("send %d: %v, want ErrWouldBlock once credits run out", i, err)
+		}
+	}
+}
+
+// retryAsync runs a blocking post on its own goroutine and returns its
+// error, or fails the test when it has not returned after limit.
+func retryAsync(t *testing.T, limit time.Duration, post func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- post() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(limit):
+		t.Fatalf("blocking post still blocked after %v", limit)
+		return nil
+	}
+}
+
+// TestSendBlockingTimesOutWithoutCredits: with op deadlines armed, a
+// blocking send toward a peer that never returns credits gives up with
+// ErrTimeout after 2×OpTimeout, as a wait for that peer would.
+func TestSendBlockingTimesOutWithoutCredits(t *testing.T) {
+	const opTimeout = 100 * time.Millisecond
+	phs := newJob(t, 2, core.Config{LedgerSlots: 4, OpTimeout: opTimeout})
+	fillCredits(t, phs)
+	start := time.Now()
+	err := retryAsync(t, 20*opTimeout, func() error { return phs[0].SendBlocking(1, []byte{1}, 0, 99) })
+	if el := time.Since(start); !errors.Is(err, core.ErrTimeout) || el < 2*opTimeout {
+		t.Fatalf("SendBlocking returned %v after %v, want ErrTimeout after at least %v", err, el, 2*opTimeout)
+	}
+}
+
+// TestRetryAbortedByNotice: a post retried under a spec ends with
+// ErrWaitAborted when one of the spec's abort RIDs arrives, and the
+// spec carries the consumed notice.
+func TestRetryAbortedByNotice(t *testing.T) {
+	const notice = 0x77
+	phs := newJob(t, 3, core.Config{LedgerSlots: 4})
+	fillCredits(t, phs)
+	if err := phs[2].Send(0, []byte("revoke"), 0, notice); err != nil {
+		t.Fatal(err)
+	}
+	w := core.NewWaiter(phs[0])
+	defer w.Release()
+	spec := core.WaitSpec{AbortRIDs: []uint64{notice + 1, notice}}
+	err := retryAsync(t, waitT, func() error {
+		return phs[0].Retry(w, &spec, func() error { return phs[0].Send(1, []byte{1}, 0, 99) })
+	})
+	if !errors.Is(err, core.ErrWaitAborted) {
+		t.Fatalf("Retry returned %v, want ErrWaitAborted", err)
+	}
+	if spec.AbortIdx != 1 || spec.Aborted.RID != notice || string(spec.Aborted.Data) != "revoke" {
+		t.Fatalf("spec records notice %d: RID %#x data %q, want 1: %#x %q",
+			spec.AbortIdx, spec.Aborted.RID, spec.Aborted.Data, notice, "revoke")
+	}
+}
+
 func TestFetchAddAndCompSwap(t *testing.T) {
 	phs := newJob(t, 2, core.Config{})
 	words := make([]byte, 64)

@@ -447,33 +447,21 @@ func (p *Photon) postPair(ps *peerState, rank int, a, b wireOp) {
 	}
 }
 
-// PutBlocking wraps PutWithCompletion, driving Progress until the
-// operation can be posted.
+// PutBlocking wraps PutWithCompletion, retrying it through Retry while
+// it is refused for backpressure. With op deadlines armed it gives up
+// with ErrTimeout after 2×OpTimeout (a peer that never returns credits),
+// else it waits for as long as the post is refused.
 func (p *Photon) PutBlocking(rank int, local []byte, dst mem.RemoteBuffer, off uint64, localRID, remoteRID uint64) error {
 	w := Waiter{p: p}
 	defer w.Release()
-	for {
-		err := p.PutWithCompletion(rank, local, dst, off, localRID, remoteRID)
-		if err == nil || !errors.Is(err, ErrWouldBlock) {
-			return err
-		}
-		if p.Progress() == 0 {
-			w.Idle()
-		}
-	}
+	return p.Retry(&w, nil, func() error {
+		return p.PutWithCompletion(rank, local, dst, off, localRID, remoteRID)
+	})
 }
 
-// SendBlocking wraps Send, driving Progress until it can be posted.
+// SendBlocking wraps Send the same way as PutBlocking.
 func (p *Photon) SendBlocking(rank int, data []byte, localRID, remoteRID uint64) error {
 	w := Waiter{p: p}
 	defer w.Release()
-	for {
-		err := p.Send(rank, data, localRID, remoteRID)
-		if err == nil || !errors.Is(err, ErrWouldBlock) {
-			return err
-		}
-		if p.Progress() == 0 {
-			w.Idle()
-		}
-	}
+	return p.Retry(&w, nil, func() error { return p.Send(rank, data, localRID, remoteRID) })
 }

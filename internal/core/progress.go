@@ -410,8 +410,8 @@ var pollOrder = [numClasses]int{classSys, classPWC, classEager}
 func (p *Photon) pollPeer(ps *peerState) int {
 	eng := &p.eng
 	eng.pollScratch = eng.pollScratch[:0]
-	n := 0      // ledger entries consumed: the credit hint
-	reaped := 0 // backend completions the rendezvous reads reaped
+	n := 0           // ledger entries consumed: the credit hint
+	reaped := 0      // backend completions the rendezvous reads reaped
 	p.arenaLk.Lock() //photon:allow hotpathalloc -- one arena lock per sweep batch covers every ledger poll; taking it once here is the optimization
 	ready := false
 	for _, cl := range pollOrder {

@@ -197,14 +197,6 @@ func (w *Waiter) Release() {
 	}
 }
 
-// TakeRemote non-blockingly removes and returns the remote completion
-// for rid if it has already arrived. It does not drive Progress; pair
-// it with a caller-driven progress loop. The collectives layer uses it
-// to poll for revocation notices inside post-retry spins.
-func (p *Photon) TakeRemote(rid uint64) (Completion, bool) {
-	return p.eng.remoteCQ.takeMatch(rid)
-}
-
 // ErrWaitAborted is returned by the spec-carrying waits when one of the
 // spec's AbortRIDs arrived: the wait was cut short not because an
 // awaited completion failed but because an out-of-band abort message
@@ -212,9 +204,9 @@ func (p *Photon) TakeRemote(rid uint64) (Completion, bool) {
 // in WaitSpec.Aborted.
 var ErrWaitAborted = errors.New("photon: wait aborted")
 
-// WaitSpec parameterizes WaitAll, the failure-aware batched wait. The
-// wait returns as soon as anything proves the batch cannot or should
-// not complete:
+// WaitSpec parameterizes the failure-aware blocking calls, WaitAll and
+// Retry. The call returns as soon as anything proves the batch cannot
+// or should not complete:
 //
 //   - a reaped completion carries a non-nil Err (returned immediately,
 //     DownRank set to its peer; remaining completions are abandoned);
@@ -227,7 +219,7 @@ var ErrWaitAborted = errors.New("photon: wait aborted")
 //
 // The zero spec is valid: wait for everything, fail on the first error
 // completion. The spec is caller-owned and reusable; the output fields
-// (DownRank, AbortIdx, Aborted) are overwritten by each wait that
+// (DownRank, AbortIdx, Aborted) are overwritten by each call that
 // returns an abort-flavored error.
 type WaitSpec struct {
 	Deadline  time.Time
@@ -257,30 +249,85 @@ func (p *Photon) WaitAll(w *Waiter, rids []uint64, out []Completion, spec *WaitS
 	return p.waitAll(w, w.pend[:0], rids, out, spec.Deadline, spec, local)
 }
 
-// checkSpec evaluates the spec's out-of-band abort conditions: an
-// arrived abort RID, then a watched rank latched down. Returns nil when
-// the wait should keep going.
-func (p *Photon) checkSpec(spec *WaitSpec) error {
-	for i, ar := range spec.AbortRIDs {
-		if ar == 0 {
-			continue
+// Retry calls post until it returns anything but ErrWouldBlock, and
+// returns that. A post refused for backpressure (ledger credits, a full
+// send queue) is retried after a Progress round, and every retry round
+// ends like a WaitAll round (see endRound): spec's abort conditions
+// (nil selects none), its deadline, ErrClosed, and a park on w when the
+// round did nothing. A post that succeeds or fails hard on its first
+// try returns at once: no clock read, no deadline setup and no
+// subscription.
+func (p *Photon) Retry(w *Waiter, spec *WaitSpec, post func() error) error {
+	err := post()
+	if !errors.Is(err, ErrWouldBlock) {
+		return err
+	}
+	var deadline time.Time
+	if spec != nil {
+		deadline = spec.Deadline
+	}
+	deadline = p.waitDeadline(deadline)
+	for {
+		n := p.Progress()
+		if err := p.endRound(w, spec, deadline, n == 0); err != nil {
+			return err
 		}
-		if c, ok := p.eng.remoteCQ.takeMatch(ar); ok {
-			spec.AbortIdx = i
-			spec.Aborted = c
-			return ErrWaitAborted
+		if err := post(); !errors.Is(err, ErrWouldBlock) {
+			return err
 		}
 	}
-	for _, r := range spec.Watch {
-		if p.PeerHealthState(r) == PeerDown {
-			spec.DownRank = r
-			return fmt.Errorf("photon: rank %d: %w", r, ErrPeerDown)
+}
+
+// waitDeadline bounds a blocking call. With op deadlines armed, even
+// "wait forever" calls are bounded: an in-flight op surfaces its error
+// completion within ~OpTimeout plus one sweep period, so 2×OpTimeout
+// covers every waiter — including ones waiting on a remote RID that no
+// local op ever carried (e.g. the peer died before posting), or on
+// credits a dead peer will never return.
+func (p *Photon) waitDeadline(d time.Time) time.Time {
+	if d.IsZero() && p.opTimeoutNS > 0 {
+		return time.Now().Add(2 * time.Duration(p.opTimeoutNS))
+	}
+	return d
+}
+
+// endRound is the one set of exit conditions behind every blocking
+// call, run after each round that left it unfinished: an arrived abort
+// RID, then a watched rank latched down (both only with a spec), the
+// deadline, a closed engine. Failing none, it parks on w when idle (the
+// round found nothing to do) and returns nil to go round again.
+func (p *Photon) endRound(w *Waiter, spec *WaitSpec, deadline time.Time, idle bool) error {
+	if spec != nil {
+		for i, ar := range spec.AbortRIDs {
+			if ar == 0 {
+				continue
+			}
+			if c, ok := p.eng.remoteCQ.takeMatch(ar); ok {
+				spec.AbortIdx = i
+				spec.Aborted = c
+				return ErrWaitAborted
+			}
 		}
+		for _, r := range spec.Watch {
+			if p.PeerHealthState(r) == PeerDown {
+				spec.DownRank = r
+				return fmt.Errorf("photon: rank %d: %w", r, ErrPeerDown)
+			}
+		}
+	}
+	if !deadline.IsZero() && time.Now().After(deadline) {
+		return ErrTimeout
+	}
+	if p.closed.Load() {
+		return ErrClosed
+	}
+	if idle {
+		w.Idle()
 	}
 	return nil
 }
 
-// waitAll is the engine's one blocking loop; WaitLocal, WaitRemote and
+// waitAll is the engine's one blocking wait; WaitLocal, WaitRemote and
 // WaitAll are all calls into it. A nil spec (the one-RID waits) selects
 // no abort conditions and leaves Completion.Err for the caller to read.
 // pend is index scratch with room for len(rids) entries; it is a
@@ -290,14 +337,7 @@ func (p *Photon) waitAll(w *Waiter, pend []int, rids []uint64, out []Completion,
 	if len(out) < len(rids) {
 		return fmt.Errorf("photon: wait-all out slice too short: %d for %d rids", len(out), len(rids))
 	}
-	if deadline.IsZero() && p.opTimeoutNS > 0 {
-		// With op deadlines armed, even "wait forever" calls are
-		// bounded: an in-flight op surfaces its error completion within
-		// ~OpTimeout plus one sweep period, so 2×OpTimeout covers every
-		// waiter — including ones waiting on a remote RID that no local
-		// op ever carried (e.g. the peer died before posting).
-		deadline = time.Now().Add(2 * time.Duration(p.opTimeoutNS))
-	}
+	deadline = p.waitDeadline(deadline)
 	for i, rid := range rids {
 		if rid != 0 {
 			pend = append(pend, i)
@@ -332,19 +372,8 @@ func (p *Photon) waitAll(w *Waiter, pend []int, rids []uint64, out []Completion,
 		if len(pend) == 0 {
 			break
 		}
-		if spec != nil {
-			if err := p.checkSpec(spec); err != nil {
-				return err
-			}
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return ErrTimeout
-		}
-		if p.closed.Load() {
-			return ErrClosed
-		}
-		if n == 0 && !took {
-			w.Idle()
+		if err := p.endRound(w, spec, deadline, n == 0 && !took); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -307,6 +307,94 @@ func TestShutdownWaitsForHandlers(t *testing.T) {
 	}
 }
 
+// stalledJob boots 2 localities with the given Timeout, registers
+// "noop" and a "flood" handler that applies noop parcels toward rank 0
+// until a send fails (its error goes to the returned channel), and
+// shuts rank 0's locality down, so rank 0 drains no ledger and returns
+// no credits. Cleanup is the caller's: a locality whose Shutdown hangs
+// must not also hang the test's cleanup.
+func stalledJob(t *testing.T, timeout time.Duration) ([]*runtime.Locality, *gate, chan error) {
+	t.Helper()
+	g := newGate()
+	floodErr := make(chan error, 1)
+	locs := make([]*runtime.Locality, 2)
+	for r, ph := range photons(t, 2) {
+		l := runtime.NewLocality(ph, runtime.Config{Timeout: timeout})
+		l.RegisterAction("noop", func(*runtime.Context) ([]byte, error) { return nil, nil })
+		l.RegisterAction("flood", func(ctx *runtime.Context) ([]byte, error) {
+			g.entered <- struct{}{}
+			<-g.release
+			for {
+				if err := ctx.Rt.Apply(0, runtime.ActionIDFor("noop"), nil); err != nil {
+					floodErr <- err
+					return nil, err
+				}
+			}
+		})
+		locs[r] = l
+	}
+	for _, l := range locs {
+		l.Start()
+	}
+	if err := locs[0].Apply(1, runtime.ActionIDFor("flood"), nil); err != nil {
+		t.Fatal(err)
+	}
+	g.waitEntered(t, 1)
+	locs[0].Shutdown()
+	return locs, g, floodErr
+}
+
+// TestShutdownBoundsBlockedSends: a handler on rank 1 floods rank 0,
+// whose locality has shut down, until its send blocks on credits.
+// Rank 1's Shutdown, which waits for every handler, must end that send
+// with ErrStopped and return well inside Config.Timeout instead of
+// hanging for good.
+func TestShutdownBoundsBlockedSends(t *testing.T) {
+	locs, g, floodErr := stalledJob(t, waitT)
+	close(g.release)
+	// Shut rank 1 down only once the flood has stalled on credits: a
+	// send that starts after Shutdown fails at once with ErrStopped.
+	for sent := int64(-1); ; {
+		time.Sleep(20 * time.Millisecond)
+		now := locs[1].Counters().ParcelsSent
+		if now == sent {
+			break
+		}
+		sent = now
+	}
+	down := make(chan struct{})
+	go func() {
+		locs[1].Shutdown()
+		close(down)
+	}()
+	select {
+	case <-down:
+	case <-after(time.Second):
+		t.Fatalf("rank 1's Shutdown still blocked after 1s (Timeout %v)", waitT)
+	}
+	if err := <-floodErr; !errors.Is(err, runtime.ErrStopped) {
+		t.Fatalf("blocked send: want runtime.ErrStopped, got %v", err)
+	}
+}
+
+// TestBlockedSendTimesOut: a send toward a rank that returns no credits
+// gives up with runtime.ErrTimeout after Config.Timeout.
+func TestBlockedSendTimesOut(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	locs, g, floodErr := stalledJob(t, timeout)
+	start := time.Now()
+	close(g.release)
+	select {
+	case err := <-floodErr:
+		if !errors.Is(err, runtime.ErrTimeout) || time.Since(start) < timeout {
+			t.Fatalf("blocked send returned %v after %v, want runtime.ErrTimeout after at least %v", err, time.Since(start), timeout)
+		}
+		locs[1].Shutdown()
+	case <-after(10 * timeout):
+		t.Fatalf("blocked send still blocked after %v (Timeout %v)", 10*timeout, timeout)
+	}
+}
+
 // TestWaitTimeoutAndRepeat: a timed-out wait matches both timeout
 // sentinels and leaves the future usable; every wait after resolution
 // returns the same value.

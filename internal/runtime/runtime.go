@@ -14,7 +14,8 @@
 // at most 64 workers (maxWorkers). Local completions route back to
 // futures, which is how the global-address-space layer (gas.go) turns
 // one-sided puts and gets into awaitable operations. Config holds only
-// a wait timeout.
+// a timeout: it bounds Barrier and every parcel send that has to wait
+// for ledger credits.
 //
 // RID space: the runtime claims bits 62 (parcels) and 61 (local future
 // routing). Applications sharing a Photon instance with the runtime
@@ -76,8 +77,8 @@ const maxWorkers = 64
 
 // Config tunes a locality.
 type Config struct {
-	// Timeout bounds internal waits like Barrier (default 30s; <=0
-	// waits forever).
+	// Timeout bounds internal waits like Barrier and a parcel send's
+	// wait for credits (default 30s; <=0 waits forever).
 	Timeout time.Duration
 }
 
@@ -472,7 +473,12 @@ func (l *Locality) send(rank int, action ActionID, cont uint64, head, payload []
 	copy(b[parcelHdrLen:], head)
 	copy(b[parcelHdrLen+len(head):], payload)
 	rid := bitParcel | (l.seq.Add(1) & ((1 << 48) - 1))
-	err := l.ph.SendBlocking(rank, b, 0, rid)
+	// Try once before arming a deadline: a parcel that posts at once
+	// reads no clock.
+	err := l.ph.Send(rank, b, 0, rid)
+	if errors.Is(err, core.ErrWouldBlock) {
+		err = l.waitCredits(rank, b, rid)
+	}
 	if pooled {
 		l.enc.Put(b)
 	}
@@ -481,6 +487,31 @@ func (l *Locality) send(rank int, action ActionID, cont uint64, head, payload []
 	}
 	l.counters.sent.Add(1)
 	return nil
+}
+
+// waitCredits retries a parcel refused for credits through core's
+// retry loop until this locality stops (ErrStopped) or Config.Timeout
+// passes (<=0 waits for as long as op deadlines allow). A rank whose
+// locality has shut down returns no credits: without the stop check a
+// handler sending to it would hold this locality's Shutdown for the
+// whole Timeout, and without the bound for good.
+func (l *Locality) waitCredits(rank int, b []byte, rid uint64) error {
+	var spec core.WaitSpec
+	if l.cfg.Timeout > 0 {
+		spec.Deadline = time.Now().Add(l.cfg.Timeout)
+	}
+	w := core.NewWaiter(l.ph)
+	defer w.Release()
+	err := l.ph.Retry(w, &spec, func() error {
+		if l.stopped.Load() {
+			return ErrStopped
+		}
+		return l.ph.Send(rank, b, 0, rid)
+	})
+	if errors.Is(err, core.ErrTimeout) {
+		return ErrTimeout
+	}
+	return err
 }
 
 // reply resolves continuation cont at rank with a handler's result, or
